@@ -57,6 +57,10 @@ class DegenerateRootError(NumericalDomainError):
     """Derivative vanished during Newton iteration (multiple/degenerate root)."""
 
 
+class QuadratureError(NumericalDomainError):
+    """Composite quadrature did not converge within its panel cap."""
+
+
 class ChapmanJouguetError(NumericalDomainError):
     """Wave is sonic (Chapman-Jouguet) or beyond; only overdriven waves are handled."""
 

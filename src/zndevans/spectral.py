@@ -7,10 +7,12 @@ The normal-mode problem in the physical coordinate reads Z' = G Z with
 where A0, A1 are the Jacobians of the conserved densities/fluxes and C the
 Jacobian of the reaction source, all in primitive variables W = (rho, u, e, Y).
 This module provides those Jacobians analytically (with a finite-difference
-self-check), the limit matrices at the burned and unburned ends, the analytic
-stable left eigenpair (ell, g_minus) of the burned-end matrix, a Kato-ODE
-numerical continuation of that eigenvector as an independent cross-check, and
-the boundary jump vector that closes the stability determinant.
+self-check), the closed-form, matrix-free application of G and of its
+adjoint that the shooting right-hand sides use (:func:`linearized_rhs`), the
+limit matrices at the burned and unburned ends, the analytic stable left
+eigenpair (ell, g_minus) of the burned-end matrix, a Kato-ODE numerical
+continuation of that eigenvector as an independent cross-check, and the
+boundary jump vector that closes the stability determinant.
 """
 
 from __future__ import annotations
@@ -124,10 +126,115 @@ def _finite_difference_check(state, cfg, A0, A1, C, rel=1e-6):
             )
 
 
+def _gas_entries(state: StateW, cfg: GasWaveConfig):
+    """Scalar entries of the 3x3 gas blocks of A0 and A1.
+
+    Returns ``(E, f1)`` with E = e + u^2/2 and f1 the six entries of f1_V
+    below its first row, so that
+
+        f0_V = [[1, 0, 0], [u, rho, 0], [E, rho u, rho]]
+        f1_V = [[u, rho, 0], [f1[0], f1[1], f1[2]], [f1[3], f1[4], f1[5]]].
+    """
+    rho, u, e = state.rho, state.u, state.e
+    p, _, _, p_rho, p_e = thermo(state, cfg)
+    E = e + 0.5 * u * u
+    f1 = (
+        u * u + p_rho,
+        2.0 * rho * u,
+        p_e,
+        (E + p_rho) * u,
+        rho * (e + 1.5 * u * u) + p,
+        (rho + p_e) * u,
+    )
+    return E, f1
+
+
 def _gas_block_jacobians(state: StateW, cfg: GasWaveConfig) -> tuple[np.ndarray, np.ndarray]:
     """(f0_V, f1_V): upper-left 3x3 gas blocks of A0, A1."""
-    A0, A1, _ = jacobians(state, cfg)
-    return A0[:3, :3], A1[:3, :3]
+    rho, u = state.rho, state.u
+    E, (a10, a11, a12, a20, a21, a22) = _gas_entries(state, cfg)
+    f0V = np.array([[1.0, 0.0, 0.0], [u, rho, 0.0], [E, rho * u, rho]])
+    f1V = np.array([[u, rho, 0.0], [a10, a11, a12], [a20, a21, a22]])
+    return f0V, f1V
+
+
+def apply_A0(state: StateW, v) -> list:
+    """A0 v in closed form for four numbers v (single reactant); a list."""
+    rho, u = state.rho, state.u
+    v0, v1, v2, v3 = v
+    return [
+        v0,
+        u * v0 + rho * v1,
+        (state.e + 0.5 * u * u) * v0 + rho * u * v1 + rho * v2,
+        state.Y.item() * v0 + rho * v3,
+    ]
+
+
+def linearized_rhs(
+    wave: SteadyWave, state: StateW, lam: complex, z, shift: complex = 0.0, adjoint: bool = True
+) -> list:
+    """dZ/dy of the linearized system at one profile state, in closed form.
+
+    With ``sigma = dx/dy`` at ``state`` this is
+
+        adjoint=True:   -sigma (A1^{-T} (-lam A0^T + C^T) - shift I) z
+        adjoint=False:   sigma (-lam A0 + C) A1^{-1} z    (shift unused)
+
+    for the four complex numbers ``z`` (a single reactant); the result is a
+    list of four complex numbers.  No matrix is built: C = (0, 0, q, -1)^T c
+    is rank one, so C^T z = (q z2 - z3) c, and A1's last column is
+    (0, 0, 0, rho u) with last row Y times its first row plus (0, 0, 0, rho u),
+    so the A1 solve is one division plus a 3x3 cofactor solve with f1_V.
+    Pass ``lam`` and ``z`` as Python complex numbers for speed.
+    """
+    cfg = wave.config
+    rho, u = state.rho, state.u
+    Y = state.Y.item()
+    E, (a10, a11, a12, a20, a21, a22) = _gas_entries(state, cfg)
+    # cofactors k_ij of f1_V, whose first row is (u, rho, 0)
+    k00 = a11 * a22 - a12 * a21
+    k01 = a12 * a20 - a10 * a22
+    k02 = a10 * a21 - a11 * a20
+    k10 = -rho * a22
+    k11 = u * a22
+    k12 = rho * a20 - u * a21
+    k20 = rho * a12
+    k21 = -u * a12
+    k22 = u * a11 - rho * a10
+    det = u * k00 + rho * k01
+    rho_u = rho * u
+
+    T = state.e / cfg.Cv
+    phi = arrhenius(T, cfg)
+    sig = wave.m / (rho * phi)
+    # the nonzero row of C (ignited branch), up to the factors q and -1
+    c0 = cfg.K * Y * phi
+    c2 = c0 * rho * cfg.EA / (cfg.gas_constant * T * T * cfg.Cv)
+    c3 = cfg.K * rho * phi
+    q = cfg.q
+
+    z0, z1, z2, z3 = z
+    if adjoint:
+        s = q * z2 - z3
+        b0 = s * c0 - lam * (z0 + u * z1 + E * z2 + Y * z3)
+        b1 = -lam * rho * (z1 + u * z2)
+        b2 = s * c2 - lam * rho * z2
+        b3 = s * c3 - lam * rho * z3
+        w3 = b3 / rho_u
+        g = -sig / det
+        return [
+            g * (k00 * b0 + k01 * b1 + k02 * b2) + sig * (Y * w3 + shift * z0),
+            g * (k10 * b0 + k11 * b1 + k12 * b2) + sig * shift * z1,
+            g * (k20 * b0 + k21 * b1 + k22 * b2) + sig * shift * z2,
+            sig * (shift * z3 - w3),
+        ]
+    v0 = (k00 * z0 + k10 * z1 + k20 * z2) / det
+    v1 = (k01 * z0 + k11 * z1 + k21 * z2) / det
+    v2 = (k02 * z0 + k12 * z1 + k22 * z2) / det
+    v3 = (z3 - Y * z0) / rho_u
+    s = c0 * v0 + c2 * v2 + c3 * v3
+    a0, a1, a2, a3 = apply_A0(state, (v0, v1, v2, v3))
+    return [-sig * lam * a0, -sig * lam * a1, sig * (q * s - lam * a2), -sig * (s + lam * a3)]
 
 
 def check_noncharacteristic(state: StateW, cfg: GasWaveConfig) -> bool:

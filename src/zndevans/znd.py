@@ -22,17 +22,24 @@ from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
+from numpy.polynomial.legendre import leggauss
 
 from .errors import (
     ChapmanJouguetError,
     ConfigError,
     InvalidIgnitionWindowError,
     InvalidWaveError,
+    QuadratureError,
 )
 
 _EPS_CJ = 1e-10  # sonic-rejection threshold on the discriminant
 _CONSISTENCY_TOL = 1e-12
+# x_of_y: 20-point Gauss-Legendre panels, doubled until two successive
+# estimates agree to _QUAD_REL (a fixed panel count is not enough: at EA = 40
+# four panels are off by 5e-10 where eight are exact to rounding)
+_GL_NODES, _GL_WEIGHTS = leggauss(20)
+_QUAD_REL = 1e-12
+_QUAD_MAX_PANELS = 1024
 
 
 @dataclass(frozen=True)
@@ -375,10 +382,40 @@ def profile_deriv(wave: SteadyWave, y: float) -> np.ndarray:
     return np.array([drho, du, de, dY])
 
 
-def sigma(wave: SteadyWave, y: float) -> float:
-    """dx/dy = m / (rho * phi(T)) along the profile; uniformly positive."""
-    state = profile_at(wave, y)
-    return wave.m / reaction_psi(state, wave.config)
+def sigma(wave: SteadyWave, y):
+    """dx/dy = m / (rho * phi(T)) along the profile; uniformly positive.
+
+    ``y`` may be a number or an array of points y <= 0.  This is the closed
+    form of :func:`profile_at` with ``rho = -m/u``, evaluated elementwise; the
+    discriminant is positive for every y <= 0 of a built wave.
+    """
+    ys = np.asarray(y, dtype=float)
+    if np.any(ys > 0.0):
+        raise ValueError(f"profile is defined for y <= 0, got {y!r}")
+    cfg = wave.config
+    Ybar = np.exp(cfg.K * ys) * cfg.Y0
+    u = _branch_center(cfg, wave.rh_b) + np.sqrt(_discriminant(cfg, wave.rh_b, wave.rh_c, Ybar))
+    e = (wave.rh_b * u - u * u) / cfg.Gamma
+    return -u * np.exp(cfg.EA / (cfg.gas_constant * e / cfg.Cv))
+
+
+def _sigma_integral(wave: SteadyWave, a: float, b: float) -> float:
+    """Integral of sigma from a to b by composite 20-point Gauss-Legendre."""
+    prev = math.nan
+    panels = 1
+    while panels <= _QUAD_MAX_PANELS:
+        half = 0.5 * (b - a) / panels
+        centers = a + half * (2.0 * np.arange(panels) + 1.0)
+        nodes = (centers[:, None] + half * _GL_NODES).ravel()
+        est = half * float(np.sum(sigma(wave, nodes).reshape(panels, -1) @ _GL_WEIGHTS))
+        if abs(est - prev) <= _QUAD_REL * abs(est):
+            return est
+        prev = est
+        panels *= 2
+    raise QuadratureError(
+        f"x(y) quadrature over [{b:.6g}, {a:.6g}] did not settle to "
+        f"{_QUAD_REL:g} within {_QUAD_MAX_PANELS} panels"
+    )
 
 
 def x_of_y(wave: SteadyWave, y_grid: Sequence[float]) -> np.ndarray:
@@ -389,12 +426,10 @@ def x_of_y(wave: SteadyWave, y_grid: Sequence[float]) -> np.ndarray:
     if np.any(ys > 0.0) or np.any(np.diff(ys) > 0.0):
         raise ValueError("y_grid must be nonpositive and sorted descending from 0")
     out = np.empty_like(ys)
-    integrand = lambda s: sigma(wave, s)
     prev_y, prev_x = 0.0, 0.0
     for i, y in enumerate(ys):
         if y != prev_y:
-            seg, _ = quad(integrand, prev_y, y, epsabs=1e-13, epsrel=1e-11, limit=200)
-            prev_x += seg
+            prev_x += _sigma_integral(wave, prev_y, y)
             prev_y = y
         out[i] = prev_x
     return out

@@ -152,8 +152,9 @@ class TestAdjointIsAnnihilator:
 
     def build_pieces(self, wave, lam, tol=1e-10):
         from zndevans.numerics import OdeField, integrate_adaptive
-        from zndevans.evans import _adjoint_rhs, _sigma_and_G
-        from zndevans.spectral import limit_G_minus, make_frame
+        from zndevans.evans import _adjoint_rhs
+        from zndevans.spectral import jacobians, limit_G_minus, make_frame
+        from zndevans.znd import profile_at, reaction_psi
 
         M = wave.default_M
         frame = make_frame(wave, lam)
@@ -163,8 +164,12 @@ class TestAdjointIsAnnihilator:
         assert len(unstable) == 3
 
         def fwd_rhs(y, z):
-            sig, Mmat, A1 = _sigma_and_G(wave, lam, y)
-            return sig * (Mmat @ np.linalg.solve(A1.astype(complex), z))
+            # assembled from the Jacobian matrices, independently of the
+            # closed-form kernel behind _adjoint_rhs
+            state = profile_at(wave, y)
+            A0, A1, C = jacobians(state, wave.config)
+            sig = wave.m / reaction_psi(state, wave.config)
+            return sig * ((-lam * A0 + C) @ np.linalg.solve(A1.astype(complex), z))
 
         fwd = OdeField(dimension=4, eval=fwd_rhs)
         columns = []

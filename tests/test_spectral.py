@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_overdriven_config
 from zndevans.errors import BranchAmbiguityError, NumericalDomainError
 from zndevans.spectral import (
+    _gas_block_jacobians,
+    apply_A0,
     check_noncharacteristic,
     coefficient_G,
     jacobians,
@@ -15,6 +18,7 @@ from zndevans.spectral import (
     left_mode_residual,
     limit_G_minus,
     limit_G_plus,
+    linearized_rhs,
     make_frame,
     stable_left_eig,
     stable_left_mode,
@@ -24,6 +28,7 @@ from zndevans.znd import (
     build_wave,
     default_config,
     fluxes,
+    nonreactive_config,
     profile_at,
     reaction_psi,
     thermo,
@@ -60,6 +65,39 @@ class TestJacobians:
         cfg = default_config()
         for _ in range(20):
             jacobians(random_state(rng), cfg, self_check=True)
+
+
+class TestClosedFormKernel:
+    """linearized_rhs, apply_A0 and the gas blocks against the matrices of
+    jacobians with LAPACK solves, along whole profiles of six waves."""
+
+    def test_matches_matrix_assembly(self, rng):
+        cfgs = [default_config(), replace(default_config(), EA=20.0), nonreactive_config()]
+        cfgs += [random_overdriven_config(rng) for _ in range(3)]
+        shift = 0.3 - 0.7j
+        worst = 0.0
+        for cfg in cfgs:
+            wave = build_wave(cfg)
+            for y in np.linspace(-wave.default_M, 0.0, 41):
+                st_ = profile_at(wave, y)
+                A0, A1, C = jacobians(st_, cfg)
+                f0V, f1V = _gas_block_jacobians(st_, cfg)
+                assert np.array_equal(f0V, A0[:3, :3]) and np.array_equal(f1V, A1[:3, :3])
+                sig = wave.m / reaction_psi(st_, cfg)
+                for lam in (0.1 + 30j, 40.0 + 0j, 1.0 + 1.0j):
+                    z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+                    adj = -sig * (np.linalg.solve(A1.T.astype(complex), (-lam * A0.T + C.T) @ z) - shift * z)
+                    fwd = sig * ((-lam * A0 + C) @ np.linalg.solve(A1.astype(complex), z))
+                    got_adj = np.array(linearized_rhs(wave, st_, lam, z.tolist(), shift))
+                    got_fwd = np.array(linearized_rhs(wave, st_, lam, z.tolist(), adjoint=False))
+                    got_A0 = np.array(apply_A0(st_, z.tolist()))
+                    worst = max(
+                        worst,
+                        np.linalg.norm(got_adj - adj) / np.linalg.norm(adj),
+                        np.linalg.norm(got_fwd - fwd) / np.linalg.norm(fwd),
+                        np.linalg.norm(got_A0 - A0 @ z) / np.linalg.norm(A0 @ z),
+                    )
+        assert worst < 1e-12
 
 
 class TestNoncharacteristic:

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_overdriven_config
-from zndevans.errors import ChapmanJouguetError, ConfigError, InvalidIgnitionWindowError
+from zndevans import znd
+from zndevans.errors import (
+    ChapmanJouguetError,
+    ConfigError,
+    InvalidIgnitionWindowError,
+    QuadratureError,
+)
 from zndevans.znd import (
     GasWaveConfig,
     StateW,
@@ -245,6 +251,20 @@ class TestXofY:
             x_of_y(wave, [0.0, 1.0])
         with pytest.raises(ValueError):
             x_of_y(wave, [-2.0, -1.0])
+
+    @pytest.mark.parametrize("EA", [10.0, 20.0, 40.0])
+    def test_matches_adaptive_quadrature(self, EA):
+        quad = pytest.importorskip("scipy.integrate").quad
+        wave = build_wave(replace(default_config(), EA=EA))
+        ys = np.array([0.0, -0.01, -0.5, -2.0, -wave.default_M])
+        integrand = lambda s: wave.m / znd.reaction_psi(profile_at(wave, s), wave.config)
+        ref = [quad(integrand, 0.0, y, epsabs=0.0, epsrel=1e-12, limit=200)[0] for y in ys]
+        assert np.allclose(x_of_y(wave, ys), ref, rtol=1e-11, atol=0.0)
+
+    def test_unsettled_quadrature_raises(self, wave, monkeypatch):
+        monkeypatch.setattr(znd, "sigma", lambda wave, y: np.full(np.shape(y), np.nan))
+        with pytest.raises(QuadratureError):
+            x_of_y(wave, [0.0, -1.0])
 
 
 class TestConfigIO:
