@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -122,14 +121,13 @@ def _cmd_profile(args) -> int:
 
 def _dump_G_csv(wave, lam: complex, M: float, path: str, n: int = 81) -> None:
     ys = np.linspace(-M, 0.0, n)
-    dim = 3 + wave.burned.r
-    header = ["y"] + [f"G{i}{j}_{part}" for i in range(dim) for j in range(dim) for part in ("re", "im")]
+    header = ["y"] + [f"G{i}{j}_{part}" for i in range(4) for j in range(4) for part in ("re", "im")]
     lines = [",".join(header)]
     for y in ys:
         G = coefficient_G(wave, lam, float(y))
         row = [_fmt(float(y))]
-        for i in range(dim):
-            for j in range(dim):
+        for i in range(4):
+            for j in range(4):
                 row += [_fmt(G[i, j].real), _fmt(G[i, j].imag)]
         lines.append(",".join(row))
     Path(path).write_text("\n".join(lines) + "\n")
@@ -157,17 +155,7 @@ def _cmd_contour(args) -> int:
     tol, tol_env = _default_tol(args)
     wave = build_wave(_load_config(args.config))
     method = _METHOD_FLAGS[args.method]
-    if args.jobs > 1:
-        pool = ThreadPoolExecutor(max_workers=args.jobs)
-        map_fn = lambda f, xs: list(pool.map(f, xs))
-    else:
-        pool = None
-        map_fn = map
-    try:
-        report = count_unstable(wave, args.radius, method=method, tol=tol, M=args.M, map_fn=map_fn)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    report = count_unstable(wave, args.radius, method=method, tol=tol, M=args.M)
 
     nodes = report.contour.nodes
     lines = ["re_lambda,im_lambda,re_D,im_D"]
@@ -271,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--method", choices=sorted(_METHOD_FLAGS), default="neutral")
-    p.add_argument("--jobs", type=int, default=1, help="parallel determinant evaluations")
     p.set_defaults(fn=_cmd_contour)
 
     p = sub.add_parser("roots", help="follow a root through a parameter sweep")

@@ -75,6 +75,7 @@ class EvansResult:
             "accepted_steps": self.stats.accepted_steps,
             "rejected_steps": self.stats.rejected_steps,
             "rhs_evaluations": self.stats.rhs_evaluations,
+            "kappa_to_neutral": [self.kappa_to_neutral.real, self.kappa_to_neutral.imag],
         }
 
     def to_json(self) -> str:
@@ -95,6 +96,7 @@ class EvansResult:
             method=rec["method"],
             M=rec["M"],
             stats=stats,
+            kappa_to_neutral=complex(*rec["kappa_to_neutral"]),
         )
 
 
@@ -138,7 +140,7 @@ def evans_neutral(
     """
     M = _resolve_M(wave, M)
     frame = make_frame(wave, lam)
-    field = OdeField(dimension=3 + wave.burned.r, eval=_adjoint_rhs(wave, lam, frame.g_minus))
+    field = OdeField(dimension=4, eval=_adjoint_rhs(wave, lam, frame.g_minus))
     z, stats = integrate_adaptive(
         field, (-M, 0.0), frame.ell, rel_tol=tol, abs_tol=abs_tol if abs_tol is not None else tol
     )
@@ -184,26 +186,26 @@ def evans_erpenbeck(
     M = _resolve_M(wave, M)
     frame = make_frame(wave, lam)
     prefactor = _edge_prefactor(wave, frame, M)
-    n = 3 + wave.burned.r
     lam = complex(lam)
 
+    # components 0-3 are the adjoint, component 4 the running quadrature
     def rhs(y: float, z: np.ndarray) -> np.ndarray:
         state = profile_at(wave, y)
-        zz = z.tolist()[:n]
+        zz = z.tolist()[:4]
         dz = linearized_rhs(wave, state, lam, zz)
         dF0 = apply_A0(state, profile_deriv(wave, y).tolist())  # (F0 o profile)'
         dz.append(lam * sum(a * b for a, b in zip(zz, dF0)))
         return np.array(dz)
 
     base = tol if abs_tol is None else abs_tol
-    atol = np.full(n + 1, base)
-    atol[:n] *= max(abs(prefactor), 1e-280)  # keep the tiny start under relative control
+    atol = np.full(5, base)
+    atol[:4] *= max(abs(prefactor), 1e-280)  # keep the tiny start under relative control
     init = np.concatenate([prefactor * frame.ell, [0.0]])
     z, stats = integrate_adaptive(
-        OdeField(dimension=n + 1, eval=rhs), (-M, 0.0), init, rel_tol=tol, abs_tol=atol
+        OdeField(dimension=5, eval=rhs), (-M, 0.0), init, rel_tol=tol, abs_tol=atol
     )
     jump_F0_only = frame.jump - _neumann_source(wave)  # lam * [F0], no source term
-    D = complex(z[n] + z[:n] @ jump_F0_only)
+    D = complex(z[4] + z[:4] @ jump_F0_only)
     return EvansResult(lam=complex(lam), D=D, method=METHOD_ERPENBECK, M=M, stats=stats)
 
 
@@ -230,7 +232,7 @@ def evans_lee_stewart(
     M = _resolve_M(wave, M)
     frame = make_frame(wave, lam)
     kappa = _edge_prefactor(wave, frame, M)
-    field = OdeField(dimension=3 + wave.burned.r, eval=_forward_rhs(wave, lam))
+    field = OdeField(dimension=4, eval=_forward_rhs(wave, lam))
     z, stats = integrate_adaptive(
         field, (0.0, -M), frame.jump, rel_tol=tol, abs_tol=abs_tol if abs_tol is not None else tol
     )
@@ -281,19 +283,18 @@ def duality_check(
     frame = make_frame(wave, lam)
     prefactor = _edge_prefactor(wave, frame, M)
     grid = np.linspace(-M, 0.0, n_grid)
-    n = 3 + wave.burned.r
 
-    adjoint_field = OdeField(dimension=n, eval=_adjoint_rhs(wave, lam, 0.0))
+    adjoint_field = OdeField(dimension=4, eval=_adjoint_rhs(wave, lam, 0.0))
     atol = tol * max(abs(prefactor), 1e-280)
-    z_adj = np.empty((n_grid, n), dtype=complex)
+    z_adj = np.empty((n_grid, 4), dtype=complex)
     z = prefactor * frame.ell
     z_adj[0] = z
     for i in range(n_grid - 1):
         z, _ = integrate_adaptive(adjoint_field, (grid[i], grid[i + 1]), z, rel_tol=tol, abs_tol=atol)
         z_adj[i + 1] = z
 
-    fwd_field = OdeField(dimension=n, eval=_forward_rhs(wave, lam))
-    z_fwd = np.empty((n_grid, n), dtype=complex)
+    fwd_field = OdeField(dimension=4, eval=_forward_rhs(wave, lam))
+    z_fwd = np.empty((n_grid, 4), dtype=complex)
     z = frame.jump.astype(complex)
     z_fwd[n_grid - 1] = z
     for i in range(n_grid - 1, 0, -1):

@@ -317,20 +317,18 @@ def refine_contour(
     contour: Contour,
     max_phase_step: float = np.pi / 4,
     max_depth: int = 12,
-    map_fn: Callable = map,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample ``evaluator`` on the contour, bisecting edges until every
     consecutive phase difference is below ``max_phase_step``.
 
-    Returns ``(nodes, values)``, both closed (first == last).  ``map_fn``
-    lets callers evaluate batches of new midpoints concurrently.  Exceeding
+    Returns ``(nodes, values)``, both closed (first == last).  Exceeding
     ``max_depth`` bisections on one original edge means a zero sits on or
     near the contour and raises :class:`ContourRefinementError`.
     """
     if not 0.0 < max_phase_step <= np.pi / 2:
         raise ValueError("max_phase_step must lie in (0, pi/2]")
     nodes = list(contour.nodes)
-    values = list(map_fn(evaluator, nodes))
+    values = [evaluator(z) for z in nodes]
     depths = [0] * (len(nodes) - 1)
 
     while True:
@@ -349,7 +347,7 @@ def refine_contour(
                 "a root lies on or near the contour"
             )
         midpoints = [0.5 * (nodes[i] + nodes[i + 1]) for i in bad]
-        midvalues = list(map_fn(evaluator, midpoints))
+        midvalues = [evaluator(z) for z in midpoints]
         for i, zm, vm in sorted(zip(bad, midpoints, midvalues), reverse=True):
             nodes.insert(i + 1, zm)
             values.insert(i + 1, vm)

@@ -53,51 +53,47 @@ def jacobians(
     differences of :func:`zndevans.znd.fluxes` to 1e-6 relative.
     """
     rho, u, e, Y = state.rho, state.u, state.e, state.Y
-    r = Y.size
-    n = 3 + r
     p, T, _, p_rho, p_e = thermo(state, cfg)
-    # ideal gas: no composition dependence in the equation of state
-    p_Y = np.zeros(r)
 
-    A0 = np.zeros((n, n))
+    A0 = np.zeros((4, 4))
     A0[0, 0] = 1.0
     A0[1, 0] = u
     A0[1, 1] = rho
     A0[2, 0] = e + 0.5 * u * u
     A0[2, 1] = rho * u
     A0[2, 2] = rho
-    A0[3:, 0] = Y
-    A0[3:, 3:] = rho * np.eye(r)
+    A0[3, 0] = Y
+    A0[3, 3] = rho
 
-    A1 = np.zeros((n, n))
+    # ideal gas: no composition dependence in the equation of state, so
+    # A1[1, 3] = A1[2, 3] = 0
+    A1 = np.zeros((4, 4))
     A1[0, 0] = u
     A1[0, 1] = rho
     A1[1, 0] = u * u + p_rho
     A1[1, 1] = 2.0 * rho * u
     A1[1, 2] = p_e
-    A1[1, 3:] = p_Y
     A1[2, 0] = (e + 0.5 * u * u + p_rho) * u
     A1[2, 1] = rho * (e + 1.5 * u * u) + p
     A1[2, 2] = (rho + p_e) * u
-    A1[2, 3:] = p_Y * u
-    A1[3:, 0] = Y * u
-    A1[3:, 1] = Y * rho
-    A1[3:, 3:] = rho * u * np.eye(r)
+    A1[3, 0] = Y * u
+    A1[3, 1] = Y * rho
+    A1[3, 3] = rho * u
 
     # psi = rho * phi(T(e)); phi' = phi * EA/(R T^2)
     phi = arrhenius(T, cfg)
     psi = rho * phi
     dpsi_drho = phi
     dpsi_de = rho * phi * cfg.EA / (cfg.gas_constant * T * T) / cfg.Cv
-    KY = cfg.K * Y  # single-species rate: K scalar times Y vector
+    KY = cfg.K * Y
 
-    C = np.zeros((n, n))
-    C[2, 0] = cfg.q * float(np.sum(KY)) * dpsi_drho
-    C[2, 2] = cfg.q * float(np.sum(KY)) * dpsi_de
-    C[2, 3:] = cfg.q * cfg.K * psi
-    C[3:, 0] = -KY * dpsi_drho
-    C[3:, 2] = -KY * dpsi_de
-    C[3:, 3:] = -cfg.K * psi * np.eye(r)
+    C = np.zeros((4, 4))
+    C[2, 0] = cfg.q * KY * dpsi_drho
+    C[2, 2] = cfg.q * KY * dpsi_de
+    C[2, 3] = cfg.q * cfg.K * psi
+    C[3, 0] = -KY * dpsi_drho
+    C[3, 2] = -KY * dpsi_de
+    C[3, 3] = -cfg.K * psi
 
     if self_check:
         _finite_difference_check(state, cfg, A0, A1, C)
@@ -113,8 +109,8 @@ def _finite_difference_check(state, cfg, A0, A1, C, rel=1e-6):
         wp, wm = w0.copy(), w0.copy()
         wp[j] += h
         wm[j] -= h
-        sp = StateW(wp[0], wp[1], wp[2], wp[3:])
-        sm = StateW(wm[0], wm[1], wm[2], wm[3:])
+        sp = StateW(*wp)
+        sm = StateW(*wm)
         for k, (fp, fm) in enumerate(zip(fluxes(sp, cfg), fluxes(sm, cfg))):
             num[k, :, j] = (fp - fm) / (2.0 * h)
     for name, analytic, numeric in (("A0", A0, num[0]), ("A1", A1, num[1]), ("C", C, num[2])):
@@ -159,14 +155,14 @@ def _gas_block_jacobians(state: StateW, cfg: GasWaveConfig) -> tuple[np.ndarray,
 
 
 def apply_A0(state: StateW, v) -> list:
-    """A0 v in closed form for four numbers v (single reactant); a list."""
+    """A0 v in closed form for four numbers v; a list."""
     rho, u = state.rho, state.u
     v0, v1, v2, v3 = v
     return [
         v0,
         u * v0 + rho * v1,
         (state.e + 0.5 * u * u) * v0 + rho * u * v1 + rho * v2,
-        state.Y.item() * v0 + rho * v3,
+        state.Y * v0 + rho * v3,
     ]
 
 
@@ -180,16 +176,15 @@ def linearized_rhs(
         adjoint=True:   -sigma (A1^{-T} (-lam A0^T + C^T) - shift I) z
         adjoint=False:   sigma (-lam A0 + C) A1^{-1} z    (shift unused)
 
-    for the four complex numbers ``z`` (a single reactant); the result is a
-    list of four complex numbers.  No matrix is built: C = (0, 0, q, -1)^T c
+    for the four complex numbers ``z``; the result is a list of four complex
+    numbers.  No matrix is built: C = (0, 0, q, -1)^T c
     is rank one, so C^T z = (q z2 - z3) c, and A1's last column is
     (0, 0, 0, rho u) with last row Y times its first row plus (0, 0, 0, rho u),
     so the A1 solve is one division plus a 3x3 cofactor solve with f1_V.
     Pass ``lam`` and ``z`` as Python complex numbers for speed.
     """
     cfg = wave.config
-    rho, u = state.rho, state.u
-    Y = state.Y.item()
+    rho, u, Y = state.rho, state.u, state.Y
     E, (a10, a11, a12, a20, a21, a22) = _gas_entries(state, cfg)
     # cofactors k_ij of f1_V, whose first row is (u, rho, 0)
     k00 = a11 * a22 - a12 * a21
@@ -281,27 +276,23 @@ def coefficient_G(wave: SteadyWave, lam: complex, y: float) -> np.ndarray:
 def limit_G_minus(wave: SteadyWave, lam: complex) -> np.ndarray:
     """Burned-end limit of G, assembled in upper block-triangular form.
 
-    The vanishing burned reactant makes the lower-left block exactly zero:
+    The vanishing burned reactant makes the lower-left row exactly zero, and
+    the ideal-gas pressure does not depend on Y, so with g0 = rho and
+    g1 = rho u at the burned state
 
-        [ -lam f0V f1V^{-1}   (lam f0V f1V^{-1} f1Y + Q K psi) / g1 ]
-        [        0                     (-lam g0 - K psi) / g1       ]
+        [ -lam f0V f1V^{-1}   (0, 0, q K psi)^T / g1 ]
+        [        0             (-lam g0 - K psi) / g1 ]
     """
     cfg = wave.config
     state = wave.burned
-    r = state.r
     f0V, f1V = _gas_block_jacobians(state, cfg)
-    psi = reaction_psi(state, cfg)
+    K_psi = cfg.K * reaction_psi(state, cfg)
     g0, g1 = state.rho, state.rho * state.u
-    Q = np.zeros((3, r))
-    Q[2, :] = cfg.q
-    f1Y = np.zeros((3, r))  # ideal gas: p_Y = 0
 
-    top_left = -lam * np.linalg.solve(f1V.T, f0V.T).T
-    B = lam * np.linalg.solve(f1V.T, f0V.T).T @ f1Y + cfg.K * psi * Q
-    G = np.zeros((3 + r, 3 + r), dtype=complex)
-    G[:3, :3] = top_left
-    G[:3, 3:] = B / g1
-    G[3:, 3:] = (-lam * g0 * np.eye(r) - cfg.K * psi * np.eye(r)) / g1
+    G = np.zeros((4, 4), dtype=complex)
+    G[:3, :3] = -lam * np.linalg.solve(f1V.T, f0V.T).T
+    G[2, 3] = cfg.q * K_psi / g1
+    G[3, 3] = (-lam * g0 - K_psi) / g1
     return G
 
 
@@ -309,7 +300,7 @@ def limit_G_plus(wave: SteadyWave, lam: complex) -> np.ndarray:
     """Unburned-end limit of G (x > 0): no reaction, so C = 0 there."""
     cfg = wave.config
     up = cfg.upstream
-    state = StateW(up.rho, up.u, up.e, np.full(wave.burned.r, cfg.Y0))
+    state = StateW(up.rho, up.u, up.e, cfg.Y0)
     return _G_at_state(state, cfg, lam, reacting=False)
 
 
@@ -320,7 +311,8 @@ def stable_left_mode(wave: SteadyWave, lam: complex) -> tuple[np.ndarray, comple
     part for Re(lambda) > 0 (burned flow is subsonic with u- < 0).  The gas
     part of ell comes from the outgoing acoustic characteristic, rescaled so
     the energy component is exactly 1, which keeps ell analytic in lambda;
-    the reactant part solves an r x r resolvent system.
+    the reactant part is then q K psi / (lambda (g0 - alpha g1) + K psi)
+    with alpha = 1 / (u- + c-), g0 = rho- and g1 = rho- u-.
     """
     lam = complex(lam)
     if lam == 0.0:
@@ -339,30 +331,24 @@ def stable_left_mode(wave: SteadyWave, lam: complex) -> tuple[np.ndarray, comple
     alpha = 1.0 / (u + c_s)
     g_minus = -lam * alpha
 
+    K_psi = cfg.K * reaction_psi(st, cfg)
+    g0, g1 = rho, rho * u
+    resolvent = lam * (g0 - alpha * g1) + K_psi
+    if abs(resolvent) < 1e-14 * (1.0 + abs(lam)):
+        raise NumericalDomainError(
+            f"reactant resolvent nearly singular at lambda={lam!r} (rate resonance)"
+        )
     # outgoing-acoustic left row of the gas block, energy component scaled to 1
-    ell_V = np.array(
+    ell = np.array(
         [
             (p_rho - c_s * u) * rho / p_e + 0.5 * u * u - e,
             (c_s - p_e * u / rho) * rho / p_e,
             1.0,
-        ]
+            cfg.q * K_psi / resolvent,
+        ],
+        dtype=complex,
     )
-
-    r = st.r
-    psi = reaction_psi(st, cfg)
-    g0, g1 = rho, rho * u
-    Q = np.zeros((3, r))
-    Q[2, :] = cfg.q
-    f0V, f1V = _gas_block_jacobians(st, cfg)
-    f1Y = np.zeros((3, r))  # p_Y = 0 for the ideal gas; kept for the general shape
-    B = lam * np.linalg.solve(f1V.T, f0V.T).T @ f1Y + cfg.K * psi * Q
-    resolvent = lam * (g0 - alpha * g1) * np.eye(r) + cfg.K * psi * np.eye(r)
-    if abs(np.linalg.det(resolvent)) < 1e-14 * (1.0 + abs(lam)) ** r:
-        raise NumericalDomainError(
-            f"reactant resolvent nearly singular at lambda={lam!r} (rate resonance)"
-        )
-    ell_Y = np.linalg.solve(resolvent.T.astype(complex), (ell_V @ B).astype(complex))
-    return np.concatenate([ell_V.astype(complex), ell_Y]), g_minus
+    return ell, g_minus
 
 
 def left_mode_residual(wave: SteadyWave, lam: complex) -> float:
@@ -376,7 +362,7 @@ def jump_vector(wave: SteadyWave, lam: complex) -> np.ndarray:
     """Boundary jump row: lam * (F0 ahead - F0 at the Neumann point) + R there."""
     cfg = wave.config
     up = cfg.upstream
-    ahead = StateW(up.rho, up.u, up.e, np.full(wave.burned.r, cfg.Y0))
+    ahead = StateW(up.rho, up.u, up.e, cfg.Y0)
     F0_plus, _, _ = fluxes(ahead, cfg)
     F0_minus, _, R_minus = fluxes(wave.neumann, cfg)
     return lam * (F0_plus - F0_minus) + R_minus

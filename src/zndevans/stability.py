@@ -58,7 +58,6 @@ def count_unstable(
     n_side: int = 16,
     max_phase_step: float = np.pi / 4,
     floor_rel: float = 1e-10,
-    map_fn: Callable = map,
 ) -> WindingReport:
     """Count unstable modes inside the offset semicircle of given radius.
 
@@ -83,9 +82,7 @@ def count_unstable(
         r = evaluate(wave, lam, method=method, M=M, tol=tol)
         return r.D * r.kappa_to_neutral
 
-    nodes, values = refine_contour(
-        evaluator, contour, max_phase_step=max_phase_step, map_fn=map_fn
-    )
+    nodes, values = refine_contour(evaluator, contour, max_phase_step=max_phase_step)
     min_abs = float(np.min(np.abs(values)))
     if min_abs < floor_rel * float(np.max(np.abs(values))):
         raise ContourThroughRootError(

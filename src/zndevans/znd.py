@@ -150,25 +150,19 @@ def config_to_json(cfg: GasWaveConfig) -> str:
 
 @dataclass(frozen=True)
 class StateW:
-    """Primitive state (rho, u, e, Y); Y is a vector of reactant fractions."""
+    """Primitive state (rho, u, e, Y); Y is the reactant mass fraction."""
 
     rho: float
     u: float
     e: float
-    Y: np.ndarray
+    Y: float
 
     def __post_init__(self):
-        Y = np.atleast_1d(np.asarray(self.Y, dtype=float))
-        object.__setattr__(self, "Y", Y)
         if not (self.rho > 0 and self.e > 0):
             raise InvalidWaveError(f"state needs rho, e > 0: rho={self.rho}, e={self.e}")
 
-    @property
-    def r(self) -> int:
-        return self.Y.size
-
     def as_vector(self) -> np.ndarray:
-        return np.concatenate([[self.rho, self.u, self.e], self.Y])
+        return np.array([self.rho, self.u, self.e, self.Y])
 
 
 def thermo(state: StateW, cfg: GasWaveConfig) -> tuple[float, float, float, float, float]:
@@ -195,15 +189,15 @@ def fluxes(state: StateW, cfg: GasWaveConfig) -> tuple[np.ndarray, np.ndarray, n
 
     The source is evaluated on the ignited branch (cutoff = 1); callers on
     the unburned side must not request it.  Its energy and reactant rows
-    satisfy R_energy = -q . R_Y exactly.
+    satisfy R_energy = -q R_Y exactly.
     """
     rho, u, e, Y = state.rho, state.u, state.e, state.Y
     p, _, _, _, _ = thermo(state, cfg)
     Etot = rho * (e + 0.5 * u * u)
-    F0 = np.concatenate([[rho, rho * u, Etot], rho * Y])
-    F1 = np.concatenate([[rho * u, rho * u * u + p, (Etot + p) * u], rho * u * Y])
-    rate = cfg.K * Y * reaction_psi(state, cfg)  # K Y psi, single-species K
-    R = np.concatenate([[0.0, 0.0, cfg.q * float(np.sum(rate))], -rate])
+    F0 = np.array([rho, rho * u, Etot, rho * Y])
+    F1 = np.array([rho * u, rho * u * u + p, (Etot + p) * u, rho * u * Y])
+    rate = cfg.K * Y * reaction_psi(state, cfg)
+    R = np.array([0.0, 0.0, cfg.q * rate, -rate])
     return F0, F1, R
 
 
@@ -302,8 +296,8 @@ def build_wave(config: GasWaveConfig) -> SteadyWave:
 
     rho_n, u_n, e_n = _gas_state(config, m, b, c, config.Y0)
     rho_b, u_b, e_b = _gas_state(config, m, b, c, 0.0)
-    neumann = StateW(rho_n, u_n, e_n, np.array([config.Y0]))
-    burned = StateW(rho_b, u_b, e_b, np.array([0.0]))
+    neumann = StateW(rho_n, u_n, e_n, config.Y0)
+    burned = StateW(rho_b, u_b, e_b, 0.0)
 
     # the same three invariants recomputed from the Neumann state must agree
     m2 = -rho_n * u_n
@@ -362,7 +356,7 @@ def profile_at(wave: SteadyWave, y: float) -> StateW:
     cfg = wave.config
     Ybar = math.exp(cfg.K * y) * cfg.Y0
     rho, u, e = _gas_state(cfg, wave.m, wave.rh_b, wave.rh_c, Ybar)
-    return StateW(rho, u, e, np.array([Ybar]))
+    return StateW(rho, u, e, Ybar)
 
 
 def profile_deriv(wave: SteadyWave, y: float) -> np.ndarray:
@@ -449,7 +443,7 @@ def profile_table(wave: SteadyWave, n: int = 200) -> dict[str, np.ndarray]:
         cols["rho"][i] = st.rho
         cols["u"][i] = st.u
         cols["e"][i] = st.e
-        cols["Y"][i] = st.Y[0]
+        cols["Y"][i] = st.Y
         cols["p"][i] = p
         cols["T"][i] = T
     return cols

@@ -194,7 +194,7 @@ def test_criterion_6_profile_correctness(random_waves):
         ys = -np.logspace(-3, math.log10(40.0 / cfg.K), 100)
         for y in ys:
             st = profile_at(wave, y)
-            rho, u, e, Y = st.rho, st.u, st.e, float(st.Y[0])
+            rho, u, e, Y = st.rho, st.u, st.e, st.Y
             r1 = (rho * u + wave.m) / wave.m
             r2 = (u + cfg.Gamma * e / u - wave.rh_b) / abs(wave.rh_b)
             r3 = (0.5 * u * u + (cfg.Gamma + 1.0) * e + cfg.q * Y - wave.rh_c) / abs(wave.rh_c)

@@ -127,12 +127,6 @@ class TestContourCommand:
         assert header == ["re_lambda", "im_lambda", "re_D", "im_D"]
         assert len(rows) == report["n_samples"] + 1  # closed loop repeats the seam
 
-    def test_jobs_flag(self, shock_path, tmp_path):
-        out = tmp_path / "contour.csv"
-        rc = main(["contour", "--config", shock_path, "--radius", "1",
-                   "--jobs", "4", "--out", str(out)])
-        assert rc == 0
-
 
 class TestRootsCommand:
     def test_nonconvergent_seed_reports_numerical_error(self, shock_path, tmp_path):
@@ -226,16 +220,22 @@ class TestRoundTrip:
         assert all(r["variant"] == "unfactored" for r in rows)
         assert all(r["mesh_points"] >= 2 for r in rows)
 
-    def test_evans_json(self, cfg_path, tmp_path):
-        from zndevans.evans import EvansResult
+    @pytest.mark.parametrize("method", ["neutral", "lee-stewart"])
+    def test_evans_json(self, cfg_path, tmp_path, method):
+        from zndevans.evans import EvansResult, evaluate
 
         out = tmp_path / "ev.json"
         main(["evans", "--config", cfg_path, "--lambda-re", "1.5",
-              "--lambda-im", "-0.5", "--out", str(out)])
+              "--lambda-im", "-0.5", "--method", method, "--out", str(out)])
         rec = json.loads(out.read_text())
         back = EvansResult.from_json_dict(rec)
         assert back.lam == 1.5 - 0.5j
         assert back.stats.mesh_points == rec["accepted_steps"] + 1
+        wave = build_wave(default_config())
+        fresh = evaluate(wave, back.lam, method=method.replace("-", "_"))
+        assert back.kappa_to_neutral == fresh.kappa_to_neutral
+        neutral = evaluate(wave, back.lam).D
+        assert abs(back.D * back.kappa_to_neutral - neutral) <= 1e-3 * abs(neutral)
 
     def test_config_json(self, cfg_path):
         from zndevans.znd import config_from_json, default_config

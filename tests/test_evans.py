@@ -129,7 +129,7 @@ class TestResultRecord:
         rec = json.loads(r.to_json())
         assert set(rec) == {
             "lambda", "D", "method", "M",
-            "accepted_steps", "rejected_steps", "rhs_evaluations",
+            "accepted_steps", "rejected_steps", "rhs_evaluations", "kappa_to_neutral",
         }
         assert rec["method"] == "neutral"
         assert rec["lambda"] == [1.0, 1.0]

@@ -40,7 +40,7 @@ def random_state(rng) -> StateW:
         rng.uniform(0.3, 6.0),
         rng.uniform(-4.0, 4.0),
         rng.uniform(0.3, 9.0),
-        np.array([rng.uniform(0.0, 1.0)]),
+        rng.uniform(0.0, 1.0),
     )
 
 
@@ -53,7 +53,7 @@ class TestJacobians:
 
     def test_source_jacobian_structure_at_Y0(self):
         cfg = default_config()
-        st_ = StateW(2.0, -1.0, 5.0, np.array([0.0]))
+        st_ = StateW(2.0, -1.0, 5.0, 0.0)
         _, _, C = jacobians(st_, cfg)
         # R ~ Y: at Y = 0 only the Y columns survive
         assert np.all(C[:, :3] == 0.0)
@@ -103,13 +103,13 @@ class TestClosedFormKernel:
 class TestNoncharacteristic:
     def test_stagnation_fails(self):
         cfg = default_config()
-        assert not check_noncharacteristic(StateW(1.0, 0.0, 2.0, np.array([0.3])), cfg)
+        assert not check_noncharacteristic(StateW(1.0, 0.0, 2.0, 0.3), cfg)
 
     def test_sonic_fails(self):
         cfg = default_config()
         e = 3.0
         c_s = math.sqrt(cfg.Gamma * (cfg.Gamma + 1.0) * e)
-        assert not check_noncharacteristic(StateW(1.5, -c_s, e, np.array([0.2])), cfg)
+        assert not check_noncharacteristic(StateW(1.5, -c_s, e, 0.2), cfg)
 
     def test_neumann_passes(self, wave):
         assert check_noncharacteristic(wave.neumann, wave.config)
@@ -146,6 +146,19 @@ class TestLimitMatrices:
     def test_block_triangular_exact_zero(self, wave):
         G = limit_G_minus(wave, 1.0 + 3.0j)
         assert np.all(G[3:, :3] == 0.0)
+
+    def test_block_form_matches_matrix_assembly(self, rng):
+        # the hand-written burned-end blocks against (-lam A0 + C) A1^{-1}
+        cfgs = [default_config(), replace(default_config(), EA=20.0)]
+        cfgs += [random_overdriven_config(rng) for _ in range(3)]
+        for cfg in cfgs:
+            wave = build_wave(cfg)
+            A0, A1, C = jacobians(wave.burned, cfg)
+            lams = [0.1 + 30j] + [complex(rng.uniform(0.01, 8), rng.uniform(-40, 40)) for _ in range(9)]
+            for lam in lams:
+                want = np.linalg.solve(A1.T.astype(complex), (-lam * A0 + C).T).T
+                got = limit_G_minus(wave, lam)
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_reactant_block_unstable(self, wave, rng):
         for _ in range(10):
@@ -256,7 +269,7 @@ class TestJumpVector:
         lam = 1.5 - 2.0j
         jump = jump_vector(shock, lam)
         up = shock.config.upstream
-        F0p = fluxes(StateW(up.rho, up.u, up.e, np.array([0.0])), shock.config)[0]
+        F0p = fluxes(StateW(up.rho, up.u, up.e, 0.0), shock.config)[0]
         F0m = fluxes(shock.neumann, shock.config)[0]
         assert np.allclose(jump, lam * (F0p - F0m), rtol=1e-14)
 

@@ -36,7 +36,7 @@ from zndevans.znd import (
 def rh_residuals(wave, state):
     """Independent check of the three reaction-zone invariants."""
     cfg = wave.config
-    rho, u, e, Y = state.rho, state.u, state.e, float(state.Y[0])
+    rho, u, e, Y = state.rho, state.u, state.e, state.Y
     r1 = (rho * u + wave.m) / wave.m
     r2 = (u + cfg.Gamma * e / u - wave.rh_b) / abs(wave.rh_b)
     r3 = (0.5 * u * u + (cfg.Gamma + 1.0) * e + cfg.q * Y - wave.rh_c) / abs(wave.rh_c)
@@ -46,7 +46,7 @@ def rh_residuals(wave, state):
 class TestThermo:
     def test_direct_substitution(self):
         cfg = replace(default_config(), Gamma=0.4)
-        st_ = StateW(1.0, -1.0, 1.0, np.array([0.5]))
+        st_ = StateW(1.0, -1.0, 1.0, 0.5)
         p, T, c_s, p_rho, p_e = thermo(st_, cfg)
         assert p == pytest.approx(0.4)
         assert p_rho == pytest.approx(0.4)
@@ -56,7 +56,7 @@ class TestThermo:
 
     def test_pressure_depends_on_rho_e_product(self):
         cfg = replace(default_config(), Gamma=0.4)
-        p1 = thermo(StateW(2.0, 0.0, 0.5, np.array([0.0])), cfg)[0]
+        p1 = thermo(StateW(2.0, 0.0, 0.5, 0.0), cfg)[0]
         assert p1 == pytest.approx(0.4)
 
     @given(
@@ -69,14 +69,14 @@ class TestThermo:
     def test_sound_speed_identity(self, rho, e, u, Gamma):
         # c_s^2 = p_rho + p * p_e / rho^2 for the ideal gas
         cfg = replace(default_config(), Gamma=Gamma)
-        p, _, c_s, p_rho, p_e = thermo(StateW(rho, u, e, np.array([0.0])), cfg)
+        p, _, c_s, p_rho, p_e = thermo(StateW(rho, u, e, 0.0), cfg)
         assert c_s**2 == pytest.approx(p_rho + p * p_e / rho**2, rel=1e-12)
 
 
 class TestFluxes:
     def test_quiescent_burned_gas(self):
         cfg = default_config()
-        st_ = StateW(1.3, 0.0, 2.0, np.array([0.0]))
+        st_ = StateW(1.3, 0.0, 2.0, 0.0)
         p = thermo(st_, cfg)[0]
         F0, F1, R = fluxes(st_, cfg)
         assert np.allclose(F1, [0.0, p, 0.0, 0.0])
@@ -86,7 +86,7 @@ class TestFluxes:
         cfg = default_config()
         for _ in range(10):
             st_ = StateW(rng.uniform(0.5, 5), rng.uniform(-3, 0), rng.uniform(1, 9),
-                         np.array([rng.uniform(0, 1)]))
+                         rng.uniform(0, 1))
             _, _, R = fluxes(st_, cfg)
             assert R[0] == 0.0 and R[1] == 0.0
             assert R[2] == pytest.approx(-cfg.q * R[3], rel=1e-14)
@@ -98,7 +98,7 @@ class TestFluxes:
             rho, u, e = rng.uniform(0.5, 5), rng.uniform(-3, 3), rng.uniform(0.5, 9)
             p = cfg.Gamma * rho * e
             expected = np.array([rho * u, rho * u * u + p, (rho * (e + 0.5 * u * u) + p) * u])
-            F1 = fluxes(StateW(rho, u, e, np.array([0.0])), cfg)[1]
+            F1 = fluxes(StateW(rho, u, e, 0.0), cfg)[1]
             assert np.allclose(F1[:3], expected, rtol=1e-14)
 
 
@@ -189,20 +189,20 @@ class TestProfile:
         assert st0.rho == wave.neumann.rho
         assert st0.u == wave.neumann.u
         assert st0.e == wave.neumann.e
-        assert st0.Y[0] == wave.neumann.Y[0]
+        assert st0.Y == wave.neumann.Y
 
     def test_reactant_exponential(self):
         cfg = replace(default_config(), K=1.0)
         wave = build_wave(cfg)
         st_ = profile_at(wave, -math.log(2.0))
-        assert st_.Y[0] == pytest.approx(0.5, rel=1e-14)
+        assert st_.Y == pytest.approx(0.5, rel=1e-14)
 
     def test_deep_tail_matches_burned(self, wave):
         st_ = profile_at(wave, -40.0 / wave.config.K)
         b = wave.burned
         for got, want in ((st_.rho, b.rho), (st_.u, b.u), (st_.e, b.e)):
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-        assert st_.Y[0] <= 1e-12
+        assert st_.Y <= 1e-12
 
     def test_positive_y_rejected(self, wave):
         with pytest.raises(ValueError):
