@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, ContourThroughRootError, NumericalDomainError
+from .errors import ConfigError, NumericalDomainError
 from .evans import METHODS, duality_check, evaluate
 from .modelbench import reproduce_table, C_COLUMNS, LAMBDA_ROWS
 from .numerics import SolveStats
@@ -75,7 +75,7 @@ def _default_tol(args) -> tuple[float, bool]:
     return 1e-5, False
 
 
-def _write_manifest(out_path: str, args, tol: float, tol_from_env: bool,
+def _write_manifest(out_path: str, args, tol: float | None, tol_from_env: bool,
                     stats: list[dict], extra: dict | None = None) -> str:
     manifest = {
         "command": sys.argv,
@@ -107,14 +107,13 @@ def _stats_dict(stats: SolveStats) -> dict:
 
 
 def _cmd_profile(args) -> int:
-    tol, tol_env = _default_tol(args)
     wave = build_wave(_load_config(args.config))
     cols = profile_table(wave, n=args.points)
     lines = ["y,x,rho,u,e,Y,p,T"]
     for i in range(len(cols["y"])):
         lines.append(",".join(_fmt(cols[k][i]) for k in ("y", "x", "rho", "u", "e", "Y", "p", "T")))
     Path(args.out).write_text("\n".join(lines) + "\n")
-    _write_manifest(args.out, args, tol, tol_env, [])
+    _write_manifest(args.out, args, None, False, [])  # closed form: no tol, no M
     print(f"wrote {len(cols['y'])} profile rows to {args.out}")
     return EXIT_OK
 
@@ -198,7 +197,7 @@ def _cmd_bench(args) -> int:
     tol, tol_env = _default_tol(args)
     if args.table not in (1, 2):
         raise ConfigError(f"table must be 1 or 2, got {args.table}")
-    table = reproduce_table(args.table, tol=tol, M=args.M if args.M else 5.0)
+    table = reproduce_table(args.table, tol=tol, M=args.M if args.M is not None else 5.0)
     lines = ["lambda_re,lambda_im,c,direction,variant,mesh_points,paper_count,ratio_to_paper"]
     for direction in ("forward", "backward"):
         counts = table.counts(direction)
@@ -231,16 +230,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
+    def common(p, config=True, solver=True):
         if config:
             p.add_argument("--config", required=True, help="wave configuration JSON")
-        p.add_argument("--tol", type=float, default=None,
-                       help=f"integration tolerance (default 1e-5; env {_TOL_ENV} overrides)")
-        p.add_argument("--M", type=float, default=None, help="domain truncation length")
+        if solver:
+            p.add_argument("--tol", type=float, default=None,
+                           help=f"integration tolerance (default 1e-5; env {_TOL_ENV} overrides)")
+            p.add_argument("--M", type=float, default=None, help="domain truncation length")
         p.add_argument("--out", required=True, help="output file path")
 
     p = sub.add_parser("profile", help="dump the steady profile as CSV")
-    common(p)
+    common(p, solver=False)
     p.add_argument("--points", type=int, default=200, help="number of grid rows")
     p.set_defaults(fn=_cmd_profile)
 
@@ -284,12 +284,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+    except (ConfigError, ValueError) as exc:  # ValueError: argument out of domain
+        print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ContourThroughRootError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except NumericalDomainError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

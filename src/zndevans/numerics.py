@@ -56,6 +56,10 @@ _STAGES = 6  # marginal evaluations per attempted step (FSAL)
 _RENORM_LIMIT = 1e200
 _RENORM_TARGET = 1e100
 
+# Give-up caps: attempted steps per integration, bisections per contour edge.
+_MAX_STEPS = 2_000_000
+_MAX_DEPTH = 12
+
 
 @dataclass(frozen=True)
 class OdeField:
@@ -91,7 +95,6 @@ def _integrate(
     rel_tol: float,
     abs_tol,
     renormalize: bool,
-    max_steps: int,
 ) -> tuple[np.ndarray, SolveStats, int]:
     x0, x1 = float(span[0]), float(span[1])
     if x0 == x1:
@@ -162,7 +165,7 @@ def _integrate(
                 if not math.isfinite(err):
                     raise NonFiniteStateError(x)
                 raise StepSizeUnderflowError(x, h)
-            if accepted + rejected >= max_steps:
+            if accepted + rejected >= _MAX_STEPS:
                 raise StepSizeUnderflowError(x, h)
 
         accepted += 1
@@ -187,7 +190,7 @@ def _integrate(
                 absh = min(
                     h_max, absh * min(_MAX_FACTOR, _SAFETY * (rel_tol / err) ** 0.2)
                 )
-        if accepted + rejected >= max_steps:
+        if accepted + rejected >= _MAX_STEPS:
             raise StepSizeUnderflowError(x, h)
 
 
@@ -197,7 +200,6 @@ def integrate_adaptive(
     init: Sequence[complex],
     rel_tol: float = 1e-5,
     abs_tol=1e-5,
-    max_steps: int = 2_000_000,
 ) -> tuple[np.ndarray, SolveStats]:
     """Integrate a complex ODE system over ``span`` (either direction).
 
@@ -209,10 +211,10 @@ def integrate_adaptive(
     in-step rejection.
 
     Returns the final state and step statistics.  Raises
-    :class:`StepSizeUnderflowError` on stiffness/blow-up and
-    :class:`NonFiniteStateError` on overflow.
+    :class:`StepSizeUnderflowError` on stiffness/blow-up or past ``_MAX_STEPS``
+    attempted steps, and :class:`NonFiniteStateError` on overflow.
     """
-    z, stats, _ = _integrate(field, span, init, rel_tol, abs_tol, False, max_steps)
+    z, stats, _ = _integrate(field, span, init, rel_tol, abs_tol, False)
     return z, stats
 
 
@@ -222,14 +224,13 @@ def integrate_adaptive_scaled(
     init: Sequence[complex],
     rel_tol: float = 1e-5,
     abs_tol=1e-5,
-    max_steps: int = 2_000_000,
 ) -> tuple[np.ndarray, int, SolveStats]:
     """Like :func:`integrate_adaptive` but for *linear* fields whose solution
     may exceed double range: the state is renormalized by exact powers of two
     on the fly.  Returns ``(mantissa, pow2, stats)`` with the final state equal
     to ``mantissa * 2**pow2``.
     """
-    z, stats, pow2 = _integrate(field, span, init, rel_tol, abs_tol, True, max_steps)
+    z, stats, pow2 = _integrate(field, span, init, rel_tol, abs_tol, True)
     return z, pow2, stats
 
 
@@ -316,13 +317,12 @@ def refine_contour(
     evaluator: Evaluator,
     contour: Contour,
     max_phase_step: float = np.pi / 4,
-    max_depth: int = 12,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample ``evaluator`` on the contour, bisecting edges until every
     consecutive phase difference is below ``max_phase_step``.
 
     Returns ``(nodes, values)``, both closed (first == last).  Exceeding
-    ``max_depth`` bisections on one original edge means a zero sits on or
+    ``_MAX_DEPTH`` bisections on one original edge means a zero sits on or
     near the contour and raises :class:`ContourRefinementError`.
     """
     if not 0.0 < max_phase_step <= np.pi / 2:
@@ -341,9 +341,9 @@ def refine_contour(
         bad = [i for i, j in enumerate(jumps) if j >= max_phase_step]
         if not bad:
             break
-        if any(depths[i] >= max_depth for i in bad):
+        if any(depths[i] >= _MAX_DEPTH for i in bad):
             raise ContourRefinementError(
-                f"refinement depth cap {max_depth} exceeded; "
+                f"refinement depth cap {_MAX_DEPTH} exceeded; "
                 "a root lies on or near the contour"
             )
         midpoints = [0.5 * (nodes[i] + nodes[i + 1]) for i in bad]

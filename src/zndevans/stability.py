@@ -9,7 +9,7 @@ sweeps by Newton continuation with step halving on failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,6 +20,9 @@ from .numerics import Contour, newton_root, refine_contour, winding_number
 from .znd import GasWaveConfig, SteadyWave, build_wave
 
 Evaluator = Callable[[complex], complex]
+
+# a contour sample under this fraction of max|D| counts as a root on the contour
+_FLOOR_REL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -53,19 +56,14 @@ def count_unstable(
     method: str = METHOD_NEUTRAL,
     tol: float = 1e-5,
     M: float | None = None,
-    axis_offset: float | None = None,
-    n_arc: int = 32,
-    n_side: int = 16,
-    max_phase_step: float = np.pi / 4,
-    floor_rel: float = 1e-10,
 ) -> WindingReport:
     """Count unstable modes inside the offset semicircle of given radius.
 
-    The flat side sits at Re = axis_offset (default 1e-4 * radius) to avoid
-    the neutral point at the origin.  Samples are refined until every phase
-    step is below ``max_phase_step``; a sample magnitude under
-    ``floor_rel * max|D|`` aborts with :class:`ContourThroughRootError`
-    (perturb the radius and retry).
+    The contour is fixed: its flat side sits at Re = 1e-4 * radius to avoid
+    the neutral point at the origin, and it starts from 32 arc and 16 side
+    segments.  Samples are refined until every phase step is below pi/4; a
+    sample magnitude under ``_FLOOR_REL`` (1e-10) times max|D| aborts with
+    :class:`ContourThroughRootError` (perturb the radius and retry).
 
     Unnormalized methods are rescaled by their recorded analytic factor, so
     every method winds the same function; the factor is entire and
@@ -75,16 +73,15 @@ def count_unstable(
         raise ValueError("radius must be positive")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-    eps = 1e-4 * radius if axis_offset is None else axis_offset
-    contour = Contour.semicircle(radius, eps, n_arc=n_arc, n_side=n_side)
+    contour = Contour.semicircle(radius, 1e-4 * radius)
 
     def evaluator(lam: complex) -> complex:
         r = evaluate(wave, lam, method=method, M=M, tol=tol)
         return r.D * r.kappa_to_neutral
 
-    nodes, values = refine_contour(evaluator, contour, max_phase_step=max_phase_step)
+    nodes, values = refine_contour(evaluator, contour)
     min_abs = float(np.min(np.abs(values)))
-    if min_abs < floor_rel * float(np.max(np.abs(values))):
+    if min_abs < _FLOOR_REL * float(np.max(np.abs(values))):
         raise ContourThroughRootError(
             f"|D| falls to {min_abs:.3e} on the contour; a root sits on or near "
             "it -- perturb the radius"
@@ -193,6 +190,10 @@ def read_contour_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return data[:, 0] + 1j * data[:, 1], data[:, 2] + 1j * data[:, 3]
 
 
+# the scalar fields of a configuration; ``upstream`` is a nested state
+_SWEEPABLE = tuple(f.name for f in fields(GasWaveConfig) if f.name != "upstream")
+
+
 @dataclass(frozen=True)
 class ParameterSweep:
     """Sweep one scalar field of a configuration (e.g. 'EA' or 'q')."""
@@ -205,8 +206,8 @@ class ParameterSweep:
     evans_tol: float = 1e-7
 
     def config_at(self, value: float) -> GasWaveConfig:
-        if not hasattr(self.base, self.name):
-            raise ValueError(f"configuration has no field {self.name!r}")
+        if self.name not in _SWEEPABLE:
+            raise ValueError(f"cannot sweep {self.name!r}; choose from {_SWEEPABLE}")
         return replace(self.base, **{self.name: value})
 
 

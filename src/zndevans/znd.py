@@ -73,7 +73,6 @@ class GasWaveConfig:
     K: float
     Y0: float
     upstream: UpstreamState
-    tol: float = 1e-5
     eps_Y: float = 1e-8
 
     def __post_init__(self):
@@ -99,7 +98,6 @@ def _validate_config(cfg: GasWaveConfig) -> None:
     positive("K", cfg.K)
     positive("upstream.rho", cfg.upstream.rho)
     positive("upstream.e", cfg.upstream.e)
-    positive("tol", cfg.tol)
     positive("eps_Y", cfg.eps_Y)
     if cfg.q < 0:
         raise ConfigError(f"q must be nonnegative, got {cfg.q!r}")
@@ -119,7 +117,7 @@ def _validate_config(cfg: GasWaveConfig) -> None:
 
 
 def config_from_json(text: str) -> GasWaveConfig:
-    """Parse a configuration document; see config_to_json for the schema."""
+    """Parse a configuration document (schema: config_to_json; other keys are ignored)."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -138,9 +136,8 @@ def config_from_json(text: str) -> GasWaveConfig:
         if name not in raw:
             raise ConfigError(f"config is missing field '{name}'")
         kwargs[name] = float(raw[name])
-    for name in ("tol", "eps_Y"):
-        if name in raw:
-            kwargs[name] = float(raw[name])
+    if "eps_Y" in raw:
+        kwargs["eps_Y"] = float(raw["eps_Y"])
     return GasWaveConfig(upstream=upstream, **kwargs)
 
 

@@ -66,6 +66,14 @@ class TestProfileCommand:
         assert "config_sha256_16" in manifest
         assert manifest["version"]
 
+    def test_manifest_has_no_solver_settings(self, cfg_path, tmp_path):
+        # the profile is closed-form: it uses no tolerance and no truncation
+        out = tmp_path / "prof.csv"
+        main(["profile", "--config", cfg_path, "--out", str(out)])
+        manifest = json.loads((tmp_path / "prof.csv.manifest.json").read_text())
+        assert manifest["tol"] is None
+        assert manifest["M"] is None
+
     def test_bad_config_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"Gamma": -1}')
@@ -186,6 +194,27 @@ class TestBenchTrendExit:
         assert rc == 4
         manifest = json.loads((tmp_path / "t1.csv.manifest.json").read_text())
         assert manifest["trend_failures"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--table", "1", "--M", "-1"],
+    ["bench", "--table", "1", "--M", "0"],
+    ["evans", "--config", "{cfg}", "--lambda-re", "1", "--tol", "-1"],
+    ["evans", "--config", "{cfg}", "--lambda-re", "1", "--duality-grid", "2"],
+    ["contour", "--config", "{cfg}", "--radius", "-1"],
+    ["roots", "--config", "{cfg}", "--param", "EA", "--values", "10,x", "--seed-re", "1"],
+    ["roots", "--config", "{cfg}", "--param", "upstream", "--values", "10", "--seed-re", "1"],
+    ["profile", "--config", "{cfg}", "--points", "0"],
+    ["profile", "--config", "{cfg}", "--tol", "1e-6"],
+    ["profile", "--config", "{cfg}", "--M", "5"],
+])
+def test_bad_argument_exits_2(argv, cfg_path, tmp_path):
+    argv = [a.format(cfg=cfg_path) for a in argv] + ["--out", str(tmp_path / "x.out")]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejects unknown flags itself
+        rc = exc.code
+    assert rc == 2
 
 
 class TestRoundTrip:

@@ -96,8 +96,9 @@ class TestContinuation:
         trace = continue_roots(factory, [0.0, 1.0], seed=0.0, max_halvings=3)
         assert not trace.converged[-1]
 
-    def test_sweep_roots_requires_known_field(self):
-        sweep = ParameterSweep(base=default_config(), name="nope", values=(1.0,))
+    @pytest.mark.parametrize("name", ["nope", "upstream", "gas_constant", "digest", "tol"])
+    def test_sweep_roots_requires_known_field(self, name):
+        sweep = ParameterSweep(base=default_config(), name=name, values=(1.0,))
         with pytest.raises(ValueError):
             sweep.config_at(1.0)
 

@@ -287,3 +287,12 @@ class TestConfigIO:
     def test_invalid_json(self):
         with pytest.raises(ConfigError):
             config_from_json("{not json")
+
+    def test_ignores_tol_key(self):
+        # no computation reads a tolerance from the wave file
+        raw = json.loads(config_to_json(default_config()))
+        raw["tol"] = 1e-5
+        assert config_from_json(json.dumps(raw)) == default_config()
+
+    def test_written_config_has_no_tol(self):
+        assert "tol" not in json.loads(config_to_json(default_config()))
