@@ -75,8 +75,8 @@ def _default_tol(args) -> tuple[float, bool]:
     return 1e-5, False
 
 
-def _write_manifest(out_path: str, args, tol: float | None, tol_from_env: bool,
-                    stats: list[dict], extra: dict | None = None) -> str:
+def _write_manifest(out_path: str, args, cfg: GasWaveConfig | None, tol: float | None,
+                    tol_from_env: bool, stats: list[dict], extra: dict | None = None) -> str:
     manifest = {
         "command": sys.argv,
         "version": __version__,
@@ -87,9 +87,9 @@ def _write_manifest(out_path: str, args, tol: float | None, tol_from_env: bool,
         "outputs": [out_path],
         "solve_stats": stats,
     }
-    if getattr(args, "config", None):
+    if cfg is not None:  # what the run computed with; the file may have changed since
         manifest["config_path"] = args.config
-        manifest["config_sha256_16"] = _load_config(args.config).digest()
+        manifest["config_sha256_16"] = cfg.digest()
     if extra:
         manifest.update(extra)
     mpath = out_path + ".manifest.json"
@@ -107,13 +107,13 @@ def _stats_dict(stats: SolveStats) -> dict:
 
 
 def _cmd_profile(args) -> int:
-    wave = build_wave(_load_config(args.config))
-    cols = profile_table(wave, n=args.points)
+    cfg = _load_config(args.config)
+    cols = profile_table(build_wave(cfg), n=args.points)
     lines = ["y,x,rho,u,e,Y,p,T"]
     for i in range(len(cols["y"])):
         lines.append(",".join(_fmt(cols[k][i]) for k in ("y", "x", "rho", "u", "e", "Y", "p", "T")))
     Path(args.out).write_text("\n".join(lines) + "\n")
-    _write_manifest(args.out, args, None, False, [])  # closed form: no tol, no M
+    _write_manifest(args.out, args, cfg, None, False, [])  # closed form: no tol, no M
     print(f"wrote {len(cols['y'])} profile rows to {args.out}")
     return EXIT_OK
 
@@ -134,7 +134,8 @@ def _dump_G_csv(wave, lam: complex, M: float, path: str, n: int = 81) -> None:
 
 def _cmd_evans(args) -> int:
     tol, tol_env = _default_tol(args)
-    wave = build_wave(_load_config(args.config))
+    cfg = _load_config(args.config)
+    wave = build_wave(cfg)
     lam = complex(args.lam_re, args.lam_im)
     method = _METHOD_FLAGS[args.method]
     result = evaluate(wave, lam, method=method, M=args.M, tol=tol)
@@ -145,14 +146,15 @@ def _cmd_evans(args) -> int:
     Path(args.out).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     if args.dump_g:
         _dump_G_csv(wave, lam, result.M, args.dump_g)
-    _write_manifest(args.out, args, tol, tol_env, [_stats_dict(result.stats)])
+    _write_manifest(args.out, args, cfg, tol, tol_env, [_stats_dict(result.stats)])
     print(f"D({lam}) = {result.D} [{method}], {result.stats.mesh_points} mesh points")
     return EXIT_OK
 
 
 def _cmd_contour(args) -> int:
     tol, tol_env = _default_tol(args)
-    wave = build_wave(_load_config(args.config))
+    cfg = _load_config(args.config)
+    wave = build_wave(cfg)
     method = _METHOD_FLAGS[args.method]
     report = count_unstable(wave, args.radius, method=method, tol=tol, M=args.M)
 
@@ -165,7 +167,7 @@ def _cmd_contour(args) -> int:
     payload = report.to_json_dict()
     payload["manifest"] = args.out + ".manifest.json"
     Path(report_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _write_manifest(args.out, args, tol, tol_env, [], extra={"winding": report.winding})
+    _write_manifest(args.out, args, cfg, tol, tol_env, [], extra={"winding": report.winding})
     print(f"winding number {report.winding} from {report.n_samples} samples "
           f"(min |D| = {report.min_abs_D:.3e}); wrote {args.out}")
     return EXIT_OK
@@ -187,7 +189,7 @@ def _cmd_roots(args) -> int:
     payload = trace.to_json_dict()
     payload["manifest"] = args.out + ".manifest.json"
     Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _write_manifest(args.out, args, tol, tol_env, [])
+    _write_manifest(args.out, args, cfg, tol, tol_env, [])
     n_ok = int(np.sum(trace.converged))
     print(f"followed root over {len(trace.values)} parameter points ({n_ok} converged)")
     return EXIT_OK if bool(np.all(trace.converged)) else EXIT_NUMERICAL
@@ -212,7 +214,7 @@ def _cmd_bench(args) -> int:
                 ]))
     Path(args.out).write_text("\n".join(lines) + "\n")
     failures = table.trend_failures()
-    _write_manifest(args.out, args, tol, tol_env, [], extra={"trend_failures": failures})
+    _write_manifest(args.out, args, None, tol, tol_env, [], extra={"trend_failures": failures})
     print(f"table {args.table}: wrote {len(lines)-1} rows to {args.out}")
     if failures:
         for f in failures:

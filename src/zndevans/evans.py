@@ -37,7 +37,7 @@ import numpy as np
 from .errors import EvansOverflowError, MisselectedModeError, NumericalDomainError
 from .numerics import OdeField, SolveStats, integrate_adaptive
 from .spectral import SpectralFrame, apply_A0, linearized_rhs, make_frame
-from .znd import SteadyWave, profile_at, profile_deriv, x_of_y
+from .znd import SteadyWave, fluxes, profile_at, profile_deriv, x_of_y
 
 # Unused here, but perfbench/tracing.py wraps every layer by its name in this
 # module, so the binding stays.
@@ -204,15 +204,9 @@ def evans_erpenbeck(
     z, stats = integrate_adaptive(
         OdeField(dimension=5, eval=rhs), (-M, 0.0), init, rel_tol=tol, abs_tol=atol
     )
-    jump_F0_only = frame.jump - _neumann_source(wave)  # lam * [F0], no source term
+    jump_F0_only = frame.jump - fluxes(wave.neumann, wave.config)[2]  # lam * [F0], no source term
     D = complex(z[4] + z[:4] @ jump_F0_only)
     return EvansResult(lam=complex(lam), D=D, method=METHOD_ERPENBECK, M=M, stats=stats)
-
-
-def _neumann_source(wave: SteadyWave) -> np.ndarray:
-    from .znd import fluxes
-
-    return fluxes(wave.neumann, wave.config)[2]
 
 
 def evans_lee_stewart(

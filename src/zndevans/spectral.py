@@ -145,15 +145,6 @@ def _gas_entries(state: StateW, cfg: GasWaveConfig):
     return E, f1
 
 
-def _gas_block_jacobians(state: StateW, cfg: GasWaveConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(f0_V, f1_V): upper-left 3x3 gas blocks of A0, A1."""
-    rho, u = state.rho, state.u
-    E, (a10, a11, a12, a20, a21, a22) = _gas_entries(state, cfg)
-    f0V = np.array([[1.0, 0.0, 0.0], [u, rho, 0.0], [E, rho * u, rho]])
-    f1V = np.array([[u, rho, 0.0], [a10, a11, a12], [a20, a21, a22]])
-    return f0V, f1V
-
-
 def apply_A0(state: StateW, v) -> list:
     """A0 v in closed form for four numbers v; a list."""
     rho, u = state.rho, state.u
@@ -239,7 +230,7 @@ def check_noncharacteristic(state: StateW, cfg: GasWaveConfig) -> bool:
     stagnation u = 0.
     """
     _, _, c_s, _, _ = thermo(state, cfg)
-    f0V, f1V = _gas_block_jacobians(state, cfg)
+    f1V = jacobians(state, cfg)[1][:3, :3]
     speed = abs(state.u) + c_s
     det_scale = state.rho ** 2 * speed ** 3
     if abs(np.linalg.det(f1V)) <= _NONCHAR_REL * det_scale:
@@ -274,26 +265,12 @@ def coefficient_G(wave: SteadyWave, lam: complex, y: float) -> np.ndarray:
 
 
 def limit_G_minus(wave: SteadyWave, lam: complex) -> np.ndarray:
-    """Burned-end limit of G, assembled in upper block-triangular form.
+    """Burned-end limit of G (x -> -inf).
 
-    The vanishing burned reactant makes the lower-left row exactly zero, and
-    the ideal-gas pressure does not depend on Y, so with g0 = rho and
-    g1 = rho u at the burned state
-
-        [ -lam f0V f1V^{-1}   (0, 0, q K psi)^T / g1 ]
-        [        0             (-lam g0 - K psi) / g1 ]
+    The reactant is exhausted there (Y = 0 exactly), so the reactant row of
+    the gas columns is exactly zero and G_minus is upper block-triangular.
     """
-    cfg = wave.config
-    state = wave.burned
-    f0V, f1V = _gas_block_jacobians(state, cfg)
-    K_psi = cfg.K * reaction_psi(state, cfg)
-    g0, g1 = state.rho, state.rho * state.u
-
-    G = np.zeros((4, 4), dtype=complex)
-    G[:3, :3] = -lam * np.linalg.solve(f1V.T, f0V.T).T
-    G[2, 3] = cfg.q * K_psi / g1
-    G[3, 3] = (-lam * g0 - K_psi) / g1
-    return G
+    return _G_at_state(wave.burned, wave.config, lam, reacting=True)
 
 
 def limit_G_plus(wave: SteadyWave, lam: complex) -> np.ndarray:
@@ -351,11 +328,22 @@ def stable_left_mode(wave: SteadyWave, lam: complex) -> tuple[np.ndarray, comple
     return ell, g_minus
 
 
+def _pair_residual(wave: SteadyWave, lam: complex, ell: np.ndarray, g_minus: complex) -> float:
+    # at the burned state the adjoint kernel with shift g_minus is
+    # -sigma_minus (G_minus^T - g_minus I) ell
+    r = linearized_rhs(wave, wave.burned, complex(lam), ell.tolist(), g_minus)
+    sigma = wave.m / reaction_psi(wave.burned, wave.config)
+    return math.hypot(*map(abs, r)) / (sigma * math.hypot(*map(abs, ell)))
+
+
 def left_mode_residual(wave: SteadyWave, lam: complex) -> float:
-    """|| ell^T G_minus - g_minus ell^T || / ||ell|| for the analytic pair."""
+    """|| ell^T G_minus - g_minus ell^T || / ||ell|| for the analytic pair.
+
+    Computed with the adjoint kernel the neutral method integrates
+    (:func:`linearized_rhs` at the burned state), not from a G matrix.
+    """
     ell, g = stable_left_mode(wave, lam)
-    G = limit_G_minus(wave, lam)
-    return float(np.linalg.norm(ell @ G - g * ell) / np.linalg.norm(ell))
+    return _pair_residual(wave, lam, ell, g)
 
 
 def jump_vector(wave: SteadyWave, lam: complex) -> np.ndarray:
@@ -372,18 +360,19 @@ def jump_vector(wave: SteadyWave, lam: complex) -> np.ndarray:
 class SpectralFrame:
     """Everything lambda-dependent needed by one determinant evaluation."""
 
-    wave: SteadyWave
-    lam: complex
     ell: np.ndarray
     g_minus: complex
     jump: np.ndarray
 
 
 def make_frame(wave: SteadyWave, lam: complex) -> SpectralFrame:
-    """Build and validate the spectral data for one frequency."""
+    """Build and validate the spectral data for one frequency.
+
+    The left-eigenpair residual comes from the adjoint kernel the neutral
+    method integrates (see :func:`left_mode_residual`); no matrix is built.
+    """
     ell, g_minus = stable_left_mode(wave, lam)
-    G = limit_G_minus(wave, lam)
-    residual = np.linalg.norm(ell @ G - g_minus * ell) / np.linalg.norm(ell)
+    residual = _pair_residual(wave, lam, ell, g_minus)
     if residual > 1e-10:
         raise NumericalDomainError(
             f"left-eigenpair residual {residual:.3e} > 1e-10 at lambda={lam!r}"
@@ -392,7 +381,7 @@ def make_frame(wave: SteadyWave, lam: complex) -> SpectralFrame:
         raise NumericalDomainError(f"stable eigenvalue has Re >= 0 at lambda={lam!r}")
     if ell[2] != 1.0:
         raise NumericalDomainError("left mode normalization lost (energy component != 1)")
-    return SpectralFrame(wave=wave, lam=lam, ell=ell, g_minus=g_minus, jump=jump_vector(wave, lam))
+    return SpectralFrame(ell=ell, g_minus=g_minus, jump=jump_vector(wave, lam))
 
 
 # ---------------------------------------------------------------------------

@@ -427,7 +427,12 @@ def x_of_y(wave: SteadyWave, y_grid: Sequence[float]) -> np.ndarray:
 
 
 def profile_table(wave: SteadyWave, n: int = 200) -> dict[str, np.ndarray]:
-    """Profile on a log-spaced y grid down to -max(M_y, 5); plot-ready columns."""
+    """Profile on a log-spaced y grid down to -max(M_y, 5); plot-ready columns.
+
+    ``n >= 1`` rows; the first is the Neumann state at y = 0.
+    """
+    if n < 1:
+        raise ValueError(f"number of profile rows must be at least 1, got {n}")
     depth = wave.default_M
     ys = np.concatenate([[0.0], -np.geomspace(depth * 1e-4, depth, n - 1)])
     xs = x_of_y(wave, ys)

@@ -1,9 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from zndevans import cli
 from zndevans.cli import main
 from zndevans.znd import build_wave, config_to_json, default_config, nonreactive_config
 
@@ -215,6 +217,30 @@ def test_bad_argument_exits_2(argv, cfg_path, tmp_path):
     except SystemExit as exc:  # argparse rejects unknown flags itself
         rc = exc.code
     assert rc == 2
+
+
+def test_profile_points_error_names_range(cfg_path, tmp_path, capsys):
+    rc = main(["profile", "--config", cfg_path, "--points", "0", "--out", str(tmp_path / "p.csv")])
+    assert rc == 2
+    assert "at least 1" in capsys.readouterr().err
+
+
+def test_manifest_hashes_config_the_run_used(cfg_path, tmp_path, monkeypatch):
+    # the wave file is rewritten while the run is under way; the manifest
+    # must describe the configuration the result was computed from
+    real_evaluate = cli.evaluate
+
+    def evaluate_then_rewrite(*args, **kw):
+        result = real_evaluate(*args, **kw)
+        with open(cfg_path, "w") as fh:
+            fh.write(config_to_json(replace(default_config(), EA=20.0)))
+        return result
+
+    monkeypatch.setattr(cli, "evaluate", evaluate_then_rewrite)
+    out = tmp_path / "ev.json"
+    assert main(["evans", "--config", cfg_path, "--lambda-re", "1", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "ev.json.manifest.json").read_text())
+    assert manifest["config_sha256_16"] == default_config().digest()
 
 
 class TestRoundTrip:

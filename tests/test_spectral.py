@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_overdriven_config
 from zndevans.errors import BranchAmbiguityError, NumericalDomainError
 from zndevans.spectral import (
-    _gas_block_jacobians,
     apply_A0,
     check_noncharacteristic,
     coefficient_G,
@@ -68,8 +67,9 @@ class TestJacobians:
 
 
 class TestClosedFormKernel:
-    """linearized_rhs, apply_A0 and the gas blocks against the matrices of
-    jacobians with LAPACK solves, along whole profiles of six waves."""
+    """linearized_rhs and apply_A0 against the matrices of jacobians with
+    LAPACK solves, along whole profiles of six waves and at their burned
+    states."""
 
     def test_matches_matrix_assembly(self, rng):
         cfgs = [default_config(), replace(default_config(), EA=20.0), nonreactive_config()]
@@ -78,11 +78,10 @@ class TestClosedFormKernel:
         worst = 0.0
         for cfg in cfgs:
             wave = build_wave(cfg)
-            for y in np.linspace(-wave.default_M, 0.0, 41):
-                st_ = profile_at(wave, y)
+            # the burned state (Y = 0 exactly) is where make_frame checks ell
+            states = [profile_at(wave, y) for y in np.linspace(-wave.default_M, 0.0, 41)]
+            for st_ in states + [wave.burned]:
                 A0, A1, C = jacobians(st_, cfg)
-                f0V, f1V = _gas_block_jacobians(st_, cfg)
-                assert np.array_equal(f0V, A0[:3, :3]) and np.array_equal(f1V, A1[:3, :3])
                 sig = wave.m / reaction_psi(st_, cfg)
                 for lam in (0.1 + 30j, 40.0 + 0j, 1.0 + 1.0j):
                     z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -253,6 +252,34 @@ class TestStableLeftMode:
         frame = make_frame(wave, 1.0 + 2.0j)
         assert frame.ell[2] == 1.0
         assert frame.g_minus.real < 0.0
+
+    def test_make_frame_rejects_perturbed_mode(self, wave, monkeypatch):
+        import zndevans.spectral as spectral
+
+        exact = spectral.stable_left_mode
+
+        def perturbed(wave_, lam):
+            ell, g = exact(wave_, lam)
+            ell = ell.copy()
+            ell[3] *= 1.0 + 1e-6
+            return ell, g
+
+        monkeypatch.setattr(spectral, "stable_left_mode", perturbed)
+        with pytest.raises(NumericalDomainError, match="left-eigenpair residual"):
+            make_frame(wave, 1.0 + 1.0j)
+
+    def test_kernel_residual_matches_matrix_residual(self, wave):
+        # the residual make_frame checks, taken from the adjoint kernel, is
+        # ||ell G_minus - g ell|| / ||ell|| with G_minus as a matrix
+        from zndevans.spectral import _pair_residual
+
+        for lam in (1.0 + 1.0j, 0.1 + 30j, 6.0 - 2.0j):
+            ell, g = stable_left_mode(wave, lam)
+            ell[3] *= 1.0 + 1e-6
+            G = limit_G_minus(wave, lam)
+            want = np.linalg.norm(ell @ G - g * ell) / np.linalg.norm(ell)
+            assert want > 1e-9
+            assert _pair_residual(wave, lam, ell, g) == pytest.approx(want, rel=1e-6)
 
 
 class TestJumpVector:
