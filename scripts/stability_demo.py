@@ -2,6 +2,10 @@
 """End-to-end demo on the bundled default wave: profile, determinant values
 by all three methods, and a winding-number mode count.
 
+The profile and contour files are written by the ``profile`` and
+``contour`` subcommands, each with its manifest.  Exits with a subcommand's
+non-zero code.
+
 Usage: python scripts/stability_demo.py [outdir]
 """
 
@@ -9,11 +13,9 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
+from zndevans.cli import main as cli_main
 from zndevans.evans import evans_erpenbeck, evans_lee_stewart, evans_neutral
-from zndevans.stability import count_unstable
-from zndevans.znd import build_wave, config_to_json, default_config, profile_table
+from zndevans.znd import build_wave, config_to_json, default_config
 
 
 def main():
@@ -21,16 +23,16 @@ def main():
     outdir.mkdir(parents=True, exist_ok=True)
 
     cfg = default_config()
-    (outdir / "wave.json").write_text(config_to_json(cfg))
+    config = outdir / "wave.json"
+    config.write_text(config_to_json(cfg))
     wave = build_wave(cfg)
     print(f"wave: m={wave.m:.4g}, Neumann u={wave.neumann.u:.4g}, "
           f"burned u={wave.burned.u:.4g}, M_y={wave.M_y:.3g}")
 
-    cols = profile_table(wave, n=300)
-    rows = ["y,x,rho,u,e,Y,p,T"]
-    for i in range(len(cols["y"])):
-        rows.append(",".join(f"{cols[k][i]:.17g}" for k in ("y", "x", "rho", "u", "e", "Y", "p", "T")))
-    (outdir / "profile.csv").write_text("\n".join(rows) + "\n")
+    rc = cli_main(["profile", "--config", str(config), "--points", "300",
+                   "--out", str(outdir / "profile.csv")])
+    if rc:
+        sys.exit(rc)
 
     print("\ndeterminant at a few frequencies (value, mesh points, seconds):")
     for lam in (0.5 + 0.5j, 1.0 + 1.0j, 1.0 + 3.0j):
@@ -43,14 +45,11 @@ def main():
             line.append(f"{tag}: {d:.6g} ({r.stats.mesh_points} pts, {time.time()-t0:.2f}s)")
         print("  " + "; ".join(line))
 
-    report = count_unstable(wave, radius=2.0, tol=1e-5)
-    print(f"\nunstable modes inside radius 2: {report.winding} "
-          f"({report.n_samples} samples, min |D| = {report.min_abs_D:.3e})")
-    samples = np.column_stack([report.contour.nodes, report.samples])
-    rows = ["re_lambda,im_lambda,re_D,im_D"]
-    for z, v in samples:
-        rows.append(f"{z.real:.17g},{z.imag:.17g},{v.real:.17g},{v.imag:.17g}")
-    (outdir / "contour.csv").write_text("\n".join(rows) + "\n")
+    print("\nunstable modes inside radius 2:")
+    rc = cli_main(["contour", "--config", str(config), "--radius", "2",
+                   "--out", str(outdir / "contour.csv")])
+    if rc:
+        sys.exit(rc)
     print(f"outputs under {outdir}/")
 
 

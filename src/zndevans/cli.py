@@ -13,8 +13,8 @@ error, 4 acceptance-trend failure in ``bench``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -40,8 +40,6 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_TREND = 4
 
-_TOL_ENV = "ZNDEVANS_TOL"
-
 _METHOD_FLAGS = {"neutral": "neutral", "erpenbeck": "erpenbeck", "lee-stewart": "lee_stewart"}
 
 
@@ -62,48 +60,28 @@ def _load_config(path: str) -> GasWaveConfig:
     return config_from_json(text)
 
 
-def _default_tol(args) -> tuple[float, bool]:
-    """Tolerance resolution: flag > environment > 1e-5."""
-    if args.tol is not None:
-        return args.tol, False
-    env = os.environ.get(_TOL_ENV)
-    if env is not None:
-        try:
-            return float(env), True
-        except ValueError as exc:
-            raise ConfigError(f"{_TOL_ENV}={env!r} is not a number") from exc
-    return 1e-5, False
+def _write_manifest(args, cfg: GasWaveConfig | None, stats: list[SolveStats],
+                    extra: dict | None = None) -> None:
+    """Write ``<out>.manifest.json`` for the command ``main`` parsed into ``args``.
 
-
-def _write_manifest(out_path: str, args, cfg: GasWaveConfig | None, tol: float | None,
-                    tol_from_env: bool, stats: list[dict], extra: dict | None = None) -> str:
+    ``profile`` takes no ``--tol`` or ``--M``, so its manifest records null
+    for both.
+    """
     manifest = {
-        "command": sys.argv,
+        "command": ["zndevans", *args.argv],
         "version": __version__,
         "timestamp": _utc_now(),
-        "tol": tol,
-        "tol_from_env": tol_from_env,
+        "tol": getattr(args, "tol", None),
         "M": getattr(args, "M", None),
-        "outputs": [out_path],
-        "solve_stats": stats,
+        "outputs": [args.out],
+        "solve_stats": [dataclasses.asdict(s) for s in stats],
     }
     if cfg is not None:  # what the run computed with; the file may have changed since
         manifest["config_path"] = args.config
         manifest["config_sha256_16"] = cfg.digest()
     if extra:
         manifest.update(extra)
-    mpath = out_path + ".manifest.json"
-    Path(mpath).write_text(json.dumps(manifest, indent=2) + "\n")
-    return mpath
-
-
-def _stats_dict(stats: SolveStats) -> dict:
-    return {
-        "accepted_steps": stats.accepted_steps,
-        "rejected_steps": stats.rejected_steps,
-        "rhs_evaluations": stats.rhs_evaluations,
-        "span": list(stats.span),
-    }
+    Path(args.out + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def _cmd_profile(args) -> int:
@@ -113,7 +91,7 @@ def _cmd_profile(args) -> int:
     for i in range(len(cols["y"])):
         lines.append(",".join(_fmt(cols[k][i]) for k in ("y", "x", "rho", "u", "e", "Y", "p", "T")))
     Path(args.out).write_text("\n".join(lines) + "\n")
-    _write_manifest(args.out, args, cfg, None, False, [])  # closed form: no tol, no M
+    _write_manifest(args, cfg, [])
     print(f"wrote {len(cols['y'])} profile rows to {args.out}")
     return EXIT_OK
 
@@ -133,30 +111,29 @@ def _dump_G_csv(wave, lam: complex, M: float, path: str, n: int = 81) -> None:
 
 
 def _cmd_evans(args) -> int:
-    tol, tol_env = _default_tol(args)
     cfg = _load_config(args.config)
     wave = build_wave(cfg)
     lam = complex(args.lam_re, args.lam_im)
     method = _METHOD_FLAGS[args.method]
-    result = evaluate(wave, lam, method=method, M=args.M, tol=tol)
+    result = evaluate(wave, lam, method=method, M=args.M, tol=args.tol)
     record = result.to_json_dict()
     record["manifest"] = args.out + ".manifest.json"
     if args.duality_grid:
-        record["duality_deviation"] = duality_check(wave, lam, M=args.M, n_grid=args.duality_grid, tol=tol)
+        record["duality_deviation"] = duality_check(
+            wave, lam, M=args.M, n_grid=args.duality_grid, tol=args.tol)
     Path(args.out).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     if args.dump_g:
         _dump_G_csv(wave, lam, result.M, args.dump_g)
-    _write_manifest(args.out, args, cfg, tol, tol_env, [_stats_dict(result.stats)])
+    _write_manifest(args, cfg, [result.stats])
     print(f"D({lam}) = {result.D} [{method}], {result.stats.mesh_points} mesh points")
     return EXIT_OK
 
 
 def _cmd_contour(args) -> int:
-    tol, tol_env = _default_tol(args)
     cfg = _load_config(args.config)
     wave = build_wave(cfg)
     method = _METHOD_FLAGS[args.method]
-    report = count_unstable(wave, args.radius, method=method, tol=tol, M=args.M)
+    report = count_unstable(wave, args.radius, method=method, tol=args.tol, M=args.M)
 
     nodes = report.contour.nodes
     lines = ["re_lambda,im_lambda,re_D,im_D"]
@@ -167,14 +144,13 @@ def _cmd_contour(args) -> int:
     payload = report.to_json_dict()
     payload["manifest"] = args.out + ".manifest.json"
     Path(report_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _write_manifest(args.out, args, cfg, tol, tol_env, [], extra={"winding": report.winding})
+    _write_manifest(args, cfg, [], extra={"winding": report.winding})
     print(f"winding number {report.winding} from {report.n_samples} samples "
           f"(min |D| = {report.min_abs_D:.3e}); wrote {args.out}")
     return EXIT_OK
 
 
 def _cmd_roots(args) -> int:
-    tol, tol_env = _default_tol(args)
     cfg = _load_config(args.config)
     values = tuple(float(v) for v in args.values.split(","))
     sweep = ParameterSweep(
@@ -183,23 +159,22 @@ def _cmd_roots(args) -> int:
         values=values,
         method=_METHOD_FLAGS[args.method],
         M=args.M,
-        evans_tol=tol,
+        evans_tol=args.tol,
     )
     trace = sweep_roots(sweep, complex(args.seed_re, args.seed_im), tol=args.root_tol)
     payload = trace.to_json_dict()
     payload["manifest"] = args.out + ".manifest.json"
     Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _write_manifest(args.out, args, cfg, tol, tol_env, [])
+    _write_manifest(args, cfg, [])
     n_ok = int(np.sum(trace.converged))
     print(f"followed root over {len(trace.values)} parameter points ({n_ok} converged)")
     return EXIT_OK if bool(np.all(trace.converged)) else EXIT_NUMERICAL
 
 
 def _cmd_bench(args) -> int:
-    tol, tol_env = _default_tol(args)
     if args.table not in (1, 2):
         raise ConfigError(f"table must be 1 or 2, got {args.table}")
-    table = reproduce_table(args.table, tol=tol, M=args.M if args.M is not None else 5.0)
+    table = reproduce_table(args.table, tol=args.tol, M=args.M)
     lines = ["lambda_re,lambda_im,c,direction,variant,mesh_points,paper_count,ratio_to_paper"]
     for direction in ("forward", "backward"):
         counts = table.counts(direction)
@@ -214,7 +189,7 @@ def _cmd_bench(args) -> int:
                 ]))
     Path(args.out).write_text("\n".join(lines) + "\n")
     failures = table.trend_failures()
-    _write_manifest(args.out, args, None, tol, tol_env, [], extra={"trend_failures": failures})
+    _write_manifest(args, None, [], extra={"trend_failures": failures})
     print(f"table {args.table}: wrote {len(lines)-1} rows to {args.out}")
     if failures:
         for f in failures:
@@ -236,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
         if config:
             p.add_argument("--config", required=True, help="wave configuration JSON")
         if solver:
-            p.add_argument("--tol", type=float, default=None,
-                           help=f"integration tolerance (default 1e-5; env {_TOL_ENV} overrides)")
+            p.add_argument("--tol", type=float, default=1e-5,
+                           help="integration tolerance (default 1e-5)")
             p.add_argument("--M", type=float, default=None, help="domain truncation length")
         p.add_argument("--out", required=True, help="output file path")
 
@@ -276,14 +251,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="reproduce a model-problem efficiency table")
     common(p, config=False)
     p.add_argument("--table", type=int, required=True, help="1 (factored) or 2 (unfactored)")
-    p.set_defaults(fn=_cmd_bench)
+    p.set_defaults(fn=_cmd_bench, M=5.0)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    args.argv = argv  # the manifest records the command that ran
     try:
         return args.fn(args)
     except (ConfigError, ValueError) as exc:  # ValueError: argument out of domain

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,7 +102,12 @@ class EvansResult:
 
 
 def _resolve_M(wave: SteadyWave, M: float | None) -> float:
-    return wave.default_M if M is None else float(M)
+    if M is None:
+        return wave.default_M
+    M = float(M)
+    if not 0.0 < M < math.inf:  # also rejects NaN
+        raise ValueError(f"M must be positive and finite, got {M}")
+    return M
 
 
 def _adjoint_rhs(wave: SteadyWave, lam: complex, shift: complex):

@@ -129,10 +129,10 @@ class ModelParams:
     def __post_init__(self):
         if self.c_decay == 0.0:
             raise ValueError("c_decay must be nonzero")
-        if self.M <= 0.0:
-            raise ValueError("M must be positive")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.M < math.inf:  # also rejects NaN
+            raise ValueError(f"M must be positive and finite, got {self.M}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
 
 @dataclass(frozen=True)

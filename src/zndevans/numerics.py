@@ -99,11 +99,11 @@ def _integrate(
     x0, x1 = float(span[0]), float(span[1])
     if x0 == x1:
         raise ValueError("integration span endpoints must be distinct")
-    if rel_tol <= 0.0:
-        raise ValueError("rel_tol must be positive")
+    if not 0.0 < rel_tol < math.inf:  # also rejects NaN
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
     atol = np.asarray(abs_tol, dtype=float)
-    if np.any(atol <= 0.0):
-        raise ValueError("abs_tol must be positive")
+    if not np.all((0.0 < atol) & (atol < math.inf)):
+        raise ValueError(f"abs_tol must be positive and finite, got {abs_tol}")
     z = np.array(init, dtype=complex)
     if z.shape != (field.dimension,):
         raise ValueError(f"initial state must have {field.dimension} entries")

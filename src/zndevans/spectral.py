@@ -17,6 +17,7 @@ boundary jump vector that closes the stability determinant.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -292,6 +293,8 @@ def stable_left_mode(wave: SteadyWave, lam: complex) -> tuple[np.ndarray, comple
     with alpha = 1 / (u- + c-), g0 = rho- and g1 = rho- u-.
     """
     lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam!r}")
     if lam == 0.0:
         raise NumericalDomainError(
             "lambda = 0 is excluded (neutral mode); continue from Re(lambda) > 0"

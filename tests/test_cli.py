@@ -167,25 +167,29 @@ class TestBenchCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
-class TestToleranceEnvVar:
-    def test_env_override_recorded_in_manifest(self, cfg_path, tmp_path, monkeypatch):
-        monkeypatch.setenv("ZNDEVANS_TOL", "1e-4")
-        out = tmp_path / "ev.json"
-        rc = main(["evans", "--config", cfg_path, "--lambda-re", "1",
-                   "--lambda-im", "1", "--out", str(out)])
-        assert rc == 0
+class TestManifestRecordsTheRun:
+    def test_command_and_tol_are_the_parsed_argv(self, cfg_path, tmp_path):
+        # main() called from Python: the host interpreter's sys.argv is not the command
+        argv = ["evans", "--config", cfg_path, "--lambda-re", "1", "--tol", "1e-6",
+                "--out", str(tmp_path / "ev.json")]
+        assert main(argv) == 0
         manifest = json.loads((tmp_path / "ev.json.manifest.json").read_text())
-        assert manifest["tol"] == 1e-4
-        assert manifest["tol_from_env"] is True
-
-    def test_flag_beats_env(self, cfg_path, tmp_path, monkeypatch):
-        monkeypatch.setenv("ZNDEVANS_TOL", "1e-4")
-        out = tmp_path / "ev.json"
-        main(["evans", "--config", cfg_path, "--lambda-re", "1",
-              "--tol", "1e-6", "--out", str(out)])
-        manifest = json.loads((tmp_path / "ev.json.manifest.json").read_text())
+        assert manifest["command"] == ["zndevans", *argv]
         assert manifest["tol"] == 1e-6
-        assert manifest["tol_from_env"] is False
+
+    def test_environment_does_not_set_tol(self, cfg_path, tmp_path, monkeypatch):
+        monkeypatch.setenv("ZNDEVANS_TOL", "1e-4")
+        out = tmp_path / "ev.json"
+        assert main(["evans", "--config", cfg_path, "--lambda-re", "1", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "ev.json.manifest.json").read_text())
+        assert manifest["tol"] == 1e-5
+        assert "tol_from_env" not in manifest
+
+    def test_bench_records_the_M_it_ran_at(self, tmp_path):
+        out = tmp_path / "t1.csv"
+        main(["bench", "--table", "1", "--tol", "1e-2", "--out", str(out)])
+        manifest = json.loads((tmp_path / "t1.csv.manifest.json").read_text())
+        assert manifest["M"] == 5.0
 
 
 class TestBenchTrendExit:
@@ -209,6 +213,14 @@ class TestBenchTrendExit:
     ["profile", "--config", "{cfg}", "--points", "0"],
     ["profile", "--config", "{cfg}", "--tol", "1e-6"],
     ["profile", "--config", "{cfg}", "--M", "5"],
+    ["evans", "--config", "{cfg}", "--lambda-re", "1", "--tol", "nan"],
+    ["evans", "--config", "{cfg}", "--lambda-re", "1", "--tol", "inf"],
+    ["evans", "--config", "{cfg}", "--lambda-re", "1", "--M", "nan"],
+    ["evans", "--config", "{cfg}", "--lambda-re", "1", "--M", "inf"],
+    ["evans", "--config", "{cfg}", "--lambda-re", "nan"],
+    ["contour", "--config", "{cfg}", "--radius", "2", "--tol", "nan"],
+    ["bench", "--table", "1", "--tol", "nan"],
+    ["bench", "--table", "1", "--M", "nan"],
 ])
 def test_bad_argument_exits_2(argv, cfg_path, tmp_path):
     argv = [a.format(cfg=cfg_path) for a in argv] + ["--out", str(tmp_path / "x.out")]
@@ -223,6 +235,13 @@ def test_profile_points_error_names_range(cfg_path, tmp_path, capsys):
     rc = main(["profile", "--config", cfg_path, "--points", "0", "--out", str(tmp_path / "p.csv")])
     assert rc == 2
     assert "at least 1" in capsys.readouterr().err
+
+
+def test_negative_M_error_names_M(cfg_path, tmp_path, capsys):
+    rc = main(["evans", "--config", cfg_path, "--lambda-re", "1", "--M", "-1",
+               "--out", str(tmp_path / "x.json")])
+    assert rc == 2
+    assert "M must be positive" in capsys.readouterr().err
 
 
 def test_manifest_hashes_config_the_run_used(cfg_path, tmp_path, monkeypatch):

@@ -146,16 +146,20 @@ class TestLimitMatrices:
         G = limit_G_minus(wave, 1.0 + 3.0j)
         assert np.all(G[3:, :3] == 0.0)
 
-    def test_block_form_matches_matrix_assembly(self, rng):
-        # the hand-written burned-end blocks against (-lam A0 + C) A1^{-1}
+    def test_matches_forward_kernel(self, rng):
+        # column j of G- is the forward kernel (a cofactor solve, no LAPACK)
+        # applied to e_j at the burned state, divided by sigma-
         cfgs = [default_config(), replace(default_config(), EA=20.0)]
         cfgs += [random_overdriven_config(rng) for _ in range(3)]
         for cfg in cfgs:
             wave = build_wave(cfg)
-            A0, A1, C = jacobians(wave.burned, cfg)
+            sigma = wave.m / reaction_psi(wave.burned, cfg)
             lams = [0.1 + 30j] + [complex(rng.uniform(0.01, 8), rng.uniform(-40, 40)) for _ in range(9)]
             for lam in lams:
-                want = np.linalg.solve(A1.T.astype(complex), (-lam * A0 + C).T).T
+                want = np.column_stack([
+                    linearized_rhs(wave, wave.burned, lam, e.tolist(), adjoint=False)
+                    for e in np.eye(4, dtype=complex)
+                ]) / sigma
                 got = limit_G_minus(wave, lam)
                 assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
