@@ -30,27 +30,30 @@ from .errors import (
 Evaluator = Callable[[complex], complex]
 
 # Dormand-Prince 5(4) tableau.  Fifth-order propagating solution, fourth-order
-# embedded error estimate, FSAL (last stage of an accepted step is the first
-# stage of the next).
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+# embedded error estimate, FSAL: the last row of _A holds the fifth-order
+# weights, so the last stage is evaluated at the new state and its slope is
+# the first stage of the next step.  The weights are stored complex so that
+# the stage products multiply complex by complex with no cast.
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+], dtype=complex)
 # b5 - b4: weights of the embedded error estimate
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+_E = np.array(
+    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
+    dtype=complex,
+)
 
 _SAFETY = 0.8
 _MAX_FACTOR = 5.0
 _HMAX_FRACTION = 0.1
 _UNDERFLOW_FRACTION = 1e-14
-_STAGES = 6  # marginal evaluations per attempted step (FSAL)
 
 # Renormalization bounds for linear fields whose solutions outgrow doubles.
 _RENORM_LIMIT = 1e200
@@ -123,9 +126,12 @@ def _integrate(
     if not np.all(np.isfinite(k[0])):
         raise NonFiniteStateError(x)
 
+    # max(|z|, threshold): the part of the error weight fixed within a step
+    z_scale = np.maximum(np.abs(z), threshold)
+
     # initial step from the scaled size of the first slope
     absh = h_max
-    rh = float(np.max(np.abs(k[0]) / np.maximum(np.abs(z), threshold)))
+    rh = float((np.abs(k[0]) / z_scale).max())
     rh /= _SAFETY * rel_tol ** 0.2
     if absh * rh > 1.0:
         absh = max(1.0 / rh, h_floor)
@@ -140,16 +146,19 @@ def _integrate(
                 absh = abs(h)
                 at_end = True
 
+            hA = h * _A
+            # one product on the rows computed so far only: rows i.. of k
+            # still hold the slopes of a rejected attempt, possibly inf or
+            # NaN, and even a zero weight on one of them gives a NaN stage
             for i in range(1, 7):
-                zi = z + h * sum(a * k[j] for j, a in enumerate(_A[i]))
-                k[i] = field.eval(x + _C[i] * h, zi)
-            nfev += 6
+                z_new = z + np.dot(hA[i, :i], k[:i])
+                k[i] = field.eval(x + _C[i] * h, z_new)
+            nfev += 6  # FSAL: six new slopes per attempt
 
-            z_new = z + h * (_B5 @ k)
-            err_vec = h * (_E @ k)
+            err_vec = h * np.dot(_E, k)
+            abs_new = np.abs(z_new)
             with np.errstate(invalid="ignore", over="ignore"):
-                scale = np.maximum(np.maximum(np.abs(z), np.abs(z_new)), threshold)
-                err = float(np.max(np.abs(err_vec) / scale))
+                err = float((np.abs(err_vec) / np.maximum(abs_new, z_scale)).max())
 
             if math.isfinite(err) and err <= rel_tol:
                 break
@@ -173,15 +182,17 @@ def _integrate(
         z = z_new
         k[0] = k[6]
         if renormalize:
-            zmax = float(np.max(np.abs(z)))
+            zmax = float(abs_new.max())
             if zmax > _RENORM_LIMIT:
                 shift = int(math.ceil(math.log2(zmax / _RENORM_TARGET)))
                 factor = math.ldexp(1.0, -shift)
                 z = z * factor
                 k[0] = k[0] * factor  # valid for linear fields only
                 pow2 += shift
+                abs_new = np.abs(z)
         if x == x1:
             return z, SolveStats(accepted, rejected, nfev, (x0, x1)), pow2
+        z_scale = np.maximum(abs_new, threshold)
         if not failed_this_step:
             # grow only if this step went through on the first try
             if err == 0.0:
@@ -367,8 +378,10 @@ def newton_root(
     direction with step ``1e-6 * max(1, |lambda|)`` (legitimate for analytic
     evaluators).  Convergence means the Newton step dropped below ``tol``.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:  # also rejects NaN
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     lam = complex(seed)
     for _ in range(max_iter):
         f = evaluator(lam)

@@ -93,16 +93,18 @@ def _validate_config(cfg: GasWaveConfig) -> None:
         if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
             raise ConfigError(f"{name} must be a positive finite number, got {value!r}")
 
+    def nonnegative(name, value):
+        if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
+            raise ConfigError(f"{name} must be a nonnegative finite number, got {value!r}")
+
     positive("Gamma", cfg.Gamma)
     positive("Cv", cfg.Cv)
     positive("K", cfg.K)
     positive("upstream.rho", cfg.upstream.rho)
     positive("upstream.e", cfg.upstream.e)
     positive("eps_Y", cfg.eps_Y)
-    if cfg.q < 0:
-        raise ConfigError(f"q must be nonnegative, got {cfg.q!r}")
-    if cfg.EA < 0:
-        raise ConfigError(f"EA must be nonnegative, got {cfg.EA!r}")
+    nonnegative("q", cfg.q)
+    nonnegative("EA", cfg.EA)
     if not 0.0 <= cfg.Y0 <= 1.0:
         raise ConfigError(f"Y0 must lie in [0, 1], got {cfg.Y0!r}")
     if not cfg.upstream.u < 0:

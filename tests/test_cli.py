@@ -221,6 +221,9 @@ class TestBenchTrendExit:
     ["contour", "--config", "{cfg}", "--radius", "2", "--tol", "nan"],
     ["bench", "--table", "1", "--tol", "nan"],
     ["bench", "--table", "1", "--M", "nan"],
+    ["roots", "--config", "{cfg}", "--param", "EA", "--values", "nan", "--seed-re", "1"],
+    ["roots", "--config", "{cfg}", "--param", "EA", "--values", "10", "--seed-re", "1",
+     "--root-tol", "nan"],
 ])
 def test_bad_argument_exits_2(argv, cfg_path, tmp_path):
     argv = [a.format(cfg=cfg_path) for a in argv] + ["--out", str(tmp_path / "x.out")]

@@ -184,6 +184,13 @@ class TestNewton:
         with pytest.raises(DegenerateRootError):
             newton_root(lambda z: z * z, 1e-8, tol=1e-15, max_iter=100)
 
+    @pytest.mark.parametrize("kw", [
+        {"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0}, {"tol": -1.0}, {"max_iter": 0},
+    ])
+    def test_bad_arguments_rejected(self, kw):
+        with pytest.raises(ValueError):
+            newton_root(lambda z: z - 3j, 1.0, **kw)
+
     def test_nonconvergence(self):
         # real Newton on z^2+1 never settles (roots are off the real line)
         with pytest.raises(NewtonError):

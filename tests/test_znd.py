@@ -182,6 +182,12 @@ class TestBuildWave:
         with pytest.raises(ConfigError):
             replace(base, Ti_low=5.0, Ti_high=4.0)
 
+    @pytest.mark.parametrize("name", ["q", "EA"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_heat_release_and_activation_energy_finite_nonnegative(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            replace(default_config(), **{name: value})
+
 
 class TestProfile:
     def test_anchor_equals_neumann(self, wave):
