@@ -44,12 +44,8 @@ from .spectral import (
     coefficient_G,
     jacobians,
     jump_vector,
-    kato_continuation,
     left_mode_residual,
-    limit_G_minus,
-    limit_G_plus,
     make_frame,
-    stable_left_eig,
     stable_left_mode,
 )
 from .evans import (

@@ -61,11 +61,12 @@ def _load_config(path: str) -> GasWaveConfig:
 
 
 def _write_manifest(args, cfg: GasWaveConfig | None, stats: list[SolveStats],
-                    extra: dict | None = None) -> None:
+                    extra: dict | None = None, also_wrote: tuple[str, ...] = ()) -> None:
     """Write ``<out>.manifest.json`` for the command ``main`` parsed into ``args``.
 
-    ``profile`` takes no ``--tol`` or ``--M``, so its manifest records null
-    for both.
+    ``outputs`` lists ``--out`` followed by ``also_wrote``, the other files
+    the run wrote.  ``profile`` takes no ``--tol`` or ``--M``, so its
+    manifest records null for both.
     """
     manifest = {
         "command": ["zndevans", *args.argv],
@@ -73,7 +74,7 @@ def _write_manifest(args, cfg: GasWaveConfig | None, stats: list[SolveStats],
         "timestamp": _utc_now(),
         "tol": getattr(args, "tol", None),
         "M": getattr(args, "M", None),
-        "outputs": [args.out],
+        "outputs": [args.out, *also_wrote],
         "solve_stats": [dataclasses.asdict(s) for s in stats],
     }
     if cfg is not None:  # what the run computed with; the file may have changed since
@@ -124,7 +125,7 @@ def _cmd_evans(args) -> int:
     Path(args.out).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     if args.dump_g:
         _dump_G_csv(wave, lam, result.M, args.dump_g)
-    _write_manifest(args, cfg, [result.stats])
+    _write_manifest(args, cfg, [result.stats], also_wrote=(args.dump_g,) if args.dump_g else ())
     print(f"D({lam}) = {result.D} [{method}], {result.stats.mesh_points} mesh points")
     return EXIT_OK
 
@@ -144,7 +145,7 @@ def _cmd_contour(args) -> int:
     payload = report.to_json_dict()
     payload["manifest"] = args.out + ".manifest.json"
     Path(report_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _write_manifest(args, cfg, [], extra={"winding": report.winding})
+    _write_manifest(args, cfg, [], extra={"winding": report.winding}, also_wrote=(report_path,))
     print(f"winding number {report.winding} from {report.n_samples} samples "
           f"(min |D| = {report.min_abs_D:.3e}); wrote {args.out}")
     return EXIT_OK

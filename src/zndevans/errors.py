@@ -77,15 +77,6 @@ class NearCharacteristicError(NumericalDomainError):
     """Flux Jacobian too ill-conditioned to invert (near-sonic or stagnation state)."""
 
 
-class BranchAmbiguityError(NumericalDomainError):
-    """Eigenvalue branches of the limit matrix collide along a continuation path."""
-
-    def __init__(self, lam: complex, message: str = ""):
-        self.lam = lam
-        msg = message or f"eigenvalue branch ambiguity at lambda={lam:.6g}"
-        super().__init__(msg)
-
-
 class EvansOverflowError(NumericalDomainError):
     """Dynamic range of an unfactored run exceeds double precision.
 

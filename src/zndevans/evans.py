@@ -135,7 +135,6 @@ def evans_neutral(
     lam: complex,
     M: float | None = None,
     tol: float = 1e-5,
-    abs_tol: float | None = None,
 ) -> EvansResult:
     """Forward adjoint shooting with the asymptotic decay factored out.
 
@@ -147,15 +146,13 @@ def evans_neutral(
     M = _resolve_M(wave, M)
     frame = make_frame(wave, lam)
     field = OdeField(dimension=4, eval=_adjoint_rhs(wave, lam, frame.g_minus))
-    z, stats = integrate_adaptive(
-        field, (-M, 0.0), frame.ell, rel_tol=tol, abs_tol=abs_tol if abs_tol is not None else tol
-    )
+    z, stats = integrate_adaptive(field, (-M, 0.0), frame.ell, rel_tol=tol, abs_tol=tol)
     growth = float(np.linalg.norm(z) / np.linalg.norm(frame.ell))
     if not 1e-6 < growth < 1e6:
         raise MisselectedModeError(
             f"factored adjoint magnitude changed by {growth:.3e}: either the "
             "decay rate g_minus is misselected, or the profile transition "
-            "out-scales the absolute-tolerance floor (tighten abs_tol)"
+            "out-scales the absolute-tolerance floor (tighten tol)"
         )
     D = complex(z @ frame.jump)
     return EvansResult(lam=complex(lam), D=D, method=METHOD_NEUTRAL, M=M, stats=stats)
@@ -179,7 +176,6 @@ def evans_erpenbeck(
     lam: complex,
     M: float | None = None,
     tol: float = 1e-5,
-    abs_tol: float | None = None,
 ) -> EvansResult:
     """Forward adjoint shooting without factoring, plus a running quadrature.
 
@@ -203,8 +199,7 @@ def evans_erpenbeck(
         dz.append(lam * sum(a * b for a, b in zip(zz, dF0)))
         return np.array(dz)
 
-    base = tol if abs_tol is None else abs_tol
-    atol = np.full(5, base)
+    atol = np.full(5, tol)
     atol[:4] *= max(abs(prefactor), 1e-280)  # keep the tiny start under relative control
     init = np.concatenate([prefactor * frame.ell, [0.0]])
     z, stats = integrate_adaptive(
@@ -220,7 +215,6 @@ def evans_lee_stewart(
     lam: complex,
     M: float | None = None,
     tol: float = 1e-5,
-    abs_tol: float | None = None,
 ) -> EvansResult:
     """Backward shooting of the forward eigenvalue system from the jump data.
 
@@ -233,9 +227,7 @@ def evans_lee_stewart(
     frame = make_frame(wave, lam)
     kappa = _edge_prefactor(wave, frame, M)
     field = OdeField(dimension=4, eval=_forward_rhs(wave, lam))
-    z, stats = integrate_adaptive(
-        field, (0.0, -M), frame.jump, rel_tol=tol, abs_tol=abs_tol if abs_tol is not None else tol
-    )
+    z, stats = integrate_adaptive(field, (0.0, -M), frame.jump, rel_tol=tol, abs_tol=tol)
     D = complex(frame.ell @ z)
     return EvansResult(
         lam=complex(lam),

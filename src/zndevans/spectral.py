@@ -6,13 +6,12 @@ The normal-mode problem in the physical coordinate reads Z' = G Z with
 
 where A0, A1 are the Jacobians of the conserved densities/fluxes and C the
 Jacobian of the reaction source, all in primitive variables W = (rho, u, e, Y).
-This module provides those Jacobians analytically (with a finite-difference
-self-check), the closed-form, matrix-free application of G and of its
-adjoint that the shooting right-hand sides use (:func:`linearized_rhs`), the
-limit matrices at the burned and unburned ends, the analytic stable left
-eigenpair (ell, g_minus) of the burned-end matrix, a Kato-ODE numerical
-continuation of that eigenvector as an independent cross-check, and the
-boundary jump vector that closes the stability determinant.
+This module provides those Jacobians analytically, the closed-form,
+matrix-free application of G and of its adjoint that the shooting
+right-hand sides use (:func:`linearized_rhs`), G itself built column by
+column from that same kernel, the analytic stable left eigenpair
+(ell, g_minus) of the burned-end matrix, and the boundary jump vector that
+closes the stability determinant.
 """
 
 from __future__ import annotations
@@ -23,12 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BranchAmbiguityError,
-    InvalidWaveError,
-    NearCharacteristicError,
-    NumericalDomainError,
-)
+from .errors import InvalidWaveError, NearCharacteristicError, NumericalDomainError
 from .znd import (
     GasWaveConfig,
     StateW,
@@ -40,18 +34,13 @@ from .znd import (
     thermo,
 )
 
-_COND_LIMIT = 1e12
 _NONCHAR_REL = 1e-12
 
 
-def jacobians(
-    state: StateW, cfg: GasWaveConfig, self_check: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def jacobians(state: StateW, cfg: GasWaveConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Analytic Jacobians (A0, A1, C) of (F0, F1, R) in (rho, u, e, Y).
 
     The source Jacobian C is taken on the ignited branch (cutoff = 1).
-    With ``self_check=True`` every entry is compared against central finite
-    differences of :func:`zndevans.znd.fluxes` to 1e-6 relative.
     """
     rho, u, e, Y = state.rho, state.u, state.e, state.Y
     p, T, _, p_rho, p_e = thermo(state, cfg)
@@ -96,31 +85,7 @@ def jacobians(
     C[3, 2] = -KY * dpsi_de
     C[3, 3] = -cfg.K * psi
 
-    if self_check:
-        _finite_difference_check(state, cfg, A0, A1, C)
     return A0, A1, C
-
-
-def _finite_difference_check(state, cfg, A0, A1, C, rel=1e-6):
-    w0 = state.as_vector()
-    n = w0.size
-    num = np.zeros((3, n, n))
-    for j in range(n):
-        h = 1e-6 * max(1.0, abs(w0[j]))
-        wp, wm = w0.copy(), w0.copy()
-        wp[j] += h
-        wm[j] -= h
-        sp = StateW(*wp)
-        sm = StateW(*wm)
-        for k, (fp, fm) in enumerate(zip(fluxes(sp, cfg), fluxes(sm, cfg))):
-            num[k, :, j] = (fp - fm) / (2.0 * h)
-    for name, analytic, numeric in (("A0", A0, num[0]), ("A1", A1, num[1]), ("C", C, num[2])):
-        scale = np.max(np.abs(numeric)) + 1.0
-        worst = np.max(np.abs(analytic - numeric)) / scale
-        if worst > rel:
-            raise AssertionError(
-                f"jacobian {name} disagrees with finite differences by {worst:.2e}"
-            )
 
 
 def _gas_entries(state: StateW, cfg: GasWaveConfig):
@@ -241,45 +206,18 @@ def check_noncharacteristic(state: StateW, cfg: GasWaveConfig) -> bool:
     return True
 
 
-def _G_at_state(
-    state: StateW, cfg: GasWaveConfig, lam: complex, reacting: bool
-) -> np.ndarray:
-    A0, A1, C = jacobians(state, cfg)
-    if not reacting:
-        C = np.zeros_like(C)
-    if np.linalg.cond(A1) > _COND_LIMIT:
-        raise NearCharacteristicError(
-            f"flux Jacobian condition number exceeds {_COND_LIMIT:g} at state "
-            f"(rho={state.rho:.4g}, u={state.u:.4g}, e={state.e:.4g})"
-        )
-    M = -lam * A0 + C.astype(complex)
-    # G = M A1^{-1}, computed by solving A1^T G^T = M^T
-    return np.linalg.solve(A1.T.astype(complex), M.T).T
-
-
 def coefficient_G(wave: SteadyWave, lam: complex, y: float) -> np.ndarray:
-    """G(lambda, y) at the profile state (ignited side, y <= 0)."""
+    """G(lambda, y) at the profile state (ignited side, y <= 0).
+
+    Column j is :func:`linearized_rhs` (forward) applied to e_j, divided by
+    sigma = dx/dy, so this matrix is the operator the shooting methods apply.
+    """
     state = profile_at(wave, y)
     if not check_noncharacteristic(state, wave.config):
         raise NearCharacteristicError(f"profile state at y={y!r} is characteristic")
-    return _G_at_state(state, wave.config, lam, reacting=True)
-
-
-def limit_G_minus(wave: SteadyWave, lam: complex) -> np.ndarray:
-    """Burned-end limit of G (x -> -inf).
-
-    The reactant is exhausted there (Y = 0 exactly), so the reactant row of
-    the gas columns is exactly zero and G_minus is upper block-triangular.
-    """
-    return _G_at_state(wave.burned, wave.config, lam, reacting=True)
-
-
-def limit_G_plus(wave: SteadyWave, lam: complex) -> np.ndarray:
-    """Unburned-end limit of G (x > 0): no reaction, so C = 0 there."""
-    cfg = wave.config
-    up = cfg.upstream
-    state = StateW(up.rho, up.u, up.e, cfg.Y0)
-    return _G_at_state(state, cfg, lam, reacting=False)
+    lam = complex(lam)
+    columns = [linearized_rhs(wave, state, lam, e, adjoint=False) for e in np.eye(4).tolist()]
+    return np.array(columns).T / (wave.m / reaction_psi(state, wave.config))
 
 
 def stable_left_mode(wave: SteadyWave, lam: complex) -> tuple[np.ndarray, complex]:
@@ -385,81 +323,3 @@ def make_frame(wave: SteadyWave, lam: complex) -> SpectralFrame:
     if ell[2] != 1.0:
         raise NumericalDomainError("left mode normalization lost (energy component != 1)")
     return SpectralFrame(ell=ell, g_minus=g_minus, jump=jump_vector(wave, lam))
-
-
-# ---------------------------------------------------------------------------
-# numerical cross-check: eigensolver + Kato continuation
-
-
-def stable_left_eig(wave: SteadyWave, lam: complex) -> tuple[complex, np.ndarray, np.ndarray]:
-    """Numerically computed stable eigentriple (g, left, right) of G_minus.
-
-    The stable branch is selected by Re(g/lambda) < 0, which picks the
-    outgoing acoustic family uniquely on Re(lambda) >= 0.  A collision with
-    another branch raises :class:`BranchAmbiguityError`.
-    """
-    G = limit_G_minus(wave, lam)
-    gs, rights = np.linalg.eig(G)
-    ratios = gs / lam
-    candidates = [i for i in range(gs.size) if ratios[i].real < 0.0]
-    if len(candidates) != 1:
-        raise BranchAmbiguityError(lam, f"{len(candidates)} stable candidates at {lam!r}")
-    i = candidates[0]
-    gaps = np.abs(gs - gs[i])
-    gaps[i] = np.inf
-    if gaps.min() < 1e-12 * max(1.0, float(np.max(np.abs(gs)))):
-        raise BranchAmbiguityError(lam, f"eigenvalue collision at lambda={lam!r}")
-    gl, lefts = np.linalg.eig(G.T)
-    j = int(np.argmin(np.abs(gl - gs[i])))
-    return gs[i], lefts[:, j], rights[:, i]
-
-
-def _projection(wave: SteadyWave, lam: complex) -> np.ndarray:
-    g, left, right = stable_left_eig(wave, lam)
-    scale = left @ right
-    if abs(scale) < 1e-14:
-        raise BranchAmbiguityError(lam, "defective stable eigenpair")
-    return np.outer(right, left) / scale
-
-
-def kato_continuation(wave: SteadyWave, lambda_path) -> list[np.ndarray]:
-    """Analytically continue the stable left eigenvector along a lambda path.
-
-    Starts from the closed-form normalized vector at the first node and
-    integrates dl/dlam = l P'(lam) (I - P(lam)) with classical RK4 substeps,
-    the eigenprojection derivative taken by a 4-point complex stencil.  The
-    result at each node is parallel to the closed-form vector with a ratio
-    analytic along the path.
-    """
-    path = [complex(z) for z in lambda_path]
-    if not path:
-        return []
-    ell, _ = stable_left_mode(wave, path[0])
-    out = [ell.copy()]
-
-    def dP(lam: complex) -> np.ndarray:
-        h = 1e-4 * (1.0 + abs(lam))
-        Pp2 = _projection(wave, lam + 2 * h)
-        Pp1 = _projection(wave, lam + h)
-        Pm1 = _projection(wave, lam - h)
-        Pm2 = _projection(wave, lam - 2 * h)
-        return (-Pp2 + 8.0 * Pp1 - 8.0 * Pm1 + Pm2) / (12.0 * h)
-
-    def rhs(lam: complex, v: np.ndarray) -> np.ndarray:
-        P = _projection(wave, lam)
-        return (v @ dP(lam)) @ (np.eye(P.shape[0]) - P)
-
-    v = ell.copy()
-    for a, b in zip(path[:-1], path[1:]):
-        n_sub = max(1, int(math.ceil(abs(b - a) / 0.05)))
-        h = (b - a) / n_sub
-        lam = a
-        for _ in range(n_sub):
-            k1 = rhs(lam, v)
-            k2 = rhs(lam + 0.5 * h, v + 0.5 * h * k1)
-            k3 = rhs(lam + 0.5 * h, v + 0.5 * h * k2)
-            k4 = rhs(lam + h, v + h * k3)
-            v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            lam = lam + h
-        out.append(v.copy())
-    return out

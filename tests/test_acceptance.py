@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import random_overdriven_config
+from oracles import kato_continuation, limit_G_minus, limit_G_plus, stable_left_eig
 from zndevans.errors import ChapmanJouguetError
 from zndevans.evans import duality_check, evans_erpenbeck, evans_lee_stewart, evans_neutral
 from zndevans.modelbench import (
@@ -22,14 +23,7 @@ from zndevans.modelbench import (
     reproduce_table,
     run_cell,
 )
-from zndevans.spectral import (
-    kato_continuation,
-    left_mode_residual,
-    limit_G_minus,
-    limit_G_plus,
-    stable_left_eig,
-    stable_left_mode,
-)
+from zndevans.spectral import left_mode_residual, stable_left_mode
 from zndevans.stability import count_unstable
 from zndevans.znd import (
     build_wave,

@@ -5,9 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import G_at_state
 from zndevans import cli
 from zndevans.cli import main
-from zndevans.znd import build_wave, config_to_json, default_config, nonreactive_config
+from zndevans.znd import build_wave, config_to_json, default_config, nonreactive_config, profile_at
 
 
 @pytest.fixture()
@@ -117,12 +118,22 @@ class TestEvansCommand:
     def test_dump_g_grid(self, cfg_path, tmp_path):
         out = tmp_path / "ev.json"
         gdump = tmp_path / "G.csv"
-        main(["evans", "--config", cfg_path, "--lambda-re", "1",
-              "--out", str(out), "--dump-g", str(gdump)])
+        rc = main(["evans", "--config", cfg_path, "--lambda-re", "1",
+                   "--out", str(out), "--dump-g", str(gdump)])
+        assert rc == 0
         header, rows = read_csv(gdump)
         assert header[0] == "y"
         assert len(header) == 1 + 2 * 16
         assert len(rows) == 81
+        # rows hold G_ij row-major against (-lam A0 + C) A1^{-1} from the
+        # Jacobian matrices and a LAPACK solve
+        wave = build_wave(default_config())
+        for row in (rows[0], rows[40], rows[80]):
+            y = float(row["y"])
+            got = np.array([[complex(float(row[f"G{i}{j}_re"]), float(row[f"G{i}{j}_im"]))
+                             for j in range(4)] for i in range(4)])
+            want = G_at_state(profile_at(wave, y), wave.config, 1.0 + 0j, reacting=True)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestContourCommand:
@@ -184,6 +195,19 @@ class TestManifestRecordsTheRun:
         manifest = json.loads((tmp_path / "ev.json.manifest.json").read_text())
         assert manifest["tol"] == 1e-5
         assert "tol_from_env" not in manifest
+
+    def test_evans_lists_the_dump_g_file(self, cfg_path, tmp_path):
+        out, gdump = tmp_path / "ev.json", tmp_path / "G.csv"
+        assert main(["evans", "--config", cfg_path, "--lambda-re", "1",
+                     "--out", str(out), "--dump-g", str(gdump)]) == 0
+        manifest = json.loads((tmp_path / "ev.json.manifest.json").read_text())
+        assert manifest["outputs"] == [str(out), str(gdump)]
+
+    def test_contour_lists_the_winding_report(self, shock_path, tmp_path):
+        out = tmp_path / "contour.csv"
+        assert main(["contour", "--config", shock_path, "--radius", "1", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "contour.csv.manifest.json").read_text())
+        assert manifest["outputs"] == [str(out), str(out) + ".winding.json"]
 
     def test_bench_records_the_M_it_ran_at(self, tmp_path):
         out = tmp_path / "t1.csv"

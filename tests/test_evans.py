@@ -153,7 +153,8 @@ class TestAdjointIsAnnihilator:
     def build_pieces(self, wave, lam, tol=1e-10):
         from zndevans.numerics import OdeField, integrate_adaptive
         from zndevans.evans import _adjoint_rhs
-        from zndevans.spectral import jacobians, limit_G_minus, make_frame
+        from oracles import limit_G_minus
+        from zndevans.spectral import jacobians, make_frame
         from zndevans.znd import profile_at, reaction_psi
 
         M = wave.default_M

@@ -1,3 +1,4 @@
+import cmath
 import math
 from dataclasses import replace
 
@@ -6,20 +7,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_overdriven_config
-from zndevans.errors import BranchAmbiguityError, NumericalDomainError
+from oracles import (
+    BranchAmbiguityError,
+    finite_difference_check,
+    kato_continuation,
+    limit_G_minus,
+    limit_G_plus,
+    stable_left_eig,
+)
+from zndevans.errors import NumericalDomainError
+from zndevans.evans import METHODS, duality_check, evaluate
 from zndevans.spectral import (
     apply_A0,
     check_noncharacteristic,
     coefficient_G,
     jacobians,
     jump_vector,
-    kato_continuation,
     left_mode_residual,
-    limit_G_minus,
-    limit_G_plus,
     linearized_rhs,
     make_frame,
-    stable_left_eig,
     stable_left_mode,
 )
 from zndevans.znd import (
@@ -63,7 +69,7 @@ class TestJacobians:
     def test_finite_difference_oracle(self, rng):
         cfg = default_config()
         for _ in range(20):
-            jacobians(random_state(rng), cfg, self_check=True)
+            finite_difference_check(random_state(rng), cfg)
 
 
 class TestClosedFormKernel:
@@ -355,3 +361,20 @@ class TestKato:
     def test_branch_collision_near_origin(self, wave):
         with pytest.raises(BranchAmbiguityError):
             stable_left_eig(wave, 1e-13 + 0j)
+
+
+def test_result_paths_use_no_lapack(wave, monkeypatch):
+    # the closed-form kernel is the only linearized operator in the library:
+    # G, the frame, the duality check and all three methods run without a
+    # LAPACK solve, inverse, condition number or eigensolver
+    def forbidden(*args, **kw):
+        raise AssertionError("LAPACK call on a result path")
+
+    for name in ("solve", "inv", "cond", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    lam = 1.0 + 1.0j
+    assert np.all(np.isfinite(coefficient_G(wave, lam, -1.0)))
+    make_frame(wave, lam)
+    assert math.isfinite(duality_check(wave, lam))
+    for method in METHODS:
+        assert cmath.isfinite(evaluate(wave, lam, method=method).D)
