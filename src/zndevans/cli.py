@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, NumericalDomainError
-from .evans import METHODS, duality_check, evaluate
+from .evans import METHODS, _resolve_M, duality_check, evaluate
 from .modelbench import reproduce_table, C_COLUMNS, LAMBDA_ROWS
 from .numerics import SolveStats
 from .spectral import coefficient_G
@@ -116,6 +116,8 @@ def _cmd_evans(args) -> int:
     wave = build_wave(cfg)
     lam = complex(args.lam_re, args.lam_im)
     method = _METHOD_FLAGS[args.method]
+    if args.dump_g:  # first: G is defined on the grid even where D fails
+        _dump_G_csv(wave, lam, _resolve_M(wave, args.M), args.dump_g)
     result = evaluate(wave, lam, method=method, M=args.M, tol=args.tol)
     record = result.to_json_dict()
     record["manifest"] = args.out + ".manifest.json"
@@ -123,8 +125,6 @@ def _cmd_evans(args) -> int:
         record["duality_deviation"] = duality_check(
             wave, lam, M=args.M, n_grid=args.duality_grid, tol=args.tol)
     Path(args.out).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    if args.dump_g:
-        _dump_G_csv(wave, lam, result.M, args.dump_g)
     _write_manifest(args, cfg, [result.stats], also_wrote=(args.dump_g,) if args.dump_g else ())
     print(f"D({lam}) = {result.D} [{method}], {result.stats.mesh_points} mesh points")
     return EXIT_OK

@@ -114,8 +114,8 @@ def _adjoint_rhs(wave: SteadyWave, lam: complex, shift: complex):
     """dZ/dy = -sigma * ((G - shift I)^T) Z without forming G explicitly."""
     lam, shift = complex(lam), complex(shift)
 
-    def rhs(y: float, z: np.ndarray) -> np.ndarray:
-        return np.array(linearized_rhs(wave, profile_at(wave, y), lam, z.tolist(), shift))
+    def rhs(y: float, z: list) -> list:
+        return linearized_rhs(wave, profile_at(wave, y), lam, z, shift)
 
     return rhs
 
@@ -124,8 +124,8 @@ def _forward_rhs(wave: SteadyWave, lam: complex):
     """dZ0/dy = sigma * G Z0 without forming G explicitly."""
     lam = complex(lam)
 
-    def rhs(y: float, z: np.ndarray) -> np.ndarray:
-        return np.array(linearized_rhs(wave, profile_at(wave, y), lam, z.tolist(), adjoint=False))
+    def rhs(y: float, z: list) -> list:
+        return linearized_rhs(wave, profile_at(wave, y), lam, z, adjoint=False)
 
     return rhs
 
@@ -191,13 +191,12 @@ def evans_erpenbeck(
     lam = complex(lam)
 
     # components 0-3 are the adjoint, component 4 the running quadrature
-    def rhs(y: float, z: np.ndarray) -> np.ndarray:
+    def rhs(y: float, z: list) -> list:
         state = profile_at(wave, y)
-        zz = z.tolist()[:4]
-        dz = linearized_rhs(wave, state, lam, zz)
+        dz = linearized_rhs(wave, state, lam, z[:4])
         dF0 = apply_A0(state, profile_deriv(wave, y).tolist())  # (F0 o profile)'
-        dz.append(lam * sum(a * b for a, b in zip(zz, dF0)))
-        return np.array(dz)
+        dz.append(lam * sum(a * b for a, b in zip(z, dF0)))
+        return dz
 
     atol = np.full(5, tol)
     atol[:4] *= max(abs(prefactor), 1e-280)  # keep the tiny start under relative control

@@ -171,12 +171,12 @@ def model_field(params: ModelParams, variant: str) -> OdeField:
     lam = complex(params.lam)
     c = params.c_decay
     if variant == "factored":
-        def rhs(x: float, z: np.ndarray) -> np.ndarray:
-            return np.array([0.0, lam * (math.exp(2.0 * x) / c * z[0] - z[1])])
+        def rhs(x: float, z: list) -> list:
+            return [0j, lam * (math.exp(2.0 * x) / c * z[0] - z[1])]
     elif variant == "unfactored":
         half = 0.5 * lam
-        def rhs(x: float, z: np.ndarray) -> np.ndarray:
-            return np.array([half * z[0], lam * (math.exp(2.0 * x) / c * z[0]) - half * z[1]])
+        def rhs(x: float, z: list) -> list:
+            return [half * z[0], lam * (math.exp(2.0 * x) / c * z[0]) - half * z[1]]
     else:
         raise ValueError(f"unknown variant {variant!r}")
     return OdeField(dimension=2, eval=rhs)

@@ -11,6 +11,7 @@ refinement, and complex Newton iteration with finite-difference derivatives.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -32,23 +33,19 @@ Evaluator = Callable[[complex], complex]
 # Dormand-Prince 5(4) tableau.  Fifth-order propagating solution, fourth-order
 # embedded error estimate, FSAL: the last row of _A holds the fifth-order
 # weights, so the last stage is evaluated at the new state and its slope is
-# the first stage of the next step.  The weights are stored complex so that
-# the stage products multiply complex by complex with no cast.
+# the first stage of the next step.
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_A = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
-], dtype=complex)
-# b5 - b4: weights of the embedded error estimate
-_E = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
-    dtype=complex,
+_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
+# b5 - b4: weights of the embedded error estimate
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 _SAFETY = 0.8
 _MAX_FACTOR = 5.0
@@ -66,10 +63,15 @@ _MAX_DEPTH = 12
 
 @dataclass(frozen=True)
 class OdeField:
-    """First-order complex ODE system z' = eval(x, z) of fixed dimension."""
+    """First-order complex ODE system z' = eval(x, z) of fixed dimension.
+
+    ``eval(x, z)`` takes a list of ``dimension`` Python complex numbers and
+    returns a sequence of ``dimension`` complex numbers, best a list: the
+    integrator steps on such lists and builds no array.
+    """
 
     dimension: int
-    eval: Callable[[float, np.ndarray], np.ndarray]
+    eval: Callable[[float, list], Sequence[complex]]
 
     def __post_init__(self):
         if self.dimension <= 0:
@@ -107,31 +109,43 @@ def _integrate(
     atol = np.asarray(abs_tol, dtype=float)
     if not np.all((0.0 < atol) & (atol < math.inf)):
         raise ValueError(f"abs_tol must be positive and finite, got {abs_tol}")
+    dimension = field.dimension
     z = np.array(init, dtype=complex)
-    if z.shape != (field.dimension,):
-        raise ValueError(f"initial state must have {field.dimension} entries")
+    if z.shape != (dimension,):
+        raise ValueError(f"initial state must have {dimension} entries")
+    threshold = np.broadcast_to(atol / rel_tol, z.shape).tolist()
+    z = z.tolist()
 
     width = abs(x1 - x0)
     direction = 1.0 if x1 > x0 else -1.0
     h_floor = _UNDERFLOW_FRACTION * width
     h_max = _HMAX_FRACTION * width
-    threshold = atol / rel_tol
+
+    # the tableau as scalar locals; zero weights are left out of the sums
+    (_, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
+     (a61, a62, a63, a64, a65), (a71, _, a73, a74, a75, a76)) = _A
+    e1, _, e3, e4, e5, e6, e7 = _E
+    _, c2, c3, c4, c5, _, _ = _C
+    f = field.eval
 
     x = x0
     accepted = rejected = 0
     pow2 = 0
-    k = np.empty((7, field.dimension), dtype=complex)
-    k[0] = field.eval(x, z)
+    k1 = f(x, z)
     nfev = 1
-    if not np.all(np.isfinite(k[0])):
+    if len(k1) != dimension:
+        raise ValueError(f"field returned {len(k1)} slopes, expected {dimension}")
+    if not all(map(cmath.isfinite, k1)):
         raise NonFiniteStateError(x)
 
-    # max(|z|, threshold): the part of the error weight fixed within a step
-    z_scale = np.maximum(np.abs(z), threshold)
-
-    # initial step from the scaled size of the first slope
+    try:
+        # max(|z|, threshold): the part of the error weight fixed within a step
+        z_scale = [max(abs(v), t) for v, t in zip(z, threshold)]
+        # initial step from the scaled size of the first slope
+        rh = max([abs(p) / s for p, s in zip(k1, z_scale)])
+    except OverflowError:  # a modulus beyond double range
+        raise NonFiniteStateError(x) from None
     absh = h_max
-    rh = float((np.abs(k[0]) / z_scale).max())
     rh /= _SAFETY * rel_tol ** 0.2
     if absh * rh > 1.0:
         absh = max(1.0 / rh, h_floor)
@@ -146,22 +160,54 @@ def _integrate(
                 absh = abs(h)
                 at_end = True
 
-            hA = h * _A
-            # one product on the rows computed so far only: rows i.. of k
-            # still hold the slopes of a rejected attempt, possibly inf or
-            # NaN, and even a zero weight on one of them gives a NaN stage
-            for i in range(1, 7):
-                z_new = z + np.dot(hA[i, :i], k[:i])
-                k[i] = field.eval(x + _C[i] * h, z_new)
+            # b_ij = h * a_ij, formed once per attempt
+            b21 = h * a21
+            b31, b32 = h * a31, h * a32
+            b41, b42, b43 = h * a41, h * a42, h * a43
+            b51, b52, b53, b54 = h * a51, h * a52, h * a53, h * a54
+            b61, b62, b63, b64, b65 = h * a61, h * a62, h * a63, h * a64, h * a65
+            b71, b73, b74, b75, b76 = h * a71, h * a73, h * a74, h * a75, h * a76
+            k2 = f(x + c2 * h, [v + b21 * p1 for v, p1 in zip(z, k1)])
+            k3 = f(x + c3 * h, [v + (b31 * p1 + b32 * p2) for v, p1, p2 in zip(z, k1, k2)])
+            k4 = f(x + c4 * h, [
+                v + (b41 * p1 + b42 * p2 + b43 * p3) for v, p1, p2, p3 in zip(z, k1, k2, k3)
+            ])
+            k5 = f(x + c5 * h, [
+                v + (b51 * p1 + b52 * p2 + b53 * p3 + b54 * p4)
+                for v, p1, p2, p3, p4 in zip(z, k1, k2, k3, k4)
+            ])
+            k6 = f(x + h, [
+                v + (b61 * p1 + b62 * p2 + b63 * p3 + b64 * p4 + b65 * p5)
+                for v, p1, p2, p3, p4, p5 in zip(z, k1, k2, k3, k4, k5)
+            ])
+            z_new = [
+                v + (b71 * p1 + b73 * p3 + b74 * p4 + b75 * p5 + b76 * p6)
+                for v, p1, p3, p4, p5, p6 in zip(z, k1, k3, k4, k5, k6)
+            ]
+            k7 = f(x + h, z_new)
             nfev += 6  # FSAL: six new slopes per attempt
 
-            err_vec = h * np.dot(_E, k)
-            abs_new = np.abs(z_new)
-            with np.errstate(invalid="ignore", over="ignore"):
-                err = float((np.abs(err_vec) / np.maximum(abs_new, z_scale)).max())
+            # max_i |err_i| / max(|z_i|, |z_new_i|, threshold_i) in one pass;
+            # a NaN ratio must win, so it is not left to max()
+            err = 0.0
+            abs_new = []
+            try:
+                for v, s, p1, p3, p4, p5, p6, p7 in zip(z_new, z_scale, k1, k3, k4, k5, k6, k7):
+                    m = abs(v)
+                    abs_new.append(m)
+                    r = abs(h * (e1 * p1 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * p7)) / (
+                        s if s >= m else m
+                    )
+                    if r > err or r != r:
+                        err = r
+            except OverflowError:  # a modulus beyond double range
+                err = math.inf
 
-            if math.isfinite(err) and err <= rel_tol:
-                break
+            if err <= rel_tol:  # False for NaN
+                zmax = max(abs_new)
+                if zmax < math.inf:
+                    break
+                err = math.inf  # a component of the new state overflowed
             rejected += 1
             if not math.isfinite(err):
                 absh *= 0.5
@@ -180,19 +226,17 @@ def _integrate(
         accepted += 1
         x = x1 if at_end else x + h
         z = z_new
-        k[0] = k[6]
-        if renormalize:
-            zmax = float(abs_new.max())
-            if zmax > _RENORM_LIMIT:
-                shift = int(math.ceil(math.log2(zmax / _RENORM_TARGET)))
-                factor = math.ldexp(1.0, -shift)
-                z = z * factor
-                k[0] = k[0] * factor  # valid for linear fields only
-                pow2 += shift
-                abs_new = np.abs(z)
+        k1 = k7
+        if renormalize and zmax > _RENORM_LIMIT:
+            shift = int(math.ceil(math.log2(zmax / _RENORM_TARGET)))
+            factor = math.ldexp(1.0, -shift)
+            z = [v * factor for v in z]
+            k1 = [p * factor for p in k1]  # valid for linear fields only
+            pow2 += shift
+            abs_new = [abs(v) for v in z]
         if x == x1:
-            return z, SolveStats(accepted, rejected, nfev, (x0, x1)), pow2
-        z_scale = np.maximum(abs_new, threshold)
+            return np.array(z), SolveStats(accepted, rejected, nfev, (x0, x1)), pow2
+        z_scale = [m if m > t else t for m, t in zip(abs_new, threshold)]
         if not failed_this_step:
             # grow only if this step went through on the first try
             if err == 0.0:
@@ -221,9 +265,10 @@ def integrate_adaptive(
     and at one tenth of the span, and growth is suppressed entirely after an
     in-step rejection.
 
-    Returns the final state and step statistics.  Raises
+    Returns the final state (an array) and step statistics.  Raises
     :class:`StepSizeUnderflowError` on stiffness/blow-up or past ``_MAX_STEPS``
-    attempted steps, and :class:`NonFiniteStateError` on overflow.
+    attempted steps, and :class:`NonFiniteStateError` on a NaN or on a
+    modulus beyond double range.
     """
     z, stats, _ = _integrate(field, span, init, rel_tol, abs_tol, False)
     return z, stats

@@ -138,7 +138,6 @@ def linearized_rhs(
     is rank one, so C^T z = (q z2 - z3) c, and A1's last column is
     (0, 0, 0, rho u) with last row Y times its first row plus (0, 0, 0, rho u),
     so the A1 solve is one division plus a 3x3 cofactor solve with f1_V.
-    Pass ``lam`` and ``z`` as Python complex numbers for speed.
     """
     cfg = wave.config
     rho, u, Y = state.rho, state.u, state.Y
@@ -195,13 +194,15 @@ def check_noncharacteristic(state: StateW, cfg: GasWaveConfig) -> bool:
     For the ideal gas this fails exactly at sonic points |u| = c_s and at
     stagnation u = 0.
     """
+    rho, u = state.rho, state.u
     _, _, c_s, _, _ = thermo(state, cfg)
-    f1V = jacobians(state, cfg)[1][:3, :3]
-    speed = abs(state.u) + c_s
-    det_scale = state.rho ** 2 * speed ** 3
-    if abs(np.linalg.det(f1V)) <= _NONCHAR_REL * det_scale:
+    _, (a10, a11, a12, a20, a21, a22) = _gas_entries(state, cfg)
+    # det(f1_V) along its first row (u, rho, 0), the determinant linearized_rhs divides by
+    det = u * (a11 * a22 - a12 * a21) + rho * (a12 * a20 - a10 * a22)
+    speed = abs(u) + c_s
+    if abs(det) <= _NONCHAR_REL * rho ** 2 * speed ** 3:
         return False
-    if abs(state.rho * state.u) <= _NONCHAR_REL * state.rho * speed:
+    if abs(rho * u) <= _NONCHAR_REL * rho * speed:
         return False
     return True
 
@@ -212,10 +213,12 @@ def coefficient_G(wave: SteadyWave, lam: complex, y: float) -> np.ndarray:
     Column j is :func:`linearized_rhs` (forward) applied to e_j, divided by
     sigma = dx/dy, so this matrix is the operator the shooting methods apply.
     """
+    lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam!r}")
     state = profile_at(wave, y)
     if not check_noncharacteristic(state, wave.config):
         raise NearCharacteristicError(f"profile state at y={y!r} is characteristic")
-    lam = complex(lam)
     columns = [linearized_rhs(wave, state, lam, e, adjoint=False) for e in np.eye(4).tolist()]
     return np.array(columns).T / (wave.m / reaction_psi(state, wave.config))
 

@@ -135,6 +135,25 @@ class TestEvansCommand:
             want = G_at_state(profile_at(wave, y), wave.config, 1.0 + 0j, reacting=True)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
+    def test_dump_g_written_when_D_fails(self, tmp_path):
+        # at EA = 40 the neutral D at 4+10i raises MisselectedModeError, but G
+        # is defined on every row of the grid
+        cfg = tmp_path / "ea40.json"
+        cfg.write_text(config_to_json(replace(default_config(), EA=40.0)))
+        gdump = tmp_path / "G.csv"
+        rc = main(["evans", "--config", str(cfg), "--lambda-re", "4", "--lambda-im", "10",
+                   "--out", str(tmp_path / "ev.json"), "--dump-g", str(gdump)])
+        assert rc == 3
+        _, rows = read_csv(gdump)
+        assert len(rows) == 81
+
+    def test_dump_g_rejects_nan_lambda(self, cfg_path, tmp_path):
+        gdump = tmp_path / "G.csv"
+        rc = main(["evans", "--config", cfg_path, "--lambda-re", "nan",
+                   "--out", str(tmp_path / "ev.json"), "--dump-g", str(gdump)])
+        assert rc == 2
+        assert not gdump.exists()
+
 
 class TestContourCommand:
     def test_winding_report_and_samples(self, shock_path, tmp_path):

@@ -12,6 +12,7 @@ there is 1e-11.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ def reference_dp5(field, span, init, rel_tol, abs_tol, renormalize=False):
     x = x0
     accepted = rejected = pow2 = 0
     k = np.empty((7, len(z)), dtype=complex)
-    k[0] = field.eval(x, z)
+    k[0] = field.eval(x, z.tolist())
     nfev = 1
     absh = h_max
     rh = float(np.max(np.abs(k[0]) / np.maximum(np.abs(z), threshold)))
@@ -66,7 +67,7 @@ def reference_dp5(field, span, init, rel_tol, abs_tol, renormalize=False):
                 absh = abs(h)
             for i in range(1, 7):
                 zi = z + h * sum(a * k[j] for j, a in enumerate(_A[i]))
-                k[i] = field.eval(x + _C[i] * h, zi)
+                k[i] = field.eval(x + _C[i] * h, zi.tolist())
             nfev += 6
             z_new = z + h * (_B5 @ k)
             err_vec = h * (_E @ k)
@@ -147,6 +148,46 @@ def test_evans_field_matches_reference(wave, monkeypatch, method, lam, bound):
     assert_matches_reference(z, 0, stats, field, span, init, rel_tol, abs_tol, False, bound)
 
 
+# D and the step counts of every method on the default wave, recorded with
+# the integrator that still stepped on NumPy arrays: (method, lambda, tol,
+# accepted, rejected, RHS evaluations, D).  The scalar rewrite must keep every
+# count and move D only by summation order.
+PINNED_D = [
+    ('neutral', (1+1j), 1e-05, 42, 3, 271, (-47.809347379406965-36.46158209566812j)),
+    ('neutral', (1+1j), 1e-08, 140, 3, 859, (-47.80934368298984-36.461599006769006j)),
+    ('neutral', (1+3j), 1e-05, 69, 6, 451, (-101.98391808002235-96.4094625202865j)),
+    ('neutral', (1+3j), 1e-08, 202, 3, 1231, (-101.98388905528064-96.40948386781768j)),
+    ('neutral', (4+10j), 1e-05, 193, 24, 1303, (-243.90956270175548+148.68144687144257j)),
+    ('neutral', (4+10j), 1e-08, 459, 12, 2827, (-243.9095555274947+148.68140525691368j)),
+    ('neutral', (0.1+30j), 1e-05, 933, 3, 5617, (1363.302442966373-796.2997779891424j)),
+    ('neutral', (0.1+30j), 1e-08, 1272, 4, 7657, (1363.2976865788958-796.2869962440146j)),
+    ('erpenbeck', (1+1j), 1e-05, 107, 0, 643, (-47.80971505827553-36.45954821443337j)),
+    ('erpenbeck', (1+1j), 1e-08, 443, 0, 2659, (-47.80934485347543-36.461597122716874j)),
+    ('erpenbeck', (1+3j), 1e-05, 241, 0, 1447, (-101.98589227624677-96.42158255056135j)),
+    ('erpenbeck', (1+3j), 1e-08, 975, 0, 5851, (-101.98388574572894-96.40949574757478j)),
+    ('erpenbeck', (4+10j), 1e-05, 808, 0, 4849, (-243.99297658628174+148.70303836219833j)),
+    ('erpenbeck', (4+10j), 1e-08, 3291, 0, 19747, (-243.90964071163344+148.68138971475057j)),
+    ('erpenbeck', (0.1+30j), 1e-05, 2316, 0, 13897, (1362.6702484671819-795.0268705668332j)),
+    ('erpenbeck', (0.1+30j), 1e-08, 9210, 0, 55261, (1363.2966283935689-796.286124574252j)),
+    ('lee_stewart', (1+1j), 1e-05, 138, 0, 829, (-2437498203609.606-9271220194939.412j)),
+    ('lee_stewart', (1+1j), 1e-08, 539, 0, 3235, (-2437417217033.3325-9271276417662.586j)),
+    ('lee_stewart', (1+3j), 1e-05, 264, 0, 1585, (20629640555648.645-8667216559086.962j)),
+    ('lee_stewart', (1+3j), 1e-08, 1038, 0, 6229, (20628392673987.594-8667596503325.81j)),
+    ('lee_stewart', (4+10j), 1e-05, 833, 0, 4999, (-1.8061579851327136e+47+3.8279967237850094e+46j)),
+    ('lee_stewart', (4+10j), 1e-08, 3360, 0, 20161, (-1.8056726887325205e+47+3.8284807626352397e+46j)),
+    ('lee_stewart', (0.1+30j), 1e-05, 2432, 4, 14617, (18389.62383296589+9744.479708464445j)),
+    ('lee_stewart', (0.1+30j), 1e-08, 9797, 0, 58783, (18405.43766109899+9743.15954729279j)),
+]
+
+
+@pytest.mark.parametrize("method, lam, tol, accepted, rejected, nfev, D", PINNED_D)
+def test_evans_D_and_counts_pinned(wave, method, lam, tol, accepted, rejected, nfev, D):
+    r = evans.evaluate(wave, lam, method=method, tol=tol)
+    s = r.stats
+    assert (s.accepted_steps, s.rejected_steps, s.rhs_evaluations) == (accepted, rejected, nfev)
+    assert abs(r.D - D) <= 1e-10 * abs(D)
+
+
 class TestFailurePaths:
     def test_nan_at_start(self):
         field = OdeField(dimension=2, eval=lambda x, z: np.full(2, np.nan + 0j))
@@ -156,16 +197,44 @@ class TestFailurePaths:
 
     def test_nan_past_one_half(self):
         def rhs(x, z):
-            return np.full(2, np.nan + 0j) if x > 0.5 else -z
+            return np.full(2, np.nan + 0j) if x > 0.5 else [-v for v in z]
 
         field = OdeField(dimension=2, eval=rhs)
         with pytest.raises(NonFiniteStateError) as info:
             integrate_adaptive(field, (0.0, 1.0), [1.0, 1.0])
         assert info.value.x == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("component", [0, 1])
+    def test_nan_in_one_component(self, component):
+        # the NaN ratio must not be dropped by a maximum over the components
+        def rhs(x, z):
+            dz = [-v for v in z]
+            if x > 0.5:
+                dz[component] = complex(math.nan, 0.0)
+            return dz
+
+        field = OdeField(dimension=2, eval=rhs)
+        with pytest.raises(NonFiniteStateError) as info:
+            integrate_adaptive(field, (0.0, 1.0), [1.0, 1.0])
+        assert info.value.x == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("slope, x_fail", [
+        # the slope's own modulus is beyond double range
+        (complex(1.5e308, 1.5e308), 0.0),
+        # the state's modulus passes double range at x = DBL_MAX / |slope|
+        (complex(1e308, 1e308), sys.float_info.max / abs(complex(1e308, 1e308))),
+        # a real state overflows its component, not the modulus
+        (complex(1e308, 0.0), sys.float_info.max / 1e308),
+    ])
+    def test_modulus_overflow(self, slope, x_fail):
+        field = OdeField(dimension=1, eval=lambda x, z: [slope])
+        with pytest.raises(NonFiniteStateError) as info:
+            integrate_adaptive(field, (0.0, 2.0), [1.0])
+        assert info.value.x == pytest.approx(x_fail, abs=1e-9)
+
     def test_finite_time_blow_up(self):
         # z' = z^2, z(0) = 1 has the solution 1 / (1 - x)
-        field = OdeField(dimension=1, eval=lambda x, z: z * z)
+        field = OdeField(dimension=1, eval=lambda x, z: [z[0] * z[0]])
         with pytest.raises(StepSizeUnderflowError) as info:
             integrate_adaptive(field, (0.0, 2.0), [1.0])
         assert info.value.x == pytest.approx(1.0, abs=1e-3)

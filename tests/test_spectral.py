@@ -366,11 +366,11 @@ class TestKato:
 def test_result_paths_use_no_lapack(wave, monkeypatch):
     # the closed-form kernel is the only linearized operator in the library:
     # G, the frame, the duality check and all three methods run without a
-    # LAPACK solve, inverse, condition number or eigensolver
+    # LAPACK solve, inverse, condition number, determinant or eigensolver
     def forbidden(*args, **kw):
         raise AssertionError("LAPACK call on a result path")
 
-    for name in ("solve", "inv", "cond", "eig", "eigvals"):
+    for name in ("solve", "inv", "cond", "det", "eig", "eigvals"):
         monkeypatch.setattr(np.linalg, name, forbidden)
     lam = 1.0 + 1.0j
     assert np.all(np.isfinite(coefficient_G(wave, lam, -1.0)))
