@@ -20,21 +20,34 @@ class NumericalDomainError(ZndEvansError):
     """A computation left its domain of validity."""
 
 
-class StepSizeUnderflowError(NumericalDomainError):
-    """Adaptive step fell below the underflow floor (stiffness or blow-up)."""
+def _at_lambda(lam: complex | None) -> str:
+    return "" if lam is None else f" at lambda={lam!r}"
 
-    def __init__(self, x: float, h: float):
+
+class StepSizeUnderflowError(NumericalDomainError):
+    """Adaptive step fell below the underflow floor (stiffness or blow-up).
+
+    ``x`` is the integration variable where it happened; ``lam`` is the
+    frequency of the determinant evaluation, or None outside one.
+    """
+
+    def __init__(self, x: float, h: float, lam: complex | None = None):
         self.x = x
         self.h = h
-        super().__init__(f"step size underflow at x={x:.6g} (|h|={abs(h):.3e})")
+        self.lam = lam
+        super().__init__(f"step size underflow at x={x:.6g} (|h|={abs(h):.3e}){_at_lambda(lam)}")
 
 
 class NonFiniteStateError(NumericalDomainError):
-    """Integration state stopped being finite (overflow)."""
+    """Integration state stopped being finite (overflow).
 
-    def __init__(self, x: float):
+    ``x`` and ``lam`` as for :class:`StepSizeUnderflowError`.
+    """
+
+    def __init__(self, x: float, lam: complex | None = None):
         self.x = x
-        super().__init__(f"non-finite state encountered at x={x:.6g}")
+        self.lam = lam
+        super().__init__(f"non-finite state encountered at x={x:.6g}{_at_lambda(lam)}")
 
 
 class UnderSampledContourError(NumericalDomainError):

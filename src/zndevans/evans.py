@@ -35,7 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvansOverflowError, MisselectedModeError, NumericalDomainError
+from .errors import (
+    EvansOverflowError,
+    MisselectedModeError,
+    NonFiniteStateError,
+    NumericalDomainError,
+    StepSizeUnderflowError,
+)
 from .numerics import OdeField, SolveStats, integrate_adaptive
 from .spectral import SpectralFrame, apply_A0, linearized_rhs, make_frame
 from .znd import SteadyWave, fluxes, profile_at, profile_deriv, x_of_y
@@ -195,7 +201,7 @@ def evans_erpenbeck(
         state = profile_at(wave, y)
         dz = linearized_rhs(wave, state, lam, z[:4])
         dF0 = apply_A0(state, profile_deriv(wave, y).tolist())  # (F0 o profile)'
-        dz.append(lam * sum(a * b for a, b in zip(z, dF0)))
+        dz.append(lam * (z[0] * dF0[0] + z[1] * dF0[1] + z[2] * dF0[2] + z[3] * dF0[3]))
         return dz
 
     atol = np.full(5, tol)
@@ -246,11 +252,21 @@ _EVALUATORS = {
 
 
 def evaluate(wave: SteadyWave, lam: complex, method: str = METHOD_NEUTRAL, **kw) -> EvansResult:
+    """D(lam) by the named method.
+
+    An integrator failure is re-raised with ``lam`` attached, so a failing
+    contour or sweep names the frequency that failed.
+    """
     try:
         fn = _EVALUATORS[method]
     except KeyError:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}") from None
-    return fn(wave, lam, **kw)
+    try:
+        return fn(wave, lam, **kw)
+    except StepSizeUnderflowError as exc:
+        raise StepSizeUnderflowError(exc.x, exc.h, complex(lam)) from exc
+    except NonFiniteStateError as exc:
+        raise NonFiniteStateError(exc.x, complex(lam)) from exc
 
 
 def duality_check(

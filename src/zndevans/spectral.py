@@ -88,17 +88,22 @@ def jacobians(state: StateW, cfg: GasWaveConfig) -> tuple[np.ndarray, np.ndarray
     return A0, A1, C
 
 
-def _gas_entries(state: StateW, cfg: GasWaveConfig):
-    """Scalar entries of the 3x3 gas blocks of A0 and A1.
+def _gas_entries(rho: float, u: float, e: float, Gamma: float):
+    """Scalar entries of the 3x3 gas blocks of A0 and A1 at (rho, u, e).
 
     Returns ``(E, f1)`` with E = e + u^2/2 and f1 the six entries of f1_V
     below its first row, so that
 
         f0_V = [[1, 0, 0], [u, rho, 0], [E, rho u, rho]]
         f1_V = [[u, rho, 0], [f1[0], f1[1], f1[2]], [f1[3], f1[4], f1[5]]].
+
+    Takes scalars, not a state, because it sits on the per-RHS path: the
+    ideal-gas pressure p = Gamma rho e and its partials p_rho = Gamma e and
+    p_e = Gamma rho are formed here, as :func:`thermo` forms them.
     """
-    rho, u, e = state.rho, state.u, state.e
-    p, _, _, p_rho, p_e = thermo(state, cfg)
+    p = Gamma * rho * e
+    p_rho = Gamma * e
+    p_e = Gamma * rho
     E = e + 0.5 * u * u
     f1 = (
         u * u + p_rho,
@@ -113,13 +118,13 @@ def _gas_entries(state: StateW, cfg: GasWaveConfig):
 
 def apply_A0(state: StateW, v) -> list:
     """A0 v in closed form for four numbers v; a list."""
-    rho, u = state.rho, state.u
+    rho, u, e, Y = state
     v0, v1, v2, v3 = v
     return [
         v0,
         u * v0 + rho * v1,
-        (state.e + 0.5 * u * u) * v0 + rho * u * v1 + rho * v2,
-        state.Y * v0 + rho * v3,
+        (e + 0.5 * u * u) * v0 + rho * u * v1 + rho * v2,
+        Y * v0 + rho * v3,
     ]
 
 
@@ -138,10 +143,13 @@ def linearized_rhs(
     is rank one, so C^T z = (q z2 - z3) c, and A1's last column is
     (0, 0, 0, rho u) with last row Y times its first row plus (0, 0, 0, rho u),
     so the A1 solve is one division plus a 3x3 cofactor solve with f1_V.
+
+    The shooting methods call this once per RHS evaluation, so ``state`` is
+    unpacked once and the gas entries come from scalars.
     """
     cfg = wave.config
-    rho, u, Y = state.rho, state.u, state.Y
-    E, (a10, a11, a12, a20, a21, a22) = _gas_entries(state, cfg)
+    rho, u, e, Y = state
+    E, (a10, a11, a12, a20, a21, a22) = _gas_entries(rho, u, e, cfg.Gamma)
     # cofactors k_ij of f1_V, whose first row is (u, rho, 0)
     k00 = a11 * a22 - a12 * a21
     k01 = a12 * a20 - a10 * a22
@@ -155,7 +163,7 @@ def linearized_rhs(
     det = u * k00 + rho * k01
     rho_u = rho * u
 
-    T = state.e / cfg.Cv
+    T = e / cfg.Cv
     phi = arrhenius(T, cfg)
     sig = wave.m / (rho * phi)
     # the nonzero row of C (ignited branch), up to the factors q and -1
@@ -194,9 +202,9 @@ def check_noncharacteristic(state: StateW, cfg: GasWaveConfig) -> bool:
     For the ideal gas this fails exactly at sonic points |u| = c_s and at
     stagnation u = 0.
     """
-    rho, u = state.rho, state.u
+    rho, u, e, _ = state
     _, _, c_s, _, _ = thermo(state, cfg)
-    _, (a10, a11, a12, a20, a21, a22) = _gas_entries(state, cfg)
+    _, (a10, a11, a12, a20, a21, a22) = _gas_entries(rho, u, e, cfg.Gamma)
     # det(f1_V) along its first row (u, rho, 0), the determinant linearized_rhs divides by
     det = u * (a11 * a22 - a12 * a21) + rho * (a12 * a20 - a10 * a22)
     speed = abs(u) + c_s

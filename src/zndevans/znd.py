@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -147,21 +147,34 @@ def config_to_json(cfg: GasWaveConfig) -> str:
     return json.dumps(asdict(cfg), indent=2, sort_keys=True)
 
 
-@dataclass(frozen=True)
-class StateW:
-    """Primitive state (rho, u, e, Y); Y is the reactant mass fraction."""
-
+class _PrimitiveFields(NamedTuple):
     rho: float
     u: float
     e: float
     Y: float
 
-    def __post_init__(self):
-        if not (self.rho > 0 and self.e > 0):
-            raise InvalidWaveError(f"state needs rho, e > 0: rho={self.rho}, e={self.e}")
+
+class StateW(_PrimitiveFields):
+    """Primitive state (rho, u, e, Y); Y is the reactant mass fraction.
+
+    An immutable tuple: ``rho, u, e, Y = state`` unpacks it.  Construction
+    rejects rho <= 0 and e <= 0 (and NaN in either).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, rho: float, u: float, e: float, Y: float):
+        if not (rho > 0 and e > 0):
+            raise InvalidWaveError(f"state needs rho, e > 0: rho={rho}, e={e}")
+        return tuple.__new__(cls, (rho, u, e, Y))
+
+    @classmethod
+    def _make(cls, iterable) -> "StateW":
+        # _replace builds through _make; validate there too
+        return cls(*iterable)
 
     def as_vector(self) -> np.ndarray:
-        return np.array([self.rho, self.u, self.e, self.Y])
+        return np.array(self)
 
 
 def thermo(state: StateW, cfg: GasWaveConfig) -> tuple[float, float, float, float, float]:
@@ -239,19 +252,20 @@ def _branch_center(cfg: GasWaveConfig, b: float) -> float:
     return (cfg.Gamma + 1.0) / (cfg.Gamma + 2.0) * b
 
 
-def _discriminant(cfg: GasWaveConfig, b: float, c: float, Ybar: float) -> float:
-    center = _branch_center(cfg, b)
+def _discriminant(cfg: GasWaveConfig, center: float, c: float, Ybar: float) -> float:
+    """Square-root argument of the profile quadratic; center = _branch_center(cfg, b)."""
     return center * center + 2.0 * cfg.Gamma * (cfg.q * Ybar - c) / (cfg.Gamma + 2.0)
 
 
 def _gas_state(cfg: GasWaveConfig, m: float, b: float, c: float, Ybar: float) -> tuple[float, float, float]:
     """Subsonic-branch (rho, u, e) of the profile quadratic at reactant Ybar."""
-    disc = _discriminant(cfg, b, c, Ybar)
+    center = _branch_center(cfg, b)
+    disc = _discriminant(cfg, center, c, Ybar)
     if disc <= 0.0:
         raise ChapmanJouguetError(
             f"square-root argument {disc:.3e} <= 0 at Y={Ybar:.6g}; wave not overdriven"
         )
-    u = _branch_center(cfg, b) + math.sqrt(disc)
+    u = center + math.sqrt(disc)
     rho = -m / u
     e = (b * u - u * u) / cfg.Gamma
     return rho, u, e
@@ -286,7 +300,7 @@ def build_wave(config: GasWaveConfig) -> SteadyWave:
     b = up.u + config.Gamma * up.e / up.u
     c = 0.5 * up.u ** 2 + (config.Gamma + 1.0) * up.e + config.q * config.Y0
 
-    disc_min = _discriminant(config, b, c, 0.0)
+    disc_min = _discriminant(config, _branch_center(config, b), c, 0.0)
     if disc_min <= _EPS_CJ:
         raise ChapmanJouguetError(
             f"discriminant at the burned state is {disc_min:.3e} <= {_EPS_CJ:g}: "
@@ -364,10 +378,11 @@ def profile_deriv(wave: SteadyWave, y: float) -> np.ndarray:
     cfg = wave.config
     Ybar = math.exp(cfg.K * y) * cfg.Y0
     dY = cfg.K * Ybar
-    disc = _discriminant(cfg, wave.rh_b, wave.rh_c, Ybar)
+    center = _branch_center(cfg, wave.rh_b)
+    disc = _discriminant(cfg, center, wave.rh_c, Ybar)
     if disc <= 0.0:
         raise ChapmanJouguetError(f"sonic profile point at y={y!r}")
-    u = _branch_center(cfg, wave.rh_b) + math.sqrt(disc)
+    u = center + math.sqrt(disc)
     du_dY = cfg.Gamma * cfg.q / ((cfg.Gamma + 2.0) * math.sqrt(disc))
     du = du_dY * dY
     drho = wave.m / (u * u) * du
@@ -387,7 +402,8 @@ def sigma(wave: SteadyWave, y):
         raise ValueError(f"profile is defined for y <= 0, got {y!r}")
     cfg = wave.config
     Ybar = np.exp(cfg.K * ys) * cfg.Y0
-    u = _branch_center(cfg, wave.rh_b) + np.sqrt(_discriminant(cfg, wave.rh_b, wave.rh_c, Ybar))
+    center = _branch_center(cfg, wave.rh_b)
+    u = center + np.sqrt(_discriminant(cfg, center, wave.rh_c, Ybar))
     e = (wave.rh_b * u - u * u) / cfg.Gamma
     return -u * np.exp(cfg.EA / (cfg.gas_constant * e / cfg.Cv))
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from oracles import G_at_state
-from zndevans import cli
+from zndevans import cli, evans
 from zndevans.cli import main
+from zndevans.errors import StepSizeUnderflowError
 from zndevans.znd import build_wave, config_to_json, default_config, nonreactive_config, profile_at
 
 
@@ -107,6 +108,19 @@ class TestEvansCommand:
         rc = main(["evans", "--config", cfg_path, "--lambda-re", "-1",
                    "--out", str(tmp_path / "x.json")])
         assert rc == 3
+
+    def test_integrator_failure_exits_3_and_names_lambda(self, cfg_path, tmp_path, monkeypatch,
+                                                         capsys):
+        def fail(*args, **kwargs):
+            raise StepSizeUnderflowError(-2.5, 1e-14)
+
+        monkeypatch.setattr(evans, "integrate_adaptive", fail)
+        rc = main(["evans", "--config", cfg_path, "--lambda-re", "1.5", "--lambda-im", "0.5",
+                   "--out", str(tmp_path / "x.json")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "step size underflow at x=-2.5" in err
+        assert "at lambda=(1.5+0.5j)" in err
 
     def test_byte_identical_reruns(self, cfg_path, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

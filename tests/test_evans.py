@@ -3,15 +3,24 @@ import json
 import numpy as np
 import pytest
 
-from zndevans.errors import EvansOverflowError, NumericalDomainError
+from zndevans import evans
+from zndevans.errors import (
+    EvansOverflowError,
+    NonFiniteStateError,
+    NumericalDomainError,
+    StepSizeUnderflowError,
+)
 from zndevans.evans import (
+    METHODS,
     duality_check,
     evaluate,
     evans_erpenbeck,
     evans_lee_stewart,
     evans_neutral,
 )
+from zndevans.numerics import Contour
 from zndevans.spectral import jump_vector, stable_left_mode
+from zndevans.stability import count_unstable
 from zndevans.znd import build_wave, default_config
 
 
@@ -142,6 +151,44 @@ class TestResultRecord:
         r = evans_neutral(wave, 1.0 + 0.5j)
         assert r.stats.span == (-wave.default_M, 0.0)
         assert r.M == wave.default_M
+
+
+@pytest.fixture(params=[StepSizeUnderflowError(-1.25, 3e-14), NonFiniteStateError(-1.25)],
+                ids=["underflow", "nonfinite"])
+def integrator_fails(request, monkeypatch):
+    """Every integration in evans raises the given error, which knows no lambda."""
+    def fail(*args, **kwargs):
+        raise request.param
+
+    monkeypatch.setattr(evans, "integrate_adaptive", fail)
+    return request.param
+
+
+class TestIntegratorErrorsNameLambda:
+    def check(self, exc, raised, lam):
+        assert type(exc) is type(raised)
+        assert exc.lam == lam
+        assert exc.x == raised.x
+        assert getattr(exc, "h", None) == getattr(raised, "h", None)
+        assert f"at lambda={lam!r}" in str(exc)
+        assert exc.__cause__ is raised
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_evaluate(self, wave, integrator_fails, method):
+        with pytest.raises(NumericalDomainError) as info:
+            evaluate(wave, 1 + 2j, method=method)
+        self.check(info.value, integrator_fails, 1 + 2j)
+
+    def test_count_unstable(self, wave, integrator_fails):
+        with pytest.raises(NumericalDomainError) as info:
+            count_unstable(wave, 2.0)
+        # the contour's first node is the first one evaluated
+        first = complex(Contour.semicircle(2.0, 2e-4).nodes[0])
+        self.check(info.value, integrator_fails, first)
+
+    def test_without_lambda(self):
+        assert StepSizeUnderflowError(1.0, 1e-20).lam is None
+        assert "lambda" not in str(NonFiniteStateError(1.0))
 
 
 class TestAdjointIsAnnihilator:

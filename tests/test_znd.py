@@ -12,6 +12,7 @@ from zndevans.errors import (
     ChapmanJouguetError,
     ConfigError,
     InvalidIgnitionWindowError,
+    InvalidWaveError,
     QuadratureError,
 )
 from zndevans.znd import (
@@ -41,6 +42,46 @@ def rh_residuals(wave, state):
     r2 = (u + cfg.Gamma * e / u - wave.rh_b) / abs(wave.rh_b)
     r3 = (0.5 * u * u + (cfg.Gamma + 1.0) * e + cfg.q * Y - wave.rh_c) / abs(wave.rh_c)
     return max(abs(r1), abs(r2), abs(r3))
+
+
+class TestStateW:
+    @pytest.mark.parametrize("rho, e", [
+        (0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0),
+        (math.nan, 1.0), (1.0, math.nan),
+    ])
+    def test_rejects_nonpositive_or_nan_density_and_energy(self, rho, e):
+        with pytest.raises(InvalidWaveError, match="rho, e > 0"):
+            StateW(rho, -1.0, e, 0.5)
+
+    def test_replace_validates(self):
+        st_ = StateW(1.0, -1.0, 2.0, 0.5)
+        assert st_._replace(e=3.0) == StateW(1.0, -1.0, 3.0, 0.5)
+        with pytest.raises(InvalidWaveError):
+            st_._replace(rho=-1.0)
+
+    def test_immutable(self):
+        st_ = StateW(1.0, -1.0, 2.0, 0.5)
+        with pytest.raises(AttributeError):
+            st_.rho = 2.0
+        with pytest.raises(AttributeError):
+            st_.p = 2.0
+
+    def test_as_vector(self):
+        v = StateW(1.5, -1.0, 2.0, 0.25).as_vector()
+        assert isinstance(v, np.ndarray) and v.dtype == float
+        assert v.tolist() == [1.5, -1.0, 2.0, 0.25]
+
+    def test_equality_and_hash_by_value(self):
+        a, b = StateW(1.5, -1.0, 2.0, 0.25), StateW(1.5, -1.0, 2.0, 0.25)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != StateW(1.5, -1.0, 2.0, 0.5)
+
+    @pytest.mark.parametrize("y", [0.0, -0.7, -12.0])
+    def test_unpacks_into_its_constructor(self, wave, y):
+        st_ = profile_at(wave, y)
+        rho, u, e, Y = st_
+        assert (rho, u, e, Y) == (st_.rho, st_.u, st_.e, st_.Y)
+        assert StateW(*profile_at(wave, y)) == profile_at(wave, y)
 
 
 class TestThermo:
