@@ -145,9 +145,10 @@ def _cmd_contour(args) -> int:
     payload = report.to_json_dict()
     payload["manifest"] = args.out + ".manifest.json"
     Path(report_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _write_manifest(args, cfg, [], extra={"winding": report.winding}, also_wrote=(report_path,))
-    print(f"winding number {report.winding} from {report.n_samples} samples "
-          f"(min |D| = {report.min_abs_D:.3e}); wrote {args.out}")
+    _write_manifest(args, cfg, list(report.solve_stats), extra={"winding": report.winding},
+                    also_wrote=(report_path,))
+    print(f"winding number {report.winding} from {report.n_samples} samples, "
+          f"{report.n_evaluations} solves (min |D| = {report.min_abs_D:.3e}); wrote {args.out}")
     return EXIT_OK
 
 

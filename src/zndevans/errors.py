@@ -93,9 +93,21 @@ class NearCharacteristicError(NumericalDomainError):
 class EvansOverflowError(NumericalDomainError):
     """Dynamic range of an unfactored run exceeds double precision.
 
-    The decay-factored forward method does not suffer from this; use it instead.
+    The decay-factored forward method does not suffer from this; use it
+    instead.  ``lam`` is the frequency of the run, or None if not given.
     """
+
+    def __init__(self, message: str, lam: complex | None = None):
+        self.lam = lam
+        super().__init__(message + _at_lambda(lam))
 
 
 class MisselectedModeError(NumericalDomainError):
-    """Integrated adjoint magnitude wildly off O(1); decay rate likely wrong."""
+    """Integrated adjoint magnitude wildly off O(1); decay rate likely wrong.
+
+    ``lam`` is the frequency of the determinant evaluation, or None if not given.
+    """
+
+    def __init__(self, message: str, lam: complex | None = None):
+        self.lam = lam
+        super().__init__(message + _at_lambda(lam))

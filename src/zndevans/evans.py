@@ -158,13 +158,14 @@ def evans_neutral(
         raise MisselectedModeError(
             f"factored adjoint magnitude changed by {growth:.3e}: either the "
             "decay rate g_minus is misselected, or the profile transition "
-            "out-scales the absolute-tolerance floor (tighten tol)"
+            "out-scales the absolute-tolerance floor (tighten tol)",
+            complex(lam),
         )
     D = complex(z @ frame.jump)
     return EvansResult(lam=complex(lam), D=D, method=METHOD_NEUTRAL, M=M, stats=stats)
 
 
-def _edge_prefactor(wave: SteadyWave, frame: SpectralFrame, M: float) -> complex:
+def _edge_prefactor(wave: SteadyWave, lam: complex, frame: SpectralFrame, M: float) -> complex:
     """exp(-g_minus * x(-M)): relates unfactored data at y=-M to the neutral
     normalization.  Tiny for large |lambda| M; raises on double-range exit."""
     x_M = float(x_of_y(wave, [-M])[0])
@@ -172,7 +173,8 @@ def _edge_prefactor(wave: SteadyWave, frame: SpectralFrame, M: float) -> complex
     if abs(exponent.real) > _EXP_GUARD:
         raise EvansOverflowError(
             f"unfactored mode spans e^{abs(exponent.real):.0f} over the domain; "
-            "out of double range -- use the neutral method"
+            "out of double range -- use the neutral method",
+            complex(lam),
         )
     return cmath.exp(exponent)
 
@@ -193,7 +195,7 @@ def evans_erpenbeck(
     """
     M = _resolve_M(wave, M)
     frame = make_frame(wave, lam)
-    prefactor = _edge_prefactor(wave, frame, M)
+    prefactor = _edge_prefactor(wave, lam, frame, M)
     lam = complex(lam)
 
     # components 0-3 are the adjoint, component 4 the running quadrature
@@ -230,7 +232,7 @@ def evans_lee_stewart(
     """
     M = _resolve_M(wave, M)
     frame = make_frame(wave, lam)
-    kappa = _edge_prefactor(wave, frame, M)
+    kappa = _edge_prefactor(wave, lam, frame, M)
     field = OdeField(dimension=4, eval=_forward_rhs(wave, lam))
     z, stats = integrate_adaptive(field, (0.0, -M), frame.jump, rel_tol=tol, abs_tol=tol)
     D = complex(frame.ell @ z)
@@ -255,7 +257,9 @@ def evaluate(wave: SteadyWave, lam: complex, method: str = METHOD_NEUTRAL, **kw)
     """D(lam) by the named method.
 
     An integrator failure is re-raised with ``lam`` attached, so a failing
-    contour or sweep names the frequency that failed.
+    contour or sweep names the frequency that failed;
+    :class:`MisselectedModeError` and :class:`EvansOverflowError` carry
+    ``lam`` from where they are raised.
     """
     try:
         fn = _EVALUATORS[method]
@@ -288,7 +292,7 @@ def duality_check(
         raise ValueError("n_grid must be at least 3")
     M = _resolve_M(wave, M)
     frame = make_frame(wave, lam)
-    prefactor = _edge_prefactor(wave, frame, M)
+    prefactor = _edge_prefactor(wave, lam, frame, M)
     grid = np.linspace(-M, 0.0, n_grid)
 
     adjoint_field = OdeField(dimension=4, eval=_adjoint_rhs(wave, lam, 0.0))

@@ -220,7 +220,8 @@ def run_cell(params: ModelParams, variant: str, direction: str) -> BenchCell:
             if exponent.real < -700.0:
                 raise EvansOverflowError(
                     "unfactored forward initial data underflows double range; "
-                    "use the factored variant"
+                    "use the factored variant",
+                    lam,
                 )
             init_scale = cmath.exp(exponent)
     else:

@@ -327,14 +327,24 @@ class Contour:
     ) -> "Contour":
         """Boundary of the right half-disk of given radius, its flat side
         shifted to ``Re = axis_offset`` to stay clear of the imaginary axis.
-        Positively oriented: up the arc, down the flat side."""
+        Positively oriented: up the arc, down the flat side.  The nodes are
+        an exact mirror image about the real axis: with ``n = n_arc +
+        n_side`` distinct nodes, ``nodes[(n_arc - j) % n] ==
+        nodes[j].conjugate()``, so nodes on the axis are real."""
         if radius <= 0.0 or not 0.0 < axis_offset < radius:
             raise ValueError("need radius > 0 and 0 < axis_offset < radius")
         theta_max = math.acos(axis_offset / radius)
         theta = np.linspace(-theta_max, theta_max, n_arc + 1)
         arc = radius * np.exp(1j * theta)
         side = np.linspace(arc[-1], arc[0], n_side + 1)[1:-1]
-        nodes = np.concatenate([arc, side, arc[:1]])
+        nodes = np.concatenate([arc, side])
+        # rounding breaks the mirror symmetry; restore it from the upper half
+        mirror = (n_arc - np.arange(nodes.size)) % nodes.size
+        lower = nodes.imag < 0.0
+        nodes[lower] = nodes[mirror[lower]].conj()
+        on_axis = mirror == np.arange(nodes.size)
+        nodes[on_axis] = nodes[on_axis].real
+        nodes = np.append(nodes, nodes[0])
         return cls(nodes, f"semicircle(radius={radius}, axis_offset={axis_offset})")
 
 
@@ -377,14 +387,16 @@ def refine_contour(
     """Sample ``evaluator`` on the contour, bisecting edges until every
     consecutive phase difference is below ``max_phase_step``.
 
-    Returns ``(nodes, values)``, both closed (first == last).  Exceeding
-    ``_MAX_DEPTH`` bisections on one original edge means a zero sits on or
-    near the contour and raises :class:`ContourRefinementError`.
+    Returns ``(nodes, values)``, both closed (first == last).  ``evaluator``
+    is called once per distinct node; the closing value repeats the first.
+    Exceeding ``_MAX_DEPTH`` bisections on one original edge means a zero
+    sits on or near the contour and raises :class:`ContourRefinementError`.
     """
     if not 0.0 < max_phase_step <= np.pi / 2:
         raise ValueError("max_phase_step must lie in (0, pi/2]")
     nodes = list(contour.nodes)
-    values = [evaluator(z) for z in nodes]
+    values = [evaluator(z) for z in nodes[:-1]]
+    values.append(values[0])  # the closing node repeats the first
     depths = [0] * (len(nodes) - 1)
 
     while True:

@@ -15,8 +15,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ContourThroughRootError, NewtonError, NumericalDomainError
-from .evans import METHOD_NEUTRAL, METHODS, evaluate
-from .numerics import Contour, newton_root, refine_contour, winding_number
+from .evans import METHOD_NEUTRAL, METHODS, EvansResult, evaluate
+from .numerics import Contour, SolveStats, newton_root, refine_contour, winding_number
 from .znd import GasWaveConfig, SteadyWave, build_wave
 
 Evaluator = Callable[[complex], complex]
@@ -30,7 +30,10 @@ class WindingReport:
     """Mode count over one contour plus the diagnostics that justify it.
 
     ``samples`` holds the determinant values at the refined contour nodes
-    (plot-ready together with ``contour.nodes``).
+    (plot-ready together with ``contour.nodes``).  ``solve_stats`` holds the
+    step accounting of each determinant solve actually made, in the order
+    they were made; there are fewer solves than samples when samples share
+    one (see :func:`count_unstable`).
     """
 
     contour: Contour
@@ -39,11 +42,18 @@ class WindingReport:
     min_abs_D: float
     method: str
     samples: np.ndarray | None = None
+    solve_stats: tuple[SolveStats, ...] = ()
+
+    @property
+    def n_evaluations(self) -> int:
+        """Number of determinant solves the count made."""
+        return len(self.solve_stats)
 
     def to_json_dict(self) -> dict:
         return {
             "description": self.contour.description,
             "n_samples": self.n_samples,
+            "n_evaluations": self.n_evaluations,
             "winding": self.winding,
             "min_abs_D": self.min_abs_D,
             "method": self.method,
@@ -68,16 +78,30 @@ def count_unstable(
     Unnormalized methods are rescaled by their recorded analytic factor, so
     every method winds the same function; the factor is entire and
     nonvanishing, hence contributes no winding of its own.
+
+    ``D`` is solved on the closed upper half of the contour only; a node
+    below the real axis takes the conjugate of its mirror's value.  That is
+    exact, not an approximation: every method integrates a system with real
+    coefficients from real-symmetric boundary data, so ``D(conj lambda) =
+    conj D(lambda)``; in floating point the two solves take the same steps
+    and agree to rounding, bit for bit where tested.  The contour and
+    its bisection midpoints are exact mirror images, so each conjugate pair
+    costs one solve and ``n_evaluations`` is about half of ``n_samples``.
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     contour = Contour.semicircle(radius, 1e-4 * radius)
+    solved: dict[complex, EvansResult] = {}  # upper-half lambda -> its solve
 
     def evaluator(lam: complex) -> complex:
-        r = evaluate(wave, lam, method=method, M=M, tol=tol)
-        return r.D * r.kappa_to_neutral
+        key = lam if lam.imag >= 0.0 else lam.conjugate()
+        r = solved.get(key)
+        if r is None:
+            r = solved[key] = evaluate(wave, key, method=method, M=M, tol=tol)
+        value = r.D * r.kappa_to_neutral
+        return value if key == lam else value.conjugate()
 
     nodes, values = refine_contour(evaluator, contour)
     min_abs = float(np.min(np.abs(values)))
@@ -95,6 +119,7 @@ def count_unstable(
         min_abs_D=min_abs,
         method=method,
         samples=values,
+        solve_stats=tuple(r.stats for r in solved.values()),
     )
 
 

@@ -181,6 +181,17 @@ class TestContourCommand:
         assert header == ["re_lambda", "im_lambda", "re_D", "im_D"]
         assert len(rows) == report["n_samples"] + 1  # closed loop repeats the seam
 
+    def test_manifest_has_the_stats_of_each_solve(self, shock_path, tmp_path):
+        # the lower half of the contour mirrors the upper, so about half the
+        # listed nodes are solved
+        out = tmp_path / "contour.csv"
+        assert main(["contour", "--config", shock_path, "--radius", "1", "--out", str(out)]) == 0
+        report = json.loads((tmp_path / "contour.csv.winding.json").read_text())
+        manifest = json.loads((tmp_path / "contour.csv.manifest.json").read_text())
+        assert len(manifest["solve_stats"]) == report["n_evaluations"]
+        assert report["n_evaluations"] <= report["n_samples"] // 2 + 2
+        assert all(s["accepted_steps"] > 0 for s in manifest["solve_stats"])
+
 
 class TestRootsCommand:
     def test_nonconvergent_seed_reports_numerical_error(self, shock_path, tmp_path):

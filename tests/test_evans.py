@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from zndevans import evans
 from zndevans.errors import (
     EvansOverflowError,
+    MisselectedModeError,
     NonFiniteStateError,
     NumericalDomainError,
     StepSizeUnderflowError,
@@ -182,13 +184,60 @@ class TestIntegratorErrorsNameLambda:
     def test_count_unstable(self, wave, integrator_fails):
         with pytest.raises(NumericalDomainError) as info:
             count_unstable(wave, 2.0)
-        # the contour's first node is the first one evaluated
+        # the contour's first node is the first one evaluated; it lies below
+        # the real axis, so the solve is made at its mirror image
         first = complex(Contour.semicircle(2.0, 2e-4).nodes[0])
-        self.check(info.value, integrator_fails, first)
+        self.check(info.value, integrator_fails, first.conjugate())
 
     def test_without_lambda(self):
         assert StepSizeUnderflowError(1.0, 1e-20).lam is None
         assert "lambda" not in str(NonFiniteStateError(1.0))
+        assert MisselectedModeError("off").lam is None
+        assert "lambda" not in str(EvansOverflowError("off"))
+
+
+class TestGuardErrorsNameLambda:
+    def check(self, exc, lam):
+        assert exc.lam == lam
+        assert f"at lambda={lam!r}" in str(exc)
+
+    @pytest.mark.parametrize("method", ["erpenbeck", "lee_stewart"])
+    def test_overflow(self, wave, method):
+        with pytest.raises(EvansOverflowError) as info:
+            evaluate(wave, 40.0 + 0j, method=method)
+        self.check(info.value, 40.0 + 0j)
+
+    def test_misselected_mode(self):
+        # at EA = 40 the factored adjoint at 4+10i falls by ~1e-6
+        wave = build_wave(replace(default_config(), EA=40.0))
+        with pytest.raises(MisselectedModeError) as info:
+            evaluate(wave, 4.0 + 10.0j)
+        self.check(info.value, 4.0 + 10.0j)
+
+
+@pytest.fixture(scope="module", params=["default", "EA=20"])
+def default_or_steep_wave(request):
+    cfg = default_config()
+    return build_wave(cfg if request.param == "default" else replace(cfg, EA=20.0))
+
+
+class TestConjugateSymmetry:
+    """Every method integrates a system with real coefficients from
+    real-symmetric boundary data, so D(conj lambda) = conj D(lambda) with the
+    same step sequence; ``count_unstable`` solves one of each pair on that
+    ground."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("lam", [1.0 + 1.0j, 4.0 + 10.0j, 0.1 + 30.0j])
+    def test_mirror_solve(self, default_or_steep_wave, method, lam):
+        r = evaluate(default_or_steep_wave, lam, method=method)
+        m = evaluate(default_or_steep_wave, lam.conjugate(), method=method)
+        steps = lambda s: (s.accepted_steps, s.rejected_steps, s.rhs_evaluations)
+        assert steps(m.stats) == steps(r.stats)
+        assert abs(m.D - r.D.conjugate()) <= 1e-13 * abs(r.D)
+        assert abs(m.kappa_to_neutral - r.kappa_to_neutral.conjugate()) <= (
+            1e-13 * abs(r.kappa_to_neutral)
+        )
 
 
 class TestAdjointIsAnnihilator:

@@ -161,6 +161,17 @@ class TestRefine:
         nodes, values = refine_contour(lambda z: model_oracle(z, 10.0), contour)
         assert winding_number(values) == 0
 
+    @pytest.mark.parametrize("max_phase_step", [np.pi / 2, np.pi / 8])
+    def test_one_call_per_distinct_node(self, max_phase_step):
+        # z on 8 nodes of the unit circle: phase steps of pi/4, bisected
+        # only under the tighter bound
+        calls = []
+        contour = Contour.circle(0.0, 1.0, 8)
+        nodes, _ = refine_contour(lambda z: calls.append(z) or z, contour, max_phase_step)
+        assert (len(nodes) > len(contour.nodes)) == (max_phase_step < np.pi / 4)
+        assert len(calls) == len(set(calls)) == len(nodes) - 1
+        assert set(calls) == set(nodes[:-1].tolist())
+
     def test_root_on_contour_hits_depth_cap(self):
         contour = Contour.circle(0.0, 1.0, 8)
         with pytest.raises((ContourRefinementError, ContourThroughRootError)):
@@ -223,6 +234,16 @@ class TestContour:
         assert c.nodes[0] == c.nodes[-1]
         assert np.all(c.nodes.real >= 0.01 - 1e-12)
         assert np.max(np.abs(c.nodes)) <= 2.0 + 1e-12
+
+    @pytest.mark.parametrize("n_arc, n_side", [(32, 16), (31, 16), (32, 15), (7, 9), (8, 2)])
+    def test_semicircle_is_an_exact_mirror_image(self, n_arc, n_side):
+        nodes = Contour.semicircle(2.0, 2e-4, n_arc=n_arc, n_side=n_side).nodes[:-1]
+        n = n_arc + n_side
+        assert nodes.size == n
+        for j in range(n):
+            assert nodes[(n_arc - j) % n] == nodes[j].conjugate()
+        # the real-axis nodes (arc and side midpoints) exist for even counts
+        assert np.count_nonzero(nodes.imag == 0.0) == (n_arc % 2 == 0) + (n_side % 2 == 0)
 
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from zndevans import stability
 from zndevans.errors import ContourThroughRootError
+from zndevans.evans import evaluate
 from zndevans.numerics import Contour, refine_contour, winding_number
 from zndevans.stability import (
     ParameterSweep,
@@ -46,7 +48,54 @@ class TestCountUnstable:
         rec = report.to_json_dict()
         assert rec["winding"] == report.winding
         assert rec["n_samples"] == report.n_samples
+        assert rec["n_evaluations"] == report.n_evaluations
         assert "semicircle" in rec["description"]
+
+
+class TestCountUnstableSolvesTheUpperHalf:
+    """D(conj lambda) = conj D(lambda), so the count solves each conjugate
+    pair of nodes once, at the member with Im lambda >= 0."""
+
+    @pytest.fixture(scope="class", params=["shock", "wave"])
+    def counted(self, request):
+        wave = request.getfixturevalue(request.param)
+        calls = []
+        inner = stability.evaluate
+
+        def counting(w, lam, **kw):
+            r = inner(w, lam, **kw)
+            calls.append((lam, r.stats))
+            return r
+
+        stability.evaluate = counting
+        try:
+            report = count_unstable(wave, radius=2.0, tol=1e-5)
+        finally:
+            stability.evaluate = inner
+        return wave, report, calls
+
+    def test_solves_each_pair_once_in_the_upper_half(self, counted):
+        _, report, calls = counted
+        lams = [lam for lam, _ in calls]
+        assert all(lam.imag >= 0.0 for lam in lams)
+        assert len(set(lams)) == len(lams) == report.n_evaluations
+        assert report.n_evaluations <= report.n_samples // 2 + 2
+        assert list(report.solve_stats) == [stats for _, stats in calls]
+
+    def test_samples_are_conjugate_symmetric(self, counted):
+        _, report, _ = counted
+        nodes, samples = report.contour.nodes[:-1], report.samples[:-1]
+        by_node = dict(zip(nodes.tolist(), samples.tolist()))
+        assert len(by_node) == report.n_samples
+        for z, v in by_node.items():
+            assert by_node[z.conjugate()] == v.conjugate()
+
+    def test_winding_matches_a_solve_at_every_node(self, counted):
+        wave, report, _ = counted
+        solves = [evaluate(wave, z, tol=1e-5) for z in report.contour.nodes]
+        plain = np.array([r.D * r.kappa_to_neutral for r in solves])
+        assert winding_number(plain) == report.winding
+        assert np.all(np.abs(plain - report.samples) <= 1e-13 * np.abs(plain))
 
 
 class TestContinuation:
