@@ -13,8 +13,8 @@ import json
 import sys
 from pathlib import Path
 
-from zndevans.cli import EXIT_OK, EXIT_TREND, main as cli_main
-from zndevans.modelbench import C_COLUMNS, DIRECTIONS, LAMBDA_ROWS, read_bench_csv
+from zndevans.cli import EXIT_OK, EXIT_TREND, main as cli_main, read_bench_csv
+from zndevans.modelbench import C_COLUMNS, DIRECTIONS, LAMBDA_ROWS
 
 
 def print_table(which, rows, failures):

@@ -32,7 +32,6 @@ from .znd import (
     profile_at,
     profile_deriv,
     profile_table,
-    read_profile_csv,
     sigma,
     sonic_heat_release,
     thermo,
@@ -63,7 +62,6 @@ from .stability import (
     WindingReport,
     continue_roots,
     count_unstable,
-    read_contour_csv,
     sweep_roots,
 )
 from .modelbench import (
@@ -75,7 +73,6 @@ from .modelbench import (
     REFERENCE_COUNTS,
     model_field,
     model_oracle,
-    read_bench_csv,
     reproduce_table,
     run_cell,
 )

@@ -6,6 +6,9 @@ Every run writes a manifest (JSON, alongside the output as
 tolerances, software version, timestamp, and solver statistics; the data
 files themselves contain no timestamps so repeated runs are byte-identical.
 
+Every CSV is written by ``_write_csv`` under one of the column tuples below
+and read back by ``read_profile_csv``, ``read_contour_csv`` or ``read_bench_csv``.
+
 Exit codes: 0 success, 2 usage/configuration error, 3 numerical-domain
 error, 4 acceptance-trend failure in ``bench``.
 """
@@ -23,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, NumericalDomainError
-from .evans import METHODS, _resolve_M, duality_check, evaluate
+from .evans import _resolve_M, duality_check, evaluate
 from .modelbench import reproduce_table, C_COLUMNS, LAMBDA_ROWS
 from .numerics import SolveStats
 from .spectral import coefficient_G
@@ -42,10 +45,59 @@ EXIT_TREND = 4
 
 _METHOD_FLAGS = {"neutral": "neutral", "erpenbeck": "erpenbeck", "lee-stewart": "lee_stewart"}
 
+PROFILE_COLUMNS = ("y", "x", "rho", "u", "e", "Y", "p", "T")
+CONTOUR_COLUMNS = ("re_lambda", "im_lambda", "re_D", "im_D")
+BENCH_COLUMNS = ("lambda_re", "lambda_im", "c", "direction", "variant",
+                 "mesh_points", "paper_count", "ratio_to_paper")
+_G_COLUMNS = ("y", *(f"G{i}{j}_{part}" for i in range(4) for j in range(4) for part in ("re", "im")))
+
 
 def _fmt(x: float) -> str:
     """17 significant digits: round-trip exact for doubles."""
     return f"{x:.17g}"
+
+
+def _write_csv(path: str, columns: tuple[str, ...], rows) -> None:
+    """Write the header and one line per row; numbers go through ``_fmt``, strings as they are."""
+    lines = [",".join(columns)]
+    lines += [",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _read_csv(path, columns: tuple[str, ...]) -> list[list[str]]:
+    """The rows, as strings, of a CSV that ``_write_csv`` wrote with ``columns``."""
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n")
+        if header != ",".join(columns):
+            raise ValueError(f"{path} does not have the columns {','.join(columns)} "
+                             f"(header {header!r})")
+        return [line.rstrip("\n").split(",") for line in fh]
+
+
+def read_profile_csv(path) -> dict[str, np.ndarray]:
+    """Parse a ``profile`` dump: one array per column."""
+    data = np.array(_read_csv(path, PROFILE_COLUMNS), dtype=float)
+    return {name: data[:, i] for i, name in enumerate(PROFILE_COLUMNS)}
+
+
+def read_contour_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a ``contour`` dump: returns (nodes, determinant values)."""
+    data = np.array(_read_csv(path, CONTOUR_COLUMNS), dtype=float)
+    return data[:, 0] + 1j * data[:, 1], data[:, 2] + 1j * data[:, 3]
+
+
+def read_bench_csv(path) -> list[dict]:
+    """Parse a ``bench`` dump into one record per cell."""
+    return [{"lam": complex(float(re), float(im)), "c": float(c), "direction": direction,
+             "variant": variant, "mesh_points": int(n), "paper_count": int(ref),
+             "ratio_to_paper": float(ratio)}
+            for re, im, c, direction, variant, n, ref, ratio in _read_csv(path, BENCH_COLUMNS)]
+
+
+def _write_json(path: str, record: dict, args) -> None:
+    """Write a data record that names the manifest of the run ``main`` parsed into ``args``."""
+    record["manifest"] = args.out + ".manifest.json"
+    Path(path).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 def _utc_now() -> str:
@@ -88,27 +140,18 @@ def _write_manifest(args, cfg: GasWaveConfig | None, stats: list[SolveStats],
 def _cmd_profile(args) -> int:
     cfg = _load_config(args.config)
     cols = profile_table(build_wave(cfg), n=args.points)
-    lines = ["y,x,rho,u,e,Y,p,T"]
-    for i in range(len(cols["y"])):
-        lines.append(",".join(_fmt(cols[k][i]) for k in ("y", "x", "rho", "u", "e", "Y", "p", "T")))
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    _write_csv(args.out, PROFILE_COLUMNS, zip(*(cols[k] for k in PROFILE_COLUMNS)))
     _write_manifest(args, cfg, [])
     print(f"wrote {len(cols['y'])} profile rows to {args.out}")
     return EXIT_OK
 
 
 def _dump_G_csv(wave, lam: complex, M: float, path: str, n: int = 81) -> None:
-    ys = np.linspace(-M, 0.0, n)
-    header = ["y"] + [f"G{i}{j}_{part}" for i in range(4) for j in range(4) for part in ("re", "im")]
-    lines = [",".join(header)]
-    for y in ys:
-        G = coefficient_G(wave, lam, float(y))
-        row = [_fmt(float(y))]
-        for i in range(4):
-            for j in range(4):
-                row += [_fmt(G[i, j].real), _fmt(G[i, j].imag)]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = []
+    for y in np.linspace(-M, 0.0, n).tolist():
+        G = coefficient_G(wave, lam, y)
+        rows.append([y, *(part for g in G.ravel().tolist() for part in (g.real, g.imag))])
+    _write_csv(path, _G_COLUMNS, rows)
 
 
 def _cmd_evans(args) -> int:
@@ -120,11 +163,10 @@ def _cmd_evans(args) -> int:
         _dump_G_csv(wave, lam, _resolve_M(wave, args.M), args.dump_g)
     result = evaluate(wave, lam, method=method, M=args.M, tol=args.tol)
     record = result.to_json_dict()
-    record["manifest"] = args.out + ".manifest.json"
     if args.duality_grid:
         record["duality_deviation"] = duality_check(
             wave, lam, M=args.M, n_grid=args.duality_grid, tol=args.tol)
-    Path(args.out).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    _write_json(args.out, record, args)
     _write_manifest(args, cfg, [result.stats], also_wrote=(args.dump_g,) if args.dump_g else ())
     print(f"D({lam}) = {result.D} [{method}], {result.stats.mesh_points} mesh points")
     return EXIT_OK
@@ -136,15 +178,10 @@ def _cmd_contour(args) -> int:
     method = _METHOD_FLAGS[args.method]
     report = count_unstable(wave, args.radius, method=method, tol=args.tol, M=args.M)
 
-    nodes = report.contour.nodes
-    lines = ["re_lambda,im_lambda,re_D,im_D"]
-    for z, v in zip(nodes, report.samples):
-        lines.append(",".join([_fmt(z.real), _fmt(z.imag), _fmt(v.real), _fmt(v.imag)]))
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    _write_csv(args.out, CONTOUR_COLUMNS, ((z.real, z.imag, v.real, v.imag)
+                                           for z, v in zip(report.contour.nodes, report.samples)))
     report_path = args.out + ".winding.json"
-    payload = report.to_json_dict()
-    payload["manifest"] = args.out + ".manifest.json"
-    Path(report_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(report_path, report.to_json_dict(), args)
     _write_manifest(args, cfg, list(report.solve_stats), extra={"winding": report.winding},
                     also_wrote=(report_path,))
     print(f"winding number {report.winding} from {report.n_samples} samples, "
@@ -164,9 +201,7 @@ def _cmd_roots(args) -> int:
         evans_tol=args.tol,
     )
     trace = sweep_roots(sweep, complex(args.seed_re, args.seed_im), tol=args.root_tol)
-    payload = trace.to_json_dict()
-    payload["manifest"] = args.out + ".manifest.json"
-    Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(args.out, trace.to_json_dict(), args)
     _write_manifest(args, cfg, [])
     n_ok = int(np.sum(trace.converged))
     print(f"followed root over {len(trace.values)} parameter points ({n_ok} converged)")
@@ -177,22 +212,19 @@ def _cmd_bench(args) -> int:
     if args.table not in (1, 2):
         raise ConfigError(f"table must be 1 or 2, got {args.table}")
     table = reproduce_table(args.table, tol=args.tol, M=args.M)
-    lines = ["lambda_re,lambda_im,c,direction,variant,mesh_points,paper_count,ratio_to_paper"]
+    rows = []
     for direction in ("forward", "backward"):
         counts = table.counts(direction)
         ref = table.reference(direction)
         for i, lam in enumerate(LAMBDA_ROWS):
             lam = complex(lam)
             for j, c in enumerate(C_COLUMNS):
-                lines.append(",".join([
-                    _fmt(lam.real), _fmt(lam.imag), _fmt(c), direction, table.variant,
-                    str(counts[i, j]), str(ref[i, j]),
-                    _fmt(counts[i, j] / ref[i, j]),
-                ]))
-    Path(args.out).write_text("\n".join(lines) + "\n")
+                rows.append((lam.real, lam.imag, c, direction, table.variant,
+                             counts[i, j], ref[i, j], counts[i, j] / ref[i, j]))
+    _write_csv(args.out, BENCH_COLUMNS, rows)
     failures = table.trend_failures()
     _write_manifest(args, None, [], extra={"trend_failures": failures})
-    print(f"table {args.table}: wrote {len(lines)-1} rows to {args.out}")
+    print(f"table {args.table}: wrote {len(rows)} rows to {args.out}")
     if failures:
         for f in failures:
             print("TREND FAILURE:", f, file=sys.stderr)

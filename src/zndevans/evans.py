@@ -29,7 +29,6 @@ scalar ``kappa_to_neutral``.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 
@@ -84,9 +83,6 @@ class EvansResult:
             "rhs_evaluations": self.stats.rhs_evaluations,
             "kappa_to_neutral": [self.kappa_to_neutral.real, self.kappa_to_neutral.imag],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
     def from_json_dict(cls, rec: dict) -> "EvansResult":

@@ -309,29 +309,6 @@ class BenchTable:
         return failures
 
 
-def read_bench_csv(path) -> list[dict]:
-    """Parse a benchmark table dump into one record per cell."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        expected = ["lambda_re", "lambda_im", "c", "direction", "variant",
-                    "mesh_points", "paper_count", "ratio_to_paper"]
-        if header != expected:
-            raise ValueError(f"{path} is not a benchmark dump (header {header})")
-        rows = []
-        for line in fh:
-            parts = line.strip().split(",")
-            rows.append({
-                "lam": complex(float(parts[0]), float(parts[1])),
-                "c": float(parts[2]),
-                "direction": parts[3],
-                "variant": parts[4],
-                "mesh_points": int(parts[5]),
-                "paper_count": int(parts[6]),
-                "ratio_to_paper": float(parts[7]),
-            })
-    return rows
-
-
 def reproduce_table(which: int, tol: float = 1e-5, M: float = 5.0) -> BenchTable:
     """Run the full grid for table 1 (factored) or table 2 (unfactored)."""
     if which not in (1, 2):

@@ -2,8 +2,9 @@
 
 The integrator is an embedded Dormand-Prince 5(4) pair with a proportional
 step controller and per-step mixed absolute/relative error norm.  Everything
-downstream (profile-coordinate shooting, the model benchmark) runs through
-:func:`integrate_adaptive`, so mesh-point accounting lives here too.
+downstream runs through one step loop, ``_integrate``: profile-coordinate
+shooting by :func:`integrate_adaptive`, the model benchmark by
+:func:`integrate_adaptive_scaled`.  So mesh-point accounting lives here too.
 
 Also here: winding numbers by the argument principle, adaptive contour
 refinement, and complex Newton iteration with finite-difference derivatives.
@@ -298,7 +299,8 @@ def integrate_adaptive_scaled(
 class Contour:
     """Closed positively oriented polyline in the complex plane.
 
-    ``nodes[0] == nodes[-1]`` and there are at least 8 distinct nodes.
+    ``nodes[0] == nodes[-1]`` and there are at least 9 nodes, the closing
+    one included.  Whether the nodes are distinct is not checked.
     """
 
     nodes: np.ndarray

@@ -205,16 +205,6 @@ def continue_roots(
     )
 
 
-def read_contour_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Parse a contour sample dump: returns (nodes, determinant values)."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header != ["re_lambda", "im_lambda", "re_D", "im_D"]:
-            raise ValueError(f"{path} is not a contour dump (header {header})")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return data[:, 0] + 1j * data[:, 1], data[:, 2] + 1j * data[:, 3]
-
-
 # the scalar fields of a configuration; ``upstream`` is a nested state
 _SWEEPABLE = tuple(f.name for f in fields(GasWaveConfig) if f.name != "upstream")
 

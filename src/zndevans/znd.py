@@ -469,16 +469,6 @@ def profile_table(wave: SteadyWave, n: int = 200) -> dict[str, np.ndarray]:
     return cols
 
 
-def read_profile_csv(path) -> dict[str, np.ndarray]:
-    """Parse a profile dump written by the command-line tool."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header != ["y", "x", "rho", "u", "e", "Y", "p", "T"]:
-            raise ConfigError(f"{path} is not a profile dump (header {header})")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return {name: data[:, i] for i, name in enumerate(header)}
-
-
 def default_config() -> GasWaveConfig:
     """A comfortably overdriven single-species wave used by tests and demos."""
     return GasWaveConfig(

@@ -1,6 +1,11 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,13 +127,6 @@ class TestEvansCommand:
         assert "step size underflow at x=-2.5" in err
         assert "at lambda=(1.5+0.5j)" in err
 
-    def test_byte_identical_reruns(self, cfg_path, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        for out in (a, b):
-            main(["evans", "--config", cfg_path, "--lambda-re", "1.5",
-                  "--lambda-im", "0.5", "--out", str(out)])
-        assert a.read_bytes().replace(b"a.json", b"") == b.read_bytes().replace(b"b.json", b"")
-
     def test_dump_g_grid(self, cfg_path, tmp_path):
         out = tmp_path / "ev.json"
         gdump = tmp_path / "G.csv"
@@ -215,12 +213,6 @@ class TestBenchCommand:
         rc = main(["bench", "--table", "7", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
-    def test_byte_identical_reruns(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        for out in (a, b):
-            main(["bench", "--table", "2", "--out", str(out)])
-        assert a.read_bytes() == b.read_bytes()
-
 
 class TestManifestRecordsTheRun:
     def test_command_and_tol_are_the_parsed_argv(self, cfg_path, tmp_path):
@@ -302,6 +294,24 @@ def test_bad_argument_exits_2(argv, cfg_path, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv, outputs", [
+    (["profile", "--config", "{cfg}", "--points", "40"], ("",)),
+    (["evans", "--config", "{cfg}", "--lambda-re", "1.5", "--lambda-im", "0.5"], ("",)),
+    (["contour", "--config", "{cfg}", "--radius", "2"], ("", ".winding.json")),
+    (["bench", "--table", "2"], ("",)),
+], ids=["profile", "evans", "contour", "bench"])
+def test_byte_identical_reruns(argv, outputs, cfg_path, tmp_path):
+    # data files hold no timestamp; a JSON record names its manifest, so the
+    # output's own name is blanked before comparing
+    argv = [a.format(cfg=cfg_path) for a in argv]
+    a, b = tmp_path / "a.out", tmp_path / "b.out"
+    for out in (a, b):
+        assert main(argv + ["--out", str(out)]) == 0
+    for suffix in outputs:
+        assert (Path(f"{a}{suffix}").read_bytes().replace(b"a.out", b"")
+                == Path(f"{b}{suffix}").read_bytes().replace(b"b.out", b""))
+
+
 def test_profile_points_error_names_range(cfg_path, tmp_path, capsys):
     rc = main(["profile", "--config", cfg_path, "--points", "0", "--out", str(tmp_path / "p.csv")])
     assert rc == 2
@@ -336,31 +346,36 @@ def test_manifest_hashes_config_the_run_used(cfg_path, tmp_path, monkeypatch):
 class TestRoundTrip:
     """Every emitted file parses back through the package's own readers."""
 
-    def test_profile_csv(self, cfg_path, tmp_path):
-        from zndevans.znd import read_profile_csv
+    @pytest.mark.parametrize("reader, other", [
+        (cli.read_profile_csv, ["contour", "--config", "{shock}", "--radius", "1"]),
+        (cli.read_contour_csv, ["profile", "--config", "{shock}", "--points", "3"]),
+        (cli.read_bench_csv, ["profile", "--config", "{shock}", "--points", "3"]),
+    ], ids=["profile", "contour", "bench"])
+    def test_reader_rejects_another_commands_csv(self, reader, other, shock_path, tmp_path):
+        out = tmp_path / "other.csv"
+        assert main([a.format(shock=shock_path) for a in other] + ["--out", str(out)]) == 0
+        with pytest.raises(ValueError, match=re.escape(str(out))):
+            reader(out)
 
+    def test_profile_csv(self, cfg_path, tmp_path):
         out = tmp_path / "prof.csv"
         main(["profile", "--config", cfg_path, "--out", str(out), "--points", "30"])
-        cols = read_profile_csv(out)
+        cols = cli.read_profile_csv(out)
         assert set(cols) == {"y", "x", "rho", "u", "e", "Y", "p", "T"}
         assert len(cols["y"]) == 30
         assert cols["y"][0] == 0.0
 
     def test_contour_csv(self, shock_path, tmp_path):
-        from zndevans.stability import read_contour_csv
-
         out = tmp_path / "contour.csv"
         main(["contour", "--config", shock_path, "--radius", "1", "--out", str(out)])
-        nodes, values = read_contour_csv(out)
+        nodes, values = cli.read_contour_csv(out)
         assert nodes[0] == nodes[-1]
         assert np.all(np.abs(values) > 0)
 
     def test_bench_csv(self, tmp_path):
-        from zndevans.modelbench import read_bench_csv
-
         out = tmp_path / "t2.csv"
         main(["bench", "--table", "2", "--out", str(out)])
-        rows = read_bench_csv(out)
+        rows = cli.read_bench_csv(out)
         assert len(rows) == 66
         assert all(r["variant"] == "unfactored" for r in rows)
         assert all(r["mesh_points"] >= 2 for r in rows)
@@ -384,6 +399,15 @@ class TestRoundTrip:
 
     def test_config_json(self, cfg_path):
         from zndevans.znd import config_from_json, default_config
-        from pathlib import Path
 
         assert config_from_json(Path(cfg_path).read_text()) == default_config()
+
+
+def test_package_import_loads_no_cli():
+    # the CSV readers live in cli; the package must not pull it (or argparse)
+    # into every ``import zndevans``
+    code = "import sys, zndevans; print(sorted({'zndevans.cli', 'argparse'} & set(sys.modules)))"
+    src = str(Path(cli.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "[]"

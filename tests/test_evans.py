@@ -1,4 +1,3 @@
-import json
 from dataclasses import replace
 
 import numpy as np
@@ -137,7 +136,7 @@ class TestDuality:
 class TestResultRecord:
     def test_json_fields(self, wave):
         r = evaluate(wave, 1.0 + 1.0j, method="neutral")
-        rec = json.loads(r.to_json())
+        rec = r.to_json_dict()
         assert set(rec) == {
             "lambda", "D", "method", "M",
             "accepted_steps", "rejected_steps", "rhs_evaluations", "kappa_to_neutral",
