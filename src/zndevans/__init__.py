@@ -57,7 +57,6 @@ from .evans import (
     evans_neutral,
 )
 from .stability import (
-    ParameterSweep,
     RootTrace,
     WindingReport,
     continue_roots,

@@ -30,7 +30,7 @@ from .evans import _resolve_M, duality_check, evaluate
 from .modelbench import reproduce_table, C_COLUMNS, LAMBDA_ROWS
 from .numerics import SolveStats
 from .spectral import coefficient_G
-from .stability import ParameterSweep, count_unstable, sweep_roots
+from .stability import count_unstable, sweep_roots
 from .znd import (
     GasWaveConfig,
     build_wave,
@@ -191,21 +191,18 @@ def _cmd_contour(args) -> int:
 
 def _cmd_roots(args) -> int:
     cfg = _load_config(args.config)
-    values = tuple(float(v) for v in args.values.split(","))
-    sweep = ParameterSweep(
-        base=cfg,
-        name=args.param,
-        values=values,
-        method=_METHOD_FLAGS[args.method],
-        M=args.M,
-        evans_tol=args.tol,
-    )
-    trace = sweep_roots(sweep, complex(args.seed_re, args.seed_im), tol=args.root_tol)
+    values = [float(v) for v in args.values.split(",")]
+    trace = sweep_roots(cfg, args.param, values, complex(args.seed_re, args.seed_im),
+                        method=_METHOD_FLAGS[args.method], M=args.M, evans_tol=args.tol,
+                        tol=args.root_tol)
     _write_json(args.out, trace.to_json_dict(), args)
-    _write_manifest(args, cfg, [])
+    _write_manifest(args, cfg, list(trace.solve_stats), extra={"stopped_by": trace.stopped_by})
     n_ok = int(np.sum(trace.converged))
     print(f"followed root over {len(trace.values)} parameter points ({n_ok} converged)")
-    return EXIT_OK if bool(np.all(trace.converged)) else EXIT_NUMERICAL
+    if trace.stopped_by is not None:
+        print(f"numerical error: {trace.stopped_by}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 def _cmd_bench(args) -> int:

@@ -84,24 +84,6 @@ class EvansResult:
             "kappa_to_neutral": [self.kappa_to_neutral.real, self.kappa_to_neutral.imag],
         }
 
-    @classmethod
-    def from_json_dict(cls, rec: dict) -> "EvansResult":
-        span = (0.0, -rec["M"]) if rec["method"] == METHOD_LEE_STEWART else (-rec["M"], 0.0)
-        stats = SolveStats(
-            accepted_steps=rec["accepted_steps"],
-            rejected_steps=rec["rejected_steps"],
-            rhs_evaluations=rec["rhs_evaluations"],
-            span=span,
-        )
-        return cls(
-            lam=complex(*rec["lambda"]),
-            D=complex(*rec["D"]),
-            method=rec["method"],
-            M=rec["M"],
-            stats=stats,
-            kappa_to_neutral=complex(*rec["kappa_to_neutral"]),
-        )
-
 
 def _resolve_M(wave: SteadyWave, M: float | None) -> float:
     if M is None:

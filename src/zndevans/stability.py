@@ -14,8 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContourThroughRootError, NewtonError, NumericalDomainError
-from .evans import METHOD_NEUTRAL, METHODS, EvansResult, evaluate
+from .errors import ContourThroughRootError, NumericalDomainError
+from .evans import METHOD_NEUTRAL, EvansResult, evaluate
 from .numerics import Contour, SolveStats, newton_root, refine_contour, winding_number
 from .znd import GasWaveConfig, SteadyWave, build_wave
 
@@ -90,8 +90,6 @@ def count_unstable(
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     contour = Contour.semicircle(radius, 1e-4 * radius)
     solved: dict[complex, EvansResult] = {}  # upper-half lambda -> its solve
 
@@ -128,13 +126,19 @@ class RootTrace:
     """Continuation curve of one root through a parameter sweep.
 
     ``values`` includes any midpoints inserted by step halving; ``converged``
-    flags each entry (a trailing False marks continuation breakdown).
+    flags each entry.  A trace that breaks down ends with one unconverged
+    entry, and ``stopped_by`` holds the message of the error that ended it
+    (None for a complete trace).  ``solve_stats`` holds the step accounting
+    of each determinant solve, in the order they were made (filled by
+    :func:`sweep_roots`).
     """
 
     name: str
     values: np.ndarray
     roots: np.ndarray
     converged: np.ndarray
+    stopped_by: str | None = None
+    solve_stats: tuple[SolveStats, ...] = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -145,96 +149,87 @@ class RootTrace:
         }
 
 
+# the step between two requested values is halved at most this many times
+_MAX_HALVINGS = 8
+
+
 def continue_roots(
     factory: Callable[[float], Evaluator],
     values: Sequence[float],
     seed: complex,
     tol: float = 1e-10,
     name: str = "parameter",
-    max_halvings: int = 8,
-    max_root_jump: float | None = None,
 ) -> RootTrace:
     """Follow a root of ``factory(value)`` across the given parameter values.
 
-    The seed must converge at the first value.  Between requested values the
-    parameter step is halved whenever Newton fails or the root moves farther
-    than ``max_root_jump``, down to a minimum step of the requested segment
-    over ``2**max_halvings``; inserted midpoints are recorded in the trace.
+    Newton starts from ``seed`` at the first value and from the last root
+    after that.  Whenever it fails between requested values, the parameter
+    step is halved, down to the requested step over ``2**_MAX_HALVINGS``;
+    inserted midpoints are recorded in the trace.  A failure that halving
+    cannot cure (at the first value there is nothing to halve from) ends
+    the trace with that value, the last root (the seed at the first value),
+    ``converged`` False and the error's message in ``stopped_by``.
     """
     values = [float(v) for v in values]
     if not values:
         raise ValueError("need at least one parameter value")
-    root = newton_root(factory(values[0]), seed, tol=tol)
-    out_v, out_r, out_c = [values[0]], [root], [True]
-
-    for target in values[1:]:
-        prev_v = out_v[-1]
-        min_step = abs(target - prev_v) / 2.0**max_halvings
+    points: list[tuple[float, complex, bool]] = []
+    root, prev_v, stopped_by = complex(seed), values[0], None
+    for target in values:
+        min_step = abs(target - prev_v) / 2.0**_MAX_HALVINGS
         pending = [target]
         while pending:
             v = pending[-1]
             try:
-                candidate = newton_root(factory(v), out_r[-1], tol=tol)
-                jump = abs(candidate - out_r[-1])
-                limit = max_root_jump if max_root_jump is not None else np.inf
-                if jump > limit:
-                    raise NewtonError(f"root jumped by {jump:.3g} > {limit:.3g}")
-            except (NewtonError, NumericalDomainError):
-                if abs(v - prev_v) <= 2.0 * min_step or min_step == 0.0:
-                    out_v.append(v)
-                    out_r.append(out_r[-1])
-                    out_c.append(False)
-                    return RootTrace(
-                        name=name,
-                        values=np.array(out_v),
-                        roots=np.array(out_r),
-                        converged=np.array(out_c),
-                    )
-                pending.append(0.5 * (prev_v + v))
-                continue
-            pending.pop()
-            out_v.append(v)
-            out_r.append(candidate)
-            out_c.append(True)
+                root = newton_root(factory(v), root, tol=tol)
+            except NumericalDomainError as exc:
+                if abs(v - prev_v) > 2.0 * min_step > 0.0:
+                    pending.append(0.5 * (prev_v + v))
+                    continue
+                points.append((v, root, False))
+                stopped_by = str(exc)
+                break
+            points.append((pending.pop(), root, True))
             prev_v = v
-    return RootTrace(
-        name=name,
-        values=np.array(out_v),
-        roots=np.array(out_r),
-        converged=np.array(out_c),
-    )
+        if stopped_by is not None:
+            break
+    out_v, out_r, out_c = zip(*points)
+    return RootTrace(name, np.array(out_v), np.array(out_r), np.array(out_c), stopped_by)
 
 
 # the scalar fields of a configuration; ``upstream`` is a nested state
 _SWEEPABLE = tuple(f.name for f in fields(GasWaveConfig) if f.name != "upstream")
 
 
-@dataclass(frozen=True)
-class ParameterSweep:
-    """Sweep one scalar field of a configuration (e.g. 'EA' or 'q')."""
+def sweep_roots(
+    base: GasWaveConfig,
+    name: str,
+    values: Sequence[float],
+    seed: complex,
+    method: str = METHOD_NEUTRAL,
+    M: float | None = None,
+    evans_tol: float = 1e-7,
+    tol: float = 1e-8,
+) -> RootTrace:
+    """Root continuation across a sweep of one scalar field of ``base`` (e.g. 'EA' or 'q').
 
-    base: GasWaveConfig
-    name: str
-    values: tuple[float, ...]
-    method: str = METHOD_NEUTRAL
-    M: float | None = None
-    evans_tol: float = 1e-7
-
-    def config_at(self, value: float) -> GasWaveConfig:
-        if self.name not in _SWEEPABLE:
-            raise ValueError(f"cannot sweep {self.name!r}; choose from {_SWEEPABLE}")
-        return replace(self.base, **{self.name: value})
-
-
-def sweep_roots(sweep: ParameterSweep, seed: complex, tol: float = 1e-8) -> RootTrace:
-    """Root continuation across a configuration-parameter sweep."""
+    ``D`` is solved by ``method`` at integration tolerance ``evans_tol``;
+    ``tol`` is the Newton tolerance.  The trace's ``solve_stats`` lists
+    every solve made, in order.
+    """
+    if name not in _SWEEPABLE:
+        raise ValueError(f"cannot sweep {name!r}; choose from {_SWEEPABLE}")
+    stats: list[SolveStats] = []
 
     def factory(value: float) -> Evaluator:
-        wave = build_wave(sweep.config_at(value))
+        wave = build_wave(replace(base, **{name: value}))
 
         def evaluator(lam: complex) -> complex:
-            return evaluate(wave, lam, method=sweep.method, M=sweep.M, tol=sweep.evans_tol).D
+            r = evaluate(wave, lam, method=method, M=M, tol=evans_tol)
+            stats.append(r.stats)
+            return r.D
 
         return evaluator
 
-    return continue_roots(factory, sweep.values, seed, tol=tol, name=sweep.name)
+    trace = continue_roots(factory, values, seed, tol=tol, name=name)
+    return replace(trace, solve_stats=tuple(stats))

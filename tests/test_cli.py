@@ -192,11 +192,25 @@ class TestContourCommand:
 
 
 class TestRootsCommand:
-    def test_nonconvergent_seed_reports_numerical_error(self, shock_path, tmp_path):
-        rc = main(["roots", "--config", shock_path, "--param", "EA",
-                   "--values", "10,11", "--seed-re", "0.5", "--seed-im", "0.5",
-                   "--out", str(tmp_path / "r.json")])
+    # both seeds are drawn by Newton towards the translation zero lambda = 0
+    # and fail at the first value, where there is no step to halve
+    @pytest.mark.parametrize("config, seed", [
+        ("shock_path", ["--values", "10,11", "--seed-re", "0.5", "--seed-im", "0.5"]),
+        ("cfg_path", ["--values", "10,10.5", "--seed-re", "0.001"]),
+    ], ids=["shock", "default-wave"])
+    def test_nonconvergent_seed_reports_numerical_error(self, config, seed, request, tmp_path,
+                                                        capsys):
+        out = tmp_path / "r.json"
+        rc = main(["roots", "--config", request.getfixturevalue(config), "--param", "EA",
+                   *seed, "--out", str(out)])
         assert rc == 3
+        rec = json.loads(out.read_text())
+        assert rec["converged"] == [False]
+        assert rec["values"] == [10.0]
+        manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
+        assert manifest["solve_stats"]
+        assert "Re(lambda) >= 0" in manifest["stopped_by"]
+        assert f"numerical error: {manifest['stopped_by']}" in capsys.readouterr().err
 
 
 class TestBenchCommand:
@@ -382,20 +396,21 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("method", ["neutral", "lee-stewart"])
     def test_evans_json(self, cfg_path, tmp_path, method):
-        from zndevans.evans import EvansResult, evaluate
+        from zndevans.evans import evaluate
 
         out = tmp_path / "ev.json"
         main(["evans", "--config", cfg_path, "--lambda-re", "1.5",
               "--lambda-im", "-0.5", "--method", method, "--out", str(out)])
         rec = json.loads(out.read_text())
-        back = EvansResult.from_json_dict(rec)
-        assert back.lam == 1.5 - 0.5j
-        assert back.stats.mesh_points == rec["accepted_steps"] + 1
+        lam = complex(*rec["lambda"])
+        assert lam == 1.5 - 0.5j
         wave = build_wave(default_config())
-        fresh = evaluate(wave, back.lam, method=method.replace("-", "_"))
-        assert back.kappa_to_neutral == fresh.kappa_to_neutral
-        neutral = evaluate(wave, back.lam).D
-        assert abs(back.D * back.kappa_to_neutral - neutral) <= 1e-3 * abs(neutral)
+        fresh = evaluate(wave, lam, method=method.replace("-", "_"))
+        assert rec["accepted_steps"] == fresh.stats.accepted_steps
+        kappa = complex(*rec["kappa_to_neutral"])
+        assert kappa == fresh.kappa_to_neutral
+        neutral = evaluate(wave, lam).D
+        assert abs(complex(*rec["D"]) * kappa - neutral) <= 1e-3 * abs(neutral)
 
     def test_config_json(self, cfg_path):
         from zndevans.znd import config_from_json, default_config

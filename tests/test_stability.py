@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,8 @@ from zndevans import stability
 from zndevans.errors import ContourThroughRootError
 from zndevans.evans import evaluate
 from zndevans.numerics import Contour, refine_contour, winding_number
-from zndevans.stability import (
-    ParameterSweep,
-    continue_roots,
-    count_unstable,
-    sweep_roots,
-)
-from zndevans.znd import default_config
+from zndevans.stability import continue_roots, count_unstable, sweep_roots
+from zndevans.znd import default_config, nonreactive_config
 
 
 class TestCountUnstable:
@@ -50,6 +47,10 @@ class TestCountUnstable:
         assert rec["n_samples"] == report.n_samples
         assert rec["n_evaluations"] == report.n_evaluations
         assert "semicircle" in rec["description"]
+
+    def test_unknown_method_rejected(self, wave):
+        with pytest.raises(ValueError, match="unknown method 'collocation'"):
+            count_unstable(wave, 2.0, method="collocation")
 
 
 class TestCountUnstableSolvesTheUpperHalf:
@@ -126,14 +127,14 @@ class TestContinuation:
             assert abs(root**2 - a) < 1e-9
 
     def test_step_halving_inserts_midpoints(self):
-        # a family whose root moves fast: big parameter steps need halving
-        factory = lambda a: (lambda z: z - np.exp(4.0 * a))
-        trace = continue_roots(
-            factory, [0.0, 1.0], seed=1.0, tol=1e-10, max_root_jump=5.0
-        )
+        # Newton from the previous root diverges once tanh saturates (|z - a| > ~1.1),
+        # so the step 0 -> 4 is halved until it fails no more
+        factory = lambda a: (lambda z: cmath.tanh(z - a))
+        trace = continue_roots(factory, [0.0, 4.0], seed=0.0)
         assert np.all(trace.converged)
-        assert len(trace.values) > 2  # midpoints were recorded
-        assert trace.values[-1] == 1.0
+        assert trace.stopped_by is None
+        assert trace.values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]  # midpoints were recorded
+        assert np.allclose(trace.roots, trace.values, atol=1e-9)
 
     def test_breakdown_reports_last_good(self):
         # root escapes any neighbourhood: continuation must give up cleanly
@@ -142,14 +143,40 @@ class TestContinuation:
                 return lambda z: 1.0 + 0j  # no root at all
             return lambda z: z - a
 
-        trace = continue_roots(factory, [0.0, 1.0], seed=0.0, max_halvings=3)
+        trace = continue_roots(factory, [0.0, 1.0], seed=0.0)
         assert not trace.converged[-1]
+        assert trace.roots[-1] == trace.roots[-2]
+        assert trace.stopped_by
+
+    def test_failure_at_first_value_keeps_the_seed(self):
+        trace = continue_roots(lambda a: (lambda z: 1.0 + 0j), [0.0, 1.0], seed=2.0 + 1.0j)
+        assert trace.values.tolist() == [0.0]
+        assert trace.roots.tolist() == [2.0 + 1.0j]
+        assert trace.converged.tolist() == [False]
+        assert "degenerate" in trace.stopped_by
 
     @pytest.mark.parametrize("name", ["nope", "upstream", "gas_constant", "digest", "tol"])
-    def test_sweep_roots_requires_known_field(self, name):
-        sweep = ParameterSweep(base=default_config(), name=name, values=(1.0,))
-        with pytest.raises(ValueError):
-            sweep.config_at(1.0)
+    def test_sweep_roots_requires_known_field(self, name, monkeypatch):
+        def no_wave(cfg):
+            raise AssertionError("built a wave for an unknown field")
+
+        monkeypatch.setattr(stability, "build_wave", no_wave)
+        with pytest.raises(ValueError, match=repr(name)):
+            sweep_roots(default_config(), name, [1.0], seed=1.0)
+
+    def test_sweep_roots_records_every_solve(self, monkeypatch):
+        made = []
+
+        def recorded(*args, **kw):
+            result = evaluate(*args, **kw)
+            made.append(result.stats)
+            return result
+
+        monkeypatch.setattr(stability, "evaluate", recorded)
+        # Newton from this seed walks to lambda = 0 and fails there
+        trace = sweep_roots(nonreactive_config(), "EA", [10.0, 11.0], seed=0.5 + 0.5j)
+        assert made and trace.solve_stats == tuple(made)
+        assert trace.stopped_by
 
     def test_trace_json(self):
         factory = lambda a: (lambda z: z - a)
