@@ -39,7 +39,6 @@ from .znd import (
 )
 from .spectral import (
     SpectralFrame,
-    check_noncharacteristic,
     coefficient_G,
     jacobians,
     jump_vector,

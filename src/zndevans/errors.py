@@ -17,11 +17,12 @@ class ConfigError(ZndEvansError):
 
 
 class NumericalDomainError(ZndEvansError):
-    """A computation left its domain of validity."""
+    """A computation left its domain of validity; ``lam`` is the frequency
+    of the determinant evaluation it happened in (named in the message), or None."""
 
-
-def _at_lambda(lam: complex | None) -> str:
-    return "" if lam is None else f" at lambda={lam!r}"
+    def __init__(self, message: str = "", lam: complex | None = None):
+        self.lam = lam
+        super().__init__(message if lam is None else f"{message} at lambda={lam!r}")
 
 
 class StepSizeUnderflowError(NumericalDomainError):
@@ -34,8 +35,7 @@ class StepSizeUnderflowError(NumericalDomainError):
     def __init__(self, x: float, h: float, lam: complex | None = None):
         self.x = x
         self.h = h
-        self.lam = lam
-        super().__init__(f"step size underflow at x={x:.6g} (|h|={abs(h):.3e}){_at_lambda(lam)}")
+        super().__init__(f"step size underflow at x={x:.6g} (|h|={abs(h):.3e})", lam)
 
 
 class NonFiniteStateError(NumericalDomainError):
@@ -46,8 +46,7 @@ class NonFiniteStateError(NumericalDomainError):
 
     def __init__(self, x: float, lam: complex | None = None):
         self.x = x
-        self.lam = lam
-        super().__init__(f"non-finite state encountered at x={x:.6g}{_at_lambda(lam)}")
+        super().__init__(f"non-finite state encountered at x={x:.6g}", lam)
 
 
 class UnderSampledContourError(NumericalDomainError):
@@ -83,11 +82,8 @@ class InvalidIgnitionWindowError(NumericalDomainError):
 
 
 class InvalidWaveError(NumericalDomainError):
-    """Constructed wave violates a structural invariant (frame, sonic checks)."""
-
-
-class NearCharacteristicError(NumericalDomainError):
-    """Flux Jacobian too ill-conditioned to invert (near-sonic or stagnation state)."""
+    """Wave or state breaks a structural check (rho, e > 0, supersonic upstream,
+    jump relations); the subsonic profile is :class:`zndevans.znd.SteadyWave`'s invariant."""
 
 
 class EvansOverflowError(NumericalDomainError):
@@ -97,17 +93,9 @@ class EvansOverflowError(NumericalDomainError):
     instead.  ``lam`` is the frequency of the run, or None if not given.
     """
 
-    def __init__(self, message: str, lam: complex | None = None):
-        self.lam = lam
-        super().__init__(message + _at_lambda(lam))
-
 
 class MisselectedModeError(NumericalDomainError):
     """Integrated adjoint magnitude wildly off O(1); decay rate likely wrong.
 
     ``lam`` is the frequency of the determinant evaluation, or None if not given.
     """
-
-    def __init__(self, message: str, lam: complex | None = None):
-        self.lam = lam
-        super().__init__(message + _at_lambda(lam))

@@ -12,6 +12,9 @@ right-hand sides use (:func:`linearized_rhs`), G itself built column by
 column from that same kernel, the analytic stable left eigenpair
 (ell, g_minus) of the burned-end matrix, and the boundary jump vector that
 closes the stability determinant.
+
+Nothing here re-checks that every profile state is subsonic with u < 0;
+that is the invariant of :class:`zndevans.znd.SteadyWave`.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidWaveError, NearCharacteristicError, NumericalDomainError
+from .errors import NumericalDomainError
 from .znd import (
     GasWaveConfig,
     StateW,
@@ -33,8 +36,6 @@ from .znd import (
     reaction_psi,
     thermo,
 )
-
-_NONCHAR_REL = 1e-12
 
 
 def jacobians(state: StateW, cfg: GasWaveConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -196,37 +197,17 @@ def linearized_rhs(
     return [-sig * lam * a0, -sig * lam * a1, sig * (q * s - lam * a2), -sig * (s + lam * a3)]
 
 
-def check_noncharacteristic(state: StateW, cfg: GasWaveConfig) -> bool:
-    """A1 invertible test: needs det(f1_V) and rho*u away from zero.
-
-    For the ideal gas this fails exactly at sonic points |u| = c_s and at
-    stagnation u = 0.
-    """
-    rho, u, e, _ = state
-    _, _, c_s, _, _ = thermo(state, cfg)
-    _, (a10, a11, a12, a20, a21, a22) = _gas_entries(rho, u, e, cfg.Gamma)
-    # det(f1_V) along its first row (u, rho, 0), the determinant linearized_rhs divides by
-    det = u * (a11 * a22 - a12 * a21) + rho * (a12 * a20 - a10 * a22)
-    speed = abs(u) + c_s
-    if abs(det) <= _NONCHAR_REL * rho ** 2 * speed ** 3:
-        return False
-    if abs(rho * u) <= _NONCHAR_REL * rho * speed:
-        return False
-    return True
-
-
 def coefficient_G(wave: SteadyWave, lam: complex, y: float) -> np.ndarray:
     """G(lambda, y) at the profile state (ignited side, y <= 0).
 
     Column j is :func:`linearized_rhs` (forward) applied to e_j, divided by
     sigma = dx/dy, so this matrix is the operator the shooting methods apply.
+    A1 is invertible at every profile state (:class:`zndevans.znd.SteadyWave`).
     """
     lam = complex(lam)
     if not cmath.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam!r}")
     state = profile_at(wave, y)
-    if not check_noncharacteristic(state, wave.config):
-        raise NearCharacteristicError(f"profile state at y={y!r} is characteristic")
     columns = [linearized_rhs(wave, state, lam, e, adjoint=False) for e in np.eye(4).tolist()]
     return np.array(columns).T / (wave.m / reaction_psi(state, wave.config))
 
@@ -235,27 +216,27 @@ def stable_left_mode(wave: SteadyWave, lam: complex) -> tuple[np.ndarray, comple
     """Analytic stable left eigenpair (ell, g_minus) of the burned-end matrix.
 
     g_minus = -lambda / (u- + c-) is the unique eigenvalue with negative real
-    part for Re(lambda) > 0 (burned flow is subsonic with u- < 0).  The gas
-    part of ell comes from the outgoing acoustic characteristic, rescaled so
-    the energy component is exactly 1, which keeps ell analytic in lambda;
-    the reactant part is then q K psi / (lambda (g0 - alpha g1) + K psi)
-    with alpha = 1 / (u- + c-), g0 = rho- and g1 = rho- u-.
+    part for Re(lambda) > 0 (u- + c- > 0: :class:`zndevans.znd.SteadyWave`).
+    The gas part of ell comes from the outgoing acoustic characteristic,
+    rescaled so the energy component is exactly 1, which keeps ell analytic
+    in lambda; the reactant part is q K psi / r with the resolvent
+    r = lambda (g0 - alpha g1) + K psi = lambda rho- c- / (u- + c-) + K psi,
+    alpha = 1 / (u- + c-), g0 = rho- and g1 = rho- u-.  Re r >= K psi, so
+    |ell[3]| <= q, and r = 0 only at the excluded lambda = 0.
     """
     lam = complex(lam)
     if not cmath.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam!r}")
     if lam == 0.0:
         raise NumericalDomainError(
-            "lambda = 0 is excluded (neutral mode); continue from Re(lambda) > 0"
+            "lambda = 0 is excluded (neutral mode); continue from Re(lambda) > 0", lam
         )
     if lam.real < 0.0:
-        raise NumericalDomainError(f"need Re(lambda) >= 0, got {lam!r}")
+        raise NumericalDomainError("need Re(lambda) >= 0", lam)
     cfg = wave.config
     st = wave.burned
     rho, u, e = st.rho, st.u, st.e
     p, T, c_s, p_rho, p_e = thermo(st, cfg)
-    if not (u < 0.0 and abs(u) < c_s):
-        raise InvalidWaveError("burned state must be subsonic with u < 0")
 
     alpha = 1.0 / (u + c_s)
     g_minus = -lam * alpha
@@ -263,10 +244,6 @@ def stable_left_mode(wave: SteadyWave, lam: complex) -> tuple[np.ndarray, comple
     K_psi = cfg.K * reaction_psi(st, cfg)
     g0, g1 = rho, rho * u
     resolvent = lam * (g0 - alpha * g1) + K_psi
-    if abs(resolvent) < 1e-14 * (1.0 + abs(lam)):
-        raise NumericalDomainError(
-            f"reactant resolvent nearly singular at lambda={lam!r} (rate resonance)"
-        )
     # outgoing-acoustic left row of the gas block, energy component scaled to 1
     ell = np.array(
         [
@@ -322,15 +299,13 @@ def make_frame(wave: SteadyWave, lam: complex) -> SpectralFrame:
 
     The left-eigenpair residual comes from the adjoint kernel the neutral
     method integrates (see :func:`left_mode_residual`); no matrix is built.
+    It is rounding on entries of size |g_minus|, hence the bound's scale.
     """
     ell, g_minus = stable_left_mode(wave, lam)
     residual = _pair_residual(wave, lam, ell, g_minus)
-    if residual > 1e-10:
+    bound = 1e-10 * max(1.0, abs(g_minus))
+    if residual > bound:
         raise NumericalDomainError(
-            f"left-eigenpair residual {residual:.3e} > 1e-10 at lambda={lam!r}"
+            f"left-eigenpair residual {residual:.3e} > {bound:.3e}", complex(lam)
         )
-    if lam.real > 0.0 and g_minus.real >= 0.0:
-        raise NumericalDomainError(f"stable eigenvalue has Re >= 0 at lambda={lam!r}")
-    if ell[2] != 1.0:
-        raise NumericalDomainError("left mode normalization lost (energy component != 1)")
     return SpectralFrame(ell=ell, g_minus=g_minus, jump=jump_vector(wave, lam))

@@ -218,13 +218,21 @@ class SteadyWave:
     """Steady strong-detonation wave: front-frame constants plus end states.
 
     m, rh_b, rh_c are the three Rankine-Hugoniot invariants of the reaction
-    zone; the gas state along the profile solves
+    zone; the gas state along the profile is the root u = center + sqrt(disc),
+    center = (Gamma+1) rh_b / (Gamma+2), of
 
-        (Gamma+2) u^2 - 2 (Gamma+1) rh_b u + 2 Gamma (rh_c - q Y) = 0
+        (Gamma+2) u^2 - 2 (Gamma+1) rh_b u + 2 Gamma (rh_c - q Y) = 0.
 
-    on the subsonic (compressive) branch.  discriminant_min is the minimum
-    over Y in [0, Y0] of the square-root argument; it vanishing means the
-    burned state is sonic (Chapman-Jouguet), which is rejected.
+    discriminant_min is disc at Y = 0, its minimum since q >= 0.
+
+    Invariant, asserted only by build_wave's check discriminant_min > 0 and
+    re-checked nowhere: both roots are negative (negative sum, positive
+    product), and for u < 0, |u| < c_s <=> u > center, as c_s^2 =
+    (Gamma+1)(rh_b u - u^2).  So every profile state is subsonic with u < 0
+    and A1 is invertible there (det f1_V = rho^2 u (u^2 - c_s^2)); u- + c- > 0,
+    so Re g_minus < 0 when Re lambda > 0; and the Neumann state is
+    compressive: the supersonic upstream state, the other root at Y = Y0,
+    has u+ < center < u_N.
     """
 
     config: GasWaveConfig
@@ -258,14 +266,10 @@ def _discriminant(cfg: GasWaveConfig, center: float, c: float, Ybar: float) -> f
 
 
 def _gas_state(cfg: GasWaveConfig, m: float, b: float, c: float, Ybar: float) -> tuple[float, float, float]:
-    """Subsonic-branch (rho, u, e) of the profile quadratic at reactant Ybar."""
+    """Subsonic-branch (rho, u, e) of the profile quadratic at reactant Ybar
+    (disc > 0 for a built wave: :class:`SteadyWave`)."""
     center = _branch_center(cfg, b)
-    disc = _discriminant(cfg, center, c, Ybar)
-    if disc <= 0.0:
-        raise ChapmanJouguetError(
-            f"square-root argument {disc:.3e} <= 0 at Y={Ybar:.6g}; wave not overdriven"
-        )
-    u = center + math.sqrt(disc)
+    u = center + math.sqrt(_discriminant(cfg, center, c, Ybar))
     rho = -m / u
     e = (b * u - u * u) / cfg.Gamma
     return rho, u, e
@@ -290,7 +294,8 @@ def sonic_heat_release(cfg: GasWaveConfig) -> float:
 def build_wave(config: GasWaveConfig) -> SteadyWave:
     """Solve the Rankine-Hugoniot relations and assemble the steady wave.
 
-    Raises :class:`ChapmanJouguetError` for sonic/underdriven data and
+    Raises :class:`ChapmanJouguetError` for sonic/underdriven data (the one
+    check of the subsonic branch, :class:`SteadyWave`) and
     :class:`InvalidIgnitionWindowError` when the profile temperatures do not
     respect the cutoff window (T ahead must not ignite, T behind must be
     fully ignited).
@@ -327,14 +332,6 @@ def build_wave(config: GasWaveConfig) -> SteadyWave:
         raise InvalidWaveError(
             f"upstream flow must be supersonic: |u+|={abs(up.u):.6g} <= c+={c_plus:.6g}"
         )
-    c_minus = math.sqrt(config.Gamma * (config.Gamma + 1.0) * e_b)
-    if not abs(u_b) < c_minus:
-        raise InvalidWaveError(
-            f"burned flow must be subsonic: |u-|={abs(u_b):.6g} >= c-={c_minus:.6g}"
-        )
-    # compression: density jumps up through the shock, so u rises toward 0
-    if not u_n > up.u:
-        raise InvalidWaveError("Neumann state is not compressive")
 
     T_plus = up.e / config.Cv
     if T_plus > config.Ti_low:
@@ -380,8 +377,6 @@ def profile_deriv(wave: SteadyWave, y: float) -> np.ndarray:
     dY = cfg.K * Ybar
     center = _branch_center(cfg, wave.rh_b)
     disc = _discriminant(cfg, center, wave.rh_c, Ybar)
-    if disc <= 0.0:
-        raise ChapmanJouguetError(f"sonic profile point at y={y!r}")
     u = center + math.sqrt(disc)
     du_dY = cfg.Gamma * cfg.q / ((cfg.Gamma + 2.0) * math.sqrt(disc))
     du = du_dY * dY
@@ -395,7 +390,7 @@ def sigma(wave: SteadyWave, y):
 
     ``y`` may be a number or an array of points y <= 0.  This is the closed
     form of :func:`profile_at` with ``rho = -m/u``, evaluated elementwise; the
-    discriminant is positive for every y <= 0 of a built wave.
+    discriminant is positive and u < 0 at every y <= 0 (:class:`SteadyWave`).
     """
     ys = np.asarray(y, dtype=float)
     if np.any(ys > 0.0):

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from zndevans.errors import NearCharacteristicError, NumericalDomainError
+from zndevans.errors import NumericalDomainError
 from zndevans.spectral import jacobians, stable_left_mode
 from zndevans.znd import GasWaveConfig, StateW, SteadyWave, fluxes
 
@@ -25,9 +25,8 @@ class BranchAmbiguityError(NumericalDomainError):
     """Eigenvalue branches of the limit matrix collide along a continuation path."""
 
     def __init__(self, lam: complex, message: str = ""):
+        super().__init__(message or f"eigenvalue branch ambiguity at lambda={lam:.6g}")
         self.lam = lam
-        msg = message or f"eigenvalue branch ambiguity at lambda={lam:.6g}"
-        super().__init__(msg)
 
 
 def finite_difference_check(state: StateW, cfg: GasWaveConfig, rel=1e-6) -> None:
@@ -61,7 +60,7 @@ def G_at_state(state: StateW, cfg: GasWaveConfig, lam: complex, reacting: bool) 
     if not reacting:
         C = np.zeros_like(C)
     if np.linalg.cond(A1) > _COND_LIMIT:
-        raise NearCharacteristicError(
+        raise NumericalDomainError(
             f"flux Jacobian condition number exceeds {_COND_LIMIT:g} at state "
             f"(rho={state.rho:.4g}, u={state.u:.4g}, e={state.e:.4g})"
         )

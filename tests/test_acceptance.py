@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_overdriven_config
+from conftest import RNG_SEED
 from oracles import kato_continuation, limit_G_minus, limit_G_plus, stable_left_eig
 from zndevans.errors import ChapmanJouguetError
 from zndevans.evans import duality_check, evans_erpenbeck, evans_lee_stewart, evans_neutral
@@ -33,9 +33,6 @@ from zndevans.znd import (
     sonic_heat_release,
 )
 
-RNG_SEED = 318979
-
-
 def report(criterion: int, ok: bool, detail: str) -> bool:
     print(f"[criterion {criterion}] {'PASS' if ok else 'FAIL'}: {detail}")
     return ok
@@ -48,12 +45,6 @@ def tables():
     t1_seconds = time.time() - t0
     t2 = reproduce_table(2, tol=1e-5, M=5.0)
     return t1, t2, t1_seconds
-
-
-@pytest.fixture(scope="module")
-def random_waves():
-    rng = np.random.default_rng(RNG_SEED)
-    return [build_wave(random_overdriven_config(rng)) for _ in range(5)]
 
 
 @pytest.fixture(scope="module")

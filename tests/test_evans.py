@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from zndevans import evans
+from zndevans import evans, spectral
 from zndevans.errors import (
     EvansOverflowError,
     MisselectedModeError,
@@ -212,6 +212,26 @@ class TestGuardErrorsNameLambda:
         with pytest.raises(MisselectedModeError) as info:
             evaluate(wave, 4.0 + 10.0j)
         self.check(info.value, 4.0 + 10.0j)
+
+    @pytest.mark.parametrize("lam", [0j, -1.0 + 0.5j], ids=["zero", "left-half-plane"])
+    def test_left_mode_domain(self, wave, lam):
+        with pytest.raises(NumericalDomainError) as info:
+            evaluate(wave, lam)
+        self.check(info.value, lam)
+
+    def test_frame_residual(self, wave, monkeypatch):
+        exact = spectral.stable_left_mode
+
+        def perturbed(wave_, lam):
+            ell, g = exact(wave_, lam)
+            ell = ell.copy()
+            ell[3] *= 1.0 + 1e-6
+            return ell, g
+
+        monkeypatch.setattr(spectral, "stable_left_mode", perturbed)
+        with pytest.raises(NumericalDomainError, match="left-eigenpair residual") as info:
+            evaluate(wave, 1.0 + 1.0j)
+        self.check(info.value, 1.0 + 1.0j)
 
 
 @pytest.fixture(scope="module", params=["default", "EA=20"])

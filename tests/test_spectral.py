@@ -19,7 +19,6 @@ from zndevans.errors import NumericalDomainError
 from zndevans.evans import METHODS, duality_check, evaluate
 from zndevans.spectral import (
     apply_A0,
-    check_noncharacteristic,
     coefficient_G,
     jacobians,
     jump_vector,
@@ -36,6 +35,7 @@ from zndevans.znd import (
     nonreactive_config,
     profile_at,
     reaction_psi,
+    sonic_heat_release,
     thermo,
 )
 
@@ -103,24 +103,6 @@ class TestClosedFormKernel:
                         np.linalg.norm(got_A0 - A0 @ z) / np.linalg.norm(A0 @ z),
                     )
         assert worst < 1e-12
-
-
-class TestNoncharacteristic:
-    def test_stagnation_fails(self):
-        cfg = default_config()
-        assert not check_noncharacteristic(StateW(1.0, 0.0, 2.0, 0.3), cfg)
-
-    def test_sonic_fails(self):
-        cfg = default_config()
-        e = 3.0
-        c_s = math.sqrt(cfg.Gamma * (cfg.Gamma + 1.0) * e)
-        assert not check_noncharacteristic(StateW(1.5, -c_s, e, 0.2), cfg)
-
-    def test_neumann_passes(self, wave):
-        assert check_noncharacteristic(wave.neumann, wave.config)
-
-    def test_burned_passes(self, wave):
-        assert check_noncharacteristic(wave.burned, wave.config)
 
 
 class TestCoefficientMatrix:
@@ -278,6 +260,34 @@ class TestStableLeftMode:
         with pytest.raises(NumericalDomainError, match="left-eigenpair residual"):
             make_frame(wave, 1.0 + 1.0j)
 
+    @pytest.mark.parametrize(
+        "q_frac, lam", [(None, 1.0 + 1e6j), (1.0 - 1e-6, 1.0 + 1.0j)], ids=["large-lambda", "near-sonic"]
+    )
+    def test_make_frame_bound_scales_with_g_minus(self, wave, monkeypatch, q_frac, lam):
+        # the residual is rounding on entries of size |g_minus|: an absolute
+        # 1e-10 rejects the exact pair in both cases, while a 1e-6 error in
+        # ell[1] still trips the scaled bound thousands of times over
+        import zndevans.spectral as spectral
+
+        if q_frac is not None:
+            wave = build_wave(replace(wave.config, q=q_frac * sonic_heat_release(wave.config)))
+        ell, g = stable_left_mode(wave, lam)
+        assert spectral._pair_residual(wave, lam, ell, g) > 1e-10
+        frame = make_frame(wave, lam)
+        assert np.array_equal(frame.ell, ell) and frame.g_minus == g
+
+        exact = spectral.stable_left_mode
+
+        def perturbed(wave_, lam_):
+            ell_, g_ = exact(wave_, lam_)
+            ell_ = ell_.copy()
+            ell_[1] *= 1.0 + 1e-6
+            return ell_, g_
+
+        monkeypatch.setattr(spectral, "stable_left_mode", perturbed)
+        with pytest.raises(NumericalDomainError, match="left-eigenpair residual"):
+            make_frame(wave, lam)
+
     def test_kernel_residual_matches_matrix_residual(self, wave):
         # the residual make_frame checks, taken from the adjoint kernel, is
         # ||ell G_minus - g ell|| / ||ell|| with G_minus as a matrix
@@ -290,6 +300,46 @@ class TestStableLeftMode:
             want = np.linalg.norm(ell @ G - g * ell) / np.linalg.norm(ell)
             assert want > 1e-9
             assert _pair_residual(wave, lam, ell, g) == pytest.approx(want, rel=1e-6)
+
+
+@pytest.fixture(scope="module")
+def invariant_waves(random_waves, shock):
+    """Random waves, the default wave at q = (1 - 10^-k) q_sonic for k = 1..7,
+    and the nonreactive shock."""
+    base = default_config()
+    q_sonic = sonic_heat_release(base)
+    near_sonic = [build_wave(replace(base, q=(1.0 - 10.0 ** -k) * q_sonic)) for k in range(1, 8)]
+    return random_waves + near_sonic + [shock]
+
+
+class TestSubsonicInvariant:
+    """build_wave's discriminant check is the only guard of the subsonic
+    branch; these are the consequences SteadyWave derives from it, which
+    nothing else re-checks."""
+
+    def test_profile_subsonic_and_compressive(self, invariant_waves):
+        for wave in invariant_waves:
+            ys = np.concatenate([[0.0], -np.geomspace(1e-4, wave.default_M, 40)])
+            for st_ in [profile_at(wave, y) for y in ys] + [wave.burned]:
+                assert st_.u < 0.0
+                assert abs(st_.u) < thermo(st_, wave.config)[2]
+            assert wave.neumann.u > wave.config.upstream.u
+
+    @pytest.mark.parametrize("lam", [1e-15, 1e-15j, 1j, 1.0 + 1.0j, 50.0 + 300.0j])
+    def test_left_mode_bounded(self, invariant_waves, lam):
+        for wave in invariant_waves:
+            ell, g = stable_left_mode(wave, lam)
+            assert abs(ell[3]) <= wave.config.q
+            if lam.real > 0.0:
+                assert g.real < 0.0
+
+    def test_tiny_lambda_at_steep_rate(self):
+        # K psi- is about 3e-83 here and the resolvent about 1e-15, yet
+        # ell[3] stays finite and bounded by q
+        wave = build_wave(replace(default_config(), EA=2000.0))
+        ell, g = stable_left_mode(wave, 1e-15)
+        assert np.all(np.isfinite(ell)) and abs(ell[3]) <= wave.config.q
+        assert g.real < 0.0
 
 
 class TestJumpVector:
