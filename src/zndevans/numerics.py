@@ -2,9 +2,13 @@
 
 The integrator is an embedded Dormand-Prince 5(4) pair with a proportional
 step controller and per-step mixed absolute/relative error norm.  Everything
-downstream runs through one step loop, ``_integrate``: profile-coordinate
+downstream runs through one integrator, ``_integrate``: profile-coordinate
 shooting by :func:`integrate_adaptive`, the model benchmark by
 :func:`integrate_adaptive_scaled`.  So mesh-point accounting lives here too.
+Its step loop is one template, ``_STEP_LOOP``, written out per component of
+the state: ``_step_loop(n)`` expands and compiles it for dimension ``n`` on
+first use, so the loop works on scalar locals.  Nothing is generated at
+import.
 
 Also here: winding numbers by the argument principle, adaptive contour
 refinement, and complex Newton iteration with finite-difference derivatives.
@@ -13,7 +17,11 @@ refinement, and complex Newton iteration with finite-difference derivatives.
 from __future__ import annotations
 
 import cmath
+import functools
+import linecache
 import math
+import operator
+import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -67,16 +75,25 @@ class OdeField:
     """First-order complex ODE system z' = eval(x, z) of fixed dimension.
 
     ``eval(x, z)`` takes a list of ``dimension`` Python complex numbers and
-    returns a sequence of ``dimension`` complex numbers, best a list: the
-    integrator steps on such lists and builds no array.
+    returns a sequence of ``dimension`` complex numbers, best a list.  The
+    integrator's step loop is written out for each dimension and built on
+    first use, so ``dimension`` must be a positive integer; the loop keeps
+    the components in scalar locals and builds no array.
     """
 
     dimension: int
     eval: Callable[[float, list], Sequence[complex]]
 
     def __post_init__(self):
-        if self.dimension <= 0:
+        try:
+            dimension = operator.index(self.dimension)
+        except TypeError:
+            raise ValueError(
+                f"OdeField dimension must be an integer, got {self.dimension!r}"
+            ) from None
+        if dimension <= 0:
             raise ValueError("OdeField dimension must be positive")
+        object.__setattr__(self, "dimension", dimension)
 
 
 @dataclass
@@ -92,6 +109,10 @@ class SolveStats:
     def mesh_points(self) -> int:
         """Accepted nodes including both endpoints."""
         return self.accepted_steps + 1
+
+
+def _slope_count_error(slopes, dimension: int) -> ValueError:
+    return ValueError(f"field returned {len(slopes)} slopes, expected {dimension}")
 
 
 def _integrate(
@@ -118,26 +139,14 @@ def _integrate(
     z = z.tolist()
 
     width = abs(x1 - x0)
-    direction = 1.0 if x1 > x0 else -1.0
     h_floor = _UNDERFLOW_FRACTION * width
     h_max = _HMAX_FRACTION * width
 
-    # the tableau as scalar locals; zero weights are left out of the sums
-    (_, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
-     (a61, a62, a63, a64, a65), (a71, _, a73, a74, a75, a76)) = _A
-    e1, _, e3, e4, e5, e6, e7 = _E
-    _, c2, c3, c4, c5, _, _ = _C
-    f = field.eval
-
-    x = x0
-    accepted = rejected = 0
-    pow2 = 0
-    k1 = f(x, z)
-    nfev = 1
+    k1 = field.eval(x0, z)
     if len(k1) != dimension:
-        raise ValueError(f"field returned {len(k1)} slopes, expected {dimension}")
+        raise _slope_count_error(k1, dimension)
     if not all(map(cmath.isfinite, k1)):
-        raise NonFiniteStateError(x)
+        raise NonFiniteStateError(x0)
 
     try:
         # max(|z|, threshold): the part of the error weight fixed within a step
@@ -145,12 +154,40 @@ def _integrate(
         # initial step from the scaled size of the first slope
         rh = max([abs(p) / s for p, s in zip(k1, z_scale)])
     except OverflowError:  # a modulus beyond double range
-        raise NonFiniteStateError(x) from None
+        raise NonFiniteStateError(x0) from None
     absh = h_max
     rh /= _SAFETY * rel_tol ** 0.2
     if absh * rh > 1.0:
         absh = max(1.0 / rh, h_floor)
 
+    return _step_loop(dimension)(
+        field, x0, x1, z, k1, z_scale, threshold, absh, rel_tol, h_floor, h_max, renormalize
+    )
+
+
+# The Dormand-Prince step loop, written for one component; _expand gives
+# its source for a dimension n.  The state, the seven slopes and the error
+# weights are scalar locals z0..z{n-1}, k1_0.., s0.., and an attempted step
+# builds no list but the argument of each field call.
+_STEP_LOOP = """
+def step_loop(field, x0, x1, z, k1, z_scale, threshold, absh, rel_tol, h_floor, h_max,
+              renormalize):
+    # the tableau as scalar locals; zero weights are left out of the sums
+    (_, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
+     (a61, a62, a63, a64, a65), (a71, _, a73, a74, a75, a76)) = _A
+    e1, _, e3, e4, e5, e6, e7 = _E
+    _, c2, c3, c4, c5, _, _ = _C
+    f = field.eval
+    {z@}, = z
+    {k1_@}, = k1
+    {s@}, = z_scale
+    {t@}, = threshold
+
+    direction = 1.0 if x1 > x0 else -1.0
+    x = x0
+    accepted = rejected = 0
+    pow2 = 0
+    nfev = 1
     while True:
         failed_this_step = False
         while True:
@@ -168,36 +205,48 @@ def _integrate(
             b51, b52, b53, b54 = h * a51, h * a52, h * a53, h * a54
             b61, b62, b63, b64, b65 = h * a61, h * a62, h * a63, h * a64, h * a65
             b71, b73, b74, b75, b76 = h * a71, h * a73, h * a74, h * a75, h * a76
-            k2 = f(x + c2 * h, [v + b21 * p1 for v, p1 in zip(z, k1)])
-            k3 = f(x + c3 * h, [v + (b31 * p1 + b32 * p2) for v, p1, p2 in zip(z, k1, k2)])
-            k4 = f(x + c4 * h, [
-                v + (b41 * p1 + b42 * p2 + b43 * p3) for v, p1, p2, p3 in zip(z, k1, k2, k3)
-            ])
-            k5 = f(x + c5 * h, [
-                v + (b51 * p1 + b52 * p2 + b53 * p3 + b54 * p4)
-                for v, p1, p2, p3, p4 in zip(z, k1, k2, k3, k4)
-            ])
-            k6 = f(x + h, [
-                v + (b61 * p1 + b62 * p2 + b63 * p3 + b64 * p4 + b65 * p5)
-                for v, p1, p2, p3, p4, p5 in zip(z, k1, k2, k3, k4, k5)
-            ])
-            z_new = [
-                v + (b71 * p1 + b73 * p3 + b74 * p4 + b75 * p5 + b76 * p6)
-                for v, p1, p3, p4, p5, p6 in zip(z, k1, k3, k4, k5, k6)
-            ]
-            k7 = f(x + h, z_new)
+            k = f(x + c2 * h, [{z@ + b21 * k1_@}])
+            try:
+                {k2_@}, = k
+            except ValueError:
+                raise _slope_count_error(k, field.dimension) from None
+            k = f(x + c3 * h, [{z@ + (b31 * k1_@ + b32 * k2_@)}])
+            try:
+                {k3_@}, = k
+            except ValueError:
+                raise _slope_count_error(k, field.dimension) from None
+            k = f(x + c4 * h, [{z@ + (b41 * k1_@ + b42 * k2_@ + b43 * k3_@)}])
+            try:
+                {k4_@}, = k
+            except ValueError:
+                raise _slope_count_error(k, field.dimension) from None
+            k = f(x + c5 * h, [{z@ + (b51 * k1_@ + b52 * k2_@ + b53 * k3_@ + b54 * k4_@)}])
+            try:
+                {k5_@}, = k
+            except ValueError:
+                raise _slope_count_error(k, field.dimension) from None
+            k = f(x + h, [{z@ + (b61 * k1_@ + b62 * k2_@ + b63 * k3_@ + b64 * k4_@ + b65 * k5_@)}])
+            try:
+                {k6_@}, = k
+            except ValueError:
+                raise _slope_count_error(k, field.dimension) from None
+            for @:
+                y@ = z@ + (b71 * k1_@ + b73 * k3_@ + b74 * k4_@ + b75 * k5_@ + b76 * k6_@)
+            k = f(x + h, [{y@}])
+            try:
+                {k7_@}, = k
+            except ValueError:
+                raise _slope_count_error(k, field.dimension) from None
             nfev += 6  # FSAL: six new slopes per attempt
 
-            # max_i |err_i| / max(|z_i|, |z_new_i|, threshold_i) in one pass;
+            # max_i |err_i| / max(|z_i|, |y_i|, threshold_i) in one pass;
             # a NaN ratio must win, so it is not left to max()
             err = 0.0
-            abs_new = []
             try:
-                for v, s, p1, p3, p4, p5, p6, p7 in zip(z_new, z_scale, k1, k3, k4, k5, k6, k7):
-                    m = abs(v)
-                    abs_new.append(m)
-                    r = abs(h * (e1 * p1 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * p7)) / (
-                        s if s >= m else m
+                for @:
+                    m@ = abs(y@)
+                    r = abs(h * (e1 * k1_@ + e3 * k3_@ + e4 * k4_@ + e5 * k5_@ + e6 * k6_@ + e7 * k7_@)) / (
+                        s@ if s@ >= m@ else m@
                     )
                     if r > err or r != r:
                         err = r
@@ -205,7 +254,7 @@ def _integrate(
                 err = math.inf
 
             if err <= rel_tol:  # False for NaN
-                zmax = max(abs_new)
+                zmax = max([{m@}])
                 if zmax < math.inf:
                     break
                 err = math.inf  # a component of the new state overflowed
@@ -226,18 +275,23 @@ def _integrate(
 
         accepted += 1
         x = x1 if at_end else x + h
-        z = z_new
-        k1 = k7
+        for @:
+            z@ = y@
+            k1_@ = k7_@
         if renormalize and zmax > _RENORM_LIMIT:
             shift = int(math.ceil(math.log2(zmax / _RENORM_TARGET)))
             factor = math.ldexp(1.0, -shift)
-            z = [v * factor for v in z]
-            k1 = [p * factor for p in k1]  # valid for linear fields only
+            for @:
+                z@ = z@ * factor
+            for @:
+                k1_@ = k1_@ * factor  # valid for linear fields only
             pow2 += shift
-            abs_new = [abs(v) for v in z]
+            for @:
+                m@ = abs(z@)
         if x == x1:
-            return np.array(z), SolveStats(accepted, rejected, nfev, (x0, x1)), pow2
-        z_scale = [m if m > t else t for m, t in zip(abs_new, threshold)]
+            return np.array([{z@}]), SolveStats(accepted, rejected, nfev, (x0, x1)), pow2
+        for @:
+            s@ = m@ if m@ > t@ else t@
         if not failed_this_step:
             # grow only if this step went through on the first try
             if err == 0.0:
@@ -248,6 +302,43 @@ def _integrate(
                 )
         if accepted + rejected >= _MAX_STEPS:
             raise StepSizeUnderflowError(x, h)
+"""
+
+
+def _expand(template: str, n: int) -> str:
+    """Source of ``template`` for dimension ``n``.  A ``{...}`` span becomes
+    its text once per component, joined by ", "; the body of a ``for @:``
+    line becomes its lines once per component.  ``@`` is the component."""
+
+    def each(text: str) -> list[str]:
+        return [text.replace("@", str(i)) for i in range(n)]
+
+    lines = re.sub(r"\{([^{}]*)\}", lambda m: ", ".join(each(m[1])), template).splitlines()
+    out = []
+    while lines:
+        line = lines.pop(0)
+        if line.strip() != "for @:":
+            out.append(line)
+            continue
+        body_indent = " " * (len(line) - len(line.lstrip()) + 4)
+        body = []
+        while lines and lines[0].startswith(body_indent):
+            body.append(lines.pop(0)[4:])
+        out.extend(each("\n".join(body)))
+    return "\n".join(out) + "\n"
+
+
+@functools.cache
+def _step_loop(n: int):
+    """The step loop for fields of dimension ``n``, built on first use."""
+    source = _expand(_STEP_LOOP, n)
+    filename = f"<numerics step loop, dimension {n}>"
+    # so that tracebacks formatted by the traceback module (pytest, logging)
+    # show the loop's source lines
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {}
+    exec(compile(source, filename, "exec"), globals(), namespace)
+    return namespace["step_loop"]
 
 
 def integrate_adaptive(

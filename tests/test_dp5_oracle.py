@@ -12,12 +12,15 @@ there is 1e-11.
 """
 
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zndevans import evans
+from zndevans import evans, numerics
 from zndevans.errors import NonFiniteStateError, StepSizeUnderflowError
 from zndevans.modelbench import ModelParams, model_field
 from zndevans.numerics import OdeField, integrate_adaptive, integrate_adaptive_scaled
@@ -232,9 +235,77 @@ class TestFailurePaths:
             integrate_adaptive(field, (0.0, 2.0), [1.0])
         assert info.value.x == pytest.approx(x_fail, abs=1e-9)
 
+    @pytest.mark.parametrize("bad_call", range(1, 9))
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_wrong_slope_count(self, bad_call, length):
+        # calls 2 to 7 are the six stages of the first attempt; from bad_call
+        # on, a dimension-2 field returns `length` slopes
+        calls = []
+
+        def rhs(x, z):
+            calls.append(x)
+            return [-z[0]] * length if len(calls) >= bad_call else [-v for v in z]
+
+        with pytest.raises(ValueError, match=f"field returned {length} slopes, expected 2"):
+            integrate_adaptive(OdeField(2, rhs), (0.0, 1.0), [1.0, 1.0])
+        assert len(calls) == bad_call
+
     def test_finite_time_blow_up(self):
         # z' = z^2, z(0) = 1 has the solution 1 / (1 - x)
         field = OdeField(dimension=1, eval=lambda x, z: [z[0] * z[0]])
         with pytest.raises(StepSizeUnderflowError) as info:
             integrate_adaptive(field, (0.0, 2.0), [1.0])
         assert info.value.x == pytest.approx(1.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("span", [(0.0, 1.0), (1.0, 0.0)], ids=["forward", "backward"])
+@pytest.mark.parametrize("renormalize", [False, True])
+def test_every_dimension_matches_reference(n, span, renormalize):
+    # The step loop is generated per dimension.  A diagonal linear field with
+    # distinct complex rates, some growing and some decaying along the span;
+    # they triple steeply but smoothly about x = 0.5, where some runs reject
+    # steps.  With renormalize on, the state starts near the renormalization
+    # limit so that the power-of-two path runs; with it off, at unit scale,
+    # where the per-component thresholds abs_tol / rel_tol (0.1 to 0.6) take
+    # part.
+    sign = span[1] - span[0]
+    rates = [sign * complex(10.0 - 3.0 * i, 2.0 + 5.0 * i) for i in range(n)]
+
+    def rhs(x, z):
+        g = 2.0 + math.tanh(40.0 * (x - 0.5))
+        return [g * r * v for r, v in zip(rates, z)]
+
+    field = OdeField(n, rhs)
+    scale = 1e199 if renormalize else 1.0
+    init = [scale * complex(1.0, 0.5 * i) for i in range(n)]
+    abs_tol = [1e-7 * (i + 1) for i in range(n)]
+    if renormalize:
+        z, pow2, stats = integrate_adaptive_scaled(field, span, init, 1e-6, abs_tol)
+        assert pow2 > 0
+    else:
+        z, stats = integrate_adaptive(field, span, init, 1e-6, abs_tol)
+        pow2 = 0
+    assert_matches_reference(z, pow2, stats, field, span, init, 1e-6, abs_tol, renormalize,
+                             1e-12)
+
+
+def test_step_loop_is_built_on_first_use_and_once():
+    # Nothing is generated at import or while building a wave; two
+    # integrations at one dimension build its loop once.  A fresh process,
+    # because this one's cache is filled by the other tests.
+    code = (
+        "from zndevans import numerics\n"
+        "from zndevans.znd import build_wave, default_config\n"
+        "build_wave(default_config())\n"
+        "print(numerics._step_loop.cache_info().currsize)\n"
+        "field = numerics.OdeField(2, lambda x, z: [-v for v in z])\n"
+        "for _ in range(2):\n"
+        "    numerics.integrate_adaptive(field, (0.0, 1.0), [1.0, 1.0])\n"
+        "info = numerics._step_loop.cache_info()\n"
+        "print(info.misses, info.hits)\n"
+    )
+    src = str(Path(numerics.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.splitlines() == ["0", "1 1"]

@@ -96,6 +96,15 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate_adaptive(CONSTANT, (0.0, 1.0), [1.0, 2.0])
 
+    @pytest.mark.parametrize("dimension", [2.0, "2", None, 0, -1])
+    def test_dimension_must_be_a_positive_integer(self, dimension):
+        with pytest.raises(ValueError, match="dimension must be"):
+            OdeField(dimension, lambda x, z: z)
+
+    def test_dimension_is_stored_as_int(self):
+        field = OdeField(np.int64(3), lambda x, z: z)
+        assert field.dimension == 3 and type(field.dimension) is int
+
 
 class TestWinding:
     def test_constant_samples(self):
