@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, NumericalDomainError
 from .evans import _resolve_M, duality_check, evaluate
-from .modelbench import reproduce_table, C_COLUMNS, LAMBDA_ROWS
+from .modelbench import DOMAIN_LENGTH, reproduce_table, C_COLUMNS, LAMBDA_ROWS
 from .numerics import SolveStats
 from .spectral import coefficient_G
 from .stability import count_unstable, sweep_roots
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="reproduce a model-problem efficiency table")
     common(p, config=False)
     p.add_argument("--table", type=int, required=True, help="1 (factored) or 2 (unfactored)")
-    p.set_defaults(fn=_cmd_bench, M=5.0)
+    p.set_defaults(fn=_cmd_bench, M=DOMAIN_LENGTH)
 
     return parser
 

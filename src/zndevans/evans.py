@@ -87,7 +87,7 @@ class EvansResult:
 
 def _resolve_M(wave: SteadyWave, M: float | None) -> float:
     if M is None:
-        return wave.default_M
+        return wave.M_y
     M = float(M)
     if not 0.0 < M < math.inf:  # also rejects NaN
         raise ValueError(f"M must be positive and finite, got {M}")

@@ -109,6 +109,7 @@ REFERENCE_COUNTS = {
 
 VARIANTS = ("factored", "unfactored")
 DIRECTIONS = ("forward", "backward")
+DOMAIN_LENGTH = 5.0  # default M of ModelParams, reproduce_table and `bench`
 
 # Absolute tolerance as a fraction of the relative one.  Calibrated once,
 # globally, against the reference mesh counts: the reference solver's error
@@ -123,7 +124,7 @@ class ModelParams:
 
     c_decay: float
     lam: complex
-    M: float = 5.0
+    M: float = DOMAIN_LENGTH
     tol: float = 1e-5
 
     def __post_init__(self):
@@ -309,7 +310,7 @@ class BenchTable:
         return failures
 
 
-def reproduce_table(which: int, tol: float = 1e-5, M: float = 5.0) -> BenchTable:
+def reproduce_table(which: int, tol: float = 1e-5, M: float = DOMAIN_LENGTH) -> BenchTable:
     """Run the full grid for table 1 (factored) or table 2 (unfactored)."""
     if which not in (1, 2):
         raise ValueError("table must be 1 or 2")

@@ -61,6 +61,7 @@ class GasWaveConfig:
     Ti_high  cutoff temperature above which the rate is exactly Arrhenius
     K        reaction rate constant (> 0, single species)
     Y0       unburned reactant mass fraction
+    eps_Y    reactant fraction, relative to Y0, at the truncation depth M_y
     upstream unburned state (rho, u, e) ahead of the shock, u < 0
     """
 
@@ -107,6 +108,8 @@ def _validate_config(cfg: GasWaveConfig) -> None:
     nonnegative("EA", cfg.EA)
     if not 0.0 <= cfg.Y0 <= 1.0:
         raise ConfigError(f"Y0 must lie in [0, 1], got {cfg.Y0!r}")
+    if not cfg.eps_Y < 1.0:
+        raise ConfigError(f"eps_Y must lie in (0, 1), got {cfg.eps_Y!r}")
     if not cfg.upstream.u < 0:
         raise ConfigError(
             f"upstream.u must be negative (right-moving front, steady frame), "
@@ -245,15 +248,12 @@ class SteadyWave:
 
     @property
     def M_y(self) -> float:
-        """Truncation depth: exp(K*(-M_y))*Y0 <= eps_Y."""
-        cfg = self.config
-        if cfg.Y0 == 0.0:
-            return 0.0
-        return math.log(cfg.Y0 / cfg.eps_Y) / cfg.K
+        """Truncation depth ln(1/eps_Y)/K, where Y = Y0 exp(K y) falls to eps_Y Y0.
 
-    @property
-    def default_M(self) -> float:
-        return max(self.M_y, 5.0)
+        Y0 = 0 gives a constant profile, which any depth serves.  No floor is
+        needed: test_acceptance checks that D is the same at M_y and M_y + 2.
+        """
+        return math.log(1.0 / self.config.eps_Y) / self.config.K
 
 
 def _branch_center(cfg: GasWaveConfig, b: float) -> float:
@@ -440,14 +440,13 @@ def x_of_y(wave: SteadyWave, y_grid: Sequence[float]) -> np.ndarray:
 
 
 def profile_table(wave: SteadyWave, n: int = 200) -> dict[str, np.ndarray]:
-    """Profile on a log-spaced y grid down to -max(M_y, 5); plot-ready columns.
+    """Profile on a log-spaced y grid down to -M_y; plot-ready columns.
 
     ``n >= 1`` rows; the first is the Neumann state at y = 0.
     """
     if n < 1:
         raise ValueError(f"number of profile rows must be at least 1, got {n}")
-    depth = wave.default_M
-    ys = np.concatenate([[0.0], -np.geomspace(depth * 1e-4, depth, n - 1)])
+    ys = np.concatenate([[0.0], -np.geomspace(wave.M_y * 1e-4, wave.M_y, n - 1)])
     xs = x_of_y(wave, ys)
     cols = {k: np.empty(n) for k in ("y", "x", "rho", "u", "e", "Y", "p", "T")}
     for i, y in enumerate(ys):

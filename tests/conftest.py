@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from zndevans.znd import (
     default_config,
     nonreactive_config,
     sonic_heat_release,
+    x_of_y,
 )
 
 
@@ -79,3 +83,24 @@ def random_waves():
     """Five random overdriven waves drawn with :func:`random_overdriven_config`."""
     rng = np.random.default_rng(RNG_SEED)
     return [build_wave(random_overdriven_config(rng)) for _ in range(5)]
+
+
+def lee_stewart_config(gamma: float, q: float, E: float, f: float) -> GasWaveConfig:
+    """Lee & Stewart's case (gamma, q, E, f) with rho0 = p0 = 1, in their units.
+
+    Exact mapping onto the one-step Arrhenius model: Gamma = gamma - 1,
+    EA = E gamma / (gamma - 1) (so the rate factor is exp(-E rho / p)), the
+    upstream state at rest moving in at sqrt(f) D_CJ, the ignition window
+    closed at the unburned temperature, and K rescaled so the half-reaction
+    length -x(-ln 2 / K) is 1 (lengths scale exactly as 1/K).
+    """
+    Gamma = gamma - 1.0
+    a = (gamma * gamma - 1.0) * q / 2.0
+    D_CJ = math.sqrt(gamma + a) + math.sqrt(a)
+    T_plus = 1.0 / Gamma
+    unit = GasWaveConfig(
+        Gamma=Gamma, Cv=1.0, q=q, EA=E * gamma / Gamma, Ti_low=T_plus, Ti_high=T_plus,
+        K=1.0, Y0=1.0, upstream=UpstreamState(rho=1.0, u=-math.sqrt(f) * D_CJ, e=T_plus),
+    )
+    half_length = -float(x_of_y(build_wave(unit), [0.0, -math.log(2.0)])[1])
+    return replace(unit, K=half_length)

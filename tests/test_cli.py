@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import lee_stewart_config
 from oracles import G_at_state
 from zndevans import cli, evans
 from zndevans.cli import main
@@ -102,6 +103,19 @@ class TestEvansCommand:
         assert rec["method"] == "neutral"
         assert rec["accepted_steps"] >= 1
         assert rec["manifest"].endswith(".manifest.json")
+
+    def test_lee_stewart_method_on_a_lee_stewart_wave_runs_at_M_y(self, tmp_path):
+        # LS(1.2, 50): K = 871, so M_y = 0.021; a depth of 5 broke this method
+        cfg = lee_stewart_config(1.2, 50.0, 50.0, 1.2)
+        path = tmp_path / "ls.json"
+        path.write_text(config_to_json(cfg))
+        out = tmp_path / "ev.json"
+        rc = main(["evans", "--config", str(path), "--lambda-re", "1", "--lambda-im", "1",
+                   "--method", "lee-stewart", "--out", str(out)])
+        assert rc == 0
+        rec = json.loads(out.read_text())
+        assert rec["method"] == "lee_stewart"
+        assert rec["M"] == build_wave(cfg).M_y
 
     def test_unknown_method_usage_error(self, cfg_path, tmp_path):
         with pytest.raises(SystemExit) as exc:

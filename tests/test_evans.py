@@ -150,8 +150,17 @@ class TestResultRecord:
 
     def test_stats_span(self, wave):
         r = evans_neutral(wave, 1.0 + 0.5j)
-        assert r.stats.span == (-wave.default_M, 0.0)
-        assert r.M == wave.default_M
+        assert r.stats.span == (-wave.M_y, 0.0)
+        assert r.M == wave.M_y
+
+    @pytest.mark.parametrize("Y0", [0.0, 1e-9, 1e-8])
+    def test_depth_positive_when_Y0_at_or_below_eps_Y(self, Y0):
+        # M_y is relative to Y0, so a reactant already below eps_Y still
+        # leaves a positive depth to integrate over
+        wave = build_wave(replace(default_config(), Y0=Y0))
+        assert wave.M_y > 0.0
+        D = evaluate(wave, 1.0 + 1.0j).D
+        assert np.isfinite(D.real) and np.isfinite(D.imag)
 
 
 @pytest.fixture(params=[StepSizeUnderflowError(-1.25, 3e-14), NonFiniteStateError(-1.25)],
@@ -272,7 +281,7 @@ class TestAdjointIsAnnihilator:
         from zndevans.spectral import jacobians, make_frame
         from zndevans.znd import profile_at, reaction_psi
 
-        M = wave.default_M
+        M = wave.M_y
         frame = make_frame(wave, lam)
         G_minus = limit_G_minus(wave, lam)
         gs, vecs = np.linalg.eig(G_minus)

@@ -85,7 +85,7 @@ class TestClosedFormKernel:
         for cfg in cfgs:
             wave = build_wave(cfg)
             # the burned state (Y = 0 exactly) is where make_frame checks ell
-            states = [profile_at(wave, y) for y in np.linspace(-wave.default_M, 0.0, 41)]
+            states = [profile_at(wave, y) for y in np.linspace(-wave.M_y, 0.0, 41)]
             for st_ in states + [wave.burned]:
                 A0, A1, C = jacobians(st_, cfg)
                 sig = wave.m / reaction_psi(st_, cfg)
@@ -319,7 +319,7 @@ class TestSubsonicInvariant:
 
     def test_profile_subsonic_and_compressive(self, invariant_waves):
         for wave in invariant_waves:
-            ys = np.concatenate([[0.0], -np.geomspace(1e-4, wave.default_M, 40)])
+            ys = np.concatenate([[0.0], -np.geomspace(1e-4, wave.M_y, 40)])
             for st_ in [profile_at(wave, y) for y in ys] + [wave.burned]:
                 assert st_.u < 0.0
                 assert abs(st_.u) < thermo(st_, wave.config)[2]

@@ -223,6 +223,16 @@ class TestBuildWave:
         with pytest.raises(ConfigError):
             replace(base, Ti_low=5.0, Ti_high=4.0)
 
+    @pytest.mark.parametrize("eps_Y", [1.0, 2.0])
+    def test_eps_Y_below_one(self, eps_Y):
+        # eps_Y >= 1 would put the truncation depth M_y at or behind the shock
+        with pytest.raises(ConfigError, match="eps_Y"):
+            replace(default_config(), eps_Y=eps_Y)
+        raw = json.loads(config_to_json(default_config()))
+        raw["eps_Y"] = eps_Y
+        with pytest.raises(ConfigError, match="eps_Y"):
+            config_from_json(json.dumps(raw))
+
     @pytest.mark.parametrize("name", ["q", "EA"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
     def test_heat_release_and_activation_energy_finite_nonnegative(self, name, value):
@@ -303,7 +313,7 @@ class TestXofY:
     def test_matches_adaptive_quadrature(self, EA):
         quad = pytest.importorskip("scipy.integrate").quad
         wave = build_wave(replace(default_config(), EA=EA))
-        ys = np.array([0.0, -0.01, -0.5, -2.0, -wave.default_M])
+        ys = np.array([0.0, -0.01, -0.5, -2.0, -wave.M_y])
         integrand = lambda s: wave.m / znd.reaction_psi(profile_at(wave, s), wave.config)
         ref = [quad(integrand, 0.0, y, epsabs=0.0, epsrel=1e-12, limit=200)[0] for y in ys]
         assert np.allclose(x_of_y(wave, ys), ref, rtol=1e-11, atol=0.0)
