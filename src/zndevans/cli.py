@@ -206,8 +206,6 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.table not in (1, 2):
-        raise ConfigError(f"table must be 1 or 2, got {args.table}")
     table = reproduce_table(args.table, tol=args.tol, M=args.M)
     rows = []
     for direction in ("forward", "backward"):

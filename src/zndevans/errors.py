@@ -82,8 +82,8 @@ class InvalidIgnitionWindowError(NumericalDomainError):
 
 
 class InvalidWaveError(NumericalDomainError):
-    """Wave or state breaks a structural check (rho, e > 0, supersonic upstream,
-    jump relations); the subsonic profile is :class:`zndevans.znd.SteadyWave`'s invariant."""
+    """Wave or state breaks a structural check (rho, e > 0, supersonic upstream);
+    the subsonic profile is :class:`zndevans.znd.SteadyWave`'s invariant."""
 
 
 class EvansOverflowError(NumericalDomainError):

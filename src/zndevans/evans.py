@@ -94,6 +94,17 @@ def _resolve_M(wave: SteadyWave, M: float | None) -> float:
     return M
 
 
+def _integrate(lam: complex, field: OdeField, span, init, tol: float, abs_tol):
+    """``integrate_adaptive``, its failures re-raised carrying ``lam``: every
+    integration in this module runs through here, however it is called."""
+    try:
+        return integrate_adaptive(field, span, init, rel_tol=tol, abs_tol=abs_tol)
+    except StepSizeUnderflowError as exc:
+        raise StepSizeUnderflowError(exc.x, exc.h, complex(lam)) from exc
+    except NonFiniteStateError as exc:
+        raise NonFiniteStateError(exc.x, complex(lam)) from exc
+
+
 def _adjoint_rhs(wave: SteadyWave, lam: complex, shift: complex):
     """dZ/dy = -sigma * ((G - shift I)^T) Z without forming G explicitly."""
     lam, shift = complex(lam), complex(shift)
@@ -130,7 +141,7 @@ def evans_neutral(
     M = _resolve_M(wave, M)
     frame = make_frame(wave, lam)
     field = OdeField(dimension=4, eval=_adjoint_rhs(wave, lam, frame.g_minus))
-    z, stats = integrate_adaptive(field, (-M, 0.0), frame.ell, rel_tol=tol, abs_tol=tol)
+    z, stats = _integrate(lam, field, (-M, 0.0), frame.ell, tol, tol)
     growth = float(np.linalg.norm(z) / np.linalg.norm(frame.ell))
     if not 1e-6 < growth < 1e6:
         raise MisselectedModeError(
@@ -187,9 +198,7 @@ def evans_erpenbeck(
     atol = np.full(5, tol)
     atol[:4] *= max(abs(prefactor), 1e-280)  # keep the tiny start under relative control
     init = np.concatenate([prefactor * frame.ell, [0.0]])
-    z, stats = integrate_adaptive(
-        OdeField(dimension=5, eval=rhs), (-M, 0.0), init, rel_tol=tol, abs_tol=atol
-    )
+    z, stats = _integrate(lam, OdeField(dimension=5, eval=rhs), (-M, 0.0), init, tol, atol)
     jump_F0_only = frame.jump - fluxes(wave.neumann, wave.config)[2]  # lam * [F0], no source term
     D = complex(z[4] + z[:4] @ jump_F0_only)
     return EvansResult(lam=complex(lam), D=D, method=METHOD_ERPENBECK, M=M, stats=stats)
@@ -212,7 +221,7 @@ def evans_lee_stewart(
     frame = make_frame(wave, lam)
     kappa = _edge_prefactor(wave, lam, frame, M)
     field = OdeField(dimension=4, eval=_forward_rhs(wave, lam))
-    z, stats = integrate_adaptive(field, (0.0, -M), frame.jump, rel_tol=tol, abs_tol=tol)
+    z, stats = _integrate(lam, field, (0.0, -M), frame.jump, tol, tol)
     D = complex(frame.ell @ z)
     return EvansResult(
         lam=complex(lam),
@@ -234,21 +243,15 @@ _EVALUATORS = {
 def evaluate(wave: SteadyWave, lam: complex, method: str = METHOD_NEUTRAL, **kw) -> EvansResult:
     """D(lam) by the named method.
 
-    An integrator failure is re-raised with ``lam`` attached, so a failing
-    contour or sweep names the frequency that failed;
-    :class:`MisselectedModeError` and :class:`EvansOverflowError` carry
-    ``lam`` from where they are raised.
+    Every numerical failure carries ``lam``: integrator errors from
+    :func:`_integrate`, :class:`MisselectedModeError` and
+    :class:`EvansOverflowError` from where they are raised.
     """
     try:
         fn = _EVALUATORS[method]
     except KeyError:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}") from None
-    try:
-        return fn(wave, lam, **kw)
-    except StepSizeUnderflowError as exc:
-        raise StepSizeUnderflowError(exc.x, exc.h, complex(lam)) from exc
-    except NonFiniteStateError as exc:
-        raise NonFiniteStateError(exc.x, complex(lam)) from exc
+    return fn(wave, lam, **kw)
 
 
 def duality_check(
@@ -279,7 +282,7 @@ def duality_check(
     z = prefactor * frame.ell
     z_adj[0] = z
     for i in range(n_grid - 1):
-        z, _ = integrate_adaptive(adjoint_field, (grid[i], grid[i + 1]), z, rel_tol=tol, abs_tol=atol)
+        z, _ = _integrate(lam, adjoint_field, (grid[i], grid[i + 1]), z, tol, atol)
         z_adj[i + 1] = z
 
     fwd_field = OdeField(dimension=4, eval=_forward_rhs(wave, lam))
@@ -287,7 +290,7 @@ def duality_check(
     z = frame.jump.astype(complex)
     z_fwd[n_grid - 1] = z
     for i in range(n_grid - 1, 0, -1):
-        z, _ = integrate_adaptive(fwd_field, (grid[i], grid[i - 1]), z, rel_tol=tol, abs_tol=tol)
+        z, _ = _integrate(lam, fwd_field, (grid[i], grid[i - 1]), z, tol, tol)
         z_fwd[i - 1] = z
 
     products = np.einsum("ij,ij->i", z_adj, z_fwd)

@@ -447,7 +447,9 @@ def winding_number(samples: Sequence[complex]) -> int:
     The samples are treated cyclically (a duplicated final sample is
     tolerated).  Raises :class:`ContourThroughRootError` on an exactly zero
     sample and :class:`UnderSampledContourError` when any consecutive phase
-    difference reaches pi/2, in which case the caller should refine.
+    difference reaches pi/2, in which case the caller should refine.  The
+    steps are the arguments of ratios whose product is exactly 1, so they sum
+    to 2 pi k up to rounding (about n eps turns): the rounded sum is k.
     """
     s = np.asarray(samples, dtype=complex)
     if s.size < 3:
@@ -463,13 +465,7 @@ def winding_number(samples: Sequence[complex]) -> int:
         raise UnderSampledContourError(
             f"phase step {worst:.3f} rad >= pi/2; refine the contour"
         )
-    total = float(np.sum(steps)) / (2.0 * np.pi)
-    nearest = round(total)
-    if abs(total - nearest) > 1e-6:
-        raise UnderSampledContourError(
-            f"accumulated argument {total:.3e} turns is not an integer"
-        )
-    return int(nearest)
+    return round(float(np.sum(steps)) / (2.0 * np.pi))
 
 
 def refine_contour(

@@ -222,7 +222,8 @@ def stable_left_mode(wave: SteadyWave, lam: complex) -> tuple[np.ndarray, comple
     in lambda; the reactant part is q K psi / r with the resolvent
     r = lambda (g0 - alpha g1) + K psi = lambda rho- c- / (u- + c-) + K psi,
     alpha = 1 / (u- + c-), g0 = rho- and g1 = rho- u-.  Re r >= K psi, so
-    |ell[3]| <= q, and r = 0 only at the excluded lambda = 0.
+    |ell[3]| <= q; r = 0 only at lambda = -K psi (u- + c-) / (rho- c-) < 0.
+    lambda = 0 is excluded as g_minus = 0 there (D's translation zero).
     """
     lam = complex(lam)
     if not cmath.isfinite(lam):

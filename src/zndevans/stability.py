@@ -74,6 +74,7 @@ def count_unstable(
     segments.  Samples are refined until every phase step is below pi/4; a
     sample magnitude under ``_FLOOR_REL`` (1e-10) times max|D| aborts with
     :class:`ContourThroughRootError` (perturb the radius and retry).
+    ``Contour.semicircle`` rejects a radius that is not positive (or NaN).
 
     Unnormalized methods are rescaled by their recorded analytic factor, so
     every method winds the same function; the factor is entire and
@@ -88,8 +89,6 @@ def count_unstable(
     its bisection midpoints are exact mirror images, so each conjugate pair
     costs one solve and ``n_evaluations`` is about half of ``n_samples``.
     """
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
     contour = Contour.semicircle(radius, 1e-4 * radius)
     solved: dict[complex, EvansResult] = {}  # upper-half lambda -> its solve
 

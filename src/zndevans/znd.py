@@ -33,7 +33,6 @@ from .errors import (
 )
 
 _EPS_CJ = 1e-10  # sonic-rejection threshold on the discriminant
-_CONSISTENCY_TOL = 1e-12
 # x_of_y: 20-point Gauss-Legendre panels, doubled until two successive
 # estimates agree to _QUAD_REL (a fixed panel count is not enough: at EA = 40
 # four panels are off by 5e-10 where eight are exact to rounding)
@@ -106,19 +105,20 @@ def _validate_config(cfg: GasWaveConfig) -> None:
     positive("eps_Y", cfg.eps_Y)
     nonnegative("q", cfg.q)
     nonnegative("EA", cfg.EA)
-    if not 0.0 <= cfg.Y0 <= 1.0:
+    # a str or None would make the bare comparisons below raise TypeError
+    number = (int, float)
+    if not (isinstance(cfg.Y0, number) and 0.0 <= cfg.Y0 <= 1.0):
         raise ConfigError(f"Y0 must lie in [0, 1], got {cfg.Y0!r}")
     if not cfg.eps_Y < 1.0:
         raise ConfigError(f"eps_Y must lie in (0, 1), got {cfg.eps_Y!r}")
-    if not cfg.upstream.u < 0:
+    if not (isinstance(cfg.upstream.u, number) and cfg.upstream.u < 0):
         raise ConfigError(
             f"upstream.u must be negative (right-moving front, steady frame), "
             f"got {cfg.upstream.u!r}"
         )
-    if not cfg.Ti_low <= cfg.Ti_high:
-        raise ConfigError(
-            f"need Ti_low <= Ti_high, got {cfg.Ti_low!r} > {cfg.Ti_high!r}"
-        )
+    if not (isinstance(cfg.Ti_low, number) and isinstance(cfg.Ti_high, number)
+            and cfg.Ti_low <= cfg.Ti_high):
+        raise ConfigError(f"need numbers Ti_low <= Ti_high, got {cfg.Ti_low!r}, {cfg.Ti_high!r}")
 
 
 def config_from_json(text: str) -> GasWaveConfig:
@@ -235,7 +235,8 @@ class SteadyWave:
     and A1 is invertible there (det f1_V = rho^2 u (u^2 - c_s^2)); u- + c- > 0,
     so Re g_minus < 0 when Re lambda > 0; and the Neumann state is
     compressive: the supersonic upstream state, the other root at Y = Y0,
-    has u+ < center < u_N.
+    has u+ < center < u_N.  T = e/Cv is smallest at an end state, as e =
+    u (rh_b - u) / Gamma is concave in u and u is monotone in Y (q >= 0).
     """
 
     config: GasWaveConfig
@@ -295,10 +296,9 @@ def build_wave(config: GasWaveConfig) -> SteadyWave:
     """Solve the Rankine-Hugoniot relations and assemble the steady wave.
 
     Raises :class:`ChapmanJouguetError` for sonic/underdriven data (the one
-    check of the subsonic branch, :class:`SteadyWave`) and
-    :class:`InvalidIgnitionWindowError` when the profile temperatures do not
-    respect the cutoff window (T ahead must not ignite, T behind must be
-    fully ignited).
+    check of the subsonic branch, :class:`SteadyWave`), :class:`InvalidWaveError`
+    for a subsonic upstream, and :class:`InvalidIgnitionWindowError` if the
+    upstream temperature exceeds Ti_low or min(T_N, T_b) falls below Ti_high.
     """
     up = config.upstream
     m = -up.rho * up.u
@@ -317,16 +317,6 @@ def build_wave(config: GasWaveConfig) -> SteadyWave:
     neumann = StateW(rho_n, u_n, e_n, config.Y0)
     burned = StateW(rho_b, u_b, e_b, 0.0)
 
-    # the same three invariants recomputed from the Neumann state must agree
-    m2 = -rho_n * u_n
-    b2 = u_n + config.Gamma * e_n / u_n
-    c2 = 0.5 * u_n ** 2 + (config.Gamma + 1.0) * e_n + config.q * config.Y0
-    for name, v1, v2 in (("m", m, m2), ("b", b, b2), ("c", c, c2)):
-        if abs(v1 - v2) > _CONSISTENCY_TOL * max(1.0, abs(v1)):
-            raise InvalidWaveError(
-                f"Rankine-Hugoniot constant {name} inconsistent: {v1!r} vs {v2!r}"
-            )
-
     c_plus = math.sqrt(config.Gamma * (config.Gamma + 1.0) * up.e)
     if not abs(up.u) > c_plus:
         raise InvalidWaveError(
@@ -340,8 +330,7 @@ def build_wave(config: GasWaveConfig) -> SteadyWave:
             f"{config.Ti_low:.6g}; the upstream gas would react"
         )
     if config.Y0 > 0.0:
-        ygrid = np.linspace(0.0, config.Y0, 64)
-        T_min = min(_gas_state(config, m, b, c, Y)[2] / config.Cv for Y in ygrid)
+        T_min = min(e_n, e_b) / config.Cv  # the profile's coldest point (SteadyWave)
         if T_min < config.Ti_high:
             raise InvalidIgnitionWindowError(
                 f"profile temperature falls to {T_min:.6g} < cutoff "
@@ -425,8 +414,6 @@ def _sigma_integral(wave: SteadyWave, a: float, b: float) -> float:
 def x_of_y(wave: SteadyWave, y_grid: Sequence[float]) -> np.ndarray:
     """Cumulative physical coordinate x on a descending y grid, x(0) = 0."""
     ys = np.asarray(y_grid, dtype=float)
-    if ys.size == 0:
-        return np.zeros(0)
     if np.any(ys > 0.0) or np.any(np.diff(ys) > 0.0):
         raise ValueError("y_grid must be nonpositive and sorted descending from 0")
     out = np.empty_like(ys)

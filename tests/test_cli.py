@@ -241,6 +241,12 @@ class TestBenchCommand:
         rc = main(["bench", "--table", "7", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    def test_table_3_rejected_by_reproduce_table(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["bench", "--table", "3", "--out", str(out)]) == 2
+        assert "table must be 1 or 2" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestManifestRecordsTheRun:
     def test_command_and_tol_are_the_parsed_argv(self, cfg_path, tmp_path):

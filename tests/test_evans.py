@@ -189,6 +189,14 @@ class TestIntegratorErrorsNameLambda:
             evaluate(wave, 1 + 2j, method=method)
         self.check(info.value, integrator_fails, 1 + 2j)
 
+    @pytest.mark.parametrize("fn", [evans_neutral, evans_erpenbeck, evans_lee_stewart,
+                                    duality_check])
+    def test_direct_call(self, wave, integrator_fails, fn):
+        # the re-raise sits under every integration, not in evaluate alone
+        with pytest.raises(NumericalDomainError) as info:
+            fn(wave, 1 + 2j)
+        self.check(info.value, integrator_fails, 1 + 2j)
+
     def test_count_unstable(self, wave, integrator_fails):
         with pytest.raises(NumericalDomainError) as info:
             count_unstable(wave, 2.0)

@@ -186,6 +186,12 @@ class TestRefine:
         with pytest.raises((ContourRefinementError, ContourThroughRootError)):
             refine_contour(lambda z: z - 1.0, contour, max_phase_step=np.pi / 8)
 
+    def test_root_next_to_contour_hits_depth_cap(self):
+        # no node lands on the root, so bisection runs until the cap stops it
+        contour = Contour.circle(0.0, 1.0, 8)
+        with pytest.raises(ContourRefinementError, match="depth cap"):
+            refine_contour(lambda z: z - (1.0 + 1e-9), contour, max_phase_step=np.pi / 8)
+
 
 class TestNewton:
     def test_linear(self):

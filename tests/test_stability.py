@@ -48,6 +48,12 @@ class TestCountUnstable:
         assert rec["n_evaluations"] == report.n_evaluations
         assert "semicircle" in rec["description"]
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
+    def test_bad_radius_rejected_before_any_solve(self, wave, monkeypatch, radius):
+        monkeypatch.setattr(stability, "evaluate", lambda *a, **k: pytest.fail("solved"))
+        with pytest.raises(ValueError, match="radius"):
+            count_unstable(wave, radius)
+
     def test_unknown_method_rejected(self, wave):
         with pytest.raises(ValueError, match="unknown method 'collocation'"):
             count_unstable(wave, 2.0, method="collocation")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_overdriven_config
+from conftest import lee_stewart_config, random_overdriven_config
 from zndevans import znd
 from zndevans.errors import (
     ChapmanJouguetError,
@@ -223,6 +223,24 @@ class TestBuildWave:
         with pytest.raises(ConfigError):
             replace(base, Ti_low=5.0, Ti_high=4.0)
 
+    @pytest.mark.parametrize("name, change", [
+        ("Y0", {"Y0": "x"}),
+        ("Ti_low", {"Ti_low": "x"}),
+        ("Ti_high", {"Ti_high": None}),
+        ("upstream.u", {"upstream": UpstreamState(1.0, "x", 1.0)}),
+    ])
+    def test_non_numeric_field_is_a_config_error(self, name, change):
+        with pytest.raises(ConfigError, match=name):
+            replace(default_config(), **change)
+
+    def test_subsonic_upstream_rejected(self):
+        cfg = default_config()
+        c_plus = math.sqrt(cfg.Gamma * (cfg.Gamma + 1.0) * cfg.upstream.e)
+        subsonic = replace(cfg, q=0.1, Ti_low=1.0, Ti_high=1.0,
+                           upstream=replace(cfg.upstream, u=-0.5 * c_plus))
+        with pytest.raises(InvalidWaveError, match="upstream flow must be supersonic"):
+            build_wave(subsonic)
+
     @pytest.mark.parametrize("eps_Y", [1.0, 2.0])
     def test_eps_Y_below_one(self, eps_Y):
         # eps_Y >= 1 would put the truncation depth M_y at or behind the shock
@@ -238,6 +256,22 @@ class TestBuildWave:
     def test_heat_release_and_activation_energy_finite_nonnegative(self, name, value):
         with pytest.raises(ConfigError, match=name):
             replace(default_config(), **{name: value})
+
+
+def profile_waves(random_waves):
+    ls = [build_wave(lee_stewart_config(1.2, 50.0, 50.0, f)) for f in (1.2, 1.6, 2.0)]
+    return random_waves + ls
+
+
+def test_profile_coldest_at_an_end_state(random_waves):
+    # build_wave checks Ti_high against min(T_N, T_b) alone: e = u (b - u) / Gamma
+    # is concave in u and u is monotone in Y, so no interior Y is colder
+    for wave in profile_waves(random_waves):
+        cfg = wave.config
+        T_end = min(wave.neumann.e, wave.burned.e) / cfg.Cv
+        for Y in np.linspace(0.0, cfg.Y0, 1000):
+            T = znd._gas_state(cfg, wave.m, wave.rh_b, wave.rh_c, Y)[2] / cfg.Cv
+            assert T >= T_end
 
 
 class TestProfile:
@@ -302,6 +336,10 @@ class TestXofY:
         ys = -np.linspace(0.0, 9.0, 40)
         xs = x_of_y(wave, ys)
         assert np.all(np.diff(xs) < 0.0)
+
+    def test_empty_grid(self, wave):
+        xs = x_of_y(wave, [])
+        assert xs.shape == (0,) and xs.dtype == float
 
     def test_bad_grid_rejected(self, wave):
         with pytest.raises(ValueError):
