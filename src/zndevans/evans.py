@@ -42,7 +42,7 @@ from .errors import (
     StepSizeUnderflowError,
 )
 from .numerics import OdeField, SolveStats, integrate_adaptive
-from .spectral import SpectralFrame, apply_A0, linearized_rhs, make_frame
+from .spectral import SpectralFrame, apply_A0, make_frame, rhs_kernel
 from .znd import SteadyWave, fluxes, profile_at, profile_deriv, x_of_y
 
 # Unused here, but perfbench/tracing.py wraps every layer by its name in this
@@ -105,22 +105,27 @@ def _integrate(lam: complex, field: OdeField, span, init, tol: float, abs_tol):
         raise NonFiniteStateError(exc.x, complex(lam)) from exc
 
 
+# Each RHS below builds its kernel once per solve and evaluates the profile
+# through this module's binding of profile_at (and profile_deriv) once per
+# call, so a tracer that wraps those bindings counts one of each per RHS call.
+
+
 def _adjoint_rhs(wave: SteadyWave, lam: complex, shift: complex):
     """dZ/dy = -sigma * ((G - shift I)^T) Z without forming G explicitly."""
-    lam, shift = complex(lam), complex(shift)
+    kernel = rhs_kernel(wave, complex(lam), complex(shift))
 
     def rhs(y: float, z: list) -> list:
-        return linearized_rhs(wave, profile_at(wave, y), lam, z, shift)
+        return kernel(profile_at(wave, y), z)
 
     return rhs
 
 
 def _forward_rhs(wave: SteadyWave, lam: complex):
     """dZ0/dy = sigma * G Z0 without forming G explicitly."""
-    lam = complex(lam)
+    kernel = rhs_kernel(wave, complex(lam), adjoint=False)
 
     def rhs(y: float, z: list) -> list:
-        return linearized_rhs(wave, profile_at(wave, y), lam, z, adjoint=False)
+        return kernel(profile_at(wave, y), z)
 
     return rhs
 
@@ -186,13 +191,14 @@ def evans_erpenbeck(
     frame = make_frame(wave, lam)
     prefactor = _edge_prefactor(wave, lam, frame, M)
     lam = complex(lam)
+    kernel = rhs_kernel(wave, lam)
 
     # components 0-3 are the adjoint, component 4 the running quadrature
     def rhs(y: float, z: list) -> list:
         state = profile_at(wave, y)
-        dz = linearized_rhs(wave, state, lam, z[:4])
-        dF0 = apply_A0(state, profile_deriv(wave, y).tolist())  # (F0 o profile)'
-        dz.append(lam * (z[0] * dF0[0] + z[1] * dF0[1] + z[2] * dF0[2] + z[3] * dF0[3]))
+        dz = kernel(state, z[:4])
+        d0, d1, d2, d3 = apply_A0(state, profile_deriv(wave, y))  # (F0 o profile)'
+        dz.append(lam * (z[0] * d0 + z[1] * d1 + z[2] * d2 + z[3] * d3))
         return dz
 
     atol = np.full(5, tol)

@@ -407,8 +407,8 @@ class Contour:
 
     @classmethod
     def circle(cls, center: complex, radius: float, n: int = 32) -> "Contour":
-        if radius <= 0.0:
-            raise ValueError("radius must be positive")
+        if not 0.0 < radius < math.inf:  # also rejects NaN
+            raise ValueError(f"radius must be positive and finite, got {radius!r}")
         theta = np.linspace(0.0, 2.0 * np.pi, n + 1)
         nodes = center + radius * np.exp(1j * theta)
         nodes[-1] = nodes[0]

@@ -8,10 +8,11 @@ where A0, A1 are the Jacobians of the conserved densities/fluxes and C the
 Jacobian of the reaction source, all in primitive variables W = (rho, u, e, Y).
 This module provides those Jacobians analytically, the closed-form,
 matrix-free application of G and of its adjoint that the shooting
-right-hand sides use (:func:`linearized_rhs`), G itself built column by
-column from that same kernel, the analytic stable left eigenpair
-(ell, g_minus) of the burned-end matrix, and the boundary jump vector that
-closes the stability determinant.
+right-hand sides use (:func:`rhs_kernel`, built once per solve and applied
+once per RHS evaluation; :func:`linearized_rhs` is its one-shot form), G
+itself built column by column from that same kernel, the analytic stable
+left eigenpair (ell, g_minus) of the burned-end matrix, and the boundary
+jump vector that closes the stability determinant.
 
 Nothing here re-checks that every profile state is subsonic with u < 0;
 that is the invariant of :class:`zndevans.znd.SteadyWave`.
@@ -89,34 +90,6 @@ def jacobians(state: StateW, cfg: GasWaveConfig) -> tuple[np.ndarray, np.ndarray
     return A0, A1, C
 
 
-def _gas_entries(rho: float, u: float, e: float, Gamma: float):
-    """Scalar entries of the 3x3 gas blocks of A0 and A1 at (rho, u, e).
-
-    Returns ``(E, f1)`` with E = e + u^2/2 and f1 the six entries of f1_V
-    below its first row, so that
-
-        f0_V = [[1, 0, 0], [u, rho, 0], [E, rho u, rho]]
-        f1_V = [[u, rho, 0], [f1[0], f1[1], f1[2]], [f1[3], f1[4], f1[5]]].
-
-    Takes scalars, not a state, because it sits on the per-RHS path: the
-    ideal-gas pressure p = Gamma rho e and its partials p_rho = Gamma e and
-    p_e = Gamma rho are formed here, as :func:`thermo` forms them.
-    """
-    p = Gamma * rho * e
-    p_rho = Gamma * e
-    p_e = Gamma * rho
-    E = e + 0.5 * u * u
-    f1 = (
-        u * u + p_rho,
-        2.0 * rho * u,
-        p_e,
-        (E + p_rho) * u,
-        rho * (e + 1.5 * u * u) + p,
-        (rho + p_e) * u,
-    )
-    return E, f1
-
-
 def apply_A0(state: StateW, v) -> list:
     """A0 v in closed form for four numbers v; a list."""
     rho, u, e, Y = state
@@ -129,78 +102,113 @@ def apply_A0(state: StateW, v) -> list:
     ]
 
 
-def linearized_rhs(
-    wave: SteadyWave, state: StateW, lam: complex, z, shift: complex = 0.0, adjoint: bool = True
-) -> list:
-    """dZ/dy of the linearized system at one profile state, in closed form.
+def rhs_kernel(wave: SteadyWave, lam: complex, shift: complex = 0.0, adjoint: bool = True):
+    """dZ/dy of the linearized system at fixed lambda, in closed form.
 
-    With ``sigma = dx/dy`` at ``state`` this is
+    Returns ``kernel(state, z)``: with ``sigma = dx/dy`` at the profile state
+    ``state`` it gives
 
         adjoint=True:   -sigma (A1^{-T} (-lam A0^T + C^T) - shift I) z
         adjoint=False:   sigma (-lam A0 + C) A1^{-1} z    (shift unused)
 
-    for the four complex numbers ``z``; the result is a list of four complex
-    numbers.  No matrix is built: C = (0, 0, q, -1)^T c
-    is rank one, so C^T z = (q z2 - z3) c, and A1's last column is
-    (0, 0, 0, rho u) with last row Y times its first row plus (0, 0, 0, rho u),
-    so the A1 solve is one division plus a 3x3 cofactor solve with f1_V.
+    for the four complex numbers ``z``, as a list of four complex numbers.
+    The wave's constants are read once, here; the shooting methods build one
+    kernel per solve and call it once per RHS evaluation.
 
-    The shooting methods call this once per RHS evaluation, so ``state`` is
-    unpacked once and the gas entries come from scalars.
+    No matrix is built.  Per call, one lambda-independent block forms the
+    gas entries of A0 and A1 from (rho, u, e) with the ideal-gas pressure
+    p = Gamma rho e (as :func:`thermo` does), the cofactors of A1's gas
+    block, sigma and the nonzero row of C; the adjoint or the forward apply
+    then combines it with ``lam`` and ``z``.  C = (0, 0, q, -1)^T c is rank
+    one, so C^T z = (q z2 - z3) c, and A1's last column is (0, 0, 0, rho u)
+    with last row Y times its first row plus (0, 0, 0, rho u), so the A1
+    solve is one division plus a 3x3 cofactor solve with the gas block
+    f1_V = [[u, rho, 0], [a10, a11, a12], [a20, a21, a22]].
     """
     cfg = wave.config
-    rho, u, e, Y = state
-    E, (a10, a11, a12, a20, a21, a22) = _gas_entries(rho, u, e, cfg.Gamma)
-    # cofactors k_ij of f1_V, whose first row is (u, rho, 0)
-    k00 = a11 * a22 - a12 * a21
-    k01 = a12 * a20 - a10 * a22
-    k02 = a10 * a21 - a11 * a20
-    k10 = -rho * a22
-    k11 = u * a22
-    k12 = rho * a20 - u * a21
-    k20 = rho * a12
-    k21 = -u * a12
-    k22 = u * a11 - rho * a10
-    det = u * k00 + rho * k01
-    rho_u = rho * u
+    Gamma, Cv, EA, R, K, q, m = cfg.Gamma, cfg.Cv, cfg.EA, cfg.gas_constant, cfg.K, cfg.q, wave.m
+    neg_EA, neg_lam = -EA, -lam
 
-    T = e / cfg.Cv
-    phi = arrhenius(T, cfg)
-    sig = wave.m / (rho * phi)
-    # the nonzero row of C (ignited branch), up to the factors q and -1
-    c0 = cfg.K * Y * phi
-    c2 = c0 * rho * cfg.EA / (cfg.gas_constant * T * T * cfg.Cv)
-    c3 = cfg.K * rho * phi
-    q = cfg.q
+    def kernel(state: StateW, z) -> list:
+        rho, u, e, Y = state
+        p = Gamma * rho * e
+        p_rho = Gamma * e
+        p_e = Gamma * rho
+        E = e + 0.5 * u * u
+        a10 = u * u + p_rho
+        a11 = 2.0 * rho * u
+        a12 = p_e
+        a20 = (E + p_rho) * u
+        a21 = rho * (e + 1.5 * u * u) + p
+        a22 = (rho + p_e) * u
+        # cofactors k_ij of f1_V
+        k00 = a11 * a22 - a12 * a21
+        k01 = a12 * a20 - a10 * a22
+        k02 = a10 * a21 - a11 * a20
+        k10 = -rho * a22
+        k11 = u * a22
+        k12 = rho * a20 - u * a21
+        k20 = rho * a12
+        k21 = -u * a12
+        k22 = u * a11 - rho * a10
+        det = u * k00 + rho * k01
+        rho_u = rho * u
 
-    z0, z1, z2, z3 = z
-    if adjoint:
-        s = q * z2 - z3
-        b0 = s * c0 - lam * (z0 + u * z1 + E * z2 + Y * z3)
-        b1 = -lam * rho * (z1 + u * z2)
-        b2 = s * c2 - lam * rho * z2
-        b3 = s * c3 - lam * rho * z3
-        w3 = b3 / rho_u
-        g = -sig / det
+        T = e / Cv
+        RT = R * T
+        phi = math.exp(neg_EA / RT)  # arrhenius, ignited branch
+        sig = m / (rho * phi)
+        # the nonzero row of C, up to the factors q and -1
+        c0 = K * Y * phi
+        c2 = c0 * rho * EA / (RT * T * Cv)
+        c3 = K * rho * phi
+
+        z0, z1, z2, z3 = z
+        if adjoint:
+            s = q * z2 - z3
+            b0 = s * c0 - lam * (z0 + u * z1 + E * z2 + Y * z3)
+            b1 = neg_lam * rho * (z1 + u * z2)
+            lam_rho = lam * rho
+            b2 = s * c2 - lam_rho * z2
+            b3 = s * c3 - lam_rho * z3
+            w3 = b3 / rho_u
+            g = -sig / det
+            sig_shift = sig * shift
+            return [
+                g * (k00 * b0 + k01 * b1 + k02 * b2) + sig * (Y * w3 + shift * z0),
+                g * (k10 * b0 + k11 * b1 + k12 * b2) + sig_shift * z1,
+                g * (k20 * b0 + k21 * b1 + k22 * b2) + sig_shift * z2,
+                sig * (shift * z3 - w3),
+            ]
+        v0 = (k00 * z0 + k10 * z1 + k20 * z2) / det
+        v1 = (k01 * z0 + k11 * z1 + k21 * z2) / det
+        v2 = (k02 * z0 + k12 * z1 + k22 * z2) / det
+        v3 = (z3 - Y * z0) / rho_u
+        s = c0 * v0 + c2 * v2 + c3 * v3
+        # A0 v as in apply_A0, from the block's E and rho u
+        neg_sig = -sig
+        neg_sig_lam = neg_sig * lam
         return [
-            g * (k00 * b0 + k01 * b1 + k02 * b2) + sig * (Y * w3 + shift * z0),
-            g * (k10 * b0 + k11 * b1 + k12 * b2) + sig * shift * z1,
-            g * (k20 * b0 + k21 * b1 + k22 * b2) + sig * shift * z2,
-            sig * (shift * z3 - w3),
+            neg_sig_lam * v0,
+            neg_sig_lam * (u * v0 + rho * v1),
+            sig * (q * s - lam * (E * v0 + rho_u * v1 + rho * v2)),
+            neg_sig * (s + lam * (Y * v0 + rho * v3)),
         ]
-    v0 = (k00 * z0 + k10 * z1 + k20 * z2) / det
-    v1 = (k01 * z0 + k11 * z1 + k21 * z2) / det
-    v2 = (k02 * z0 + k12 * z1 + k22 * z2) / det
-    v3 = (z3 - Y * z0) / rho_u
-    s = c0 * v0 + c2 * v2 + c3 * v3
-    a0, a1, a2, a3 = apply_A0(state, (v0, v1, v2, v3))
-    return [-sig * lam * a0, -sig * lam * a1, sig * (q * s - lam * a2), -sig * (s + lam * a3)]
+
+    return kernel
+
+
+def linearized_rhs(
+    wave: SteadyWave, state: StateW, lam: complex, z, shift: complex = 0.0, adjoint: bool = True
+) -> list:
+    """One-shot :func:`rhs_kernel`: ``rhs_kernel(wave, lam, shift, adjoint)(state, z)``."""
+    return rhs_kernel(wave, lam, shift, adjoint)(state, z)
 
 
 def coefficient_G(wave: SteadyWave, lam: complex, y: float) -> np.ndarray:
     """G(lambda, y) at the profile state (ignited side, y <= 0).
 
-    Column j is :func:`linearized_rhs` (forward) applied to e_j, divided by
+    Column j is the forward :func:`rhs_kernel` applied to e_j, divided by
     sigma = dx/dy, so this matrix is the operator the shooting methods apply.
     A1 is invertible at every profile state (:class:`zndevans.znd.SteadyWave`).
     """
@@ -208,7 +216,8 @@ def coefficient_G(wave: SteadyWave, lam: complex, y: float) -> np.ndarray:
     if not cmath.isfinite(lam):
         raise ValueError(f"lambda must be finite, got {lam!r}")
     state = profile_at(wave, y)
-    columns = [linearized_rhs(wave, state, lam, e, adjoint=False) for e in np.eye(4).tolist()]
+    kernel = rhs_kernel(wave, lam, adjoint=False)
+    columns = [kernel(state, e) for e in np.eye(4).tolist()]
     return np.array(columns).T / (wave.m / reaction_psi(state, wave.config))
 
 

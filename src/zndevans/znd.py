@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -226,7 +227,9 @@ class SteadyWave:
 
         (Gamma+2) u^2 - 2 (Gamma+1) rh_b u + 2 Gamma (rh_c - q Y) = 0.
 
-    discriminant_min is disc at Y = 0, its minimum since q >= 0.
+    discriminant_min is disc at Y = 0, its minimum since q >= 0.  The end
+    states are profile states: ``neumann`` at y = 0 (Y = Y0) and ``burned``
+    at y = -inf (Y = 0).
 
     Invariant, asserted only by build_wave's check discriminant_min > 0 and
     re-checked nowhere: both roots are negative (negative sum, positive
@@ -243,8 +246,6 @@ class SteadyWave:
     m: float
     rh_b: float
     rh_c: float
-    neumann: StateW
-    burned: StateW
     discriminant_min: float
 
     @property
@@ -256,6 +257,26 @@ class SteadyWave:
         """
         return math.log(1.0 / self.config.eps_Y) / self.config.K
 
+    @cached_property
+    def neumann(self) -> StateW:
+        """The state just behind the shock, :func:`profile_at` y = 0."""
+        return profile_at(self, 0.0)
+
+    @cached_property
+    def burned(self) -> StateW:
+        """The reactant-free end state, :func:`profile_at` y = -inf."""
+        return profile_at(self, -math.inf)
+
+    @cached_property
+    def _branch(self) -> tuple:
+        """Per-wave constants of the profile quadratic, in the order
+        :func:`profile_at` and :func:`profile_deriv` unpack them:
+        (K, Y0, Gamma, 2 Gamma, Gamma + 2, q, m, rh_b, rh_c, center, center^2)."""
+        cfg = self.config
+        center = _branch_center(cfg, self.rh_b)
+        return (cfg.K, cfg.Y0, cfg.Gamma, 2.0 * cfg.Gamma, cfg.Gamma + 2.0, cfg.q,
+                self.m, self.rh_b, self.rh_c, center, center * center)
+
 
 def _branch_center(cfg: GasWaveConfig, b: float) -> float:
     return (cfg.Gamma + 1.0) / (cfg.Gamma + 2.0) * b
@@ -264,16 +285,6 @@ def _branch_center(cfg: GasWaveConfig, b: float) -> float:
 def _discriminant(cfg: GasWaveConfig, center: float, c: float, Ybar: float) -> float:
     """Square-root argument of the profile quadratic; center = _branch_center(cfg, b)."""
     return center * center + 2.0 * cfg.Gamma * (cfg.q * Ybar - c) / (cfg.Gamma + 2.0)
-
-
-def _gas_state(cfg: GasWaveConfig, m: float, b: float, c: float, Ybar: float) -> tuple[float, float, float]:
-    """Subsonic-branch (rho, u, e) of the profile quadratic at reactant Ybar
-    (disc > 0 for a built wave: :class:`SteadyWave`)."""
-    center = _branch_center(cfg, b)
-    u = center + math.sqrt(_discriminant(cfg, center, c, Ybar))
-    rho = -m / u
-    e = (b * u - u * u) / cfg.Gamma
-    return rho, u, e
 
 
 def sonic_heat_release(cfg: GasWaveConfig) -> float:
@@ -312,11 +323,6 @@ def build_wave(config: GasWaveConfig) -> SteadyWave:
             "Chapman-Jouguet or underdriven; only overdriven waves are supported"
         )
 
-    rho_n, u_n, e_n = _gas_state(config, m, b, c, config.Y0)
-    rho_b, u_b, e_b = _gas_state(config, m, b, c, 0.0)
-    neumann = StateW(rho_n, u_n, e_n, config.Y0)
-    burned = StateW(rho_b, u_b, e_b, 0.0)
-
     c_plus = math.sqrt(config.Gamma * (config.Gamma + 1.0) * up.e)
     if not abs(up.u) > c_plus:
         raise InvalidWaveError(
@@ -329,49 +335,42 @@ def build_wave(config: GasWaveConfig) -> SteadyWave:
             f"unburned temperature {T_plus:.6g} exceeds ignition threshold "
             f"{config.Ti_low:.6g}; the upstream gas would react"
         )
+    wave = SteadyWave(config=config, m=m, rh_b=b, rh_c=c, discriminant_min=disc_min)
     if config.Y0 > 0.0:
-        T_min = min(e_n, e_b) / config.Cv  # the profile's coldest point (SteadyWave)
+        # the profile's coldest point (SteadyWave)
+        T_min = min(wave.neumann.e, wave.burned.e) / config.Cv
         if T_min < config.Ti_high:
             raise InvalidIgnitionWindowError(
                 f"profile temperature falls to {T_min:.6g} < cutoff "
                 f"{config.Ti_high:.6g}; the reaction zone would quench"
             )
-
-    return SteadyWave(
-        config=config,
-        m=m,
-        rh_b=b,
-        rh_c=c,
-        neumann=neumann,
-        burned=burned,
-        discriminant_min=disc_min,
-    )
+    return wave
 
 
 def profile_at(wave: SteadyWave, y: float) -> StateW:
-    """Closed-form profile state at reaction coordinate y <= 0."""
+    """Closed-form profile state at reaction coordinate y <= 0: the subsonic
+    root of :class:`SteadyWave`'s quadratic, with rho = -m/u and
+    e = u (rh_b - u) / Gamma.  The one evaluation of that root for numbers;
+    :func:`sigma` is its array form."""
     if y > 0.0:
         raise ValueError(f"profile is defined for y <= 0, got {y!r}")
-    cfg = wave.config
-    Ybar = math.exp(cfg.K * y) * cfg.Y0
-    rho, u, e = _gas_state(cfg, wave.m, wave.rh_b, wave.rh_c, Ybar)
-    return StateW(rho, u, e, Ybar)
+    K, Y0, Gamma, two_Gamma, Gamma_plus_2, q, m, b, c, center, center_sq = wave._branch
+    Ybar = math.exp(K * y) * Y0
+    u = center + math.sqrt(center_sq + two_Gamma * (q * Ybar - c) / Gamma_plus_2)
+    return StateW(-m / u, u, (b * u - u * u) / Gamma, Ybar)
 
 
-def profile_deriv(wave: SteadyWave, y: float) -> np.ndarray:
-    """d/dy of the primitive profile (rho, u, e, Y), differentiated through
-    the quadratic-formula branch (no finite differences)."""
-    cfg = wave.config
-    Ybar = math.exp(cfg.K * y) * cfg.Y0
-    dY = cfg.K * Ybar
-    center = _branch_center(cfg, wave.rh_b)
-    disc = _discriminant(cfg, center, wave.rh_c, Ybar)
-    u = center + math.sqrt(disc)
-    du_dY = cfg.Gamma * cfg.q / ((cfg.Gamma + 2.0) * math.sqrt(disc))
-    du = du_dY * dY
-    drho = wave.m / (u * u) * du
-    de = (wave.rh_b - 2.0 * u) / cfg.Gamma * du
-    return np.array([drho, du, de, dY])
+def profile_deriv(wave: SteadyWave, y: float) -> tuple[float, float, float, float]:
+    """d/dy of the primitive profile (rho, u, e, Y), a 4-tuple, differentiated
+    through the quadratic-formula branch of :func:`profile_at` (no finite
+    differences)."""
+    K, Y0, Gamma, two_Gamma, Gamma_plus_2, q, m, b, c, center, center_sq = wave._branch
+    Ybar = math.exp(K * y) * Y0
+    dY = K * Ybar
+    root = math.sqrt(center_sq + two_Gamma * (q * Ybar - c) / Gamma_plus_2)
+    u = center + root
+    du = Gamma * q / (Gamma_plus_2 * root) * dY
+    return m / (u * u) * du, du, (b - 2.0 * u) / Gamma * du, dY
 
 
 def sigma(wave: SteadyWave, y):

@@ -1,11 +1,13 @@
 """Matrix-based reference computations the tests compare the library against.
 
 The library applies the linearized operator only through the closed-form
-kernel :func:`zndevans.spectral.linearized_rhs`.  The oracles here build the
+kernel :func:`zndevans.spectral.rhs_kernel`.  The oracles here build the
 same operator the textbook way, from the Jacobian matrices of
 :func:`zndevans.spectral.jacobians` and a LAPACK solve, and cross-check the
 analytic stable left mode with an eigensolver and a Kato-ODE continuation.
-They lie on no result path.
+The profile is evaluated term by term from the config, as a reference for
+the per-wave constants :func:`zndevans.znd.profile_at` reads.  They lie on
+no result path.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 
 import numpy as np
 
+from zndevans import znd
 from zndevans.errors import NumericalDomainError
 from zndevans.spectral import jacobians, stable_left_mode
 from zndevans.znd import GasWaveConfig, StateW, SteadyWave, fluxes
@@ -158,3 +161,24 @@ def kato_continuation(wave: SteadyWave, lambda_path) -> list[np.ndarray]:
             lam = lam + h
         out.append(v.copy())
     return out
+
+
+def gas_state(cfg: GasWaveConfig, m: float, b: float, c: float, Ybar: float) -> tuple[float, float, float]:
+    """Subsonic-branch (rho, u, e) of the profile quadratic at reactant Ybar,
+    formed from the config term by term; :func:`zndevans.znd.profile_at`
+    evaluates the same root from per-wave constants."""
+    center = znd._branch_center(cfg, b)
+    u = center + math.sqrt(znd._discriminant(cfg, center, c, Ybar))
+    return -m / u, u, (b * u - u * u) / cfg.Gamma
+
+
+def gas_state_deriv(wave: SteadyWave, Ybar: float) -> tuple[float, float, float, float]:
+    """d/dy of (rho, u, e, Y) at reactant Ybar through the same branch,
+    term by term; the reference for :func:`zndevans.znd.profile_deriv`."""
+    cfg = wave.config
+    dY = cfg.K * Ybar
+    center = znd._branch_center(cfg, wave.rh_b)
+    disc = znd._discriminant(cfg, center, wave.rh_c, Ybar)
+    u = center + math.sqrt(disc)
+    du = cfg.Gamma * cfg.q / ((cfg.Gamma + 2.0) * math.sqrt(disc)) * dY
+    return wave.m / (u * u) * du, du, (wave.rh_b - 2.0 * u) / cfg.Gamma * du, dY

@@ -163,6 +163,22 @@ class TestResultRecord:
         assert np.isfinite(D.real) and np.isfinite(D.imag)
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_one_profile_evaluation_per_rhs_call(wave, monkeypatch, method):
+    # the benchmark's tracer counts profile evaluations by wrapping evans'
+    # bindings of profile_at and profile_deriv, and reads one of each per RHS
+    # call (profile_deriv only for Erpenbeck)
+    calls = {"profile_at": 0, "profile_deriv": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(evans, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(evans, name, counted)
+    n = evaluate(wave, 1.0 + 1.0j, method=method).stats.rhs_evaluations
+    assert n > 0
+    assert calls == {"profile_at": n, "profile_deriv": n if method == "erpenbeck" else 0}
+
+
 @pytest.fixture(params=[StepSizeUnderflowError(-1.25, 3e-14), NonFiniteStateError(-1.25)],
                 ids=["underflow", "nonfinite"])
 def integrator_fails(request, monkeypatch):

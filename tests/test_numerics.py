@@ -244,6 +244,11 @@ class TestContour:
         assert c.nodes[0] == c.nodes[-1]
         assert len(c.nodes) == 17
 
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -1.0])
+    def test_circle_bad_radius_named(self, radius):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            Contour.circle(0.0, radius)
+
     def test_semicircle_geometry(self):
         c = Contour.semicircle(2.0, 0.01, n_arc=32, n_side=16)
         assert c.nodes[0] == c.nodes[-1]

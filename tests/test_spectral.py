@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_overdriven_config
+from conftest import lee_stewart_config, random_overdriven_config
 from oracles import (
     BranchAmbiguityError,
     finite_difference_check,
@@ -25,6 +25,7 @@ from zndevans.spectral import (
     left_mode_residual,
     linearized_rhs,
     make_frame,
+    rhs_kernel,
     stable_left_mode,
 )
 from zndevans.znd import (
@@ -103,6 +104,23 @@ class TestClosedFormKernel:
                         np.linalg.norm(got_A0 - A0 @ z) / np.linalg.norm(A0 @ z),
                     )
         assert worst < 1e-12
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [default_config(), nonreactive_config(), lee_stewart_config(1.2, 50.0, 50.0, 1.6)],
+    ids=["default", "nonreactive", "LS(1.6,50)"],
+)
+def test_kernel_built_once_equals_one_shot(cfg, rng):
+    # one kernel serves a whole solve: reused over 50 profile states it must
+    # give what a kernel built for each state gives, bit for bit
+    wave = build_wave(cfg)
+    states = [profile_at(wave, y) for y in np.linspace(-wave.M_y, 0.0, 50).tolist()]
+    for lam, shift, adjoint in ((1 + 1j, 0.0, True), (0.1 + 30j, -0.4 + 0.2j, True), (4 + 10j, 0.0, False)):
+        kernel = rhs_kernel(wave, lam, shift, adjoint)
+        for st_ in states:
+            z = (rng.standard_normal(4) + 1j * rng.standard_normal(4)).tolist()
+            assert kernel(st_, z) == linearized_rhs(wave, st_, lam, z, shift, adjoint)
 
 
 class TestCoefficientMatrix:

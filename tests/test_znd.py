@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import lee_stewart_config, random_overdriven_config
+from oracles import gas_state, gas_state_deriv
 from zndevans import znd
 from zndevans.errors import (
     ChapmanJouguetError,
@@ -270,7 +271,7 @@ def test_profile_coldest_at_an_end_state(random_waves):
         cfg = wave.config
         T_end = min(wave.neumann.e, wave.burned.e) / cfg.Cv
         for Y in np.linspace(0.0, cfg.Y0, 1000):
-            T = znd._gas_state(cfg, wave.m, wave.rh_b, wave.rh_c, Y)[2] / cfg.Cv
+            T = gas_state(cfg, wave.m, wave.rh_b, wave.rh_c, Y)[2] / cfg.Cv
             assert T >= T_end
 
 
@@ -320,6 +321,24 @@ class TestProfile:
             an = profile_deriv(wave, y)
             # FD differences of the ~O(1) state floor out near 1e-10 absolute
             assert np.allclose(an, fd, rtol=1e-5, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [default_config(), nonreactive_config(), lee_stewart_config(1.2, 50.0, 50.0, 1.6)],
+    ids=["default", "nonreactive", "LS(1.6,50)"],
+)
+def test_profile_equals_term_by_term_branch(cfg):
+    # profile_at and profile_deriv read per-wave constants; they must give the
+    # root and its derivative formed from the config bit for bit
+    wave = build_wave(cfg)
+    args = (cfg, wave.m, wave.rh_b, wave.rh_c)
+    assert wave.neumann == (*gas_state(*args, cfg.Y0), cfg.Y0)
+    assert wave.burned == (*gas_state(*args, 0.0), 0.0)
+    for y in np.linspace(-wave.M_y, 0.0, 50).tolist():
+        Ybar = math.exp(cfg.K * y) * cfg.Y0
+        assert profile_at(wave, y) == (*gas_state(*args, Ybar), Ybar)
+        assert profile_deriv(wave, y) == gas_state_deriv(wave, Ybar)
 
 
 class TestXofY:
