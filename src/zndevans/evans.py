@@ -42,7 +42,7 @@ from .errors import (
     StepSizeUnderflowError,
 )
 from .numerics import OdeField, SolveStats, integrate_adaptive
-from .spectral import SpectralFrame, apply_A0, make_frame, rhs_kernel
+from .spectral import SpectralFrame, make_frame, rhs_kernel
 from .znd import SteadyWave, fluxes, profile_at, profile_deriv, x_of_y
 
 # Unused here, but perfbench/tracing.py wraps every layer by its name in this
@@ -193,12 +193,17 @@ def evans_erpenbeck(
     lam = complex(lam)
     kernel = rhs_kernel(wave, lam)
 
-    # components 0-3 are the adjoint, component 4 the running quadrature
+    # components 0-3 are the adjoint, component 4 the running quadrature of
+    # lam z . (F0 o profile)' = lam z . A0 (profile)', A0 of spectral.jacobians
     def rhs(y: float, z: list) -> list:
         state = profile_at(wave, y)
-        dz = kernel(state, z[:4])
-        d0, d1, d2, d3 = apply_A0(state, profile_deriv(wave, y))  # (F0 o profile)'
-        dz.append(lam * (z[0] * d0 + z[1] * d1 + z[2] * d2 + z[3] * d3))
+        rho, u, e, Y = state
+        z0, z1, z2, z3, _ = z
+        dz = kernel(state, (z0, z1, z2, z3))
+        v0, v1, v2, v3 = profile_deriv(wave, y)
+        dz.append(lam * (z0 * v0 + z1 * (u * v0 + rho * v1)
+                         + z2 * ((e + 0.5 * u * u) * v0 + rho * u * v1 + rho * v2)
+                         + z3 * (Y * v0 + rho * v3)))
         return dz
 
     atol = np.full(5, tol)

@@ -90,18 +90,6 @@ def jacobians(state: StateW, cfg: GasWaveConfig) -> tuple[np.ndarray, np.ndarray
     return A0, A1, C
 
 
-def apply_A0(state: StateW, v) -> list:
-    """A0 v in closed form for four numbers v; a list."""
-    rho, u, e, Y = state
-    v0, v1, v2, v3 = v
-    return [
-        v0,
-        u * v0 + rho * v1,
-        (e + 0.5 * u * u) * v0 + rho * u * v1 + rho * v2,
-        Y * v0 + rho * v3,
-    ]
-
-
 def rhs_kernel(wave: SteadyWave, lam: complex, shift: complex = 0.0, adjoint: bool = True):
     """dZ/dy of the linearized system at fixed lambda, in closed form.
 
@@ -185,7 +173,7 @@ def rhs_kernel(wave: SteadyWave, lam: complex, shift: complex = 0.0, adjoint: bo
         v2 = (k02 * z0 + k12 * z1 + k22 * z2) / det
         v3 = (z3 - Y * z0) / rho_u
         s = c0 * v0 + c2 * v2 + c3 * v3
-        # A0 v as in apply_A0, from the block's E and rho u
+        # A0 v, A0 of jacobians, from the block's E and rho u
         neg_sig = -sig
         neg_sig_lam = neg_sig * lam
         return [

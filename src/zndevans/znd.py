@@ -162,7 +162,10 @@ class StateW(_PrimitiveFields):
     """Primitive state (rho, u, e, Y); Y is the reactant mass fraction.
 
     An immutable tuple: ``rho, u, e, Y = state`` unpacks it.  Construction
-    rejects rho <= 0 and e <= 0 (and NaN in either).
+    rejects rho <= 0 and e <= 0 (and NaN in either).  :func:`profile_at`
+    builds its states with ``tuple.__new__`` and skips the check: it cannot
+    fire there, as :class:`SteadyWave`'s invariant gives rho, e > 0 at
+    every y <= 0, and it was about half of each profile evaluation.
     """
 
     __slots__ = ()
@@ -351,19 +354,22 @@ def profile_at(wave: SteadyWave, y: float) -> StateW:
     """Closed-form profile state at reaction coordinate y <= 0: the subsonic
     root of :class:`SteadyWave`'s quadratic, with rho = -m/u and
     e = u (rh_b - u) / Gamma.  The one evaluation of that root for numbers;
-    :func:`sigma` is its array form."""
-    if y > 0.0:
+    :func:`sigma` is its array form.  The state skips :class:`StateW`'s
+    check (see there); NaN and +inf are refused here by name."""
+    if not y <= 0.0:
         raise ValueError(f"profile is defined for y <= 0, got {y!r}")
     K, Y0, Gamma, two_Gamma, Gamma_plus_2, q, m, b, c, center, center_sq = wave._branch
     Ybar = math.exp(K * y) * Y0
     u = center + math.sqrt(center_sq + two_Gamma * (q * Ybar - c) / Gamma_plus_2)
-    return StateW(-m / u, u, (b * u - u * u) / Gamma, Ybar)
+    return tuple.__new__(StateW, (-m / u, u, (b * u - u * u) / Gamma, Ybar))
 
 
 def profile_deriv(wave: SteadyWave, y: float) -> tuple[float, float, float, float]:
     """d/dy of the primitive profile (rho, u, e, Y), a 4-tuple, differentiated
     through the quadratic-formula branch of :func:`profile_at` (no finite
-    differences)."""
+    differences), on the same domain y <= 0."""
+    if not y <= 0.0:
+        raise ValueError(f"profile is defined for y <= 0, got {y!r}")
     K, Y0, Gamma, two_Gamma, Gamma_plus_2, q, m, b, c, center, center_sq = wave._branch
     Ybar = math.exp(K * y) * Y0
     dY = K * Ybar

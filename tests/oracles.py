@@ -57,6 +57,20 @@ def finite_difference_check(state: StateW, cfg: GasWaveConfig, rel=1e-6) -> None
             )
 
 
+def apply_A0(state: StateW, v) -> list:
+    """A0 v in closed form for four numbers v; a list.  The reference for the
+    A0 products that :func:`zndevans.spectral.rhs_kernel` and Erpenbeck's
+    field form inline."""
+    rho, u, e, Y = state
+    v0, v1, v2, v3 = v
+    return [
+        v0,
+        u * v0 + rho * v1,
+        (e + 0.5 * u * u) * v0 + rho * u * v1 + rho * v2,
+        Y * v0 + rho * v3,
+    ]
+
+
 def G_at_state(state: StateW, cfg: GasWaveConfig, lam: complex, reacting: bool) -> np.ndarray:
     """G = (-lam A0 + C) A1^{-1} from the Jacobian matrices (C = 0 if not reacting)."""
     A0, A1, C = jacobians(state, cfg)

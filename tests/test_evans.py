@@ -3,6 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import lee_stewart_config
+from oracles import apply_A0
 from zndevans import evans, spectral
 from zndevans.errors import (
     EvansOverflowError,
@@ -22,7 +24,13 @@ from zndevans.evans import (
 from zndevans.numerics import Contour
 from zndevans.spectral import jump_vector, stable_left_mode
 from zndevans.stability import count_unstable
-from zndevans.znd import build_wave, default_config
+from zndevans.znd import (
+    build_wave,
+    default_config,
+    nonreactive_config,
+    profile_at,
+    profile_deriv,
+)
 
 
 class TestConstantCoefficient:
@@ -177,6 +185,51 @@ def test_one_profile_evaluation_per_rhs_call(wave, monkeypatch, method):
     n = evaluate(wave, 1.0 + 1.0j, method=method).stats.rhs_evaluations
     assert n > 0
     assert calls == {"profile_at": n, "profile_deriv": n if method == "erpenbeck" else 0}
+
+
+def oracle_erpenbeck_field(wave, lam):
+    """Erpenbeck's field with the quadrature row built from apply_A0."""
+    kernel = spectral.rhs_kernel(wave, lam)
+
+    def rhs(y, z):
+        state = profile_at(wave, y)
+        dz = kernel(state, z[:4])
+        d0, d1, d2, d3 = apply_A0(state, profile_deriv(wave, y))
+        dz.append(lam * (z[0] * d0 + z[1] * d1 + z[2] * d2 + z[3] * d3))
+        return dz
+
+    return rhs
+
+
+class _Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [default_config(), nonreactive_config(), lee_stewart_config(1.2, 50.0, 50.0, 1.6)],
+    ids=["default", "nonreactive", "LS(1.6,50)"],
+)
+def test_erpenbeck_field_equals_apply_A0_oracle(cfg, monkeypatch, rng):
+    # the field forms lam z . A0 (profile)' inline; it must give what
+    # apply_A0 followed by the dot gives, bit for bit
+    wave = build_wave(cfg)
+    fields = []
+
+    def capture(field, *args, **kwargs):
+        fields.append(field)
+        raise _Captured
+
+    monkeypatch.setattr(evans, "integrate_adaptive", capture)
+    for lam in (1.0 + 1.0j, 0.1 + 30.0j):
+        with pytest.raises(_Captured):
+            evans_erpenbeck(wave, lam)
+        field = fields.pop()
+        assert field.dimension == 5
+        oracle = oracle_erpenbeck_field(wave, lam)
+        for y in np.linspace(-wave.M_y, 0.0, 50).tolist():
+            z = (rng.standard_normal(5) + 1j * rng.standard_normal(5)).tolist()
+            assert field.eval(y, z) == oracle(y, z)
 
 
 @pytest.fixture(params=[StepSizeUnderflowError(-1.25, 3e-14), NonFiniteStateError(-1.25)],

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import lee_stewart_config
 from zndevans.evans import METHODS, evaluate
+from zndevans.numerics import newton_root
 from zndevans.stability import count_unstable
 from zndevans.znd import build_wave
 
@@ -42,3 +43,16 @@ def test_methods_agree_at_one_plus_i(ls_waves):
     neutral = values[0]
     for other in values[1:]:
         assert abs(other - neutral) <= 1e-7 * abs(neutral)
+
+
+def test_root_pinned(ls_waves):
+    # the unstable pair of LS(1.6, 50): every method converges to the same root
+    wave = ls_waves[1.6, 50.0]
+    root = 0.125326848 + 0.885358023j
+    found = []
+    for method in METHODS:
+        z = newton_root(lambda lam: evaluate(wave, lam, method=method, tol=1e-10).D,
+                        0.12 + 0.88j)
+        assert abs(z - root) <= 1e-7, (method, z)
+        found.append(z)
+    assert max(abs(a - b) for a in found for b in found) <= 1e-7, found

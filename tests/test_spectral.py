@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import lee_stewart_config, random_overdriven_config
 from oracles import (
     BranchAmbiguityError,
+    apply_A0,
     finite_difference_check,
     kato_continuation,
     limit_G_minus,
@@ -18,7 +19,6 @@ from oracles import (
 from zndevans.errors import NumericalDomainError
 from zndevans.evans import METHODS, duality_check, evaluate
 from zndevans.spectral import (
-    apply_A0,
     coefficient_G,
     jacobians,
     jump_vector,

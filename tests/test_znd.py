@@ -264,6 +264,28 @@ def profile_waves(random_waves):
     return random_waves + ls
 
 
+def test_profile_state_is_a_checked_StateW(wave, shock, random_waves):
+    # profile_at skips StateW's check; the state it returns must be the one
+    # the checked constructor builds from the same numbers
+    for w in [wave, shock] + profile_waves(random_waves):
+        for y in [0.0, -math.inf] + (-np.geomspace(1e-6, w.M_y, 200)).tolist():
+            st_ = profile_at(w, y)
+            assert type(st_) is StateW
+            assert StateW(*st_) == st_
+
+
+@pytest.mark.parametrize("fn", [profile_at, profile_deriv])
+@pytest.mark.parametrize("y", [math.nan, math.inf, 1.0])
+def test_profile_outside_its_domain_named(wave, fn, y):
+    with pytest.raises(ValueError, match=rf"y <= 0, got {y!r}"):
+        fn(wave, y)
+
+
+def test_profile_at_minus_infinity_is_burned(wave):
+    assert profile_at(wave, -math.inf) == wave.burned
+    assert profile_deriv(wave, -math.inf) == (0.0, 0.0, 0.0, 0.0)
+
+
 def test_profile_coldest_at_an_end_state(random_waves):
     # build_wave checks Ti_high against min(T_N, T_b) alone: e = u (b - u) / Gamma
     # is concave in u and u is monotone in Y, so no interior Y is colder
