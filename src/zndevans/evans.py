@@ -21,6 +21,15 @@ Methods:
 * ``evans_lee_stewart`` backward from the boundary jump; error modes grow,
   which is the classical conditioning weakness near roots.
 
+The left end y = -M is where the reactant has fallen to eps_Y of Y0.  All
+three methods take their burned-end data there from
+:func:`zndevans.spectral.burned_start`: the factored adjoint's start
+zeta(-M) = ell + w, the stable left mode plus its first-order correction
+(K I - A_inf) w = A(-M) ell, which the forward methods integrate from and
+Lee-Stewart pairs with; and, for Erpenbeck, the leading-order tail of the
+quadrature over (-inf, -M], which the running quadrature starts from.  The
+truncation error is then of order eps_Y^2 rather than eps_Y.
+
 Normalizations are chosen so neutral and Erpenbeck values coincide up to
 truncation error; the Lee-Stewart value differs by the recorded analytic
 scalar ``kappa_to_neutral``.
@@ -42,7 +51,7 @@ from .errors import (
     StepSizeUnderflowError,
 )
 from .numerics import OdeField, SolveStats, integrate_adaptive
-from .spectral import SpectralFrame, make_frame, rhs_kernel
+from .spectral import SpectralFrame, burned_start, make_frame, rhs_kernel
 from .znd import SteadyWave, fluxes, profile_at, profile_deriv, x_of_y
 
 # Unused here, but perfbench/tracing.py wraps every layer by its name in this
@@ -139,15 +148,17 @@ def evans_neutral(
     """Forward adjoint shooting with the asymptotic decay factored out.
 
     Integrates dZ/dy = -sigma(y) (G(y) - g_minus I)^T Z from y=-M with
-    Z(-M) = ell(lambda); the factoring makes the tracked solution neutral at
-    the burned end, so the value at y=0 is O(1) and independent of M up to
-    truncation error.  Returns D = Z(0) . jump.
+    Z(-M) = zeta(-M), the corrected stable left mode of
+    :func:`zndevans.spectral.burned_start`; the factoring makes the tracked
+    solution neutral at the burned end, so the value at y=0 is O(1) and
+    independent of M up to truncation error.  Returns D = Z(0) . jump.
     """
     M = _resolve_M(wave, M)
     frame = make_frame(wave, lam)
+    zeta, _ = burned_start(wave, lam, frame, M)
     field = OdeField(dimension=4, eval=_adjoint_rhs(wave, lam, frame.g_minus))
-    z, stats = _integrate(lam, field, (-M, 0.0), frame.ell, tol, tol)
-    growth = float(np.linalg.norm(z) / np.linalg.norm(frame.ell))
+    z, stats = _integrate(lam, field, (-M, 0.0), zeta, tol, tol)
+    growth = float(np.linalg.norm(z) / np.linalg.norm(zeta))
     if not 1e-6 < growth < 1e6:
         raise MisselectedModeError(
             f"factored adjoint magnitude changed by {growth:.3e}: either the "
@@ -184,12 +195,16 @@ def evans_erpenbeck(
     The state is augmented with the integral of lambda * Z . (F0 o profile)'
     so the one adaptive controller bounds ODE and quadrature error together;
     the determinant is that integral plus the pure-jump boundary term.  The
-    initial data carry the prefactor exp(-g_minus x(-M)), which makes the
-    returned value coincide with the neutral one (kappa = 1).
+    adjoint starts from prefactor * zeta(-M) and the quadrature from
+    prefactor times the closed-form integral of its leading-order tail over
+    (-inf, -M] (both from :func:`zndevans.spectral.burned_start`), with the
+    prefactor exp(-g_minus x(-M)), which makes the returned value coincide
+    with the neutral one (kappa = 1).
     """
     M = _resolve_M(wave, M)
     frame = make_frame(wave, lam)
     prefactor = _edge_prefactor(wave, lam, frame, M)
+    zeta, tail = burned_start(wave, lam, frame, M)
     lam = complex(lam)
     kernel = rhs_kernel(wave, lam)
 
@@ -208,7 +223,7 @@ def evans_erpenbeck(
 
     atol = np.full(5, tol)
     atol[:4] *= max(abs(prefactor), 1e-280)  # keep the tiny start under relative control
-    init = np.concatenate([prefactor * frame.ell, [0.0]])
+    init = np.concatenate([prefactor * zeta, [prefactor * tail]])
     z, stats = _integrate(lam, OdeField(dimension=5, eval=rhs), (-M, 0.0), init, tol, atol)
     jump_F0_only = frame.jump - fluxes(wave.neumann, wave.config)[2]  # lam * [F0], no source term
     D = complex(z[4] + z[:4] @ jump_F0_only)
@@ -224,16 +239,19 @@ def evans_lee_stewart(
     """Backward shooting of the forward eigenvalue system from the jump data.
 
     Integrates dZ0/dy = sigma(y) G(y) Z0 from Z0(0) = jump down to y=-M and
-    pairs with the analytic left mode: D = ell . Z0(-M).  Error modes grow
-    along the way, which is this method's classical weakness; the value
-    relates to the neutral one through kappa_to_neutral = exp(-g_minus x(-M)).
+    pairs with the corrected left mode of
+    :func:`zndevans.spectral.burned_start`: D = zeta(-M) . Z0(-M).  Error
+    modes grow along the way, which is this method's classical weakness; the
+    value relates to the neutral one through
+    kappa_to_neutral = exp(-g_minus x(-M)).
     """
     M = _resolve_M(wave, M)
     frame = make_frame(wave, lam)
     kappa = _edge_prefactor(wave, lam, frame, M)
     field = OdeField(dimension=4, eval=_forward_rhs(wave, lam))
     z, stats = _integrate(lam, field, (0.0, -M), frame.jump, tol, tol)
-    D = complex(frame.ell @ z)
+    zeta, _ = burned_start(wave, lam, frame, M)
+    D = complex(zeta @ z)
     return EvansResult(
         lam=complex(lam),
         D=D,

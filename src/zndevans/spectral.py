@@ -11,8 +11,10 @@ matrix-free application of G and of its adjoint that the shooting
 right-hand sides use (:func:`rhs_kernel`, built once per solve and applied
 once per RHS evaluation; :func:`linearized_rhs` is its one-shot form), G
 itself built column by column from that same kernel, the analytic stable
-left eigenpair (ell, g_minus) of the burned-end matrix, and the boundary
-jump vector that closes the stability determinant.
+left eigenpair (ell, g_minus) of the burned-end matrix, its first-order
+correction at the truncation depth that every shooting method starts from
+(:func:`burned_start`), and the boundary jump vector that closes the
+stability determinant.
 
 Nothing here re-checks that every profile state is subsonic with u < 0;
 that is the invariant of :class:`zndevans.znd.SteadyWave`.
@@ -34,6 +36,7 @@ from .znd import (
     arrhenius,
     fluxes,
     profile_at,
+    profile_deriv,
     reaction_psi,
     thermo,
 )
@@ -307,3 +310,61 @@ def make_frame(wave: SteadyWave, lam: complex) -> SpectralFrame:
             f"left-eigenpair residual {residual:.3e} > {bound:.3e}", complex(lam)
         )
     return SpectralFrame(ell=ell, g_minus=g_minus, jump=jump_vector(wave, lam))
+
+
+def _cross(a, b) -> tuple:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def burned_start(
+    wave: SteadyWave, lam: complex, frame: SpectralFrame, M: float
+) -> tuple[np.ndarray, complex]:
+    """Start data at y = -M of every shooting method: ``(zeta, tail)``.
+
+    Near the burned end the factored adjoint field of the neutral method is
+    A(y) = A_inf + O(Y), A_inf the :func:`rhs_kernel` with shift g_minus at
+    ``wave.burned``, and A_inf ell = 0.  Its solution bounded as y -> -inf is
+    ell + w exp(K (y + M)) + O(Y(-M)^2), where
+
+        (K I - A_inf) w = F,   F = A(-M) ell,
+
+    so ``zeta = ell + w`` leaves a truncation error of order eps_Y^2, not
+    eps_Y (the first-order asymptotic boundary condition of Lentini & Keller,
+    SIAM J. Numer. Anal. 1980).  Y = 0 at the burned end, so A_inf's
+    reactant column is (0, 0, 0, a33): w's gas part comes from a 3x3
+    cofactor solve and w[3] from one division.  The eigenvalues of
+    K I - A_inf are K and K + sigma_inf (mu - g_minus) for the other
+    burned-end modes mu, all with real part >= K when Re lambda >= 0.
+
+    ``tail`` is the integral over (-inf, -M] of Erpenbeck's quadrature
+    integrand lam Z . A0 (profile)' in the neutral normalization, to the same
+    order: there Z = exp(-g_minus (x - x(-M))) zeta and the profile
+    derivative falls as exp(K y), so the integrand at -M is divided by
+    K - g_minus sigma_inf, sigma_inf = m / psi(burned), whose real part is
+    >= K.  The profile at -M is evaluated through this module's bindings of
+    profile_at and profile_deriv, so evans' bindings still see exactly one
+    evaluation per RHS call.
+    """
+    lam = complex(lam)
+    K = wave.config.K
+    kernel = rhs_kernel(wave, lam, frame.g_minus)
+    state = profile_at(wave, -M)
+    F = kernel(state, frame.ell.tolist())
+    # columns of A_inf, then the rows of K I - A_inf
+    a = [kernel(wave.burned, e) for e in np.eye(4).tolist()]
+    rows = [[(K if i == j else 0.0) - a[j][i] for j in range(3)] for i in range(3)]
+    # the inverse of the gas block has the columns r1 x r2, r2 x r0, r0 x r1 over det
+    inv_cols = [_cross(rows[1], rows[2]), _cross(rows[2], rows[0]), _cross(rows[0], rows[1])]
+    det = sum(r * c for r, c in zip(rows[0], inv_cols[0]))
+    w = [sum(F[j] * inv_cols[j][i] for j in range(3)) / det for i in range(3)]
+    w.append((F[3] + a[2][3] * w[2]) / (K - a[3][3]))
+    zeta = frame.ell + np.array(w)
+
+    rho, u, e, Y = state
+    v0, v1, v2, v3 = profile_deriv(wave, -M)
+    z0, z1, z2, z3 = zeta.tolist()
+    integrand = lam * (z0 * v0 + z1 * (u * v0 + rho * v1)
+                       + z2 * ((e + 0.5 * u * u) * v0 + rho * u * v1 + rho * v2)
+                       + z3 * (Y * v0 + rho * v3))
+    sigma_inf = wave.m / reaction_psi(wave.burned, wave.config)
+    return zeta, integrand / (K - frame.g_minus * sigma_inf)

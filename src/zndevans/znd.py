@@ -61,7 +61,8 @@ class GasWaveConfig:
     Ti_high  cutoff temperature above which the rate is exactly Arrhenius
     K        reaction rate constant (> 0, single species)
     Y0       unburned reactant mass fraction
-    eps_Y    reactant fraction, relative to Y0, at the truncation depth M_y
+    eps_Y    reactant fraction, relative to Y0, at the truncation depth M_y;
+             the shooting methods' truncation error is of order eps_Y^2
     upstream unburned state (rho, u, e) ahead of the shock, u < 0
     """
 
@@ -74,7 +75,7 @@ class GasWaveConfig:
     K: float
     Y0: float
     upstream: UpstreamState
-    eps_Y: float = 1e-8
+    eps_Y: float = 1e-5
 
     def __post_init__(self):
         _validate_config(self)
@@ -255,8 +256,11 @@ class SteadyWave:
     def M_y(self) -> float:
         """Truncation depth ln(1/eps_Y)/K, where Y = Y0 exp(K y) falls to eps_Y Y0.
 
-        Y0 = 0 gives a constant profile, which any depth serves.  No floor is
-        needed: test_acceptance checks that D is the same at M_y and M_y + 2.
+        Every shooting method starts there from the burned-end mode with its
+        first-order correction (:func:`zndevans.spectral.burned_start`), so
+        the truncation error in D is of order eps_Y^2.  Y0 = 0 gives a
+        constant profile, which any depth serves.  No floor is needed:
+        test_acceptance checks that D is the same at M_y and M_y + 2.
         """
         return math.log(1.0 / self.config.eps_Y) / self.config.K
 
@@ -387,7 +391,7 @@ def sigma(wave: SteadyWave, y):
     discriminant is positive and u < 0 at every y <= 0 (:class:`SteadyWave`).
     """
     ys = np.asarray(y, dtype=float)
-    if np.any(ys > 0.0):
+    if not np.all(ys <= 0.0):  # also rejects NaN
         raise ValueError(f"profile is defined for y <= 0, got {y!r}")
     cfg = wave.config
     Ybar = np.exp(cfg.K * ys) * cfg.Y0
@@ -417,10 +421,14 @@ def _sigma_integral(wave: SteadyWave, a: float, b: float) -> float:
 
 
 def x_of_y(wave: SteadyWave, y_grid: Sequence[float]) -> np.ndarray:
-    """Cumulative physical coordinate x on a descending y grid, x(0) = 0."""
+    """Cumulative physical coordinate x on a descending y grid, x(0) = 0.
+
+    x diverges as y -> -inf, so the grid must be finite."""
     ys = np.asarray(y_grid, dtype=float)
-    if np.any(ys > 0.0) or np.any(np.diff(ys) > 0.0):
-        raise ValueError("y_grid must be nonpositive and sorted descending from 0")
+    if not np.all((ys <= 0.0) & (ys > -math.inf)):  # also rejects NaN
+        raise ValueError(f"x(y) is defined for finite y <= 0, got y_grid={y_grid!r}")
+    if np.any(np.diff(ys) > 0.0):
+        raise ValueError("y_grid must be sorted descending from 0")
     out = np.empty_like(ys)
     prev_y, prev_x = 0.0, 0.0
     for i, y in enumerate(ys):

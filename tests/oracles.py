@@ -18,8 +18,16 @@ import numpy as np
 
 from zndevans import znd
 from zndevans.errors import NumericalDomainError
-from zndevans.spectral import jacobians, stable_left_mode
-from zndevans.znd import GasWaveConfig, StateW, SteadyWave, fluxes
+from zndevans.spectral import jacobians, make_frame, stable_left_mode
+from zndevans.znd import (
+    GasWaveConfig,
+    StateW,
+    SteadyWave,
+    fluxes,
+    profile_at,
+    profile_deriv,
+    reaction_psi,
+)
 
 _COND_LIMIT = 1e12
 
@@ -101,6 +109,28 @@ def limit_G_plus(wave: SteadyWave, lam: complex) -> np.ndarray:
     up = cfg.upstream
     state = StateW(up.rho, up.u, up.e, cfg.Y0)
     return G_at_state(state, cfg, lam, reacting=False)
+
+
+def burned_start_solve(wave: SteadyWave, lam: complex, M: float) -> tuple[np.ndarray, complex]:
+    """:func:`zndevans.spectral.burned_start` the textbook way: the factored
+    adjoint matrices A = -sigma (G^T - g_minus I) at the burned state and at
+    y = -M from :func:`G_at_state`, w from a LAPACK solve of
+    (K I - A_inf) w = A(-M) ell, and the tail with :func:`apply_A0`."""
+    cfg = wave.config
+    frame = make_frame(wave, lam)
+    g = frame.g_minus
+    eye = np.eye(4)
+
+    def adjoint_matrix(state: StateW) -> tuple[np.ndarray, float]:
+        sigma = wave.m / reaction_psi(state, cfg)
+        return -sigma * (G_at_state(state, cfg, lam, reacting=True).T - g * eye), sigma
+
+    A_inf, sigma_inf = adjoint_matrix(wave.burned)
+    state = profile_at(wave, -M)
+    A_M, _ = adjoint_matrix(state)
+    zeta = frame.ell + np.linalg.solve(cfg.K * eye - A_inf, A_M @ frame.ell)
+    integrand = lam * zeta @ np.array(apply_A0(state, profile_deriv(wave, -M)))
+    return zeta, complex(integrand / (cfg.K - g * sigma_inf))
 
 
 def stable_left_eig(wave: SteadyWave, lam: complex) -> tuple[complex, np.ndarray, np.ndarray]:

@@ -152,9 +152,11 @@ def test_evans_field_matches_reference(wave, monkeypatch, method, lam, bound):
 
 
 # D and the step counts of every method on the default wave, recorded with
-# the integrator that still stepped on NumPy arrays: (method, lambda, tol,
-# accepted, rejected, RHS evaluations, D).  The scalar rewrite must keep every
-# count and move D only by summation order.
+# the integrator that still stepped on NumPy arrays, from the uncorrected
+# left mode (zeta = ell, no Erpenbeck tail) at depth ln(1e8)/K: (method,
+# lambda, tol, accepted, rejected, RHS evaluations, D).  With that start the
+# solves must keep every count and move D only by summation order, so the
+# fields and the integrator are pinned apart from the burned-end start.
 PINNED_D = [
     ('neutral', (1+1j), 1e-05, 42, 3, 271, (-47.809347379406965-36.46158209566812j)),
     ('neutral', (1+1j), 1e-08, 140, 3, 859, (-47.80934368298984-36.461599006769006j)),
@@ -182,9 +184,54 @@ PINNED_D = [
     ('lee_stewart', (0.1+30j), 1e-08, 9797, 0, 58783, (18405.43766109899+9743.15954729279j)),
 ]
 
+_PINNED_EPS_Y = 1e-8  # the depth M_y = ln(1/eps_Y)/K these rows were recorded at
+
 
 @pytest.mark.parametrize("method, lam, tol, accepted, rejected, nfev, D", PINNED_D)
-def test_evans_D_and_counts_pinned(wave, method, lam, tol, accepted, rejected, nfev, D):
+def test_evans_D_and_counts_pinned(wave, monkeypatch, method, lam, tol, accepted, rejected,
+                                   nfev, D):
+    monkeypatch.setattr(evans, "burned_start", lambda wave, lam, frame, M: (frame.ell, 0.0))
+    r = evans.evaluate(wave, lam, method=method, tol=tol, M=math.log(1.0 / _PINNED_EPS_Y) / wave.config.K)
+    s = r.stats
+    assert (s.accepted_steps, s.rejected_steps, s.rhs_evaluations) == (accepted, rejected, nfev)
+    assert abs(r.D - D) <= 1e-10 * abs(D)
+
+
+# The same at the default depth, each method started from the corrected
+# burned-end mode of spectral.burned_start.  A change meant to keep the
+# solves must keep every count and move D only by summation order.
+PINNED_D_CORRECTED = [
+    ('neutral', (1+1j), 1e-05, 35, 3, 229, (-47.809347232804754-36.46158166546813j)),
+    ('neutral', (1+1j), 1e-08, 128, 1, 775, (-47.80934353768109-36.46159860439741j)),
+    ('neutral', (1+3j), 1e-05, 51, 3, 325, (-101.98391655689576-96.40945917631828j)),
+    ('neutral', (1+3j), 1e-08, 182, 1, 1099, (-101.98388944106348-96.4094821669554j)),
+    ('neutral', (4+10j), 1e-05, 132, 11, 859, (-243.90952905890182+148.68144250218407j)),
+    ('neutral', (4+10j), 1e-08, 397, 1, 2389, (-243.9095463329137+148.6814113842845j)),
+    ('neutral', (0.1+30j), 1e-05, 579, 3, 3493, (1363.310755061854-796.2829717014489j)),
+    ('neutral', (0.1+30j), 1e-08, 918, 3, 5527, (1363.29760731662-796.2871366304814j)),
+    ('erpenbeck', (1+1j), 1e-05, 68, 0, 409, (-47.80956818105681-36.460404339018574j)),
+    ('erpenbeck', (1+1j), 1e-08, 281, 0, 1687, (-47.809344232983015-36.461597502287404j)),
+    ('erpenbeck', (1+3j), 1e-05, 151, 0, 907, (-101.98503310045317-96.41678533554023j)),
+    ('erpenbeck', (1+3j), 1e-08, 609, 0, 3655, (-101.98388737166286-96.4094893744278j)),
+    ('erpenbeck', (4+10j), 1e-05, 503, 0, 3019, (-243.9605554747706+148.69442973634773j)),
+    ('erpenbeck', (4+10j), 1e-08, 2046, 0, 12277, (-243.9095985726884+148.6814016838304j)),
+    ('erpenbeck', (0.1+30j), 1e-05, 1437, 0, 8623, (1362.9081025070705-795.5076829006613j)),
+    ('erpenbeck', (0.1+30j), 1e-08, 5711, 0, 34267, (1363.296949494658-796.2865992590678j)),
+    ('lee_stewart', (1+1j), 1e-05, 87, 0, 523, (304959131.3033387+477848473.37580454j)),
+    ('lee_stewart', (1+1j), 1e-08, 339, 0, 2035, (304957028.55135316+477851178.3703015j)),
+    ('lee_stewart', (1+3j), 1e-05, 166, 0, 997, (-314795240.55360425+1285169275.9154096j)),
+    ('lee_stewart', (1+3j), 1e-08, 651, 0, 3907, (-314757857.9628889+1285142091.5306869j)),
+    ('lee_stewart', (4+10j), 1e-05, 521, 0, 3127, (2.2220884853649836e+30-3.9679114808443095e+29j)),
+    ('lee_stewart', (4+10j), 1e-08, 2093, 0, 12559, (2.221728552219232e+30-3.968402161711895e+29j)),
+    ('lee_stewart', (0.1+30j), 1e-05, 1547, 4, 9307, (-6561.820411957507-4333.17398769498j)),
+    ('lee_stewart', (0.1+30j), 1e-08, 6269, 0, 37615, (-6565.231570668419-4333.243147787913j)),
+]
+
+
+@pytest.mark.parametrize("method, lam, tol, accepted, rejected, nfev, D", PINNED_D_CORRECTED,
+                         ids=[f"{row[0]}-{row[1]}-{row[2]:g}" for row in PINNED_D_CORRECTED])
+def test_evans_D_and_counts_pinned_corrected_start(wave, method, lam, tol, accepted, rejected,
+                                                   nfev, D):
     r = evans.evaluate(wave, lam, method=method, tol=tol)
     s = r.stats
     assert (s.accepted_steps, s.rejected_steps, s.rhs_evaluations) == (accepted, rejected, nfev)

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -81,12 +82,53 @@ class TestMethodRelations:
 
     def test_unfactored_overflow_guard(self, wave):
         with pytest.raises(EvansOverflowError):
-            evans_erpenbeck(wave, 40.0 + 0j)
+            evans_erpenbeck(wave, 60.0 + 0j)
         with pytest.raises(EvansOverflowError):
-            evans_lee_stewart(wave, 40.0 + 0j)
+            evans_lee_stewart(wave, 60.0 + 0j)
         # the factored method handles the same frequency fine
-        r = evans_neutral(wave, 40.0 + 0j)
+        r = evans_neutral(wave, 60.0 + 0j)
         assert np.isfinite(r.D.real) and np.isfinite(r.D.imag)
+
+    @pytest.mark.parametrize("method", ["erpenbeck", "lee_stewart"])
+    def test_unfactored_in_range_at_lambda_40(self, wave, method):
+        # at depth ln(1/eps_Y)/K with eps_Y = 1e-5 the unfactored exponent at
+        # lambda = 40 is -642, inside double range
+        tol = 1e-5
+        rn = evans_neutral(wave, 40.0 + 0j, tol=tol)
+        r = evaluate(wave, 40.0 + 0j, method=method, tol=tol)
+        assert abs(r.kappa_to_neutral * r.D - rn.D) < 300 * tol * abs(rn.D)
+
+
+class TestTruncationError:
+    """D at the default depth M_y against the neutral value D_ref at depth
+    ln(1e12)/K, all at tol = 1e-11.  Starting from the corrected burned-end
+    mode leaves an error of order eps_Y^2; starting from the left mode ell
+    alone left 2.5e-9 to 7.2e-9 at 1+1i, 3.9e-8 at 4+10i and 1.0e-7 at
+    0.1+30i, and Erpenbeck without its quadrature tail is off by 4e-6 on
+    LS(1.2, 50)."""
+
+    tol = 1e-11
+
+    def reference(self, wave, lam):
+        return evans_neutral(wave, lam, M=math.log(1e12) / wave.config.K, tol=self.tol).D
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [default_config(), lee_stewart_config(1.2, 50.0, 50.0, 1.6),
+         lee_stewart_config(1.2, 50.0, 50.0, 1.2)],
+        ids=["default", "LS(1.6,50)", "LS(1.2,50)"],
+    )
+    def test_every_method(self, cfg):
+        wave = build_wave(cfg)
+        ref = self.reference(wave, 1.0 + 1.0j)
+        for method in METHODS:
+            r = evaluate(wave, 1.0 + 1.0j, method=method, tol=self.tol)
+            assert abs(r.kappa_to_neutral * r.D - ref) < 1e-9 * abs(ref), method
+
+    @pytest.mark.parametrize("lam", [4.0 + 10.0j, 0.1 + 30.0j])
+    def test_neutral_at_larger_lambda(self, wave, lam):
+        ref = self.reference(wave, lam)
+        assert abs(evans_neutral(wave, lam, tol=self.tol).D - ref) < 1e-8 * abs(ref)
 
 
 class TestAnalyticStructure:
@@ -289,8 +331,8 @@ class TestGuardErrorsNameLambda:
     @pytest.mark.parametrize("method", ["erpenbeck", "lee_stewart"])
     def test_overflow(self, wave, method):
         with pytest.raises(EvansOverflowError) as info:
-            evaluate(wave, 40.0 + 0j, method=method)
-        self.check(info.value, 40.0 + 0j)
+            evaluate(wave, 60.0 + 0j, method=method)
+        self.check(info.value, 60.0 + 0j)
 
     def test_misselected_mode(self):
         # at EA = 40 the factored adjoint at 4+10i falls by ~1e-6

@@ -10,6 +10,7 @@ from conftest import lee_stewart_config, random_overdriven_config
 from oracles import (
     BranchAmbiguityError,
     apply_A0,
+    burned_start_solve,
     finite_difference_check,
     kato_continuation,
     limit_G_minus,
@@ -19,6 +20,7 @@ from oracles import (
 from zndevans.errors import NumericalDomainError
 from zndevans.evans import METHODS, duality_check, evaluate
 from zndevans.spectral import (
+    burned_start,
     coefficient_G,
     jacobians,
     jump_vector,
@@ -186,6 +188,43 @@ class TestLimitMatrices:
                 n_plus = int(np.sum(np.linalg.eigvals(limit_G_plus(wave, lam)).real > 0))
                 assert n_minus == 3
                 assert n_plus == 4
+
+
+class TestBurnedStart:
+    """The corrected burned-end start against the LAPACK oracle, on the
+    contour's flat side (1e-4 +- 30i), at 1+1i, 50 and 2+300i."""
+
+    lams = (1e-4 + 30j, 1e-4 - 30j, 1 + 1j, 50.0 + 0j, 2 + 300j)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [default_config(), nonreactive_config(), lee_stewart_config(1.2, 50.0, 50.0, 1.6),
+         lee_stewart_config(1.2, 50.0, 50.0, 1.2)],
+        ids=["default", "nonreactive", "LS(1.6,50)", "LS(1.2,50)"],
+    )
+    def test_matches_solve_oracle(self, cfg):
+        wave = build_wave(cfg)
+        for lam in self.lams:
+            frame = make_frame(wave, lam)
+            zeta, tail = burned_start(wave, lam, frame, wave.M_y)
+            ref_zeta, ref_tail = burned_start_solve(wave, lam, wave.M_y)
+            assert np.linalg.norm(zeta - ref_zeta) <= 1e-12 * np.linalg.norm(ref_zeta)
+            assert abs(tail - ref_tail) <= 1e-12 * abs(ref_tail)
+            # the correction alone: its right-hand side A(-M) ell cancels to
+            # order eps_Y of its terms, so both carry that rounding
+            w, ref_w = zeta - frame.ell, ref_zeta - frame.ell
+            if cfg.Y0 > 0.0:
+                assert np.linalg.norm(w - ref_w) <= 1e-9 * np.linalg.norm(ref_w)
+            else:  # constant profile: A(-M) ell = A_inf ell = 0
+                assert np.linalg.norm(w) <= 1e-12 * np.linalg.norm(frame.ell)
+
+    def test_reactant_column_exact(self, wave):
+        # burned_start solves the gas block first and w[3] last, because the
+        # burned-end adjoint kernel (Y = 0) maps e_3 onto e_3 exactly
+        for lam in self.lams:
+            g = make_frame(wave, lam).g_minus
+            out = linearized_rhs(wave, wave.burned, lam, [0.0, 0.0, 0.0, 1.0], g)
+            assert out[:3] == [0.0, 0.0, 0.0] and out[3] != 0.0
 
 
 class TestStableLeftMode:

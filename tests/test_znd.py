@@ -281,6 +281,13 @@ def test_profile_outside_its_domain_named(wave, fn, y):
         fn(wave, y)
 
 
+@pytest.mark.parametrize("y", [math.nan, [0.0, math.nan], math.inf, 1.0],
+                         ids=["nan", "array-nan", "inf", "positive"])
+def test_sigma_outside_its_domain_named(wave, y):
+    with pytest.raises(ValueError, match=r"y <= 0, got"):
+        sigma(wave, y)
+
+
 def test_profile_at_minus_infinity_is_burned(wave):
     assert profile_at(wave, -math.inf) == wave.burned
     assert profile_deriv(wave, -math.inf) == (0.0, 0.0, 0.0, 0.0)
@@ -387,6 +394,13 @@ class TestXofY:
             x_of_y(wave, [0.0, 1.0])
         with pytest.raises(ValueError):
             x_of_y(wave, [-2.0, -1.0])
+
+    @pytest.mark.parametrize("y", [math.nan, -math.inf, math.inf])
+    def test_nonfinite_y_named(self, wave, y):
+        # x diverges as y -> -inf; NaN once ran the quadrature to its panel
+        # limit before failing
+        with pytest.raises(ValueError, match=r"finite y <= 0, got y_grid="):
+            x_of_y(wave, [0.0, y])
 
     @pytest.mark.parametrize("EA", [10.0, 20.0, 40.0])
     def test_matches_adaptive_quadrature(self, EA):
