@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 from zndevans.cli import main as cli_main
-from zndevans.evans import evans_erpenbeck, evans_lee_stewart, evans_neutral
+from zndevans.evans import METHODS, evaluate
 from zndevans.znd import build_wave, config_to_json, default_config
 
 
@@ -37,12 +37,11 @@ def main():
     print("\ndeterminant at a few frequencies (value, mesh points, seconds):")
     for lam in (0.5 + 0.5j, 1.0 + 1.0j, 1.0 + 3.0j):
         line = [f"lambda={lam}"]
-        for fn, tag in ((evans_neutral, "neutral"), (evans_erpenbeck, "erpenbeck"),
-                        (evans_lee_stewart, "lee_stewart")):
+        for method in METHODS:
             t0 = time.time()
-            r = fn(wave, lam, tol=1e-6)
+            r = evaluate(wave, lam, method=method, tol=1e-6)
             d = r.D * r.kappa_to_neutral
-            line.append(f"{tag}: {d:.6g} ({r.stats.mesh_points} pts, {time.time()-t0:.2f}s)")
+            line.append(f"{method}: {d:.6g} ({r.stats.mesh_points} pts, {time.time()-t0:.2f}s)")
         print("  " + "; ".join(line))
 
     print("\nunstable modes inside radius 2:")

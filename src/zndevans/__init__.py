@@ -51,9 +51,6 @@ from .evans import (
     EvansResult,
     duality_check,
     evaluate,
-    evans_erpenbeck,
-    evans_lee_stewart,
-    evans_neutral,
 )
 from .stability import (
     RootTrace,

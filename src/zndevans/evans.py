@@ -10,16 +10,19 @@ whose solution is the componentwise conjugate of the conjugate-transpose
 formulation; pairings are then plain bilinear dots.  This keeps every
 quantity analytic in lambda, which the winding-number machinery requires.
 
-Methods:
+:func:`evaluate` runs every method; ``method`` is one of :data:`METHODS`:
 
-* ``evans_neutral``   forward from y = -M with the asymptotic decay rate
+* ``"neutral"``      forward from y = -M with the asymptotic decay rate
   factored out, so the tracked solution is neutral and error modes are
   damped.  The well-conditioned default.
-* ``evans_erpenbeck`` forward without factoring, augmented with a running
+* ``"erpenbeck"``    forward without factoring, augmented with a running
   quadrature of the profile-derivative term so one adaptive controller
   governs both the ODE and the quadrature.
-* ``evans_lee_stewart`` backward from the boundary jump; error modes grow,
+* ``"lee_stewart"``  backward from the boundary jump; error modes grow,
   which is the classical conditioning weakness near roots.
+
+Each method is one private solver; the driver resolves M, converts lambda,
+builds the spectral frame and wraps the :class:`EvansResult`.
 
 The left end y = -M is where the reactant has fallen to eps_Y of Y0.  All
 three methods take their burned-end data there from
@@ -109,65 +112,22 @@ def _integrate(lam: complex, field: OdeField, span, init, tol: float, abs_tol):
     try:
         return integrate_adaptive(field, span, init, rel_tol=tol, abs_tol=abs_tol)
     except StepSizeUnderflowError as exc:
-        raise StepSizeUnderflowError(exc.x, exc.h, complex(lam)) from exc
+        raise StepSizeUnderflowError(exc.x, exc.h, lam) from exc
     except NonFiniteStateError as exc:
-        raise NonFiniteStateError(exc.x, complex(lam)) from exc
+        raise NonFiniteStateError(exc.x, lam) from exc
 
 
-# Each RHS below builds its kernel once per solve and evaluates the profile
-# through this module's binding of profile_at (and profile_deriv) once per
-# call, so a tracer that wraps those bindings counts one of each per RHS call.
-
-
-def _adjoint_rhs(wave: SteadyWave, lam: complex, shift: complex):
-    """dZ/dy = -sigma * ((G - shift I)^T) Z without forming G explicitly."""
-    kernel = rhs_kernel(wave, complex(lam), complex(shift))
+def _field(wave: SteadyWave, lam: complex, shift: complex = 0.0, adjoint: bool = True) -> OdeField:
+    """dZ/dy = -sigma (G - shift I)^T Z (adjoint) or dZ0/dy = sigma G Z0
+    (forward, ``shift`` unused) without forming G.  Each call evaluates the
+    profile once through this module's binding of profile_at, so a tracer
+    that wraps it counts one evaluation per RHS call."""
+    kernel = rhs_kernel(wave, lam, shift, adjoint)
 
     def rhs(y: float, z: list) -> list:
         return kernel(profile_at(wave, y), z)
 
-    return rhs
-
-
-def _forward_rhs(wave: SteadyWave, lam: complex):
-    """dZ0/dy = sigma * G Z0 without forming G explicitly."""
-    kernel = rhs_kernel(wave, complex(lam), adjoint=False)
-
-    def rhs(y: float, z: list) -> list:
-        return kernel(profile_at(wave, y), z)
-
-    return rhs
-
-
-def evans_neutral(
-    wave: SteadyWave,
-    lam: complex,
-    M: float | None = None,
-    tol: float = 1e-5,
-) -> EvansResult:
-    """Forward adjoint shooting with the asymptotic decay factored out.
-
-    Integrates dZ/dy = -sigma(y) (G(y) - g_minus I)^T Z from y=-M with
-    Z(-M) = zeta(-M), the corrected stable left mode of
-    :func:`zndevans.spectral.burned_start`; the factoring makes the tracked
-    solution neutral at the burned end, so the value at y=0 is O(1) and
-    independent of M up to truncation error.  Returns D = Z(0) . jump.
-    """
-    M = _resolve_M(wave, M)
-    frame = make_frame(wave, lam)
-    zeta, _ = burned_start(wave, lam, frame, M)
-    field = OdeField(dimension=4, eval=_adjoint_rhs(wave, lam, frame.g_minus))
-    z, stats = _integrate(lam, field, (-M, 0.0), zeta, tol, tol)
-    growth = float(np.linalg.norm(z) / np.linalg.norm(zeta))
-    if not 1e-6 < growth < 1e6:
-        raise MisselectedModeError(
-            f"factored adjoint magnitude changed by {growth:.3e}: either the "
-            "decay rate g_minus is misselected, or the profile transition "
-            "out-scales the absolute-tolerance floor (tighten tol)",
-            complex(lam),
-        )
-    D = complex(z @ frame.jump)
-    return EvansResult(lam=complex(lam), D=D, method=METHOD_NEUTRAL, M=M, stats=stats)
+    return OdeField(dimension=4, eval=rhs)
 
 
 def _edge_prefactor(wave: SteadyWave, lam: complex, frame: SpectralFrame, M: float) -> complex:
@@ -179,17 +139,34 @@ def _edge_prefactor(wave: SteadyWave, lam: complex, frame: SpectralFrame, M: flo
         raise EvansOverflowError(
             f"unfactored mode spans e^{abs(exponent.real):.0f} over the domain; "
             "out of double range -- use the neutral method",
-            complex(lam),
+            lam,
         )
     return cmath.exp(exponent)
 
 
-def evans_erpenbeck(
-    wave: SteadyWave,
-    lam: complex,
-    M: float | None = None,
-    tol: float = 1e-5,
-) -> EvansResult:
+def _neutral(wave: SteadyWave, lam: complex, frame: SpectralFrame, M: float, tol: float):
+    """Forward adjoint shooting with the asymptotic decay factored out.
+
+    Integrates dZ/dy = -sigma(y) (G(y) - g_minus I)^T Z from y=-M with
+    Z(-M) = zeta(-M), the corrected stable left mode of
+    :func:`zndevans.spectral.burned_start`; the factoring makes the tracked
+    solution neutral at the burned end, so the value at y=0 is O(1) and
+    independent of M up to truncation error.  D = Z(0) . jump.
+    """
+    zeta, _ = burned_start(wave, lam, frame, M)
+    z, stats = _integrate(lam, _field(wave, lam, frame.g_minus), (-M, 0.0), zeta, tol, tol)
+    growth = float(np.linalg.norm(z) / np.linalg.norm(zeta))
+    if not 1e-6 < growth < 1e6:
+        raise MisselectedModeError(
+            f"factored adjoint magnitude changed by {growth:.3e}: either the "
+            "decay rate g_minus is misselected, or the profile transition "
+            "out-scales the absolute-tolerance floor (tighten tol)",
+            lam,
+        )
+    return complex(z @ frame.jump), stats, 1.0 + 0j
+
+
+def _erpenbeck(wave: SteadyWave, lam: complex, frame: SpectralFrame, M: float, tol: float):
     """Forward adjoint shooting without factoring, plus a running quadrature.
 
     The state is augmented with the integral of lambda * Z . (F0 o profile)'
@@ -198,18 +175,16 @@ def evans_erpenbeck(
     adjoint starts from prefactor * zeta(-M) and the quadrature from
     prefactor times the closed-form integral of its leading-order tail over
     (-inf, -M] (both from :func:`zndevans.spectral.burned_start`), with the
-    prefactor exp(-g_minus x(-M)), which makes the returned value coincide
-    with the neutral one (kappa = 1).
+    prefactor exp(-g_minus x(-M)), which makes the value coincide with the
+    neutral one (kappa = 1).
     """
-    M = _resolve_M(wave, M)
-    frame = make_frame(wave, lam)
     prefactor = _edge_prefactor(wave, lam, frame, M)
     zeta, tail = burned_start(wave, lam, frame, M)
-    lam = complex(lam)
     kernel = rhs_kernel(wave, lam)
 
     # components 0-3 are the adjoint, component 4 the running quadrature of
-    # lam z . (F0 o profile)' = lam z . A0 (profile)', A0 of spectral.jacobians
+    # lam z . (F0 o profile)' = lam z . A0 (profile)', A0 of spectral.jacobians;
+    # one call each of this module's profile_at and profile_deriv per RHS call
     def rhs(y: float, z: list) -> list:
         state = profile_at(wave, y)
         rho, u, e, Y = state
@@ -226,16 +201,10 @@ def evans_erpenbeck(
     init = np.concatenate([prefactor * zeta, [prefactor * tail]])
     z, stats = _integrate(lam, OdeField(dimension=5, eval=rhs), (-M, 0.0), init, tol, atol)
     jump_F0_only = frame.jump - fluxes(wave.neumann, wave.config)[2]  # lam * [F0], no source term
-    D = complex(z[4] + z[:4] @ jump_F0_only)
-    return EvansResult(lam=complex(lam), D=D, method=METHOD_ERPENBECK, M=M, stats=stats)
+    return complex(z[4] + z[:4] @ jump_F0_only), stats, 1.0 + 0j
 
 
-def evans_lee_stewart(
-    wave: SteadyWave,
-    lam: complex,
-    M: float | None = None,
-    tol: float = 1e-5,
-) -> EvansResult:
+def _lee_stewart(wave: SteadyWave, lam: complex, frame: SpectralFrame, M: float, tol: float):
     """Backward shooting of the forward eigenvalue system from the jump data.
 
     Integrates dZ0/dy = sigma(y) G(y) Z0 from Z0(0) = jump down to y=-M and
@@ -245,42 +214,40 @@ def evans_lee_stewart(
     value relates to the neutral one through
     kappa_to_neutral = exp(-g_minus x(-M)).
     """
-    M = _resolve_M(wave, M)
-    frame = make_frame(wave, lam)
     kappa = _edge_prefactor(wave, lam, frame, M)
-    field = OdeField(dimension=4, eval=_forward_rhs(wave, lam))
-    z, stats = _integrate(lam, field, (0.0, -M), frame.jump, tol, tol)
+    z, stats = _integrate(lam, _field(wave, lam, adjoint=False), (0.0, -M), frame.jump, tol, tol)
     zeta, _ = burned_start(wave, lam, frame, M)
-    D = complex(zeta @ z)
-    return EvansResult(
-        lam=complex(lam),
-        D=D,
-        method=METHOD_LEE_STEWART,
-        M=M,
-        stats=stats,
-        kappa_to_neutral=kappa,
-    )
+    return complex(zeta @ z), stats, kappa
 
 
-_EVALUATORS = {
-    METHOD_NEUTRAL: evans_neutral,
-    METHOD_ERPENBECK: evans_erpenbeck,
-    METHOD_LEE_STEWART: evans_lee_stewart,
-}
+# method -> solver(wave, lam, frame, M, tol) -> (D, stats, kappa_to_neutral),
+# called with lam complex and M resolved
+_SOLVERS = {METHOD_NEUTRAL: _neutral, METHOD_ERPENBECK: _erpenbeck, METHOD_LEE_STEWART: _lee_stewart}
 
 
-def evaluate(wave: SteadyWave, lam: complex, method: str = METHOD_NEUTRAL, **kw) -> EvansResult:
-    """D(lam) by the named method.
+def evaluate(
+    wave: SteadyWave,
+    lam: complex,
+    method: str = METHOD_NEUTRAL,
+    M: float | None = None,
+    tol: float = 1e-5,
+) -> EvansResult:
+    """D(lam) by the named method, one of :data:`METHODS`.
 
-    Every numerical failure carries ``lam``: integrator errors from
-    :func:`_integrate`, :class:`MisselectedModeError` and
-    :class:`EvansOverflowError` from where they are raised.
+    ``M`` is the truncation depth in y (``wave.M_y`` if None) and ``tol``
+    the relative and absolute integration tolerance.  Every numerical
+    failure carries ``lam``: integrator errors from :func:`_integrate`,
+    :class:`MisselectedModeError` and :class:`EvansOverflowError` from where
+    they are raised.
     """
     try:
-        fn = _EVALUATORS[method]
+        solve = _SOLVERS[method]
     except KeyError:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}") from None
-    return fn(wave, lam, **kw)
+    M = _resolve_M(wave, M)
+    lam = complex(lam)
+    D, stats, kappa = solve(wave, lam, make_frame(wave, lam), M, tol)
+    return EvansResult(lam=lam, D=D, method=method, M=M, stats=stats, kappa_to_neutral=kappa)
 
 
 def duality_check(
@@ -296,8 +263,9 @@ def duality_check(
     returns the maximum relative deviation from its median over an n_grid
     point mesh.  Deviation tracks the integration tolerance.
     """
-    if complex(lam).real <= 0.0:
-        raise NumericalDomainError("duality check needs Re(lambda) > 0")
+    lam = complex(lam)
+    if lam.real <= 0.0:
+        raise NumericalDomainError("duality check needs Re(lambda) > 0", lam)
     if n_grid < 3:
         raise ValueError("n_grid must be at least 3")
     M = _resolve_M(wave, M)
@@ -305,7 +273,7 @@ def duality_check(
     prefactor = _edge_prefactor(wave, lam, frame, M)
     grid = np.linspace(-M, 0.0, n_grid)
 
-    adjoint_field = OdeField(dimension=4, eval=_adjoint_rhs(wave, lam, 0.0))
+    adjoint_field = _field(wave, lam)
     atol = tol * max(abs(prefactor), 1e-280)
     z_adj = np.empty((n_grid, 4), dtype=complex)
     z = prefactor * frame.ell
@@ -314,9 +282,9 @@ def duality_check(
         z, _ = _integrate(lam, adjoint_field, (grid[i], grid[i + 1]), z, tol, atol)
         z_adj[i + 1] = z
 
-    fwd_field = OdeField(dimension=4, eval=_forward_rhs(wave, lam))
+    fwd_field = _field(wave, lam, adjoint=False)
     z_fwd = np.empty((n_grid, 4), dtype=complex)
-    z = frame.jump.astype(complex)
+    z = frame.jump
     z_fwd[n_grid - 1] = z
     for i in range(n_grid - 1, 0, -1):
         z, _ = _integrate(lam, fwd_field, (grid[i], grid[i - 1]), z, tol, tol)
@@ -325,5 +293,5 @@ def duality_check(
     products = np.einsum("ij,ij->i", z_adj, z_fwd)
     center = complex(np.median(products.real), np.median(products.imag))
     if center == 0.0:
-        raise NumericalDomainError("duality products vanish; lambda sits on a root")
+        raise NumericalDomainError("duality products vanish; lambda sits on a root", lam)
     return float(np.max(np.abs(products - center)) / abs(center))

@@ -16,10 +16,8 @@ import numpy as np
 
 from .errors import ContourThroughRootError, NumericalDomainError
 from .evans import METHOD_NEUTRAL, EvansResult, evaluate
-from .numerics import Contour, SolveStats, newton_root, refine_contour, winding_number
+from .numerics import Contour, Evaluator, SolveStats, newton_root, refine_contour, winding_number
 from .znd import GasWaveConfig, SteadyWave, build_wave
-
-Evaluator = Callable[[complex], complex]
 
 # a contour sample under this fraction of max|D| counts as a root on the contour
 _FLOOR_REL = 1e-10

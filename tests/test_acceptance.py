@@ -14,7 +14,7 @@ import pytest
 from conftest import RNG_SEED
 from oracles import kato_continuation, limit_G_minus, limit_G_plus, stable_left_eig
 from zndevans.errors import ChapmanJouguetError
-from zndevans.evans import duality_check, evans_erpenbeck, evans_lee_stewart, evans_neutral
+from zndevans.evans import duality_check, evaluate
 from zndevans.modelbench import (
     C_COLUMNS,
     LAMBDA_ROWS,
@@ -239,9 +239,9 @@ def test_criterion_8_method_agreement(default_wave):
     worst = 0.0
     for _ in range(10):
         lam = complex(rng.uniform(0.3, 2.5), rng.uniform(-3.0, 3.0))
-        rn = evans_neutral(default_wave, lam, tol=1e-7)
-        re_ = evans_erpenbeck(default_wave, lam, tol=1e-7)
-        rl = evans_lee_stewart(default_wave, lam, tol=1e-7)
+        rn = evaluate(default_wave, lam, method="neutral", tol=1e-7)
+        re_ = evaluate(default_wave, lam, method="erpenbeck", tol=1e-7)
+        rl = evaluate(default_wave, lam, method="lee_stewart", tol=1e-7)
         worst = max(
             worst,
             abs(re_.D * re_.kappa_to_neutral - rn.D) / abs(rn.D),
@@ -264,19 +264,19 @@ def test_criterion_8_method_agreement(default_wave):
 def test_criterion_9_m_robustness_and_analyticity(default_wave):
     worst_m = 0.0
     for lam in (1.0 + 1.0j, 0.5 - 2.0j, 2.0 + 0.3j):
-        d1 = evans_neutral(default_wave, lam, M=default_wave.M_y, tol=1e-10).D
-        d2 = evans_neutral(default_wave, lam, M=default_wave.M_y + 2.0, tol=1e-10).D
+        d1 = evaluate(default_wave, lam, method="neutral", M=default_wave.M_y, tol=1e-10).D
+        d2 = evaluate(default_wave, lam, method="neutral", M=default_wave.M_y + 2.0, tol=1e-10).D
         worst_m = max(worst_m, abs(d1 - d2) / abs(d1))
     h = 1e-3
     worst_cr = 0.0
     for lam0 in (1.0 + 1.0j, 2.0 - 1.5j, 0.7 + 2.5j):
         vals = {
-            tag: evans_neutral(default_wave, lam0 + dz, tol=1e-9).D
+            tag: evaluate(default_wave, lam0 + dz, method="neutral", tol=1e-9).D
             for tag, dz in (("px", h), ("mx", -h), ("py", 1j * h), ("my", -1j * h))
         }
         dbar = ((vals["px"] - vals["mx"]) + 1j * (vals["py"] - vals["my"])) / (4.0 * h)
         dlam = ((vals["px"] - vals["mx"]) - 1j * (vals["py"] - vals["my"])) / (4.0 * h)
-        d0 = evans_neutral(default_wave, lam0, tol=1e-9).D
+        d0 = evaluate(default_wave, lam0, method="neutral", tol=1e-9).D
         worst_cr = max(worst_cr, abs(dbar) / (abs(dlam) + abs(d0)))
     ok = report(
         9,

@@ -14,14 +14,7 @@ from zndevans.errors import (
     NumericalDomainError,
     StepSizeUnderflowError,
 )
-from zndevans.evans import (
-    METHODS,
-    duality_check,
-    evaluate,
-    evans_erpenbeck,
-    evans_lee_stewart,
-    evans_neutral,
-)
+from zndevans.evans import METHODS, duality_check, evaluate
 from zndevans.numerics import Contour
 from zndevans.spectral import jump_vector, stable_left_mode
 from zndevans.stability import count_unstable
@@ -45,20 +38,20 @@ class TestConstantCoefficient:
     @pytest.mark.parametrize("lam", [1.0 + 0j, 0.5 + 2.0j, 3.0 - 1.0j])
     def test_neutral(self, shock, lam):
         ref = self.closed_form(shock, lam)
-        r = evans_neutral(shock, lam, tol=1e-9)
+        r = evaluate(shock, lam, method="neutral", tol=1e-9)
         assert abs(r.D - ref) < 1e-7 * abs(ref)
 
     @pytest.mark.parametrize("lam", [1.0 + 0j, 0.5 + 2.0j])
     def test_erpenbeck_reduces_to_pure_jump(self, shock, lam):
         # constant profile kills the quadrature term entirely
         ref = self.closed_form(shock, lam)
-        r = evans_erpenbeck(shock, lam, tol=1e-9)
+        r = evaluate(shock, lam, method="erpenbeck", tol=1e-9)
         assert abs(r.D - ref) < 1e-6 * abs(ref)
 
     @pytest.mark.parametrize("lam", [1.0 + 0j, 0.5 + 2.0j])
     def test_lee_stewart_with_kappa(self, shock, lam):
         ref = self.closed_form(shock, lam)
-        r = evans_lee_stewart(shock, lam, tol=1e-9)
+        r = evaluate(shock, lam, method="lee_stewart", tol=1e-9)
         assert abs(r.kappa_to_neutral * r.D - ref) < 1e-6 * abs(ref)
 
 
@@ -66,27 +59,27 @@ class TestMethodRelations:
     def test_agreement_with_scalar_factors(self, wave, rng):
         for _ in range(6):
             lam = complex(rng.uniform(0.3, 2.5), rng.uniform(-3.0, 3.0))
-            rn = evans_neutral(wave, lam, tol=1e-7)
-            re_ = evans_erpenbeck(wave, lam, tol=1e-7)
-            rl = evans_lee_stewart(wave, lam, tol=1e-7)
+            rn = evaluate(wave, lam, method="neutral", tol=1e-7)
+            re_ = evaluate(wave, lam, method="erpenbeck", tol=1e-7)
+            rl = evaluate(wave, lam, method="lee_stewart", tol=1e-7)
             assert abs(re_.D - rn.D) < 1e-3 * abs(rn.D)
             assert abs(rl.kappa_to_neutral * rl.D - rn.D) < 1e-3 * abs(rn.D)
 
     def test_unfactored_needs_more_mesh(self, wave):
         for lam in (2.0 + 0j, 1.0 + 3.0j):
-            rn = evans_neutral(wave, lam, tol=1e-6)
-            re_ = evans_erpenbeck(wave, lam, tol=1e-6)
-            rl = evans_lee_stewart(wave, lam, tol=1e-6)
+            rn = evaluate(wave, lam, method="neutral", tol=1e-6)
+            re_ = evaluate(wave, lam, method="erpenbeck", tol=1e-6)
+            rl = evaluate(wave, lam, method="lee_stewart", tol=1e-6)
             assert re_.stats.mesh_points > rn.stats.mesh_points
             assert rl.stats.mesh_points > rn.stats.mesh_points
 
     def test_unfactored_overflow_guard(self, wave):
         with pytest.raises(EvansOverflowError):
-            evans_erpenbeck(wave, 60.0 + 0j)
+            evaluate(wave, 60.0 + 0j, method="erpenbeck")
         with pytest.raises(EvansOverflowError):
-            evans_lee_stewart(wave, 60.0 + 0j)
+            evaluate(wave, 60.0 + 0j, method="lee_stewart")
         # the factored method handles the same frequency fine
-        r = evans_neutral(wave, 60.0 + 0j)
+        r = evaluate(wave, 60.0 + 0j, method="neutral")
         assert np.isfinite(r.D.real) and np.isfinite(r.D.imag)
 
     @pytest.mark.parametrize("method", ["erpenbeck", "lee_stewart"])
@@ -94,7 +87,7 @@ class TestMethodRelations:
         # at depth ln(1/eps_Y)/K with eps_Y = 1e-5 the unfactored exponent at
         # lambda = 40 is -642, inside double range
         tol = 1e-5
-        rn = evans_neutral(wave, 40.0 + 0j, tol=tol)
+        rn = evaluate(wave, 40.0 + 0j, method="neutral", tol=tol)
         r = evaluate(wave, 40.0 + 0j, method=method, tol=tol)
         assert abs(r.kappa_to_neutral * r.D - rn.D) < 300 * tol * abs(rn.D)
 
@@ -110,7 +103,8 @@ class TestTruncationError:
     tol = 1e-11
 
     def reference(self, wave, lam):
-        return evans_neutral(wave, lam, M=math.log(1e12) / wave.config.K, tol=self.tol).D
+        M = math.log(1e12) / wave.config.K
+        return evaluate(wave, lam, method="neutral", M=M, tol=self.tol).D
 
     @pytest.mark.parametrize(
         "cfg",
@@ -128,21 +122,21 @@ class TestTruncationError:
     @pytest.mark.parametrize("lam", [4.0 + 10.0j, 0.1 + 30.0j])
     def test_neutral_at_larger_lambda(self, wave, lam):
         ref = self.reference(wave, lam)
-        assert abs(evans_neutral(wave, lam, tol=self.tol).D - ref) < 1e-8 * abs(ref)
+        assert abs(evaluate(wave, lam, method="neutral", tol=self.tol).D - ref) < 1e-8 * abs(ref)
 
 
 class TestAnalyticStructure:
     def test_conjugate_symmetry(self, wave):
         for lam in (0.7 + 2.3j, 1.4 - 0.9j):
-            a = evans_neutral(wave, lam, tol=1e-8).D
-            b = evans_neutral(wave, np.conj(lam), tol=1e-8).D
+            a = evaluate(wave, lam, method="neutral", tol=1e-8).D
+            b = evaluate(wave, np.conj(lam), method="neutral", tol=1e-8).D
             assert abs(np.conj(a) - b) < 1e-8 * abs(a)
 
     def test_m_robustness(self, wave):
         for lam in (1.0 + 1.0j, 0.5 - 2.0j):
             base = wave.M_y
-            d1 = evans_neutral(wave, lam, M=base, tol=1e-10).D
-            d2 = evans_neutral(wave, lam, M=base + 2.0, tol=1e-10).D
+            d1 = evaluate(wave, lam, method="neutral", M=base, tol=1e-10).D
+            d2 = evaluate(wave, lam, method="neutral", M=base + 2.0, tol=1e-10).D
             assert abs(d1 - d2) < 1e-6 * abs(d1)
 
     def test_cauchy_riemann_residual(self, wave):
@@ -151,17 +145,17 @@ class TestAnalyticStructure:
         for lam0 in (1.0 + 1.0j, 2.0 - 1.5j):
             d = {}
             for tag, dz in (("px", h), ("mx", -h), ("py", 1j * h), ("my", -1j * h)):
-                d[tag] = evans_neutral(wave, lam0 + dz, tol=tol).D
+                d[tag] = evaluate(wave, lam0 + dz, method="neutral", tol=tol).D
             dbar = ((d["px"] - d["mx"]) + 1j * (d["py"] - d["my"])) / (4.0 * h)
             dlam = ((d["px"] - d["mx"]) - 1j * (d["py"] - d["my"])) / (4.0 * h)
-            d0 = evans_neutral(wave, lam0, tol=tol).D
+            d0 = evaluate(wave, lam0, method="neutral", tol=tol).D
             assert abs(dbar) < 1e-4 * (abs(dlam) + abs(d0))
 
     def test_domain_restrictions(self, wave):
         with pytest.raises(NumericalDomainError):
-            evans_neutral(wave, -0.5 + 1.0j)
+            evaluate(wave, -0.5 + 1.0j, method="neutral")
         with pytest.raises(NumericalDomainError):
-            evans_neutral(wave, 0.0)
+            evaluate(wave, 0.0, method="neutral")
 
 
 class TestDuality:
@@ -179,8 +173,20 @@ class TestDuality:
         assert tight < loose
 
     def test_needs_positive_real_part(self, wave):
-        with pytest.raises(NumericalDomainError):
+        with pytest.raises(NumericalDomainError) as info:
             duality_check(wave, 1.0j)
+        assert info.value.lam == 1j
+        assert "at lambda=" in str(info.value)
+
+    def test_vanishing_products_name_lambda(self, wave, monkeypatch):
+        # a zero jump row makes every forward-leg product vanish
+        exact = evans.make_frame
+        monkeypatch.setattr(evans, "make_frame",
+                            lambda w, lam: replace(exact(w, lam), jump=np.zeros(4, complex)))
+        with pytest.raises(NumericalDomainError, match="duality products vanish") as info:
+            duality_check(wave, 1.0 + 1.0j)
+        assert info.value.lam == 1.0 + 1.0j
+        assert "at lambda=" in str(info.value)
 
 
 class TestResultRecord:
@@ -199,7 +205,7 @@ class TestResultRecord:
             evaluate(wave, 1.0, method="collocation")
 
     def test_stats_span(self, wave):
-        r = evans_neutral(wave, 1.0 + 0.5j)
+        r = evaluate(wave, 1.0 + 0.5j, method="neutral")
         assert r.stats.span == (-wave.M_y, 0.0)
         assert r.M == wave.M_y
 
@@ -265,7 +271,7 @@ def test_erpenbeck_field_equals_apply_A0_oracle(cfg, monkeypatch, rng):
     monkeypatch.setattr(evans, "integrate_adaptive", capture)
     for lam in (1.0 + 1.0j, 0.1 + 30.0j):
         with pytest.raises(_Captured):
-            evans_erpenbeck(wave, lam)
+            evaluate(wave, lam, method="erpenbeck")
         field = fields.pop()
         assert field.dimension == 5
         oracle = oracle_erpenbeck_field(wave, lam)
@@ -285,6 +291,13 @@ def integrator_fails(request, monkeypatch):
     return request.param
 
 
+def direct_solver(method):
+    """``evans``' private solver for ``method``, called without ``evaluate``."""
+    def call(wave, lam):
+        return evans._SOLVERS[method](wave, lam, evans.make_frame(wave, lam), wave.M_y, 1e-5)
+    return call
+
+
 class TestIntegratorErrorsNameLambda:
     def check(self, exc, raised, lam):
         assert type(exc) is type(raised)
@@ -300,7 +313,9 @@ class TestIntegratorErrorsNameLambda:
             evaluate(wave, 1 + 2j, method=method)
         self.check(info.value, integrator_fails, 1 + 2j)
 
-    @pytest.mark.parametrize("fn", [evans_neutral, evans_erpenbeck, evans_lee_stewart,
+    # the solver ids keep the names of the former evans_<method> entry points
+    @pytest.mark.parametrize("fn", [*(pytest.param(direct_solver(m), id=f"evans_{m}")
+                                      for m in METHODS),
                                     duality_check])
     def test_direct_call(self, wave, integrator_fails, fn):
         # the re-raise sits under every integration, not in evaluate alone
@@ -387,6 +402,18 @@ class TestConjugateSymmetry:
         )
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_real_lambda_converted_once(wave, method):
+    # evaluate converts lambda before any solver sees it, so a real lambda
+    # takes the very same solve as its complex twin
+    r = evaluate(wave, 2.0, method=method)
+    c = evaluate(wave, 2.0 + 0j, method=method)
+    assert type(r.lam) is complex
+    assert (repr(r.D), repr(r.kappa_to_neutral)) == (repr(c.D), repr(c.kappa_to_neutral))
+    steps = lambda s: (s.accepted_steps, s.rejected_steps, s.rhs_evaluations)
+    assert steps(r.stats) == steps(c.stats)
+
+
 class TestAdjointIsAnnihilator:
     """Independent oracle for the whole formulation: the adjoint solution at
     the boundary must be parallel to the cross product of the forward
@@ -395,7 +422,7 @@ class TestAdjointIsAnnihilator:
 
     def build_pieces(self, wave, lam, tol=1e-10):
         from zndevans.numerics import OdeField, integrate_adaptive
-        from zndevans.evans import _adjoint_rhs
+        from zndevans.evans import _field
         from oracles import limit_G_minus
         from zndevans.spectral import jacobians, make_frame
         from zndevans.znd import profile_at, reaction_psi
@@ -409,7 +436,7 @@ class TestAdjointIsAnnihilator:
 
         def fwd_rhs(y, z):
             # assembled from the Jacobian matrices, independently of the
-            # closed-form kernel behind _adjoint_rhs
+            # closed-form kernel behind _field
             state = profile_at(wave, y)
             A0, A1, C = jacobians(state, wave.config)
             sig = wave.m / reaction_psi(state, wave.config)
@@ -420,7 +447,7 @@ class TestAdjointIsAnnihilator:
         for i in unstable:
             z, _ = integrate_adaptive(fwd, (-M, 0.0), vecs[:, i], tol, tol)
             columns.append(z / np.linalg.norm(z))
-        adj = OdeField(dimension=4, eval=_adjoint_rhs(wave, lam, frame.g_minus))
+        adj = _field(wave, lam, frame.g_minus)
         z_adj, _ = integrate_adaptive(adj, (-M, 0.0), frame.ell, tol, tol)
         return np.array(columns).T, z_adj
 
