@@ -27,22 +27,23 @@ def main():
     config.write_text(config_to_json(cfg))
     wave = build_wave(cfg)
     print(f"wave: m={wave.m:.4g}, Neumann u={wave.neumann.u:.4g}, "
-          f"burned u={wave.burned.u:.4g}, M_y={wave.M_y:.3g}")
+          f"burned u={wave.burned.u:.4g}")
 
     rc = cli_main(["profile", "--config", str(config), "--points", "300",
                    "--out", str(outdir / "profile.csv")])
     if rc:
         sys.exit(rc)
 
-    print("\ndeterminant at a few frequencies (value, mesh points, seconds):")
+    print("\ndeterminant at a few frequencies (value, mesh points, seconds),")
+    print("each solved from the depth M that tol = 1e-6 gives at that lambda:")
     for lam in (0.5 + 0.5j, 1.0 + 1.0j, 1.0 + 3.0j):
-        line = [f"lambda={lam}"]
+        line = []
         for method in METHODS:
             t0 = time.time()
             r = evaluate(wave, lam, method=method, tol=1e-6)
             d = r.D * r.kappa_to_neutral
             line.append(f"{method}: {d:.6g} ({r.stats.mesh_points} pts, {time.time()-t0:.2f}s)")
-        print("  " + "; ".join(line))
+        print(f"  lambda={lam}, M={r.M:.4g}: " + "; ".join(line))
 
     print("\nunstable modes inside radius 2:")
     rc = cli_main(["contour", "--config", str(config), "--radius", "2",

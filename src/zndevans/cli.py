@@ -242,7 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
         if solver:
             p.add_argument("--tol", type=float, default=1e-5,
                            help="integration tolerance (default 1e-5)")
-            p.add_argument("--M", type=float, default=None, help="domain truncation length")
+            p.add_argument("--M", type=float, default=None,
+                           help="domain truncation length (default: picked from --tol for "
+                                "each solve; 5 for bench)")
         p.add_argument("--out", required=True, help="output file path")
 
     p = sub.add_parser("profile", help="dump the steady profile as CSV")

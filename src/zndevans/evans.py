@@ -24,14 +24,17 @@ quantity analytic in lambda, which the winding-number machinery requires.
 Each method is one private solver; the driver resolves M, converts lambda,
 builds the spectral frame and wraps the :class:`EvansResult`.
 
-The left end y = -M is where the reactant has fallen to eps_Y of Y0.  All
+The left end y = -M is where the reactant has fallen to eps of Y0.  All
 three methods take their burned-end data there from
 :func:`zndevans.spectral.burned_start`: the factored adjoint's start
 zeta(-M) = ell + w, the stable left mode plus its first-order correction
 (K I - A_inf) w = A(-M) ell, which the forward methods integrate from and
 Lee-Stewart pairs with; and, for Erpenbeck, the leading-order tail of the
 quadrature over (-inf, -M], which the running quadrature starts from.  The
-truncation error is then of order eps_Y^2 rather than eps_Y.
+truncation error is then of order eps^2 rather than eps.  Unless ``M`` is
+given, :func:`zndevans.spectral.truncation_depth` picks eps for each
+lambda from ``tol``, so that this error stays below ``tol``; every method
+runs at that one depth.
 
 Normalizations are chosen so neutral and Erpenbeck values coincide up to
 truncation error; the Lee-Stewart value differs by the recorded analytic
@@ -53,8 +56,8 @@ from .errors import (
     NumericalDomainError,
     StepSizeUnderflowError,
 )
-from .numerics import OdeField, SolveStats, integrate_adaptive
-from .spectral import SpectralFrame, burned_start, make_frame, rhs_kernel
+from .numerics import OdeField, SolveStats, check_rel_tol, integrate_adaptive
+from .spectral import SpectralFrame, burned_start, make_frame, rhs_kernel, truncation_depth
 from .znd import SteadyWave, fluxes, profile_at, profile_deriv, x_of_y
 
 # Unused here, but perfbench/tracing.py wraps every layer by its name in this
@@ -98,6 +101,8 @@ class EvansResult:
 
 
 def _resolve_M(wave: SteadyWave, M: float | None) -> float:
+    """An explicit depth, checked, or the fixed ``wave.M_y`` if None: the
+    default of :func:`duality_check` and the CLI's ``--dump-g``."""
     if M is None:
         return wave.M_y
     M = float(M)
@@ -234,19 +239,25 @@ def evaluate(
 ) -> EvansResult:
     """D(lam) by the named method, one of :data:`METHODS`.
 
-    ``M`` is the truncation depth in y (``wave.M_y`` if None) and ``tol``
-    the relative and absolute integration tolerance.  Every numerical
-    failure carries ``lam``: integrator errors from :func:`_integrate`,
-    :class:`MisselectedModeError` and :class:`EvansOverflowError` from where
-    they are raised.
+    ``tol`` is the relative and absolute integration tolerance and ``M``
+    the truncation depth in y; if None, :func:`truncation_depth` picks it
+    from ``tol`` and ``lam`` so that the truncation error stays below
+    ``tol``.  Every numerical failure carries ``lam``: integrator errors
+    from :func:`_integrate`, :class:`MisselectedModeError` and
+    :class:`EvansOverflowError` from where they are raised.
     """
     try:
         solve = _SOLVERS[method]
     except KeyError:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}") from None
-    M = _resolve_M(wave, M)
+    check_rel_tol(tol)
+    if M is not None:
+        M = _resolve_M(wave, M)
     lam = complex(lam)
-    D, stats, kappa = solve(wave, lam, make_frame(wave, lam), M, tol)
+    frame = make_frame(wave, lam)
+    if M is None:
+        M = truncation_depth(wave, lam, frame, tol)
+    D, stats, kappa = solve(wave, lam, frame, M, tol)
     return EvansResult(lam=lam, D=D, method=method, M=M, stats=stats, kappa_to_neutral=kappa)
 
 

@@ -115,6 +115,12 @@ def _slope_count_error(slopes, dimension: int) -> ValueError:
     return ValueError(f"field returned {len(slopes)} slopes, expected {dimension}")
 
 
+def check_rel_tol(rel_tol: float) -> None:
+    """The ValueError every integration raises on a tolerance outside (0, inf)."""
+    if not 0.0 < rel_tol < math.inf:  # also rejects NaN
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
+
+
 def _integrate(
     field: OdeField,
     span: tuple[float, float],
@@ -126,8 +132,7 @@ def _integrate(
     x0, x1 = float(span[0]), float(span[1])
     if x0 == x1:
         raise ValueError("integration span endpoints must be distinct")
-    if not 0.0 < rel_tol < math.inf:  # also rejects NaN
-        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
+    check_rel_tol(rel_tol)
     atol = np.asarray(abs_tol, dtype=float)
     if not np.all((0.0 < atol) & (atol < math.inf)):
         raise ValueError(f"abs_tol must be positive and finite, got {abs_tol}")

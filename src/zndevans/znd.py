@@ -34,6 +34,7 @@ from .errors import (
 )
 
 _EPS_CJ = 1e-10  # sonic-rejection threshold on the discriminant
+Y_AT_M_Y = 1e-5  # Y / Y0 at the fixed depth SteadyWave.M_y
 # x_of_y: 20-point Gauss-Legendre panels, doubled until two successive
 # estimates agree to _QUAD_REL (a fixed panel count is not enough: at EA = 40
 # four panels are off by 5e-10 where eight are exact to rounding)
@@ -61,9 +62,10 @@ class GasWaveConfig:
     Ti_high  cutoff temperature above which the rate is exactly Arrhenius
     K        reaction rate constant (> 0, single species)
     Y0       unburned reactant mass fraction
-    eps_Y    reactant fraction, relative to Y0, at the truncation depth M_y;
-             the shooting methods' truncation error is of order eps_Y^2
     upstream unburned state (rho, u, e) ahead of the shock, u < 0
+
+    No field sets the truncation depth: each solve picks it from its
+    tolerance (:func:`zndevans.spectral.truncation_depth`).
     """
 
     Gamma: float
@@ -75,7 +77,6 @@ class GasWaveConfig:
     K: float
     Y0: float
     upstream: UpstreamState
-    eps_Y: float = 1e-5
 
     def __post_init__(self):
         _validate_config(self)
@@ -104,15 +105,12 @@ def _validate_config(cfg: GasWaveConfig) -> None:
     positive("K", cfg.K)
     positive("upstream.rho", cfg.upstream.rho)
     positive("upstream.e", cfg.upstream.e)
-    positive("eps_Y", cfg.eps_Y)
     nonnegative("q", cfg.q)
     nonnegative("EA", cfg.EA)
     # a str or None would make the bare comparisons below raise TypeError
     number = (int, float)
     if not (isinstance(cfg.Y0, number) and 0.0 <= cfg.Y0 <= 1.0):
         raise ConfigError(f"Y0 must lie in [0, 1], got {cfg.Y0!r}")
-    if not cfg.eps_Y < 1.0:
-        raise ConfigError(f"eps_Y must lie in (0, 1), got {cfg.eps_Y!r}")
     if not (isinstance(cfg.upstream.u, number) and cfg.upstream.u < 0):
         raise ConfigError(
             f"upstream.u must be negative (right-moving front, steady frame), "
@@ -143,8 +141,6 @@ def config_from_json(text: str) -> GasWaveConfig:
         if name not in raw:
             raise ConfigError(f"config is missing field '{name}'")
         kwargs[name] = float(raw[name])
-    if "eps_Y" in raw:
-        kwargs["eps_Y"] = float(raw["eps_Y"])
     return GasWaveConfig(upstream=upstream, **kwargs)
 
 
@@ -254,15 +250,15 @@ class SteadyWave:
 
     @property
     def M_y(self) -> float:
-        """Truncation depth ln(1/eps_Y)/K, where Y = Y0 exp(K y) falls to eps_Y Y0.
+        """Fixed depth ln(1e5)/K, where Y = Y0 exp(K y) falls to Y_AT_M_Y = 1e-5 of Y0.
 
-        Every shooting method starts there from the burned-end mode with its
-        first-order correction (:func:`zndevans.spectral.burned_start`), so
-        the truncation error in D is of order eps_Y^2.  Y0 = 0 gives a
-        constant profile, which any depth serves.  No floor is needed:
-        test_acceptance checks that D is the same at M_y and M_y + 2.
+        Not the depth of a solve: :func:`zndevans.spectral.truncation_depth`
+        measures the first-order start correction here and picks each
+        solve's own depth from ``tol``.  :func:`profile_table` plots down to
+        it, and ``duality_check`` and the CLI's ``--dump-g`` default to it.
+        Y0 = 0 gives a constant profile, which any depth serves.
         """
-        return math.log(1.0 / self.config.eps_Y) / self.config.K
+        return math.log(1.0 / Y_AT_M_Y) / self.config.K
 
     @cached_property
     def neumann(self) -> StateW:

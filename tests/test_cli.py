@@ -15,6 +15,7 @@ from oracles import G_at_state
 from zndevans import cli, evans
 from zndevans.cli import main
 from zndevans.errors import StepSizeUnderflowError
+from zndevans.spectral import make_frame, truncation_depth
 from zndevans.znd import build_wave, config_to_json, default_config, nonreactive_config, profile_at
 
 
@@ -104,8 +105,9 @@ class TestEvansCommand:
         assert rec["accepted_steps"] >= 1
         assert rec["manifest"].endswith(".manifest.json")
 
-    def test_lee_stewart_method_on_a_lee_stewart_wave_runs_at_M_y(self, tmp_path):
-        # LS(1.2, 50): K = 871, so M_y = 0.021; a depth of 5 broke this method
+    def test_lee_stewart_method_on_a_lee_stewart_wave_runs_at_truncation_depth(self, tmp_path):
+        # LS(1.2, 50): K = 871, so the depth is about 0.02; a depth of 5 broke
+        # this method
         cfg = lee_stewart_config(1.2, 50.0, 50.0, 1.2)
         path = tmp_path / "ls.json"
         path.write_text(config_to_json(cfg))
@@ -115,7 +117,8 @@ class TestEvansCommand:
         assert rc == 0
         rec = json.loads(out.read_text())
         assert rec["method"] == "lee_stewart"
-        assert rec["M"] == build_wave(cfg).M_y
+        wave = build_wave(cfg)
+        assert rec["M"] == truncation_depth(wave, 1.0 + 1.0j, make_frame(wave, 1.0 + 1.0j), 1e-5)
 
     def test_unknown_method_usage_error(self, cfg_path, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -197,9 +197,10 @@ def test_evans_D_and_counts_pinned(wave, monkeypatch, method, lam, tol, accepted
     assert abs(r.D - D) <= 1e-10 * abs(D)
 
 
-# The same at the default depth, each method started from the corrected
-# burned-end mode of spectral.burned_start.  A change meant to keep the
-# solves must keep every count and move D only by summation order.
+# The same at the fixed depth M_y, where Y = 1e-5 Y0, each method started
+# from the corrected burned-end mode of spectral.burned_start.  A change
+# meant to keep the solves must keep every count and move D only by
+# summation order.
 PINNED_D_CORRECTED = [
     ('neutral', (1+1j), 1e-05, 35, 3, 229, (-47.809347232804754-36.46158166546813j)),
     ('neutral', (1+1j), 1e-08, 128, 1, 775, (-47.80934353768109-36.46159860439741j)),
@@ -232,8 +233,38 @@ PINNED_D_CORRECTED = [
                          ids=[f"{row[0]}-{row[1]}-{row[2]:g}" for row in PINNED_D_CORRECTED])
 def test_evans_D_and_counts_pinned_corrected_start(wave, method, lam, tol, accepted, rejected,
                                                    nfev, D):
-    r = evans.evaluate(wave, lam, method=method, tol=tol)
+    r = evans.evaluate(wave, lam, method=method, tol=tol, M=wave.M_y)
     s = r.stats
+    assert (s.accepted_steps, s.rejected_steps, s.rhs_evaluations) == (accepted, rejected, nfev)
+    assert abs(r.D - D) <= 1e-10 * abs(D)
+
+
+# The same at the default depth, which spectral.truncation_depth picks from
+# tol and lambda: the benchmark's four evans_points nodes at tol 1e-5, with
+# the depth M each solve ran at.
+PINNED_D_DEFAULT_DEPTH = [
+    ('neutral', (1+1j), 3.4059331977331677, 28, 1, 175, (-47.80936453403654-36.46161589335043j)),
+    ('neutral', (1+3j), 3.613779562486776, 40, 1, 247, (-101.9839366133898-96.40954172109343j)),
+    ('neutral', (4+10j), 4.142590775093191, 105, 5, 661, (-243.9096172002114+148.6815317835626j)),
+    ('neutral', (0.1+30j), 4.627852375564783, 469, 2, 2827, (1363.2901701871967-796.2762476591948j)),
+    ('erpenbeck', (1+1j), 3.4059331977331677, 42, 0, 253, (-47.809486013063974-36.461020779577225j)),
+    ('erpenbeck', (1+3j), 3.613779562486776, 95, 0, 571, (-101.98452097259043-96.41389425716174j)),
+    ('erpenbeck', (4+10j), 4.142590775093191, 361, 0, 2167, (-243.9455099832509+148.69049062311382j)),
+    ('erpenbeck', (0.1+30j), 4.627852375564783, 1150, 0, 6901, (1362.9865276671103-795.6649665722888j)),
+    ('lee_stewart', (1+1j), 3.4059331977331677, 53, 0, 319, (593684.7112683705+461410.92682375706j)),
+    ('lee_stewart', (1+3j), 3.613779562486776, 106, 0, 637, (-2602721.4551681317+1779078.9287653614j)),
+    ('lee_stewart', (4+10j), 4.142590775093191, 375, 0, 2251, (-3.2231807736856235e+21-2.8064954515406696e+22j)),
+    ('lee_stewart', (0.1+30j), 4.627852375564783, 1256, 4, 7561, (-4699.335360461929+3263.2515901938636j)),
+]
+
+
+@pytest.mark.parametrize("method, lam, M, accepted, rejected, nfev, D", PINNED_D_DEFAULT_DEPTH,
+                         ids=[f"{row[0]}-{row[1]}" for row in PINNED_D_DEFAULT_DEPTH])
+def test_evans_D_and_counts_pinned_default_depth(wave, method, lam, M, accepted, rejected,
+                                                 nfev, D):
+    r = evans.evaluate(wave, lam, method=method, tol=1e-5)
+    s = r.stats
+    assert abs(r.M - M) <= 1e-12 * M
     assert (s.accepted_steps, s.rejected_steps, s.rhs_evaluations) == (accepted, rejected, nfev)
     assert abs(r.D - D) <= 1e-10 * abs(D)
 

@@ -84,8 +84,8 @@ class TestMethodRelations:
 
     @pytest.mark.parametrize("method", ["erpenbeck", "lee_stewart"])
     def test_unfactored_in_range_at_lambda_40(self, wave, method):
-        # at depth ln(1/eps_Y)/K with eps_Y = 1e-5 the unfactored exponent at
-        # lambda = 40 is -642, inside double range
+        # at the depth truncation_depth picks for tol = 1e-5 the unfactored
+        # exponent at lambda = 40 is -533, inside double range
         tol = 1e-5
         rn = evaluate(wave, 40.0 + 0j, method="neutral", tol=tol)
         r = evaluate(wave, 40.0 + 0j, method=method, tol=tol)
@@ -93,12 +93,12 @@ class TestMethodRelations:
 
 
 class TestTruncationError:
-    """D at the default depth M_y against the neutral value D_ref at depth
-    ln(1e12)/K, all at tol = 1e-11.  Starting from the corrected burned-end
-    mode leaves an error of order eps_Y^2; starting from the left mode ell
-    alone left 2.5e-9 to 7.2e-9 at 1+1i, 3.9e-8 at 4+10i and 1.0e-7 at
-    0.1+30i, and Erpenbeck without its quadrature tail is off by 4e-6 on
-    LS(1.2, 50)."""
+    """D at the default depth for tol = 1e-11 against the neutral value D_ref
+    at depth ln(1e12)/K, all at tol = 1e-11.  Starting from the corrected
+    burned-end mode where Y = eps Y0 leaves an error of order eps^2; starting
+    at eps = 1e-5 from the left mode ell alone left 2.5e-9 to 7.2e-9 at
+    1+1i, 3.9e-8 at 4+10i and 1.0e-7 at 0.1+30i, and Erpenbeck without its
+    quadrature tail is off by 4e-6 on LS(1.2, 50)."""
 
     tol = 1e-11
 
@@ -205,18 +205,32 @@ class TestResultRecord:
             evaluate(wave, 1.0, method="collocation")
 
     def test_stats_span(self, wave):
-        r = evaluate(wave, 1.0 + 0.5j, method="neutral")
-        assert r.stats.span == (-wave.M_y, 0.0)
-        assert r.M == wave.M_y
+        lam = 1.0 + 0.5j
+        r = evaluate(wave, lam, method="neutral")
+        M = spectral.truncation_depth(wave, lam, evans.make_frame(wave, lam), 1e-5)
+        assert r.stats.span == (-M, 0.0)
+        assert r.M == M
 
     @pytest.mark.parametrize("Y0", [0.0, 1e-9, 1e-8])
     def test_depth_positive_when_Y0_at_or_below_eps_Y(self, Y0):
-        # M_y is relative to Y0, so a reactant already below eps_Y still
-        # leaves a positive depth to integrate over
+        # every depth is relative to Y0, so a reactant already below 1e-5
+        # still leaves a positive depth to integrate over
         wave = build_wave(replace(default_config(), Y0=Y0))
         assert wave.M_y > 0.0
-        D = evaluate(wave, 1.0 + 1.0j).D
-        assert np.isfinite(D.real) and np.isfinite(D.imag)
+        r = evaluate(wave, 1.0 + 1.0j)
+        assert r.M > 0.0
+        assert np.isfinite(r.D.real) and np.isfinite(r.D.imag)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-5, math.nan, math.inf])
+    def test_invalid_tol_raises_before_the_depth(self, wave, monkeypatch, tol):
+        # the integrator's own message, before truncation_depth takes sqrt(tol)
+        def no_depth(*args):
+            raise AssertionError("computed a depth for an invalid tol")
+
+        monkeypatch.setattr(evans, "truncation_depth", no_depth)
+        for method in METHODS:
+            with pytest.raises(ValueError, match="rel_tol must be positive and finite"):
+                evaluate(wave, 1.0 + 1.0j, method=method, tol=tol)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -395,6 +409,7 @@ class TestConjugateSymmetry:
         r = evaluate(default_or_steep_wave, lam, method=method)
         m = evaluate(default_or_steep_wave, lam.conjugate(), method=method)
         steps = lambda s: (s.accepted_steps, s.rejected_steps, s.rhs_evaluations)
+        assert m.M == r.M
         assert steps(m.stats) == steps(r.stats)
         assert abs(m.D - r.D.conjugate()) <= 1e-13 * abs(r.D)
         assert abs(m.kappa_to_neutral - r.kappa_to_neutral.conjugate()) <= (

@@ -1,8 +1,8 @@
 """Stability counts on Lee & Stewart's waves (gamma = 1.2, q = 50), in their units.
 
-These waves have K from about 100 to 900, so their reactant falls to eps_Y
-before y = -0.2: they exercise the truncation depth M_y = ln(1/eps_Y)/K far
-from the default wave's K = 2.  A depth of 5 made Erpenbeck's and
+These waves have K from about 100 to 900, so their reactant falls to 1e-5
+of Y0 before y = -0.2: they exercise truncation depths ln(1/eps)/K far from
+the default wave's K = 2.  A depth of 5 made Erpenbeck's and
 Lee-Stewart's x(y) quadrature fail on LS(1.2, 50).
 """
 
@@ -11,6 +11,7 @@ import pytest
 from conftest import lee_stewart_config
 from zndevans.evans import METHODS, evaluate
 from zndevans.numerics import newton_root
+from zndevans.spectral import make_frame, truncation_depth
 from zndevans.stability import count_unstable
 from zndevans.znd import build_wave
 
@@ -36,9 +37,10 @@ def test_winding(ls_waves, method, f, E, radius, winding):
 def test_methods_agree_at_one_plus_i(ls_waves):
     wave = ls_waves[1.6, 50.0]
     values = []
+    M = truncation_depth(wave, 1.0 + 1.0j, make_frame(wave, 1.0 + 1.0j), 1e-8)
     for method in METHODS:
         r = evaluate(wave, 1.0 + 1.0j, method=method, tol=1e-8)
-        assert r.M == wave.M_y
+        assert r.M == M
         values.append(r.D * r.kappa_to_neutral)
     neutral = values[0]
     for other in values[1:]:
