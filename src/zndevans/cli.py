@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, NumericalDomainError
-from .evans import _resolve_M, duality_check, evaluate
+from .evans import duality_check, evaluate
 from .modelbench import DOMAIN_LENGTH, reproduce_table, C_COLUMNS, LAMBDA_ROWS
 from .numerics import SolveStats
 from .spectral import coefficient_G
@@ -160,7 +161,10 @@ def _cmd_evans(args) -> int:
     lam = complex(args.lam_re, args.lam_im)
     method = _METHOD_FLAGS[args.method]
     if args.dump_g:  # first: G is defined on the grid even where D fails
-        _dump_G_csv(wave, lam, _resolve_M(wave, args.M), args.dump_g)
+        M = wave.M_y if args.M is None else args.M
+        if not 0.0 < M < math.inf:  # also rejects NaN
+            raise ValueError(f"M must be positive and finite, got {M}")
+        _dump_G_csv(wave, lam, M, args.dump_g)
     result = evaluate(wave, lam, method=method, M=args.M, tol=args.tol)
     record = result.to_json_dict()
     if args.duality_grid:

@@ -21,20 +21,20 @@ quantity analytic in lambda, which the winding-number machinery requires.
 * ``"lee_stewart"``  backward from the boundary jump; error modes grow,
   which is the classical conditioning weakness near roots.
 
-Each method is one private solver; the driver resolves M, converts lambda,
-builds the spectral frame and wraps the :class:`EvansResult`.
+Each method is one private solver; the driver checks ``tol``, converts
+lambda, builds the spectral frame and wraps the :class:`EvansResult`.
 
 The left end y = -M is where the reactant has fallen to eps of Y0.  All
-three methods take their burned-end data there from
-:func:`zndevans.spectral.burned_start`: the factored adjoint's start
+three methods take their burned-end data there from the one
+:class:`zndevans.spectral.SpectralFrame` of the solve, built by
+:func:`zndevans.spectral.make_frame`: the factored adjoint's start
 zeta(-M) = ell + w, the stable left mode plus its first-order correction
 (K I - A_inf) w = A(-M) ell, which the forward methods integrate from and
 Lee-Stewart pairs with; and, for Erpenbeck, the leading-order tail of the
 quadrature over (-inf, -M], which the running quadrature starts from.  The
 truncation error is then of order eps^2 rather than eps.  Unless ``M`` is
-given, :func:`zndevans.spectral.truncation_depth` picks eps for each
-lambda from ``tol``, so that this error stays below ``tol``; every method
-runs at that one depth.
+given, the frame picks eps for each lambda from ``tol``, so that this error
+stays below ``tol``; every method runs at that one depth.
 
 Normalizations are chosen so neutral and Erpenbeck values coincide up to
 truncation error; the Lee-Stewart value differs by the recorded analytic
@@ -44,7 +44,6 @@ scalar ``kappa_to_neutral``.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +56,7 @@ from .errors import (
     StepSizeUnderflowError,
 )
 from .numerics import OdeField, SolveStats, check_rel_tol, integrate_adaptive
-from .spectral import SpectralFrame, burned_start, make_frame, rhs_kernel, truncation_depth
+from .spectral import SpectralFrame, make_frame, rhs_kernel
 from .znd import SteadyWave, fluxes, profile_at, profile_deriv, x_of_y
 
 # Unused here, but perfbench/tracing.py wraps every layer by its name in this
@@ -100,17 +99,6 @@ class EvansResult:
         }
 
 
-def _resolve_M(wave: SteadyWave, M: float | None) -> float:
-    """An explicit depth, checked, or the fixed ``wave.M_y`` if None: the
-    default of :func:`duality_check` and the CLI's ``--dump-g``."""
-    if M is None:
-        return wave.M_y
-    M = float(M)
-    if not 0.0 < M < math.inf:  # also rejects NaN
-        raise ValueError(f"M must be positive and finite, got {M}")
-    return M
-
-
 def _integrate(lam: complex, field: OdeField, span, init, tol: float, abs_tol):
     """``integrate_adaptive``, its failures re-raised carrying ``lam``: every
     integration in this module runs through here, however it is called."""
@@ -135,10 +123,10 @@ def _field(wave: SteadyWave, lam: complex, shift: complex = 0.0, adjoint: bool =
     return OdeField(dimension=4, eval=rhs)
 
 
-def _edge_prefactor(wave: SteadyWave, lam: complex, frame: SpectralFrame, M: float) -> complex:
+def _edge_prefactor(wave: SteadyWave, lam: complex, frame: SpectralFrame) -> complex:
     """exp(-g_minus * x(-M)): relates unfactored data at y=-M to the neutral
     normalization.  Tiny for large |lambda| M; raises on double-range exit."""
-    x_M = float(x_of_y(wave, [-M])[0])
+    x_M = float(x_of_y(wave, [-frame.M])[0])
     exponent = -frame.g_minus * x_M
     if abs(exponent.real) > _EXP_GUARD:
         raise EvansOverflowError(
@@ -149,17 +137,17 @@ def _edge_prefactor(wave: SteadyWave, lam: complex, frame: SpectralFrame, M: flo
     return cmath.exp(exponent)
 
 
-def _neutral(wave: SteadyWave, lam: complex, frame: SpectralFrame, M: float, tol: float):
+def _neutral(wave: SteadyWave, lam: complex, frame: SpectralFrame, tol: float):
     """Forward adjoint shooting with the asymptotic decay factored out.
 
     Integrates dZ/dy = -sigma(y) (G(y) - g_minus I)^T Z from y=-M with
-    Z(-M) = zeta(-M), the corrected stable left mode of
-    :func:`zndevans.spectral.burned_start`; the factoring makes the tracked
-    solution neutral at the burned end, so the value at y=0 is O(1) and
-    independent of M up to truncation error.  D = Z(0) . jump.
+    Z(-M) = zeta(-M), the frame's corrected stable left mode; the factoring
+    makes the tracked solution neutral at the burned end, so the value at
+    y=0 is O(1) and independent of M up to truncation error.
+    D = Z(0) . jump.
     """
-    zeta, _ = burned_start(wave, lam, frame, M)
-    z, stats = _integrate(lam, _field(wave, lam, frame.g_minus), (-M, 0.0), zeta, tol, tol)
+    zeta = frame.zeta
+    z, stats = _integrate(lam, _field(wave, lam, frame.g_minus), (-frame.M, 0.0), zeta, tol, tol)
     growth = float(np.linalg.norm(z) / np.linalg.norm(zeta))
     if not 1e-6 < growth < 1e6:
         raise MisselectedModeError(
@@ -171,7 +159,7 @@ def _neutral(wave: SteadyWave, lam: complex, frame: SpectralFrame, M: float, tol
     return complex(z @ frame.jump), stats, 1.0 + 0j
 
 
-def _erpenbeck(wave: SteadyWave, lam: complex, frame: SpectralFrame, M: float, tol: float):
+def _erpenbeck(wave: SteadyWave, lam: complex, frame: SpectralFrame, tol: float):
     """Forward adjoint shooting without factoring, plus a running quadrature.
 
     The state is augmented with the integral of lambda * Z . (F0 o profile)'
@@ -179,12 +167,11 @@ def _erpenbeck(wave: SteadyWave, lam: complex, frame: SpectralFrame, M: float, t
     the determinant is that integral plus the pure-jump boundary term.  The
     adjoint starts from prefactor * zeta(-M) and the quadrature from
     prefactor times the closed-form integral of its leading-order tail over
-    (-inf, -M] (both from :func:`zndevans.spectral.burned_start`), with the
-    prefactor exp(-g_minus x(-M)), which makes the value coincide with the
-    neutral one (kappa = 1).
+    (-inf, -M] (the frame's ``zeta`` and ``tail``), with the prefactor
+    exp(-g_minus x(-M)), which makes the value coincide with the neutral one
+    (kappa = 1).
     """
-    prefactor = _edge_prefactor(wave, lam, frame, M)
-    zeta, tail = burned_start(wave, lam, frame, M)
+    prefactor = _edge_prefactor(wave, lam, frame)
     kernel = rhs_kernel(wave, lam)
 
     # components 0-3 are the adjoint, component 4 the running quadrature of
@@ -203,30 +190,29 @@ def _erpenbeck(wave: SteadyWave, lam: complex, frame: SpectralFrame, M: float, t
 
     atol = np.full(5, tol)
     atol[:4] *= max(abs(prefactor), 1e-280)  # keep the tiny start under relative control
-    init = np.concatenate([prefactor * zeta, [prefactor * tail]])
-    z, stats = _integrate(lam, OdeField(dimension=5, eval=rhs), (-M, 0.0), init, tol, atol)
+    init = np.concatenate([prefactor * frame.zeta, [prefactor * frame.tail]])
+    z, stats = _integrate(lam, OdeField(dimension=5, eval=rhs), (-frame.M, 0.0), init, tol, atol)
     jump_F0_only = frame.jump - fluxes(wave.neumann, wave.config)[2]  # lam * [F0], no source term
     return complex(z[4] + z[:4] @ jump_F0_only), stats, 1.0 + 0j
 
 
-def _lee_stewart(wave: SteadyWave, lam: complex, frame: SpectralFrame, M: float, tol: float):
+def _lee_stewart(wave: SteadyWave, lam: complex, frame: SpectralFrame, tol: float):
     """Backward shooting of the forward eigenvalue system from the jump data.
 
     Integrates dZ0/dy = sigma(y) G(y) Z0 from Z0(0) = jump down to y=-M and
-    pairs with the corrected left mode of
-    :func:`zndevans.spectral.burned_start`: D = zeta(-M) . Z0(-M).  Error
-    modes grow along the way, which is this method's classical weakness; the
-    value relates to the neutral one through
+    pairs with the frame's corrected left mode: D = zeta(-M) . Z0(-M).
+    Error modes grow along the way, which is this method's classical
+    weakness; the value relates to the neutral one through
     kappa_to_neutral = exp(-g_minus x(-M)).
     """
-    kappa = _edge_prefactor(wave, lam, frame, M)
-    z, stats = _integrate(lam, _field(wave, lam, adjoint=False), (0.0, -M), frame.jump, tol, tol)
-    zeta, _ = burned_start(wave, lam, frame, M)
-    return complex(zeta @ z), stats, kappa
+    kappa = _edge_prefactor(wave, lam, frame)
+    field = _field(wave, lam, adjoint=False)
+    z, stats = _integrate(lam, field, (0.0, -frame.M), frame.jump, tol, tol)
+    return complex(frame.zeta @ z), stats, kappa
 
 
-# method -> solver(wave, lam, frame, M, tol) -> (D, stats, kappa_to_neutral),
-# called with lam complex and M resolved
+# method -> solver(wave, lam, frame, tol) -> (D, stats, kappa_to_neutral),
+# called with lam complex
 _SOLVERS = {METHOD_NEUTRAL: _neutral, METHOD_ERPENBECK: _erpenbeck, METHOD_LEE_STEWART: _lee_stewart}
 
 
@@ -240,10 +226,10 @@ def evaluate(
     """D(lam) by the named method, one of :data:`METHODS`.
 
     ``tol`` is the relative and absolute integration tolerance and ``M``
-    the truncation depth in y; if None, :func:`truncation_depth` picks it
-    from ``tol`` and ``lam`` so that the truncation error stays below
-    ``tol``.  Every numerical failure carries ``lam``: integrator errors
-    from :func:`_integrate`, :class:`MisselectedModeError` and
+    the truncation depth in y; if None, :func:`make_frame` picks it from
+    ``tol`` and ``lam`` so that the truncation error stays below ``tol``.
+    Every numerical failure carries ``lam``: integrator errors from
+    :func:`_integrate`, :class:`MisselectedModeError` and
     :class:`EvansOverflowError` from where they are raised.
     """
     try:
@@ -251,14 +237,10 @@ def evaluate(
     except KeyError:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}") from None
     check_rel_tol(tol)
-    if M is not None:
-        M = _resolve_M(wave, M)
     lam = complex(lam)
-    frame = make_frame(wave, lam)
-    if M is None:
-        M = truncation_depth(wave, lam, frame, tol)
-    D, stats, kappa = solve(wave, lam, frame, M, tol)
-    return EvansResult(lam=lam, D=D, method=method, M=M, stats=stats, kappa_to_neutral=kappa)
+    frame = make_frame(wave, lam, tol, M)
+    D, stats, kappa = solve(wave, lam, frame, tol)
+    return EvansResult(lam=lam, D=D, method=method, M=frame.M, stats=stats, kappa_to_neutral=kappa)
 
 
 def duality_check(
@@ -272,17 +254,18 @@ def duality_check(
 
     The product Z_adjoint(y) . Z0(y) is independent of y in exact arithmetic;
     returns the maximum relative deviation from its median over an n_grid
-    point mesh.  Deviation tracks the integration tolerance.
+    point mesh.  Deviation tracks the integration tolerance.  ``M``
+    defaults to the fixed depth ``wave.M_y``, and the adjoint starts from
+    the uncorrected left mode there.
     """
     lam = complex(lam)
     if lam.real <= 0.0:
         raise NumericalDomainError("duality check needs Re(lambda) > 0", lam)
     if n_grid < 3:
         raise ValueError("n_grid must be at least 3")
-    M = _resolve_M(wave, M)
-    frame = make_frame(wave, lam)
-    prefactor = _edge_prefactor(wave, lam, frame, M)
-    grid = np.linspace(-M, 0.0, n_grid)
+    frame = make_frame(wave, lam, tol, wave.M_y if M is None else M)
+    prefactor = _edge_prefactor(wave, lam, frame)
+    grid = np.linspace(-frame.M, 0.0, n_grid)
 
     adjoint_field = _field(wave, lam)
     atol = tol * max(abs(prefactor), 1e-280)

@@ -9,13 +9,13 @@ Jacobian of the reaction source, all in primitive variables W = (rho, u, e, Y).
 This module provides those Jacobians analytically, the closed-form,
 matrix-free application of G and of its adjoint that the shooting
 right-hand sides use (:func:`rhs_kernel`, built once per solve and applied
-once per RHS evaluation; :func:`linearized_rhs` is its one-shot form), G
-itself built column by column from that same kernel, the analytic stable
-left eigenpair (ell, g_minus) of the burned-end matrix, its first-order
-correction at the truncation depth that every shooting method starts from
-(:func:`burned_start`), that depth picked from the tolerance
-(:func:`truncation_depth`), and the boundary jump vector that closes the
-stability determinant.
+once per RHS evaluation), G itself built column by column from that same
+kernel, the analytic stable left eigenpair (ell, g_minus) of the burned-end
+matrix, the boundary jump vector that closes the stability determinant,
+and the frame of one solve (:func:`make_frame`): that pair checked, the
+jump, the truncation depth picked from the tolerance, and the first-order
+corrected burned-end mode at that depth that every shooting method starts
+from.
 
 Nothing here re-checks that every profile state is subsonic with u < 0;
 that is the invariant of :class:`zndevans.znd.SteadyWave`.
@@ -43,7 +43,7 @@ from .znd import (
     thermo,
 )
 
-# the constants of truncation_depth's rule, fixed against tests/test_truncation.py
+# the constants of make_frame's depth rule, fixed against tests/test_truncation.py
 _EPS_MAX = 1e-2
 _DEPTH_C = 0.5
 _DEPTH_THETA = 0.1
@@ -196,13 +196,6 @@ def rhs_kernel(wave: SteadyWave, lam: complex, shift: complex = 0.0, adjoint: bo
     return kernel
 
 
-def linearized_rhs(
-    wave: SteadyWave, state: StateW, lam: complex, z, shift: complex = 0.0, adjoint: bool = True
-) -> list:
-    """One-shot :func:`rhs_kernel`: ``rhs_kernel(wave, lam, shift, adjoint)(state, z)``."""
-    return rhs_kernel(wave, lam, shift, adjoint)(state, z)
-
-
 def coefficient_G(wave: SteadyWave, lam: complex, y: float) -> np.ndarray:
     """G(lambda, y) at the profile state (ignited side, y <= 0).
 
@@ -265,10 +258,10 @@ def stable_left_mode(wave: SteadyWave, lam: complex) -> tuple[np.ndarray, comple
     return ell, g_minus
 
 
-def _pair_residual(wave: SteadyWave, lam: complex, ell: np.ndarray, g_minus: complex) -> float:
+def _pair_residual(wave: SteadyWave, kernel, ell: np.ndarray) -> float:
     # at the burned state the adjoint kernel with shift g_minus is
     # -sigma_minus (G_minus^T - g_minus I) ell
-    r = linearized_rhs(wave, wave.burned, complex(lam), ell.tolist(), g_minus)
+    r = kernel(wave.burned, ell.tolist())
     sigma = wave.m / reaction_psi(wave.burned, wave.config)
     return math.hypot(*map(abs, r)) / (sigma * math.hypot(*map(abs, ell)))
 
@@ -277,10 +270,12 @@ def left_mode_residual(wave: SteadyWave, lam: complex) -> float:
     """|| ell^T G_minus - g_minus ell^T || / ||ell|| for the analytic pair.
 
     Computed with the adjoint kernel the neutral method integrates
-    (:func:`linearized_rhs` at the burned state), not from a G matrix.
+    (:func:`rhs_kernel` with shift g_minus at the burned state), not from a
+    G matrix.
     """
+    lam = complex(lam)
     ell, g = stable_left_mode(wave, lam)
-    return _pair_residual(wave, lam, ell, g)
+    return _pair_residual(wave, rhs_kernel(wave, lam, g), ell)
 
 
 def jump_vector(wave: SteadyWave, lam: complex) -> np.ndarray:
@@ -295,42 +290,40 @@ def jump_vector(wave: SteadyWave, lam: complex) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralFrame:
-    """Everything lambda-dependent needed by one determinant evaluation."""
+    """Everything lambda-dependent that one determinant evaluation needs.
+
+    ``ell`` and ``g_minus`` are the stable left eigenpair of the burned-end
+    matrix, ``jump`` the boundary jump row, ``M`` the truncation depth in y,
+    ``zeta`` the corrected burned-end start at y = -M and ``tail`` the
+    leading-order tail of Erpenbeck's quadrature over (-inf, -M].
+    """
 
     ell: np.ndarray
     g_minus: complex
     jump: np.ndarray
-
-
-def make_frame(wave: SteadyWave, lam: complex) -> SpectralFrame:
-    """Build and validate the spectral data for one frequency.
-
-    The left-eigenpair residual comes from the adjoint kernel the neutral
-    method integrates (see :func:`left_mode_residual`); no matrix is built.
-    It is rounding on entries of size |g_minus|, hence the bound's scale.
-    """
-    ell, g_minus = stable_left_mode(wave, lam)
-    residual = _pair_residual(wave, lam, ell, g_minus)
-    bound = 1e-10 * max(1.0, abs(g_minus))
-    if residual > bound:
-        raise NumericalDomainError(
-            f"left-eigenpair residual {residual:.3e} > {bound:.3e}", complex(lam)
-        )
-    return SpectralFrame(ell=ell, g_minus=g_minus, jump=jump_vector(wave, lam))
+    M: float
+    zeta: np.ndarray
+    tail: complex
 
 
 def _cross(a, b) -> tuple:
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
-def burned_start(
-    wave: SteadyWave, lam: complex, frame: SpectralFrame, M: float
-) -> tuple[np.ndarray, complex]:
-    """Start data at y = -M of every shooting method: ``(zeta, tail)``.
+def make_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = None) -> SpectralFrame:
+    """Build and validate the spectral data of one solve at tolerance ``tol``.
 
-    Near the burned end the factored adjoint field of the neutral method is
-    A(y) = A_inf + O(Y), A_inf the :func:`rhs_kernel` with shift g_minus at
-    ``wave.burned``, and A_inf ell = 0.  Its solution bounded as y -> -inf is
+    All of it comes from one adjoint :func:`rhs_kernel` with shift g_minus;
+    no matrix is built.
+
+    *Left mode.*  The left-eigenpair residual of :func:`stable_left_mode`'s
+    pair is that kernel applied to ell at ``wave.burned`` (see
+    :func:`left_mode_residual`).  It is rounding on entries of size
+    |g_minus|, hence the bound's scale.
+
+    *Start.*  Near the burned end the factored adjoint field of the neutral
+    method is A(y) = A_inf + O(Y), A_inf the kernel at ``wave.burned``, and
+    A_inf ell = 0.  Its solution bounded as y -> -inf is
     ell + w exp(K (y + M)) + O(Y(-M)^2), where
 
         (K I - A_inf) w = F,   F = A(-M) ell,
@@ -341,50 +334,13 @@ def burned_start(
     so A_inf's reactant column is (0, 0, 0, a33): w's gas part comes from a
     3x3 cofactor solve and w[3] from one division.  The eigenvalues of
     K I - A_inf are K and K + sigma_inf (mu - g_minus) for the other
-    burned-end modes mu, all with real part >= K when Re lambda >= 0.
+    burned-end modes mu, all with real part >= K when Re lambda >= 0.  The
+    inverse is built once and serves every depth.
 
-    ``tail`` is the integral over (-inf, -M] of Erpenbeck's quadrature
-    integrand lam Z . A0 (profile)' in the neutral normalization, to the same
-    order: there Z = exp(-g_minus (x - x(-M))) zeta and the profile
-    derivative falls as exp(K y), so the integrand at -M is divided by
-    K - g_minus sigma_inf, sigma_inf = m / psi(burned), whose real part is
-    >= K.  The profile at -M is evaluated through this module's bindings of
-    profile_at and profile_deriv, so evans' bindings still see exactly one
-    evaluation per RHS call.
-    """
-    lam = complex(lam)
-    K = wave.config.K
-    kernel = rhs_kernel(wave, lam, frame.g_minus)
-    state = profile_at(wave, -M)
-    F = kernel(state, frame.ell.tolist())
-    # columns of A_inf, then the rows of K I - A_inf
-    a = [kernel(wave.burned, e) for e in np.eye(4).tolist()]
-    rows = [[(K if i == j else 0.0) - a[j][i] for j in range(3)] for i in range(3)]
-    # the inverse of the gas block has the columns r1 x r2, r2 x r0, r0 x r1 over det
-    inv_cols = [_cross(rows[1], rows[2]), _cross(rows[2], rows[0]), _cross(rows[0], rows[1])]
-    det = sum(r * c for r, c in zip(rows[0], inv_cols[0]))
-    w = [sum(F[j] * inv_cols[j][i] for j in range(3)) / det for i in range(3)]
-    w.append((F[3] + a[2][3] * w[2]) / (K - a[3][3]))
-    zeta = frame.ell + np.array(w)
-
-    rho, u, e, Y = state
-    v0, v1, v2, v3 = profile_deriv(wave, -M)
-    z0, z1, z2, z3 = zeta.tolist()
-    integrand = lam * (z0 * v0 + z1 * (u * v0 + rho * v1)
-                       + z2 * ((e + 0.5 * u * u) * v0 + rho * u * v1 + rho * v2)
-                       + z3 * (Y * v0 + rho * v3))
-    sigma_inf = wave.m / reaction_psi(wave.burned, wave.config)
-    return zeta, integrand / (K - frame.g_minus * sigma_inf)
-
-
-def truncation_depth(wave: SteadyWave, lam: complex, frame: SpectralFrame, tol: float) -> float:
-    """The depth M in y that a solve at tolerance ``tol`` starts from.
-
-    :func:`burned_start`'s correction w is first order in eps = Y(-M)/Y0,
-    and the truncation error it leaves in D is of the order of its square.
-    This measures the correction once at the fixed depth ``wave.M_y``, where
-    eps = 1e-5, as rho1 = |zeta - ell| / (1e-5 |ell|), the correction per
-    unit eps, and returns M = ln(1/eps)/K with
+    *Depth.*  An explicit ``M`` must be positive and finite.  If ``M`` is
+    None the correction is measured once at the fixed depth ``wave.M_y``,
+    where eps = 1e-5, as rho1 = |zeta - ell| / (1e-5 |ell|), the correction
+    per unit eps, and M = ln(1/eps)/K with
 
         eps = min(1e-2, c sqrt(tol), sqrt(theta tol) / rho1),   c = 0.5, theta = 0.1,
 
@@ -397,11 +353,61 @@ def truncation_depth(wave: SteadyWave, lam: complex, frame: SpectralFrame, tol: 
     (rho1 eps)^2 but stayed under 0.06 eps^2: the sqrt(tol) cap covers those.
     Near CJ rho1 grows, and so does the depth.  ``tol`` must be positive.
     |zeta - ell| and |ell| are the same for conj(lam), and so is the depth.
+
+    *Tail.*  ``tail`` is the integral over (-inf, -M] of Erpenbeck's
+    quadrature integrand lam Z . A0 (profile)' in the neutral normalization,
+    to the same order: there Z = exp(-g_minus (x - x(-M))) zeta and the
+    profile derivative falls as exp(K y), so the integrand at -M is divided
+    by K - g_minus sigma_inf, sigma_inf = m / psi(burned), whose real part
+    is >= K.
+
+    The profile is evaluated through this module's bindings of profile_at
+    and profile_deriv, so evans' bindings still see exactly one evaluation
+    per RHS call.
     """
-    zeta, _ = burned_start(wave, lam, frame, wave.M_y)
-    rho1 = float(np.linalg.norm(zeta - frame.ell) / (Y_AT_M_Y * np.linalg.norm(frame.ell)))
-    eps = min(_EPS_MAX, _DEPTH_C * math.sqrt(tol))
-    bound = math.sqrt(_DEPTH_THETA * tol)
-    if rho1 * eps > bound:  # rho1 = 0 on a constant profile
-        eps = bound / rho1
-    return math.log(1.0 / eps) / wave.config.K
+    if M is not None:
+        M = float(M)
+        if not 0.0 < M < math.inf:  # also rejects NaN
+            raise ValueError(f"M must be positive and finite, got {M}")
+    lam = complex(lam)
+    ell, g_minus = stable_left_mode(wave, lam)
+    kernel = rhs_kernel(wave, lam, g_minus)
+    residual = _pair_residual(wave, kernel, ell)
+    bound = 1e-10 * max(1.0, abs(g_minus))
+    if residual > bound:
+        raise NumericalDomainError(f"left-eigenpair residual {residual:.3e} > {bound:.3e}", lam)
+
+    K = wave.config.K
+    # columns of A_inf, then the rows of K I - A_inf
+    a = [kernel(wave.burned, e) for e in np.eye(4).tolist()]
+    rows = [[(K if i == j else 0.0) - a[j][i] for j in range(3)] for i in range(3)]
+    # the inverse of the gas block has the columns r1 x r2, r2 x r0, r0 x r1 over det
+    inv_cols = [_cross(rows[1], rows[2]), _cross(rows[2], rows[0]), _cross(rows[0], rows[1])]
+    det = sum(r * c for r, c in zip(rows[0], inv_cols[0]))
+
+    def start(depth: float):
+        state = profile_at(wave, -depth)
+        F = kernel(state, ell.tolist())
+        w = [sum(F[j] * inv_cols[j][i] for j in range(3)) / det for i in range(3)]
+        w.append((F[3] + a[2][3] * w[2]) / (K - a[3][3]))
+        return state, ell + np.array(w)
+
+    if M is None:
+        _, zeta = start(wave.M_y)
+        rho1 = float(np.linalg.norm(zeta - ell) / (Y_AT_M_Y * np.linalg.norm(ell)))
+        eps = min(_EPS_MAX, _DEPTH_C * math.sqrt(tol))
+        eps_bound = math.sqrt(_DEPTH_THETA * tol)
+        if rho1 * eps > eps_bound:  # rho1 = 0 on a constant profile
+            eps = eps_bound / rho1
+        M = math.log(1.0 / eps) / K
+    state, zeta = start(M)
+
+    rho, u, e, Y = state
+    v0, v1, v2, v3 = profile_deriv(wave, -M)
+    z0, z1, z2, z3 = zeta.tolist()
+    integrand = lam * (z0 * v0 + z1 * (u * v0 + rho * v1)
+                       + z2 * ((e + 0.5 * u * u) * v0 + rho * u * v1 + rho * v2)
+                       + z3 * (Y * v0 + rho * v3))
+    sigma_inf = wave.m / reaction_psi(wave.burned, wave.config)
+    tail = integrand / (K - g_minus * sigma_inf)
+    return SpectralFrame(ell, g_minus, jump_vector(wave, lam), M, zeta, tail)

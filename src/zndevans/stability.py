@@ -210,9 +210,13 @@ def sweep_roots(
 ) -> RootTrace:
     """Root continuation across a sweep of one scalar field of ``base`` (e.g. 'EA' or 'q').
 
-    ``D`` is solved by ``method`` at integration tolerance ``evans_tol``;
-    ``tol`` is the Newton tolerance.  The trace's ``solve_stats`` lists
-    every solve made, in order.
+    ``D`` is solved by ``method`` at integration tolerance ``evans_tol``
+    and rescaled by its recorded analytic factor, as in
+    :func:`count_unstable`: each solve picks its depth from ``lambda``, so
+    Lee-Stewart's raw value is not analytic in ``lambda`` and Newton's
+    real-direction difference would not be its derivative.  ``tol`` is the
+    Newton tolerance.  The trace's ``solve_stats`` lists every solve made,
+    in order.
     """
     if name not in _SWEEPABLE:
         raise ValueError(f"cannot sweep {name!r}; choose from {_SWEEPABLE}")
@@ -224,7 +228,7 @@ def sweep_roots(
         def evaluator(lam: complex) -> complex:
             r = evaluate(wave, lam, method=method, M=M, tol=evans_tol)
             stats.append(r.stats)
-            return r.D
+            return r.D * r.kappa_to_neutral
 
         return evaluator
 

@@ -65,7 +65,7 @@ class GasWaveConfig:
     upstream unburned state (rho, u, e) ahead of the shock, u < 0
 
     No field sets the truncation depth: each solve picks it from its
-    tolerance (:func:`zndevans.spectral.truncation_depth`).
+    tolerance (:func:`zndevans.spectral.make_frame`).
     """
 
     Gamma: float
@@ -121,8 +121,19 @@ def _validate_config(cfg: GasWaveConfig) -> None:
         raise ConfigError(f"need numbers Ti_low <= Ti_high, got {cfg.Ti_low!r}, {cfg.Ti_high!r}")
 
 
+def _config_number(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"config field '{name}' must be a number, got {value!r}") from None
+
+
 def config_from_json(text: str) -> GasWaveConfig:
-    """Parse a configuration document (schema: config_to_json; other keys are ignored)."""
+    """Parse a configuration document (schema: config_to_json; other keys are ignored).
+
+    A missing field, or a value that ``float`` refuses, raises
+    :class:`ConfigError` naming the field.
+    """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -133,14 +144,15 @@ def config_from_json(text: str) -> GasWaveConfig:
     if not isinstance(up, dict):
         raise ConfigError("config needs an 'upstream' object with rho, u, e")
     try:
-        upstream = UpstreamState(rho=float(up["rho"]), u=float(up["u"]), e=float(up["e"]))
+        upstream = UpstreamState(
+            **{k: _config_number(up[k], f"upstream.{k}") for k in ("rho", "u", "e")})
     except KeyError as exc:
         raise ConfigError(f"upstream is missing field {exc}") from exc
     kwargs = {}
     for name in ("Gamma", "Cv", "q", "EA", "Ti_low", "Ti_high", "K", "Y0"):
         if name not in raw:
             raise ConfigError(f"config is missing field '{name}'")
-        kwargs[name] = float(raw[name])
+        kwargs[name] = _config_number(raw[name], name)
     return GasWaveConfig(upstream=upstream, **kwargs)
 
 
@@ -252,7 +264,7 @@ class SteadyWave:
     def M_y(self) -> float:
         """Fixed depth ln(1e5)/K, where Y = Y0 exp(K y) falls to Y_AT_M_Y = 1e-5 of Y0.
 
-        Not the depth of a solve: :func:`zndevans.spectral.truncation_depth`
+        Not the depth of a solve: :func:`zndevans.spectral.make_frame`
         measures the first-order start correction here and picks each
         solve's own depth from ``tol``.  :func:`profile_table` plots down to
         it, and ``duality_check`` and the CLI's ``--dump-g`` default to it.

@@ -112,12 +112,13 @@ def limit_G_plus(wave: SteadyWave, lam: complex) -> np.ndarray:
 
 
 def burned_start_solve(wave: SteadyWave, lam: complex, M: float) -> tuple[np.ndarray, complex]:
-    """:func:`zndevans.spectral.burned_start` the textbook way: the factored
-    adjoint matrices A = -sigma (G^T - g_minus I) at the burned state and at
-    y = -M from :func:`G_at_state`, w from a LAPACK solve of
-    (K I - A_inf) w = A(-M) ell, and the tail with :func:`apply_A0`."""
+    """The start ``(zeta, tail)`` of :func:`zndevans.spectral.make_frame` at
+    depth ``M`` the textbook way: the factored adjoint matrices
+    A = -sigma (G^T - g_minus I) at the burned state and at y = -M from
+    :func:`G_at_state`, w from a LAPACK solve of (K I - A_inf) w = A(-M) ell,
+    and the tail with :func:`apply_A0`."""
     cfg = wave.config
-    frame = make_frame(wave, lam)
+    frame = make_frame(wave, lam, 1e-5, M)
     g = frame.g_minus
     eye = np.eye(4)
 

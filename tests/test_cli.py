@@ -14,9 +14,16 @@ from conftest import lee_stewart_config
 from oracles import G_at_state
 from zndevans import cli, evans
 from zndevans.cli import main
-from zndevans.errors import StepSizeUnderflowError
-from zndevans.spectral import make_frame, truncation_depth
-from zndevans.znd import build_wave, config_to_json, default_config, nonreactive_config, profile_at
+from zndevans.errors import ConfigError, StepSizeUnderflowError
+from zndevans.spectral import make_frame
+from zndevans.znd import (
+    build_wave,
+    config_from_json,
+    config_to_json,
+    default_config,
+    nonreactive_config,
+    profile_at,
+)
 
 
 @pytest.fixture()
@@ -91,6 +98,22 @@ class TestProfileCommand:
         rc = main(["profile", "--config", str(bad), "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("value", [None, [1.0], "x"], ids=["null", "list", "string"])
+    @pytest.mark.parametrize("field", ["Gamma", "upstream.rho"])
+    def test_non_number_field_exits_2_naming_it(self, tmp_path, capsys, field, value):
+        raw = json.loads(config_to_json(default_config()))
+        if field == "Gamma":
+            raw["Gamma"] = value
+        else:
+            raw["upstream"]["rho"] = value
+        with pytest.raises(ConfigError, match=f"'{re.escape(field)}' must be a number"):
+            config_from_json(json.dumps(raw))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        rc = main(["profile", "--config", str(bad), "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+
 
 class TestEvansCommand:
     def test_smoke_record(self, cfg_path, tmp_path):
@@ -118,7 +141,7 @@ class TestEvansCommand:
         rec = json.loads(out.read_text())
         assert rec["method"] == "lee_stewart"
         wave = build_wave(cfg)
-        assert rec["M"] == truncation_depth(wave, 1.0 + 1.0j, make_frame(wave, 1.0 + 1.0j), 1e-5)
+        assert rec["M"] == make_frame(wave, 1.0 + 1.0j, 1e-5).M
 
     def test_unknown_method_usage_error(self, cfg_path, tmp_path):
         with pytest.raises(SystemExit) as exc:

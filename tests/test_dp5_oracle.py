@@ -15,12 +15,13 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zndevans import evans, numerics
+from zndevans import evans, numerics, spectral
 from zndevans.errors import NonFiniteStateError, StepSizeUnderflowError
 from zndevans.modelbench import ModelParams, model_field
 from zndevans.numerics import OdeField, integrate_adaptive, integrate_adaptive_scaled
@@ -190,7 +191,11 @@ _PINNED_EPS_Y = 1e-8  # the depth M_y = ln(1/eps_Y)/K these rows were recorded a
 @pytest.mark.parametrize("method, lam, tol, accepted, rejected, nfev, D", PINNED_D)
 def test_evans_D_and_counts_pinned(wave, monkeypatch, method, lam, tol, accepted, rejected,
                                    nfev, D):
-    monkeypatch.setattr(evans, "burned_start", lambda wave, lam, frame, M: (frame.ell, 0.0))
+    def uncorrected_frame(*args):
+        frame = spectral.make_frame(*args)
+        return replace(frame, zeta=frame.ell, tail=0.0)
+
+    monkeypatch.setattr(evans, "make_frame", uncorrected_frame)
     r = evans.evaluate(wave, lam, method=method, tol=tol, M=math.log(1.0 / _PINNED_EPS_Y) / wave.config.K)
     s = r.stats
     assert (s.accepted_steps, s.rejected_steps, s.rhs_evaluations) == (accepted, rejected, nfev)
@@ -198,7 +203,7 @@ def test_evans_D_and_counts_pinned(wave, monkeypatch, method, lam, tol, accepted
 
 
 # The same at the fixed depth M_y, where Y = 1e-5 Y0, each method started
-# from the corrected burned-end mode of spectral.burned_start.  A change
+# from the corrected burned-end mode of spectral.make_frame.  A change
 # meant to keep the solves must keep every count and move D only by
 # summation order.
 PINNED_D_CORRECTED = [
@@ -239,7 +244,7 @@ def test_evans_D_and_counts_pinned_corrected_start(wave, method, lam, tol, accep
     assert abs(r.D - D) <= 1e-10 * abs(D)
 
 
-# The same at the default depth, which spectral.truncation_depth picks from
+# The same at the default depth, which spectral.make_frame picks from
 # tol and lambda: the benchmark's four evans_points nodes at tol 1e-5, with
 # the depth M each solve ran at.
 PINNED_D_DEFAULT_DEPTH = [

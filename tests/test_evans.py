@@ -84,7 +84,7 @@ class TestMethodRelations:
 
     @pytest.mark.parametrize("method", ["erpenbeck", "lee_stewart"])
     def test_unfactored_in_range_at_lambda_40(self, wave, method):
-        # at the depth truncation_depth picks for tol = 1e-5 the unfactored
+        # at the depth make_frame picks for tol = 1e-5 the unfactored
         # exponent at lambda = 40 is -533, inside double range
         tol = 1e-5
         rn = evaluate(wave, 40.0 + 0j, method="neutral", tol=tol)
@@ -181,8 +181,8 @@ class TestDuality:
     def test_vanishing_products_name_lambda(self, wave, monkeypatch):
         # a zero jump row makes every forward-leg product vanish
         exact = evans.make_frame
-        monkeypatch.setattr(evans, "make_frame",
-                            lambda w, lam: replace(exact(w, lam), jump=np.zeros(4, complex)))
+        monkeypatch.setattr(evans, "make_frame", lambda w, lam, tol, M: replace(
+            exact(w, lam, tol, M), jump=np.zeros(4, complex)))
         with pytest.raises(NumericalDomainError, match="duality products vanish") as info:
             duality_check(wave, 1.0 + 1.0j)
         assert info.value.lam == 1.0 + 1.0j
@@ -207,7 +207,7 @@ class TestResultRecord:
     def test_stats_span(self, wave):
         lam = 1.0 + 0.5j
         r = evaluate(wave, lam, method="neutral")
-        M = spectral.truncation_depth(wave, lam, evans.make_frame(wave, lam), 1e-5)
+        M = evans.make_frame(wave, lam, 1e-5).M
         assert r.stats.span == (-M, 0.0)
         assert r.M == M
 
@@ -223,11 +223,11 @@ class TestResultRecord:
 
     @pytest.mark.parametrize("tol", [0.0, -1e-5, math.nan, math.inf])
     def test_invalid_tol_raises_before_the_depth(self, wave, monkeypatch, tol):
-        # the integrator's own message, before truncation_depth takes sqrt(tol)
+        # the integrator's own message, before make_frame takes sqrt(tol)
         def no_depth(*args):
             raise AssertionError("computed a depth for an invalid tol")
 
-        monkeypatch.setattr(evans, "truncation_depth", no_depth)
+        monkeypatch.setattr(evans, "make_frame", no_depth)
         for method in METHODS:
             with pytest.raises(ValueError, match="rel_tol must be positive and finite"):
                 evaluate(wave, 1.0 + 1.0j, method=method, tol=tol)
@@ -247,6 +247,22 @@ def test_one_profile_evaluation_per_rhs_call(wave, monkeypatch, method):
     n = evaluate(wave, 1.0 + 1.0j, method=method).stats.rhs_evaluations
     assert n > 0
     assert calls == {"profile_at": n, "profile_deriv": n if method == "erpenbeck" else 0}
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("explicit_M", [False, True], ids=["depth-from-tol", "explicit-M"])
+def test_one_frame_per_solve(wave, monkeypatch, method, explicit_M):
+    # make_frame builds the one adjoint kernel of the solve's burned-end data,
+    # evaluates the profile at M_y only to pick the depth, and once more at
+    # -M for the start and Erpenbeck's tail
+    calls = {"rhs_kernel": 0, "profile_at": 0, "profile_deriv": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(spectral, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(spectral, name, counted)
+    evaluate(wave, 1.0 + 1.0j, method=method, M=wave.M_y if explicit_M else None)
+    assert calls == {"rhs_kernel": 1, "profile_at": 1 if explicit_M else 2, "profile_deriv": 1}
 
 
 def oracle_erpenbeck_field(wave, lam):
@@ -308,7 +324,8 @@ def integrator_fails(request, monkeypatch):
 def direct_solver(method):
     """``evans``' private solver for ``method``, called without ``evaluate``."""
     def call(wave, lam):
-        return evans._SOLVERS[method](wave, lam, evans.make_frame(wave, lam), wave.M_y, 1e-5)
+        frame = evans.make_frame(wave, lam, 1e-5, wave.M_y)
+        return evans._SOLVERS[method](wave, lam, frame, 1e-5)
     return call
 
 
@@ -443,7 +460,7 @@ class TestAdjointIsAnnihilator:
         from zndevans.znd import profile_at, reaction_psi
 
         M = wave.M_y
-        frame = make_frame(wave, lam)
+        frame = make_frame(wave, lam, tol, M)
         G_minus = limit_G_minus(wave, lam)
         gs, vecs = np.linalg.eig(G_minus)
         unstable = [i for i in range(4) if gs[i].real > 0]

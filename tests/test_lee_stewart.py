@@ -11,7 +11,7 @@ import pytest
 from conftest import lee_stewart_config
 from zndevans.evans import METHODS, evaluate
 from zndevans.numerics import newton_root
-from zndevans.spectral import make_frame, truncation_depth
+from zndevans.spectral import make_frame
 from zndevans.stability import count_unstable
 from zndevans.znd import build_wave
 
@@ -37,7 +37,7 @@ def test_winding(ls_waves, method, f, E, radius, winding):
 def test_methods_agree_at_one_plus_i(ls_waves):
     wave = ls_waves[1.6, 50.0]
     values = []
-    M = truncation_depth(wave, 1.0 + 1.0j, make_frame(wave, 1.0 + 1.0j), 1e-8)
+    M = make_frame(wave, 1.0 + 1.0j, 1e-8).M
     for method in METHODS:
         r = evaluate(wave, 1.0 + 1.0j, method=method, tol=1e-8)
         assert r.M == M

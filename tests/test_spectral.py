@@ -20,12 +20,10 @@ from oracles import (
 from zndevans.errors import NumericalDomainError
 from zndevans.evans import METHODS, duality_check, evaluate
 from zndevans.spectral import (
-    burned_start,
     coefficient_G,
     jacobians,
     jump_vector,
     left_mode_residual,
-    linearized_rhs,
     make_frame,
     rhs_kernel,
     stable_left_mode,
@@ -76,7 +74,7 @@ class TestJacobians:
 
 
 class TestClosedFormKernel:
-    """linearized_rhs and apply_A0 against the matrices of jacobians with
+    """rhs_kernel and apply_A0 against the matrices of jacobians with
     LAPACK solves, along whole profiles of six waves and at their burned
     states."""
 
@@ -96,8 +94,8 @@ class TestClosedFormKernel:
                     z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
                     adj = -sig * (np.linalg.solve(A1.T.astype(complex), (-lam * A0.T + C.T) @ z) - shift * z)
                     fwd = sig * ((-lam * A0 + C) @ np.linalg.solve(A1.astype(complex), z))
-                    got_adj = np.array(linearized_rhs(wave, st_, lam, z.tolist(), shift))
-                    got_fwd = np.array(linearized_rhs(wave, st_, lam, z.tolist(), adjoint=False))
+                    got_adj = np.array(rhs_kernel(wave, lam, shift)(st_, z.tolist()))
+                    got_fwd = np.array(rhs_kernel(wave, lam, adjoint=False)(st_, z.tolist()))
                     got_A0 = np.array(apply_A0(st_, z.tolist()))
                     worst = max(
                         worst,
@@ -106,23 +104,6 @@ class TestClosedFormKernel:
                         np.linalg.norm(got_A0 - A0 @ z) / np.linalg.norm(A0 @ z),
                     )
         assert worst < 1e-12
-
-
-@pytest.mark.parametrize(
-    "cfg",
-    [default_config(), nonreactive_config(), lee_stewart_config(1.2, 50.0, 50.0, 1.6)],
-    ids=["default", "nonreactive", "LS(1.6,50)"],
-)
-def test_kernel_built_once_equals_one_shot(cfg, rng):
-    # one kernel serves a whole solve: reused over 50 profile states it must
-    # give what a kernel built for each state gives, bit for bit
-    wave = build_wave(cfg)
-    states = [profile_at(wave, y) for y in np.linspace(-wave.M_y, 0.0, 50).tolist()]
-    for lam, shift, adjoint in ((1 + 1j, 0.0, True), (0.1 + 30j, -0.4 + 0.2j, True), (4 + 10j, 0.0, False)):
-        kernel = rhs_kernel(wave, lam, shift, adjoint)
-        for st_ in states:
-            z = (rng.standard_normal(4) + 1j * rng.standard_normal(4)).tolist()
-            assert kernel(st_, z) == linearized_rhs(wave, st_, lam, z, shift, adjoint)
 
 
 class TestCoefficientMatrix:
@@ -165,7 +146,7 @@ class TestLimitMatrices:
             lams = [0.1 + 30j] + [complex(rng.uniform(0.01, 8), rng.uniform(-40, 40)) for _ in range(9)]
             for lam in lams:
                 want = np.column_stack([
-                    linearized_rhs(wave, wave.burned, lam, e.tolist(), adjoint=False)
+                    rhs_kernel(wave, lam, adjoint=False)(wave.burned, e.tolist())
                     for e in np.eye(4, dtype=complex)
                 ]) / sigma
                 got = limit_G_minus(wave, lam)
@@ -205,8 +186,8 @@ class TestBurnedStart:
     def test_matches_solve_oracle(self, cfg):
         wave = build_wave(cfg)
         for lam in self.lams:
-            frame = make_frame(wave, lam)
-            zeta, tail = burned_start(wave, lam, frame, wave.M_y)
+            frame = make_frame(wave, lam, 1e-5, wave.M_y)
+            zeta, tail = frame.zeta, frame.tail
             ref_zeta, ref_tail = burned_start_solve(wave, lam, wave.M_y)
             assert np.linalg.norm(zeta - ref_zeta) <= 1e-12 * np.linalg.norm(ref_zeta)
             assert abs(tail - ref_tail) <= 1e-12 * abs(ref_tail)
@@ -219,11 +200,11 @@ class TestBurnedStart:
                 assert np.linalg.norm(w) <= 1e-12 * np.linalg.norm(frame.ell)
 
     def test_reactant_column_exact(self, wave):
-        # burned_start solves the gas block first and w[3] last, because the
+        # make_frame solves the gas block first and w[3] last, because the
         # burned-end adjoint kernel (Y = 0) maps e_3 onto e_3 exactly
         for lam in self.lams:
-            g = make_frame(wave, lam).g_minus
-            out = linearized_rhs(wave, wave.burned, lam, [0.0, 0.0, 0.0, 1.0], g)
+            g = make_frame(wave, lam, 1e-5).g_minus
+            out = rhs_kernel(wave, lam, g)(wave.burned, [0.0, 0.0, 0.0, 1.0])
             assert out[:3] == [0.0, 0.0, 0.0] and out[3] != 0.0
 
 
@@ -298,7 +279,7 @@ class TestStableLeftMode:
             stable_left_mode(wave, -1.0 + 0.5j)
 
     def test_make_frame_validates(self, wave):
-        frame = make_frame(wave, 1.0 + 2.0j)
+        frame = make_frame(wave, 1.0 + 2.0j, 1e-5)
         assert frame.ell[2] == 1.0
         assert frame.g_minus.real < 0.0
 
@@ -315,7 +296,7 @@ class TestStableLeftMode:
 
         monkeypatch.setattr(spectral, "stable_left_mode", perturbed)
         with pytest.raises(NumericalDomainError, match="left-eigenpair residual"):
-            make_frame(wave, 1.0 + 1.0j)
+            make_frame(wave, 1.0 + 1.0j, 1e-5)
 
     @pytest.mark.parametrize(
         "q_frac, lam", [(None, 1.0 + 1e6j), (1.0 - 1e-6, 1.0 + 1.0j)], ids=["large-lambda", "near-sonic"]
@@ -329,8 +310,8 @@ class TestStableLeftMode:
         if q_frac is not None:
             wave = build_wave(replace(wave.config, q=q_frac * sonic_heat_release(wave.config)))
         ell, g = stable_left_mode(wave, lam)
-        assert spectral._pair_residual(wave, lam, ell, g) > 1e-10
-        frame = make_frame(wave, lam)
+        assert spectral._pair_residual(wave, rhs_kernel(wave, lam, g), ell) > 1e-10
+        frame = make_frame(wave, lam, 1e-5)
         assert np.array_equal(frame.ell, ell) and frame.g_minus == g
 
         exact = spectral.stable_left_mode
@@ -343,7 +324,7 @@ class TestStableLeftMode:
 
         monkeypatch.setattr(spectral, "stable_left_mode", perturbed)
         with pytest.raises(NumericalDomainError, match="left-eigenpair residual"):
-            make_frame(wave, lam)
+            make_frame(wave, lam, 1e-5)
 
     def test_kernel_residual_matches_matrix_residual(self, wave):
         # the residual make_frame checks, taken from the adjoint kernel, is
@@ -356,7 +337,8 @@ class TestStableLeftMode:
             G = limit_G_minus(wave, lam)
             want = np.linalg.norm(ell @ G - g * ell) / np.linalg.norm(ell)
             assert want > 1e-9
-            assert _pair_residual(wave, lam, ell, g) == pytest.approx(want, rel=1e-6)
+            got = _pair_residual(wave, rhs_kernel(wave, lam, g), ell)
+            assert got == pytest.approx(want, rel=1e-6)
 
 
 @pytest.fixture(scope="module")
@@ -481,7 +463,7 @@ def test_result_paths_use_no_lapack(wave, monkeypatch):
         monkeypatch.setattr(np.linalg, name, forbidden)
     lam = 1.0 + 1.0j
     assert np.all(np.isfinite(coefficient_G(wave, lam, -1.0)))
-    make_frame(wave, lam)
+    make_frame(wave, lam, 1e-5)
     assert math.isfinite(duality_check(wave, lam))
     for method in METHODS:
         assert cmath.isfinite(evaluate(wave, lam, method=method).D)

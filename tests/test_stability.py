@@ -3,9 +3,10 @@ import cmath
 import numpy as np
 import pytest
 
+from conftest import lee_stewart_config
 from zndevans import stability
 from zndevans.errors import ContourThroughRootError
-from zndevans.evans import evaluate
+from zndevans.evans import METHODS, evaluate
 from zndevans.numerics import Contour, refine_contour, winding_number
 from zndevans.stability import continue_roots, count_unstable, sweep_roots
 from zndevans.znd import default_config, nonreactive_config
@@ -183,6 +184,28 @@ class TestContinuation:
         trace = sweep_roots(nonreactive_config(), "EA", [10.0, 11.0], seed=0.5 + 0.5j)
         assert made and trace.solve_stats == tuple(made)
         assert trace.stopped_by
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_sweep_roots_evaluator_is_analytic(self, monkeypatch, method):
+        # Newton differences the evaluator along the real direction only,
+        # which gives its derivative only if the evaluator is analytic: on
+        # LS(1.6, 50) near its unstable pair the Cauchy-Riemann residual of
+        # the evaluator sweep_roots builds must be difference-error sized
+        class Captured(Exception):
+            pass
+
+        def capture(factory, *args, **kw):
+            raise Captured(factory)
+
+        monkeypatch.setattr(stability, "continue_roots", capture)
+        cfg = lee_stewart_config(1.2, 50.0, 50.0, 1.6)
+        with pytest.raises(Captured) as info:
+            sweep_roots(cfg, "q", [cfg.q], seed=0.3 + 0.9j, method=method, evans_tol=1e-10)
+        D = info.value.args[0](cfg.q)
+        lam, h = 0.3 + 0.9j, 1e-4
+        d_x = (D(lam + h) - D(lam - h)) / (2.0 * h)
+        d_y = (D(lam + 1j * h) - D(lam - 1j * h)) / (2.0 * h)
+        assert abs(d_x + 1j * d_y) < 1e-6 * abs(d_x)
 
     def test_trace_json(self):
         factory = lambda a: (lambda z: z - a)

@@ -1,5 +1,5 @@
-"""The depth of :func:`zndevans.spectral.truncation_depth` keeps the
-truncation error of D within tol / 2.
+"""The depth that :func:`zndevans.spectral.make_frame` picks from ``tol``
+keeps the truncation error of D within tol / 2.
 
 For each wave, lambda and tol the neutral D at the rule's depth M is
 compared with D_ref at depth ln(1e13)/K, both integrated at tol 1e-12.  The
@@ -27,7 +27,7 @@ import pytest
 from conftest import lee_stewart_config
 from zndevans import evans
 from zndevans.numerics import integrate_adaptive
-from zndevans.spectral import burned_start, make_frame, truncation_depth
+from zndevans.spectral import make_frame
 from zndevans.znd import build_wave, default_config
 
 REF_DEPTH = math.log(1e13)  # K M of the reference
@@ -57,17 +57,18 @@ def tols_for(name):
 
 def differences(wave, lam, tols):
     """D_ref and {tol: D(M) - D_ref} at the rule's depth M for each tol."""
-    frame = make_frame(wave, lam)
+    frame = make_frame(wave, lam, REF_TOL, REF_DEPTH / wave.config.K)
     field = evans._field(wave, lam, frame.g_minus)
-    y = -REF_DEPTH / wave.config.K
-    z, _ = burned_start(wave, lam, frame, -y)
+    y = -frame.M
+    z = frame.zeta
     diffs = {}
     for tol in sorted(tols):  # the deepest start first
-        M = truncation_depth(wave, lam, frame, tol)
+        start = make_frame(wave, lam, tol)
+        M = start.M
         if -M != y:
             z, _ = integrate_adaptive(field, (y, -M), z, REF_TOL, REF_TOL)
             y = -M
-        delta = burned_start(wave, lam, frame, M)[0] - z
+        delta = start.zeta - z
         size = np.linalg.norm(delta)
         carried, _ = integrate_adaptive(field, (-M, 0.0), delta / size, CARRY_TOL, CARRY_TOL)
         diffs[tol] = size * complex(carried @ frame.jump)
@@ -88,6 +89,6 @@ def test_shortcut_matches_full_solves():
     D_ref, diffs = differences(wave, lam, [tol])
     full_ref = evans.evaluate(wave, lam, M=REF_DEPTH / wave.config.K, tol=REF_TOL).D
     full = evans.evaluate(wave, lam, tol=REF_TOL,
-                          M=truncation_depth(wave, lam, make_frame(wave, lam), tol)).D
+                          M=make_frame(wave, lam, tol).M).D
     assert abs(D_ref - full_ref) <= 1e-6 * abs(full_ref)
     assert abs(diffs[tol] - (full - full_ref)) <= 1e-3 * abs(diffs[tol])
