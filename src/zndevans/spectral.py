@@ -82,11 +82,11 @@ def jacobians(state: StateW, cfg: GasWaveConfig) -> tuple[np.ndarray, np.ndarray
     A1[3, 1] = Y * rho
     A1[3, 3] = rho * u
 
-    # psi = rho * phi(T(e)); phi' = phi * EA/(R T^2)
+    # psi = rho * phi(T), T = e; phi' = phi * EA/((Gamma + 1) T^2)
     phi = arrhenius(T, cfg)
     psi = rho * phi
     dpsi_drho = phi
-    dpsi_de = rho * phi * cfg.EA / (cfg.gas_constant * T * T) / cfg.Cv
+    dpsi_de = rho * phi * cfg.EA / ((cfg.Gamma + 1.0) * T * T)
     KY = cfg.K * Y
 
     C = np.zeros((4, 4))
@@ -124,7 +124,7 @@ def rhs_kernel(wave: SteadyWave, lam: complex, shift: complex = 0.0, adjoint: bo
     f1_V = [[u, rho, 0], [a10, a11, a12], [a20, a21, a22]].
     """
     cfg = wave.config
-    Gamma, Cv, EA, R, K, q, m = cfg.Gamma, cfg.Cv, cfg.EA, cfg.gas_constant, cfg.K, cfg.q, wave.m
+    Gamma, EA, R, K, q, m = cfg.Gamma, cfg.EA, cfg.Gamma + 1.0, cfg.K, cfg.q, wave.m
     neg_EA, neg_lam = -EA, -lam
 
     def kernel(state: StateW, z) -> list:
@@ -152,13 +152,12 @@ def rhs_kernel(wave: SteadyWave, lam: complex, shift: complex = 0.0, adjoint: bo
         det = u * k00 + rho * k01
         rho_u = rho * u
 
-        T = e / Cv
-        RT = R * T
+        RT = R * e
         phi = math.exp(neg_EA / RT)  # arrhenius, ignited branch
         sig = m / (rho * phi)
         # the nonzero row of C, up to the factors q and -1
         c0 = K * Y * phi
-        c2 = c0 * rho * EA / (RT * T * Cv)
+        c2 = c0 * rho * EA / (RT * e)
         c3 = K * rho * phi
 
         z0, z1, z2, z3 = z

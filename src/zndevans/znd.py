@@ -55,9 +55,8 @@ class GasWaveConfig:
     """Physical parameters of one detonation problem.
 
     Gamma    Gruneisen coefficient (p = Gamma*rho*e), gamma = Gamma + 1
-    Cv       specific heat (T = e/Cv); gas constant R = gamma*Cv
     q        heat release per unit reactant mass (scalar, single species)
-    EA       activation energy of the Arrhenius rate
+    EA       activation energy: the rate factor is exp(-EA/((Gamma+1)*T)), T = e
     Ti_low   ignition temperature below which the reaction is off
     Ti_high  cutoff temperature above which the rate is exactly Arrhenius
     K        reaction rate constant (> 0, single species)
@@ -69,7 +68,6 @@ class GasWaveConfig:
     """
 
     Gamma: float
-    Cv: float
     q: float
     EA: float
     Ti_low: float
@@ -81,58 +79,56 @@ class GasWaveConfig:
     def __post_init__(self):
         _validate_config(self)
 
-    @property
-    def gas_constant(self) -> float:
-        return (self.Gamma + 1.0) * self.Cv
-
     def digest(self) -> str:
         """Stable content hash of the configuration."""
         payload = json.dumps(asdict(self), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)  # True is an int
+
+
 def _validate_config(cfg: GasWaveConfig) -> None:
     def positive(name, value):
-        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+        if not (_is_number(value) and math.isfinite(value) and value > 0):
             raise ConfigError(f"{name} must be a positive finite number, got {value!r}")
 
     def nonnegative(name, value):
-        if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
+        if not (_is_number(value) and math.isfinite(value) and value >= 0):
             raise ConfigError(f"{name} must be a nonnegative finite number, got {value!r}")
 
     positive("Gamma", cfg.Gamma)
-    positive("Cv", cfg.Cv)
     positive("K", cfg.K)
     positive("upstream.rho", cfg.upstream.rho)
     positive("upstream.e", cfg.upstream.e)
     nonnegative("q", cfg.q)
     nonnegative("EA", cfg.EA)
     # a str or None would make the bare comparisons below raise TypeError
-    number = (int, float)
-    if not (isinstance(cfg.Y0, number) and 0.0 <= cfg.Y0 <= 1.0):
+    if not (_is_number(cfg.Y0) and 0.0 <= cfg.Y0 <= 1.0):
         raise ConfigError(f"Y0 must lie in [0, 1], got {cfg.Y0!r}")
-    if not (isinstance(cfg.upstream.u, number) and cfg.upstream.u < 0):
-        raise ConfigError(
-            f"upstream.u must be negative (right-moving front, steady frame), "
-            f"got {cfg.upstream.u!r}"
-        )
-    if not (isinstance(cfg.Ti_low, number) and isinstance(cfg.Ti_high, number)
-            and cfg.Ti_low <= cfg.Ti_high):
+    if not (_is_number(cfg.upstream.u) and -math.inf < cfg.upstream.u < 0):
+        raise ConfigError(f"upstream.u must be finite and negative (steady frame), "
+                          f"got {cfg.upstream.u!r}")
+    if not (_is_number(cfg.Ti_low) and _is_number(cfg.Ti_high) and cfg.Ti_low <= cfg.Ti_high):
         raise ConfigError(f"need numbers Ti_low <= Ti_high, got {cfg.Ti_low!r}, {cfg.Ti_high!r}")
 
 
 def _config_number(value, name: str) -> float:
     try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"config field '{name}' must be a number, got {value!r}") from None
+        if _is_number(value):
+            return float(value)  # a JSON integer loads as a float, as digest() expects
+    except OverflowError:
+        pass
+    raise ConfigError(f"config field '{name}' must be a number, got {value!r}")
 
 
 def config_from_json(text: str) -> GasWaveConfig:
     """Parse a configuration document (schema: config_to_json; other keys are ignored).
 
-    A missing field, or a value that ``float`` refuses, raises
-    :class:`ConfigError` naming the field.
+    A missing field, or a value that is not a JSON number, raises
+    :class:`ConfigError` naming the field.  A stale ``"Cv": 1`` loads as if
+    absent; any other ``Cv`` is refused, as its window was read in e/Cv.
     """
     try:
         raw = json.loads(text)
@@ -148,8 +144,10 @@ def config_from_json(text: str) -> GasWaveConfig:
             **{k: _config_number(up[k], f"upstream.{k}") for k in ("rho", "u", "e")})
     except KeyError as exc:
         raise ConfigError(f"upstream is missing field {exc}") from exc
+    if "Cv" in raw and _config_number(raw["Cv"], "Cv") != 1.0:
+        raise ConfigError(f"config field 'Cv' must be 1 (temperature is e), got {raw['Cv']!r}")
     kwargs = {}
-    for name in ("Gamma", "Cv", "q", "EA", "Ti_low", "Ti_high", "K", "Y0"):
+    for name in ("Gamma", "q", "EA", "Ti_low", "Ti_high", "K", "Y0"):
         if name not in raw:
             raise ConfigError(f"config is missing field '{name}'")
         kwargs[name] = _config_number(raw[name], name)
@@ -194,22 +192,21 @@ class StateW(_PrimitiveFields):
 
 
 def thermo(state: StateW, cfg: GasWaveConfig) -> tuple[float, float, float, float, float]:
-    """Ideal-gas pointwise thermodynamics: (p, T, c_s, p_rho, p_e)."""
+    """Ideal-gas pointwise thermodynamics: (p, T, c_s, p_rho, p_e), with T = e."""
     rho, e, G = state.rho, state.e, cfg.Gamma
     p = G * rho * e
-    T = e / cfg.Cv
     c_s = math.sqrt(G * (G + 1.0) * e)
-    return p, T, c_s, G * e, G * rho
+    return p, e, c_s, G * e, G * rho
 
 
 def arrhenius(T: float, cfg: GasWaveConfig) -> float:
-    """Rate factor exp(-EA/(R*T)) on the ignited side (cutoff identically 1)."""
-    return math.exp(-cfg.EA / (cfg.gas_constant * T))
+    """Rate factor exp(-EA/((Gamma+1)*T)) on the ignited side (cutoff identically 1)."""
+    return math.exp(-cfg.EA / ((cfg.Gamma + 1.0) * T))
 
 
 def reaction_psi(state: StateW, cfg: GasWaveConfig) -> float:
     """psi = rho * phi(T), the density-weighted ignited rate factor."""
-    return state.rho * arrhenius(state.e / cfg.Cv, cfg)
+    return state.rho * arrhenius(state.e, cfg)
 
 
 def fluxes(state: StateW, cfg: GasWaveConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -250,7 +247,7 @@ class SteadyWave:
     and A1 is invertible there (det f1_V = rho^2 u (u^2 - c_s^2)); u- + c- > 0,
     so Re g_minus < 0 when Re lambda > 0; and the Neumann state is
     compressive: the supersonic upstream state, the other root at Y = Y0,
-    has u+ < center < u_N.  T = e/Cv is smallest at an end state, as e =
+    has u+ < center < u_N.  T = e is smallest at an end state, as e =
     u (rh_b - u) / Gamma is concave in u and u is monotone in Y (q >= 0).
     """
 
@@ -312,10 +309,9 @@ def sonic_heat_release(cfg: GasWaveConfig) -> float:
         raise ConfigError("sonic_heat_release needs Y0 > 0")
     up = cfg.upstream
     b = up.u + cfg.Gamma * up.e / up.u
-    center = _branch_center(cfg, b)
     c0 = 0.5 * up.u ** 2 + (cfg.Gamma + 1.0) * up.e  # rh_c without the q Y0 term
-    G = cfg.Gamma
-    return (center * center - 2.0 * G * c0 / (G + 2.0)) * (G + 2.0) / (2.0 * G * cfg.Y0)
+    disc0 = _discriminant(cfg, _branch_center(cfg, b), c0, 0.0)  # at q = 0
+    return disc0 * (cfg.Gamma + 2.0) / (2.0 * cfg.Gamma * cfg.Y0)
 
 
 def build_wave(config: GasWaveConfig) -> SteadyWave:
@@ -323,15 +319,21 @@ def build_wave(config: GasWaveConfig) -> SteadyWave:
 
     Raises :class:`ChapmanJouguetError` for sonic/underdriven data (the one
     check of the subsonic branch, :class:`SteadyWave`), :class:`InvalidWaveError`
-    for a subsonic upstream, and :class:`InvalidIgnitionWindowError` if the
-    upstream temperature exceeds Ti_low or min(T_N, T_b) falls below Ti_high.
+    for a subsonic upstream or invariants that overflow, and
+    :class:`InvalidIgnitionWindowError` if the upstream temperature exceeds
+    Ti_low or min(T_N, T_b) falls below Ti_high (temperature is e).
     """
     up = config.upstream
     m = -up.rho * up.u
     b = up.u + config.Gamma * up.e / up.u
-    c = 0.5 * up.u ** 2 + (config.Gamma + 1.0) * up.e + config.q * config.Y0
+    try:
+        c = 0.5 * up.u ** 2 + (config.Gamma + 1.0) * up.e + config.q * config.Y0
+    except OverflowError:  # float ** raises where * gives inf; the check below refuses it
+        c = math.inf
 
     disc_min = _discriminant(config, _branch_center(config, b), c, 0.0)
+    if not math.isfinite(disc_min):
+        raise InvalidWaveError(f"Rankine-Hugoniot invariants overflow: discriminant {disc_min}")
     if disc_min <= _EPS_CJ:
         raise ChapmanJouguetError(
             f"discriminant at the burned state is {disc_min:.3e} <= {_EPS_CJ:g}: "
@@ -344,16 +346,15 @@ def build_wave(config: GasWaveConfig) -> SteadyWave:
             f"upstream flow must be supersonic: |u+|={abs(up.u):.6g} <= c+={c_plus:.6g}"
         )
 
-    T_plus = up.e / config.Cv
-    if T_plus > config.Ti_low:
+    if up.e > config.Ti_low:
         raise InvalidIgnitionWindowError(
-            f"unburned temperature {T_plus:.6g} exceeds ignition threshold "
+            f"unburned temperature {up.e:.6g} exceeds ignition threshold "
             f"{config.Ti_low:.6g}; the upstream gas would react"
         )
     wave = SteadyWave(config=config, m=m, rh_b=b, rh_c=c, discriminant_min=disc_min)
     if config.Y0 > 0.0:
         # the profile's coldest point (SteadyWave)
-        T_min = min(wave.neumann.e, wave.burned.e) / config.Cv
+        T_min = min(wave.neumann.e, wave.burned.e)
         if T_min < config.Ti_high:
             raise InvalidIgnitionWindowError(
                 f"profile temperature falls to {T_min:.6g} < cutoff "
@@ -406,7 +407,7 @@ def sigma(wave: SteadyWave, y):
     center = _branch_center(cfg, wave.rh_b)
     u = center + np.sqrt(_discriminant(cfg, center, wave.rh_c, Ybar))
     e = (wave.rh_b * u - u * u) / cfg.Gamma
-    return -u * np.exp(cfg.EA / (cfg.gas_constant * e / cfg.Cv))
+    return -u * np.exp(cfg.EA / ((cfg.Gamma + 1.0) * e))
 
 
 def _sigma_integral(wave: SteadyWave, a: float, b: float) -> float:
@@ -475,7 +476,6 @@ def default_config() -> GasWaveConfig:
     """A comfortably overdriven single-species wave used by tests and demos."""
     return GasWaveConfig(
         Gamma=0.2,
-        Cv=1.0,
         q=5.0,
         EA=10.0,
         Ti_low=2.0,

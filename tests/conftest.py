@@ -41,23 +41,22 @@ def random_overdriven_config(rng: np.random.Generator) -> GasWaveConfig:
     mach = rng.uniform(2.5, 6.0)
     upstream = UpstreamState(rho=1.0, u=-mach * c_plus, e=e_plus)
     probe = GasWaveConfig(
-        Gamma=Gamma, Cv=1.0, q=0.0, EA=0.0, Ti_low=10.0, Ti_high=10.0,
+        Gamma=Gamma, q=0.0, EA=0.0, Ti_low=10.0, Ti_high=10.0,
         K=1.0, Y0=1.0, upstream=upstream,
     )
     q = rng.uniform(0.2, 0.7) * sonic_heat_release(probe)
-    T_plus = e_plus / 1.0
+    T_plus = e_plus
     # provisional window just above the unburned temperature; any compressive
     # shock clears it, and the realized Neumann temperature then fixes it
     trial = GasWaveConfig(
-        Gamma=Gamma, Cv=1.0, q=q, EA=0.0,
+        Gamma=Gamma, q=q, EA=0.0,
         Ti_low=1.0001 * T_plus, Ti_high=1.0001 * T_plus,
         K=float(rng.uniform(0.5, 4.0)), Y0=1.0, upstream=upstream,
     )
     wave = build_wave(trial)
-    T_neumann = wave.neumann.e / trial.Cv
+    T_neumann = wave.neumann.e
     cfg = GasWaveConfig(
         Gamma=Gamma,
-        Cv=1.0,
         q=q,
         EA=float(rng.uniform(1.0, 8.0)),
         Ti_low=1.05 * T_plus,
@@ -88,18 +87,19 @@ def random_waves():
 def lee_stewart_config(gamma: float, q: float, E: float, f: float) -> GasWaveConfig:
     """Lee & Stewart's case (gamma, q, E, f) with rho0 = p0 = 1, in their units.
 
-    Exact mapping onto the one-step Arrhenius model: Gamma = gamma - 1,
-    EA = E gamma / (gamma - 1) (so the rate factor is exp(-E rho / p)), the
-    upstream state at rest moving in at sqrt(f) D_CJ, the ignition window
-    closed at the unburned temperature, and K rescaled so the half-reaction
-    length -x(-ln 2 / K) is 1 (lengths scale exactly as 1/K).
+    Exact mapping onto the one-step Arrhenius model, whose temperature is e:
+    Gamma = gamma - 1, EA = E gamma / (gamma - 1) (so the rate factor
+    exp(-EA / (gamma e)) is exp(-E rho / p)), the upstream state at rest
+    moving in at sqrt(f) D_CJ, the ignition window closed at the unburned
+    temperature, and K rescaled so the half-reaction length -x(-ln 2 / K)
+    is 1 (lengths scale exactly as 1/K).
     """
     Gamma = gamma - 1.0
     a = (gamma * gamma - 1.0) * q / 2.0
     D_CJ = math.sqrt(gamma + a) + math.sqrt(a)
     T_plus = 1.0 / Gamma
     unit = GasWaveConfig(
-        Gamma=Gamma, Cv=1.0, q=q, EA=E * gamma / Gamma, Ti_low=T_plus, Ti_high=T_plus,
+        Gamma=Gamma, q=q, EA=E * gamma / Gamma, Ti_low=T_plus, Ti_high=T_plus,
         K=1.0, Y0=1.0, upstream=UpstreamState(rho=1.0, u=-math.sqrt(f) * D_CJ, e=T_plus),
     )
     half_length = -float(x_of_y(build_wave(unit), [0.0, -math.log(2.0)])[1])

@@ -98,7 +98,8 @@ class TestProfileCommand:
         rc = main(["profile", "--config", str(bad), "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
-    @pytest.mark.parametrize("value", [None, [1.0], "x"], ids=["null", "list", "string"])
+    @pytest.mark.parametrize("value", [None, [1.0], "x", True, "0.2"],
+                             ids=["null", "list", "string", "true", "numeric-string"])
     @pytest.mark.parametrize("field", ["Gamma", "upstream.rho"])
     def test_non_number_field_exits_2_naming_it(self, tmp_path, capsys, field, value):
         raw = json.loads(config_to_json(default_config()))
@@ -113,6 +114,21 @@ class TestProfileCommand:
         rc = main(["profile", "--config", str(bad), "--out", str(tmp_path / "x.csv")])
         assert rc == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("u, code, says", [(-math.inf, 2, "upstream.u"), (-1e200, 3, "overflow")],
+                             ids=["-inf", "-1e200"])
+    def test_extreme_upstream_speed_exits_with_a_typed_error(self, tmp_path, capsys, u, code, says):
+        # -inf once built a wave with a NaN discriminant; -1e200 overflowed
+        # u ** 2 into an uncaught OverflowError
+        raw = json.loads(config_to_json(default_config()))
+        raw["upstream"]["u"] = u
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        rc = main(["profile", "--config", str(bad), "--out", str(tmp_path / "x.csv")])
+        assert rc == code
+        err = capsys.readouterr().err
+        assert says in err
+        assert "Traceback" not in err
 
 
 class TestEvansCommand:

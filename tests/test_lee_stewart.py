@@ -53,8 +53,13 @@ def test_root_pinned(ls_waves):
     root = 0.125326848 + 0.885358023j
     found = []
     for method in METHODS:
-        z = newton_root(lambda lam: evaluate(wave, lam, method=method, tol=1e-10).D,
-                        0.12 + 0.88j)
+        # raw Lee-Stewart D is not analytic in lambda, as the depth follows
+        # lambda; D * kappa_to_neutral is, and it is what sweep_roots solves
+        def analytic_D(lam):
+            r = evaluate(wave, lam, method=method, tol=1e-10)
+            return r.D * r.kappa_to_neutral
+
+        z = newton_root(analytic_D, 0.12 + 0.88j)
         assert abs(z - root) <= 1e-7, (method, z)
         found.append(z)
     assert max(abs(a - b) for a in found for b in found) <= 1e-7, found

@@ -229,10 +229,25 @@ class TestBuildWave:
         ("Ti_low", {"Ti_low": "x"}),
         ("Ti_high", {"Ti_high": None}),
         ("upstream.u", {"upstream": UpstreamState(1.0, "x", 1.0)}),
+        ("K", {"K": True}),  # bool is an int in Python
     ])
     def test_non_numeric_field_is_a_config_error(self, name, change):
         with pytest.raises(ConfigError, match=name):
             replace(default_config(), **change)
+
+    def test_infinite_upstream_speed_is_a_config_error(self):
+        # -inf once passed as negative and built a wave with a NaN discriminant
+        with pytest.raises(ConfigError, match="upstream.u"):
+            replace(default_config(), upstream=UpstreamState(1.0, -math.inf, 1.0))
+
+    @pytest.mark.parametrize("change", [
+        {"upstream": UpstreamState(1.0, -1e200, 1.0)},  # u ** 2 overflows
+        {"Gamma": 1e300, "upstream": UpstreamState(1.0, -3.0, 1e10)},  # NaN discriminant
+        {"upstream": UpstreamState(1.0, -3.0, 1e308)},  # infinite discriminant
+    ], ids=["u-1e200", "Gamma-1e300", "e-1e308"])
+    def test_overflowing_invariants_are_an_invalid_wave(self, change):
+        with pytest.raises(InvalidWaveError, match="overflow"):
+            build_wave(replace(default_config(), **change))
 
     def test_subsonic_upstream_rejected(self):
         cfg = default_config()
@@ -288,9 +303,9 @@ def test_profile_coldest_at_an_end_state(random_waves):
     # is concave in u and u is monotone in Y, so no interior Y is colder
     for wave in profile_waves(random_waves):
         cfg = wave.config
-        T_end = min(wave.neumann.e, wave.burned.e) / cfg.Cv
+        T_end = min(wave.neumann.e, wave.burned.e)
         for Y in np.linspace(0.0, cfg.Y0, 1000):
-            T = gas_state(cfg, wave.m, wave.rh_b, wave.rh_c, Y)[2] / cfg.Cv
+            T = gas_state(cfg, wave.m, wave.rh_b, wave.rh_c, Y)[2]
             assert T >= T_end
 
 
@@ -437,11 +452,23 @@ class TestConfigIO:
     def test_written_config_has_no_tol(self):
         assert "tol" not in json.loads(config_to_json(default_config()))
 
-    def test_loads_a_config_with_eps_Y(self):
-        # configs once carried the truncation fraction eps_Y; each solve now
-        # picks its depth from tol, and such files still load
+    @pytest.mark.parametrize("key, value", [("eps_Y", 1e-5), ("Cv", 1.0), ("Cv", 1)],
+                             ids=["eps_Y", "Cv", "Cv-int"])
+    def test_loads_a_config_with_a_stale_key(self, key, value):
+        # configs once carried the truncation fraction eps_Y, which each solve
+        # now picks from tol, and a specific heat Cv, always 1, with
+        # temperature e/Cv; such files still load
         raw = json.loads(config_to_json(default_config()))
-        raw["eps_Y"] = 1e-5
+        raw[key] = value
         cfg = config_from_json(json.dumps(raw))
         assert cfg == default_config()
-        assert "eps_Y" not in json.loads(config_to_json(cfg))
+        assert key not in json.loads(config_to_json(cfg))
+
+    @pytest.mark.parametrize("value", [2.0, 0.5, True, "1", None])
+    def test_refuses_a_config_with_another_Cv(self, value):
+        # its ignition window was read in units of e/Cv, so dropping the key
+        # would change what the file means
+        raw = json.loads(config_to_json(default_config()))
+        raw["Cv"] = value
+        with pytest.raises(ConfigError, match="'Cv'"):
+            config_from_json(json.dumps(raw))
