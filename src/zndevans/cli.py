@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -30,7 +29,7 @@ from .errors import ConfigError, NumericalDomainError
 from .evans import duality_check, evaluate
 from .modelbench import DOMAIN_LENGTH, reproduce_table, C_COLUMNS, LAMBDA_ROWS
 from .numerics import SolveStats
-from .spectral import coefficient_G
+from .spectral import check_depth, coefficient_G
 from .stability import count_unstable, sweep_roots
 from .znd import (
     GasWaveConfig,
@@ -118,8 +117,9 @@ def _write_manifest(args, cfg: GasWaveConfig | None, stats: list[SolveStats],
     """Write ``<out>.manifest.json`` for the command ``main`` parsed into ``args``.
 
     ``outputs`` lists ``--out`` followed by ``also_wrote``, the other files
-    the run wrote.  ``profile`` takes no ``--tol`` or ``--M``, so its
-    manifest records null for both.
+    the run wrote.  Only ``evans`` takes ``--M`` and ``profile`` takes no
+    ``--tol``; a manifest records null for an option its command lacks, and
+    ``bench`` records the ``M`` it ran at.
     """
     manifest = {
         "command": ["zndevans", *args.argv],
@@ -161,9 +161,7 @@ def _cmd_evans(args) -> int:
     lam = complex(args.lam_re, args.lam_im)
     method = _METHOD_FLAGS[args.method]
     if args.dump_g:  # first: G is defined on the grid even where D fails
-        M = wave.M_y if args.M is None else args.M
-        if not 0.0 < M < math.inf:  # also rejects NaN
-            raise ValueError(f"M must be positive and finite, got {M}")
+        M = check_depth(wave.M_y if args.M is None else args.M)
         _dump_G_csv(wave, lam, M, args.dump_g)
     result = evaluate(wave, lam, method=method, M=args.M, tol=args.tol)
     record = result.to_json_dict()
@@ -180,7 +178,7 @@ def _cmd_contour(args) -> int:
     cfg = _load_config(args.config)
     wave = build_wave(cfg)
     method = _METHOD_FLAGS[args.method]
-    report = count_unstable(wave, args.radius, method=method, tol=args.tol, M=args.M)
+    report = count_unstable(wave, args.radius, method=method, tol=args.tol)
 
     _write_csv(args.out, CONTOUR_COLUMNS, ((z.real, z.imag, v.real, v.imag)
                                            for z, v in zip(report.contour.nodes, report.samples)))
@@ -197,8 +195,7 @@ def _cmd_roots(args) -> int:
     cfg = _load_config(args.config)
     values = [float(v) for v in args.values.split(",")]
     trace = sweep_roots(cfg, args.param, values, complex(args.seed_re, args.seed_im),
-                        method=_METHOD_FLAGS[args.method], M=args.M, evans_tol=args.tol,
-                        tol=args.root_tol)
+                        method=_METHOD_FLAGS[args.method], evans_tol=args.tol, tol=args.root_tol)
     _write_json(args.out, trace.to_json_dict(), args)
     _write_manifest(args, cfg, list(trace.solve_stats), extra={"stopped_by": trace.stopped_by})
     n_ok = int(np.sum(trace.converged))
@@ -210,7 +207,7 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    table = reproduce_table(args.table, tol=args.tol, M=args.M)
+    table = reproduce_table(args.table, tol=args.tol)
     rows = []
     for direction in ("forward", "backward"):
         counts = table.counts(direction)
@@ -246,9 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
         if solver:
             p.add_argument("--tol", type=float, default=1e-5,
                            help="integration tolerance (default 1e-5)")
-            p.add_argument("--M", type=float, default=None,
-                           help="domain truncation length (default: picked from --tol for "
-                                "each solve; 5 for bench)")
         p.add_argument("--out", required=True, help="output file path")
 
     p = sub.add_parser("profile", help="dump the steady profile as CSV")
@@ -258,6 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evans", help="evaluate the stability determinant at one frequency")
     common(p)
+    p.add_argument("--M", type=float, default=None,
+                   help="truncation depth in y (default: picked from --tol)")
     p.add_argument("--lambda-re", dest="lam_re", type=float, required=True)
     p.add_argument("--lambda-im", dest="lam_im", type=float, default=0.0)
     p.add_argument("--method", choices=sorted(_METHOD_FLAGS), default="neutral")

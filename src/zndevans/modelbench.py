@@ -1,6 +1,6 @@
 """Two-by-two model eigenvalue problem used to benchmark integration strategies.
 
-The test system on ``-M <= x <= 0`` is
+The test system on ``-M <= x <= 0``, ``M = DOMAIN_LENGTH``, is
 
     y' = lam * [[1/2, 0], [exp(2x)/c, -1/2]] y          (unfactored)
 
@@ -109,7 +109,7 @@ REFERENCE_COUNTS = {
 
 VARIANTS = ("factored", "unfactored")
 DIRECTIONS = ("forward", "backward")
-DOMAIN_LENGTH = 5.0  # default M of ModelParams, reproduce_table and `bench`
+DOMAIN_LENGTH = 5.0  # M: every run integrates over [-M, 0], as the reference counts do
 
 # Absolute tolerance as a fraction of the relative one.  Calibrated once,
 # globally, against the reference mesh counts: the reference solver's error
@@ -120,18 +120,15 @@ _ABS_TOL_FRACTION = 1e-2
 
 @dataclass(frozen=True)
 class ModelParams:
-    """One benchmark configuration: decay coefficient, frequency, domain, tolerance."""
+    """One benchmark configuration: decay coefficient, frequency, tolerance."""
 
     c_decay: float
     lam: complex
-    M: float = DOMAIN_LENGTH
     tol: float = 1e-5
 
     def __post_init__(self):
         if self.c_decay == 0.0:
             raise ValueError("c_decay must be nonzero")
-        if not 0.0 < self.M < math.inf:  # also rejects NaN
-            raise ValueError(f"M must be positive and finite, got {self.M}")
         if not 0.0 < self.tol < math.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
@@ -215,9 +212,9 @@ def run_cell(params: ModelParams, variant: str, direction: str) -> BenchCell:
     init = np.array([1.0 + 0j, 0.0 + 0j])
     init_scale = 1.0 + 0j
     if direction == "forward":
-        span = (-params.M, 0.0)
+        span = (-DOMAIN_LENGTH, 0.0)
         if variant == "unfactored":
-            exponent = -0.5 * lam * params.M
+            exponent = -0.5 * lam * DOMAIN_LENGTH
             if exponent.real < -700.0:
                 raise EvansOverflowError(
                     "unfactored forward initial data underflows double range; "
@@ -226,7 +223,7 @@ def run_cell(params: ModelParams, variant: str, direction: str) -> BenchCell:
                 )
             init_scale = cmath.exp(exponent)
     else:
-        span = (0.0, -params.M)
+        span = (0.0, -DOMAIN_LENGTH)
     mantissa, pow2, stats = integrate_adaptive_scaled(
         field, span, init,
         rel_tol=params.tol, abs_tol=_ABS_TOL_FRACTION * params.tol,
@@ -251,18 +248,10 @@ class BenchTable:
     variant: str
     cells: tuple[BenchCell, ...]  # ordered (lambda row) x (c) x (direction)
 
-    def cell(self, lam: complex, c: float, direction: str) -> BenchCell:
-        for cc in self.cells:
-            if cc.params.lam == lam and cc.params.c_decay == c and cc.direction == direction:
-                return cc
-        raise KeyError((lam, c, direction))
-
     def counts(self, direction: str) -> np.ndarray:
-        out = np.zeros((len(LAMBDA_ROWS), len(C_COLUMNS)), dtype=int)
-        for i, lam in enumerate(LAMBDA_ROWS):
-            for j, c in enumerate(C_COLUMNS):
-                out[i, j] = self.cell(lam, c, direction).mesh_points
-        return out
+        """Mesh points of one direction's cells, rows LAMBDA_ROWS, columns C_COLUMNS."""
+        points = [c.mesh_points for c in self.cells if c.direction == direction]
+        return np.array(points).reshape(len(LAMBDA_ROWS), len(C_COLUMNS))
 
     def reference(self, direction: str) -> np.ndarray:
         return REFERENCE_COUNTS[(self.variant, direction)]
@@ -310,7 +299,7 @@ class BenchTable:
         return failures
 
 
-def reproduce_table(which: int, tol: float = 1e-5, M: float = DOMAIN_LENGTH) -> BenchTable:
+def reproduce_table(which: int, tol: float = 1e-5) -> BenchTable:
     """Run the full grid for table 1 (factored) or table 2 (unfactored)."""
     if which not in (1, 2):
         raise ValueError("table must be 1 or 2")
@@ -318,7 +307,7 @@ def reproduce_table(which: int, tol: float = 1e-5, M: float = DOMAIN_LENGTH) -> 
     cells = []
     for lam in LAMBDA_ROWS:
         for c in C_COLUMNS:
-            params = ModelParams(c_decay=c, lam=lam, M=M, tol=tol)
+            params = ModelParams(c_decay=c, lam=lam, tol=tol)
             for direction in DIRECTIONS:
                 cells.append(run_cell(params, variant, direction))
     return BenchTable(which=which, variant=variant, cells=tuple(cells))

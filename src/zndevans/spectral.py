@@ -309,6 +309,14 @@ def _cross(a, b) -> tuple:
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
+def check_depth(M: float) -> float:
+    """``M`` as a float; the ValueError every solve raises on a depth outside (0, inf)."""
+    M = float(M)
+    if not 0.0 < M < math.inf:  # also rejects NaN
+        raise ValueError(f"M must be positive and finite, got {M}")
+    return M
+
+
 def make_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = None) -> SpectralFrame:
     """Build and validate the spectral data of one solve at tolerance ``tol``.
 
@@ -365,9 +373,7 @@ def make_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = Non
     per RHS call.
     """
     if M is not None:
-        M = float(M)
-        if not 0.0 < M < math.inf:  # also rejects NaN
-            raise ValueError(f"M must be positive and finite, got {M}")
+        M = check_depth(M)
     lam = complex(lam)
     ell, g_minus = stable_left_mode(wave, lam)
     kernel = rhs_kernel(wave, lam, g_minus)

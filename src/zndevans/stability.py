@@ -63,7 +63,6 @@ def count_unstable(
     radius: float,
     method: str = METHOD_NEUTRAL,
     tol: float = 1e-5,
-    M: float | None = None,
 ) -> WindingReport:
     """Count unstable modes inside the offset semicircle of given radius.
 
@@ -74,6 +73,7 @@ def count_unstable(
     :class:`ContourThroughRootError` (perturb the radius and retry).
     ``Contour.semicircle`` rejects a radius that is not positive (or NaN).
 
+    Each solve picks its truncation depth from ``tol`` (``make_frame``).
     Unnormalized methods are rescaled by their recorded analytic factor, so
     every method winds the same function; the factor is entire and
     nonvanishing, hence contributes no winding of its own.
@@ -94,7 +94,7 @@ def count_unstable(
         key = lam if lam.imag >= 0.0 else lam.conjugate()
         r = solved.get(key)
         if r is None:
-            r = solved[key] = evaluate(wave, key, method=method, M=M, tol=tol)
+            r = solved[key] = evaluate(wave, key, method=method, tol=tol)
         value = r.D * r.kappa_to_neutral
         return value if key == lam else value.conjugate()
 
@@ -204,7 +204,6 @@ def sweep_roots(
     values: Sequence[float],
     seed: complex,
     method: str = METHOD_NEUTRAL,
-    M: float | None = None,
     evans_tol: float = 1e-7,
     tol: float = 1e-8,
 ) -> RootTrace:
@@ -226,7 +225,7 @@ def sweep_roots(
         wave = build_wave(replace(base, **{name: value}))
 
         def evaluator(lam: complex) -> complex:
-            r = evaluate(wave, lam, method=method, M=M, tol=evans_tol)
+            r = evaluate(wave, lam, method=method, tol=evans_tol)
             stats.append(r.stats)
             return r.D * r.kappa_to_neutral
 

@@ -303,14 +303,20 @@ def sonic_heat_release(cfg: GasWaveConfig) -> float:
     """Largest q for which the configured Neumann shock stays overdriven.
 
     The discriminant at the burned end is linear and decreasing in q; this
-    is its root.  Requires Y0 > 0.
+    is its root.  Requires Y0 > 0; invariants that overflow raise
+    :class:`InvalidWaveError`, as in :func:`build_wave`.
     """
     if cfg.Y0 <= 0.0:
         raise ConfigError("sonic_heat_release needs Y0 > 0")
     up = cfg.upstream
     b = up.u + cfg.Gamma * up.e / up.u
-    c0 = 0.5 * up.u ** 2 + (cfg.Gamma + 1.0) * up.e  # rh_c without the q Y0 term
+    try:
+        c0 = 0.5 * up.u ** 2 + (cfg.Gamma + 1.0) * up.e  # rh_c without the q Y0 term
+    except OverflowError:  # as in build_wave
+        c0 = math.inf
     disc0 = _discriminant(cfg, _branch_center(cfg, b), c0, 0.0)  # at q = 0
+    if not math.isfinite(disc0):
+        raise InvalidWaveError(f"Rankine-Hugoniot invariants overflow: discriminant {disc0}")
     return disc0 * (cfg.Gamma + 2.0) / (2.0 * cfg.Gamma * cfg.Y0)
 
 
@@ -334,6 +340,8 @@ def build_wave(config: GasWaveConfig) -> SteadyWave:
     disc_min = _discriminant(config, _branch_center(config, b), c, 0.0)
     if not math.isfinite(disc_min):
         raise InvalidWaveError(f"Rankine-Hugoniot invariants overflow: discriminant {disc_min}")
+    if not math.isfinite(m):
+        raise InvalidWaveError(f"Rankine-Hugoniot invariants overflow: mass flux {m}")
     if disc_min <= _EPS_CJ:
         raise ChapmanJouguetError(
             f"discriminant at the burned state is {disc_min:.3e} <= {_EPS_CJ:g}: "

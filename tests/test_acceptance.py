@@ -41,9 +41,9 @@ def report(criterion: int, ok: bool, detail: str) -> bool:
 @pytest.fixture(scope="module")
 def tables():
     t0 = time.time()
-    t1 = reproduce_table(1, tol=1e-5, M=5.0)
+    t1 = reproduce_table(1, tol=1e-5)
     t1_seconds = time.time() - t0
-    t2 = reproduce_table(2, tol=1e-5, M=5.0)
+    t2 = reproduce_table(2, tol=1e-5)
     return t1, t2, t1_seconds
 
 
@@ -105,7 +105,7 @@ def test_criterion_3_model_oracle():
     worst_tight = worst_relaxed = 0.0
     for lam in LAMBDA_ROWS:
         for c in C_COLUMNS:
-            params = ModelParams(c_decay=c, lam=lam, M=5.0, tol=1e-8)
+            params = ModelParams(c_decay=c, lam=lam, tol=1e-8)
             cell = run_cell(params, "factored", "forward")
             got = cell.endpoint_value()[1]
             want = model_oracle(params)

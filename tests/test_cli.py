@@ -320,6 +320,7 @@ class TestManifestRecordsTheRun:
         assert main(["contour", "--config", shock_path, "--radius", "1", "--out", str(out)]) == 0
         manifest = json.loads((tmp_path / "contour.csv.manifest.json").read_text())
         assert manifest["outputs"] == [str(out), str(out) + ".winding.json"]
+        assert manifest["M"] is None
 
     def test_bench_records_the_M_it_ran_at(self, tmp_path):
         out = tmp_path / "t1.csv"
@@ -339,8 +340,8 @@ class TestBenchTrendExit:
 
 
 @pytest.mark.parametrize("argv", [
-    ["bench", "--table", "1", "--M", "-1"],
-    ["bench", "--table", "1", "--M", "0"],
+    ["bench", "--table", "1", "--M", "5"],
+    ["contour", "--config", "{cfg}", "--radius", "2", "--M", "1"],
     ["evans", "--config", "{cfg}", "--lambda-re", "1", "--tol", "-1"],
     ["evans", "--config", "{cfg}", "--lambda-re", "1", "--duality-grid", "2"],
     ["contour", "--config", "{cfg}", "--radius", "-1"],
@@ -356,7 +357,8 @@ class TestBenchTrendExit:
     ["evans", "--config", "{cfg}", "--lambda-re", "nan"],
     ["contour", "--config", "{cfg}", "--radius", "2", "--tol", "nan"],
     ["bench", "--table", "1", "--tol", "nan"],
-    ["bench", "--table", "1", "--M", "nan"],
+    ["roots", "--config", "{cfg}", "--param", "EA", "--values", "10", "--seed-re", "1",
+     "--M", "1"],
     ["roots", "--config", "{cfg}", "--param", "EA", "--values", "nan", "--seed-re", "1"],
     ["roots", "--config", "{cfg}", "--param", "EA", "--values", "10", "--seed-re", "1",
      "--root-tol", "nan"],

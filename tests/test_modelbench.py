@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from zndevans.modelbench import (
+    DOMAIN_LENGTH,
     BenchCell,
     LAMBDA_ROWS,
     ModelParams,
@@ -35,7 +36,7 @@ class TestModelField:
         from zndevans.numerics import integrate_adaptive
 
         lam, c, M = 3.0 + 2.0j, 10.0, 5.0
-        p = ModelParams(c_decay=c, lam=lam, M=M)
+        p = ModelParams(c_decay=c, lam=lam)
         zf, _ = integrate_adaptive(
             model_field(p, "factored"), (-M, 0.0), [1.0, 0.0], 1e-10, 1e-12
         )
@@ -87,7 +88,7 @@ class TestRunCell:
     def test_unfactored_forward_records_init_scale(self):
         p = ModelParams(c_decay=10.0, lam=4.0)
         cell = run_cell(p, "unfactored", "forward")
-        assert cell.init_scale == pytest.approx(cmath.exp(-p.lam * p.M / 2.0))
+        assert cell.init_scale == pytest.approx(cmath.exp(-p.lam * DOMAIN_LENGTH / 2.0))
         assert 61 / 2 <= cell.mesh_points <= 61 * 2
 
     def test_mesh_points_is_accepted_plus_one(self):
@@ -103,8 +104,6 @@ class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):
             ModelParams(c_decay=0.0, lam=1.0)
-        with pytest.raises(ValueError):
-            ModelParams(c_decay=1.0, lam=1.0, M=-1.0)
         with pytest.raises(ValueError):
             ModelParams(c_decay=1.0, lam=1.0, tol=0.0)
 

@@ -244,10 +244,17 @@ class TestBuildWave:
         {"upstream": UpstreamState(1.0, -1e200, 1.0)},  # u ** 2 overflows
         {"Gamma": 1e300, "upstream": UpstreamState(1.0, -3.0, 1e10)},  # NaN discriminant
         {"upstream": UpstreamState(1.0, -3.0, 1e308)},  # infinite discriminant
-    ], ids=["u-1e200", "Gamma-1e300", "e-1e308"])
+        {"upstream": UpstreamState(1e308, -3.0, 1.0)},  # infinite mass flux
+    ], ids=["u-1e200", "Gamma-1e300", "e-1e308", "rho-1e308"])
     def test_overflowing_invariants_are_an_invalid_wave(self, change):
         with pytest.raises(InvalidWaveError, match="overflow"):
             build_wave(replace(default_config(), **change))
+
+    def test_sonic_heat_release_refuses_overflowing_invariants(self):
+        # u ** 2 overflows
+        cfg = replace(default_config(), upstream=UpstreamState(1.0, -1e200, 1.0))
+        with pytest.raises(InvalidWaveError, match="overflow"):
+            sonic_heat_release(cfg)
 
     def test_subsonic_upstream_rejected(self):
         cfg = default_config()
