@@ -28,13 +28,13 @@ The left end y = -M is where the reactant has fallen to eps of Y0.  All
 three methods take their burned-end data there from the one
 :class:`zndevans.spectral.SpectralFrame` of the solve, built by
 :func:`zndevans.spectral.make_frame`: the factored adjoint's start
-zeta(-M) = ell + w, the stable left mode plus its first-order correction
-(K I - A_inf) w = A(-M) ell, which the forward methods integrate from and
-Lee-Stewart pairs with; and, for Erpenbeck, the leading-order tail of the
-quadrature over (-inf, -M], which the running quadrature starts from.  The
-truncation error is then of order eps^2 rather than eps.  Unless ``M`` is
-given, the frame picks eps for each lambda from ``tol``, so that this error
-stays below ``tol``; every method runs at that one depth.
+zeta(-M) = ell + v1 + v2, the stable left mode plus its first- and
+second-order corrections in eps, which the forward methods integrate from
+and Lee-Stewart pairs with; and, for Erpenbeck, the tail of the quadrature
+over (-inf, -M] to the same order, which the running quadrature starts
+from.  The truncation error is then of order eps^3 rather than eps.
+Unless ``M`` is given, the frame picks eps for each lambda from ``tol``, so
+that this error stays below ``tol``; every method runs at that one depth.
 
 Normalizations are chosen so neutral and Erpenbeck values coincide up to
 truncation error; the Lee-Stewart value differs by the recorded analytic
@@ -166,8 +166,8 @@ def _erpenbeck(wave: SteadyWave, lam: complex, frame: SpectralFrame, tol: float)
     so the one adaptive controller bounds ODE and quadrature error together;
     the determinant is that integral plus the pure-jump boundary term.  The
     adjoint starts from prefactor * zeta(-M) and the quadrature from
-    prefactor times the closed-form integral of its leading-order tail over
-    (-inf, -M] (the frame's ``zeta`` and ``tail``), with the prefactor
+    prefactor times the closed-form integral of its tail over (-inf, -M]
+    (the frame's ``zeta`` and ``tail()``), with the prefactor
     exp(-g_minus x(-M)), which makes the value coincide with the neutral one
     (kappa = 1).
     """
@@ -190,7 +190,7 @@ def _erpenbeck(wave: SteadyWave, lam: complex, frame: SpectralFrame, tol: float)
 
     atol = np.full(5, tol)
     atol[:4] *= max(abs(prefactor), 1e-280)  # keep the tiny start under relative control
-    init = np.concatenate([prefactor * frame.zeta, [prefactor * frame.tail]])
+    init = np.concatenate([prefactor * frame.zeta, [prefactor * frame.tail()]])
     z, stats = _integrate(lam, OdeField(dimension=5, eval=rhs), (-frame.M, 0.0), init, tol, atol)
     jump_F0_only = frame.jump - fluxes(wave.neumann, wave.config)[2]  # lam * [F0], no source term
     return complex(z[4] + z[:4] @ jump_F0_only), stats, 1.0 + 0j

@@ -13,9 +13,9 @@ once per RHS evaluation), G itself built column by column from that same
 kernel, the analytic stable left eigenpair (ell, g_minus) of the burned-end
 matrix, the boundary jump vector that closes the stability determinant,
 and the frame of one solve (:func:`make_frame`): that pair checked, the
-jump, the truncation depth picked from the tolerance, and the first-order
+jump, the truncation depth picked from the tolerance, the second-order
 corrected burned-end mode at that depth that every shooting method starts
-from.
+from, and Erpenbeck's quadrature tail beyond it.
 
 Nothing here re-checks that every profile state is subsonic with u < 0;
 that is the invariant of :class:`zndevans.znd.SteadyWave`.
@@ -26,6 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -43,9 +44,7 @@ from .znd import (
     thermo,
 )
 
-# the constants of make_frame's depth rule, fixed against tests/test_truncation.py
-_EPS_MAX = 1e-2
-_DEPTH_C = 0.5
+# the constant of make_frame's depth rule, fixed against tests/test_truncation.py
 _DEPTH_THETA = 0.1
 
 
@@ -293,8 +292,9 @@ class SpectralFrame:
 
     ``ell`` and ``g_minus`` are the stable left eigenpair of the burned-end
     matrix, ``jump`` the boundary jump row, ``M`` the truncation depth in y,
-    ``zeta`` the corrected burned-end start at y = -M and ``tail`` the
-    leading-order tail of Erpenbeck's quadrature over (-inf, -M].
+    ``zeta`` the corrected burned-end start at y = -M, and ``tail()`` the
+    integral of Erpenbeck's quadrature over (-inf, -M], computed when
+    called, as only that method reads it.
     """
 
     ell: np.ndarray
@@ -302,7 +302,7 @@ class SpectralFrame:
     jump: np.ndarray
     M: float
     zeta: np.ndarray
-    tail: complex
+    tail: Callable[[], complex]
 
 
 def _cross(a, b) -> tuple:
@@ -317,6 +317,17 @@ def check_depth(M: float) -> float:
     return M
 
 
+def _quadrature_integrand(lam: complex, state: StateW, deriv, z) -> complex:
+    """lam z . A0 (profile)', Erpenbeck's integrand, at a profile state and
+    its y-derivative ``deriv``."""
+    rho, u, e, Y = state
+    v0, v1, v2, v3 = deriv
+    z0, z1, z2, z3 = z
+    return lam * (z0 * v0 + z1 * (u * v0 + rho * v1)
+                  + z2 * ((e + 0.5 * u * u) * v0 + rho * u * v1 + rho * v2)
+                  + z3 * (Y * v0 + rho * v3))
+
+
 def make_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = None) -> SpectralFrame:
     """Build and validate the spectral data of one solve at tolerance ``tol``.
 
@@ -329,44 +340,69 @@ def make_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = Non
     |g_minus|, hence the bound's scale.
 
     *Start.*  Near the burned end the factored adjoint field of the neutral
-    method is A(y) = A_inf + O(Y), A_inf the kernel at ``wave.burned``, and
-    A_inf ell = 0.  Its solution bounded as y -> -inf is
-    ell + w exp(K (y + M)) + O(Y(-M)^2), where
+    method is A(y) = A_inf + eps(y) A1 + eps(y)^2 A2 + O(eps^3), with A_inf
+    the kernel at ``wave.burned``, A_inf ell = 0 and eps(y) = Y(y)/Y0 =
+    eps exp(K (y + M)).  Its solution bounded as y -> -inf is
+    ell + v1 exp(K (y + M)) + v2 exp(2 K (y + M)) + O(eps^3), where
 
-        (K I - A_inf) w = F,   F = A(-M) ell,
+        (K I - A_inf) v1 = eps A1 ell,
+        (2K I - A_inf) v2 = eps A1 v1 + eps^2 A2 ell,
 
-    so ``zeta = ell + w`` leaves a truncation error of order eps^2, not eps,
-    with eps = Y(-M)/Y0 (the first-order asymptotic boundary condition of
-    Lentini & Keller, SIAM J. Numer. Anal. 1980).  Y = 0 at the burned end,
-    so A_inf's reactant column is (0, 0, 0, a33): w's gas part comes from a
-    3x3 cofactor solve and w[3] from one division.  The eigenvalues of
-    K I - A_inf are K and K + sigma_inf (mu - g_minus) for the other
-    burned-end modes mu, all with real part >= K when Re lambda >= 0.  The
-    inverse is built once and serves every depth.
+    so ``zeta = ell + v1 + v2`` leaves a truncation error of order eps^3,
+    not eps (the asymptotic boundary condition of Lentini & Keller, SIAM
+    J. Numer. Anal. 1980, to second order).  The terms come from the kernel
+    alone: with B(s, v) = A(s) v - A_inf v at the states s1 at -M and s2 at
+    -M - ln2/K, where eps(y) is eps/2,
+
+        eps A1 ell = 4 B(s2, ell) - B(s1, ell) + O(eps^3),
+        eps^2 A2 ell = 2 B(s1, ell) - 4 B(s2, ell) + O(eps^3),
+
+    and eps A1 v1 = B(s1, v1) + O(eps^3).  Y = 0 at the burned end, so
+    A_inf's reactant column is (0, 0, 0, a33): each solve is a 3x3 cofactor
+    solve for the gas part and one division for the reactant.  The
+    eigenvalues of k K I - A_inf are k K and k K + sigma_inf (mu - g_minus)
+    for the other burned-end modes mu, all with real part >= k K when
+    Re lambda >= 0.  Both inverses are built once and serve every depth.
 
     *Depth.*  An explicit ``M`` must be positive and finite.  If ``M`` is
-    None the correction is measured once at the fixed depth ``wave.M_y``,
-    where eps = 1e-5, as rho1 = |zeta - ell| / (1e-5 |ell|), the correction
-    per unit eps, and M = ln(1/eps)/K with
+    None the two corrections are measured once at the fixed depth
+    ``wave.M_y``, where eps = 1e-5, per unit eps and eps^2:
+    a1 = |v1| / (1e-5 |ell|) and a2 = |v2| / (1e-10 |ell|).  With a2^2/a1
+    as the estimate of the next coefficient, M = ln(1/eps)/K with
 
-        eps = min(1e-2, c sqrt(tol), sqrt(theta tol) / rho1),   c = 0.5, theta = 0.1,
+        eps^3 = theta tol min(1, a1 / a2^2),   theta = 0.1,
 
-    so that (rho1 eps)^2 <= theta tol.  The measured relative truncation
-    error is 0.25 to 1.9 times (rho1 eps)^2 on the default wave, at EA = 20
-    and 40, and on Lee & Stewart's waves (gamma, q, E) = (1.2, 50, 50) with
-    overdrive f from 1.001 to 1.6, for lambda up to 2+100i (wherever the
-    neutral solution stays above the absolute tolerance).  On
-    high-activation waves, where rho1 is small, it reached 1.6e8 times
-    (rho1 eps)^2 but stayed under 0.06 eps^2: the sqrt(tol) cap covers those.
-    Near CJ rho1 grows, and so does the depth.  ``tol`` must be positive.
-    |zeta - ell| and |ell| are the same for conj(lam), and so is the depth.
+    so that eps^3 <= theta tol and (a2^2/a1) eps^3 <= theta tol.  The
+    measured relative truncation error against a reference at
+    K M = ln(1e13), over the cases of tests/test_truncation.py
+    (lambda = 1+1i, 0.5+5i, 0.1+30i; tol = 1e-5 and 1e-8, and 1e-10 on
+    LS(1.02, 50)), is at most, in units of tol:
 
-    *Tail.*  ``tail`` is the integral over (-inf, -M] of Erpenbeck's
-    quadrature integrand lam Z . A0 (profile)' in the neutral normalization,
-    to the same order: there Z = exp(-g_minus (x - x(-M))) zeta and the
-    profile derivative falls as exp(K y), so the integrand at -M is divided
-    by K - g_minus sigma_inf, sigma_inf = m / psi(burned), whose real part
-    is >= K.
+        default  EA=20  LS(1.6,50)  LS(1.02,50)  E=86.1  E=51.5
+        0.063    0.066  0.045       0.074        0.030   0.060
+
+    (LS(f, E) is Lee & Stewart's wave with gamma = 1.2, q = 50; the last two
+    are their high-activation waves (gamma, q, E) = (1.146, 33.5, 86.1)
+    and (1.107, 17.0, 51.5)).  The first-order start with its depth rule
+    reached 0.19 tol on the same cases.
+
+    Near CJ a1 and a2 grow, and so does the depth.  ``tol`` must be
+    positive.  |v1|, |v2| and |ell| are the same for conj(lam), and so is
+    the depth.
+
+    *Tail.*  ``tail()`` is the integral over (-inf, -M] of Erpenbeck's
+    quadrature integrand lam Z . A0 (profile)' in the neutral
+    normalization, to the same order.  There Z = exp(-g_minus (x - x(-M)))
+    zeta(y), and with the neutral factor exp(-g_minus sigma_inf (y + M))
+    taken out, sigma_inf = m / psi(burned), the integrand is
+    d1 s + d2 s^2 + O(eps^3) in s = exp(K (y + M)).  d1 and d2 are fitted
+    at s = 1 (y = -M) and s = 1/2 (y2 = -M - ln2/K, where
+    zeta(y2) = ell + v1/2 + v2/4 and x(-M) - x(y2) = sigma_inf ln2/K +
+    (sigma(-M) - sigma_inf)/(2K) + O(eps^2)), and
+
+        tail = d1 / (K - g_minus sigma_inf) + d2 / (2K - g_minus sigma_inf),
+
+    both denominators with real part >= K.
 
     The profile is evaluated through this module's bindings of profile_at
     and profile_deriv, so evans' bindings still see exactly one evaluation
@@ -383,36 +419,71 @@ def make_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = Non
         raise NumericalDomainError(f"left-eigenpair residual {residual:.3e} > {bound:.3e}", lam)
 
     K = wave.config.K
-    # columns of A_inf, then the rows of K I - A_inf
-    a = [kernel(wave.burned, e) for e in np.eye(4).tolist()]
-    rows = [[(K if i == j else 0.0) - a[j][i] for j in range(3)] for i in range(3)]
-    # the inverse of the gas block has the columns r1 x r2, r2 x r0, r0 x r1 over det
-    inv_cols = [_cross(rows[1], rows[2]), _cross(rows[2], rows[0]), _cross(rows[0], rows[1])]
-    det = sum(r * c for r, c in zip(rows[0], inv_cols[0]))
+    burned = wave.burned
+    # columns of A_inf: a[j][i] is its entry (i, j)
+    a = [kernel(burned, e) for e in np.eye(4).tolist()]
 
-    def start(depth: float):
-        state = profile_at(wave, -depth)
-        F = kernel(state, ell.tolist())
-        w = [sum(F[j] * inv_cols[j][i] for j in range(3)) / det for i in range(3)]
-        w.append((F[3] + a[2][3] * w[2]) / (K - a[3][3]))
-        return state, ell + np.array(w)
+    def inverse(kK: float):
+        """F -> (kK I - A_inf)^{-1} F."""
+        rows = [[(kK if i == j else 0.0) - a[j][i] for j in range(3)] for i in range(3)]
+        # the inverse of the gas block has the columns c0 = r1 x r2, c1 = r2 x r0 and
+        # c2 = r0 x r1 over det; cjk is entry k of cj
+        (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = (
+            _cross(rows[1], rows[2]), _cross(rows[2], rows[0]), _cross(rows[0], rows[1]))
+        det = rows[0][0] * c00 + rows[0][1] * c01 + rows[0][2] * c02
+        a32, a33 = a[2][3], kK - a[3][3]
+
+        def solve(F: list) -> list:
+            F0, F1, F2, F3 = F
+            w2 = (F0 * c02 + F1 * c12 + F2 * c22) / det
+            return [(F0 * c00 + F1 * c10 + F2 * c20) / det,
+                    (F0 * c01 + F1 * c11 + F2 * c21) / det,
+                    w2,
+                    (F3 + a32 * w2) / a33]
+
+        return solve
+
+    solve1, solve2 = inverse(K), inverse(2.0 * K)
+    half_life = math.log(2.0) / K  # the y-distance over which Y halves
+    ell_l = ell.tolist()
+    inf_ell = kernel(burned, ell_l)  # A_inf ell: zero up to rounding
+
+    def corrections(depth: float):
+        """The states at -depth and a half-life below it, and v1 and v2 there."""
+        s1 = profile_at(wave, -depth)
+        s2 = profile_at(wave, -depth - half_life)
+        B1 = [x - y for x, y in zip(kernel(s1, ell_l), inf_ell)]
+        B2 = [x - y for x, y in zip(kernel(s2, ell_l), inf_ell)]
+        F1 = [4.0 * b2 - b1 for b1, b2 in zip(B1, B2)]
+        v1 = solve1(F1)
+        # B(s1, v1) = A(s1) v1 - A_inf v1, with A_inf v1 = K v1 - F1
+        F2 = [x - (K * v - f) + 2.0 * b1 - 4.0 * b2
+              for x, v, f, b1, b2 in zip(kernel(s1, v1), v1, F1, B1, B2)]
+        return s1, s2, v1, solve2(F2)
 
     if M is None:
-        _, zeta = start(wave.M_y)
-        rho1 = float(np.linalg.norm(zeta - ell) / (Y_AT_M_Y * np.linalg.norm(ell)))
-        eps = min(_EPS_MAX, _DEPTH_C * math.sqrt(tol))
-        eps_bound = math.sqrt(_DEPTH_THETA * tol)
-        if rho1 * eps > eps_bound:  # rho1 = 0 on a constant profile
-            eps = eps_bound / rho1
-        M = math.log(1.0 / eps) / K
-    state, zeta = start(M)
+        _, _, v1, v2 = corrections(wave.M_y)
+        size = math.hypot(*map(abs, ell_l))
+        a1 = math.hypot(*map(abs, v1)) / (Y_AT_M_Y * size)
+        a2 = math.hypot(*map(abs, v2)) / (Y_AT_M_Y * Y_AT_M_Y * size)
+        eps3 = _DEPTH_THETA * tol
+        if a2 * a2 > a1:  # a1 = a2 = 0 on a constant profile
+            eps3 *= a1 / (a2 * a2)
+        M = math.log(1.0 / eps3) / (3.0 * K)
+    s1, s2, v1, v2 = corrections(M)
+    zeta = np.array([l + x + y for l, x, y in zip(ell_l, v1, v2)])
 
-    rho, u, e, Y = state
-    v0, v1, v2, v3 = profile_deriv(wave, -M)
-    z0, z1, z2, z3 = zeta.tolist()
-    integrand = lam * (z0 * v0 + z1 * (u * v0 + rho * v1)
-                       + z2 * ((e + 0.5 * u * u) * v0 + rho * u * v1 + rho * v2)
-                       + z3 * (Y * v0 + rho * v3))
-    sigma_inf = wave.m / reaction_psi(wave.burned, wave.config)
-    tail = integrand / (K - g_minus * sigma_inf)
+    def tail() -> complex:
+        cfg = wave.config
+        sigma_inf = wave.m / reaction_psi(burned, cfg)
+        g_sigma = g_minus * sigma_inf
+        h1 = _quadrature_integrand(lam, s1, profile_deriv(wave, -M), zeta)
+        # exp(-g_minus (x(y2) - x(-M))) over the neutral factor at y2, one
+        # exponent of order eps so that no part of it can overflow alone
+        shift = cmath.exp(g_minus * (wave.m / reaction_psi(s1, cfg) - sigma_inf) / (2.0 * K))
+        zeta2 = [l + 0.5 * x + 0.25 * y for l, x, y in zip(ell_l, v1, v2)]
+        h2 = shift * _quadrature_integrand(lam, s2, profile_deriv(wave, -M - half_life), zeta2)
+        d2 = 2.0 * (h1 - 2.0 * h2)
+        return (h1 - d2) / (K - g_sigma) + d2 / (2.0 * K - g_sigma)
+
     return SpectralFrame(ell, g_minus, jump_vector(wave, lam), M, zeta, tail)

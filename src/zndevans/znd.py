@@ -262,7 +262,7 @@ class SteadyWave:
         """Fixed depth ln(1e5)/K, where Y = Y0 exp(K y) falls to Y_AT_M_Y = 1e-5 of Y0.
 
         Not the depth of a solve: :func:`zndevans.spectral.make_frame`
-        measures the first-order start correction here and picks each
+        measures the start corrections here and picks each
         solve's own depth from ``tol``.  :func:`profile_table` plots down to
         it, and ``duality_check`` and the CLI's ``--dump-g`` default to it.
         Y0 = 0 gives a constant profile, which any depth serves.

@@ -18,8 +18,19 @@ import numpy as np
 
 from zndevans import znd
 from zndevans.errors import NumericalDomainError
-from zndevans.spectral import jacobians, make_frame, stable_left_mode
+from zndevans.spectral import (
+    SpectralFrame,
+    _cross,
+    _quadrature_integrand,
+    check_depth,
+    jacobians,
+    jump_vector,
+    make_frame,
+    rhs_kernel,
+    stable_left_mode,
+)
 from zndevans.znd import (
+    Y_AT_M_Y,
     GasWaveConfig,
     StateW,
     SteadyWave,
@@ -113,13 +124,20 @@ def limit_G_plus(wave: SteadyWave, lam: complex) -> np.ndarray:
 
 def burned_start_solve(wave: SteadyWave, lam: complex, M: float) -> tuple[np.ndarray, complex]:
     """The start ``(zeta, tail)`` of :func:`zndevans.spectral.make_frame` at
-    depth ``M`` the textbook way: the factored adjoint matrices
-    A = -sigma (G^T - g_minus I) at the burned state and at y = -M from
-    :func:`G_at_state`, w from a LAPACK solve of (K I - A_inf) w = A(-M) ell,
-    and the tail with :func:`apply_A0`."""
+    depth ``M`` the textbook way.  The factored adjoint matrices
+    A = -sigma (G^T - g_minus I) come from :func:`G_at_state` at the burned
+    state, at y1 = -M and at y2 = -M - ln2/K, where Y is half its value at
+    y1.  With B(y) = A(y) - A_inf, the corrections are LAPACK solves of
+
+        (K I - A_inf) v1 = (4 B(y2) - B(y1)) ell,
+        (2K I - A_inf) v2 = B(y1) v1 + (2 B(y1) - 4 B(y2)) ell,
+
+    and the tail fits d1 s + d2 s^2 to the integrand, built with
+    :func:`apply_A0`, at s = 1 and s = 1/2."""
     cfg = wave.config
+    K = cfg.K
     frame = make_frame(wave, lam, 1e-5, M)
-    g = frame.g_minus
+    ell, g = frame.ell, frame.g_minus
     eye = np.eye(4)
 
     def adjoint_matrix(state: StateW) -> tuple[np.ndarray, float]:
@@ -127,11 +145,62 @@ def burned_start_solve(wave: SteadyWave, lam: complex, M: float) -> tuple[np.nda
         return -sigma * (G_at_state(state, cfg, lam, reacting=True).T - g * eye), sigma
 
     A_inf, sigma_inf = adjoint_matrix(wave.burned)
-    state = profile_at(wave, -M)
-    A_M, _ = adjoint_matrix(state)
-    zeta = frame.ell + np.linalg.solve(cfg.K * eye - A_inf, A_M @ frame.ell)
-    integrand = lam * zeta @ np.array(apply_A0(state, profile_deriv(wave, -M)))
-    return zeta, complex(integrand / (cfg.K - g * sigma_inf))
+    y1, y2 = -M, -M - math.log(2.0) / K
+    (A_y1, sigma_y1), (A_y2, _) = (adjoint_matrix(profile_at(wave, y)) for y in (y1, y2))
+    B1, B2 = A_y1 - A_inf, A_y2 - A_inf
+    v1 = np.linalg.solve(K * eye - A_inf, (4.0 * B2 - B1) @ ell)
+    v2 = np.linalg.solve(2.0 * K * eye - A_inf, B1 @ v1 + (2.0 * B1 - 4.0 * B2) @ ell)
+    zeta = ell + v1 + v2
+
+    def integrand(y: float, z: np.ndarray) -> complex:
+        return complex(lam * z @ np.array(apply_A0(profile_at(wave, y), profile_deriv(wave, y))))
+
+    h1 = integrand(y1, zeta)
+    # exp(-g (x(y2) - x(y1))) without the neutral factor exp(g sigma_inf ln2/K)
+    h2 = integrand(y2, ell + v1 / 2 + v2 / 4) * np.exp(g * (sigma_y1 - sigma_inf) / (2.0 * K))
+    d1, d2 = 4.0 * h2 - h1, 2.0 * h1 - 4.0 * h2
+    return zeta, complex(d1 / (K - g * sigma_inf) + d2 / (2.0 * K - g * sigma_inf))
+
+
+def first_order_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = None) -> SpectralFrame:
+    """:func:`zndevans.spectral.make_frame` as it was before its start went
+    to second order, with the same floating-point operations, so that pins
+    recorded then still reproduce.  The start is ell + w with
+    (K I - A_inf) w = A(-M) ell, solved by cofactors; without ``M`` the
+    depth is ln(1/eps)/K with eps = min(1e-2, 0.5 sqrt(tol),
+    sqrt(0.1 tol) / rho1), rho1 = |w| / (1e-5 |ell|) measured at ``M_y``;
+    and the tail is the integrand at -M over K - g_minus sigma_inf."""
+    if M is not None:
+        M = check_depth(M)
+    lam = complex(lam)
+    ell, g_minus = stable_left_mode(wave, lam)
+    kernel = rhs_kernel(wave, lam, g_minus)
+    K = wave.config.K
+    a = [kernel(wave.burned, e) for e in np.eye(4).tolist()]
+    rows = [[(K if i == j else 0.0) - a[j][i] for j in range(3)] for i in range(3)]
+    inv_cols = [_cross(rows[1], rows[2]), _cross(rows[2], rows[0]), _cross(rows[0], rows[1])]
+    det = sum(r * c for r, c in zip(rows[0], inv_cols[0]))
+
+    def start(depth: float):
+        state = profile_at(wave, -depth)
+        F = kernel(state, ell.tolist())
+        w = [sum(F[j] * inv_cols[j][i] for j in range(3)) / det for i in range(3)]
+        w.append((F[3] + a[2][3] * w[2]) / (K - a[3][3]))
+        return state, ell + np.array(w)
+
+    if M is None:
+        _, zeta = start(wave.M_y)
+        rho1 = float(np.linalg.norm(zeta - ell) / (Y_AT_M_Y * np.linalg.norm(ell)))
+        eps = min(1e-2, 0.5 * math.sqrt(tol))
+        eps_bound = math.sqrt(0.1 * tol)
+        if rho1 * eps > eps_bound:
+            eps = eps_bound / rho1
+        M = math.log(1.0 / eps) / K
+    state, zeta = start(M)
+    integrand = _quadrature_integrand(lam, state, profile_deriv(wave, -M), zeta.tolist())
+    sigma_inf = wave.m / reaction_psi(wave.burned, wave.config)
+    tail = integrand / (K - g_minus * sigma_inf)
+    return SpectralFrame(ell, g_minus, jump_vector(wave, lam), M, zeta, lambda: tail)
 
 
 def stable_left_eig(wave: SteadyWave, lam: complex) -> tuple[complex, np.ndarray, np.ndarray]:

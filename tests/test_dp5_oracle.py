@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import first_order_frame
 from zndevans import evans, numerics, spectral
 from zndevans.errors import NonFiniteStateError, StepSizeUnderflowError
 from zndevans.modelbench import ModelParams, model_field
@@ -193,7 +194,7 @@ def test_evans_D_and_counts_pinned(wave, monkeypatch, method, lam, tol, accepted
                                    nfev, D):
     def uncorrected_frame(*args):
         frame = spectral.make_frame(*args)
-        return replace(frame, zeta=frame.ell, tail=0.0)
+        return replace(frame, zeta=frame.ell, tail=lambda: 0.0)
 
     monkeypatch.setattr(evans, "make_frame", uncorrected_frame)
     r = evans.evaluate(wave, lam, method=method, tol=tol, M=math.log(1.0 / _PINNED_EPS_Y) / wave.config.K)
@@ -203,9 +204,10 @@ def test_evans_D_and_counts_pinned(wave, monkeypatch, method, lam, tol, accepted
 
 
 # The same at the fixed depth M_y, where Y = 1e-5 Y0, each method started
-# from the corrected burned-end mode of spectral.make_frame.  A change
-# meant to keep the solves must keep every count and move D only by
-# summation order.
+# from the first-order corrected burned-end mode, which oracles'
+# first_order_frame builds as spectral.make_frame once did.  A change meant
+# to keep the solves must keep every count and move D only by summation
+# order.
 PINNED_D_CORRECTED = [
     ('neutral', (1+1j), 1e-05, 35, 3, 229, (-47.809347232804754-36.46158166546813j)),
     ('neutral', (1+1j), 1e-08, 128, 1, 775, (-47.80934353768109-36.46159860439741j)),
@@ -236,17 +238,57 @@ PINNED_D_CORRECTED = [
 
 @pytest.mark.parametrize("method, lam, tol, accepted, rejected, nfev, D", PINNED_D_CORRECTED,
                          ids=[f"{row[0]}-{row[1]}-{row[2]:g}" for row in PINNED_D_CORRECTED])
-def test_evans_D_and_counts_pinned_corrected_start(wave, method, lam, tol, accepted, rejected,
-                                                   nfev, D):
+def test_evans_D_and_counts_pinned_corrected_start(wave, monkeypatch, method, lam, tol, accepted,
+                                                   rejected, nfev, D):
+    monkeypatch.setattr(evans, "make_frame", first_order_frame)
     r = evans.evaluate(wave, lam, method=method, tol=tol, M=wave.M_y)
     s = r.stats
     assert (s.accepted_steps, s.rejected_steps, s.rhs_evaluations) == (accepted, rejected, nfev)
     assert abs(r.D - D) <= 1e-10 * abs(D)
 
 
-# The same at the default depth, which spectral.make_frame picks from
-# tol and lambda: the benchmark's four evans_points nodes at tol 1e-5, with
-# the depth M each solve ran at.
+# The same from spectral.make_frame's second-order corrected start.
+PINNED_D_SECOND_ORDER = [
+    ('neutral', (1+1j), 1e-05, 35, 3, 229, (-47.80934723139183-36.46158166263041j)),
+    ('neutral', (1+1j), 1e-08, 128, 1, 775, (-47.80934353622273-36.46159860159694j)),
+    ('neutral', (1+3j), 1e-05, 51, 3, 325, (-101.98391655303594-96.4094591606446j)),
+    ('neutral', (1+3j), 1e-08, 182, 1, 1099, (-101.98388943705082-96.40948215115631j)),
+    ('neutral', (4+10j), 1e-05, 132, 10, 853, (-243.90952990101852+148.6814422358409j)),
+    ('neutral', (4+10j), 1e-08, 397, 1, 2389, (-243.90954619682861+148.6814112473402j)),
+    ('neutral', (0.1+30j), 1e-05, 582, 2, 3505, (1363.3038352422059-796.2748701863391j)),
+    ('neutral', (0.1+30j), 1e-08, 918, 3, 5527, (1363.297597828814-796.2871318640628j)),
+    ('erpenbeck', (1+1j), 1e-05, 68, 0, 409, (-47.809568179598394-36.460404336217984j)),
+    ('erpenbeck', (1+1j), 1e-08, 281, 0, 1687, (-47.809344231524506-36.46159749948602j)),
+    ('erpenbeck', (1+3j), 1e-05, 151, 0, 907, (-101.98503309644211-96.41678531973842j)),
+    ('erpenbeck', (1+3j), 1e-08, 609, 0, 3655, (-101.98388736765585-96.40948935861712j)),
+    ('erpenbeck', (4+10j), 1e-05, 503, 0, 3019, (-243.9605553387185+148.69442959942566j)),
+    ('erpenbeck', (4+10j), 1e-08, 2046, 0, 12277, (-243.90959843664172+148.68140154694402j)),
+    ('erpenbeck', (0.1+30j), 1e-05, 1437, 0, 8623, (1362.9080943054526-795.5076798131072j)),
+    ('erpenbeck', (0.1+30j), 1e-08, 5711, 0, 34267, (1363.296941290692-796.2865961667652j)),
+    ('lee_stewart', (1+1j), 1e-05, 87, 0, 523, (304959131.2995123+477848473.3462831j)),
+    ('lee_stewart', (1+1j), 1e-08, 339, 0, 2035, (304957028.54752696+477851178.3407799j)),
+    ('lee_stewart', (1+3j), 1e-05, 166, 0, 997, (-314795240.44282037+1285169275.808888j)),
+    ('lee_stewart', (1+3j), 1e-08, 651, 0, 3907, (-314757857.8521104+1285142091.4241657j)),
+    ('lee_stewart', (4+10j), 1e-05, 521, 0, 3127, (2.2220884839711035e+30-3.967911474656971e+29j)),
+    ('lee_stewart', (4+10j), 1e-08, 2093, 0, 12559, (2.221728550825596e+30-3.9684021555248155e+29j)),
+    ('lee_stewart', (0.1+30j), 1e-05, 1547, 4, 9307, (-6561.820380063771-4333.173957868473j)),
+    ('lee_stewart', (0.1+30j), 1e-08, 6269, 0, 37615, (-6565.231538756066-4333.243117957846j)),
+]
+
+
+@pytest.mark.parametrize("method, lam, tol, accepted, rejected, nfev, D", PINNED_D_SECOND_ORDER,
+                         ids=[f"{row[0]}-{row[1]}-{row[2]:g}" for row in PINNED_D_SECOND_ORDER])
+def test_evans_D_and_counts_pinned_second_order_start(wave, method, lam, tol, accepted, rejected,
+                                                      nfev, D):
+    r = evans.evaluate(wave, lam, method=method, tol=tol, M=wave.M_y)
+    s = r.stats
+    assert (s.accepted_steps, s.rejected_steps, s.rhs_evaluations) == (accepted, rejected, nfev)
+    assert abs(r.D - D) <= 1e-10 * abs(D)
+
+
+# The same at the default depth, which first_order_frame picks from tol
+# and lambda by the first-order rule: the benchmark's four evans_points
+# nodes at tol 1e-5, with the depth M each solve ran at.
 PINNED_D_DEFAULT_DEPTH = [
     ('neutral', (1+1j), 3.4059331977331677, 28, 1, 175, (-47.80936453403654-36.46161589335043j)),
     ('neutral', (1+3j), 3.613779562486776, 40, 1, 247, (-101.9839366133898-96.40954172109343j)),
@@ -265,11 +307,43 @@ PINNED_D_DEFAULT_DEPTH = [
 
 @pytest.mark.parametrize("method, lam, M, accepted, rejected, nfev, D", PINNED_D_DEFAULT_DEPTH,
                          ids=[f"{row[0]}-{row[1]}" for row in PINNED_D_DEFAULT_DEPTH])
-def test_evans_D_and_counts_pinned_default_depth(wave, method, lam, M, accepted, rejected,
-                                                 nfev, D):
+def test_evans_D_and_counts_pinned_default_depth(wave, monkeypatch, method, lam, M, accepted,
+                                                 rejected, nfev, D):
+    monkeypatch.setattr(evans, "make_frame", first_order_frame)
     r = evans.evaluate(wave, lam, method=method, tol=1e-5)
     s = r.stats
     assert abs(r.M - M) <= 1e-12 * M
+    assert (s.accepted_steps, s.rejected_steps, s.rhs_evaluations) == (accepted, rejected, nfev)
+    assert abs(r.D - D) <= 1e-10 * abs(D)
+
+
+# The same at the depth spectral.make_frame picks by the second-order rule.
+# That rule reads |v2| at M_y, the solution of a right-hand side that
+# cancels to 1e-5 of its terms, so M is pinned to 1e-10 rather than 1e-12.
+PINNED_D_SECOND_ORDER_DEFAULT_DEPTH = [
+    ('neutral', (1+1j), 2.3025850929940455, 23, 1, 145, (-47.809348668419744-36.461583805430394j)),
+    ('neutral', (1+3j), 2.4339891873175206, 33, 1, 205, (-101.98392600762811-96.40945118348014j)),
+    ('neutral', (4+10j), 2.833834332946497, 82, 2, 505, (-243.90944181709193+148.68144847170447j)),
+    ('neutral', (0.1+30j), 3.2534799104436085, 329, 3, 1993, (1363.2883071570805-796.2991468768165j)),
+    ('erpenbeck', (1+1j), 2.3025850929940455, 30, 0, 181, (-47.80942381645216-36.46125884039575j)),
+    ('erpenbeck', (1+3j), 2.4339891873175206, 65, 0, 391, (-101.98421448625633-96.41216861372136j)),
+    ('erpenbeck', (4+10j), 2.833834332946497, 245, 0, 1471, (-243.9330506617994+148.68714629202285j)),
+    ('erpenbeck', (0.1+30j), 3.2534799104436085, 800, 0, 4801, (1363.0800385486054-795.8569797932228j)),
+    ('lee_stewart', (1+1j), 2.3025850929940455, 37, 0, 223, (-25827.711788380748-21536.958476625496j)),
+    ('lee_stewart', (1+3j), 2.4339891873175206, 73, 0, 439, (46944.69672060467-103445.70034446447j)),
+    ('lee_stewart', (4+10j), 2.833834332946497, 256, 0, 1537, (7167221955393519-8437624643826982j)),
+    ('lee_stewart', (0.1+30j), 3.2534799104436085, 898, 4, 5413, (3257.238643307647-2116.0585052148926j)),
+]
+
+
+@pytest.mark.parametrize("method, lam, M, accepted, rejected, nfev, D",
+                         PINNED_D_SECOND_ORDER_DEFAULT_DEPTH,
+                         ids=[f"{row[0]}-{row[1]}" for row in PINNED_D_SECOND_ORDER_DEFAULT_DEPTH])
+def test_evans_D_and_counts_pinned_second_order_default_depth(wave, method, lam, M, accepted,
+                                                              rejected, nfev, D):
+    r = evans.evaluate(wave, lam, method=method, tol=1e-5)
+    s = r.stats
+    assert abs(r.M - M) <= 1e-10 * M
     assert (s.accepted_steps, s.rejected_steps, s.rhs_evaluations) == (accepted, rejected, nfev)
     assert abs(r.D - D) <= 1e-10 * abs(D)
 

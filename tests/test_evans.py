@@ -74,18 +74,20 @@ class TestMethodRelations:
             assert rl.stats.mesh_points > rn.stats.mesh_points
 
     def test_unfactored_overflow_guard(self, wave):
+        # at the depth make_frame picks for tol = 1e-5 the unfactored
+        # exponent at lambda = 75 is about -776, beyond the guard's 690
         with pytest.raises(EvansOverflowError):
-            evaluate(wave, 60.0 + 0j, method="erpenbeck")
+            evaluate(wave, 75.0 + 0j, method="erpenbeck")
         with pytest.raises(EvansOverflowError):
-            evaluate(wave, 60.0 + 0j, method="lee_stewart")
+            evaluate(wave, 75.0 + 0j, method="lee_stewart")
         # the factored method handles the same frequency fine
-        r = evaluate(wave, 60.0 + 0j, method="neutral")
+        r = evaluate(wave, 75.0 + 0j, method="neutral")
         assert np.isfinite(r.D.real) and np.isfinite(r.D.imag)
 
     @pytest.mark.parametrize("method", ["erpenbeck", "lee_stewart"])
     def test_unfactored_in_range_at_lambda_40(self, wave, method):
         # at the depth make_frame picks for tol = 1e-5 the unfactored
-        # exponent at lambda = 40 is -533, inside double range
+        # exponent at lambda = 40 is -381, inside double range
         tol = 1e-5
         rn = evaluate(wave, 40.0 + 0j, method="neutral", tol=tol)
         r = evaluate(wave, 40.0 + 0j, method=method, tol=tol)
@@ -95,7 +97,7 @@ class TestMethodRelations:
 class TestTruncationError:
     """D at the default depth for tol = 1e-11 against the neutral value D_ref
     at depth ln(1e12)/K, all at tol = 1e-11.  Starting from the corrected
-    burned-end mode where Y = eps Y0 leaves an error of order eps^2; starting
+    burned-end mode where Y = eps Y0 leaves an error of order eps^3; starting
     at eps = 1e-5 from the left mode ell alone left 2.5e-9 to 7.2e-9 at
     1+1i, 3.9e-8 at 4+10i and 1.0e-7 at 0.1+30i, and Erpenbeck without its
     quadrature tail is off by 4e-6 on LS(1.2, 50)."""
@@ -123,6 +125,23 @@ class TestTruncationError:
     def test_neutral_at_larger_lambda(self, wave, lam):
         ref = self.reference(wave, lam)
         assert abs(evaluate(wave, lam, method="neutral", tol=self.tol).D - ref) < 1e-8 * abs(ref)
+
+    @pytest.mark.parametrize(
+        "cfg", [default_config(), lee_stewart_config(1.2, 50.0, 50.0, 1.6)],
+        ids=["default", "LS(1.6,50)"],
+    )
+    def test_erpenbeck_tail_within_half_tol(self, cfg):
+        # Erpenbeck's D at the depth make_frame picks for tol = 1e-8,
+        # integrated at 1e-12 so that only the truncation error is left,
+        # against the neutral D at depth ln(1e13)/K.  This is the error of
+        # the start and of the quadrature tail together; with the tail
+        # fitted to first order only, LS(1.6, 50) is off by 2.8 tol.
+        wave = build_wave(cfg)
+        lam, tol = 1.0 + 3.0j, 1e-8
+        ref = evaluate(wave, lam, M=math.log(1e13) / wave.config.K, tol=1e-12).D
+        M = evans.make_frame(wave, lam, tol).M
+        D = evaluate(wave, lam, method="erpenbeck", M=M, tol=1e-12).D
+        assert abs(D - ref) <= 0.5 * tol * abs(ref)
 
 
 class TestAnalyticStructure:
@@ -252,9 +271,11 @@ def test_one_profile_evaluation_per_rhs_call(wave, monkeypatch, method):
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("explicit_M", [False, True], ids=["depth-from-tol", "explicit-M"])
 def test_one_frame_per_solve(wave, monkeypatch, method, explicit_M):
-    # make_frame builds the one adjoint kernel of the solve's burned-end data,
-    # evaluates the profile at M_y only to pick the depth, and once more at
-    # -M for the start and Erpenbeck's tail
+    # make_frame builds the one adjoint kernel of the solve's burned-end data
+    # and evaluates the profile at M_y and a half-life of Y below it only to
+    # pick the depth, and at -M and a half-life below it for the start;
+    # only Erpenbeck's solver asks for the tail, which takes the profile's
+    # derivative at those two points
     calls = {"rhs_kernel": 0, "profile_at": 0, "profile_deriv": 0}
     for name in calls:
         def counted(*args, _fn=getattr(spectral, name), _name=name):
@@ -262,7 +283,8 @@ def test_one_frame_per_solve(wave, monkeypatch, method, explicit_M):
             return _fn(*args)
         monkeypatch.setattr(spectral, name, counted)
     evaluate(wave, 1.0 + 1.0j, method=method, M=wave.M_y if explicit_M else None)
-    assert calls == {"rhs_kernel": 1, "profile_at": 1 if explicit_M else 2, "profile_deriv": 1}
+    assert calls == {"rhs_kernel": 1, "profile_at": 2 if explicit_M else 4,
+                     "profile_deriv": 2 if method == "erpenbeck" else 0}
 
 
 def oracle_erpenbeck_field(wave, lam):
@@ -377,8 +399,8 @@ class TestGuardErrorsNameLambda:
     @pytest.mark.parametrize("method", ["erpenbeck", "lee_stewart"])
     def test_overflow(self, wave, method):
         with pytest.raises(EvansOverflowError) as info:
-            evaluate(wave, 60.0 + 0j, method=method)
-        self.check(info.value, 60.0 + 0j)
+            evaluate(wave, 75.0 + 0j, method=method)
+        self.check(info.value, 75.0 + 0j)
 
     def test_misselected_mode(self):
         # at EA = 40 the factored adjoint at 4+10i falls by ~1e-6

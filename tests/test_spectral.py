@@ -172,8 +172,9 @@ class TestLimitMatrices:
 
 
 class TestBurnedStart:
-    """The corrected burned-end start against the LAPACK oracle, on the
-    contour's flat side (1e-4 +- 30i), at 1+1i, 50 and 2+300i."""
+    """The second-order corrected burned-end start and Erpenbeck's tail
+    against the LAPACK oracle, on the contour's flat side (1e-4 +- 30i), at
+    1+1i, 50 and 2+300i."""
 
     lams = (1e-4 + 30j, 1e-4 - 30j, 1 + 1j, 50.0 + 0j, 2 + 300j)
 
@@ -187,12 +188,12 @@ class TestBurnedStart:
         wave = build_wave(cfg)
         for lam in self.lams:
             frame = make_frame(wave, lam, 1e-5, wave.M_y)
-            zeta, tail = frame.zeta, frame.tail
+            zeta, tail = frame.zeta, frame.tail()
             ref_zeta, ref_tail = burned_start_solve(wave, lam, wave.M_y)
             assert np.linalg.norm(zeta - ref_zeta) <= 1e-12 * np.linalg.norm(ref_zeta)
             assert abs(tail - ref_tail) <= 1e-12 * abs(ref_tail)
-            # the correction alone: its right-hand side A(-M) ell cancels to
-            # order eps_Y of its terms, so both carry that rounding
+            # the correction alone: its right-hand sides B ell cancel to
+            # order eps_Y of their terms, so both carry that rounding
             w, ref_w = zeta - frame.ell, ref_zeta - frame.ell
             if cfg.Y0 > 0.0:
                 assert np.linalg.norm(w - ref_w) <= 1e-9 * np.linalg.norm(ref_w)
