@@ -77,10 +77,6 @@ class ChapmanJouguetError(NumericalDomainError):
     """Wave is sonic (Chapman-Jouguet) or beyond; only overdriven waves are handled."""
 
 
-class InvalidIgnitionWindowError(NumericalDomainError):
-    """Profile temperatures violate the ignition cutoff window."""
-
-
 class InvalidWaveError(NumericalDomainError):
     """Wave or state breaks a structural check (rho, e > 0, supersonic upstream);
     the subsonic profile is :class:`zndevans.znd.SteadyWave`'s invariant."""

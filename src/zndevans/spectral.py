@@ -49,10 +49,7 @@ _DEPTH_THETA = 0.1
 
 
 def jacobians(state: StateW, cfg: GasWaveConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Analytic Jacobians (A0, A1, C) of (F0, F1, R) in (rho, u, e, Y).
-
-    The source Jacobian C is taken on the ignited branch (cutoff = 1).
-    """
+    """Analytic Jacobians (A0, A1, C) of (F0, F1, R) in (rho, u, e, Y)."""
     rho, u, e, Y = state.rho, state.u, state.e, state.Y
     p, T, _, p_rho, p_e = thermo(state, cfg)
 
@@ -152,7 +149,7 @@ def rhs_kernel(wave: SteadyWave, lam: complex, shift: complex = 0.0, adjoint: bo
         rho_u = rho * u
 
         RT = R * e
-        phi = math.exp(neg_EA / RT)  # arrhenius, ignited branch
+        phi = math.exp(neg_EA / RT)  # arrhenius
         sig = m / (rho * phi)
         # the nonzero row of C, up to the factors q and -1
         c0 = K * Y * phi
@@ -195,7 +192,7 @@ def rhs_kernel(wave: SteadyWave, lam: complex, shift: complex = 0.0, adjoint: bo
 
 
 def coefficient_G(wave: SteadyWave, lam: complex, y: float) -> np.ndarray:
-    """G(lambda, y) at the profile state (ignited side, y <= 0).
+    """G(lambda, y) at the profile state at y <= 0.
 
     Column j is the forward :func:`rhs_kernel` applied to e_j, divided by
     sigma = dx/dy, so this matrix is the operator the shooting methods apply.
@@ -256,10 +253,9 @@ def stable_left_mode(wave: SteadyWave, lam: complex) -> tuple[np.ndarray, comple
     return ell, g_minus
 
 
-def _pair_residual(wave: SteadyWave, kernel, ell: np.ndarray) -> float:
-    # at the burned state the adjoint kernel with shift g_minus is
-    # -sigma_minus (G_minus^T - g_minus I) ell
-    r = kernel(wave.burned, ell.tolist())
+def _pair_residual(wave: SteadyWave, r: list, ell: np.ndarray) -> float:
+    # r is the adjoint kernel with shift g_minus applied to ell at the burned
+    # state, A_inf ell = -sigma_minus (G_minus^T - g_minus I) ell
     sigma = wave.m / reaction_psi(wave.burned, wave.config)
     return math.hypot(*map(abs, r)) / (sigma * math.hypot(*map(abs, ell)))
 
@@ -273,7 +269,7 @@ def left_mode_residual(wave: SteadyWave, lam: complex) -> float:
     """
     lam = complex(lam)
     ell, g = stable_left_mode(wave, lam)
-    return _pair_residual(wave, rhs_kernel(wave, lam, g), ell)
+    return _pair_residual(wave, rhs_kernel(wave, lam, g)(wave.burned, ell.tolist()), ell)
 
 
 def jump_vector(wave: SteadyWave, lam: complex) -> np.ndarray:
@@ -413,13 +409,15 @@ def make_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = Non
     lam = complex(lam)
     ell, g_minus = stable_left_mode(wave, lam)
     kernel = rhs_kernel(wave, lam, g_minus)
-    residual = _pair_residual(wave, kernel, ell)
+    burned = wave.burned
+    ell_l = ell.tolist()
+    inf_ell = kernel(burned, ell_l)  # A_inf ell: zero up to rounding
+    residual = _pair_residual(wave, inf_ell, ell)
     bound = 1e-10 * max(1.0, abs(g_minus))
     if residual > bound:
         raise NumericalDomainError(f"left-eigenpair residual {residual:.3e} > {bound:.3e}", lam)
 
     K = wave.config.K
-    burned = wave.burned
     # columns of A_inf: a[j][i] is its entry (i, j)
     a = [kernel(burned, e) for e in np.eye(4).tolist()]
 
@@ -445,8 +443,6 @@ def make_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = Non
 
     solve1, solve2 = inverse(K), inverse(2.0 * K)
     half_life = math.log(2.0) / K  # the y-distance over which Y halves
-    ell_l = ell.tolist()
-    inf_ell = kernel(burned, ell_l)  # A_inf ell: zero up to rounding
 
     def corrections(depth: float):
         """The states at -depth and a half-life below it, and v1 and v2 there."""

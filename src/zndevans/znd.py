@@ -2,9 +2,8 @@
 
 Convention: steady frame (front speed 0), detonation running to the right,
 so the gas moves left through the front: ``u < 0`` on both sides and the
-mass flux ``m = -rho*u > 0``.  The unburned state sits ahead (x > 0) where
-the ignition cutoff switches the reaction off; behind the Neumann shock the
-cutoff is identically one.
+mass flux ``m = -rho*u > 0``.  The unburned state sits ahead (x > 0); the
+reaction runs only behind the Neumann shock.
 
 The reaction progress coordinate ``y <= 0`` is defined by
 ``dx/dy = m / (rho * phi(T))``; in it the reactant fraction is exactly
@@ -28,7 +27,6 @@ from numpy.polynomial.legendre import leggauss
 from .errors import (
     ChapmanJouguetError,
     ConfigError,
-    InvalidIgnitionWindowError,
     InvalidWaveError,
     QuadratureError,
 )
@@ -57,11 +55,13 @@ class GasWaveConfig:
     Gamma    Gruneisen coefficient (p = Gamma*rho*e), gamma = Gamma + 1
     q        heat release per unit reactant mass (scalar, single species)
     EA       activation energy: the rate factor is exp(-EA/((Gamma+1)*T)), T = e
-    Ti_low   ignition temperature below which the reaction is off
-    Ti_high  cutoff temperature above which the rate is exactly Arrhenius
     K        reaction rate constant (> 0, single species)
     Y0       unburned reactant mass fraction
     upstream unburned state (rho, u, e) ahead of the shock, u < 0
+
+    The upstream gas is inert, and the whole reaction zone behind the shock
+    lies on the Arrhenius branch: no ignition temperature switches the rate
+    off anywhere on the profile.
 
     No field sets the truncation depth: each solve picks it from its
     tolerance (:func:`zndevans.spectral.make_frame`).
@@ -70,8 +70,6 @@ class GasWaveConfig:
     Gamma: float
     q: float
     EA: float
-    Ti_low: float
-    Ti_high: float
     K: float
     Y0: float
     upstream: UpstreamState
@@ -110,8 +108,6 @@ def _validate_config(cfg: GasWaveConfig) -> None:
     if not (_is_number(cfg.upstream.u) and -math.inf < cfg.upstream.u < 0):
         raise ConfigError(f"upstream.u must be finite and negative (steady frame), "
                           f"got {cfg.upstream.u!r}")
-    if not (_is_number(cfg.Ti_low) and _is_number(cfg.Ti_high) and cfg.Ti_low <= cfg.Ti_high):
-        raise ConfigError(f"need numbers Ti_low <= Ti_high, got {cfg.Ti_low!r}, {cfg.Ti_high!r}")
 
 
 def _config_number(value, name: str) -> float:
@@ -127,8 +123,7 @@ def config_from_json(text: str) -> GasWaveConfig:
     """Parse a configuration document (schema: config_to_json; other keys are ignored).
 
     A missing field, or a value that is not a JSON number, raises
-    :class:`ConfigError` naming the field.  A stale ``"Cv": 1`` loads as if
-    absent; any other ``Cv`` is refused, as its window was read in e/Cv.
+    :class:`ConfigError` naming the field.
     """
     try:
         raw = json.loads(text)
@@ -144,10 +139,8 @@ def config_from_json(text: str) -> GasWaveConfig:
             **{k: _config_number(up[k], f"upstream.{k}") for k in ("rho", "u", "e")})
     except KeyError as exc:
         raise ConfigError(f"upstream is missing field {exc}") from exc
-    if "Cv" in raw and _config_number(raw["Cv"], "Cv") != 1.0:
-        raise ConfigError(f"config field 'Cv' must be 1 (temperature is e), got {raw['Cv']!r}")
     kwargs = {}
-    for name in ("Gamma", "q", "EA", "Ti_low", "Ti_high", "K", "Y0"):
+    for name in ("Gamma", "q", "EA", "K", "Y0"):
         if name not in raw:
             raise ConfigError(f"config is missing field '{name}'")
         kwargs[name] = _config_number(raw[name], name)
@@ -200,21 +193,21 @@ def thermo(state: StateW, cfg: GasWaveConfig) -> tuple[float, float, float, floa
 
 
 def arrhenius(T: float, cfg: GasWaveConfig) -> float:
-    """Rate factor exp(-EA/((Gamma+1)*T)) on the ignited side (cutoff identically 1)."""
+    """Rate factor exp(-EA/((Gamma+1)*T))."""
     return math.exp(-cfg.EA / ((cfg.Gamma + 1.0) * T))
 
 
 def reaction_psi(state: StateW, cfg: GasWaveConfig) -> float:
-    """psi = rho * phi(T), the density-weighted ignited rate factor."""
+    """psi = rho * phi(T), the density-weighted rate factor."""
     return state.rho * arrhenius(state.e, cfg)
 
 
 def fluxes(state: StateW, cfg: GasWaveConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Conserved densities F0, fluxes F1, and reaction source R at a state.
 
-    The source is evaluated on the ignited branch (cutoff = 1); callers on
-    the unburned side must not request it.  Its energy and reactant rows
-    satisfy R_energy = -q R_Y exactly.
+    The upstream gas is inert (:class:`GasWaveConfig`), so callers at the
+    unburned state discard R.  Its energy and reactant rows satisfy
+    R_energy = -q R_Y exactly.
     """
     rho, u, e, Y = state.rho, state.u, state.e, state.Y
     p, _, _, _, _ = thermo(state, cfg)
@@ -324,10 +317,8 @@ def build_wave(config: GasWaveConfig) -> SteadyWave:
     """Solve the Rankine-Hugoniot relations and assemble the steady wave.
 
     Raises :class:`ChapmanJouguetError` for sonic/underdriven data (the one
-    check of the subsonic branch, :class:`SteadyWave`), :class:`InvalidWaveError`
-    for a subsonic upstream or invariants that overflow, and
-    :class:`InvalidIgnitionWindowError` if the upstream temperature exceeds
-    Ti_low or min(T_N, T_b) falls below Ti_high (temperature is e).
+    check of the subsonic branch, :class:`SteadyWave`) and :class:`InvalidWaveError`
+    for a subsonic upstream or invariants that overflow.
     """
     up = config.upstream
     m = -up.rho * up.u
@@ -353,22 +344,7 @@ def build_wave(config: GasWaveConfig) -> SteadyWave:
         raise InvalidWaveError(
             f"upstream flow must be supersonic: |u+|={abs(up.u):.6g} <= c+={c_plus:.6g}"
         )
-
-    if up.e > config.Ti_low:
-        raise InvalidIgnitionWindowError(
-            f"unburned temperature {up.e:.6g} exceeds ignition threshold "
-            f"{config.Ti_low:.6g}; the upstream gas would react"
-        )
-    wave = SteadyWave(config=config, m=m, rh_b=b, rh_c=c, discriminant_min=disc_min)
-    if config.Y0 > 0.0:
-        # the profile's coldest point (SteadyWave)
-        T_min = min(wave.neumann.e, wave.burned.e)
-        if T_min < config.Ti_high:
-            raise InvalidIgnitionWindowError(
-                f"profile temperature falls to {T_min:.6g} < cutoff "
-                f"{config.Ti_high:.6g}; the reaction zone would quench"
-            )
-    return wave
+    return SteadyWave(config=config, m=m, rh_b=b, rh_c=c, discriminant_min=disc_min)
 
 
 def profile_at(wave: SteadyWave, y: float) -> StateW:
@@ -486,8 +462,6 @@ def default_config() -> GasWaveConfig:
         Gamma=0.2,
         q=5.0,
         EA=10.0,
-        Ti_low=2.0,
-        Ti_high=4.0,
         K=2.0,
         Y0=1.0,
         upstream=UpstreamState(rho=1.0, u=-3.0, e=1.0),

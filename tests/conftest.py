@@ -32,40 +32,18 @@ def random_overdriven_config(rng: np.random.Generator) -> GasWaveConfig:
 
     Strategy: fix the upstream thermodynamic state, draw the Gruneisen
     coefficient and shock Mach number, then place q a safe fraction below
-    the sonic value and the ignition window inside the realized profile
-    temperatures.
+    the sonic value.  The draws run Gamma, Mach number, q fraction, K, EA.
     """
     Gamma = rng.uniform(0.15, 0.6)
     e_plus = 1.0
     c_plus = np.sqrt(Gamma * (Gamma + 1.0) * e_plus)
     mach = rng.uniform(2.5, 6.0)
     upstream = UpstreamState(rho=1.0, u=-mach * c_plus, e=e_plus)
-    probe = GasWaveConfig(
-        Gamma=Gamma, q=0.0, EA=0.0, Ti_low=10.0, Ti_high=10.0,
-        K=1.0, Y0=1.0, upstream=upstream,
-    )
+    probe = GasWaveConfig(Gamma=Gamma, q=0.0, EA=0.0, K=1.0, Y0=1.0, upstream=upstream)
     q = rng.uniform(0.2, 0.7) * sonic_heat_release(probe)
-    T_plus = e_plus
-    # provisional window just above the unburned temperature; any compressive
-    # shock clears it, and the realized Neumann temperature then fixes it
-    trial = GasWaveConfig(
-        Gamma=Gamma, q=q, EA=0.0,
-        Ti_low=1.0001 * T_plus, Ti_high=1.0001 * T_plus,
-        K=float(rng.uniform(0.5, 4.0)), Y0=1.0, upstream=upstream,
-    )
-    wave = build_wave(trial)
-    T_neumann = wave.neumann.e
-    cfg = GasWaveConfig(
-        Gamma=Gamma,
-        q=q,
-        EA=float(rng.uniform(1.0, 8.0)),
-        Ti_low=1.05 * T_plus,
-        Ti_high=0.95 * T_neumann,
-        K=trial.K,
-        Y0=1.0,
-        upstream=upstream,
-    )
-    return cfg
+    K = float(rng.uniform(0.5, 4.0))
+    EA = float(rng.uniform(1.0, 8.0))
+    return GasWaveConfig(Gamma=Gamma, q=q, EA=EA, K=K, Y0=1.0, upstream=upstream)
 
 
 @pytest.fixture()
@@ -89,18 +67,16 @@ def lee_stewart_config(gamma: float, q: float, E: float, f: float) -> GasWaveCon
 
     Exact mapping onto the one-step Arrhenius model, whose temperature is e:
     Gamma = gamma - 1, EA = E gamma / (gamma - 1) (so the rate factor
-    exp(-EA / (gamma e)) is exp(-E rho / p)), the upstream state at rest
-    moving in at sqrt(f) D_CJ, the ignition window closed at the unburned
-    temperature, and K rescaled so the half-reaction length -x(-ln 2 / K)
-    is 1 (lengths scale exactly as 1/K).
+    exp(-EA / (gamma e)) is exp(-E rho / p)), the inert upstream state at
+    rest moving in at sqrt(f) D_CJ, and K rescaled so the half-reaction
+    length -x(-ln 2 / K) is 1 (lengths scale exactly as 1/K).
     """
     Gamma = gamma - 1.0
     a = (gamma * gamma - 1.0) * q / 2.0
     D_CJ = math.sqrt(gamma + a) + math.sqrt(a)
-    T_plus = 1.0 / Gamma
     unit = GasWaveConfig(
-        Gamma=Gamma, q=q, EA=E * gamma / Gamma, Ti_low=T_plus, Ti_high=T_plus,
-        K=1.0, Y0=1.0, upstream=UpstreamState(rho=1.0, u=-math.sqrt(f) * D_CJ, e=T_plus),
+        Gamma=Gamma, q=q, EA=E * gamma / Gamma, K=1.0, Y0=1.0,
+        upstream=UpstreamState(rho=1.0, u=-math.sqrt(f) * D_CJ, e=1.0 / Gamma),
     )
     half_length = -float(x_of_y(build_wave(unit), [0.0, -math.log(2.0)])[1])
     return replace(unit, K=half_length)

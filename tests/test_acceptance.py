@@ -195,7 +195,7 @@ def test_criterion_6_profile_correctness(random_waves):
 
     def overdriven(q):
         try:
-            build_wave(replace(base, q=q, Ti_low=1.5, Ti_high=1.5))
+            build_wave(replace(base, q=q))
             return True
         except ChapmanJouguetError:
             return False
@@ -206,7 +206,7 @@ def test_criterion_6_profile_correctness(random_waves):
         lo, hi = (mid, hi) if overdriven(mid) else (lo, mid)
     q_located = 0.5 * (lo + hi)
     discs = [
-        build_wave(replace(base, q=q, Ti_low=1.5, Ti_high=1.5)).discriminant_min
+        build_wave(replace(base, q=q)).discriminant_min
         for q in np.linspace(0.5, 9.5, 10)
     ]
     monotone = bool(np.all(np.diff(discs) < 0.0))

@@ -311,7 +311,8 @@ class TestStableLeftMode:
         if q_frac is not None:
             wave = build_wave(replace(wave.config, q=q_frac * sonic_heat_release(wave.config)))
         ell, g = stable_left_mode(wave, lam)
-        assert spectral._pair_residual(wave, rhs_kernel(wave, lam, g), ell) > 1e-10
+        r = rhs_kernel(wave, lam, g)(wave.burned, ell.tolist())
+        assert spectral._pair_residual(wave, r, ell) > 1e-10
         frame = make_frame(wave, lam, 1e-5)
         assert np.array_equal(frame.ell, ell) and frame.g_minus == g
 
@@ -338,7 +339,7 @@ class TestStableLeftMode:
             G = limit_G_minus(wave, lam)
             want = np.linalg.norm(ell @ G - g * ell) / np.linalg.norm(ell)
             assert want > 1e-9
-            got = _pair_residual(wave, rhs_kernel(wave, lam, g), ell)
+            got = _pair_residual(wave, rhs_kernel(wave, lam, g)(wave.burned, ell.tolist()), ell)
             assert got == pytest.approx(want, rel=1e-6)
 
 

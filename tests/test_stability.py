@@ -162,7 +162,7 @@ class TestContinuation:
         assert trace.converged.tolist() == [False]
         assert "degenerate" in trace.stopped_by
 
-    @pytest.mark.parametrize("name", ["nope", "upstream", "gas_constant", "digest", "tol"])
+    @pytest.mark.parametrize("name", ["nope", "upstream", "gas_constant", "digest", "tol", "Ti_low"])
     def test_sweep_roots_requires_known_field(self, name, monkeypatch):
         def no_wave(cfg):
             raise AssertionError("built a wave for an unknown field")
