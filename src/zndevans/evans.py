@@ -28,11 +28,11 @@ The left end y = -M is where the reactant has fallen to eps of Y0.  All
 three methods take their burned-end data there from the one
 :class:`zndevans.spectral.SpectralFrame` of the solve, built by
 :func:`zndevans.spectral.make_frame`: the factored adjoint's start
-zeta(-M) = ell + v1 + v2, the stable left mode plus its first- and
-second-order corrections in eps, which the forward methods integrate from
-and Lee-Stewart pairs with; and, for Erpenbeck, the tail of the quadrature
-over (-inf, -M] to the same order, which the running quadrature starts
-from.  The truncation error is then of order eps^3 rather than eps.
+zeta(-M) = ell + v1 + v2 + v3 + v4, the stable left mode plus its
+corrections in eps to fourth order, which the forward methods integrate
+from and Lee-Stewart pairs with; and, for Erpenbeck, the tail of the
+quadrature over (-inf, -M] to the same order, which the running quadrature
+starts from.  The truncation error is then of order eps^5 rather than eps.
 Unless ``M`` is given, the frame picks eps for each lambda from ``tol``, so
 that this error stays below ``tol``; every method runs at that one depth.
 

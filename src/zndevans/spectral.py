@@ -13,7 +13,7 @@ once per RHS evaluation), G itself built column by column from that same
 kernel, the analytic stable left eigenpair (ell, g_minus) of the burned-end
 matrix, the boundary jump vector that closes the stability determinant,
 and the frame of one solve (:func:`make_frame`): that pair checked, the
-jump, the truncation depth picked from the tolerance, the second-order
+jump, the truncation depth picked from the tolerance, the fourth-order
 corrected burned-end mode at that depth that every shooting method starts
 from, and Erpenbeck's quadrature tail beyond it.
 
@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import NumericalDomainError
 from .znd import (
-    Y_AT_M_Y,
     GasWaveConfig,
     StateW,
     SteadyWave,
@@ -46,6 +45,18 @@ from .znd import (
 
 # the constant of make_frame's depth rule, fixed against tests/test_truncation.py
 _DEPTH_THETA = 0.1
+
+# Exact weights of the fits B(t) = c_1 t + ... + c_n t^n through n values
+# B_i at t_i = 2^-i, i < n: _FIT_WEIGHTS[n][j - 1][i] is the weight of B_i
+# in c_j: the inverse of the Vandermonde matrix t_i^j, written as literals
+# that the compiler folds to constants
+_FIT_WEIGHTS = {
+    1: ((1.0,),),
+    2: ((-1.0, 4.0), (2.0, -4.0)),
+    3: ((1 / 3, -4.0, 32 / 3), (-2.0, 20.0, -32.0), (8 / 3, -16.0, 64 / 3)),
+    4: ((-1 / 21, 4 / 3, -32 / 3, 512 / 21), (2 / 3, -52 / 3, 352 / 3, -512 / 3),
+        (-8 / 3, 176 / 3, -832 / 3, 1024 / 3), (64 / 21, -128 / 3, 512 / 3, -4096 / 21)),
+}
 
 
 def jacobians(state: StateW, cfg: GasWaveConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -288,9 +299,10 @@ class SpectralFrame:
 
     ``ell`` and ``g_minus`` are the stable left eigenpair of the burned-end
     matrix, ``jump`` the boundary jump row, ``M`` the truncation depth in y,
-    ``zeta`` the corrected burned-end start at y = -M, and ``tail()`` the
-    integral of Erpenbeck's quadrature over (-inf, -M], computed when
-    called, as only that method reads it.
+    ``zeta`` the burned-end start at y = -M, corrected to fourth order in
+    eps = Y(-M)/Y0, and ``tail()`` the integral of Erpenbeck's quadrature
+    over (-inf, -M] to the same order, computed when called, as only that
+    method reads it.
     """
 
     ell: np.ndarray
@@ -303,6 +315,20 @@ class SpectralFrame:
 
 def _cross(a, b) -> tuple:
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _fitted_rhs(k: int, n: int, Bs: list) -> list:
+    """The right-hand side F_k = sum_{m<k} c_{k-m}(v_m) of the order-n start,
+    c_j(v_m) the fit through the first n - m vectors of Bs[m] at t_i = 2^-i,
+    as one weighted sum."""
+    f0 = f1 = f2 = f3 = 0.0
+    for m in range(k):
+        for w, (b0, b1, b2, b3) in zip(_FIT_WEIGHTS[n - m][k - 1 - m], Bs[m]):
+            f0 += w * b0
+            f1 += w * b1
+            f2 += w * b2
+            f3 += w * b3
+    return [f0, f1, f2, f3]
 
 
 def check_depth(M: float) -> float:
@@ -336,69 +362,67 @@ def make_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = Non
     |g_minus|, hence the bound's scale.
 
     *Start.*  Near the burned end the factored adjoint field of the neutral
-    method is A(y) = A_inf + eps(y) A1 + eps(y)^2 A2 + O(eps^3), with A_inf
-    the kernel at ``wave.burned``, A_inf ell = 0 and eps(y) = Y(y)/Y0 =
-    eps exp(K (y + M)).  Its solution bounded as y -> -inf is
-    ell + v1 exp(K (y + M)) + v2 exp(2 K (y + M)) + O(eps^3), where
+    method is A(y) = A_inf + sum_j eps(y)^j A_j, with A_inf the kernel at
+    ``wave.burned``, A_inf ell = 0 and eps(y) = Y(y)/Y0 = eps exp(K (y + M)).
+    Its solution bounded as y -> -inf is sum_k v_k exp(k K (y + M)), v_0 =
+    ell, where
 
-        (K I - A_inf) v1 = eps A1 ell,
-        (2K I - A_inf) v2 = eps A1 v1 + eps^2 A2 ell,
+        (kK I - A_inf) v_k = sum_{j=1..k} eps^j A_j v_{k-j},
 
-    so ``zeta = ell + v1 + v2`` leaves a truncation error of order eps^3,
-    not eps (the asymptotic boundary condition of Lentini & Keller, SIAM
-    J. Numer. Anal. 1980, to second order).  The terms come from the kernel
-    alone: with B(s, v) = A(s) v - A_inf v at the states s1 at -M and s2 at
-    -M - ln2/K, where eps(y) is eps/2,
-
-        eps A1 ell = 4 B(s2, ell) - B(s1, ell) + O(eps^3),
-        eps^2 A2 ell = 2 B(s1, ell) - 4 B(s2, ell) + O(eps^3),
-
-    and eps A1 v1 = B(s1, v1) + O(eps^3).  Y = 0 at the burned end, so
-    A_inf's reactant column is (0, 0, 0, a33): each solve is a 3x3 cofactor
-    solve for the gas part and one division for the reactant.  The
-    eigenvalues of k K I - A_inf are k K and k K + sigma_inf (mu - g_minus)
-    for the other burned-end modes mu, all with real part >= k K when
-    Re lambda >= 0.  Both inverses are built once and serve every depth.
+    and ``zeta = ell + v1 + v2 + v3 + v4`` leaves a truncation error of
+    order eps^5, not eps (the asymptotic boundary condition of Lentini &
+    Keller, SIAM J. Numer. Anal. 1980, to fourth order).  The terms come
+    from the kernel alone: B(s, v) = A(s) v - A_inf v at the states s_i at
+    y_i = -M - i ln2/K, i < 4, where eps(y_i) = eps t_i with t_i = 2^-i, is
+    sum_j (eps t_i)^j A_j v.  The fit through the first n of them, with
+    the exact Vandermonde weights of ``_FIT_WEIGHTS``, gives eps^j A_j v,
+    j <= n, up to O(eps^(n+1) |v|); as v_m is of order eps^m, the products
+    with v_m are fitted on 4 - m states, ten kernel calls in all, and
+    A_inf v_k = kK v_k - F_k needs none.  Y = 0 at the burned end, so
+    A_inf's reactant column is (0, 0, 0, a33): each solve is a 3x3
+    cofactor solve for the gas part and one division for the reactant.
+    The eigenvalues of kK I - A_inf are kK and kK + sigma_inf (mu - g_minus)
+    for the other burned-end modes mu, all with real part >= kK when
+    Re lambda >= 0.  The four inverses are built once per frame.
 
     *Depth.*  An explicit ``M`` must be positive and finite.  If ``M`` is
-    None the two corrections are measured once at the fixed depth
-    ``wave.M_y``, where eps = 1e-5, per unit eps and eps^2:
-    a1 = |v1| / (1e-5 |ell|) and a2 = |v2| / (1e-10 |ell|).  With a2^2/a1
-    as the estimate of the next coefficient, M = ln(1/eps)/K with
-
-        eps^3 = theta tol min(1, a1 / a2^2),   theta = 0.1,
-
-    so that eps^3 <= theta tol and (a2^2/a1) eps^3 <= theta tol.  The
-    measured relative truncation error against a reference at
-    K M = ln(1e13), over the cases of tests/test_truncation.py
-    (lambda = 1+1i, 0.5+5i, 0.1+30i; tol = 1e-5 and 1e-8, and 1e-10 on
-    LS(1.02, 50)), is at most, in units of tol:
+    None the start is built at eps0 = (theta tol)^(1/4), theta = 0.1, and
+    its error is estimated by est = |zeta_4 - zeta_3| / |ell|, with zeta_3
+    the start fitted to third order on the first three states from the same
+    differences B.  If est > theta tol, eps shrinks once, to
+    eps0 0.9 (theta tol / est)^(1/4), and the start is built again there.
+    eps never grows past eps0: est measures the order-3 start, so a small
+    est does not show that a shallower order-4 start would do.
+    M = ln(1/eps)/K.  The measured relative truncation
+    error against a reference at K M = ln(1e13), over the cases of
+    tests/test_truncation.py (lambda = 1+1i, 0.5+5i, 0.1+30i; tol = 1e-5
+    and 1e-8, and 1e-10 on LS(1.02, 50)), is at most, in units of tol:
 
         default  EA=20  LS(1.6,50)  LS(1.02,50)  E=86.1  E=51.5
-        0.063    0.066  0.045       0.074        0.030   0.060
+        0.001    0.001  0.002       0.024        0.19    0.029
 
     (LS(f, E) is Lee & Stewart's wave with gamma = 1.2, q = 50; the last two
     are their high-activation waves (gamma, q, E) = (1.146, 33.5, 86.1)
-    and (1.107, 17.0, 51.5)).  The first-order start with its depth rule
-    reached 0.19 tol on the same cases.
+    and (1.107, 17.0, 51.5)).  The second-order start with its depth rule
+    reached 0.074 tol on the same cases, and the first-order one 0.19 tol.
 
-    Near CJ a1 and a2 grow, and so does the depth.  ``tol`` must be
-    positive.  |v1|, |v2| and |ell| are the same for conj(lam), and so is
-    the depth.
+    Near CJ and at large |lambda| the estimate grows, and so does the
+    depth.  ``tol`` must be positive.  The estimate is the same for
+    conj(lam), and so is the depth.
 
     *Tail.*  ``tail()`` is the integral over (-inf, -M] of Erpenbeck's
     quadrature integrand lam Z . A0 (profile)' in the neutral
     normalization, to the same order.  There Z = exp(-g_minus (x - x(-M)))
     zeta(y), and with the neutral factor exp(-g_minus sigma_inf (y + M))
     taken out, sigma_inf = m / psi(burned), the integrand is
-    d1 s + d2 s^2 + O(eps^3) in s = exp(K (y + M)).  d1 and d2 are fitted
-    at s = 1 (y = -M) and s = 1/2 (y2 = -M - ln2/K, where
-    zeta(y2) = ell + v1/2 + v2/4 and x(-M) - x(y2) = sigma_inf ln2/K +
-    (sigma(-M) - sigma_inf)/(2K) + O(eps^2)), and
+    H = sum_k d_k s^k + O(eps^5) in s = exp(K (y + M)).  The d_k are fitted
+    to H at the four states, where zeta(y_i) = sum_k v_k t_i^k and
+    x(-M) - x(y_i) = sigma_inf i ln2/K + sum_j sigma_j (1 - t_i^j)/(jK)
+    from the fit sigma(y) - sigma_inf = sum_j sigma_j s^j, and
 
-        tail = d1 / (K - g_minus sigma_inf) + d2 / (2K - g_minus sigma_inf),
+        tail = sum_k d_k / (kK - g_minus sigma_inf),
 
-    both denominators with real part >= K.
+    every denominator with real part >= K.
 
     The profile is evaluated through this module's bindings of profile_at
     and profile_deriv, so evans' bindings still see exactly one evaluation
@@ -441,45 +465,63 @@ def make_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = Non
 
         return solve
 
-    solve1, solve2 = inverse(K), inverse(2.0 * K)
+    solves = [inverse(k * K) for k in (1.0, 2.0, 3.0, 4.0)]
     half_life = math.log(2.0) / K  # the y-distance over which Y halves
 
-    def corrections(depth: float):
-        """The states at -depth and a half-life below it, and v1 and v2 there."""
-        s1 = profile_at(wave, -depth)
-        s2 = profile_at(wave, -depth - half_life)
-        B1 = [x - y for x, y in zip(kernel(s1, ell_l), inf_ell)]
-        B2 = [x - y for x, y in zip(kernel(s2, ell_l), inf_ell)]
-        F1 = [4.0 * b2 - b1 for b1, b2 in zip(B1, B2)]
-        v1 = solve1(F1)
-        # B(s1, v1) = A(s1) v1 - A_inf v1, with A_inf v1 = K v1 - F1
-        F2 = [x - (K * v - f) + 2.0 * b1 - 4.0 * b2
-              for x, v, f, b1, b2 in zip(kernel(s1, v1), v1, F1, B1, B2)]
-        return s1, s2, v1, solve2(F2)
+    def start(depth: float):
+        """The states s_i at y_i = -depth - i ln2/K, i < 4, the terms ell, v1
+        to v4 of zeta there, and for each v_m, m < 4, the differences
+        B(s_i, v_m) at the 4 - m states its fit needs."""
+        states = [profile_at(wave, -depth - i * half_life) for i in range(4)]
+        vs, Bs = [ell_l], []
+        inf_v = inf_ell
+        for k in range(1, 5):
+            Bs.append([[x - y for x, y in zip(kernel(s, vs[-1]), inf_v)] for s in states[:5 - k]])
+            # F_k = sum_j eps^j A_j v_{k-j}, and A_inf v_k = kK v_k - F_k
+            F = _fitted_rhs(k, 4, Bs)
+            vs.append(solves[k - 1](F))
+            inf_v = [k * K * v - f for v, f in zip(vs[-1], F)]
+        return states, vs, Bs
+
+    def estimate(vs: list, Bs: list) -> float:
+        """|zeta_4 - zeta_3| / |ell|, zeta_3 from the order-3 fits on the
+        first three states of the same differences."""
+        gap = [v1 + v2 + v3 + v4 for v1, v2, v3, v4 in zip(*vs[1:])]
+        for k in range(1, 4):
+            gap = [x - u for x, u in zip(gap, solves[k - 1](_fitted_rhs(k, 3, Bs)))]
+        return math.hypot(*map(abs, gap)) / math.hypot(*map(abs, ell_l))
 
     if M is None:
-        _, _, v1, v2 = corrections(wave.M_y)
-        size = math.hypot(*map(abs, ell_l))
-        a1 = math.hypot(*map(abs, v1)) / (Y_AT_M_Y * size)
-        a2 = math.hypot(*map(abs, v2)) / (Y_AT_M_Y * Y_AT_M_Y * size)
-        eps3 = _DEPTH_THETA * tol
-        if a2 * a2 > a1:  # a1 = a2 = 0 on a constant profile
-            eps3 *= a1 / (a2 * a2)
-        M = math.log(1.0 / eps3) / (3.0 * K)
-    s1, s2, v1, v2 = corrections(M)
-    zeta = np.array([l + x + y for l, x, y in zip(ell_l, v1, v2)])
+        eps = (_DEPTH_THETA * tol) ** 0.25
+        M = math.log(1.0 / eps) / K
+        states, vs, Bs = start(M)
+        est = estimate(vs, Bs)
+        if est > _DEPTH_THETA * tol:
+            eps *= 0.9 * (_DEPTH_THETA * tol / est) ** 0.25
+            M = math.log(1.0 / eps) / K
+            states, vs, _ = start(M)
+    else:
+        states, vs, _ = start(M)
+    zeta = np.array([sum(terms) for terms in zip(*vs)])
 
     def tail() -> complex:
         cfg = wave.config
         sigma_inf = wave.m / reaction_psi(burned, cfg)
         g_sigma = g_minus * sigma_inf
-        h1 = _quadrature_integrand(lam, s1, profile_deriv(wave, -M), zeta)
-        # exp(-g_minus (x(y2) - x(-M))) over the neutral factor at y2, one
-        # exponent of order eps so that no part of it can overflow alone
-        shift = cmath.exp(g_minus * (wave.m / reaction_psi(s1, cfg) - sigma_inf) / (2.0 * K))
-        zeta2 = [l + 0.5 * x + 0.25 * y for l, x, y in zip(ell_l, v1, v2)]
-        h2 = shift * _quadrature_integrand(lam, s2, profile_deriv(wave, -M - half_life), zeta2)
-        d2 = 2.0 * (h1 - 2.0 * h2)
-        return (h1 - d2) / (K - g_sigma) + d2 / (2.0 * K - g_sigma)
+        # sigma - sigma_inf = sum_j sigma_j s^j
+        sigmas = [sum(w * (wave.m / reaction_psi(s, cfg) - sigma_inf) for w, s in zip(ws, states))
+                  for ws in _FIT_WEIGHTS[4]]
+        H = []
+        for i, state in enumerate(states):
+            t = 0.5 ** i
+            # exp(-g_minus (x(y_i) - x(-M))) over the neutral factor at y_i, one
+            # exponent of order eps so that no part of it can overflow alone
+            shift = cmath.exp(g_minus * sum(sj * (1.0 - t ** j) / (j * K)
+                                            for j, sj in enumerate(sigmas, 1)))
+            zeta_i = [sum(v * t ** k for k, v in enumerate(terms)) for terms in zip(*vs)]
+            deriv = profile_deriv(wave, -M - i * half_life)
+            H.append(shift * _quadrature_integrand(lam, state, deriv, zeta_i))
+        d = [sum(w * h for w, h in zip(ws, H)) for ws in _FIT_WEIGHTS[4]]
+        return sum(dk / (k * K - g_sigma) for k, dk in enumerate(d, 1))
 
     return SpectralFrame(ell, g_minus, jump_vector(wave, lam), M, zeta, tail)

@@ -12,6 +12,7 @@ no result path.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -122,18 +123,29 @@ def limit_G_plus(wave: SteadyWave, lam: complex) -> np.ndarray:
     return G_at_state(state, cfg, lam, reacting=False)
 
 
+def _vandermonde_fit(values: list) -> list:
+    """[c_1, ..., c_n] with sum_j c_j t_i^j = values[i] at t_i = 2^-i, i < n,
+    from a LAPACK inverse of the Vandermonde matrix."""
+    n = len(values)
+    t = 0.5 ** np.arange(n)
+    weights = np.linalg.inv(t[:, None] ** np.arange(1, n + 1))
+    return [sum(weights[j, i] * values[i] for i in range(n)) for j in range(n)]
+
+
 def burned_start_solve(wave: SteadyWave, lam: complex, M: float) -> tuple[np.ndarray, complex]:
     """The start ``(zeta, tail)`` of :func:`zndevans.spectral.make_frame` at
     depth ``M`` the textbook way.  The factored adjoint matrices
     A = -sigma (G^T - g_minus I) come from :func:`G_at_state` at the burned
-    state, at y1 = -M and at y2 = -M - ln2/K, where Y is half its value at
-    y1.  With B(y) = A(y) - A_inf, the corrections are LAPACK solves of
+    state and at y_i = -M - i ln2/K, i < 4, where Y is 2^-i of its value at
+    -M.  With B_i = A(y_i) - A_inf, the matrices C_j^(n) = eps^j A_j are
+    fitted to B_i at the first n states, and the corrections are LAPACK
+    solves of
 
-        (K I - A_inf) v1 = (4 B(y2) - B(y1)) ell,
-        (2K I - A_inf) v2 = B(y1) v1 + (2 B(y1) - 4 B(y2)) ell,
+        (kK I - A_inf) v_k = sum_{j=1..k} C_j^(4-k+j) v_{k-j},  k = 1..4,
 
-    and the tail fits d1 s + d2 s^2 to the integrand, built with
-    :func:`apply_A0`, at s = 1 and s = 1/2."""
+    v_0 = ell, so each product with v_m is fitted on 4 - m states.  The
+    tail fits sum_k d_k s^k to the integrand, built with :func:`apply_A0`,
+    and sum_j sigma_j s^j to sigma - sigma_inf, at the same four states."""
     cfg = wave.config
     K = cfg.K
     frame = make_frame(wave, lam, 1e-5, M)
@@ -145,21 +157,26 @@ def burned_start_solve(wave: SteadyWave, lam: complex, M: float) -> tuple[np.nda
         return -sigma * (G_at_state(state, cfg, lam, reacting=True).T - g * eye), sigma
 
     A_inf, sigma_inf = adjoint_matrix(wave.burned)
-    y1, y2 = -M, -M - math.log(2.0) / K
-    (A_y1, sigma_y1), (A_y2, _) = (adjoint_matrix(profile_at(wave, y)) for y in (y1, y2))
-    B1, B2 = A_y1 - A_inf, A_y2 - A_inf
-    v1 = np.linalg.solve(K * eye - A_inf, (4.0 * B2 - B1) @ ell)
-    v2 = np.linalg.solve(2.0 * K * eye - A_inf, B1 @ v1 + (2.0 * B1 - 4.0 * B2) @ ell)
-    zeta = ell + v1 + v2
+    ys = [-M - i * math.log(2.0) / K for i in range(4)]
+    As, sigmas = zip(*(adjoint_matrix(profile_at(wave, y)) for y in ys))
+    C = [_vandermonde_fit([A - A_inf for A in As[:4 - m]]) for m in range(4)]
+    v = [ell]
+    for k in range(1, 5):
+        F = sum(C[m][k - 1 - m] @ v[m] for m in range(k))
+        v.append(np.linalg.solve(k * K * eye - A_inf, F))
+    zeta = sum(v)
 
-    def integrand(y: float, z: np.ndarray) -> complex:
-        return complex(lam * z @ np.array(apply_A0(profile_at(wave, y), profile_deriv(wave, y))))
-
-    h1 = integrand(y1, zeta)
-    # exp(-g (x(y2) - x(y1))) without the neutral factor exp(g sigma_inf ln2/K)
-    h2 = integrand(y2, ell + v1 / 2 + v2 / 4) * np.exp(g * (sigma_y1 - sigma_inf) / (2.0 * K))
-    d1, d2 = 4.0 * h2 - h1, 2.0 * h1 - 4.0 * h2
-    return zeta, complex(d1 / (K - g * sigma_inf) + d2 / (2.0 * K - g * sigma_inf))
+    sigma_fit = _vandermonde_fit([s - sigma_inf for s in sigmas])
+    h = []
+    for i, y in enumerate(ys):
+        t = 0.5 ** i
+        # x(-M) - x(y_i) - sigma_inf (y_i + M) from the fitted sigma - sigma_inf
+        gap = sum(c * (1.0 - t ** j) / (j * K) for j, c in enumerate(sigma_fit, 1))
+        z = sum(vk * t ** k for k, vk in enumerate(v))
+        deriv = np.array(apply_A0(profile_at(wave, y), profile_deriv(wave, y)))
+        h.append(complex(lam * z @ deriv) * np.exp(g * gap))
+    d = _vandermonde_fit(h)
+    return zeta, complex(sum(dk / (k * K - g * sigma_inf) for k, dk in enumerate(d, 1)))
 
 
 def first_order_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = None) -> SpectralFrame:
@@ -201,6 +218,88 @@ def first_order_frame(wave: SteadyWave, lam: complex, tol: float, M: float | Non
     sigma_inf = wave.m / reaction_psi(wave.burned, wave.config)
     tail = integrand / (K - g_minus * sigma_inf)
     return SpectralFrame(ell, g_minus, jump_vector(wave, lam), M, zeta, lambda: tail)
+
+
+def second_order_frame(wave: SteadyWave, lam: complex, tol: float,
+                       M: float | None = None) -> SpectralFrame:
+    """:func:`zndevans.spectral.make_frame` as it was before its start went
+    to fourth order, with the same floating-point operations (the
+    left-eigenpair check left out), so that pins recorded then still
+    reproduce.  The start is ell + v1 + v2 with
+
+        (K I - A_inf) v1 = 4 B(s2, ell) - B(s1, ell),
+        (2K I - A_inf) v2 = B(s1, v1) + 2 B(s1, ell) - 4 B(s2, ell)
+
+    at the states s1 at -M and s2 at -M - ln2/K; without ``M`` the depth is
+    ln(1/eps)/K with eps^3 = 0.1 tol min(1, a1 / a2^2), a1 = |v1| /
+    (1e-5 |ell|) and a2 = |v2| / (1e-10 |ell|) measured at ``M_y``; and the
+    tail fits d1 s + d2 s^2 to the integrand at s = 1 and s = 1/2."""
+    if M is not None:
+        M = check_depth(M)
+    lam = complex(lam)
+    ell, g_minus = stable_left_mode(wave, lam)
+    kernel = rhs_kernel(wave, lam, g_minus)
+    burned = wave.burned
+    ell_l = ell.tolist()
+    inf_ell = kernel(burned, ell_l)
+    K = wave.config.K
+    a = [kernel(burned, e) for e in np.eye(4).tolist()]
+
+    def inverse(kK: float):
+        rows = [[(kK if i == j else 0.0) - a[j][i] for j in range(3)] for i in range(3)]
+        (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = (
+            _cross(rows[1], rows[2]), _cross(rows[2], rows[0]), _cross(rows[0], rows[1]))
+        det = rows[0][0] * c00 + rows[0][1] * c01 + rows[0][2] * c02
+        a32, a33 = a[2][3], kK - a[3][3]
+
+        def solve(F: list) -> list:
+            F0, F1, F2, F3 = F
+            w2 = (F0 * c02 + F1 * c12 + F2 * c22) / det
+            return [(F0 * c00 + F1 * c10 + F2 * c20) / det,
+                    (F0 * c01 + F1 * c11 + F2 * c21) / det,
+                    w2,
+                    (F3 + a32 * w2) / a33]
+
+        return solve
+
+    solve1, solve2 = inverse(K), inverse(2.0 * K)
+    half_life = math.log(2.0) / K
+
+    def corrections(depth: float):
+        s1 = profile_at(wave, -depth)
+        s2 = profile_at(wave, -depth - half_life)
+        B1 = [x - y for x, y in zip(kernel(s1, ell_l), inf_ell)]
+        B2 = [x - y for x, y in zip(kernel(s2, ell_l), inf_ell)]
+        F1 = [4.0 * b2 - b1 for b1, b2 in zip(B1, B2)]
+        v1 = solve1(F1)
+        F2 = [x - (K * v - f) + 2.0 * b1 - 4.0 * b2
+              for x, v, f, b1, b2 in zip(kernel(s1, v1), v1, F1, B1, B2)]
+        return s1, s2, v1, solve2(F2)
+
+    if M is None:
+        _, _, v1, v2 = corrections(wave.M_y)
+        size = math.hypot(*map(abs, ell_l))
+        a1 = math.hypot(*map(abs, v1)) / (Y_AT_M_Y * size)
+        a2 = math.hypot(*map(abs, v2)) / (Y_AT_M_Y * Y_AT_M_Y * size)
+        eps3 = 0.1 * tol
+        if a2 * a2 > a1:
+            eps3 *= a1 / (a2 * a2)
+        M = math.log(1.0 / eps3) / (3.0 * K)
+    s1, s2, v1, v2 = corrections(M)
+    zeta = np.array([l + x + y for l, x, y in zip(ell_l, v1, v2)])
+
+    def tail() -> complex:
+        cfg = wave.config
+        sigma_inf = wave.m / reaction_psi(burned, cfg)
+        g_sigma = g_minus * sigma_inf
+        h1 = _quadrature_integrand(lam, s1, profile_deriv(wave, -M), zeta)
+        shift = cmath.exp(g_minus * (wave.m / reaction_psi(s1, cfg) - sigma_inf) / (2.0 * K))
+        zeta2 = [l + 0.5 * x + 0.25 * y for l, x, y in zip(ell_l, v1, v2)]
+        h2 = shift * _quadrature_integrand(lam, s2, profile_deriv(wave, -M - half_life), zeta2)
+        d2 = 2.0 * (h1 - 2.0 * h2)
+        return (h1 - d2) / (K - g_sigma) + d2 / (2.0 * K - g_sigma)
+
+    return SpectralFrame(ell, g_minus, jump_vector(wave, lam), M, zeta, tail)
 
 
 def stable_left_eig(wave: SteadyWave, lam: complex) -> tuple[complex, np.ndarray, np.ndarray]:

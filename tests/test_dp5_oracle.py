@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import first_order_frame
+from oracles import first_order_frame, second_order_frame
 from zndevans import evans, numerics, spectral
 from zndevans.errors import NonFiniteStateError, StepSizeUnderflowError
 from zndevans.modelbench import ModelParams, model_field
@@ -247,7 +247,8 @@ def test_evans_D_and_counts_pinned_corrected_start(wave, monkeypatch, method, la
     assert abs(r.D - D) <= 1e-10 * abs(D)
 
 
-# The same from spectral.make_frame's second-order corrected start.
+# The same from the second-order corrected start, which oracles'
+# second_order_frame builds as spectral.make_frame once did.
 PINNED_D_SECOND_ORDER = [
     ('neutral', (1+1j), 1e-05, 35, 3, 229, (-47.80934723139183-36.46158166263041j)),
     ('neutral', (1+1j), 1e-08, 128, 1, 775, (-47.80934353622273-36.46159860159694j)),
@@ -278,8 +279,9 @@ PINNED_D_SECOND_ORDER = [
 
 @pytest.mark.parametrize("method, lam, tol, accepted, rejected, nfev, D", PINNED_D_SECOND_ORDER,
                          ids=[f"{row[0]}-{row[1]}-{row[2]:g}" for row in PINNED_D_SECOND_ORDER])
-def test_evans_D_and_counts_pinned_second_order_start(wave, method, lam, tol, accepted, rejected,
-                                                      nfev, D):
+def test_evans_D_and_counts_pinned_second_order_start(wave, monkeypatch, method, lam, tol, accepted,
+                                                      rejected, nfev, D):
+    monkeypatch.setattr(evans, "make_frame", second_order_frame)
     r = evans.evaluate(wave, lam, method=method, tol=tol, M=wave.M_y)
     s = r.stats
     assert (s.accepted_steps, s.rejected_steps, s.rhs_evaluations) == (accepted, rejected, nfev)
@@ -317,7 +319,7 @@ def test_evans_D_and_counts_pinned_default_depth(wave, monkeypatch, method, lam,
     assert abs(r.D - D) <= 1e-10 * abs(D)
 
 
-# The same at the depth spectral.make_frame picks by the second-order rule.
+# The same at the depth second_order_frame picks by the second-order rule.
 # That rule reads |v2| at M_y, the solution of a right-hand side that
 # cancels to 1e-5 of its terms, so M is pinned to 1e-10 rather than 1e-12.
 PINNED_D_SECOND_ORDER_DEFAULT_DEPTH = [
@@ -339,7 +341,41 @@ PINNED_D_SECOND_ORDER_DEFAULT_DEPTH = [
 @pytest.mark.parametrize("method, lam, M, accepted, rejected, nfev, D",
                          PINNED_D_SECOND_ORDER_DEFAULT_DEPTH,
                          ids=[f"{row[0]}-{row[1]}" for row in PINNED_D_SECOND_ORDER_DEFAULT_DEPTH])
-def test_evans_D_and_counts_pinned_second_order_default_depth(wave, method, lam, M, accepted,
+def test_evans_D_and_counts_pinned_second_order_default_depth(wave, monkeypatch, method, lam, M,
+                                                              accepted, rejected, nfev, D):
+    monkeypatch.setattr(evans, "make_frame", second_order_frame)
+    r = evans.evaluate(wave, lam, method=method, tol=1e-5)
+    s = r.stats
+    assert abs(r.M - M) <= 1e-10 * M
+    assert (s.accepted_steps, s.rejected_steps, s.rhs_evaluations) == (accepted, rejected, nfev)
+    assert abs(r.D - D) <= 1e-10 * abs(D)
+
+
+# The same at the depth spectral.make_frame picks by the fourth-order rule:
+# K M = ln(1/eps0) with eps0 = (0.1 tol)^(1/4) at 1+1i and 1+3i, and deeper
+# at 4+10i and 0.1+30i, where the embedded estimate of the start's error
+# exceeds 0.1 tol.  That estimate is a difference far smaller than the
+# corrections it is formed from, so M is pinned to 1e-10 rather than 1e-12.
+PINNED_D_FOURTH_ORDER_DEFAULT_DEPTH = [
+    ('neutral', (1+1j), 1.7269388197455342, 19, 1, 121, (-47.809346836718596-36.46158208022188j)),
+    ('neutral', (1+3j), 1.7269388197455342, 27, 1, 169, (-101.98392100526704-96.40946278359664j)),
+    ('neutral', (4+10j), 2.090565383964451, 69, 1, 421, (-243.90954056460959+148.68145413568556j)),
+    ('neutral', (0.1+30j), 2.550658423261164, 257, 2, 1555, (1363.2831209480341-796.28819984357j)),
+    ('erpenbeck', (1+1j), 1.7269388197455342, 23, 0, 139, (-47.809396531795244-36.46139252540017j)),
+    ('erpenbeck', (1+3j), 1.7269388197455342, 46, 0, 277, (-101.98404299857518-96.41121189288694j)),
+    ('erpenbeck', (4+10j), 2.090565383964451, 180, 0, 1081, (-243.92621281424502+148.68531061738364j)),
+    ('erpenbeck', (0.1+30j), 2.550658423261164, 621, 0, 3727, (1363.1288684916663-795.9538254874697j)),
+    ('lee_stewart', (1+1j), 1.7269388197455342, 29, 0, 175, (-4045.529388835778+5320.234041085922j)),
+    ('lee_stewart', (1+3j), 1.7269388197455342, 53, 0, 319, (10668.69914114843-11382.01686747093j)),
+    ('lee_stewart', (4+10j), 2.090565383964451, 189, 0, 1135, (-2520105327144.355-541026159121.679j)),
+    ('lee_stewart', (0.1+30j), 2.550658423261164, 713, 4, 4303, (-3067.681965210626+863.1305273184344j)),
+]
+
+
+@pytest.mark.parametrize("method, lam, M, accepted, rejected, nfev, D",
+                         PINNED_D_FOURTH_ORDER_DEFAULT_DEPTH,
+                         ids=[f"{row[0]}-{row[1]}" for row in PINNED_D_FOURTH_ORDER_DEFAULT_DEPTH])
+def test_evans_D_and_counts_pinned_fourth_order_default_depth(wave, method, lam, M, accepted,
                                                               rejected, nfev, D):
     r = evans.evaluate(wave, lam, method=method, tol=1e-5)
     s = r.stats

@@ -74,15 +74,29 @@ class TestMethodRelations:
             assert rl.stats.mesh_points > rn.stats.mesh_points
 
     def test_unfactored_overflow_guard(self, wave):
-        # at the depth make_frame picks for tol = 1e-5 the unfactored
-        # exponent at lambda = 75 is about -776, beyond the guard's 690
+        # at the fixed depth M_y the unfactored exponent at lambda = 75 is
+        # about -1204, beyond the guard's 690.  At the depth make_frame picks
+        # for tol = 1e-5 no real lambda lets the guard fire while neutral
+        # succeeds: neutral misselects its mode from about 77, and the guard
+        # fires only from about 82
         with pytest.raises(EvansOverflowError):
-            evaluate(wave, 75.0 + 0j, method="erpenbeck")
+            evaluate(wave, 75.0 + 0j, method="erpenbeck", M=wave.M_y)
         with pytest.raises(EvansOverflowError):
-            evaluate(wave, 75.0 + 0j, method="lee_stewart")
+            evaluate(wave, 75.0 + 0j, method="lee_stewart", M=wave.M_y)
         # the factored method handles the same frequency fine
-        r = evaluate(wave, 75.0 + 0j, method="neutral")
+        r = evaluate(wave, 75.0 + 0j, method="neutral", M=wave.M_y)
         assert np.isfinite(r.D.real) and np.isfinite(r.D.imag)
+
+    @pytest.mark.parametrize("method", ["erpenbeck", "lee_stewart"])
+    def test_unfactored_in_range_at_lambda_75(self, wave, method):
+        # at the depth make_frame picks for tol = 1e-5 the unfactored
+        # exponent at lambda = 75 is about -626, inside double range.  D is
+        # about 1e-4 of the jump there, and neutral at tol = 1e-5 is itself
+        # about 890 tol off, so the reference is neutral at 1e-10
+        tol = 1e-5
+        ref = evaluate(wave, 75.0 + 0j, method="neutral", tol=1e-10).D
+        r = evaluate(wave, 75.0 + 0j, method=method, tol=tol)
+        assert abs(r.kappa_to_neutral * r.D - ref) < 300 * tol * abs(ref)
 
     @pytest.mark.parametrize("method", ["erpenbeck", "lee_stewart"])
     def test_unfactored_in_range_at_lambda_40(self, wave, method):
@@ -97,7 +111,7 @@ class TestMethodRelations:
 class TestTruncationError:
     """D at the default depth for tol = 1e-11 against the neutral value D_ref
     at depth ln(1e12)/K, all at tol = 1e-11.  Starting from the corrected
-    burned-end mode where Y = eps Y0 leaves an error of order eps^3; starting
+    burned-end mode where Y = eps Y0 leaves an error of order eps^5; starting
     at eps = 1e-5 from the left mode ell alone left 2.5e-9 to 7.2e-9 at
     1+1i, 3.9e-8 at 4+10i and 1.0e-7 at 0.1+30i, and Erpenbeck without its
     quadrature tail is off by 4e-6 on LS(1.2, 50)."""
@@ -272,10 +286,12 @@ def test_one_profile_evaluation_per_rhs_call(wave, monkeypatch, method):
 @pytest.mark.parametrize("explicit_M", [False, True], ids=["depth-from-tol", "explicit-M"])
 def test_one_frame_per_solve(wave, monkeypatch, method, explicit_M):
     # make_frame builds the one adjoint kernel of the solve's burned-end data
-    # and evaluates the profile at M_y and a half-life of Y below it only to
-    # pick the depth, and at -M and a half-life below it for the start;
-    # only Erpenbeck's solver asks for the tail, which takes the profile's
-    # derivative at those two points
+    # and evaluates the profile at -M and one, two and three half-lives of Y
+    # below it for the start.  The depth rule builds that start once, at
+    # eps0 = (0.1 tol)^(1/4), and again deeper only if its error estimate
+    # exceeds 0.1 tol, which it does not at 1+1i.  Only Erpenbeck's solver
+    # asks for the tail, which takes the profile's derivative at those four
+    # points
     calls = {"rhs_kernel": 0, "profile_at": 0, "profile_deriv": 0}
     for name in calls:
         def counted(*args, _fn=getattr(spectral, name), _name=name):
@@ -283,8 +299,20 @@ def test_one_frame_per_solve(wave, monkeypatch, method, explicit_M):
             return _fn(*args)
         monkeypatch.setattr(spectral, name, counted)
     evaluate(wave, 1.0 + 1.0j, method=method, M=wave.M_y if explicit_M else None)
-    assert calls == {"rhs_kernel": 1, "profile_at": 2 if explicit_M else 4,
-                     "profile_deriv": 2 if method == "erpenbeck" else 0}
+    assert calls == {"rhs_kernel": 1, "profile_at": 4,
+                     "profile_deriv": 4 if method == "erpenbeck" else 0}
+
+
+def test_depth_rule_rebuilds_the_start_once(wave, monkeypatch):
+    # at 0.1+30i the start at eps0 = (0.1 tol)^(1/4) misses the depth rule's
+    # estimate, so make_frame builds it a second time, deeper
+    calls = []
+    monkeypatch.setattr(spectral, "profile_at", lambda *args: calls.append(args[1]) or profile_at(*args))
+    tol = 1e-5
+    frame = spectral.make_frame(wave, 0.1 + 30.0j, tol)
+    first = math.log(1.0 / (0.1 * tol) ** 0.25) / wave.config.K
+    assert len(calls) == 8 and calls[0] == -first and calls[4] == -frame.M
+    assert frame.M > first
 
 
 def oracle_erpenbeck_field(wave, lam):
@@ -399,7 +427,7 @@ class TestGuardErrorsNameLambda:
     @pytest.mark.parametrize("method", ["erpenbeck", "lee_stewart"])
     def test_overflow(self, wave, method):
         with pytest.raises(EvansOverflowError) as info:
-            evaluate(wave, 75.0 + 0j, method=method)
+            evaluate(wave, 75.0 + 0j, method=method, M=wave.M_y)
         self.check(info.value, 75.0 + 0j)
 
     def test_misselected_mode(self):

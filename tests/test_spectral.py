@@ -18,7 +18,8 @@ from oracles import (
     stable_left_eig,
 )
 from zndevans.errors import NumericalDomainError
-from zndevans.evans import METHODS, duality_check, evaluate
+from zndevans.evans import METHODS, _field, duality_check, evaluate
+from zndevans.numerics import integrate_adaptive
 from zndevans.spectral import (
     coefficient_G,
     jacobians,
@@ -172,9 +173,13 @@ class TestLimitMatrices:
 
 
 class TestBurnedStart:
-    """The second-order corrected burned-end start and Erpenbeck's tail
+    """The fourth-order corrected burned-end start and Erpenbeck's tail
     against the LAPACK oracle, on the contour's flat side (1e-4 +- 30i), at
-    1+1i, 50 and 2+300i."""
+    1+1i, 50 and 2+300i, at the depths the rule picks for tol = 1e-5 and
+    1e-10.  Not at the fixed depth M_y, where Y = 1e-5 Y0: there the
+    differences B cancel to 1e-5 of their terms, the order-4 fit weights
+    (up to 4096/21) multiply that rounding, and at 2+300i on the default
+    wave the two ways of computing the correction part by 1.1e-9 of it."""
 
     lams = (1e-4 + 30j, 1e-4 - 30j, 1 + 1j, 50.0 + 0j, 2 + 300j)
 
@@ -187,18 +192,42 @@ class TestBurnedStart:
     def test_matches_solve_oracle(self, cfg):
         wave = build_wave(cfg)
         for lam in self.lams:
-            frame = make_frame(wave, lam, 1e-5, wave.M_y)
-            zeta, tail = frame.zeta, frame.tail()
-            ref_zeta, ref_tail = burned_start_solve(wave, lam, wave.M_y)
-            assert np.linalg.norm(zeta - ref_zeta) <= 1e-12 * np.linalg.norm(ref_zeta)
-            assert abs(tail - ref_tail) <= 1e-12 * abs(ref_tail)
-            # the correction alone: its right-hand sides B ell cancel to
-            # order eps_Y of their terms, so both carry that rounding
-            w, ref_w = zeta - frame.ell, ref_zeta - frame.ell
-            if cfg.Y0 > 0.0:
-                assert np.linalg.norm(w - ref_w) <= 1e-9 * np.linalg.norm(ref_w)
-            else:  # constant profile: A(-M) ell = A_inf ell = 0
-                assert np.linalg.norm(w) <= 1e-12 * np.linalg.norm(frame.ell)
+            for M in (make_frame(wave, lam, tol).M for tol in (1e-5, 1e-10)):
+                frame = make_frame(wave, lam, 1e-5, M)
+                zeta, tail = frame.zeta, frame.tail()
+                ref_zeta, ref_tail = burned_start_solve(wave, lam, M)
+                assert np.linalg.norm(zeta - ref_zeta) <= 1e-12 * np.linalg.norm(ref_zeta)
+                assert abs(tail - ref_tail) <= 1e-12 * abs(ref_tail)
+                # the correction alone: its right-hand sides B ell cancel to
+                # order eps of their terms, so both carry that rounding
+                w, ref_w = zeta - frame.ell, ref_zeta - frame.ell
+                if cfg.Y0 > 0.0:
+                    assert np.linalg.norm(w - ref_w) <= 1e-9 * np.linalg.norm(ref_w)
+                else:  # constant profile: A(-M) ell = A_inf ell = 0
+                    assert np.linalg.norm(w) <= 1e-12 * np.linalg.norm(frame.ell)
+
+    @pytest.mark.parametrize("lam", [1 + 1j, 0.5 + 5j])
+    @pytest.mark.parametrize(
+        "cfg", [default_config(), lee_stewart_config(1.2, 50.0, 50.0, 1.6)],
+        ids=["default", "LS(1.6,50)"],
+    )
+    def test_error_is_fifth_order(self, cfg, lam):
+        # the start's error |zeta(-M) - Z_ref(-M)| / |ell| is O(eps^5), so it
+        # falls at least 2^4 = 16 times when K M rises by ln 2 (eps halves),
+        # between K M = 2.5 and 3.5.  Z_ref is the neutral solution from
+        # depth ln(1e13)/K, integrated at 1e-12 as in test_truncation.py
+        wave = build_wave(cfg)
+        K = wave.config.K
+        ref = make_frame(wave, lam, 1e-12, math.log(1e13) / K)
+        field = _field(wave, lam, ref.g_minus)
+        y, z = -ref.M, ref.zeta
+        errors = []
+        for KM in (3.5, 3.5 - math.log(2.0), 2.5 + math.log(2.0), 2.5):  # the deepest first
+            z, _ = integrate_adaptive(field, (y, -KM / K), z, 1e-12, 1e-12)
+            y = -KM / K
+            zeta = make_frame(wave, lam, 1e-5, KM / K).zeta
+            errors.append(np.linalg.norm(zeta - z) / np.linalg.norm(ref.ell))
+        assert errors[1] >= 16.0 * errors[0] and errors[3] >= 16.0 * errors[2], errors
 
     def test_reactant_column_exact(self, wave):
         # make_frame solves the gas block first and w[3] last, because the
