@@ -28,11 +28,11 @@ The left end y = -M is where the reactant has fallen to eps of Y0.  All
 three methods take their burned-end data there from the one
 :class:`zndevans.spectral.SpectralFrame` of the solve, built by
 :func:`zndevans.spectral.make_frame`: the factored adjoint's start
-zeta(-M) = ell + v1 + v2 + v3 + v4, the stable left mode plus its
-corrections in eps to fourth order, which the forward methods integrate
+zeta(-M) = ell + v1 + ... + v5, the stable left mode plus its
+corrections in eps to fifth order, which the forward methods integrate
 from and Lee-Stewart pairs with; and, for Erpenbeck, the tail of the
 quadrature over (-inf, -M] to the same order, which the running quadrature
-starts from.  The truncation error is then of order eps^5 rather than eps.
+starts from.  The truncation error is then of order eps^6 rather than eps.
 Unless ``M`` is given, the frame picks eps for each lambda from ``tol``, so
 that this error stays below ``tol``; every method runs at that one depth.
 
@@ -57,13 +57,14 @@ from .errors import (
 )
 from .numerics import OdeField, SolveStats, check_rel_tol, integrate_adaptive
 from .spectral import SpectralFrame, make_frame, rhs_kernel
-from .znd import SteadyWave, fluxes, profile_at, profile_deriv, x_of_y
+from .znd import SteadyWave, profile_at, profile_deriv, x_of_y
 
 # Unused here, but perfbench/tracing.py wraps every layer by its name in this
 # module, so the binding stays.
 from .spectral import jacobians  # noqa: F401
 
 _EXP_GUARD = 690.0  # |exponent| beyond which doubles over/underflow
+_TINY_START = 1e-280  # smallest |exp(-g_minus x(-M))| an unfactored adjoint starts from
 
 METHOD_NEUTRAL = "neutral"
 METHOD_ERPENBECK = "erpenbeck"
@@ -137,6 +138,23 @@ def _edge_prefactor(wave: SteadyWave, lam: complex, frame: SpectralFrame) -> com
     return cmath.exp(exponent)
 
 
+def _unfactored_start(wave: SteadyWave, lam: complex, frame: SpectralFrame) -> complex:
+    """:func:`_edge_prefactor` for a run that starts the unfactored adjoint
+    from prefactor * zeta(-M) with the absolute tolerance tol * |prefactor|.
+    Below _TINY_START that tolerance falls toward the subnormal range (under
+    1e-292 at tol 1e-12), where it no longer keeps the run under relative
+    control and D comes out silently wrong; raises instead."""
+    prefactor = _edge_prefactor(wave, lam, frame)
+    if abs(prefactor) < _TINY_START:
+        raise EvansOverflowError(
+            f"unfactored adjoint starts at {abs(prefactor):.1e} of the neutral one, "
+            f"below {_TINY_START:g}, where its tolerance loses relative control "
+            "-- use the neutral method",
+            lam,
+        )
+    return prefactor
+
+
 def _neutral(wave: SteadyWave, lam: complex, frame: SpectralFrame, tol: float):
     """Forward adjoint shooting with the asymptotic decay factored out.
 
@@ -171,7 +189,7 @@ def _erpenbeck(wave: SteadyWave, lam: complex, frame: SpectralFrame, tol: float)
     exp(-g_minus x(-M)), which makes the value coincide with the neutral one
     (kappa = 1).
     """
-    prefactor = _edge_prefactor(wave, lam, frame)
+    prefactor = _unfactored_start(wave, lam, frame)
     kernel = rhs_kernel(wave, lam)
 
     # components 0-3 are the adjoint, component 4 the running quadrature of
@@ -189,10 +207,10 @@ def _erpenbeck(wave: SteadyWave, lam: complex, frame: SpectralFrame, tol: float)
         return dz
 
     atol = np.full(5, tol)
-    atol[:4] *= max(abs(prefactor), 1e-280)  # keep the tiny start under relative control
+    atol[:4] *= abs(prefactor)  # keep the tiny start under relative control
     init = np.concatenate([prefactor * frame.zeta, [prefactor * frame.tail()]])
     z, stats = _integrate(lam, OdeField(dimension=5, eval=rhs), (-frame.M, 0.0), init, tol, atol)
-    jump_F0_only = frame.jump - fluxes(wave.neumann, wave.config)[2]  # lam * [F0], no source term
+    jump_F0_only = frame.jump - wave.jump_terms[1]  # lam * [F0], no source term
     return complex(z[4] + z[:4] @ jump_F0_only), stats, 1.0 + 0j
 
 
@@ -264,11 +282,11 @@ def duality_check(
     if n_grid < 3:
         raise ValueError("n_grid must be at least 3")
     frame = make_frame(wave, lam, tol, wave.M_y if M is None else M)
-    prefactor = _edge_prefactor(wave, lam, frame)
+    prefactor = _unfactored_start(wave, lam, frame)
     grid = np.linspace(-frame.M, 0.0, n_grid)
 
     adjoint_field = _field(wave, lam)
-    atol = tol * max(abs(prefactor), 1e-280)
+    atol = tol * abs(prefactor)
     z_adj = np.empty((n_grid, 4), dtype=complex)
     z = prefactor * frame.ell
     z_adj[0] = z

@@ -13,7 +13,7 @@ once per RHS evaluation), G itself built column by column from that same
 kernel, the analytic stable left eigenpair (ell, g_minus) of the burned-end
 matrix, the boundary jump vector that closes the stability determinant,
 and the frame of one solve (:func:`make_frame`): that pair checked, the
-jump, the truncation depth picked from the tolerance, the fourth-order
+jump, the truncation depth picked from the tolerance, the fifth-order
 corrected burned-end mode at that depth that every shooting method starts
 from, and Erpenbeck's quadrature tail beyond it.
 
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,7 +37,6 @@ from .znd import (
     StateW,
     SteadyWave,
     arrhenius,
-    fluxes,
     profile_at,
     profile_deriv,
     reaction_psi,
@@ -56,6 +56,26 @@ _FIT_WEIGHTS = {
     3: ((1 / 3, -4.0, 32 / 3), (-2.0, 20.0, -32.0), (8 / 3, -16.0, 64 / 3)),
     4: ((-1 / 21, 4 / 3, -32 / 3, 512 / 21), (2 / 3, -52 / 3, 352 / 3, -512 / 3),
         (-8 / 3, 176 / 3, -832 / 3, 1024 / 3), (64 / 21, -128 / 3, 512 / 3, -4096 / 21)),
+    5: ((1 / 315, -4 / 21, 32 / 9, -512 / 21, 16384 / 315),
+        (-2 / 21, 116 / 21, -96.0, 11776 / 21, -16384 / 21),
+        (8 / 9, -48.0, 6464 / 9, -3072.0, 32768 / 9),
+        (-64 / 21, 2944 / 21, -1536.0, 118784 / 21, -131072 / 21),
+        (1024 / 315, -2048 / 21, 8192 / 9, -65536 / 21, 1048576 / 315)),
+}
+
+# The order of make_frame's start: the start fits on _ORDER states and
+# leaves a truncation error of order eps^(_ORDER + 1)
+_ORDER = 5
+
+# The weights of the right-hand sides F_k = sum_{m<k} c_{k-m}(v_m) of the
+# start, over the differences B(s_i, v_m) laid out m by m, i < _ORDER - m:
+# _RHS_WEIGHTS[n][k - 1] fits each product with v_m on its first n - m
+# states, with weight 0 on the others, and sums the fits
+_RHS_WEIGHTS = {
+    n: tuple(tuple(_FIT_WEIGHTS[n - m][k - 1 - m][i] if i < n - m else 0.0
+                   for m in range(k) for i in range(_ORDER - m))
+             for k in range(1, n + 1))
+    for n in (_ORDER - 1, _ORDER)
 }
 
 
@@ -202,6 +222,82 @@ def rhs_kernel(wave: SteadyWave, lam: complex, shift: complex = 0.0, adjoint: bo
     return kernel
 
 
+def _mode_difference(wave: SteadyWave, lam: complex, shift: complex, ell: list):
+    """(A(s) - A_inf) ell for the adjoint kernel A of :func:`rhs_kernel`
+    with ``shift``, from the differences of the state s to ``wave.burned``.
+
+    Returns ``difference(state)``, a list of four complex numbers.  With
+    P(s) = (-lam A0(s) + C(s) - shift A1(s))^T ell, A(s) ell =
+    -sigma(s) A1(s)^{-T} P(s), and P(burned) is zero up to rounding when
+    (ell, shift) is the stable left eigenpair, so the difference is
+    -sigma(s) A1(s)^{-T} (P(s) - P(burned)).  Each entry of P(s) - P(burned)
+    is formed from (rho, u, e) minus their burned values and from Y, never
+    as the difference of two entries of size |lambda| |ell|: the kernel's
+    own rounding on those entries, times the weights of the fifth-order fit,
+    reaches 1e-11 of the start at lambda = 2+300i on the default wave.
+    """
+    cfg = wave.config
+    Gamma, EA, R, K, q, m = cfg.Gamma, cfg.EA, cfg.Gamma + 1.0, cfg.K, cfg.q, wave.m
+    rb, ub, eb, _ = wave.burned
+    psi_b = reaction_psi(wave.burned, cfg)
+    l0, l1, l2, l3 = ell
+    lq = q * l2 - l3  # C^T ell = (q l2 - l3) times the nonzero row of C up to q
+
+    def difference(state: StateW) -> list:
+        rho, u, e, Y = state
+        dr, du, de = rho - rb, u - ub, e - eb
+        # the differences of rho u, u^2, e u, u^3, rho e and rho u^2
+        d_ru = dr * u + rb * du
+        d_uu = du * (u + ub)
+        d_eu = de * u + eb * du
+        d_uuu = du * (u * u + u * ub + ub * ub)
+        d_re = dr * e + rb * de
+        d_ruu = dr * u * u + rb * d_uu
+        phi = math.exp(-EA / (R * e))  # arrhenius
+        d_psi = dr * phi + psi_b * math.expm1(EA * de / (R * e * eb))
+        # the differences of A0^T ell and A1^T ell
+        a0 = du * l1 + (de + 0.5 * d_uu) * l2 + Y * l3
+        a1 = dr * l1 + d_ru * l2
+        b0 = (du * l0 + (d_uu + Gamma * de) * l1 + (R * d_eu + 0.5 * d_uuu) * l2
+              + Y * u * l3)
+        b1 = dr * l0 + 2.0 * d_ru * l1 + (R * d_re + 1.5 * d_ruu) * l2 + Y * rho * l3
+        b2 = Gamma * dr * l1 + R * d_ru * l2
+        c0 = K * Y * phi * lq
+        P0 = -lam * a0 + c0 - shift * b0
+        P1 = -lam * a1 - shift * b1
+        P2 = -lam * dr * l2 + c0 * rho * EA / (R * e * e) - shift * b2
+        P3 = -lam * dr * l3 + K * d_psi * lq - shift * d_ru * l3
+        # -sigma(s) A1(s)^{-T} P, with A1's gas block solved by cofactors as
+        # in rhs_kernel
+        p_rho = Gamma * e
+        p_e = Gamma * rho
+        a10 = u * u + p_rho
+        a11 = 2.0 * rho * u
+        a12 = p_e
+        a20 = (e + 0.5 * u * u + p_rho) * u
+        a21 = rho * (e + 1.5 * u * u) + p_e * e
+        a22 = (rho + p_e) * u
+        k00 = a11 * a22 - a12 * a21
+        k01 = a12 * a20 - a10 * a22
+        k02 = a10 * a21 - a11 * a20
+        k10 = -rho * a22
+        k11 = u * a22
+        k12 = rho * a20 - u * a21
+        k20 = rho * a12
+        k21 = -u * a12
+        k22 = u * a11 - rho * a10
+        det = u * k00 + rho * k01
+        sig = m / (rho * phi)
+        w3 = P3 / (rho * u)
+        g = -sig / det
+        return [g * (k00 * P0 + k01 * P1 + k02 * P2) + sig * Y * w3,
+                g * (k10 * P0 + k11 * P1 + k12 * P2),
+                g * (k20 * P0 + k21 * P1 + k22 * P2),
+                -sig * w3]
+
+    return difference
+
+
 def coefficient_G(wave: SteadyWave, lam: complex, y: float) -> np.ndarray:
     """G(lambda, y) at the profile state at y <= 0.
 
@@ -284,13 +380,10 @@ def left_mode_residual(wave: SteadyWave, lam: complex) -> float:
 
 
 def jump_vector(wave: SteadyWave, lam: complex) -> np.ndarray:
-    """Boundary jump row: lam * (F0 ahead - F0 at the Neumann point) + R there."""
-    cfg = wave.config
-    up = cfg.upstream
-    ahead = StateW(up.rho, up.u, up.e, cfg.Y0)
-    F0_plus, _, _ = fluxes(ahead, cfg)
-    F0_minus, _, R_minus = fluxes(wave.neumann, cfg)
-    return lam * (F0_plus - F0_minus) + R_minus
+    """Boundary jump row: lam * (F0 ahead - F0 at the Neumann point) + R
+    there, from the wave's :attr:`~zndevans.znd.SteadyWave.jump_terms`."""
+    dF0, R_minus = wave.jump_terms
+    return lam * dF0 + R_minus
 
 
 @dataclass(frozen=True)
@@ -299,7 +392,7 @@ class SpectralFrame:
 
     ``ell`` and ``g_minus`` are the stable left eigenpair of the burned-end
     matrix, ``jump`` the boundary jump row, ``M`` the truncation depth in y,
-    ``zeta`` the burned-end start at y = -M, corrected to fourth order in
+    ``zeta`` the burned-end start at y = -M, corrected to fifth order in
     eps = Y(-M)/Y0, and ``tail()`` the integral of Erpenbeck's quadrature
     over (-inf, -M] to the same order, computed when called, as only that
     method reads it.
@@ -313,22 +406,11 @@ class SpectralFrame:
     tail: Callable[[], complex]
 
 
-def _cross(a, b) -> tuple:
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
-
-
-def _fitted_rhs(k: int, n: int, Bs: list) -> list:
-    """The right-hand side F_k = sum_{m<k} c_{k-m}(v_m) of the order-n start,
-    c_j(v_m) the fit through the first n - m vectors of Bs[m] at t_i = 2^-i,
-    as one weighted sum."""
-    f0 = f1 = f2 = f3 = 0.0
-    for m in range(k):
-        for w, (b0, b1, b2, b3) in zip(_FIT_WEIGHTS[n - m][k - 1 - m], Bs[m]):
-            f0 += w * b0
-            f1 += w * b1
-            f2 += w * b2
-            f3 += w * b3
-    return [f0, f1, f2, f3]
+def _fitted_rhs(weights: tuple, Bc: tuple) -> list:
+    """One weighted sum of the differences, component by component: with
+    ``weights`` a row of _RHS_WEIGHTS and ``Bc`` the four components of the
+    differences in their layout, the right-hand side F_k of the start."""
+    return [sum(map(operator.mul, weights, c)) for c in Bc]
 
 
 def check_depth(M: float) -> float:
@@ -353,8 +435,8 @@ def _quadrature_integrand(lam: complex, state: StateW, deriv, z) -> complex:
 def make_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = None) -> SpectralFrame:
     """Build and validate the spectral data of one solve at tolerance ``tol``.
 
-    All of it comes from one adjoint :func:`rhs_kernel` with shift g_minus;
-    no matrix is built.
+    All of it comes from one adjoint :func:`rhs_kernel` with shift g_minus
+    and its difference form :func:`_mode_difference`; no matrix is built.
 
     *Left mode.*  The left-eigenpair residual of :func:`stable_left_mode`'s
     pair is that kernel applied to ell at ``wave.burned`` (see
@@ -369,42 +451,56 @@ def make_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = Non
 
         (kK I - A_inf) v_k = sum_{j=1..k} eps^j A_j v_{k-j},
 
-    and ``zeta = ell + v1 + v2 + v3 + v4`` leaves a truncation error of
-    order eps^5, not eps (the asymptotic boundary condition of Lentini &
-    Keller, SIAM J. Numer. Anal. 1980, to fourth order).  The terms come
-    from the kernel alone: B(s, v) = A(s) v - A_inf v at the states s_i at
-    y_i = -M - i ln2/K, i < 4, where eps(y_i) = eps t_i with t_i = 2^-i, is
-    sum_j (eps t_i)^j A_j v.  The fit through the first n of them, with
-    the exact Vandermonde weights of ``_FIT_WEIGHTS``, gives eps^j A_j v,
+    and ``zeta = ell + v1 + ... + v5`` leaves a truncation error of order
+    eps^6, not eps (the asymptotic boundary condition of Lentini & Keller,
+    SIAM J. Numer. Anal. 1980, to fifth order; the order is _ORDER).  The
+    terms come from differences B(s, v) = A(s) v - A_inf v at the states
+    s_i at y_i = -M - i ln2/K, i < 5, where eps(y_i) = eps t_i with
+    t_i = 2^-i, so B(s_i, v) = sum_j (eps t_i)^j A_j v.  The fit through
+    the first n of them, with the exact Vandermonde weights of
+    ``_FIT_WEIGHTS`` (up to about 6242 for n = 5), gives eps^j A_j v,
     j <= n, up to O(eps^(n+1) |v|); as v_m is of order eps^m, the products
-    with v_m are fitted on 4 - m states, ten kernel calls in all, and
-    A_inf v_k = kK v_k - F_k needs none.  Y = 0 at the burned end, so
-    A_inf's reactant column is (0, 0, 0, a33): each solve is a 3x3
-    cofactor solve for the gas part and one division for the reactant.
-    The eigenvalues of kK I - A_inf are kK and kK + sigma_inf (mu - g_minus)
-    for the other burned-end modes mu, all with real part >= kK when
-    Re lambda >= 0.  The four inverses are built once per frame.
+    with v_m are fitted on 5 - m states.  B(s, v_m), m >= 1, is the kernel
+    at s less A_inf v_m = mK v_m - F_m, ten kernel calls in all.  B(s, ell)
+    is formed from the differences of s to the burned state
+    (:func:`_mode_difference`, five calls): as a difference of two kernel
+    values its rounding, on entries of size |lambda| |ell|, times the
+    weights reached 1e-11 of zeta at 2+300i on the default wave.  Y = 0 at
+    the burned end, so A_inf's reactant column is (0, 0, 0, a33): each solve
+    is a 3x3 cofactor solve for the gas part and one division for the
+    reactant.  The eigenvalues of kK I - A_inf are kK and
+    kK + sigma_inf (mu - g_minus) for the other burned-end modes mu, all with
+    real part >= kK when Re lambda >= 0.  The five inverses are built once
+    per frame.
 
     *Depth.*  An explicit ``M`` must be positive and finite.  If ``M`` is
-    None the start is built at eps0 = (theta tol)^(1/4), theta = 0.1, and
-    its error is estimated by est = |zeta_4 - zeta_3| / |ell|, with zeta_3
-    the start fitted to third order on the first three states from the same
+    None the start is built at eps0 = (theta tol)^(1/5), theta = 0.1, and
+    its error is estimated by est = |zeta_5 - zeta_4| / |ell|, with zeta_4
+    the start fitted to fourth order on the first four states from the same
     differences B.  If est > theta tol, eps shrinks once, to
-    eps0 0.9 (theta tol / est)^(1/4), and the start is built again there.
-    eps never grows past eps0: est measures the order-3 start, so a small
-    est does not show that a shallower order-4 start would do.
+    eps0 0.9 (theta tol / est)^(1/5), and the start is built again there.
+    eps never grows past eps0: est measures the order-4 start, so a small
+    est does not show that a shallower order-5 start would do.
     M = ln(1/eps)/K.  The measured relative truncation
     error against a reference at K M = ln(1e13), over the cases of
     tests/test_truncation.py (lambda = 1+1i, 0.5+5i, 0.1+30i; tol = 1e-5
     and 1e-8, and 1e-10 on LS(1.02, 50)), is at most, in units of tol:
 
         default  EA=20  LS(1.6,50)  LS(1.02,50)  E=86.1  E=51.5
-        0.001    0.001  0.002       0.024        0.19    0.029
+        0.002    0.002  0.003       0.046        0.35    0.20
 
     (LS(f, E) is Lee & Stewart's wave with gamma = 1.2, q = 50; the last two
     are their high-activation waves (gamma, q, E) = (1.146, 33.5, 86.1)
-    and (1.107, 17.0, 51.5)).  The second-order start with its depth rule
-    reached 0.074 tol on the same cases, and the first-order one 0.19 tol.
+    and (1.107, 17.0, 51.5)).  The fourth-order start with its depth rule
+    reached 0.19 tol on the same cases, the second-order one 0.074 tol and
+    the first-order one 0.19 tol.
+
+    The order stops at 5.  A sixth-order start with the same rule starts
+    E=86.1's solves at Y = 0.1 Y0, where its own error is below 2e-3 tol,
+    but carried to the shock that error leaves D off by up to 4.7 tol (0.76
+    tol on E=51.5): the estimate bounds the start, not what the field
+    between -M and 0 makes of it.  The fifth-order start's error there is
+    below 2e-4 tol.
 
     Near CJ and at large |lambda| the estimate grows, and so does the
     depth.  ``tol`` must be positive.  The estimate is the same for
@@ -415,8 +511,8 @@ def make_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = Non
     normalization, to the same order.  There Z = exp(-g_minus (x - x(-M)))
     zeta(y), and with the neutral factor exp(-g_minus sigma_inf (y + M))
     taken out, sigma_inf = m / psi(burned), the integrand is
-    H = sum_k d_k s^k + O(eps^5) in s = exp(K (y + M)).  The d_k are fitted
-    to H at the four states, where zeta(y_i) = sum_k v_k t_i^k and
+    H = sum_k d_k s^k + O(eps^6) in s = exp(K (y + M)).  The d_k are fitted
+    to H at the five states, where zeta(y_i) = sum_k v_k t_i^k and
     x(-M) - x(y_i) = sigma_inf i ln2/K + sum_j sigma_j (1 - t_i^j)/(jK)
     from the fit sigma(y) - sigma_inf = sum_j sigma_j s^j, and
 
@@ -444,16 +540,20 @@ def make_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = Non
     K = wave.config.K
     # columns of A_inf: a[j][i] is its entry (i, j)
     a = [kernel(burned, e) for e in np.eye(4).tolist()]
+    (a00, a10, a20, _), (a01, a11, a21, _), (a02, a12, a22, a32), (_, _, _, a33) = a
 
     def inverse(kK: float):
         """F -> (kK I - A_inf)^{-1} F."""
-        rows = [[(kK if i == j else 0.0) - a[j][i] for j in range(3)] for i in range(3)]
-        # the inverse of the gas block has the columns c0 = r1 x r2, c1 = r2 x r0 and
-        # c2 = r0 x r1 over det; cjk is entry k of cj
-        (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = (
-            _cross(rows[1], rows[2]), _cross(rows[2], rows[0]), _cross(rows[0], rows[1]))
-        det = rows[0][0] * c00 + rows[0][1] * c01 + rows[0][2] * c02
-        a32, a33 = a[2][3], kK - a[3][3]
+        r00, r01, r02 = kK - a00, -a01, -a02
+        r10, r11, r12 = -a10, kK - a11, -a12
+        r20, r21, r22 = -a20, -a21, kK - a22
+        # the inverse of the gas block has the columns c0 = r1 x r2,
+        # c1 = r2 x r0 and c2 = r0 x r1 over det; cjk is entry k of cj
+        c00, c01, c02 = r11 * r22 - r12 * r21, r12 * r20 - r10 * r22, r10 * r21 - r11 * r20
+        c10, c11, c12 = r21 * r02 - r22 * r01, r22 * r00 - r20 * r02, r20 * r01 - r21 * r00
+        c20, c21, c22 = r01 * r12 - r02 * r11, r02 * r10 - r00 * r12, r00 * r11 - r01 * r10
+        det = r00 * c00 + r01 * c01 + r02 * c02
+        d33 = kK - a33
 
         def solve(F: list) -> list:
             F0, F1, F2, F3 = F
@@ -461,43 +561,49 @@ def make_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = Non
             return [(F0 * c00 + F1 * c10 + F2 * c20) / det,
                     (F0 * c01 + F1 * c11 + F2 * c21) / det,
                     w2,
-                    (F3 + a32 * w2) / a33]
+                    (F3 + a32 * w2) / d33]
 
         return solve
 
-    solves = [inverse(k * K) for k in (1.0, 2.0, 3.0, 4.0)]
+    solves = [inverse(k * K) for k in range(1, _ORDER + 1)]
+    ell_difference = _mode_difference(wave, lam, g_minus, ell_l)
     half_life = math.log(2.0) / K  # the y-distance over which Y halves
 
     def start(depth: float):
-        """The states s_i at y_i = -depth - i ln2/K, i < 4, the terms ell, v1
-        to v4 of zeta there, and for each v_m, m < 4, the differences
-        B(s_i, v_m) at the 4 - m states its fit needs."""
-        states = [profile_at(wave, -depth - i * half_life) for i in range(4)]
-        vs, Bs = [ell_l], []
-        inf_v = inf_ell
-        for k in range(1, 5):
-            Bs.append([[x - y for x, y in zip(kernel(s, vs[-1]), inf_v)] for s in states[:5 - k]])
+        """The states s_i at y_i = -depth - i ln2/K, i < _ORDER, the terms
+        ell, v1, ... of zeta there, and the four components of the
+        differences B(s_i, v_m), m < _ORDER, at the _ORDER - m states the
+        fit of v_m needs, in the layout of _RHS_WEIGHTS."""
+        states = [profile_at(wave, -depth - i * half_life) for i in range(_ORDER)]
+        Bc = tuple(map(list, zip(*map(ell_difference, states))))
+        vs = [ell_l]
+        for k, weights in enumerate(_RHS_WEIGHTS[_ORDER], 1):
             # F_k = sum_j eps^j A_j v_{k-j}, and A_inf v_k = kK v_k - F_k
-            F = _fitted_rhs(k, 4, Bs)
-            vs.append(solves[k - 1](F))
-            inf_v = [k * K * v - f for v, f in zip(vs[-1], F)]
-        return states, vs, Bs
+            F = _fitted_rhs(weights, Bc)
+            v = solves[k - 1](F)
+            vs.append(v)
+            if k < _ORDER:
+                inf_v = [k * K * x - f for x, f in zip(v, F)]
+                for state in states[:_ORDER - k]:
+                    for c, x, y in zip(Bc, kernel(state, v), inf_v):
+                        c.append(x - y)
+        return states, vs, Bc
 
-    def estimate(vs: list, Bs: list) -> float:
-        """|zeta_4 - zeta_3| / |ell|, zeta_3 from the order-3 fits on the
-        first three states of the same differences."""
-        gap = [v1 + v2 + v3 + v4 for v1, v2, v3, v4 in zip(*vs[1:])]
-        for k in range(1, 4):
-            gap = [x - u for x, u in zip(gap, solves[k - 1](_fitted_rhs(k, 3, Bs)))]
+    def estimate(vs: list, Bc: tuple) -> float:
+        """|zeta_n - zeta_(n-1)| / |ell|, n = _ORDER, zeta_(n-1) from the
+        order-(n-1) fits on the first n - 1 states of the same differences."""
+        gap = [sum(terms) for terms in zip(*vs[1:])]
+        for solve, weights in zip(solves, _RHS_WEIGHTS[_ORDER - 1]):
+            gap = [x - u for x, u in zip(gap, solve(_fitted_rhs(weights, Bc)))]
         return math.hypot(*map(abs, gap)) / math.hypot(*map(abs, ell_l))
 
     if M is None:
-        eps = (_DEPTH_THETA * tol) ** 0.25
+        eps = (_DEPTH_THETA * tol) ** (1.0 / _ORDER)
         M = math.log(1.0 / eps) / K
-        states, vs, Bs = start(M)
-        est = estimate(vs, Bs)
+        states, vs, Bc = start(M)
+        est = estimate(vs, Bc)
         if est > _DEPTH_THETA * tol:
-            eps *= 0.9 * (_DEPTH_THETA * tol / est) ** 0.25
+            eps *= 0.9 * (_DEPTH_THETA * tol / est) ** (1.0 / _ORDER)
             M = math.log(1.0 / eps) / K
             states, vs, _ = start(M)
     else:
@@ -510,7 +616,7 @@ def make_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = Non
         g_sigma = g_minus * sigma_inf
         # sigma - sigma_inf = sum_j sigma_j s^j
         sigmas = [sum(w * (wave.m / reaction_psi(s, cfg) - sigma_inf) for w, s in zip(ws, states))
-                  for ws in _FIT_WEIGHTS[4]]
+                  for ws in _FIT_WEIGHTS[_ORDER]]
         H = []
         for i, state in enumerate(states):
             t = 0.5 ** i
@@ -521,7 +627,7 @@ def make_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = Non
             zeta_i = [sum(v * t ** k for k, v in enumerate(terms)) for terms in zip(*vs)]
             deriv = profile_deriv(wave, -M - i * half_life)
             H.append(shift * _quadrature_integrand(lam, state, deriv, zeta_i))
-        d = [sum(w * h for w, h in zip(ws, H)) for ws in _FIT_WEIGHTS[4]]
+        d = [sum(w * h for w, h in zip(ws, H)) for ws in _FIT_WEIGHTS[_ORDER]]
         return sum(dk / (k * K - g_sigma) for k, dk in enumerate(d, 1))
 
     return SpectralFrame(ell, g_minus, jump_vector(wave, lam), M, zeta, tail)

@@ -273,6 +273,20 @@ class SteadyWave:
         return profile_at(self, -math.inf)
 
     @cached_property
+    def jump_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(F0 ahead - F0 at ``neumann``, R at ``neumann``): the parts of
+        the boundary jump row lam (F0 ahead - F0 behind) + R that do not
+        depend on lambda, read-only arrays."""
+        cfg = self.config
+        up = cfg.upstream
+        F0_plus, _, _ = fluxes(StateW(up.rho, up.u, up.e, cfg.Y0), cfg)
+        F0_minus, _, R_minus = fluxes(self.neumann, cfg)
+        terms = F0_plus - F0_minus, R_minus
+        for a in terms:
+            a.flags.writeable = False
+        return terms
+
+    @cached_property
     def _branch(self) -> tuple:
         """Per-wave constants of the profile quadratic, in the order
         :func:`profile_at` and :func:`profile_deriv` unpack them:

@@ -3,8 +3,10 @@
 The library applies the linearized operator only through the closed-form
 kernel :func:`zndevans.spectral.rhs_kernel`.  The oracles here build the
 same operator the textbook way, from the Jacobian matrices of
-:func:`zndevans.spectral.jacobians` and a LAPACK solve, and cross-check the
-analytic stable left mode with an eigensolver and a Kato-ODE continuation.
+:func:`zndevans.spectral.jacobians` and a LAPACK solve (for the burned-end
+start, :func:`burned_start_solve`, from the same entries in long doubles),
+and cross-check the analytic stable left mode with an eigensolver and a
+Kato-ODE continuation.
 The profile is evaluated term by term from the config, as a reference for
 the per-wave constants :func:`zndevans.znd.profile_at` reads.  They lie on
 no result path.
@@ -14,14 +16,15 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from zndevans import znd
 from zndevans.errors import NumericalDomainError
 from zndevans.spectral import (
+    _FIT_WEIGHTS,
     SpectralFrame,
-    _cross,
     _quadrature_integrand,
     check_depth,
     jacobians,
@@ -123,60 +126,148 @@ def limit_G_plus(wave: SteadyWave, lam: complex) -> np.ndarray:
     return G_at_state(state, cfg, lam, reacting=False)
 
 
+# a 64-bit mantissa on x86-64 Linux, against 53 for a double.  Where a long
+# double is a double (Windows, macOS on ARM) the start oracle below is one:
+# in doubles it parts from the library by 3e-12 of zeta at 2+300i on the
+# default wave, beyond the 1e-12 of test_matches_solve_oracle
+_LD = np.longdouble
+
+
+def _exact_fit_weights(n: int) -> list:
+    """W[j][i], the weight of value i in c_{j+1} of the fit sum_j c_j t^j
+    through n values at t_i = 2^-i, i < n: the inverse of that Vandermonde
+    matrix in exact rational arithmetic, rounded to long doubles."""
+    rows = [[Fraction(1, 2 ** i) ** (j + 1) for j in range(n)]
+            + [Fraction(int(i == k)) for k in range(n)] for i in range(n)]
+    for c in range(n):  # Gauss-Jordan; the pivots are nonzero
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(n):
+            if r != c:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+    return [[_LD(w.numerator) / _LD(w.denominator) for w in row[n:]] for row in rows]
+
+
 def _vandermonde_fit(values: list) -> list:
     """[c_1, ..., c_n] with sum_j c_j t_i^j = values[i] at t_i = 2^-i, i < n,
-    from a LAPACK inverse of the Vandermonde matrix."""
-    n = len(values)
-    t = 0.5 ** np.arange(n)
-    weights = np.linalg.inv(t[:, None] ** np.arange(1, n + 1))
-    return [sum(weights[j, i] * values[i] for i in range(n)) for j in range(n)]
+    with the weights of :func:`_exact_fit_weights`."""
+    weights = _exact_fit_weights(len(values))
+    return [sum(w * v for w, v in zip(ws, values)) for ws in weights]
+
+
+def _solve_ld(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A^{-1} B by Gauss-Jordan elimination with partial pivoting, in
+    complex long doubles."""
+    n = A.shape[0]
+    M = np.concatenate([A, B.reshape(n, -1)], axis=1).astype(np.clongdouble)
+    for c in range(n):
+        p = c + int(np.argmax(np.abs(M[c:, c])))
+        M[[c, p]] = M[[p, c]]
+        M[c] = M[c] / M[c, c]
+        for r in range(n):
+            if r != c:
+                M[r] = M[r] - M[r, c] * M[c]
+    return M[:, n:].reshape(B.shape)
+
+
+def _adjoint_matrix_ld(wave: SteadyWave, state: StateW, lam, g) -> tuple:
+    """(-sigma (G^T - g I), sigma) at ``state`` in long doubles, from the
+    Jacobians of :func:`zndevans.spectral.jacobians` written out entry by
+    entry and G^T = A1^{-T} (-lam A0 + C)^T by :func:`_solve_ld`."""
+    cfg = wave.config
+    rho, u, e, Y = (_LD(x) for x in state)
+    Gamma, EA, K, q = (_LD(x) for x in (cfg.Gamma, cfg.EA, cfg.K, cfg.q))
+    E = e + u * u / 2
+    A0 = np.zeros((4, 4), dtype=_LD)
+    A0[0, 0], A0[1, 0], A0[1, 1] = 1, u, rho
+    A0[2, 0], A0[2, 1], A0[2, 2] = E, rho * u, rho
+    A0[3, 0], A0[3, 3] = Y, rho
+    A1 = np.zeros((4, 4), dtype=_LD)
+    A1[0, 0], A1[0, 1] = u, rho
+    A1[1, 0], A1[1, 1], A1[1, 2] = u * u + Gamma * e, 2 * rho * u, Gamma * rho
+    A1[2, 0] = (E + Gamma * e) * u
+    A1[2, 1] = rho * (e + 3 * u * u / 2) + Gamma * rho * e
+    A1[2, 2] = (rho + Gamma * rho) * u
+    A1[3, 0], A1[3, 1], A1[3, 3] = Y * u, Y * rho, rho * u
+    phi = np.exp(-EA / ((Gamma + 1) * e))
+    psi = rho * phi
+    dpsi_de = psi * EA / ((Gamma + 1) * e * e)
+    C = np.zeros((4, 4), dtype=_LD)
+    C[2, 0], C[2, 2], C[2, 3] = q * K * Y * phi, q * K * Y * dpsi_de, q * K * psi
+    C[3, 0], C[3, 2], C[3, 3] = -K * Y * phi, -K * Y * dpsi_de, -K * psi
+    Gt = _solve_ld(A1.T, (-lam * A0 + C).T)
+    sigma = _LD(wave.m) / psi
+    return -sigma * (Gt - g * np.eye(4, dtype=_LD)), sigma
 
 
 def burned_start_solve(wave: SteadyWave, lam: complex, M: float) -> tuple[np.ndarray, complex]:
     """The start ``(zeta, tail)`` of :func:`zndevans.spectral.make_frame` at
-    depth ``M`` the textbook way.  The factored adjoint matrices
-    A = -sigma (G^T - g_minus I) come from :func:`G_at_state` at the burned
-    state and at y_i = -M - i ln2/K, i < 4, where Y is 2^-i of its value at
-    -M.  With B_i = A(y_i) - A_inf, the matrices C_j^(n) = eps^j A_j are
-    fitted to B_i at the first n states, and the corrections are LAPACK
-    solves of
+    depth ``M`` the textbook way, in long doubles.  The factored adjoint
+    matrices A = -sigma (G^T - g_minus I) come from
+    :func:`_adjoint_matrix_ld` at the burned state and at y_i = -M - i ln2/K,
+    i < 5, where Y is 2^-i of its value at -M.  With B_i = A(y_i) - A_inf,
+    the matrices C_j^(n) = eps^j A_j are fitted to B_i at the first n
+    states, and the corrections solve
 
-        (kK I - A_inf) v_k = sum_{j=1..k} C_j^(4-k+j) v_{k-j},  k = 1..4,
+        (kK I - A_inf) v_k = sum_{j=1..k} C_j^(5-k+j) v_{k-j},  k = 1..5,
 
-    v_0 = ell, so each product with v_m is fitted on 4 - m states.  The
+    v_0 = ell, so each product with v_m is fitted on 5 - m states.  The
     tail fits sum_k d_k s^k to the integrand, built with :func:`apply_A0`,
-    and sum_j sigma_j s^j to sigma - sigma_inf, at the same four states."""
+    and sum_j sigma_j s^j to sigma - sigma_inf, at the same five states.
+
+    The profile states and derivatives, ell and g_minus are the library's
+    doubles; all that follows runs in long doubles, because B_i cancels to
+    eps of entries of size |lambda| |ell| and the fifth-order weights (up to
+    about 6242) multiply what rounding leaves in it: the same computation
+    in doubles is off by 3e-12 of zeta at 2+300i on the default wave."""
+    n = 5
     cfg = wave.config
-    K = cfg.K
+    K = _LD(cfg.K)
     frame = make_frame(wave, lam, 1e-5, M)
-    ell, g = frame.ell, frame.g_minus
-    eye = np.eye(4)
+    lam = np.clongdouble(lam)
+    g = np.clongdouble(frame.g_minus)
+    eye = np.eye(4, dtype=_LD)
 
-    def adjoint_matrix(state: StateW) -> tuple[np.ndarray, float]:
-        sigma = wave.m / reaction_psi(state, cfg)
-        return -sigma * (G_at_state(state, cfg, lam, reacting=True).T - g * eye), sigma
-
-    A_inf, sigma_inf = adjoint_matrix(wave.burned)
-    ys = [-M - i * math.log(2.0) / K for i in range(4)]
-    As, sigmas = zip(*(adjoint_matrix(profile_at(wave, y)) for y in ys))
-    C = [_vandermonde_fit([A - A_inf for A in As[:4 - m]]) for m in range(4)]
-    v = [ell]
-    for k in range(1, 5):
+    A_inf, sigma_inf = _adjoint_matrix_ld(wave, wave.burned, lam, g)
+    ys = [-M - i * math.log(2.0) / cfg.K for i in range(n)]
+    As, sigmas = zip(*(_adjoint_matrix_ld(wave, profile_at(wave, y), lam, g) for y in ys))
+    C = [_vandermonde_fit([A - A_inf for A in As[:n - m]]) for m in range(n)]
+    v = [frame.ell.astype(np.clongdouble)]
+    for k in range(1, n + 1):
         F = sum(C[m][k - 1 - m] @ v[m] for m in range(k))
-        v.append(np.linalg.solve(k * K * eye - A_inf, F))
+        v.append(_solve_ld(k * K * eye - A_inf, F))
     zeta = sum(v)
 
     sigma_fit = _vandermonde_fit([s - sigma_inf for s in sigmas])
     h = []
     for i, y in enumerate(ys):
-        t = 0.5 ** i
+        t = _LD(0.5) ** i
         # x(-M) - x(y_i) - sigma_inf (y_i + M) from the fitted sigma - sigma_inf
-        gap = sum(c * (1.0 - t ** j) / (j * K) for j, c in enumerate(sigma_fit, 1))
+        gap = sum(c * (1 - t ** j) / (j * K) for j, c in enumerate(sigma_fit, 1))
         z = sum(vk * t ** k for k, vk in enumerate(v))
-        deriv = np.array(apply_A0(profile_at(wave, y), profile_deriv(wave, y)))
-        h.append(complex(lam * z @ deriv) * np.exp(g * gap))
+        state = [_LD(x) for x in profile_at(wave, y)]
+        deriv = np.array(apply_A0(state, [_LD(x) for x in profile_deriv(wave, y)]))
+        h.append(lam * (z @ deriv) * np.exp(g * gap))
     d = _vandermonde_fit(h)
-    return zeta, complex(sum(dk / (k * K - g * sigma_inf) for k, dk in enumerate(d, 1)))
+    tail = sum(dk / (k * K - g * sigma_inf) for k, dk in enumerate(d, 1))
+    return zeta.astype(complex), complex(tail)
+
+
+def _cross(a, b) -> tuple:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _fitted_rhs(k: int, n: int, Bs: list) -> list:
+    """F_k = sum_{m<k} c_{k-m}(v_m) of an order-n start, c_j(v_m) the fit
+    through the first n - m vectors of Bs[m], summed as make_frame summed it
+    when its start was of fourth order."""
+    f0 = f1 = f2 = f3 = 0.0
+    for m in range(k):
+        for w, (b0, b1, b2, b3) in zip(_FIT_WEIGHTS[n - m][k - 1 - m], Bs[m]):
+            f0 += w * b0
+            f1 += w * b1
+            f2 += w * b2
+            f3 += w * b3
+    return [f0, f1, f2, f3]
 
 
 def first_order_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = None) -> SpectralFrame:
@@ -220,6 +311,26 @@ def first_order_frame(wave: SteadyWave, lam: complex, tol: float, M: float | Non
     return SpectralFrame(ell, g_minus, jump_vector(wave, lam), M, zeta, lambda: tail)
 
 
+def _cofactor_inverse(a: list, kK: float):
+    """F -> (kK I - A_inf)^{-1} F by cofactors, as make_frame solved it up
+    to its fourth-order start, with a[j][i] the entry (i, j) of A_inf."""
+    rows = [[(kK if i == j else 0.0) - a[j][i] for j in range(3)] for i in range(3)]
+    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = (
+        _cross(rows[1], rows[2]), _cross(rows[2], rows[0]), _cross(rows[0], rows[1]))
+    det = rows[0][0] * c00 + rows[0][1] * c01 + rows[0][2] * c02
+    a32, a33 = a[2][3], kK - a[3][3]
+
+    def solve(F: list) -> list:
+        F0, F1, F2, F3 = F
+        w2 = (F0 * c02 + F1 * c12 + F2 * c22) / det
+        return [(F0 * c00 + F1 * c10 + F2 * c20) / det,
+                (F0 * c01 + F1 * c11 + F2 * c21) / det,
+                w2,
+                (F3 + a32 * w2) / a33]
+
+    return solve
+
+
 def second_order_frame(wave: SteadyWave, lam: complex, tol: float,
                        M: float | None = None) -> SpectralFrame:
     """:func:`zndevans.spectral.make_frame` as it was before its start went
@@ -244,25 +355,7 @@ def second_order_frame(wave: SteadyWave, lam: complex, tol: float,
     inf_ell = kernel(burned, ell_l)
     K = wave.config.K
     a = [kernel(burned, e) for e in np.eye(4).tolist()]
-
-    def inverse(kK: float):
-        rows = [[(kK if i == j else 0.0) - a[j][i] for j in range(3)] for i in range(3)]
-        (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = (
-            _cross(rows[1], rows[2]), _cross(rows[2], rows[0]), _cross(rows[0], rows[1]))
-        det = rows[0][0] * c00 + rows[0][1] * c01 + rows[0][2] * c02
-        a32, a33 = a[2][3], kK - a[3][3]
-
-        def solve(F: list) -> list:
-            F0, F1, F2, F3 = F
-            w2 = (F0 * c02 + F1 * c12 + F2 * c22) / det
-            return [(F0 * c00 + F1 * c10 + F2 * c20) / det,
-                    (F0 * c01 + F1 * c11 + F2 * c21) / det,
-                    w2,
-                    (F3 + a32 * w2) / a33]
-
-        return solve
-
-    solve1, solve2 = inverse(K), inverse(2.0 * K)
+    solve1, solve2 = _cofactor_inverse(a, K), _cofactor_inverse(a, 2.0 * K)
     half_life = math.log(2.0) / K
 
     def corrections(depth: float):
@@ -298,6 +391,79 @@ def second_order_frame(wave: SteadyWave, lam: complex, tol: float,
         h2 = shift * _quadrature_integrand(lam, s2, profile_deriv(wave, -M - half_life), zeta2)
         d2 = 2.0 * (h1 - 2.0 * h2)
         return (h1 - d2) / (K - g_sigma) + d2 / (2.0 * K - g_sigma)
+
+    return SpectralFrame(ell, g_minus, jump_vector(wave, lam), M, zeta, tail)
+
+
+def fourth_order_frame(wave: SteadyWave, lam: complex, tol: float,
+                       M: float | None = None) -> SpectralFrame:
+    """:func:`zndevans.spectral.make_frame` as it was before its start went
+    to fifth order, with the same floating-point operations (the
+    left-eigenpair check left out), so that pins recorded then still
+    reproduce.  The start is ell + v1 + ... + v4, with the products with v_m
+    fitted on the 4 - m states at -M - i ln2/K, i < 4; without ``M`` it is
+    built at eps0 = (0.1 tol)^(1/4), and once more at eps0 0.9 (0.1 tol /
+    est)^(1/4) if est = |zeta_4 - zeta_3| / |ell| exceeds 0.1 tol; and the
+    tail is fitted on the same four states."""
+    if M is not None:
+        M = check_depth(M)
+    lam = complex(lam)
+    ell, g_minus = stable_left_mode(wave, lam)
+    kernel = rhs_kernel(wave, lam, g_minus)
+    burned = wave.burned
+    ell_l = ell.tolist()
+    inf_ell = kernel(burned, ell_l)
+    K = wave.config.K
+    a = [kernel(burned, e) for e in np.eye(4).tolist()]
+    solves = [_cofactor_inverse(a, k * K) for k in (1.0, 2.0, 3.0, 4.0)]
+    half_life = math.log(2.0) / K
+
+    def start(depth: float):
+        states = [profile_at(wave, -depth - i * half_life) for i in range(4)]
+        vs, Bs = [ell_l], []
+        inf_v = inf_ell
+        for k in range(1, 5):
+            Bs.append([[x - y for x, y in zip(kernel(s, vs[-1]), inf_v)] for s in states[:5 - k]])
+            F = _fitted_rhs(k, 4, Bs)
+            vs.append(solves[k - 1](F))
+            inf_v = [k * K * v - f for v, f in zip(vs[-1], F)]
+        return states, vs, Bs
+
+    def estimate(vs: list, Bs: list) -> float:
+        gap = [v1 + v2 + v3 + v4 for v1, v2, v3, v4 in zip(*vs[1:])]
+        for k in range(1, 4):
+            gap = [x - u for x, u in zip(gap, solves[k - 1](_fitted_rhs(k, 3, Bs)))]
+        return math.hypot(*map(abs, gap)) / math.hypot(*map(abs, ell_l))
+
+    if M is None:
+        eps = (0.1 * tol) ** 0.25
+        M = math.log(1.0 / eps) / K
+        states, vs, Bs = start(M)
+        est = estimate(vs, Bs)
+        if est > 0.1 * tol:
+            eps *= 0.9 * (0.1 * tol / est) ** 0.25
+            M = math.log(1.0 / eps) / K
+            states, vs, _ = start(M)
+    else:
+        states, vs, _ = start(M)
+    zeta = np.array([sum(terms) for terms in zip(*vs)])
+
+    def tail() -> complex:
+        cfg = wave.config
+        sigma_inf = wave.m / reaction_psi(burned, cfg)
+        g_sigma = g_minus * sigma_inf
+        sigmas = [sum(w * (wave.m / reaction_psi(s, cfg) - sigma_inf) for w, s in zip(ws, states))
+                  for ws in _FIT_WEIGHTS[4]]
+        H = []
+        for i, state in enumerate(states):
+            t = 0.5 ** i
+            shift = cmath.exp(g_minus * sum(sj * (1.0 - t ** j) / (j * K)
+                                            for j, sj in enumerate(sigmas, 1)))
+            zeta_i = [sum(v * t ** k for k, v in enumerate(terms)) for terms in zip(*vs)]
+            deriv = profile_deriv(wave, -M - i * half_life)
+            H.append(shift * _quadrature_integrand(lam, state, deriv, zeta_i))
+        d = [sum(w * h for w, h in zip(ws, H)) for ws in _FIT_WEIGHTS[4]]
+        return sum(dk / (k * K - g_sigma) for k, dk in enumerate(d, 1))
 
     return SpectralFrame(ell, g_minus, jump_vector(wave, lam), M, zeta, tail)
 

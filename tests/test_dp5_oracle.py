@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import first_order_frame, second_order_frame
+from oracles import first_order_frame, fourth_order_frame, second_order_frame
 from zndevans import evans, numerics, spectral
 from zndevans.errors import NonFiniteStateError, StepSizeUnderflowError
 from zndevans.modelbench import ModelParams, model_field
@@ -351,7 +351,7 @@ def test_evans_D_and_counts_pinned_second_order_default_depth(wave, monkeypatch,
     assert abs(r.D - D) <= 1e-10 * abs(D)
 
 
-# The same at the depth spectral.make_frame picks by the fourth-order rule:
+# The same at the depth fourth_order_frame picks by the fourth-order rule:
 # K M = ln(1/eps0) with eps0 = (0.1 tol)^(1/4) at 1+1i and 1+3i, and deeper
 # at 4+10i and 0.1+30i, where the embedded estimate of the start's error
 # exceeds 0.1 tol.  That estimate is a difference far smaller than the
@@ -375,8 +375,41 @@ PINNED_D_FOURTH_ORDER_DEFAULT_DEPTH = [
 @pytest.mark.parametrize("method, lam, M, accepted, rejected, nfev, D",
                          PINNED_D_FOURTH_ORDER_DEFAULT_DEPTH,
                          ids=[f"{row[0]}-{row[1]}" for row in PINNED_D_FOURTH_ORDER_DEFAULT_DEPTH])
-def test_evans_D_and_counts_pinned_fourth_order_default_depth(wave, method, lam, M, accepted,
-                                                              rejected, nfev, D):
+def test_evans_D_and_counts_pinned_fourth_order_default_depth(wave, monkeypatch, method, lam, M,
+                                                              accepted, rejected, nfev, D):
+    monkeypatch.setattr(evans, "make_frame", fourth_order_frame)
+    r = evans.evaluate(wave, lam, method=method, tol=1e-5)
+    s = r.stats
+    assert abs(r.M - M) <= 1e-10 * M
+    assert (s.accepted_steps, s.rejected_steps, s.rhs_evaluations) == (accepted, rejected, nfev)
+    assert abs(r.D - D) <= 1e-10 * abs(D)
+
+
+# The same at the depth spectral.make_frame picks by the fifth-order rule:
+# K M = ln(1/eps0) with eps0 = (0.1 tol)^(1/5) at 1+1i and 1+3i, and deeper
+# at 4+10i and 0.1+30i, where the estimate |zeta_5 - zeta_4| / |ell|
+# exceeds 0.1 tol.  M is pinned to 1e-10 for the same reason as above.
+PINNED_D_FIFTH_ORDER_DEFAULT_DEPTH = [
+    ('neutral', (1+1j), 1.3815510557964275, 17, 0, 103, (-47.80934710338319-36.461581853640354j)),
+    ('neutral', (1+3j), 1.3815510557964275, 23, 1, 145, (-101.98391596594745-96.40945937434859j)),
+    ('neutral', (4+10j), 1.7102651114579563, 61, 1, 373, (-243.9095373559453+148.6814447068516j)),
+    ('neutral', (0.1+30j), 2.1276608934282444, 216, 2, 1309, (1363.2854314323588-796.2776445644452j)),
+    ('erpenbeck', (1+1j), 1.3815510557964275, 19, 0, 115, (-47.80938183337007-36.46146715558777j)),
+    ('erpenbeck', (1+3j), 1.3815510557964275, 37, 0, 223, (-101.98396682682866-96.41075483613876j)),
+    ('erpenbeck', (4+10j), 1.7102651114579563, 147, 0, 883, (-243.9227008565302+148.68437795806497j)),
+    ('erpenbeck', (0.1+30j), 2.1276608934282444, 514, 0, 3085, (1363.1579039203505-796.0124946066435j)),
+    ('lee_stewart', (1+1j), 1.3815510557964275, 24, 0, 145, (786.576248043087+2425.135002767811j)),
+    ('lee_stewart', (1+3j), 1.3815510557964275, 43, 0, 259, (-5018.201851070254+3198.409850141964j)),
+    ('lee_stewart', (4+10j), 1.7102651114579563, 155, 0, 931, (18687254756.316994-30992458733.849216j)),
+    ('lee_stewart', (0.1+30j), 2.1276608934282444, 599, 4, 3619, (456.67811790382495-2792.3163146493966j)),
+]
+
+
+@pytest.mark.parametrize("method, lam, M, accepted, rejected, nfev, D",
+                         PINNED_D_FIFTH_ORDER_DEFAULT_DEPTH,
+                         ids=[f"{row[0]}-{row[1]}" for row in PINNED_D_FIFTH_ORDER_DEFAULT_DEPTH])
+def test_evans_D_and_counts_pinned_fifth_order_default_depth(wave, method, lam, M, accepted,
+                                                             rejected, nfev, D):
     r = evans.evaluate(wave, lam, method=method, tol=1e-5)
     s = r.stats
     assert abs(r.M - M) <= 1e-10 * M

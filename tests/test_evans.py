@@ -77,8 +77,9 @@ class TestMethodRelations:
         # at the fixed depth M_y the unfactored exponent at lambda = 75 is
         # about -1204, beyond the guard's 690.  At the depth make_frame picks
         # for tol = 1e-5 no real lambda lets the guard fire while neutral
-        # succeeds: neutral misselects its mode from about 77, and the guard
-        # fires only from about 82
+        # succeeds: neutral misselects its mode from about 78, Erpenbeck's
+        # start falls below 1e-280 from about 87 and the guard fires only
+        # from about 93
         with pytest.raises(EvansOverflowError):
             evaluate(wave, 75.0 + 0j, method="erpenbeck", M=wave.M_y)
         with pytest.raises(EvansOverflowError):
@@ -90,9 +91,9 @@ class TestMethodRelations:
     @pytest.mark.parametrize("method", ["erpenbeck", "lee_stewart"])
     def test_unfactored_in_range_at_lambda_75(self, wave, method):
         # at the depth make_frame picks for tol = 1e-5 the unfactored
-        # exponent at lambda = 75 is about -626, inside double range.  D is
+        # exponent at lambda = 75 is about -537, inside double range.  D is
         # about 1e-4 of the jump there, and neutral at tol = 1e-5 is itself
-        # about 890 tol off, so the reference is neutral at 1e-10
+        # about 500 tol off, so the reference is neutral at 1e-10
         tol = 1e-5
         ref = evaluate(wave, 75.0 + 0j, method="neutral", tol=1e-10).D
         r = evaluate(wave, 75.0 + 0j, method=method, tol=tol)
@@ -101,17 +102,31 @@ class TestMethodRelations:
     @pytest.mark.parametrize("method", ["erpenbeck", "lee_stewart"])
     def test_unfactored_in_range_at_lambda_40(self, wave, method):
         # at the depth make_frame picks for tol = 1e-5 the unfactored
-        # exponent at lambda = 40 is -381, inside double range
+        # exponent at lambda = 40 is -254, inside double range
         tol = 1e-5
         rn = evaluate(wave, 40.0 + 0j, method="neutral", tol=tol)
         r = evaluate(wave, 40.0 + 0j, method=method, tol=tol)
         assert abs(r.kappa_to_neutral * r.D - rn.D) < 300 * tol * abs(rn.D)
 
 
+    def test_erpenbeck_refuses_a_start_below_1e_280(self, wave):
+        # at the depth make_frame picks for tol = 1e-5 the unfactored
+        # exponent at lambda = 90 is about -667, inside double range, but
+        # Erpenbeck's start exp(-667) zeta is below 1e-280, where an absolute
+        # tolerance of tol times it no longer keeps it under relative
+        # control; it raises rather than return a D that is silently wrong.
+        # Lee-Stewart only multiplies its D by that factor and still solves
+        with pytest.raises(EvansOverflowError, match="below 1e-280") as info:
+            evaluate(wave, 90.0 + 0j, method="erpenbeck", tol=1e-5)
+        assert info.value.lam == 90.0 + 0j
+        r = evaluate(wave, 90.0 + 0j, method="lee_stewart", tol=1e-5)
+        assert 0.0 < abs(r.kappa_to_neutral) < 1e-280 and np.isfinite(r.D)
+
+
 class TestTruncationError:
     """D at the default depth for tol = 1e-11 against the neutral value D_ref
     at depth ln(1e12)/K, all at tol = 1e-11.  Starting from the corrected
-    burned-end mode where Y = eps Y0 leaves an error of order eps^5; starting
+    burned-end mode where Y = eps Y0 leaves an error of order eps^6; starting
     at eps = 1e-5 from the left mode ell alone left 2.5e-9 to 7.2e-9 at
     1+1i, 3.9e-8 at 4+10i and 1.0e-7 at 0.1+30i, and Erpenbeck without its
     quadrature tail is off by 4e-6 on LS(1.2, 50)."""
@@ -205,6 +220,16 @@ class TestDuality:
         tight = duality_check(wave, 0.8 + 0.5j, tol=1e-8)
         assert tight < loose
 
+    def test_refuses_a_start_below_1e_280(self, wave):
+        # at the fixed depth M_y the unfactored exponent at lambda = 42 is
+        # about -675: the adjoint leg would start below 1e-280, out of
+        # relative control (its deviation read 3.4); at lambda = 40, -642,
+        # it starts above that and the deviation tracks tol
+        with pytest.raises(EvansOverflowError, match="below 1e-280") as info:
+            duality_check(wave, 42.0 + 0j)
+        assert info.value.lam == 42.0 + 0j
+        assert duality_check(wave, 40.0 + 0j) < 1e-5
+
     def test_needs_positive_real_part(self, wave):
         with pytest.raises(NumericalDomainError) as info:
             duality_check(wave, 1.0j)
@@ -286,11 +311,11 @@ def test_one_profile_evaluation_per_rhs_call(wave, monkeypatch, method):
 @pytest.mark.parametrize("explicit_M", [False, True], ids=["depth-from-tol", "explicit-M"])
 def test_one_frame_per_solve(wave, monkeypatch, method, explicit_M):
     # make_frame builds the one adjoint kernel of the solve's burned-end data
-    # and evaluates the profile at -M and one, two and three half-lives of Y
-    # below it for the start.  The depth rule builds that start once, at
-    # eps0 = (0.1 tol)^(1/4), and again deeper only if its error estimate
+    # and evaluates the profile at -M and one to four half-lives of Y below
+    # it for the start.  The depth rule builds that start once, at
+    # eps0 = (0.1 tol)^(1/5), and again deeper only if its error estimate
     # exceeds 0.1 tol, which it does not at 1+1i.  Only Erpenbeck's solver
-    # asks for the tail, which takes the profile's derivative at those four
+    # asks for the tail, which takes the profile's derivative at those five
     # points
     calls = {"rhs_kernel": 0, "profile_at": 0, "profile_deriv": 0}
     for name in calls:
@@ -299,19 +324,19 @@ def test_one_frame_per_solve(wave, monkeypatch, method, explicit_M):
             return _fn(*args)
         monkeypatch.setattr(spectral, name, counted)
     evaluate(wave, 1.0 + 1.0j, method=method, M=wave.M_y if explicit_M else None)
-    assert calls == {"rhs_kernel": 1, "profile_at": 4,
-                     "profile_deriv": 4 if method == "erpenbeck" else 0}
+    assert calls == {"rhs_kernel": 1, "profile_at": 5,
+                     "profile_deriv": 5 if method == "erpenbeck" else 0}
 
 
 def test_depth_rule_rebuilds_the_start_once(wave, monkeypatch):
-    # at 0.1+30i the start at eps0 = (0.1 tol)^(1/4) misses the depth rule's
+    # at 0.1+30i the start at eps0 = (0.1 tol)^(1/5) misses the depth rule's
     # estimate, so make_frame builds it a second time, deeper
     calls = []
     monkeypatch.setattr(spectral, "profile_at", lambda *args: calls.append(args[1]) or profile_at(*args))
     tol = 1e-5
     frame = spectral.make_frame(wave, 0.1 + 30.0j, tol)
-    first = math.log(1.0 / (0.1 * tol) ** 0.25) / wave.config.K
-    assert len(calls) == 8 and calls[0] == -first and calls[4] == -frame.M
+    first = math.log(1.0 / (0.1 * tol) ** 0.2) / wave.config.K
+    assert len(calls) == 10 and calls[0] == -first and calls[5] == -frame.M
     assert frame.M > first
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import lee_stewart_config, random_overdriven_config
 from oracles import (
     BranchAmbiguityError,
+    _adjoint_matrix_ld,
     apply_A0,
     burned_start_solve,
     finite_difference_check,
@@ -21,6 +22,7 @@ from zndevans.errors import NumericalDomainError
 from zndevans.evans import METHODS, _field, duality_check, evaluate
 from zndevans.numerics import integrate_adaptive
 from zndevans.spectral import (
+    _mode_difference,
     coefficient_G,
     jacobians,
     jump_vector,
@@ -173,13 +175,15 @@ class TestLimitMatrices:
 
 
 class TestBurnedStart:
-    """The fourth-order corrected burned-end start and Erpenbeck's tail
-    against the LAPACK oracle, on the contour's flat side (1e-4 +- 30i), at
-    1+1i, 50 and 2+300i, at the depths the rule picks for tol = 1e-5 and
-    1e-10.  Not at the fixed depth M_y, where Y = 1e-5 Y0: there the
-    differences B cancel to 1e-5 of their terms, the order-4 fit weights
-    (up to 4096/21) multiply that rounding, and at 2+300i on the default
-    wave the two ways of computing the correction part by 1.1e-9 of it."""
+    """The fifth-order corrected burned-end start and Erpenbeck's tail
+    against the long-double oracle, on the contour's flat side (1e-4 +- 30i),
+    at 1+1i, 50 and 2+300i, at the depths the rule picks for tol = 1e-5 and
+    1e-10 and at the fixed depth M_y, where Y = 1e-5 Y0.  There the
+    differences B(s, v_m) cancel to 1e-5 of their terms and the fit weights
+    multiply what rounding leaves in them: the corrections agree to about
+    1e-11 of themselves.  The fourth-order start, which took B(s, ell) from
+    the kernel too, parted from its oracle by 1.1e-9 of the correction at
+    M_y and 2+300i on the default wave."""
 
     lams = (1e-4 + 30j, 1e-4 - 30j, 1 + 1j, 50.0 + 0j, 2 + 300j)
 
@@ -192,7 +196,7 @@ class TestBurnedStart:
     def test_matches_solve_oracle(self, cfg):
         wave = build_wave(cfg)
         for lam in self.lams:
-            for M in (make_frame(wave, lam, tol).M for tol in (1e-5, 1e-10)):
+            for M in [make_frame(wave, lam, tol).M for tol in (1e-5, 1e-10)] + [wave.M_y]:
                 frame = make_frame(wave, lam, 1e-5, M)
                 zeta, tail = frame.zeta, frame.tail()
                 ref_zeta, ref_tail = burned_start_solve(wave, lam, M)
@@ -212,10 +216,11 @@ class TestBurnedStart:
         ids=["default", "LS(1.6,50)"],
     )
     def test_error_is_fifth_order(self, cfg, lam):
-        # the start's error |zeta(-M) - Z_ref(-M)| / |ell| is O(eps^5), so it
-        # falls at least 2^4 = 16 times when K M rises by ln 2 (eps halves),
-        # between K M = 2.5 and 3.5.  Z_ref is the neutral solution from
-        # depth ln(1e13)/K, integrated at 1e-12 as in test_truncation.py
+        # the fifth-order start's error |zeta(-M) - Z_ref(-M)| / |ell| is
+        # O(eps^6), so it falls at least 2^5 = 32 times when K M rises by
+        # ln 2 (eps halves), between K M = 2.5 and 3.5.  Z_ref is the neutral
+        # solution from depth ln(1e13)/K, integrated at 1e-12 as in
+        # test_truncation.py
         wave = build_wave(cfg)
         K = wave.config.K
         ref = make_frame(wave, lam, 1e-12, math.log(1e13) / K)
@@ -227,7 +232,29 @@ class TestBurnedStart:
             y = -KM / K
             zeta = make_frame(wave, lam, 1e-5, KM / K).zeta
             errors.append(np.linalg.norm(zeta - z) / np.linalg.norm(ref.ell))
-        assert errors[1] >= 16.0 * errors[0] and errors[3] >= 16.0 * errors[2], errors
+        assert errors[1] >= 32.0 * errors[0] and errors[3] >= 32.0 * errors[2], errors
+
+    @pytest.mark.parametrize(
+        "cfg", [default_config(), lee_stewart_config(1.2, 50.0, 50.0, 1.6)],
+        ids=["default", "LS(1.6,50)"],
+    )
+    def test_mode_difference_matches_long_double_oracle(self, cfg):
+        # (A(s) - A_inf) ell from the differences of s to the burned state,
+        # against the same product of long-double matrices, at K y = 0, -1,
+        # -3 and -6.  As the kernel's A(s) ell - A_inf ell it is off by
+        # 4e-13 of itself at K y = -6 and 2+300i on the default wave
+        wave = build_wave(cfg)
+        for lam in self.lams:
+            ell, g = stable_left_mode(wave, lam)
+            difference = _mode_difference(wave, lam, g, ell.tolist())
+            lam_ld, g_ld = np.clongdouble(lam), np.clongdouble(g)
+            A_inf, _ = _adjoint_matrix_ld(wave, wave.burned, lam_ld, g_ld)
+            for Ky in (0.0, -1.0, -3.0, -6.0):
+                state = profile_at(wave, Ky / wave.config.K)
+                A, _ = _adjoint_matrix_ld(wave, state, lam_ld, g_ld)
+                ref = ((A - A_inf) @ ell.astype(np.clongdouble)).astype(complex)
+                got = np.array(difference(state))
+                assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref), (lam, Ky)
 
     def test_reactant_column_exact(self, wave):
         # make_frame solves the gas block first and w[3] last, because the
