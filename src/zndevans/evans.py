@@ -31,14 +31,17 @@ three methods take their burned-end data there from the one
 zeta(-M) = ell + v1 + ... + v5, the stable left mode plus its
 corrections in eps to fifth order, which the forward methods integrate
 from and Lee-Stewart pairs with; and, for Erpenbeck, the tail of the
-quadrature over (-inf, -M] to the same order, which the running quadrature
-starts from.  The truncation error is then of order eps^6 rather than eps.
-Unless ``M`` is given, the frame picks eps for each lambda from ``tol``, so
-that this error stays below ``tol``; every method runs at that one depth.
+quadrature over (-inf, -M], which the running quadrature starts from: the
+quadrature's integrand is d/dy of Z . R(profile), so that tail is the start
+paired with the reaction source at -M.  The truncation error is of order
+eps^6 rather than eps.  Unless ``M`` is given, the frame picks eps for each
+lambda from ``tol``, so that this error stays below ``tol``; every method
+runs at that one depth.
 
-Normalizations are chosen so neutral and Erpenbeck values coincide up to
-truncation error; the Lee-Stewart value differs by the recorded analytic
-scalar ``kappa_to_neutral``.
+Normalizations are chosen so neutral and Erpenbeck values coincide, from one
+frame, up to integration error: Erpenbeck's quadrature telescopes to the
+neutral pairing Z(0) . jump.  The Lee-Stewart value differs by the recorded
+analytic scalar ``kappa_to_neutral``.
 """
 
 from __future__ import annotations
@@ -184,10 +187,10 @@ def _erpenbeck(wave: SteadyWave, lam: complex, frame: SpectralFrame, tol: float)
     so the one adaptive controller bounds ODE and quadrature error together;
     the determinant is that integral plus the pure-jump boundary term.  The
     adjoint starts from prefactor * zeta(-M) and the quadrature from
-    prefactor times the closed-form integral of its tail over (-inf, -M]
-    (the frame's ``zeta`` and ``tail()``), with the prefactor
-    exp(-g_minus x(-M)), which makes the value coincide with the neutral one
-    (kappa = 1).
+    prefactor times its exact tail over (-inf, -M], zeta(-M) . R(-M) (the
+    frame's ``zeta`` and ``tail``), with the prefactor exp(-g_minus x(-M)).
+    The integrand is d/dy (Z . R), so the integral plus the pure-jump term
+    is Z(0) . jump: the neutral value up to integration error (kappa = 1).
     """
     prefactor = _unfactored_start(wave, lam, frame)
     kernel = rhs_kernel(wave, lam)
@@ -208,9 +211,9 @@ def _erpenbeck(wave: SteadyWave, lam: complex, frame: SpectralFrame, tol: float)
 
     atol = np.full(5, tol)
     atol[:4] *= abs(prefactor)  # keep the tiny start under relative control
-    init = np.concatenate([prefactor * frame.zeta, [prefactor * frame.tail()]])
+    init = np.concatenate([prefactor * frame.zeta, [prefactor * frame.tail]])
     z, stats = _integrate(lam, OdeField(dimension=5, eval=rhs), (-frame.M, 0.0), init, tol, atol)
-    jump_F0_only = frame.jump - wave.jump_terms[1]  # lam * [F0], no source term
+    jump_F0_only = lam * wave.jump_terms[0]  # lam * [F0], no source term
     return complex(z[4] + z[:4] @ jump_F0_only), stats, 1.0 + 0j
 
 

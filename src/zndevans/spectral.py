@@ -15,7 +15,8 @@ matrix, the boundary jump vector that closes the stability determinant,
 and the frame of one solve (:func:`make_frame`): that pair checked, the
 jump, the truncation depth picked from the tolerance, the fifth-order
 corrected burned-end mode at that depth that every shooting method starts
-from, and Erpenbeck's quadrature tail beyond it.
+from, and Erpenbeck's quadrature tail beyond it, which is that mode paired
+with the reaction source at the depth.
 
 Nothing here re-checks that every profile state is subsonic with u < 0;
 that is the invariant of :class:`zndevans.znd.SteadyWave`.
@@ -27,7 +28,6 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .znd import (
     SteadyWave,
     arrhenius,
     profile_at,
-    profile_deriv,
     reaction_psi,
     thermo,
 )
@@ -393,9 +392,8 @@ class SpectralFrame:
     ``ell`` and ``g_minus`` are the stable left eigenpair of the burned-end
     matrix, ``jump`` the boundary jump row, ``M`` the truncation depth in y,
     ``zeta`` the burned-end start at y = -M, corrected to fifth order in
-    eps = Y(-M)/Y0, and ``tail()`` the integral of Erpenbeck's quadrature
-    over (-inf, -M] to the same order, computed when called, as only that
-    method reads it.
+    eps = Y(-M)/Y0, and ``tail`` the integral of Erpenbeck's quadrature over
+    (-inf, -M], which is zeta . R(-M) exactly (see :func:`make_frame`).
     """
 
     ell: np.ndarray
@@ -403,7 +401,7 @@ class SpectralFrame:
     jump: np.ndarray
     M: float
     zeta: np.ndarray
-    tail: Callable[[], complex]
+    tail: complex
 
 
 def _fitted_rhs(weights: tuple, Bc: tuple) -> list:
@@ -419,17 +417,6 @@ def check_depth(M: float) -> float:
     if not 0.0 < M < math.inf:  # also rejects NaN
         raise ValueError(f"M must be positive and finite, got {M}")
     return M
-
-
-def _quadrature_integrand(lam: complex, state: StateW, deriv, z) -> complex:
-    """lam z . A0 (profile)', Erpenbeck's integrand, at a profile state and
-    its y-derivative ``deriv``."""
-    rho, u, e, Y = state
-    v0, v1, v2, v3 = deriv
-    z0, z1, z2, z3 = z
-    return lam * (z0 * v0 + z1 * (u * v0 + rho * v1)
-                  + z2 * ((e + 0.5 * u * u) * v0 + rho * u * v1 + rho * v2)
-                  + z3 * (Y * v0 + rho * v3))
 
 
 def make_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = None) -> SpectralFrame:
@@ -506,23 +493,15 @@ def make_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = Non
     depth.  ``tol`` must be positive.  The estimate is the same for
     conj(lam), and so is the depth.
 
-    *Tail.*  ``tail()`` is the integral over (-inf, -M] of Erpenbeck's
-    quadrature integrand lam Z . A0 (profile)' in the neutral
-    normalization, to the same order.  There Z = exp(-g_minus (x - x(-M)))
-    zeta(y), and with the neutral factor exp(-g_minus sigma_inf (y + M))
-    taken out, sigma_inf = m / psi(burned), the integrand is
-    H = sum_k d_k s^k + O(eps^6) in s = exp(K (y + M)).  The d_k are fitted
-    to H at the five states, where zeta(y_i) = sum_k v_k t_i^k and
-    x(-M) - x(y_i) = sigma_inf i ln2/K + sum_j sigma_j (1 - t_i^j)/(jK)
-    from the fit sigma(y) - sigma_inf = sum_j sigma_j s^j, and
+    *Tail.*  The profile obeys A1 W_x = R(W), so (A1 W_x)_x = C W_x, and
+    along every adjoint solution Z Erpenbeck's integrand lam Z . A0 W_y is
+    d/dy (Z . R(W)).  Z . R vanishes as y -> -inf, so the integral over
+    (-inf, -M] is Z(-M) . R(-M): ``tail`` is zeta . R at the state at -M,
+    K Y psi (q zeta_2 - zeta_3), in the neutral normalization, and
+    Erpenbeck's quadrature telescopes to the neutral value.
 
-        tail = sum_k d_k / (kK - g_minus sigma_inf),
-
-    every denominator with real part >= K.
-
-    The profile is evaluated through this module's bindings of profile_at
-    and profile_deriv, so evans' bindings still see exactly one evaluation
-    per RHS call.
+    The profile is evaluated through this module's binding of profile_at,
+    so evans' binding still sees exactly one evaluation per RHS call.
     """
     if M is not None:
         M = check_depth(M)
@@ -610,24 +589,7 @@ def make_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = Non
         states, vs, _ = start(M)
     zeta = np.array([sum(terms) for terms in zip(*vs)])
 
-    def tail() -> complex:
-        cfg = wave.config
-        sigma_inf = wave.m / reaction_psi(burned, cfg)
-        g_sigma = g_minus * sigma_inf
-        # sigma - sigma_inf = sum_j sigma_j s^j
-        sigmas = [sum(w * (wave.m / reaction_psi(s, cfg) - sigma_inf) for w, s in zip(ws, states))
-                  for ws in _FIT_WEIGHTS[_ORDER]]
-        H = []
-        for i, state in enumerate(states):
-            t = 0.5 ** i
-            # exp(-g_minus (x(y_i) - x(-M))) over the neutral factor at y_i, one
-            # exponent of order eps so that no part of it can overflow alone
-            shift = cmath.exp(g_minus * sum(sj * (1.0 - t ** j) / (j * K)
-                                            for j, sj in enumerate(sigmas, 1)))
-            zeta_i = [sum(v * t ** k for k, v in enumerate(terms)) for terms in zip(*vs)]
-            deriv = profile_deriv(wave, -M - i * half_life)
-            H.append(shift * _quadrature_integrand(lam, state, deriv, zeta_i))
-        d = [sum(w * h for w, h in zip(ws, H)) for ws in _FIT_WEIGHTS[_ORDER]]
-        return sum(dk / (k * K - g_sigma) for k, dk in enumerate(d, 1))
-
+    s0, q = states[0], wave.config.q
+    # zeta . R at -M, with R = (0, 0, q, -1) K Y psi
+    tail = complex(K * s0.Y * reaction_psi(s0, wave.config) * (q * zeta[2] - zeta[3]))
     return SpectralFrame(ell, g_minus, jump_vector(wave, lam), M, zeta, tail)

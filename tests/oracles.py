@@ -25,7 +25,6 @@ from zndevans.errors import NumericalDomainError
 from zndevans.spectral import (
     _FIT_WEIGHTS,
     SpectralFrame,
-    _quadrature_integrand,
     check_depth,
     jacobians,
     jump_vector,
@@ -92,6 +91,18 @@ def apply_A0(state: StateW, v) -> list:
         (e + 0.5 * u * u) * v0 + rho * u * v1 + rho * v2,
         Y * v0 + rho * v3,
     ]
+
+
+def _quadrature_integrand(lam: complex, state: StateW, deriv, z) -> complex:
+    """lam z . A0 (profile)', Erpenbeck's integrand, at a profile state and
+    its y-derivative ``deriv``: what the tails of the oracle frames below
+    fit, as make_frame fitted it before its tail came in closed form."""
+    rho, u, e, Y = state
+    v0, v1, v2, v3 = deriv
+    z0, z1, z2, z3 = z
+    return lam * (z0 * v0 + z1 * (u * v0 + rho * v1)
+                  + z2 * ((e + 0.5 * u * u) * v0 + rho * u * v1 + rho * v2)
+                  + z3 * (Y * v0 + rho * v3))
 
 
 def G_at_state(state: StateW, cfg: GasWaveConfig, lam: complex, reacting: bool) -> np.ndarray:
@@ -169,8 +180,8 @@ def _solve_ld(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return M[:, n:].reshape(B.shape)
 
 
-def _adjoint_matrix_ld(wave: SteadyWave, state: StateW, lam, g) -> tuple:
-    """(-sigma (G^T - g I), sigma) at ``state`` in long doubles, from the
+def _adjoint_matrix_ld(wave: SteadyWave, state: StateW, lam, g) -> np.ndarray:
+    """-sigma (G^T - g I) at ``state`` in long doubles, from the
     Jacobians of :func:`zndevans.spectral.jacobians` written out entry by
     entry and G^T = A1^{-T} (-lam A0 + C)^T by :func:`_solve_ld`."""
     cfg = wave.config
@@ -196,7 +207,7 @@ def _adjoint_matrix_ld(wave: SteadyWave, state: StateW, lam, g) -> tuple:
     C[3, 0], C[3, 2], C[3, 3] = -K * Y * phi, -K * Y * dpsi_de, -K * psi
     Gt = _solve_ld(A1.T, (-lam * A0 + C).T)
     sigma = _LD(wave.m) / psi
-    return -sigma * (Gt - g * np.eye(4, dtype=_LD)), sigma
+    return -sigma * (Gt - g * np.eye(4, dtype=_LD))
 
 
 def burned_start_solve(wave: SteadyWave, lam: complex, M: float) -> tuple[np.ndarray, complex]:
@@ -211,14 +222,14 @@ def burned_start_solve(wave: SteadyWave, lam: complex, M: float) -> tuple[np.nda
         (kK I - A_inf) v_k = sum_{j=1..k} C_j^(5-k+j) v_{k-j},  k = 1..5,
 
     v_0 = ell, so each product with v_m is fitted on 5 - m states.  The
-    tail fits sum_k d_k s^k to the integrand, built with :func:`apply_A0`,
-    and sum_j sigma_j s^j to sigma - sigma_inf, at the same five states.
+    tail is zeta . R(-M), with the reaction source R = (0, 0, q, -1) K Y psi
+    at the state at -M.
 
-    The profile states and derivatives, ell and g_minus are the library's
-    doubles; all that follows runs in long doubles, because B_i cancels to
-    eps of entries of size |lambda| |ell| and the fifth-order weights (up to
-    about 6242) multiply what rounding leaves in it: the same computation
-    in doubles is off by 3e-12 of zeta at 2+300i on the default wave."""
+    The profile states, ell and g_minus are the library's doubles; all that
+    follows runs in long doubles, because B_i cancels to eps of entries of
+    size |lambda| |ell| and the fifth-order weights (up to about 6242)
+    multiply what rounding leaves in it: the same computation in doubles is
+    off by 3e-12 of zeta at 2+300i on the default wave."""
     n = 5
     cfg = wave.config
     K = _LD(cfg.K)
@@ -227,9 +238,9 @@ def burned_start_solve(wave: SteadyWave, lam: complex, M: float) -> tuple[np.nda
     g = np.clongdouble(frame.g_minus)
     eye = np.eye(4, dtype=_LD)
 
-    A_inf, sigma_inf = _adjoint_matrix_ld(wave, wave.burned, lam, g)
+    A_inf = _adjoint_matrix_ld(wave, wave.burned, lam, g)
     ys = [-M - i * math.log(2.0) / cfg.K for i in range(n)]
-    As, sigmas = zip(*(_adjoint_matrix_ld(wave, profile_at(wave, y), lam, g) for y in ys))
+    As = [_adjoint_matrix_ld(wave, profile_at(wave, y), lam, g) for y in ys]
     C = [_vandermonde_fit([A - A_inf for A in As[:n - m]]) for m in range(n)]
     v = [frame.ell.astype(np.clongdouble)]
     for k in range(1, n + 1):
@@ -237,18 +248,9 @@ def burned_start_solve(wave: SteadyWave, lam: complex, M: float) -> tuple[np.nda
         v.append(_solve_ld(k * K * eye - A_inf, F))
     zeta = sum(v)
 
-    sigma_fit = _vandermonde_fit([s - sigma_inf for s in sigmas])
-    h = []
-    for i, y in enumerate(ys):
-        t = _LD(0.5) ** i
-        # x(-M) - x(y_i) - sigma_inf (y_i + M) from the fitted sigma - sigma_inf
-        gap = sum(c * (1 - t ** j) / (j * K) for j, c in enumerate(sigma_fit, 1))
-        z = sum(vk * t ** k for k, vk in enumerate(v))
-        state = [_LD(x) for x in profile_at(wave, y)]
-        deriv = np.array(apply_A0(state, [_LD(x) for x in profile_deriv(wave, y)]))
-        h.append(lam * (z @ deriv) * np.exp(g * gap))
-    d = _vandermonde_fit(h)
-    tail = sum(dk / (k * K - g * sigma_inf) for k, dk in enumerate(d, 1))
+    rho, _, e, Y = (_LD(x) for x in profile_at(wave, -M))
+    psi = rho * np.exp(-_LD(cfg.EA) / ((_LD(cfg.Gamma) + 1) * e))
+    tail = K * Y * psi * (_LD(cfg.q) * zeta[2] - zeta[3])
     return zeta.astype(complex), complex(tail)
 
 
@@ -308,7 +310,7 @@ def first_order_frame(wave: SteadyWave, lam: complex, tol: float, M: float | Non
     integrand = _quadrature_integrand(lam, state, profile_deriv(wave, -M), zeta.tolist())
     sigma_inf = wave.m / reaction_psi(wave.burned, wave.config)
     tail = integrand / (K - g_minus * sigma_inf)
-    return SpectralFrame(ell, g_minus, jump_vector(wave, lam), M, zeta, lambda: tail)
+    return SpectralFrame(ell, g_minus, jump_vector(wave, lam), M, zeta, tail)
 
 
 def _cofactor_inverse(a: list, kK: float):
@@ -392,7 +394,7 @@ def second_order_frame(wave: SteadyWave, lam: complex, tol: float,
         d2 = 2.0 * (h1 - 2.0 * h2)
         return (h1 - d2) / (K - g_sigma) + d2 / (2.0 * K - g_sigma)
 
-    return SpectralFrame(ell, g_minus, jump_vector(wave, lam), M, zeta, tail)
+    return SpectralFrame(ell, g_minus, jump_vector(wave, lam), M, zeta, tail())
 
 
 def fourth_order_frame(wave: SteadyWave, lam: complex, tol: float,
@@ -465,7 +467,7 @@ def fourth_order_frame(wave: SteadyWave, lam: complex, tol: float,
         d = [sum(w * h for w, h in zip(ws, H)) for ws in _FIT_WEIGHTS[4]]
         return sum(dk / (k * K - g_sigma) for k, dk in enumerate(d, 1))
 
-    return SpectralFrame(ell, g_minus, jump_vector(wave, lam), M, zeta, tail)
+    return SpectralFrame(ell, g_minus, jump_vector(wave, lam), M, zeta, tail())
 
 
 def stable_left_eig(wave: SteadyWave, lam: complex) -> tuple[complex, np.ndarray, np.ndarray]:

@@ -194,7 +194,7 @@ def test_evans_D_and_counts_pinned(wave, monkeypatch, method, lam, tol, accepted
                                    nfev, D):
     def uncorrected_frame(*args):
         frame = spectral.make_frame(*args)
-        return replace(frame, zeta=frame.ell, tail=lambda: 0.0)
+        return replace(frame, zeta=frame.ell, tail=0.0)
 
     monkeypatch.setattr(evans, "make_frame", uncorrected_frame)
     r = evans.evaluate(wave, lam, method=method, tol=tol, M=math.log(1.0 / _PINNED_EPS_Y) / wave.config.K)

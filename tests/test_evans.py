@@ -162,15 +162,37 @@ class TestTruncationError:
     def test_erpenbeck_tail_within_half_tol(self, cfg):
         # Erpenbeck's D at the depth make_frame picks for tol = 1e-8,
         # integrated at 1e-12 so that only the truncation error is left,
-        # against the neutral D at depth ln(1e13)/K.  This is the error of
-        # the start and of the quadrature tail together; with the tail
-        # fitted to first order only, LS(1.6, 50) is off by 2.8 tol.
+        # against the neutral D at depth ln(1e13)/K.  The tail zeta . R(-M)
+        # is exact for the start, so this is the start's error alone; with
+        # the tail fitted to first order only, LS(1.6, 50) was off by 2.8 tol.
         wave = build_wave(cfg)
         lam, tol = 1.0 + 3.0j, 1e-8
         ref = evaluate(wave, lam, M=math.log(1e13) / wave.config.K, tol=1e-12).D
         M = evans.make_frame(wave, lam, tol).M
         D = evaluate(wave, lam, method="erpenbeck", M=M, tol=1e-12).D
         assert abs(D - ref) <= 0.5 * tol * abs(ref)
+
+    @pytest.mark.parametrize("lam", [1.0 + 1.0j, 0.5 + 5.0j, 0.1 + 30.0j])
+    @pytest.mark.parametrize(
+        "cfg",
+        [default_config(), lee_stewart_config(1.2, 50.0, 50.0, 1.6),
+         lee_stewart_config(1.2, 50.0, 50.0, 1.02), lee_stewart_config(1.107, 17.0, 51.5, 1.417)],
+        ids=["default", "LS(1.6,50)", "LS(1.02,50)", "E=51.5"],
+    )
+    def test_erpenbeck_equals_neutral_from_one_frame(self, cfg, lam):
+        # From the same start at the same depth, Erpenbeck's quadrature of
+        # d/dy (Z . R) telescopes to neutral's Z(0) . jump once its tail is
+        # zeta . R(-M), so at tol = 1e-12 the two differ only by integration
+        # error; measured at most 9.1e-11.  With the tail fitted to fifth
+        # order they differed by up to 7.3e-7 (E=51.5 at 1+1i).  The E=86.1
+        # wave of test_truncation.py is left out: there the two differ by
+        # 6.9e-9, the integration error of the high-activation zone, not the
+        # tail's
+        wave = build_wave(cfg)
+        M = evans.make_frame(wave, lam, 1e-5).M
+        neutral = evaluate(wave, lam, method="neutral", M=M, tol=1e-12).D
+        erpenbeck = evaluate(wave, lam, method="erpenbeck", M=M, tol=1e-12).D
+        assert abs(erpenbeck - neutral) <= 1e-9 * abs(neutral)
 
 
 class TestAnalyticStructure:
@@ -314,18 +336,20 @@ def test_one_frame_per_solve(wave, monkeypatch, method, explicit_M):
     # and evaluates the profile at -M and one to four half-lives of Y below
     # it for the start.  The depth rule builds that start once, at
     # eps0 = (0.1 tol)^(1/5), and again deeper only if its error estimate
-    # exceeds 0.1 tol, which it does not at 1+1i.  Only Erpenbeck's solver
-    # asks for the tail, which takes the profile's derivative at those five
-    # points
-    calls = {"rhs_kernel": 0, "profile_at": 0, "profile_deriv": 0}
-    for name in calls:
-        def counted(*args, _fn=getattr(spectral, name), _name=name):
+    # exceeds 0.1 tol, which it does not at 1+1i.  Erpenbeck's tail is the
+    # start paired with the reaction source at -M, so no method takes the
+    # profile's derivative in the frame; spectral has no binding of
+    # profile_deriv, and one set here would count any call made through it
+    originals = {"rhs_kernel": spectral.rhs_kernel, "profile_at": profile_at,
+                 "profile_deriv": profile_deriv}
+    calls = dict.fromkeys(originals, 0)
+    for name, fn in originals.items():
+        def counted(*args, _fn=fn, _name=name):
             calls[_name] += 1
             return _fn(*args)
-        monkeypatch.setattr(spectral, name, counted)
+        monkeypatch.setattr(spectral, name, counted, raising=False)
     evaluate(wave, 1.0 + 1.0j, method=method, M=wave.M_y if explicit_M else None)
-    assert calls == {"rhs_kernel": 1, "profile_at": 5,
-                     "profile_deriv": 5 if method == "erpenbeck" else 0}
+    assert calls == {"rhs_kernel": 1, "profile_at": 5, "profile_deriv": 0}
 
 
 def test_depth_rule_rebuilds_the_start_once(wave, monkeypatch):
