@@ -28,15 +28,16 @@ The left end y = -M is where the reactant has fallen to eps of Y0.  All
 three methods take their burned-end data there from the one
 :class:`zndevans.spectral.SpectralFrame` of the solve, built by
 :func:`zndevans.spectral.make_frame`: the factored adjoint's start
-zeta(-M) = ell + v1 + ... + v5, the stable left mode plus its
-corrections in eps to fifth order, which the forward methods integrate
-from and Lee-Stewart pairs with; and, for Erpenbeck, the tail of the
-quadrature over (-inf, -M], which the running quadrature starts from: the
-quadrature's integrand is d/dy of Z . R(profile), so that tail is the start
-paired with the reaction source at -M.  The truncation error is of order
-eps^6 rather than eps.  Unless ``M`` is given, the frame picks eps for each
-lambda from ``tol``, so that this error stays below ``tol``; every method
-runs at that one depth.
+zeta(-M) = ell + eps w1 + ... + eps^12 w12, the stable left mode plus its
+corrections in eps to order 12, from the wave's Taylor coefficients of the
+field, which the forward methods integrate from and Lee-Stewart pairs
+with; and, for Erpenbeck, the tail of the quadrature over (-inf, -M],
+which the running quadrature starts from: the quadrature's integrand is
+d/dy of Z . R(profile), so that tail is the start paired with the reaction
+source at -M.  The truncation error is of order eps^13 rather than eps.
+Unless ``M`` is given, the frame picks eps for each lambda from ``tol``
+and the start's first neglected term, so that this error stays below
+``tol``; every method runs at that one depth.
 
 Normalizations are chosen so neutral and Erpenbeck values coincide, from one
 frame, up to integration error: Erpenbeck's quadrature telescopes to the

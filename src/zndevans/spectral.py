@@ -10,13 +10,15 @@ This module provides those Jacobians analytically, the closed-form,
 matrix-free application of G and of its adjoint that the shooting
 right-hand sides use (:func:`rhs_kernel`, built once per solve and applied
 once per RHS evaluation), G itself built column by column from that same
-kernel, the analytic stable left eigenpair (ell, g_minus) of the burned-end
-matrix, the boundary jump vector that closes the stability determinant,
-and the frame of one solve (:func:`make_frame`): that pair checked, the
-jump, the truncation depth picked from the tolerance, the fifth-order
-corrected burned-end mode at that depth that every shooting method starts
-from, and Erpenbeck's quadrature tail beyond it, which is that mode paired
-with the reaction source at the depth.
+kernel, the Taylor coefficients of the adjoint field in eps = Y/Y0
+(:func:`adjoint_series`, built once per wave), the analytic stable left
+eigenpair (ell, g_minus) of the burned-end matrix, the boundary jump
+vector that closes the stability determinant, and the frame of one solve
+(:func:`make_frame`): that pair checked, the jump, the burned-end mode
+corrected to order 12 in eps that every shooting method starts from, the
+truncation depth picked from the tolerance and that mode's next term, and
+Erpenbeck's quadrature tail beyond the depth, which is the mode paired
+with the reaction source there.
 
 Nothing here re-checks that every profile state is subsonic with u < 0;
 that is the invariant of :class:`zndevans.znd.SteadyWave`.
@@ -26,8 +28,8 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,37 +47,10 @@ from .znd import (
 # the constant of make_frame's depth rule, fixed against tests/test_truncation.py
 _DEPTH_THETA = 0.1
 
-# Exact weights of the fits B(t) = c_1 t + ... + c_n t^n through n values
-# B_i at t_i = 2^-i, i < n: _FIT_WEIGHTS[n][j - 1][i] is the weight of B_i
-# in c_j: the inverse of the Vandermonde matrix t_i^j, written as literals
-# that the compiler folds to constants
-_FIT_WEIGHTS = {
-    1: ((1.0,),),
-    2: ((-1.0, 4.0), (2.0, -4.0)),
-    3: ((1 / 3, -4.0, 32 / 3), (-2.0, 20.0, -32.0), (8 / 3, -16.0, 64 / 3)),
-    4: ((-1 / 21, 4 / 3, -32 / 3, 512 / 21), (2 / 3, -52 / 3, 352 / 3, -512 / 3),
-        (-8 / 3, 176 / 3, -832 / 3, 1024 / 3), (64 / 21, -128 / 3, 512 / 3, -4096 / 21)),
-    5: ((1 / 315, -4 / 21, 32 / 9, -512 / 21, 16384 / 315),
-        (-2 / 21, 116 / 21, -96.0, 11776 / 21, -16384 / 21),
-        (8 / 9, -48.0, 6464 / 9, -3072.0, 32768 / 9),
-        (-64 / 21, 2944 / 21, -1536.0, 118784 / 21, -131072 / 21),
-        (1024 / 315, -2048 / 21, 8192 / 9, -65536 / 21, 1048576 / 315)),
-}
-
-# The order of make_frame's start: the start fits on _ORDER states and
-# leaves a truncation error of order eps^(_ORDER + 1)
-_ORDER = 5
-
-# The weights of the right-hand sides F_k = sum_{m<k} c_{k-m}(v_m) of the
-# start, over the differences B(s_i, v_m) laid out m by m, i < _ORDER - m:
-# _RHS_WEIGHTS[n][k - 1] fits each product with v_m on its first n - m
-# states, with weight 0 on the others, and sums the fits
-_RHS_WEIGHTS = {
-    n: tuple(tuple(_FIT_WEIGHTS[n - m][k - 1 - m][i] if i < n - m else 0.0
-                   for m in range(k) for i in range(_ORDER - m))
-             for k in range(1, n + 1))
-    for n in (_ORDER - 1, _ORDER)
-}
+# The order n of make_frame's start, a sum of n + 1 terms in eps = Y/Y0 with
+# a truncation error of order eps^(n + 1); the series of the adjoint field
+# carries n + 2 coefficients, the last one for the depth rule's next term
+_ORDER = 12
 
 
 def jacobians(state: StateW, cfg: GasWaveConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -221,80 +196,135 @@ def rhs_kernel(wave: SteadyWave, lam: complex, shift: complex = 0.0, adjoint: bo
     return kernel
 
 
-def _mode_difference(wave: SteadyWave, lam: complex, shift: complex, ell: list):
-    """(A(s) - A_inf) ell for the adjoint kernel A of :func:`rhs_kernel`
-    with ``shift``, from the differences of the state s to ``wave.burned``.
+# Truncated power series: arrays of the coefficients x_0, x_1, ... of one
+# length.  Sums and scalar multiples are the arrays'; these are the rest
 
-    Returns ``difference(state)``, a list of four complex numbers.  With
-    P(s) = (-lam A0(s) + C(s) - shift A1(s))^T ell, A(s) ell =
-    -sigma(s) A1(s)^{-T} P(s), and P(burned) is zero up to rounding when
-    (ell, shift) is the stable left eigenpair, so the difference is
-    -sigma(s) A1(s)^{-T} (P(s) - P(burned)).  Each entry of P(s) - P(burned)
-    is formed from (rho, u, e) minus their burned values and from Y, never
-    as the difference of two entries of size |lambda| |ell|: the kernel's
-    own rounding on those entries, times the weights of the fifth-order fit,
-    reaches 1e-11 of the start at lambda = 2+300i on the default wave.
+
+def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.convolve(x, y)[:len(x)]
+
+
+def _reciprocal(x: np.ndarray) -> np.ndarray:
+    # x r = 1: r_k = -(x_1 r_(k-1) + ... + x_k r_0) / x_0
+    r = np.zeros_like(x)
+    r[0] = 1.0 / x[0]
+    for k in range(1, len(x)):
+        r[k] = -r[0] * np.dot(x[1:k + 1], r[k - 1::-1])
+    return r
+
+
+def _sqrt(x: np.ndarray) -> np.ndarray:
+    # s s = x: s_k = (x_k - s_1 s_(k-1) - ... - s_(k-1) s_1) / (2 s_0)
+    s = np.zeros_like(x)
+    s[0] = math.sqrt(x[0])
+    for k in range(1, len(x)):
+        s[k] = (x[k] - np.dot(s[1:k], s[k - 1:0:-1])) / (2.0 * s[0])
+    return s
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    # r' = x' r: k r_k = 1 x_1 r_(k-1) + 2 x_2 r_(k-2) + ... + k x_k r_0
+    r = np.zeros_like(x)
+    r[0] = math.exp(x[0])
+    jx = np.arange(len(x)) * x
+    for k in range(1, len(x)):
+        r[k] = np.dot(jx[1:k + 1], r[k - 1::-1]) / k
+    return r
+
+
+def _matmul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The product of two series of matrices, X and Y of shape (n, a, b)
+    and (n, b, c): coefficient k is X_0 Y_k + X_1 Y_(k-1) + ... + X_k Y_0."""
+    return np.array([np.einsum("jab,jbc->ac", X[:k + 1], Y[k::-1]) for k in range(len(X))])
+
+
+class AdjointSeries(NamedTuple):
+    """Taylor coefficients in eps = Y/Y0 of the factored adjoint field
+    A = lam P + Q + shift S of :func:`rhs_kernel` along the profile.
+
+    ``P``, ``Q`` and ``S`` hold the real 4x4 coefficients P_j, Q_j and
+    S_j = sigma_j I, j = 0..n+1 with n = _ORDER, each in an array of shape
+    (n + 2, 4, 4); sigma = dx/dy.  At eps = 0, where Y = 0, A_0 = A_inf
+    has the reactant column (0, 0, 0, a33) and the reactant row
+    (0, 0, a32, a33) exactly.  ``radius`` is eps* = disc_min / a, where
+    disc = disc_min + a eps vanishes at eps = -eps*: the sonic branch
+    point, which bounds the radius of convergence (inf when a = 0, that is
+    q = 0 or Y0 = 0).
     """
-    cfg = wave.config
-    Gamma, EA, R, K, q, m = cfg.Gamma, cfg.EA, cfg.Gamma + 1.0, cfg.K, cfg.q, wave.m
-    rb, ub, eb, _ = wave.burned
-    psi_b = reaction_psi(wave.burned, cfg)
-    l0, l1, l2, l3 = ell
-    lq = q * l2 - l3  # C^T ell = (q l2 - l3) times the nonzero row of C up to q
 
-    def difference(state: StateW) -> list:
-        rho, u, e, Y = state
-        dr, du, de = rho - rb, u - ub, e - eb
-        # the differences of rho u, u^2, e u, u^3, rho e and rho u^2
-        d_ru = dr * u + rb * du
-        d_uu = du * (u + ub)
-        d_eu = de * u + eb * du
-        d_uuu = du * (u * u + u * ub + ub * ub)
-        d_re = dr * e + rb * de
-        d_ruu = dr * u * u + rb * d_uu
-        phi = math.exp(-EA / (R * e))  # arrhenius
-        d_psi = dr * phi + psi_b * math.expm1(EA * de / (R * e * eb))
-        # the differences of A0^T ell and A1^T ell
-        a0 = du * l1 + (de + 0.5 * d_uu) * l2 + Y * l3
-        a1 = dr * l1 + d_ru * l2
-        b0 = (du * l0 + (d_uu + Gamma * de) * l1 + (R * d_eu + 0.5 * d_uuu) * l2
-              + Y * u * l3)
-        b1 = dr * l0 + 2.0 * d_ru * l1 + (R * d_re + 1.5 * d_ruu) * l2 + Y * rho * l3
-        b2 = Gamma * dr * l1 + R * d_ru * l2
-        c0 = K * Y * phi * lq
-        P0 = -lam * a0 + c0 - shift * b0
-        P1 = -lam * a1 - shift * b1
-        P2 = -lam * dr * l2 + c0 * rho * EA / (R * e * e) - shift * b2
-        P3 = -lam * dr * l3 + K * d_psi * lq - shift * d_ru * l3
-        # -sigma(s) A1(s)^{-T} P, with A1's gas block solved by cofactors as
-        # in rhs_kernel
-        p_rho = Gamma * e
-        p_e = Gamma * rho
-        a10 = u * u + p_rho
-        a11 = 2.0 * rho * u
-        a12 = p_e
-        a20 = (e + 0.5 * u * u + p_rho) * u
-        a21 = rho * (e + 1.5 * u * u) + p_e * e
-        a22 = (rho + p_e) * u
-        k00 = a11 * a22 - a12 * a21
-        k01 = a12 * a20 - a10 * a22
-        k02 = a10 * a21 - a11 * a20
-        k10 = -rho * a22
-        k11 = u * a22
-        k12 = rho * a20 - u * a21
-        k20 = rho * a12
-        k21 = -u * a12
-        k22 = u * a11 - rho * a10
-        det = u * k00 + rho * k01
-        sig = m / (rho * phi)
-        w3 = P3 / (rho * u)
-        g = -sig / det
-        return [g * (k00 * P0 + k01 * P1 + k02 * P2) + sig * Y * w3,
-                g * (k10 * P0 + k11 * P1 + k12 * P2),
-                g * (k20 * P0 + k21 * P1 + k22 * P2),
-                -sig * w3]
+    P: np.ndarray
+    Q: np.ndarray
+    S: np.ndarray
+    radius: float
 
-    return difference
+
+def adjoint_series(wave: SteadyWave) -> AdjointSeries:
+    """The coefficients of :class:`AdjointSeries`, from the closed-form
+    profile in eps by truncated power-series arithmetic.
+
+    disc = disc_min + a eps, a = 2 Gamma q Y0 / (Gamma + 2), u = center +
+    sqrt(disc), rho = -m/u, e = (b u - u^2)/Gamma and Y = Y0 eps; then the
+    rows of rhs_kernel with shift, term by term: A1's gas block and its
+    cofactors, phi = exp(-EA/((Gamma + 1) e)), sigma = m/(rho phi) =
+    -u/phi, and the nonzero row c of C.  rho u = -m holds exactly.  With
+    T = -sigma A1^{-T}, P = -T A0^T, Q = T C^T = (T c) (0, 0, q, -1) and
+    S = sigma.  :attr:`zndevans.znd.SteadyWave.adjoint_series` builds this
+    once per wave, on first use; no LAPACK call enters.
+    """
+    K, Y0, Gamma, two_Gamma, Gamma_plus_2, q, m, b, _, center, _ = wave._branch
+    EA, R = wave.config.EA, Gamma + 1.0
+    N = _ORDER + 2
+
+    def series(*head: float) -> np.ndarray:
+        x = np.zeros(N)
+        x[:len(head)] = head
+        return x
+
+    a = two_Gamma * q * Y0 / Gamma_plus_2
+    u = _sqrt(series(wave.discriminant_min, a))
+    u[0] += center
+    rho = -m * _reciprocal(u)
+    uu = _mul(u, u)
+    e = (b * u - uu) / Gamma
+    Y = series(0.0, Y0)
+    inv_e = _reciprocal(e)
+    phi = _exp(-EA / R * inv_e)
+    sig = -_mul(u, _exp(EA / R * inv_e))
+    # A1's gas block f1_V = [[u, rho, 0], [a10, a11, a12], [a20, a21, a22]]
+    a10 = uu + Gamma * e
+    a11 = series(-2.0 * m)
+    a12 = Gamma * rho
+    a20 = _mul(R * e + 0.5 * uu, u)
+    a21 = R * _mul(rho, e) - 1.5 * m * u
+    a22 = series(-R * m)
+    # its cofactors k_ij, as in rhs_kernel
+    k = [[_mul(a11, a22) - _mul(a12, a21), _mul(a12, a20) - _mul(a10, a22),
+          _mul(a10, a21) - _mul(a11, a20)],
+         [-_mul(rho, a22), _mul(u, a22), _mul(rho, a20) - _mul(u, a21)],
+         [_mul(rho, a12), -_mul(u, a12), _mul(u, a11) - _mul(rho, a10)]]
+    g = -_mul(sig, _reciprocal(_mul(u, k[0][0]) + _mul(rho, k[0][1])))
+    T = np.zeros((N, 4, 4))
+    for i in range(3):
+        for j in range(3):
+            T[:, i, j] = _mul(g, k[i][j])
+    T[:, 0, 3] = -_mul(sig, Y) / m
+    T[:, 3, 3] = sig / m
+    A0T = np.zeros((N, 4, 4))  # A0^T, rows of jacobians' A0 as columns
+    A0T[0, 0, 0] = 1.0
+    A0T[:, 0, 1], A0T[:, 0, 2], A0T[:, 0, 3] = u, e + 0.5 * uu, Y
+    A0T[:, 1, 1], A0T[0, 1, 2] = rho, -m
+    A0T[:, 2, 2] = A0T[:, 3, 3] = rho
+    c0 = K * _mul(Y, phi)
+    c = np.stack([c0, np.zeros(N), EA / R * _mul(_mul(c0, rho), _mul(inv_e, inv_e)),
+                  K * _mul(rho, phi)], axis=1)
+    Tc = _matmul(T, c[:, :, None])[:, :, 0]
+    Q = np.zeros((N, 4, 4))
+    Q[:, :, 2], Q[:, :, 3] = q * Tc, -Tc
+    series = AdjointSeries(-_matmul(T, A0T), Q, sig[:, None, None] * np.eye(4),
+                           wave.discriminant_min / a if a else math.inf)
+    for x in series[:3]:
+        x.flags.writeable = False  # shared by every frame of the wave
+    return series
 
 
 def coefficient_G(wave: SteadyWave, lam: complex, y: float) -> np.ndarray:
@@ -391,7 +421,7 @@ class SpectralFrame:
 
     ``ell`` and ``g_minus`` are the stable left eigenpair of the burned-end
     matrix, ``jump`` the boundary jump row, ``M`` the truncation depth in y,
-    ``zeta`` the burned-end start at y = -M, corrected to fifth order in
+    ``zeta`` the burned-end start at y = -M, corrected to order 12 in
     eps = Y(-M)/Y0, and ``tail`` the integral of Erpenbeck's quadrature over
     (-inf, -M], which is zeta . R(-M) exactly (see :func:`make_frame`).
     """
@@ -402,13 +432,6 @@ class SpectralFrame:
     M: float
     zeta: np.ndarray
     tail: complex
-
-
-def _fitted_rhs(weights: tuple, Bc: tuple) -> list:
-    """One weighted sum of the differences, component by component: with
-    ``weights`` a row of _RHS_WEIGHTS and ``Bc`` the four components of the
-    differences in their layout, the right-hand side F_k of the start."""
-    return [sum(map(operator.mul, weights, c)) for c in Bc]
 
 
 def check_depth(M: float) -> float:
@@ -422,8 +445,9 @@ def check_depth(M: float) -> float:
 def make_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = None) -> SpectralFrame:
     """Build and validate the spectral data of one solve at tolerance ``tol``.
 
-    All of it comes from one adjoint :func:`rhs_kernel` with shift g_minus
-    and its difference form :func:`_mode_difference`; no matrix is built.
+    All of it comes from the adjoint :func:`rhs_kernel` with shift g_minus
+    at ``wave.burned``, the wave's :class:`AdjointSeries` and the profile
+    state at -M; no matrix is inverted.
 
     *Left mode.*  The left-eigenpair residual of :func:`stable_left_mode`'s
     pair is that kernel applied to ell at ``wave.burned`` (see
@@ -431,67 +455,56 @@ def make_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = Non
     |g_minus|, hence the bound's scale.
 
     *Start.*  Near the burned end the factored adjoint field of the neutral
-    method is A(y) = A_inf + sum_j eps(y)^j A_j, with A_inf the kernel at
-    ``wave.burned``, A_inf ell = 0 and eps(y) = Y(y)/Y0 = eps exp(K (y + M)).
-    Its solution bounded as y -> -inf is sum_k v_k exp(k K (y + M)), v_0 =
-    ell, where
+    method is A(eps) = sum_j eps^j A_j in eps = Y/Y0, which is exp(K y)
+    along the profile, with A_j = lam P_j + g_minus S_j + Q_j from
+    ``wave.adjoint_series``; A_0 = A_inf is the field at the burned end,
+    A_inf ell = 0.  Its solution bounded as y -> -inf is sum_k eps^k w_k,
+    w_0 = ell, where
 
-        (kK I - A_inf) v_k = sum_{j=1..k} eps^j A_j v_{k-j},
+        (kK I - A_inf) w_k = sum_{j=1..k} A_j w_{k-j},
 
-    and ``zeta = ell + v1 + ... + v5`` leaves a truncation error of order
-    eps^6, not eps (the asymptotic boundary condition of Lentini & Keller,
-    SIAM J. Numer. Anal. 1980, to fifth order; the order is _ORDER).  The
-    terms come from differences B(s, v) = A(s) v - A_inf v at the states
-    s_i at y_i = -M - i ln2/K, i < 5, where eps(y_i) = eps t_i with
-    t_i = 2^-i, so B(s_i, v) = sum_j (eps t_i)^j A_j v.  The fit through
-    the first n of them, with the exact Vandermonde weights of
-    ``_FIT_WEIGHTS`` (up to about 6242 for n = 5), gives eps^j A_j v,
-    j <= n, up to O(eps^(n+1) |v|); as v_m is of order eps^m, the products
-    with v_m are fitted on 5 - m states.  B(s, v_m), m >= 1, is the kernel
-    at s less A_inf v_m = mK v_m - F_m, ten kernel calls in all.  B(s, ell)
-    is formed from the differences of s to the burned state
-    (:func:`_mode_difference`, five calls): as a difference of two kernel
-    values its rounding, on entries of size |lambda| |ell|, times the
-    weights reached 1e-11 of zeta at 2+300i on the default wave.  Y = 0 at
-    the burned end, so A_inf's reactant column is (0, 0, 0, a33): each solve
-    is a 3x3 cofactor solve for the gas part and one division for the
-    reactant.  The eigenvalues of kK I - A_inf are kK and
-    kK + sigma_inf (mu - g_minus) for the other burned-end modes mu, all with
-    real part >= kK when Re lambda >= 0.  The five inverses are built once
-    per frame.
+    and ``zeta = ell + eps w_1 + ... + eps^n w_n``, n = _ORDER = 12, leaves
+    a truncation error of order eps^13 (the asymptotic boundary condition
+    of Lentini & Keller, SIAM J. Numer. Anal. 1980, with the exact Taylor
+    coefficients of Corliss & Chang, ACM TOMS 1982).  The w_k do not
+    depend on the depth.  Y = 0 at the burned end, so A_inf's reactant
+    column is (0, 0, 0, a33): each solve is a 3x3 cofactor solve for the
+    gas part and one division for the reactant.  The eigenvalues of
+    kK I - A_inf are kK and kK + sigma_inf (mu - g_minus) for the other
+    burned-end modes mu, all with real part >= kK when Re lambda >= 0.
 
-    *Depth.*  An explicit ``M`` must be positive and finite.  If ``M`` is
-    None the start is built at eps0 = (theta tol)^(1/5), theta = 0.1, and
-    its error is estimated by est = |zeta_5 - zeta_4| / |ell|, with zeta_4
-    the start fitted to fourth order on the first four states from the same
-    differences B.  If est > theta tol, eps shrinks once, to
-    eps0 0.9 (theta tol / est)^(1/5), and the start is built again there.
-    eps never grows past eps0: est measures the order-4 start, so a small
-    est does not show that a shallower order-5 start would do.
-    M = ln(1/eps)/K.  The measured relative truncation
-    error against a reference at K M = ln(1e13), over the cases of
+    *Depth.*  An explicit ``M`` must be positive and finite, and deep
+    enough that eps = exp(-K M) lies inside the radius eps* of the series
+    (ValueError otherwise); beyond eps*/2 its terms fall slowly, and the
+    start's error is the caller's.  If ``M`` is None,
+
+        eps = min(eps0, (theta tol |ell| / |w_13|)^(1/13), eps*/2),
+
+    with theta = 0.1, eps0 = (theta tol)^(1/5) and eps* the sonic branch
+    point of :class:`AdjointSeries`, and M = ln(1/eps)/K.  The middle term
+    puts the first neglected term at theta tol |ell|.  eps0 is the cap of
+    the fifth-order start this one replaced: the rule bounds the start's
+    error, not D's, which the field between -M and 0 can amplify (by
+    about 2.6e4 on E=86.1).  The measured relative truncation error
+    against a reference at K M = ln(1e13), over the cases of
     tests/test_truncation.py (lambda = 1+1i, 0.5+5i, 0.1+30i; tol = 1e-5
-    and 1e-8, and 1e-10 on LS(1.02, 50)), is at most, in units of tol:
+    and 1e-8, 1e-10 on LS(1.02, 50), and 1e-5 and 1e-6 on LS(1.003, 50)
+    and LS(1.001, 50)), is at most, in units of tol:
 
-        default  EA=20  LS(1.6,50)  LS(1.02,50)  E=86.1  E=51.5
-        0.002    0.002  0.003       0.046        0.35    0.20
+        default  EA=20  LS(1.6,50)  LS(1.02,50)  LS(1.003,50)  LS(1.001,50)  E=86.1  E=51.5
+        2e-5     0.033  5e-6        0.13         0.088         0.094         0.37    0.0045
 
     (LS(f, E) is Lee & Stewart's wave with gamma = 1.2, q = 50; the last two
     are their high-activation waves (gamma, q, E) = (1.146, 33.5, 86.1)
-    and (1.107, 17.0, 51.5)).  The fourth-order start with its depth rule
-    reached 0.19 tol on the same cases, the second-order one 0.074 tol and
-    the first-order one 0.19 tol.
+    and (1.107, 17.0, 51.5)).  The order is 12: near CJ and at high
+    activation the next term sets the depth, and order 12 starts shallower
+    than order 8 (K M = 7.69 against 8.12 on LS(1.001, 50) at 1+1i, tol
+    1e-5) and keeps E=86.1 at tol 1e-5 within 0.003 tol (0.085 at order
+    8), for about 95 us a frame against 79 (timeit, default wave).
 
-    The order stops at 5.  A sixth-order start with the same rule starts
-    E=86.1's solves at Y = 0.1 Y0, where its own error is below 2e-3 tol,
-    but carried to the shock that error leaves D off by up to 4.7 tol (0.76
-    tol on E=51.5): the estimate bounds the start, not what the field
-    between -M and 0 makes of it.  The fifth-order start's error there is
-    below 2e-4 tol.
-
-    Near CJ and at large |lambda| the estimate grows, and so does the
-    depth.  ``tol`` must be positive.  The estimate is the same for
-    conj(lam), and so is the depth.
+    Near CJ and at large |lambda| the terms fall more slowly, and the depth
+    grows.  ``tol`` must be positive.  The rule is the same for conj(lam),
+    and so is the depth.
 
     *Tail.*  The profile obeys A1 W_x = R(W), so (A1 W_x)_x = C W_x, and
     along every adjoint solution Z Erpenbeck's integrand lam Z . A0 W_y is
@@ -500,29 +513,27 @@ def make_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = Non
     K Y psi (q zeta_2 - zeta_3), in the neutral normalization, and
     Erpenbeck's quadrature telescopes to the neutral value.
 
-    The profile is evaluated through this module's binding of profile_at,
-    so evans' binding still sees exactly one evaluation per RHS call.
+    That state is the frame's one profile evaluation, through this
+    module's binding of profile_at, so evans' binding still sees exactly
+    one evaluation per RHS call.
     """
     if M is not None:
         M = check_depth(M)
     lam = complex(lam)
     ell, g_minus = stable_left_mode(wave, lam)
-    kernel = rhs_kernel(wave, lam, g_minus)
-    burned = wave.burned
-    ell_l = ell.tolist()
-    inf_ell = kernel(burned, ell_l)  # A_inf ell: zero up to rounding
-    residual = _pair_residual(wave, inf_ell, ell)
+    residual = _pair_residual(wave, rhs_kernel(wave, lam, g_minus)(wave.burned, ell.tolist()), ell)
     bound = 1e-10 * max(1.0, abs(g_minus))
     if residual > bound:
         raise NumericalDomainError(f"left-eigenpair residual {residual:.3e} > {bound:.3e}", lam)
 
     K = wave.config.K
-    # columns of A_inf: a[j][i] is its entry (i, j)
-    a = [kernel(burned, e) for e in np.eye(4).tolist()]
-    (a00, a10, a20, _), (a01, a11, a21, _), (a02, a12, a22, a32), (_, _, _, a33) = a
+    series = wave.adjoint_series
+    # A_j = lam P_j + g_minus S_j + Q_j for j = n+1 down to 0
+    A = lam * series.P[::-1] + g_minus * series.S[::-1] + series.Q[::-1]
+    (a00, a01, a02, _), (a10, a11, a12, _), (a20, a21, a22, _), (_, _, a32, a33) = A[-1].tolist()
 
-    def inverse(kK: float):
-        """F -> (kK I - A_inf)^{-1} F."""
+    def solve(kK: float, F: list) -> list:
+        """(kK I - A_inf)^{-1} F."""
         r00, r01, r02 = kK - a00, -a01, -a02
         r10, r11, r12 = -a10, kK - a11, -a12
         r20, r21, r22 = -a20, -a21, kK - a22
@@ -532,64 +543,37 @@ def make_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = Non
         c10, c11, c12 = r21 * r02 - r22 * r01, r22 * r00 - r20 * r02, r20 * r01 - r21 * r00
         c20, c21, c22 = r01 * r12 - r02 * r11, r02 * r10 - r00 * r12, r00 * r11 - r01 * r10
         det = r00 * c00 + r01 * c01 + r02 * c02
-        d33 = kK - a33
+        F0, F1, F2, F3 = F
+        w2 = (F0 * c02 + F1 * c12 + F2 * c22) / det
+        return [(F0 * c00 + F1 * c10 + F2 * c20) / det,
+                (F0 * c01 + F1 * c11 + F2 * c21) / det,
+                w2,
+                (F3 + a32 * w2) / (kK - a33)]
 
-        def solve(F: list) -> list:
-            F0, F1, F2, F3 = F
-            w2 = (F0 * c02 + F1 * c12 + F2 * c22) / det
-            return [(F0 * c00 + F1 * c10 + F2 * c20) / det,
-                    (F0 * c01 + F1 * c11 + F2 * c21) / det,
-                    w2,
-                    (F3 + a32 * w2) / d33]
-
-        return solve
-
-    solves = [inverse(k * K) for k in range(1, _ORDER + 1)]
-    ell_difference = _mode_difference(wave, lam, g_minus, ell_l)
-    half_life = math.log(2.0) / K  # the y-distance over which Y halves
-
-    def start(depth: float):
-        """The states s_i at y_i = -depth - i ln2/K, i < _ORDER, the terms
-        ell, v1, ... of zeta there, and the four components of the
-        differences B(s_i, v_m), m < _ORDER, at the _ORDER - m states the
-        fit of v_m needs, in the layout of _RHS_WEIGHTS."""
-        states = [profile_at(wave, -depth - i * half_life) for i in range(_ORDER)]
-        Bc = tuple(map(list, zip(*map(ell_difference, states))))
-        vs = [ell_l]
-        for k, weights in enumerate(_RHS_WEIGHTS[_ORDER], 1):
-            # F_k = sum_j eps^j A_j v_{k-j}, and A_inf v_k = kK v_k - F_k
-            F = _fitted_rhs(weights, Bc)
-            v = solves[k - 1](F)
-            vs.append(v)
-            if k < _ORDER:
-                inf_v = [k * K * x - f for x, f in zip(v, F)]
-                for state in states[:_ORDER - k]:
-                    for c, x, y in zip(Bc, kernel(state, v), inf_v):
-                        c.append(x - y)
-        return states, vs, Bc
-
-    def estimate(vs: list, Bc: tuple) -> float:
-        """|zeta_n - zeta_(n-1)| / |ell|, n = _ORDER, zeta_(n-1) from the
-        order-(n-1) fits on the first n - 1 states of the same differences."""
-        gap = [sum(terms) for terms in zip(*vs[1:])]
-        for solve, weights in zip(solves, _RHS_WEIGHTS[_ORDER - 1]):
-            gap = [x - u for x, u in zip(gap, solve(_fitted_rhs(weights, Bc)))]
-        return math.hypot(*map(abs, gap)) / math.hypot(*map(abs, ell_l))
+    # A_(n+1), ..., A_1 side by side: H[:, -4k:] @ (w_0, ..., w_(k-1)) is
+    # the right-hand side A_k w_0 + ... + A_1 w_(k-1)
+    H = A[:-1].transpose(1, 0, 2).reshape(4, -1)
+    w = np.empty((_ORDER + 2, 4), dtype=complex)
+    w[0] = ell
+    for k in range(1, _ORDER + 2):
+        w[k] = solve(k * K, (H[:, -4 * k:] @ w[:k].ravel()).tolist())
 
     if M is None:
-        eps = (_DEPTH_THETA * tol) ** (1.0 / _ORDER)
+        eps = min((_DEPTH_THETA * tol) ** 0.2, 0.5 * series.radius)
+        next_term = math.hypot(*map(abs, w[-1]))
+        if next_term > 0.0:
+            size = math.hypot(*map(abs, ell))
+            eps = min(eps, (_DEPTH_THETA * tol * size / next_term) ** (1.0 / (_ORDER + 1)))
         M = math.log(1.0 / eps) / K
-        states, vs, Bc = start(M)
-        est = estimate(vs, Bc)
-        if est > _DEPTH_THETA * tol:
-            eps *= 0.9 * (_DEPTH_THETA * tol / est) ** (1.0 / _ORDER)
-            M = math.log(1.0 / eps) / K
-            states, vs, _ = start(M)
     else:
-        states, vs, _ = start(M)
-    zeta = np.array([sum(terms) for terms in zip(*vs)])
+        eps = math.exp(-K * M)
+        if eps >= series.radius:  # the series diverges: no start at this depth
+            raise ValueError(f"M = {M} starts at Y/Y0 = {eps:.3g}, beyond the radius "
+                             f"{series.radius:.3g} of the start's series; M must exceed "
+                             f"{math.log(1.0 / series.radius) / K:.6g}")
+    zeta = eps ** np.arange(_ORDER + 1) @ w[:_ORDER + 1]
 
-    s0, q = states[0], wave.config.q
+    state, q = profile_at(wave, -M), wave.config.q
     # zeta . R at -M, with R = (0, 0, q, -1) K Y psi
-    tail = complex(K * s0.Y * reaction_psi(s0, wave.config) * (q * zeta[2] - zeta[3]))
+    tail = complex(K * state.Y * reaction_psi(state, wave.config) * (q * zeta[2] - zeta[3]))
     return SpectralFrame(ell, g_minus, jump_vector(wave, lam), M, zeta, tail)

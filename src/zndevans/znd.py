@@ -255,9 +255,9 @@ class SteadyWave:
         """Fixed depth ln(1e5)/K, where Y = Y0 exp(K y) falls to Y_AT_M_Y = 1e-5 of Y0.
 
         Not the depth of a solve: :func:`zndevans.spectral.make_frame`
-        measures the start corrections here and picks each
-        solve's own depth from ``tol``.  :func:`profile_table` plots down to
-        it, and ``duality_check`` and the CLI's ``--dump-g`` default to it.
+        picks each solve's own depth from ``tol``.  :func:`profile_table`
+        plots down to it, and ``duality_check`` and the CLI's ``--dump-g``
+        default to it.
         Y0 = 0 gives a constant profile, which any depth serves.
         """
         return math.log(1.0 / Y_AT_M_Y) / self.config.K
@@ -285,6 +285,16 @@ class SteadyWave:
         for a in terms:
             a.flags.writeable = False
         return terms
+
+    @cached_property
+    def adjoint_series(self):
+        """The Taylor coefficients in Y/Y0 of the burned-end field that
+        :func:`zndevans.spectral.make_frame` starts every solve from, a
+        :class:`zndevans.spectral.AdjointSeries`.  Built on first use, so
+        that :func:`build_wave` does not pay for it."""
+        from .spectral import adjoint_series  # spectral imports this module
+
+        return adjoint_series(self)
 
     @cached_property
     def _branch(self) -> tuple:

@@ -4,9 +4,11 @@ The library applies the linearized operator only through the closed-form
 kernel :func:`zndevans.spectral.rhs_kernel`.  The oracles here build the
 same operator the textbook way, from the Jacobian matrices of
 :func:`zndevans.spectral.jacobians` and a LAPACK solve (for the burned-end
-start, :func:`burned_start_solve`, from the same entries in long doubles),
+start, :func:`series_start_mp`, from the same entries in 40-digit mpmath),
 and cross-check the analytic stable left mode with an eigensolver and a
-Kato-ODE continuation.
+Kato-ODE continuation.  The earlier designs of
+:func:`zndevans.spectral.make_frame` are kept here too, so that pins
+recorded with them still reproduce.
 The profile is evaluated term by term from the config, as a reference for
 the per-wave constants :func:`zndevans.znd.profile_at` reads.  They lie on
 no result path.
@@ -16,19 +18,20 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
+import operator
+from functools import cache
 
+import mpmath as mp
 import numpy as np
 
 from zndevans import znd
 from zndevans.errors import NumericalDomainError
 from zndevans.spectral import (
-    _FIT_WEIGHTS,
+    _ORDER,
     SpectralFrame,
     check_depth,
     jacobians,
     jump_vector,
-    make_frame,
     rhs_kernel,
     stable_left_mode,
 )
@@ -137,121 +140,106 @@ def limit_G_plus(wave: SteadyWave, lam: complex) -> np.ndarray:
     return G_at_state(state, cfg, lam, reacting=False)
 
 
-# a 64-bit mantissa on x86-64 Linux, against 53 for a double.  Where a long
-# double is a double (Windows, macOS on ARM) the start oracle below is one:
-# in doubles it parts from the library by 3e-12 of zeta at 2+300i on the
-# default wave, beyond the 1e-12 of test_matches_solve_oracle
-_LD = np.longdouble
-
-
-def _exact_fit_weights(n: int) -> list:
-    """W[j][i], the weight of value i in c_{j+1} of the fit sum_j c_j t^j
-    through n values at t_i = 2^-i, i < n: the inverse of that Vandermonde
-    matrix in exact rational arithmetic, rounded to long doubles."""
-    rows = [[Fraction(1, 2 ** i) ** (j + 1) for j in range(n)]
-            + [Fraction(int(i == k)) for k in range(n)] for i in range(n)]
-    for c in range(n):  # Gauss-Jordan; the pivots are nonzero
-        rows[c] = [x / rows[c][c] for x in rows[c]]
-        for r in range(n):
-            if r != c:
-                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
-    return [[_LD(w.numerator) / _LD(w.denominator) for w in row[n:]] for row in rows]
-
-
-def _vandermonde_fit(values: list) -> list:
-    """[c_1, ..., c_n] with sum_j c_j t_i^j = values[i] at t_i = 2^-i, i < n,
-    with the weights of :func:`_exact_fit_weights`."""
-    weights = _exact_fit_weights(len(values))
-    return [sum(w * v for w, v in zip(ws, values)) for ws in weights]
-
-
-def _solve_ld(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A^{-1} B by Gauss-Jordan elimination with partial pivoting, in
-    complex long doubles."""
-    n = A.shape[0]
-    M = np.concatenate([A, B.reshape(n, -1)], axis=1).astype(np.clongdouble)
-    for c in range(n):
-        p = c + int(np.argmax(np.abs(M[c:, c])))
-        M[[c, p]] = M[[p, c]]
-        M[c] = M[c] / M[c, c]
-        for r in range(n):
-            if r != c:
-                M[r] = M[r] - M[r, c] * M[c]
-    return M[:, n:].reshape(B.shape)
-
-
-def _adjoint_matrix_ld(wave: SteadyWave, state: StateW, lam, g) -> np.ndarray:
-    """-sigma (G^T - g I) at ``state`` in long doubles, from the
-    Jacobians of :func:`zndevans.spectral.jacobians` written out entry by
-    entry and G^T = A1^{-T} (-lam A0 + C)^T by :func:`_solve_ld`."""
+def _adjoint_parts_mp(wave: SteadyWave, eps) -> tuple:
+    """(P, Q, sigma) with A = lam P + Q + shift sigma I the factored adjoint
+    field -sigma (G^T - shift I) at the profile point Y = Y0 eps, for
+    complex eps, in mpmath at the working precision: the Jacobians of
+    :func:`zndevans.spectral.jacobians` written out entry by entry, G^T =
+    A1^{-T} (-lam A0 + C)^T, and the profile's closed form in eps from the
+    wave's double constants, taken as exact."""
     cfg = wave.config
-    rho, u, e, Y = (_LD(x) for x in state)
-    Gamma, EA, K, q = (_LD(x) for x in (cfg.Gamma, cfg.EA, cfg.K, cfg.q))
+    Gamma, q, EA, K, Y0 = (mp.mpf(x) for x in (cfg.Gamma, cfg.q, cfg.EA, cfg.K, cfg.Y0))
+    m, b, center = (mp.mpf(x) for x in (wave.m, wave.rh_b, wave._branch[9]))
+    u = center + mp.sqrt(mp.mpf(wave.discriminant_min) + 2 * Gamma * q * Y0 / (Gamma + 2) * eps)
+    rho, e, Y = -m / u, (b * u - u * u) / Gamma, Y0 * eps
     E = e + u * u / 2
-    A0 = np.zeros((4, 4), dtype=_LD)
-    A0[0, 0], A0[1, 0], A0[1, 1] = 1, u, rho
-    A0[2, 0], A0[2, 1], A0[2, 2] = E, rho * u, rho
-    A0[3, 0], A0[3, 3] = Y, rho
-    A1 = np.zeros((4, 4), dtype=_LD)
-    A1[0, 0], A1[0, 1] = u, rho
-    A1[1, 0], A1[1, 1], A1[1, 2] = u * u + Gamma * e, 2 * rho * u, Gamma * rho
-    A1[2, 0] = (E + Gamma * e) * u
-    A1[2, 1] = rho * (e + 3 * u * u / 2) + Gamma * rho * e
-    A1[2, 2] = (rho + Gamma * rho) * u
-    A1[3, 0], A1[3, 1], A1[3, 3] = Y * u, Y * rho, rho * u
-    phi = np.exp(-EA / ((Gamma + 1) * e))
+    A0 = mp.matrix([[1, 0, 0, 0], [u, rho, 0, 0], [E, rho * u, rho, 0], [Y, 0, 0, rho]])
+    A1 = mp.matrix([[u, rho, 0, 0],
+                    [u * u + Gamma * e, 2 * rho * u, Gamma * rho, 0],
+                    [(E + Gamma * e) * u, rho * (e + 3 * u * u / 2) + Gamma * rho * e,
+                     (rho + Gamma * rho) * u, 0],
+                    [Y * u, Y * rho, 0, rho * u]])
+    phi = mp.exp(-EA / ((Gamma + 1) * e))
     psi = rho * phi
     dpsi_de = psi * EA / ((Gamma + 1) * e * e)
-    C = np.zeros((4, 4), dtype=_LD)
-    C[2, 0], C[2, 2], C[2, 3] = q * K * Y * phi, q * K * Y * dpsi_de, q * K * psi
-    C[3, 0], C[3, 2], C[3, 3] = -K * Y * phi, -K * Y * dpsi_de, -K * psi
-    Gt = _solve_ld(A1.T, (-lam * A0 + C).T)
-    sigma = _LD(wave.m) / psi
-    return -sigma * (Gt - g * np.eye(4, dtype=_LD))
+    source = mp.matrix([[0, 0, 0, 0], [0, 0, 0, 0], [q * K * Y * phi, 0, q * K * Y * dpsi_de, q * K * psi],
+                        [-K * Y * phi, 0, -K * Y * dpsi_de, -K * psi]])
+    sigma = m / psi
+    inv = mp.inverse(A1.T)
+    return sigma * inv * A0.T, -sigma * inv * source.T, sigma
 
 
-def burned_start_solve(wave: SteadyWave, lam: complex, M: float) -> tuple[np.ndarray, complex]:
+_CAUCHY_POINTS = 32
+
+
+@cache
+def adjoint_series_mp(wave: SteadyWave) -> tuple:
+    """The Taylor coefficients (P_j, Q_j, sigma_j), j = 0.._ORDER + 1, of
+    :func:`_adjoint_parts_mp` in eps, as 40-digit mpmath values: Cauchy
+    sums over 32 points of the circle |eps| = r, r = min(eps*/4, 1/4),
+    with eps* the sonic branch point; the aliased terms are 4^-32 of each
+    coefficient.  No power-series arithmetic: an oracle for
+    :func:`zndevans.spectral.adjoint_series`."""
+    with mp.workdps(40):
+        cfg = wave.config
+        a = mp.mpf(2) * cfg.Gamma * cfg.q * cfg.Y0 / (cfg.Gamma + 2)
+        r = mp.mpf(0.25) if a == 0 else min(mp.mpf(wave.discriminant_min) / a / 4, mp.mpf(0.25))
+        roots = [mp.expjpi(mp.mpf(2 * i) / _CAUCHY_POINTS) for i in range(_CAUCHY_POINTS)]
+        samples = [_adjoint_parts_mp(wave, r * z) for z in roots]
+        out = []
+        for j in range(_ORDER + 2):
+            weights = [z ** -j / (_CAUCHY_POINTS * r ** j) for z in roots]
+            out.append(tuple(sum((w * s[i] for w, s in zip(weights, samples)), start=0 * samples[0][i])
+                             for i in range(3)))
+        return out
+
+
+def series_start_mp(wave: SteadyWave, lam: complex, M: float) -> tuple[np.ndarray, complex]:
     """The start ``(zeta, tail)`` of :func:`zndevans.spectral.make_frame` at
-    depth ``M`` the textbook way, in long doubles.  The factored adjoint
-    matrices A = -sigma (G^T - g_minus I) come from
-    :func:`_adjoint_matrix_ld` at the burned state and at y_i = -M - i ln2/K,
-    i < 5, where Y is 2^-i of its value at -M.  With B_i = A(y_i) - A_inf,
-    the matrices C_j^(n) = eps^j A_j are fitted to B_i at the first n
-    states, and the corrections solve
+    depth ``M`` in 40-digit mpmath: with A_j = lam P_j + Q_j + g_minus
+    sigma_j I from :func:`adjoint_series_mp`,
 
-        (kK I - A_inf) v_k = sum_{j=1..k} C_j^(5-k+j) v_{k-j},  k = 1..5,
+        (kK I - A_0) w_k = sum_{j=1..k} A_j w_{k-j},  k = 1.._ORDER,
 
-    v_0 = ell, so each product with v_m is fitted on 5 - m states.  The
-    tail is zeta . R(-M), with the reaction source R = (0, 0, q, -1) K Y psi
-    at the state at -M.
-
-    The profile states, ell and g_minus are the library's doubles; all that
-    follows runs in long doubles, because B_i cancels to eps of entries of
-    size |lambda| |ell| and the fifth-order weights (up to about 6242)
-    multiply what rounding leaves in it: the same computation in doubles is
-    off by 3e-12 of zeta at 2+300i on the default wave."""
-    n = 5
+    w_0 = ell, each solved by mpmath's LU, zeta = sum_k eps^k w_k with
+    eps = exp(-K M), and tail = zeta . R at Y = Y0 eps, with the reaction
+    source R = (0, 0, q, -1) K Y psi.  ell and g_minus are the library's
+    doubles, taken as exact."""
+    ell, g_minus = stable_left_mode(wave, lam)
     cfg = wave.config
-    K = _LD(cfg.K)
-    frame = make_frame(wave, lam, 1e-5, M)
-    lam = np.clongdouble(lam)
-    g = np.clongdouble(frame.g_minus)
-    eye = np.eye(4, dtype=_LD)
+    with mp.workdps(40):
+        K = mp.mpf(cfg.K)
+        lam_, g = mp.mpc(lam), mp.mpc(g_minus)
+        eye = mp.eye(4)
+        A = [lam_ * P + Q + g * sigma * eye for P, Q, sigma in adjoint_series_mp(wave)]
+        w = [mp.matrix([mp.mpc(x) for x in ell])]
+        for k in range(1, _ORDER + 1):
+            F = sum((A[j] * w[k - j] for j in range(2, k + 1)), start=A[1] * w[k - 1])
+            w.append(mp.lu_solve(k * K * eye - A[0], F))
+        eps = mp.exp(-K * mp.mpf(M))
+        zeta = sum((eps ** k * w[k] for k in range(1, _ORDER + 1)), start=w[0])
+        _, _, sigma = _adjoint_parts_mp(wave, eps)
+        Y = mp.mpf(cfg.Y0) * eps
+        tail = K * Y * (mp.mpf(wave.m) / sigma) * (mp.mpf(cfg.q) * zeta[2] - zeta[3])
+        return np.array([complex(z) for z in zeta]), complex(tail)
 
-    A_inf = _adjoint_matrix_ld(wave, wave.burned, lam, g)
-    ys = [-M - i * math.log(2.0) / cfg.K for i in range(n)]
-    As = [_adjoint_matrix_ld(wave, profile_at(wave, y), lam, g) for y in ys]
-    C = [_vandermonde_fit([A - A_inf for A in As[:n - m]]) for m in range(n)]
-    v = [frame.ell.astype(np.clongdouble)]
-    for k in range(1, n + 1):
-        F = sum(C[m][k - 1 - m] @ v[m] for m in range(k))
-        v.append(_solve_ld(k * K * eye - A_inf, F))
-    zeta = sum(v)
 
-    rho, _, e, Y = (_LD(x) for x in profile_at(wave, -M))
-    psi = rho * np.exp(-_LD(cfg.EA) / ((_LD(cfg.Gamma) + 1) * e))
-    tail = K * Y * psi * (_LD(cfg.q) * zeta[2] - zeta[3])
-    return zeta.astype(complex), complex(tail)
+# Exact weights of the fits B(t) = c_1 t + ... + c_n t^n through n values
+# B_i at t_i = 2^-i, i < n: _FIT_WEIGHTS[n][j - 1][i] is the weight of B_i
+# in c_j: the inverse of the Vandermonde matrix t_i^j, written as literals
+# as the fitted starts of make_frame (orders 4 and 5) read them
+_FIT_WEIGHTS = {
+    1: ((1.0,),),
+    2: ((-1.0, 4.0), (2.0, -4.0)),
+    3: ((1 / 3, -4.0, 32 / 3), (-2.0, 20.0, -32.0), (8 / 3, -16.0, 64 / 3)),
+    4: ((-1 / 21, 4 / 3, -32 / 3, 512 / 21), (2 / 3, -52 / 3, 352 / 3, -512 / 3),
+        (-8 / 3, 176 / 3, -832 / 3, 1024 / 3), (64 / 21, -128 / 3, 512 / 3, -4096 / 21)),
+    5: ((1 / 315, -4 / 21, 32 / 9, -512 / 21, 16384 / 315),
+        (-2 / 21, 116 / 21, -96.0, 11776 / 21, -16384 / 21),
+        (8 / 9, -48.0, 6464 / 9, -3072.0, 32768 / 9),
+        (-64 / 21, 2944 / 21, -1536.0, 118784 / 21, -131072 / 21),
+        (1024 / 315, -2048 / 21, 8192 / 9, -65536 / 21, 1048576 / 315)),
+}
 
 
 def _cross(a, b) -> tuple:
@@ -468,6 +456,151 @@ def fourth_order_frame(wave: SteadyWave, lam: complex, tol: float,
         return sum(dk / (k * K - g_sigma) for k, dk in enumerate(d, 1))
 
     return SpectralFrame(ell, g_minus, jump_vector(wave, lam), M, zeta, tail())
+
+
+# The weights of the right-hand sides F_k = sum_{m<k} c_{k-m}(v_m) of the
+# fifth-order start, over the differences B(s_i, v_m) laid out m by m,
+# i < 5 - m: _RHS_WEIGHTS[n][k - 1] fits each product with v_m on its first
+# n - m states, with weight 0 on the others, and sums the fits
+_RHS_WEIGHTS = {
+    n: tuple(tuple(_FIT_WEIGHTS[n - m][k - 1 - m][i] if i < n - m else 0.0
+                   for m in range(k) for i in range(5 - m))
+             for k in range(1, n + 1))
+    for n in (4, 5)
+}
+
+
+def _mode_difference(wave: SteadyWave, lam: complex, shift: complex, ell: list):
+    """(A(s) - A_inf) ell for the adjoint kernel A with ``shift``, from the
+    differences of the state s to ``wave.burned``, as the fifth-order start
+    formed it: never as the difference of two kernel values of size
+    |lambda| |ell|.  Returns ``difference(state)``, four complex numbers."""
+    cfg = wave.config
+    Gamma, EA, R, K, q, m = cfg.Gamma, cfg.EA, cfg.Gamma + 1.0, cfg.K, cfg.q, wave.m
+    rb, ub, eb, _ = wave.burned
+    psi_b = reaction_psi(wave.burned, cfg)
+    l0, l1, l2, l3 = ell
+    lq = q * l2 - l3  # C^T ell = (q l2 - l3) times the nonzero row of C up to q
+
+    def difference(state: StateW) -> list:
+        rho, u, e, Y = state
+        dr, du, de = rho - rb, u - ub, e - eb
+        # the differences of rho u, u^2, e u, u^3, rho e and rho u^2
+        d_ru = dr * u + rb * du
+        d_uu = du * (u + ub)
+        d_eu = de * u + eb * du
+        d_uuu = du * (u * u + u * ub + ub * ub)
+        d_re = dr * e + rb * de
+        d_ruu = dr * u * u + rb * d_uu
+        phi = math.exp(-EA / (R * e))  # arrhenius
+        d_psi = dr * phi + psi_b * math.expm1(EA * de / (R * e * eb))
+        # the differences of A0^T ell and A1^T ell
+        a0 = du * l1 + (de + 0.5 * d_uu) * l2 + Y * l3
+        a1 = dr * l1 + d_ru * l2
+        b0 = (du * l0 + (d_uu + Gamma * de) * l1 + (R * d_eu + 0.5 * d_uuu) * l2
+              + Y * u * l3)
+        b1 = dr * l0 + 2.0 * d_ru * l1 + (R * d_re + 1.5 * d_ruu) * l2 + Y * rho * l3
+        b2 = Gamma * dr * l1 + R * d_ru * l2
+        c0 = K * Y * phi * lq
+        P0 = -lam * a0 + c0 - shift * b0
+        P1 = -lam * a1 - shift * b1
+        P2 = -lam * dr * l2 + c0 * rho * EA / (R * e * e) - shift * b2
+        P3 = -lam * dr * l3 + K * d_psi * lq - shift * d_ru * l3
+        # -sigma(s) A1(s)^{-T} P, with A1's gas block solved by cofactors
+        p_rho = Gamma * e
+        p_e = Gamma * rho
+        a10 = u * u + p_rho
+        a11 = 2.0 * rho * u
+        a12 = p_e
+        a20 = (e + 0.5 * u * u + p_rho) * u
+        a21 = rho * (e + 1.5 * u * u) + p_e * e
+        a22 = (rho + p_e) * u
+        k00 = a11 * a22 - a12 * a21
+        k01 = a12 * a20 - a10 * a22
+        k02 = a10 * a21 - a11 * a20
+        k10 = -rho * a22
+        k11 = u * a22
+        k12 = rho * a20 - u * a21
+        k20 = rho * a12
+        k21 = -u * a12
+        k22 = u * a11 - rho * a10
+        det = u * k00 + rho * k01
+        sig = m / (rho * phi)
+        w3 = P3 / (rho * u)
+        g = -sig / det
+        return [g * (k00 * P0 + k01 * P1 + k02 * P2) + sig * Y * w3,
+                g * (k10 * P0 + k11 * P1 + k12 * P2),
+                g * (k20 * P0 + k21 * P1 + k22 * P2),
+                -sig * w3]
+
+    return difference
+
+
+def fifth_order_frame(wave: SteadyWave, lam: complex, tol: float,
+                      M: float | None = None) -> SpectralFrame:
+    """:func:`zndevans.spectral.make_frame` as it was before its start came
+    from the exact Taylor coefficients of the field, with the same
+    floating-point operations (the left-eigenpair check left out), so that
+    pins recorded then still reproduce.  The start is ell + v1 + ... + v5,
+    with the products with v_m fitted on the 5 - m states at
+    -M - i ln2/K, i < 5, and the products with ell taken from
+    :func:`_mode_difference`; without ``M`` it is built at
+    eps0 = (0.1 tol)^(1/5), and once more at eps0 0.9 (0.1 tol / est)^(1/5)
+    if est = |zeta_5 - zeta_4| / |ell| exceeds 0.1 tol; and the tail is
+    zeta . R at the state at -M."""
+    if M is not None:
+        M = check_depth(M)
+    lam = complex(lam)
+    ell, g_minus = stable_left_mode(wave, lam)
+    kernel = rhs_kernel(wave, lam, g_minus)
+    burned = wave.burned
+    ell_l = ell.tolist()
+    K = wave.config.K
+    a = [kernel(burned, e) for e in np.eye(4).tolist()]
+    solves = [_cofactor_inverse(a, k * K) for k in range(1, 6)]
+    ell_difference = _mode_difference(wave, lam, g_minus, ell_l)
+    half_life = math.log(2.0) / K
+
+    def weighted(weights: tuple, Bc: tuple) -> list:
+        return [sum(map(operator.mul, weights, c)) for c in Bc]
+
+    def start(depth: float):
+        states = [profile_at(wave, -depth - i * half_life) for i in range(5)]
+        Bc = tuple(map(list, zip(*map(ell_difference, states))))
+        vs = [ell_l]
+        for k, weights in enumerate(_RHS_WEIGHTS[5], 1):
+            F = weighted(weights, Bc)
+            v = solves[k - 1](F)
+            vs.append(v)
+            if k < 5:
+                inf_v = [k * K * x - f for x, f in zip(v, F)]
+                for state in states[:5 - k]:
+                    for c, x, y in zip(Bc, kernel(state, v), inf_v):
+                        c.append(x - y)
+        return states, vs, Bc
+
+    def estimate(vs: list, Bc: tuple) -> float:
+        gap = [sum(terms) for terms in zip(*vs[1:])]
+        for solve, weights in zip(solves, _RHS_WEIGHTS[4]):
+            gap = [x - u for x, u in zip(gap, solve(weighted(weights, Bc)))]
+        return math.hypot(*map(abs, gap)) / math.hypot(*map(abs, ell_l))
+
+    if M is None:
+        eps = (0.1 * tol) ** (1.0 / 5)
+        M = math.log(1.0 / eps) / K
+        states, vs, Bc = start(M)
+        est = estimate(vs, Bc)
+        if est > 0.1 * tol:
+            eps *= 0.9 * (0.1 * tol / est) ** (1.0 / 5)
+            M = math.log(1.0 / eps) / K
+            states, vs, _ = start(M)
+    else:
+        states, vs, _ = start(M)
+    zeta = np.array([sum(terms) for terms in zip(*vs)])
+
+    s0, q = states[0], wave.config.q
+    tail = complex(K * s0.Y * reaction_psi(s0, wave.config) * (q * zeta[2] - zeta[3]))
+    return SpectralFrame(ell, g_minus, jump_vector(wave, lam), M, zeta, tail)
 
 
 def stable_left_eig(wave: SteadyWave, lam: complex) -> tuple[complex, np.ndarray, np.ndarray]:

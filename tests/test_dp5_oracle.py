@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import first_order_frame, fourth_order_frame, second_order_frame
+from oracles import fifth_order_frame, first_order_frame, fourth_order_frame, second_order_frame
 from zndevans import evans, numerics, spectral
 from zndevans.errors import NonFiniteStateError, StepSizeUnderflowError
 from zndevans.modelbench import ModelParams, model_field
@@ -385,7 +385,7 @@ def test_evans_D_and_counts_pinned_fourth_order_default_depth(wave, monkeypatch,
     assert abs(r.D - D) <= 1e-10 * abs(D)
 
 
-# The same at the depth spectral.make_frame picks by the fifth-order rule:
+# The same at the depth fifth_order_frame picks by the fifth-order rule:
 # K M = ln(1/eps0) with eps0 = (0.1 tol)^(1/5) at 1+1i and 1+3i, and deeper
 # at 4+10i and 0.1+30i, where the estimate |zeta_5 - zeta_4| / |ell|
 # exceeds 0.1 tol.  M is pinned to 1e-10 for the same reason as above.
@@ -408,11 +408,43 @@ PINNED_D_FIFTH_ORDER_DEFAULT_DEPTH = [
 @pytest.mark.parametrize("method, lam, M, accepted, rejected, nfev, D",
                          PINNED_D_FIFTH_ORDER_DEFAULT_DEPTH,
                          ids=[f"{row[0]}-{row[1]}" for row in PINNED_D_FIFTH_ORDER_DEFAULT_DEPTH])
-def test_evans_D_and_counts_pinned_fifth_order_default_depth(wave, method, lam, M, accepted,
-                                                             rejected, nfev, D):
+def test_evans_D_and_counts_pinned_fifth_order_default_depth(wave, monkeypatch, method, lam, M,
+                                                             accepted, rejected, nfev, D):
+    monkeypatch.setattr(evans, "make_frame", fifth_order_frame)
     r = evans.evaluate(wave, lam, method=method, tol=1e-5)
     s = r.stats
     assert abs(r.M - M) <= 1e-10 * M
+    assert (s.accepted_steps, s.rejected_steps, s.rhs_evaluations) == (accepted, rejected, nfev)
+    assert abs(r.D - D) <= 1e-10 * abs(D)
+
+
+# The same at the depth spectral.make_frame picks from the series start:
+# eps = min(eps0, (0.1 tol |ell| / |w_13|)^(1/13), eps*/2), which is eps0 =
+# (0.1 tol)^(1/5) at all four nodes of the default wave, so every solve
+# starts at K M = ln(1/eps0).
+PINNED_D_SERIES_DEFAULT_DEPTH = [
+    ('neutral', (1+1j), 1.3815510557964275, 17, 0, 103, (-47.80934708855763-36.461581861018274j)),
+    ('neutral', (1+3j), 1.3815510557964275, 23, 1, 145, (-101.98391652187229-96.40945927516823j)),
+    ('neutral', (4+10j), 1.3815510557964275, 53, 1, 325, (-243.90953148098825+148.6814455258487j)),
+    ('neutral', (0.1+30j), 1.3815510557964275, 139, 1, 841, (1363.308377194015-796.2732720903771j)),
+    ('erpenbeck', (1+1j), 1.3815510557964275, 19, 0, 115, (-47.80938181865086-36.46146716329653j)),
+    ('erpenbeck', (1+3j), 1.3815510557964275, 37, 0, 223, (-101.98396738191597-96.41075473890947j)),
+    ('erpenbeck', (4+10j), 1.3815510557964275, 118, 0, 709, (-243.91970885633953+148.68360696027247j)),
+    ('erpenbeck', (0.1+30j), 1.3815510557964275, 327, 0, 1963, (1363.2086164561035-796.1145986914102j)),
+    ('lee_stewart', (1+1j), 1.3815510557964275, 24, 0, 145, (786.5762473485665+2425.135002667134j)),
+    ('lee_stewart', (1+3j), 1.3815510557964275, 43, 0, 259, (-5018.201852719612+3198.4098740191757j)),
+    ('lee_stewart', (4+10j), 1.3815510557964275, 126, 0, 757, (-660081614.591395+645806218.9499354j)),
+    ('lee_stewart', (0.1+30j), 1.3815510557964275, 397, 4, 2407, (811.2172972307441-2148.3333125229788j)),
+]
+
+
+@pytest.mark.parametrize("method, lam, M, accepted, rejected, nfev, D", PINNED_D_SERIES_DEFAULT_DEPTH,
+                         ids=[f"{row[0]}-{row[1]}" for row in PINNED_D_SERIES_DEFAULT_DEPTH])
+def test_evans_D_and_counts_pinned_series_default_depth(wave, method, lam, M, accepted, rejected,
+                                                        nfev, D):
+    r = evans.evaluate(wave, lam, method=method, tol=1e-5)
+    s = r.stats
+    assert abs(r.M - M) <= 1e-12 * M
     assert (s.accepted_steps, s.rejected_steps, s.rhs_evaluations) == (accepted, rejected, nfev)
     assert abs(r.D - D) <= 1e-10 * abs(D)
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 from dataclasses import replace
 
@@ -77,9 +78,9 @@ class TestMethodRelations:
         # at the fixed depth M_y the unfactored exponent at lambda = 75 is
         # about -1204, beyond the guard's 690.  At the depth make_frame picks
         # for tol = 1e-5 no real lambda lets the guard fire while neutral
-        # succeeds: neutral misselects its mode from about 78, Erpenbeck's
-        # start falls below 1e-280 from about 87 and the guard fires only
-        # from about 93
+        # reliably succeeds: neutral misselects its mode at some lambda from
+        # about 102 on, Erpenbeck's start falls below 1e-280 from about 141
+        # and the guard fires only from about 147
         with pytest.raises(EvansOverflowError):
             evaluate(wave, 75.0 + 0j, method="erpenbeck", M=wave.M_y)
         with pytest.raises(EvansOverflowError):
@@ -91,9 +92,9 @@ class TestMethodRelations:
     @pytest.mark.parametrize("method", ["erpenbeck", "lee_stewart"])
     def test_unfactored_in_range_at_lambda_75(self, wave, method):
         # at the depth make_frame picks for tol = 1e-5 the unfactored
-        # exponent at lambda = 75 is about -537, inside double range.  D is
-        # about 1e-4 of the jump there, and neutral at tol = 1e-5 is itself
-        # about 500 tol off, so the reference is neutral at 1e-10
+        # exponent at lambda = 75 is about -292, inside double range.  D is
+        # about 3e-6 of the jump there, and neutral at tol = 1e-5 is itself
+        # about 320 tol off, so the reference is neutral at 1e-10
         tol = 1e-5
         ref = evaluate(wave, 75.0 + 0j, method="neutral", tol=1e-10).D
         r = evaluate(wave, 75.0 + 0j, method=method, tol=tol)
@@ -102,7 +103,7 @@ class TestMethodRelations:
     @pytest.mark.parametrize("method", ["erpenbeck", "lee_stewart"])
     def test_unfactored_in_range_at_lambda_40(self, wave, method):
         # at the depth make_frame picks for tol = 1e-5 the unfactored
-        # exponent at lambda = 40 is -254, inside double range
+        # exponent at lambda = 40 is -150, inside double range
         tol = 1e-5
         rn = evaluate(wave, 40.0 + 0j, method="neutral", tol=tol)
         r = evaluate(wave, 40.0 + 0j, method=method, tol=tol)
@@ -111,22 +112,22 @@ class TestMethodRelations:
 
     def test_erpenbeck_refuses_a_start_below_1e_280(self, wave):
         # at the depth make_frame picks for tol = 1e-5 the unfactored
-        # exponent at lambda = 90 is about -667, inside double range, but
-        # Erpenbeck's start exp(-667) zeta is below 1e-280, where an absolute
+        # exponent at lambda = 145 is about -674, inside double range, but
+        # Erpenbeck's start exp(-674) zeta is below 1e-280, where an absolute
         # tolerance of tol times it no longer keeps it under relative
         # control; it raises rather than return a D that is silently wrong.
         # Lee-Stewart only multiplies its D by that factor and still solves
         with pytest.raises(EvansOverflowError, match="below 1e-280") as info:
-            evaluate(wave, 90.0 + 0j, method="erpenbeck", tol=1e-5)
-        assert info.value.lam == 90.0 + 0j
-        r = evaluate(wave, 90.0 + 0j, method="lee_stewart", tol=1e-5)
+            evaluate(wave, 145.0 + 0j, method="erpenbeck", tol=1e-5)
+        assert info.value.lam == 145.0 + 0j
+        r = evaluate(wave, 145.0 + 0j, method="lee_stewart", tol=1e-5)
         assert 0.0 < abs(r.kappa_to_neutral) < 1e-280 and np.isfinite(r.D)
 
 
 class TestTruncationError:
     """D at the default depth for tol = 1e-11 against the neutral value D_ref
     at depth ln(1e12)/K, all at tol = 1e-11.  Starting from the corrected
-    burned-end mode where Y = eps Y0 leaves an error of order eps^6; starting
+    burned-end mode where Y = eps Y0 leaves an error of order eps^13; starting
     at eps = 1e-5 from the left mode ell alone left 2.5e-9 to 7.2e-9 at
     1+1i, 3.9e-8 at 4+10i and 1.0e-7 at 0.1+30i, and Erpenbeck without its
     quadrature tail is off by 4e-6 on LS(1.2, 50)."""
@@ -301,6 +302,18 @@ class TestResultRecord:
         assert r.M > 0.0
         assert np.isfinite(r.D.real) and np.isfinite(r.D.imag)
 
+    def test_depth_beyond_the_series_radius_raises(self):
+        # on LS(1.02, 50) the start's series in Y/Y0 converges only below
+        # eps* = 0.021; from K M = 2 (eps = 0.14) its sum is 2e9 where ell
+        # is 85, and D came out 6e7 times itself off.  The fitted start it
+        # replaced was 9% off there
+        wave = build_wave(lee_stewart_config(1.2, 50.0, 50.0, 1.02))
+        K, radius = wave.config.K, wave.adjoint_series.radius
+        with pytest.raises(ValueError, match="beyond the radius"):
+            evaluate(wave, 1.0 + 1.0j, M=2.0 / K)
+        M = math.log(2.0 / radius) / K  # eps*/2, where the depth rule stops
+        assert cmath.isfinite(evaluate(wave, 1.0 + 1.0j, M=M).D)
+
     @pytest.mark.parametrize("tol", [0.0, -1e-5, math.nan, math.inf])
     def test_invalid_tol_raises_before_the_depth(self, wave, monkeypatch, tol):
         # the integrator's own message, before make_frame takes sqrt(tol)
@@ -332,12 +345,11 @@ def test_one_profile_evaluation_per_rhs_call(wave, monkeypatch, method):
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("explicit_M", [False, True], ids=["depth-from-tol", "explicit-M"])
 def test_one_frame_per_solve(wave, monkeypatch, method, explicit_M):
-    # make_frame builds the one adjoint kernel of the solve's burned-end data
-    # and evaluates the profile at -M and one to four half-lives of Y below
-    # it for the start.  The depth rule builds that start once, at
-    # eps0 = (0.1 tol)^(1/5), and again deeper only if its error estimate
-    # exceeds 0.1 tol, which it does not at 1+1i.  Erpenbeck's tail is the
-    # start paired with the reaction source at -M, so no method takes the
+    # make_frame builds the one adjoint kernel of the solve's left-mode
+    # check and evaluates the profile once, at -M, for Erpenbeck's tail:
+    # the start comes from the wave's Taylor coefficients, not from profile
+    # states, and the depth rule never rebuilds it.  That tail is the start
+    # paired with the reaction source at -M, so no method takes the
     # profile's derivative in the frame; spectral has no binding of
     # profile_deriv, and one set here would count any call made through it
     originals = {"rhs_kernel": spectral.rhs_kernel, "profile_at": profile_at,
@@ -349,18 +361,20 @@ def test_one_frame_per_solve(wave, monkeypatch, method, explicit_M):
             return _fn(*args)
         monkeypatch.setattr(spectral, name, counted, raising=False)
     evaluate(wave, 1.0 + 1.0j, method=method, M=wave.M_y if explicit_M else None)
-    assert calls == {"rhs_kernel": 1, "profile_at": 5, "profile_deriv": 0}
+    assert calls == {"rhs_kernel": 1, "profile_at": 1, "profile_deriv": 0}
 
 
-def test_depth_rule_rebuilds_the_start_once(wave, monkeypatch):
-    # at 0.1+30i the start at eps0 = (0.1 tol)^(1/5) misses the depth rule's
-    # estimate, so make_frame builds it a second time, deeper
+def test_depth_rule_never_rebuilds_the_start(wave, monkeypatch):
+    # at 2+300i the first neglected term sets the depth, deeper than
+    # eps0 = (0.1 tol)^(1/5), where the fifth-order start was built twice;
+    # the series start is built once, for every depth, and the frame
+    # evaluates the profile once, at the depth it picked
     calls = []
     monkeypatch.setattr(spectral, "profile_at", lambda *args: calls.append(args[1]) or profile_at(*args))
     tol = 1e-5
-    frame = spectral.make_frame(wave, 0.1 + 30.0j, tol)
+    frame = spectral.make_frame(wave, 2.0 + 300.0j, tol)
     first = math.log(1.0 / (0.1 * tol) ** 0.2) / wave.config.K
-    assert len(calls) == 10 and calls[0] == -first and calls[5] == -frame.M
+    assert calls == [-frame.M]
     assert frame.M > first
 
 
@@ -480,11 +494,13 @@ class TestGuardErrorsNameLambda:
         self.check(info.value, 75.0 + 0j)
 
     def test_misselected_mode(self):
-        # at EA = 40 the factored adjoint at 4+10i falls by ~1e-6
+        # at EA = 40 the factored adjoint at 6+12i falls by ~1e-8 (at 4+10i,
+        # where the fifth-order start's deeper depth made it fall by ~3e-7,
+        # the series start's depth keeps it within the check's 1e-6)
         wave = build_wave(replace(default_config(), EA=40.0))
         with pytest.raises(MisselectedModeError) as info:
-            evaluate(wave, 4.0 + 10.0j)
-        self.check(info.value, 4.0 + 10.0j)
+            evaluate(wave, 6.0 + 12.0j)
+        self.check(info.value, 6.0 + 12.0j)
 
     @pytest.mark.parametrize("lam", [0j, -1.0 + 0.5j], ids=["zero", "left-half-plane"])
     def test_left_mode_domain(self, wave, lam):
