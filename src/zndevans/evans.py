@@ -48,6 +48,7 @@ analytic scalar ``kappa_to_neutral``.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +61,7 @@ from .errors import (
     StepSizeUnderflowError,
 )
 from .numerics import OdeField, SolveStats, check_rel_tol, integrate_adaptive
-from .spectral import SpectralFrame, make_frame, rhs_kernel
+from .spectral import SpectralFrame, check_depth, jump_vector, make_frame, rhs_kernel, stable_left_mode
 from .znd import SteadyWave, profile_at, profile_deriv, x_of_y
 
 # Unused here, but perfbench/tracing.py wraps every layer by its name in this
@@ -128,11 +129,10 @@ def _field(wave: SteadyWave, lam: complex, shift: complex = 0.0, adjoint: bool =
     return OdeField(dimension=4, eval=rhs)
 
 
-def _edge_prefactor(wave: SteadyWave, lam: complex, frame: SpectralFrame) -> complex:
+def _edge_prefactor(wave: SteadyWave, lam: complex, g_minus: complex, M: float) -> complex:
     """exp(-g_minus * x(-M)): relates unfactored data at y=-M to the neutral
     normalization.  Tiny for large |lambda| M; raises on double-range exit."""
-    x_M = float(x_of_y(wave, [-frame.M])[0])
-    exponent = -frame.g_minus * x_M
+    exponent = -g_minus * float(x_of_y(wave, [-M])[0])
     if abs(exponent.real) > _EXP_GUARD:
         raise EvansOverflowError(
             f"unfactored mode spans e^{abs(exponent.real):.0f} over the domain; "
@@ -142,13 +142,13 @@ def _edge_prefactor(wave: SteadyWave, lam: complex, frame: SpectralFrame) -> com
     return cmath.exp(exponent)
 
 
-def _unfactored_start(wave: SteadyWave, lam: complex, frame: SpectralFrame) -> complex:
+def _unfactored_start(wave: SteadyWave, lam: complex, g_minus: complex, M: float) -> complex:
     """:func:`_edge_prefactor` for a run that starts the unfactored adjoint
     from prefactor * zeta(-M) with the absolute tolerance tol * |prefactor|.
     Below _TINY_START that tolerance falls toward the subnormal range (under
     1e-292 at tol 1e-12), where it no longer keeps the run under relative
     control and D comes out silently wrong; raises instead."""
-    prefactor = _edge_prefactor(wave, lam, frame)
+    prefactor = _edge_prefactor(wave, lam, g_minus, M)
     if abs(prefactor) < _TINY_START:
         raise EvansOverflowError(
             f"unfactored adjoint starts at {abs(prefactor):.1e} of the neutral one, "
@@ -169,6 +169,16 @@ def _neutral(wave: SteadyWave, lam: complex, frame: SpectralFrame, tol: float):
     D = Z(0) . jump.
     """
     zeta = frame.zeta
+    # the solution changes by about exp(Re(lam) I), I = wave.acoustic_lag,
+    # between the burned end and the shock; where that leaves it under the
+    # absolute floor tol, z(0) is integration noise whatever the depth
+    size = float(np.linalg.norm(zeta)) * math.exp(lam.real * wave.acoustic_lag)
+    if size < tol:
+        raise MisselectedModeError(
+            f"factored adjoint expected to fall to {size:.3e}, under the absolute "
+            f"tolerance {tol:g}, where its value at the shock is noise (tighten tol)",
+            lam,
+        )
     z, stats = _integrate(lam, _field(wave, lam, frame.g_minus), (-frame.M, 0.0), zeta, tol, tol)
     growth = float(np.linalg.norm(z) / np.linalg.norm(zeta))
     if not 1e-6 < growth < 1e6:
@@ -193,7 +203,7 @@ def _erpenbeck(wave: SteadyWave, lam: complex, frame: SpectralFrame, tol: float)
     The integrand is d/dy (Z . R), so the integral plus the pure-jump term
     is Z(0) . jump: the neutral value up to integration error (kappa = 1).
     """
-    prefactor = _unfactored_start(wave, lam, frame)
+    prefactor = _unfactored_start(wave, lam, frame.g_minus, frame.M)
     kernel = rhs_kernel(wave, lam)
 
     # components 0-3 are the adjoint, component 4 the running quadrature of
@@ -227,7 +237,7 @@ def _lee_stewart(wave: SteadyWave, lam: complex, frame: SpectralFrame, tol: floa
     weakness; the value relates to the neutral one through
     kappa_to_neutral = exp(-g_minus x(-M)).
     """
-    kappa = _edge_prefactor(wave, lam, frame)
+    kappa = _edge_prefactor(wave, lam, frame.g_minus, frame.M)
     field = _field(wave, lam, adjoint=False)
     z, stats = _integrate(lam, field, (0.0, -frame.M), frame.jump, tol, tol)
     return complex(frame.zeta @ z), stats, kappa
@@ -285,14 +295,16 @@ def duality_check(
         raise NumericalDomainError("duality check needs Re(lambda) > 0", lam)
     if n_grid < 3:
         raise ValueError("n_grid must be at least 3")
-    frame = make_frame(wave, lam, tol, wave.M_y if M is None else M)
-    prefactor = _unfactored_start(wave, lam, frame)
-    grid = np.linspace(-frame.M, 0.0, n_grid)
+    # no frame: the check starts from ell itself, and needs no start series
+    M = check_depth(wave.M_y if M is None else M)
+    ell, g_minus = stable_left_mode(wave, lam)
+    prefactor = _unfactored_start(wave, lam, g_minus, M)
+    grid = np.linspace(-M, 0.0, n_grid)
 
     adjoint_field = _field(wave, lam)
     atol = tol * abs(prefactor)
     z_adj = np.empty((n_grid, 4), dtype=complex)
-    z = prefactor * frame.ell
+    z = prefactor * ell
     z_adj[0] = z
     for i in range(n_grid - 1):
         z, _ = _integrate(lam, adjoint_field, (grid[i], grid[i + 1]), z, tol, atol)
@@ -300,7 +312,7 @@ def duality_check(
 
     fwd_field = _field(wave, lam, adjoint=False)
     z_fwd = np.empty((n_grid, 4), dtype=complex)
-    z = frame.jump
+    z = jump_vector(wave, lam)
     z_fwd[n_grid - 1] = z
     for i in range(n_grid - 1, 0, -1):
         z, _ = _integrate(lam, fwd_field, (grid[i], grid[i - 1]), z, tol, tol)

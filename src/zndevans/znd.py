@@ -33,7 +33,7 @@ from .errors import (
 
 _EPS_CJ = 1e-10  # sonic-rejection threshold on the discriminant
 Y_AT_M_Y = 1e-5  # Y / Y0 at the fixed depth SteadyWave.M_y
-# x_of_y: 20-point Gauss-Legendre panels, doubled until two successive
+# _gl_integral: 20-point Gauss-Legendre panels, doubled until two successive
 # estimates agree to _QUAD_REL (a fixed panel count is not enough: at EA = 40
 # four panels are off by 5e-10 where eight are exact to rounding)
 _GL_NODES, _GL_WEIGHTS = leggauss(20)
@@ -297,6 +297,18 @@ class SteadyWave:
         return adjoint_series(self)
 
     @cached_property
+    def acoustic_lag(self) -> float:
+        """I, the integral over y <= 0 of sigma (1/(u + c) - 1/(u- + c-)), c
+        the sound speed and - the burned end: the outgoing acoustic travel
+        time across the reaction zone less that at the burned end's speed.
+        The neutral method's factored adjoint changes by about
+        exp(Re(lambda) I) between the burned end and the shock.  The
+        integrand is O(Y), so the part below K y = -37 (Y/Y0 < 1e-16) is
+        left out.  Settled absolutely below 1, as on nearly constant
+        profiles (Y0 = 1e-9) I is rounding.  Built on first use."""
+        return _gl_integral(lambda ys: _lag_density(self, ys), -37.0 / self.config.K, 0.0, floor=1.0)
+
+    @cached_property
     def _branch(self) -> tuple:
         """Per-wave constants of the profile quadratic, in the order
         :func:`profile_at` and :func:`profile_deriv` unpack them:
@@ -400,6 +412,14 @@ def profile_deriv(wave: SteadyWave, y: float) -> tuple[float, float, float, floa
     return m / (u * u) * du, du, (b - 2.0 * u) / Gamma * du, dY
 
 
+def _gas(wave: SteadyWave, Ybar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, e) where Y = Ybar, elementwise: the closed form of :func:`profile_at`."""
+    cfg = wave.config
+    center = _branch_center(cfg, wave.rh_b)
+    u = center + np.sqrt(_discriminant(cfg, center, wave.rh_c, Ybar))
+    return u, (wave.rh_b * u - u * u) / cfg.Gamma
+
+
 def sigma(wave: SteadyWave, y):
     """dx/dy = m / (rho * phi(T)) along the profile; uniformly positive.
 
@@ -411,28 +431,38 @@ def sigma(wave: SteadyWave, y):
     if not np.all(ys <= 0.0):  # also rejects NaN
         raise ValueError(f"profile is defined for y <= 0, got {y!r}")
     cfg = wave.config
-    Ybar = np.exp(cfg.K * ys) * cfg.Y0
-    center = _branch_center(cfg, wave.rh_b)
-    u = center + np.sqrt(_discriminant(cfg, center, wave.rh_c, Ybar))
-    e = (wave.rh_b * u - u * u) / cfg.Gamma
+    u, e = _gas(wave, np.exp(cfg.K * ys) * cfg.Y0)
     return -u * np.exp(cfg.EA / ((cfg.Gamma + 1.0) * e))
 
 
-def _sigma_integral(wave: SteadyWave, a: float, b: float) -> float:
-    """Integral of sigma from a to b by composite 20-point Gauss-Legendre."""
+def _lag_density(wave: SteadyWave, ys: np.ndarray) -> np.ndarray:
+    """sigma (1/(u + c) - 1/(u- + c-)) at ys, c the sound speed and - the
+    burned end: the integrand of :attr:`SteadyWave.acoustic_lag`.  The
+    burned end goes through the same operations, so a constant profile
+    gives exactly 0."""
+    cfg = wave.config
+    c2 = cfg.Gamma * (cfg.Gamma + 1.0)
+    (u, e), (u_b, e_b) = _gas(wave, np.exp(cfg.K * ys) * cfg.Y0), _gas(wave, np.zeros_like(ys))
+    return sigma(wave, ys) * (1.0 / (u + np.sqrt(c2 * e)) - 1.0 / (u_b + np.sqrt(c2 * e_b)))
+
+
+def _gl_integral(density, a: float, b: float, floor: float = 0.0) -> float:
+    """Integral of ``density`` (of an array of points) from a to b by
+    composite 20-point Gauss-Legendre, settled to _QUAD_REL of the larger
+    of its size and ``floor``."""
     prev = math.nan
     panels = 1
     while panels <= _QUAD_MAX_PANELS:
         half = 0.5 * (b - a) / panels
         centers = a + half * (2.0 * np.arange(panels) + 1.0)
         nodes = (centers[:, None] + half * _GL_NODES).ravel()
-        est = half * float(np.sum(sigma(wave, nodes).reshape(panels, -1) @ _GL_WEIGHTS))
-        if abs(est - prev) <= _QUAD_REL * abs(est):
+        est = half * float(np.sum(density(nodes).reshape(panels, -1) @ _GL_WEIGHTS))
+        if abs(est - prev) <= _QUAD_REL * max(abs(est), floor):
             return est
         prev = est
         panels *= 2
     raise QuadratureError(
-        f"x(y) quadrature over [{b:.6g}, {a:.6g}] did not settle to "
+        f"quadrature over [{b:.6g}, {a:.6g}] did not settle to "
         f"{_QUAD_REL:g} within {_QUAD_MAX_PANELS} panels"
     )
 
@@ -450,7 +480,7 @@ def x_of_y(wave: SteadyWave, y_grid: Sequence[float]) -> np.ndarray:
     prev_y, prev_x = 0.0, 0.0
     for i, y in enumerate(ys):
         if y != prev_y:
-            prev_x += _sigma_integral(wave, prev_y, y)
+            prev_x += _gl_integral(lambda ys: sigma(wave, ys), prev_y, y)
             prev_y = y
         out[i] = prev_x
     return out

@@ -21,7 +21,6 @@ import math
 import operator
 from functools import cache
 
-import mpmath as mp
 import numpy as np
 
 from zndevans import znd
@@ -147,6 +146,7 @@ def _adjoint_parts_mp(wave: SteadyWave, eps) -> tuple:
     :func:`zndevans.spectral.jacobians` written out entry by entry, G^T =
     A1^{-T} (-lam A0 + C)^T, and the profile's closed form in eps from the
     wave's double constants, taken as exact."""
+    import mpmath as mp  # imported here, so that only the tests using it need it
     cfg = wave.config
     Gamma, q, EA, K, Y0 = (mp.mpf(x) for x in (cfg.Gamma, cfg.q, cfg.EA, cfg.K, cfg.Y0))
     m, b, center = (mp.mpf(x) for x in (wave.m, wave.rh_b, wave._branch[9]))
@@ -180,6 +180,7 @@ def adjoint_series_mp(wave: SteadyWave) -> tuple:
     with eps* the sonic branch point; the aliased terms are 4^-32 of each
     coefficient.  No power-series arithmetic: an oracle for
     :func:`zndevans.spectral.adjoint_series`."""
+    import mpmath as mp
     with mp.workdps(40):
         cfg = wave.config
         a = mp.mpf(2) * cfg.Gamma * cfg.q * cfg.Y0 / (cfg.Gamma + 2)
@@ -205,6 +206,7 @@ def series_start_mp(wave: SteadyWave, lam: complex, M: float) -> tuple[np.ndarra
     eps = exp(-K M), and tail = zeta . R at Y = Y0 eps, with the reaction
     source R = (0, 0, q, -1) K Y psi.  ell and g_minus are the library's
     doubles, taken as exact."""
+    import mpmath as mp
     ell, g_minus = stable_left_mode(wave, lam)
     cfg = wave.config
     with mp.workdps(40):

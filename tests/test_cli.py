@@ -204,12 +204,12 @@ class TestEvansCommand:
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_dump_g_written_when_D_fails(self, tmp_path):
-        # at EA = 40 the neutral D at 6+12i raises MisselectedModeError, but G
+        # at EA = 40 the neutral D at 4+10i raises MisselectedModeError, but G
         # is defined on every row of the grid
         cfg = tmp_path / "ea40.json"
         cfg.write_text(config_to_json(replace(default_config(), EA=40.0)))
         gdump = tmp_path / "G.csv"
-        rc = main(["evans", "--config", str(cfg), "--lambda-re", "6", "--lambda-im", "12",
+        rc = main(["evans", "--config", str(cfg), "--lambda-re", "4", "--lambda-im", "10",
                    "--out", str(tmp_path / "ev.json"), "--dump-g", str(gdump)])
         assert rc == 3
         _, rows = read_csv(gdump)

@@ -20,6 +20,7 @@ from zndevans.numerics import Contour
 from zndevans.spectral import jump_vector, stable_left_mode
 from zndevans.stability import count_unstable
 from zndevans.znd import (
+    Y_AT_M_Y,
     build_wave,
     default_config,
     nonreactive_config,
@@ -253,6 +254,14 @@ class TestDuality:
         assert info.value.lam == 42.0 + 0j
         assert duality_check(wave, 40.0 + 0j) < 1e-5
 
+    def test_needs_no_start_series(self):
+        # on LS(1.000001, 50) the start's series in Y/Y0 converges only below
+        # 1.05e-6, deeper than M_y; the check starts from ell at M_y and
+        # never builds a start (the deviation read 2.5e-9)
+        wave = build_wave(lee_stewart_config(1.2, 50.0, 50.0, 1.000001))
+        assert wave.adjoint_series.radius < Y_AT_M_Y
+        assert duality_check(wave, 1.0 + 1.0j) < 1e-7
+
     def test_needs_positive_real_part(self, wave):
         with pytest.raises(NumericalDomainError) as info:
             duality_check(wave, 1.0j)
@@ -261,9 +270,7 @@ class TestDuality:
 
     def test_vanishing_products_name_lambda(self, wave, monkeypatch):
         # a zero jump row makes every forward-leg product vanish
-        exact = evans.make_frame
-        monkeypatch.setattr(evans, "make_frame", lambda w, lam, tol, M: replace(
-            exact(w, lam, tol, M), jump=np.zeros(4, complex)))
+        monkeypatch.setattr(evans, "jump_vector", lambda w, lam: np.zeros(4, complex))
         with pytest.raises(NumericalDomainError, match="duality products vanish") as info:
             duality_check(wave, 1.0 + 1.0j)
         assert info.value.lam == 1.0 + 1.0j
@@ -494,13 +501,11 @@ class TestGuardErrorsNameLambda:
         self.check(info.value, 75.0 + 0j)
 
     def test_misselected_mode(self):
-        # at EA = 40 the factored adjoint at 6+12i falls by ~1e-8 (at 4+10i,
-        # where the fifth-order start's deeper depth made it fall by ~3e-7,
-        # the series start's depth keeps it within the check's 1e-6)
+        # at EA = 40 the factored adjoint at 4+10i falls by about 2e-13
         wave = build_wave(replace(default_config(), EA=40.0))
         with pytest.raises(MisselectedModeError) as info:
-            evaluate(wave, 6.0 + 12.0j)
-        self.check(info.value, 6.0 + 12.0j)
+            evaluate(wave, 4.0 + 10.0j)
+        self.check(info.value, 4.0 + 10.0j)
 
     @pytest.mark.parametrize("lam", [0j, -1.0 + 0.5j], ids=["zero", "left-half-plane"])
     def test_left_mode_domain(self, wave, lam):
@@ -521,6 +526,34 @@ class TestGuardErrorsNameLambda:
         with pytest.raises(NumericalDomainError, match="left-eigenpair residual") as info:
             evaluate(wave, 1.0 + 1.0j)
         self.check(info.value, 1.0 + 1.0j)
+
+
+class TestCollapseUnderTheFloor:
+    """Between the burned end and the shock the neutral method's solution
+    changes by about exp(Re(lambda) I), I = wave.acoustic_lag."""
+
+    @pytest.mark.parametrize(("f", "lam"), [(None, 1.0 + 1.0j), (None, 75.0), (1.02, 1.0 + 1.0j),
+                                            (1.02, 5.0), (1.02, 3.0 + 10.0j), (1.2, 30.0 + 5.0j)])
+    def test_lag_predicts_the_change(self, f, lam):
+        # |z(0)| / |zeta| from K M = 30 at tol 1e-11 against exp(Re(lambda) I):
+        # 0.088 to 2.7 times it over these cases
+        wave = build_wave(default_config() if f is None else lee_stewart_config(1.2, 50.0, 50.0, f))
+        lam = complex(lam)
+        frame = spectral.make_frame(wave, lam, 1e-11, 30.0 / wave.config.K)
+        z, _ = evans._integrate(lam, evans._field(wave, lam, frame.g_minus), (-frame.M, 0.0),
+                                frame.zeta, 1e-11, 1e-11)
+        ratio = np.linalg.norm(z) / np.linalg.norm(frame.zeta) / math.exp(lam.real * wave.acoustic_lag)
+        assert 0.05 < ratio < 20.0
+
+    @pytest.mark.parametrize("KM", [None, 4.0, 10.0], ids=["depth-from-tol", "KM=4", "KM=10"])
+    def test_raises_at_every_depth(self, KM):
+        # at EA = 40 and 4+10i that factor is exp(4 I) = 2.4e-13, so at tol
+        # 1e-5 z(0) is noise of 0.07 to 1.8 tol at any depth; the growth check
+        # alone let D through at the default depth (K M = 3.5) and at K M = 10
+        wave = build_wave(replace(default_config(), EA=40.0))
+        M = None if KM is None else KM / wave.config.K
+        with pytest.raises(MisselectedModeError, match="under the absolute tolerance 1e-05"):
+            evaluate(wave, 4.0 + 10.0j, M=M)
 
 
 @pytest.fixture(scope="module", params=["default", "EA=20"])

@@ -214,6 +214,7 @@ class TestAdjointSeries:
         # P_j, Q_j and sigma_j from power-series arithmetic against 40-digit
         # Cauchy sums of the matrix formula, each relative to the
         # coefficient's own size; measured at most 1.2e-14
+        pytest.importorskip("mpmath")
         wave = build_wave(cfg)
         ser = wave.adjoint_series
         for j, (P, Q, sigma) in enumerate(adjoint_series_mp(wave)):
@@ -277,8 +278,9 @@ class TestBurnedStart:
     picks for tol = 1e-5 and 1e-10 and at the fixed depth M_y, where
     Y = 1e-5 Y0.  The start takes no profile state, so nothing rounds its
     input but the wave's constants: it agrees with the oracle to 6.8e-14,
-    at 2+300i, where the fifth-order start, fitted to five profile states,
-    moved by 2-3e-12 under one-ulp changes of those states."""
+    at 2+300i on the default wave, where the fifth-order start, fitted to
+    five profile states, moved by 2-3e-12 under one-ulp changes of those
+    states."""
 
     lams = (1e-4 + 30j, 1e-4 - 30j, 1 + 1j, 50.0 + 0j, 2 + 300j)
 
@@ -289,14 +291,15 @@ class TestBurnedStart:
         ids=["default", "nonreactive", "LS(1.6,50)", "LS(1.2,50)"],
     )
     def test_matches_solve_oracle(self, cfg):
+        pytest.importorskip("mpmath")
         wave = build_wave(cfg)
         for lam in self.lams:
             for M in [make_frame(wave, lam, tol).M for tol in (1e-5, 1e-10)] + [wave.M_y]:
                 frame = make_frame(wave, lam, 1e-5, M)
                 zeta, tail = frame.zeta, frame.tail
                 ref_zeta, ref_tail = series_start_mp(wave, lam, M)
-                assert np.linalg.norm(zeta - ref_zeta) <= 1e-12 * np.linalg.norm(ref_zeta)
-                assert abs(tail - ref_tail) <= 1e-12 * abs(ref_tail)
+                assert np.linalg.norm(zeta - ref_zeta) <= 1e-13 * np.linalg.norm(ref_zeta)
+                assert abs(tail - ref_tail) <= 1e-13 * abs(ref_tail)
                 # the correction alone: it carries the rounding of zeta's
                 # entries, up to 1.2e-11 of it at M_y, where it is 1e-5 of ell
                 w, ref_w = zeta - frame.ell, ref_zeta - frame.ell
@@ -304,17 +307,6 @@ class TestBurnedStart:
                     assert np.linalg.norm(w - ref_w) <= 1e-10 * np.linalg.norm(ref_w)
                 else:  # constant profile: every A_j past A_inf is zero
                     assert not np.any(w)
-
-    def test_large_lambda_at_tight_depth(self, wave):
-        # the default wave at 2+300i at the depth for tol = 1e-10, where the
-        # fitted fifth-order start was fixed only to about 1e-12 by its
-        # profile states; measured 3.3e-14
-        lam = 2 + 300j
-        M = make_frame(wave, lam, 1e-10).M
-        ref_zeta, ref_tail = series_start_mp(wave, lam, M)
-        frame = make_frame(wave, lam, 1e-10, M)
-        assert np.linalg.norm(frame.zeta - ref_zeta) <= 1e-13 * np.linalg.norm(ref_zeta)
-        assert abs(frame.tail - ref_tail) <= 1e-13 * abs(ref_tail)
 
     @pytest.mark.parametrize("lam", [1 + 1j, 0.5 + 5j])
     @pytest.mark.parametrize(

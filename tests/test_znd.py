@@ -418,6 +418,33 @@ class TestXofY:
             x_of_y(wave, [0.0, -1.0])
 
 
+
+class TestAcousticLag:
+    """I, the integral over y <= 0 of sigma (1/(u + c) - 1/(u- + c-))."""
+
+    @pytest.mark.parametrize("cfg", [default_config(), replace(default_config(), EA=40.0),
+                                     lee_stewart_config(1.2, 50.0, 50.0, 1.02),
+                                     lee_stewart_config(1.2, 50.0, 50.0, 1.001)],
+                             ids=["default", "EA=40", "LS(1.02,50)", "LS(1.001,50)"])
+    def test_matches_adaptive_quadrature(self, cfg):
+        # over the whole half-line, from profile_at and thermo pointwise
+        quad = pytest.importorskip("scipy.integrate").quad
+        wave = build_wave(cfg)
+
+        def slowness(state):
+            return 1.0 / (state.u + znd.thermo(state, cfg)[2])
+
+        def integrand(y):
+            state = profile_at(wave, y)
+            return wave.m / znd.reaction_psi(state, cfg) * (slowness(state) - slowness(wave.burned))
+
+        ref = quad(integrand, -math.inf, 0.0, epsabs=0.0, epsrel=1e-11, limit=400)[0]
+        assert wave.acoustic_lag == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+    def test_constant_profile_has_none(self, shock):
+        assert shock.acoustic_lag == 0.0
+        assert build_wave(replace(default_config(), Y0=0.0)).acoustic_lag == 0.0
+
 class TestConfigIO:
     def test_round_trip(self):
         cfg = default_config()
