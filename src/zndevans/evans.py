@@ -43,6 +43,13 @@ Normalizations are chosen so neutral and Erpenbeck values coincide, from one
 frame, up to integration error: Erpenbeck's quadrature telescopes to the
 neutral pairing Z(0) . jump.  The Lee-Stewart value differs by the recorded
 analytic scalar ``kappa_to_neutral``.
+
+The unfactored adjoint of Erpenbeck and of :func:`duality_check` is
+integrated at unit scale with the tiny prefactor exp(-g_minus x(-M))
+carried analytically: it starts from zeta(-M) (or ell) with absolute
+tolerance ``tol``, the field is linear, and the run is the true-size run
+divided by the prefactor, step for step.  :func:`_edge_prefactor`'s
+double-range check is then the one guard of all three unfactored paths.
 """
 
 from __future__ import annotations
@@ -69,7 +76,6 @@ from .znd import SteadyWave, profile_at, profile_deriv, x_of_y
 from .spectral import jacobians  # noqa: F401
 
 _EXP_GUARD = 690.0  # |exponent| beyond which doubles over/underflow
-_TINY_START = 1e-280  # smallest |exp(-g_minus x(-M))| an unfactored adjoint starts from
 
 METHOD_NEUTRAL = "neutral"
 METHOD_ERPENBECK = "erpenbeck"
@@ -131,7 +137,8 @@ def _field(wave: SteadyWave, lam: complex, shift: complex = 0.0, adjoint: bool =
 
 def _edge_prefactor(wave: SteadyWave, lam: complex, g_minus: complex, M: float) -> complex:
     """exp(-g_minus * x(-M)): relates unfactored data at y=-M to the neutral
-    normalization.  Tiny for large |lambda| M; raises on double-range exit."""
+    normalization.  Tiny for large |lambda| M, and carried analytically by
+    the unit-scale runs; their one guard, it raises on double-range exit."""
     exponent = -g_minus * float(x_of_y(wave, [-M])[0])
     if abs(exponent.real) > _EXP_GUARD:
         raise EvansOverflowError(
@@ -140,23 +147,6 @@ def _edge_prefactor(wave: SteadyWave, lam: complex, g_minus: complex, M: float) 
             lam,
         )
     return cmath.exp(exponent)
-
-
-def _unfactored_start(wave: SteadyWave, lam: complex, g_minus: complex, M: float) -> complex:
-    """:func:`_edge_prefactor` for a run that starts the unfactored adjoint
-    from prefactor * zeta(-M) with the absolute tolerance tol * |prefactor|.
-    Below _TINY_START that tolerance falls toward the subnormal range (under
-    1e-292 at tol 1e-12), where it no longer keeps the run under relative
-    control and D comes out silently wrong; raises instead."""
-    prefactor = _edge_prefactor(wave, lam, g_minus, M)
-    if abs(prefactor) < _TINY_START:
-        raise EvansOverflowError(
-            f"unfactored adjoint starts at {abs(prefactor):.1e} of the neutral one, "
-            f"below {_TINY_START:g}, where its tolerance loses relative control "
-            "-- use the neutral method",
-            lam,
-        )
-    return prefactor
 
 
 def _neutral(wave: SteadyWave, lam: complex, frame: SpectralFrame, tol: float):
@@ -196,14 +186,15 @@ def _erpenbeck(wave: SteadyWave, lam: complex, frame: SpectralFrame, tol: float)
 
     The state is augmented with the integral of lambda * Z . (F0 o profile)'
     so the one adaptive controller bounds ODE and quadrature error together;
-    the determinant is that integral plus the pure-jump boundary term.  The
-    adjoint starts from prefactor * zeta(-M) and the quadrature from
-    prefactor times its exact tail over (-inf, -M], zeta(-M) . R(-M) (the
-    frame's ``zeta`` and ``tail``), with the prefactor exp(-g_minus x(-M)).
-    The integrand is d/dy (Z . R), so the integral plus the pure-jump term
-    is Z(0) . jump: the neutral value up to integration error (kappa = 1).
+    the determinant is that integral plus the pure-jump boundary term.  All
+    of it is integrated at unit scale with the tiny prefactor
+    s = exp(-g_minus x(-M)) carried analytically, from zeta(-M) and the
+    quadrature's exact tail over (-inf, -M], zeta(-M) . R(-M) (the frame's
+    ``zeta`` and ``tail``).  The integrand is d/dy (Z . R), so s times the
+    integral plus the pure-jump term is s Z(0) . jump: the neutral value up
+    to integration error (kappa = 1).
     """
-    prefactor = _unfactored_start(wave, lam, frame.g_minus, frame.M)
+    s = _edge_prefactor(wave, lam, frame.g_minus, frame.M)
     kernel = rhs_kernel(wave, lam)
 
     # components 0-3 are the adjoint, component 4 the running quadrature of
@@ -220,12 +211,11 @@ def _erpenbeck(wave: SteadyWave, lam: complex, frame: SpectralFrame, tol: float)
                          + z3 * (Y * v0 + rho * v3)))
         return dz
 
-    atol = np.full(5, tol)
-    atol[:4] *= abs(prefactor)  # keep the tiny start under relative control
-    init = np.concatenate([prefactor * frame.zeta, [prefactor * frame.tail]])
+    init = np.append(frame.zeta, frame.tail)
+    atol = [tol] * 4 + [tol / abs(s)]  # the quadrature's: tol on D = s z[4] + ...
     z, stats = _integrate(lam, OdeField(dimension=5, eval=rhs), (-frame.M, 0.0), init, tol, atol)
     jump_F0_only = lam * wave.jump_terms[0]  # lam * [F0], no source term
-    return complex(z[4] + z[:4] @ jump_F0_only), stats, 1.0 + 0j
+    return s * complex(z[4] + z[:4] @ jump_F0_only), stats, 1.0 + 0j
 
 
 def _lee_stewart(wave: SteadyWave, lam: complex, frame: SpectralFrame, tol: float):
@@ -288,7 +278,8 @@ def duality_check(
     returns the maximum relative deviation from its median over an n_grid
     point mesh.  Deviation tracks the integration tolerance.  ``M``
     defaults to the fixed depth ``wave.M_y``, and the adjoint starts from
-    the uncorrected left mode there.
+    the uncorrected left mode there at unit scale: the tiny prefactor
+    cancels from the relative deviation and is computed only for its guard.
     """
     lam = complex(lam)
     if lam.real <= 0.0:
@@ -298,16 +289,15 @@ def duality_check(
     # no frame: the check starts from ell itself, and needs no start series
     M = check_depth(wave.M_y if M is None else M)
     ell, g_minus = stable_left_mode(wave, lam)
-    prefactor = _unfactored_start(wave, lam, g_minus, M)
+    _edge_prefactor(wave, lam, g_minus, M)
     grid = np.linspace(-M, 0.0, n_grid)
 
     adjoint_field = _field(wave, lam)
-    atol = tol * abs(prefactor)
     z_adj = np.empty((n_grid, 4), dtype=complex)
-    z = prefactor * ell
+    z = ell
     z_adj[0] = z
     for i in range(n_grid - 1):
-        z, _ = _integrate(lam, adjoint_field, (grid[i], grid[i + 1]), z, tol, atol)
+        z, _ = _integrate(lam, adjoint_field, (grid[i], grid[i + 1]), z, tol, tol)
         z_adj[i + 1] = z
 
     fwd_field = _field(wave, lam, adjoint=False)

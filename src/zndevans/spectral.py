@@ -503,7 +503,8 @@ def make_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = Non
     8), for about 95 us a frame against 79 (timeit, default wave).
 
     Near CJ and at large |lambda| the terms fall more slowly, and the depth
-    grows.  ``tol`` must be positive.  The rule is the same for conj(lam),
+    grows.  ``tol`` must be positive, and small enough that eps < 1 (tol <
+    10 suffices; ValueError otherwise).  The rule is the same for conj(lam),
     and so is the depth.
 
     *Tail.*  The profile obeys A1 W_x = R(W), so (A1 W_x)_x = C W_x, and
@@ -564,6 +565,9 @@ def make_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = Non
         if next_term > 0.0:
             size = math.hypot(*map(abs, ell))
             eps = min(eps, (_DEPTH_THETA * tol * size / next_term) ** (1.0 / (_ORDER + 1)))
+        if eps >= 1.0:  # Y/Y0 = 1 is the shock: no burned end to start from
+            raise ValueError(f"tol = {tol:g} is too loose: the depth rule's start at "
+                             f"Y/Y0 = {eps:.3g} is not below 1 (tol < 10 is)")
         M = math.log(1.0 / eps) / K
     else:
         eps = math.exp(-K * M)

@@ -396,6 +396,14 @@ def test_profile_points_error_names_range(cfg_path, tmp_path, capsys):
     assert "at least 1" in capsys.readouterr().err
 
 
+def test_loose_tol_on_a_shock_exits_2_naming_tol(shock_path, tmp_path, capsys):
+    # the depth rule would start the solve at the shock; it is refused
+    rc = main(["evans", "--config", shock_path, "--lambda-re", "1", "--tol", "20",
+               "--out", str(tmp_path / "x.json")])
+    assert rc == 2
+    assert "tol = 20 is too loose" in capsys.readouterr().err
+
+
 def test_negative_M_error_names_M(cfg_path, tmp_path, capsys):
     rc = main(["evans", "--config", cfg_path, "--lambda-re", "1", "--M", "-1",
                "--out", str(tmp_path / "x.json")])

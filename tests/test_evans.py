@@ -80,13 +80,15 @@ class TestMethodRelations:
         # about -1204, beyond the guard's 690.  At the depth make_frame picks
         # for tol = 1e-5 no real lambda lets the guard fire while neutral
         # reliably succeeds: neutral misselects its mode at some lambda from
-        # about 102 on, Erpenbeck's start falls below 1e-280 from about 141
-        # and the guard fires only from about 147
+        # about 102 on, and the guard fires only from about 147
         with pytest.raises(EvansOverflowError):
             evaluate(wave, 75.0 + 0j, method="erpenbeck", M=wave.M_y)
         with pytest.raises(EvansOverflowError):
             evaluate(wave, 75.0 + 0j, method="lee_stewart", M=wave.M_y)
-        # the factored method handles the same frequency fine
+        # the factored method needs no guard and returns a finite D at the
+        # same frequency, but not an accurate one: at M_y and tol = 1e-5 it
+        # is about 570 tol off (ROADMAP item 2; see
+        # test_neutral_never_silently_wrong_at_lambda_75)
         r = evaluate(wave, 75.0 + 0j, method="neutral", M=wave.M_y)
         assert np.isfinite(r.D.real) and np.isfinite(r.D.imag)
 
@@ -94,8 +96,9 @@ class TestMethodRelations:
     def test_unfactored_in_range_at_lambda_75(self, wave, method):
         # at the depth make_frame picks for tol = 1e-5 the unfactored
         # exponent at lambda = 75 is about -292, inside double range.  D is
-        # about 3e-6 of the jump there, and neutral at tol = 1e-5 is itself
-        # about 320 tol off, so the reference is neutral at 1e-10
+        # about 3e-6 of the jump there, and neutral at tol = 1e-5 raises
+        # MisselectedModeError at this depth, so the reference is neutral at
+        # 1e-10
         tol = 1e-5
         ref = evaluate(wave, 75.0 + 0j, method="neutral", tol=1e-10).D
         r = evaluate(wave, 75.0 + 0j, method=method, tol=tol)
@@ -111,18 +114,47 @@ class TestMethodRelations:
         assert abs(r.kappa_to_neutral * r.D - rn.D) < 300 * tol * abs(rn.D)
 
 
-    def test_erpenbeck_refuses_a_start_below_1e_280(self, wave):
+    def test_erpenbeck_solves_up_to_the_double_range_guard(self, wave):
         # at the depth make_frame picks for tol = 1e-5 the unfactored
-        # exponent at lambda = 145 is about -674, inside double range, but
-        # Erpenbeck's start exp(-674) zeta is below 1e-280, where an absolute
-        # tolerance of tol times it no longer keeps it under relative
-        # control; it raises rather than return a D that is silently wrong.
-        # Lee-Stewart only multiplies its D by that factor and still solves
-        with pytest.raises(EvansOverflowError, match="below 1e-280") as info:
-            evaluate(wave, 145.0 + 0j, method="erpenbeck", tol=1e-5)
-        assert info.value.lam == 145.0 + 0j
-        r = evaluate(wave, 145.0 + 0j, method="lee_stewart", tol=1e-5)
-        assert 0.0 < abs(r.kappa_to_neutral) < 1e-280 and np.isfinite(r.D)
+        # exponent at lambda = 141 and 145 is about -651 and -674, inside
+        # double range; the adjoint runs at unit scale with the prefactor
+        # carried analytically, so it solves there (58 and 60 tol off,
+        # against 52 at lambda = 130).  At 148 the exponent is -692 and the
+        # one guard fires
+        tol = 1e-5
+        for lam in (141.0 + 0j, 145.0 + 0j):
+            r = evaluate(wave, lam, method="erpenbeck", tol=tol)
+            ref = evaluate(wave, lam, method="lee_stewart", M=r.M, tol=1e-11)
+            D_ref = ref.kappa_to_neutral * ref.D
+            assert abs(r.D - D_ref) < 300 * tol * abs(D_ref)
+        with pytest.raises(EvansOverflowError, match="out of double range") as info:
+            evaluate(wave, 148.0 + 0j, method="erpenbeck", tol=tol)
+        assert info.value.lam == 148.0 + 0j
+
+    @pytest.fixture(scope="class")
+    def D_75(self, wave):
+        """Lee-Stewart's D at real lambda = 75 on the default wave at tol
+        1e-11, in the neutral normalization: -8.1754e-3."""
+        ref = evaluate(wave, 75.0 + 0j, method="lee_stewart", tol=1e-11)
+        return ref.kappa_to_neutral * ref.D
+
+    @pytest.mark.parametrize("tol", [
+        1e-5,
+        *(pytest.param(tol, marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 2: the factored adjoint collapses by "
+            "exp(Re(lambda) I) and neutral D is silently off (611, 5861, 1637 and "
+            "877 tol at 1e-6 to 1e-9)")) for tol in (1e-6, 1e-7, 1e-8, 1e-9)),
+    ])
+    def test_neutral_never_silently_wrong_at_lambda_75(self, wave, D_75, tol):
+        # neutral D at real lambda = 75, default depth: within 300 tol of
+        # Lee-Stewart at 1e-11, or refused.  At 1e-5 the collapse guard
+        # refuses it
+        assert abs(D_75 + 8.1754e-3) < 1e-7
+        try:
+            r = evaluate(wave, 75.0 + 0j, method="neutral", tol=tol)
+        except MisselectedModeError:
+            return
+        assert abs(r.D - D_75) < 300 * tol * abs(D_75)
 
 
 class TestTruncationError:
@@ -244,15 +276,15 @@ class TestDuality:
         tight = duality_check(wave, 0.8 + 0.5j, tol=1e-8)
         assert tight < loose
 
-    def test_refuses_a_start_below_1e_280(self, wave):
+    def test_solves_up_to_the_double_range_guard(self, wave):
         # at the fixed depth M_y the unfactored exponent at lambda = 42 is
-        # about -675: the adjoint leg would start below 1e-280, out of
-        # relative control (its deviation read 3.4); at lambda = 40, -642,
-        # it starts above that and the deviation tracks tol
-        with pytest.raises(EvansOverflowError, match="below 1e-280") as info:
-            duality_check(wave, 42.0 + 0j)
-        assert info.value.lam == 42.0 + 0j
-        assert duality_check(wave, 40.0 + 0j) < 1e-5
+        # about -675, inside double range: the adjoint leg runs at unit scale
+        # and the deviation tracks tol (1.8e-8 at tol = 1e-8, as at 40).  At
+        # 43 the exponent is -691 and the one guard fires
+        assert duality_check(wave, 42.0 + 0j) < 1e-5
+        with pytest.raises(EvansOverflowError, match="out of double range") as info:
+            duality_check(wave, 43.0 + 0j)
+        assert info.value.lam == 43.0 + 0j
 
     def test_needs_no_start_series(self):
         # on LS(1.000001, 50) the start's series in Y/Y0 converges only below

@@ -332,6 +332,27 @@ class TestBurnedStart:
             errors.append(np.linalg.norm(zeta - z) / np.linalg.norm(ref.ell))
         assert errors[2] >= 4096.0 * errors[0] and errors[3] >= 4096.0 * errors[1], errors
 
+    @pytest.mark.parametrize(
+        "cfg", [nonreactive_config(), replace(default_config(), q=1e-3)],
+        ids=["nonreactive", "q=1e-3"],
+    )
+    def test_depth_rule_refuses_a_start_at_the_shock(self, cfg):
+        # eps0 = (0.1 tol)^(1/5) reaches 1 at tol = 10; on these waves
+        # eps*/2 >= 1 does not cap it, so the rule would start at Y/Y0 >= 1
+        # (M = 0 at tol 10, a positive y at 20) and refuses instead
+        wave = build_wave(cfg)
+        assert wave.adjoint_series.radius >= 2.0
+        for tol in (10.0, 20.0):
+            with pytest.raises(ValueError, match=f"tol = {tol:g} is too loose"):
+                make_frame(wave, 1.0 + 1.0j, tol)
+        assert make_frame(wave, 1.0 + 1.0j, 9.0).M > 0.0
+
+    def test_depth_rule_keeps_the_radius_cap_at_loose_tol(self, wave):
+        # on the default wave eps*/2 < 1 sets the depth for every loose tol
+        M = make_frame(wave, 1.0 + 1.0j, 20.0).M
+        assert M == pytest.approx(math.log(2.0 / wave.adjoint_series.radius) / wave.config.K)
+        assert M == pytest.approx(0.379, abs=5e-4)
+
     def test_reactant_column_exact(self, wave):
         # the burned-end adjoint kernel (Y = 0) maps e_3 onto e_3 exactly,
         # as the series' A_0 does
