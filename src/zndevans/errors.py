@@ -85,8 +85,8 @@ class InvalidWaveError(NumericalDomainError):
 class EvansOverflowError(NumericalDomainError):
     """Dynamic range of an unfactored run exceeds double precision.
 
-    The decay-factored forward method does not suffer from this; use it
-    instead.  ``lam`` is the frequency of the run, or None if not given.
+    The decay-factored forward method does not suffer from this.  ``lam``
+    is the frequency of the run, or None if not given.
     """
 
 

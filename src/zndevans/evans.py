@@ -24,7 +24,7 @@ quantity analytic in lambda, which the winding-number machinery requires.
 Each method is one private solver; the driver checks ``tol``, converts
 lambda, builds the spectral frame and wraps the :class:`EvansResult`.
 
-The left end y = -M is where the reactant has fallen to eps of Y0.  All
+The left end y = -M is where the reactant Y = exp(K y) has fallen to eps.  All
 three methods take their burned-end data there from the one
 :class:`zndevans.spectral.SpectralFrame` of the solve, built by
 :func:`zndevans.spectral.make_frame`: the factored adjoint's start
@@ -135,15 +135,16 @@ def _field(wave: SteadyWave, lam: complex, shift: complex = 0.0, adjoint: bool =
     return OdeField(dimension=4, eval=rhs)
 
 
-def _edge_prefactor(wave: SteadyWave, lam: complex, g_minus: complex, M: float) -> complex:
+def _edge_prefactor(wave: SteadyWave, lam: complex, g_minus: complex, M: float,
+                    advice: str = "use the neutral method") -> complex:
     """exp(-g_minus * x(-M)): relates unfactored data at y=-M to the neutral
-    normalization.  Tiny for large |lambda| M, and carried analytically by
-    the unit-scale runs; their one guard, it raises on double-range exit."""
+    normalization; tiny for large |lambda| M, so the unit-scale runs carry it
+    analytically.  Their one guard: it raises out of double range, with ``advice``."""
     exponent = -g_minus * float(x_of_y(wave, [-M])[0])
     if abs(exponent.real) > _EXP_GUARD:
         raise EvansOverflowError(
             f"unfactored mode spans e^{abs(exponent.real):.0f} over the domain; "
-            "out of double range -- use the neutral method",
+            f"out of double range -- {advice}",
             lam,
         )
     return cmath.exp(exponent)
@@ -289,7 +290,7 @@ def duality_check(
     # no frame: the check starts from ell itself, and needs no start series
     M = check_depth(wave.M_y if M is None else M)
     ell, g_minus = stable_left_mode(wave, lam)
-    _edge_prefactor(wave, lam, g_minus, M)
+    _edge_prefactor(wave, lam, g_minus, M, "lower Re(lambda) or M")
     grid = np.linspace(-M, 0.0, n_grid)
 
     adjoint_field = _field(wave, lam)

@@ -10,7 +10,7 @@ This module provides those Jacobians analytically, the closed-form,
 matrix-free application of G and of its adjoint that the shooting
 right-hand sides use (:func:`rhs_kernel`, built once per solve and applied
 once per RHS evaluation), G itself built column by column from that same
-kernel, the Taylor coefficients of the adjoint field in eps = Y/Y0
+kernel, the Taylor coefficients of the adjoint field in eps = Y
 (:func:`adjoint_series`, built once per wave), the analytic stable left
 eigenpair (ell, g_minus) of the burned-end matrix, the boundary jump
 vector that closes the stability determinant, and the frame of one solve
@@ -47,7 +47,7 @@ from .znd import (
 # the constant of make_frame's depth rule, fixed against tests/test_truncation.py
 _DEPTH_THETA = 0.1
 
-# The order n of make_frame's start, a sum of n + 1 terms in eps = Y/Y0 with
+# The order n of make_frame's start, a sum of n + 1 terms in eps = Y with
 # a truncation error of order eps^(n + 1); the series of the adjoint field
 # carries n + 2 coefficients, the last one for the depth rule's next term
 _ORDER = 12
@@ -239,7 +239,7 @@ def _matmul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 class AdjointSeries(NamedTuple):
-    """Taylor coefficients in eps = Y/Y0 of the factored adjoint field
+    """Taylor coefficients in eps = Y of the factored adjoint field
     A = lam P + Q + shift S of :func:`rhs_kernel` along the profile.
 
     ``P``, ``Q`` and ``S`` hold the real 4x4 coefficients P_j, Q_j and
@@ -248,8 +248,7 @@ class AdjointSeries(NamedTuple):
     has the reactant column (0, 0, 0, a33) and the reactant row
     (0, 0, a32, a33) exactly.  ``radius`` is eps* = disc_min / a, where
     disc = disc_min + a eps vanishes at eps = -eps*: the sonic branch
-    point, which bounds the radius of convergence (inf when a = 0, that is
-    q = 0 or Y0 = 0).
+    point, which bounds the radius of convergence (inf when q = 0).
     """
 
     P: np.ndarray
@@ -262,8 +261,8 @@ def adjoint_series(wave: SteadyWave) -> AdjointSeries:
     """The coefficients of :class:`AdjointSeries`, from the closed-form
     profile in eps by truncated power-series arithmetic.
 
-    disc = disc_min + a eps, a = 2 Gamma q Y0 / (Gamma + 2), u = center +
-    sqrt(disc), rho = -m/u, e = (b u - u^2)/Gamma and Y = Y0 eps; then the
+    disc = disc_min + a eps, a = 2 Gamma q / (Gamma + 2), u = center +
+    sqrt(disc), rho = -m/u, e = (b u - u^2)/Gamma and Y = eps; then the
     rows of rhs_kernel with shift, term by term: A1's gas block and its
     cofactors, phi = exp(-EA/((Gamma + 1) e)), sigma = m/(rho phi) =
     -u/phi, and the nonzero row c of C.  rho u = -m holds exactly.  With
@@ -271,7 +270,7 @@ def adjoint_series(wave: SteadyWave) -> AdjointSeries:
     S = sigma.  :attr:`zndevans.znd.SteadyWave.adjoint_series` builds this
     once per wave, on first use; no LAPACK call enters.
     """
-    K, Y0, Gamma, two_Gamma, Gamma_plus_2, q, m, b, _, center, _ = wave._branch
+    K, Gamma, two_Gamma, Gamma_plus_2, q, m, b, _, center, _ = wave._branch
     EA, R = wave.config.EA, Gamma + 1.0
     N = _ORDER + 2
 
@@ -280,13 +279,13 @@ def adjoint_series(wave: SteadyWave) -> AdjointSeries:
         x[:len(head)] = head
         return x
 
-    a = two_Gamma * q * Y0 / Gamma_plus_2
+    a = two_Gamma * q / Gamma_plus_2
     u = _sqrt(series(wave.discriminant_min, a))
     u[0] += center
     rho = -m * _reciprocal(u)
     uu = _mul(u, u)
     e = (b * u - uu) / Gamma
-    Y = series(0.0, Y0)
+    Y = series(0.0, 1.0)
     inv_e = _reciprocal(e)
     phi = _exp(-EA / R * inv_e)
     sig = -_mul(u, _exp(EA / R * inv_e))
@@ -401,7 +400,9 @@ def left_mode_residual(wave: SteadyWave, lam: complex) -> float:
 
     Computed with the adjoint kernel the neutral method integrates
     (:func:`rhs_kernel` with shift g_minus at the burned state), not from a
-    G matrix.
+    G matrix.  :func:`make_frame` runs the same check inline; this form stays
+    because acceptance criterion 4 and ``TestStableLeftMode`` read the
+    residual itself, without a frame.
     """
     lam = complex(lam)
     ell, g = stable_left_mode(wave, lam)
@@ -422,7 +423,7 @@ class SpectralFrame:
     ``ell`` and ``g_minus`` are the stable left eigenpair of the burned-end
     matrix, ``jump`` the boundary jump row, ``M`` the truncation depth in y,
     ``zeta`` the burned-end start at y = -M, corrected to order 12 in
-    eps = Y(-M)/Y0, and ``tail`` the integral of Erpenbeck's quadrature over
+    eps = Y(-M), and ``tail`` the integral of Erpenbeck's quadrature over
     (-inf, -M], which is zeta . R(-M) exactly (see :func:`make_frame`).
     """
 
@@ -455,7 +456,7 @@ def make_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = Non
     |g_minus|, hence the bound's scale.
 
     *Start.*  Near the burned end the factored adjoint field of the neutral
-    method is A(eps) = sum_j eps^j A_j in eps = Y/Y0, which is exp(K y)
+    method is A(eps) = sum_j eps^j A_j in eps = Y, which is exp(K y)
     along the profile, with A_j = lam P_j + g_minus S_j + Q_j from
     ``wave.adjoint_series``; A_0 = A_inf is the field at the burned end,
     A_inf ell = 0.  Its solution bounded as y -> -inf is sum_k eps^k w_k,
@@ -565,14 +566,14 @@ def make_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = Non
         if next_term > 0.0:
             size = math.hypot(*map(abs, ell))
             eps = min(eps, (_DEPTH_THETA * tol * size / next_term) ** (1.0 / (_ORDER + 1)))
-        if eps >= 1.0:  # Y/Y0 = 1 is the shock: no burned end to start from
+        if eps >= 1.0:  # Y = 1 is the shock: no burned end to start from
             raise ValueError(f"tol = {tol:g} is too loose: the depth rule's start at "
-                             f"Y/Y0 = {eps:.3g} is not below 1 (tol < 10 is)")
+                             f"Y = {eps:.3g} is not below 1 (tol < 10 is)")
         M = math.log(1.0 / eps) / K
     else:
         eps = math.exp(-K * M)
         if eps >= series.radius:  # the series diverges: no start at this depth
-            raise ValueError(f"M = {M} starts at Y/Y0 = {eps:.3g}, beyond the radius "
+            raise ValueError(f"M = {M} starts at Y = {eps:.3g}, beyond the radius "
                              f"{series.radius:.3g} of the start's series; M must exceed "
                              f"{math.log(1.0 / series.radius) / K:.6g}")
     zeta = eps ** np.arange(_ORDER + 1) @ w[:_ORDER + 1]

@@ -7,7 +7,7 @@ reaction runs only behind the Neumann shock.
 
 The reaction progress coordinate ``y <= 0`` is defined by
 ``dx/dy = m / (rho * phi(T))``; in it the reactant fraction is exactly
-``Y(y) = exp(K*y) * Y0`` and the gas state follows from the ideal-gas
+``Y(y) = exp(K*y)`` and the gas state follows from the ideal-gas
 Rankine-Hugoniot relations in closed form (a quadratic in u), so profile
 evaluation at arbitrary y needs no ODE solve.
 """
@@ -32,7 +32,7 @@ from .errors import (
 )
 
 _EPS_CJ = 1e-10  # sonic-rejection threshold on the discriminant
-Y_AT_M_Y = 1e-5  # Y / Y0 at the fixed depth SteadyWave.M_y
+Y_AT_M_Y = 1e-5  # Y at the fixed depth SteadyWave.M_y
 # _gl_integral: 20-point Gauss-Legendre panels, doubled until two successive
 # estimates agree to _QUAD_REL (a fixed panel count is not enough: at EA = 40
 # four panels are off by 5e-10 where eight are exact to rounding)
@@ -53,10 +53,9 @@ class GasWaveConfig:
     """Physical parameters of one detonation problem.
 
     Gamma    Gruneisen coefficient (p = Gamma*rho*e), gamma = Gamma + 1
-    q        heat release per unit reactant mass (scalar, single species)
+    q        heat release per unit mass of the unburned gas, all reactant (Y = 1)
     EA       activation energy: the rate factor is exp(-EA/((Gamma+1)*T)), T = e
     K        reaction rate constant (> 0, single species)
-    Y0       unburned reactant mass fraction
     upstream unburned state (rho, u, e) ahead of the shock, u < 0
 
     The upstream gas is inert, and the whole reaction zone behind the shock
@@ -71,7 +70,6 @@ class GasWaveConfig:
     q: float
     EA: float
     K: float
-    Y0: float
     upstream: UpstreamState
 
     def __post_init__(self):
@@ -102,9 +100,6 @@ def _validate_config(cfg: GasWaveConfig) -> None:
     positive("upstream.e", cfg.upstream.e)
     nonnegative("q", cfg.q)
     nonnegative("EA", cfg.EA)
-    # a str or None would make the bare comparisons below raise TypeError
-    if not (_is_number(cfg.Y0) and 0.0 <= cfg.Y0 <= 1.0):
-        raise ConfigError(f"Y0 must lie in [0, 1], got {cfg.Y0!r}")
     if not (_is_number(cfg.upstream.u) and -math.inf < cfg.upstream.u < 0):
         raise ConfigError(f"upstream.u must be finite and negative (steady frame), "
                           f"got {cfg.upstream.u!r}")
@@ -123,7 +118,8 @@ def config_from_json(text: str) -> GasWaveConfig:
     """Parse a configuration document (schema: config_to_json; other keys are ignored).
 
     A missing field, or a value that is not a JSON number, raises
-    :class:`ConfigError` naming the field.
+    :class:`ConfigError` naming the field.  A legacy unburned fraction ``Y0``
+    in [0, 1] folds into q, q <- q Y0: the same wave, with Y rescaled by 1/Y0.
     """
     try:
         raw = json.loads(text)
@@ -140,10 +136,15 @@ def config_from_json(text: str) -> GasWaveConfig:
     except KeyError as exc:
         raise ConfigError(f"upstream is missing field {exc}") from exc
     kwargs = {}
-    for name in ("Gamma", "q", "EA", "K", "Y0"):
+    for name in ("Gamma", "q", "EA", "K"):
         if name not in raw:
             raise ConfigError(f"config is missing field '{name}'")
         kwargs[name] = _config_number(raw[name], name)
+    if "Y0" in raw:
+        Y0 = _config_number(raw["Y0"], "Y0")
+        if not 0.0 <= Y0 <= 1.0:
+            raise ConfigError(f"Y0 must lie in [0, 1], got {Y0!r}")
+        kwargs["q"] *= Y0
     return GasWaveConfig(upstream=upstream, **kwargs)
 
 
@@ -230,7 +231,7 @@ class SteadyWave:
         (Gamma+2) u^2 - 2 (Gamma+1) rh_b u + 2 Gamma (rh_c - q Y) = 0.
 
     discriminant_min is disc at Y = 0, its minimum since q >= 0.  The end
-    states are profile states: ``neumann`` at y = 0 (Y = Y0) and ``burned``
+    states are profile states: ``neumann`` at y = 0 (Y = 1) and ``burned``
     at y = -inf (Y = 0).
 
     Invariant, asserted only by build_wave's check discriminant_min > 0 and
@@ -239,7 +240,7 @@ class SteadyWave:
     (Gamma+1)(rh_b u - u^2).  So every profile state is subsonic with u < 0
     and A1 is invertible there (det f1_V = rho^2 u (u^2 - c_s^2)); u- + c- > 0,
     so Re g_minus < 0 when Re lambda > 0; and the Neumann state is
-    compressive: the supersonic upstream state, the other root at Y = Y0,
+    compressive: the supersonic upstream state, the other root at Y = 1,
     has u+ < center < u_N.  T = e is smallest at an end state, as e =
     u (rh_b - u) / Gamma is concave in u and u is monotone in Y (q >= 0).
     """
@@ -252,13 +253,12 @@ class SteadyWave:
 
     @property
     def M_y(self) -> float:
-        """Fixed depth ln(1e5)/K, where Y = Y0 exp(K y) falls to Y_AT_M_Y = 1e-5 of Y0.
+        """Fixed depth ln(1e5)/K, where Y = exp(K y) falls to Y_AT_M_Y = 1e-5.
 
         Not the depth of a solve: :func:`zndevans.spectral.make_frame`
         picks each solve's own depth from ``tol``.  :func:`profile_table`
         plots down to it, and ``duality_check`` and the CLI's ``--dump-g``
         default to it.
-        Y0 = 0 gives a constant profile, which any depth serves.
         """
         return math.log(1.0 / Y_AT_M_Y) / self.config.K
 
@@ -279,7 +279,7 @@ class SteadyWave:
         depend on lambda, read-only arrays."""
         cfg = self.config
         up = cfg.upstream
-        F0_plus, _, _ = fluxes(StateW(up.rho, up.u, up.e, cfg.Y0), cfg)
+        F0_plus, _, _ = fluxes(StateW(up.rho, up.u, up.e, 1.0), cfg)
         F0_minus, _, R_minus = fluxes(self.neumann, cfg)
         terms = F0_plus - F0_minus, R_minus
         for a in terms:
@@ -288,7 +288,7 @@ class SteadyWave:
 
     @cached_property
     def adjoint_series(self):
-        """The Taylor coefficients in Y/Y0 of the burned-end field that
+        """The Taylor coefficients in Y of the burned-end field that
         :func:`zndevans.spectral.make_frame` starts every solve from, a
         :class:`zndevans.spectral.AdjointSeries`.  Built on first use, so
         that :func:`build_wave` does not pay for it."""
@@ -303,19 +303,19 @@ class SteadyWave:
         time across the reaction zone less that at the burned end's speed.
         The neutral method's factored adjoint changes by about
         exp(Re(lambda) I) between the burned end and the shock.  The
-        integrand is O(Y), so the part below K y = -37 (Y/Y0 < 1e-16) is
+        integrand is O(Y), so the part below K y = -37 (Y < 1e-16) is
         left out.  Settled absolutely below 1, as on nearly constant
-        profiles (Y0 = 1e-9) I is rounding.  Built on first use."""
+        profiles (q = 5e-9) I is rounding.  Built on first use."""
         return _gl_integral(lambda ys: _lag_density(self, ys), -37.0 / self.config.K, 0.0, floor=1.0)
 
     @cached_property
     def _branch(self) -> tuple:
         """Per-wave constants of the profile quadratic, in the order
         :func:`profile_at` and :func:`profile_deriv` unpack them:
-        (K, Y0, Gamma, 2 Gamma, Gamma + 2, q, m, rh_b, rh_c, center, center^2)."""
+        (K, Gamma, 2 Gamma, Gamma + 2, q, m, rh_b, rh_c, center, center^2)."""
         cfg = self.config
         center = _branch_center(cfg, self.rh_b)
-        return (cfg.K, cfg.Y0, cfg.Gamma, 2.0 * cfg.Gamma, cfg.Gamma + 2.0, cfg.q,
+        return (cfg.K, cfg.Gamma, 2.0 * cfg.Gamma, cfg.Gamma + 2.0, cfg.q,
                 self.m, self.rh_b, self.rh_c, center, center * center)
 
 
@@ -332,21 +332,19 @@ def sonic_heat_release(cfg: GasWaveConfig) -> float:
     """Largest q for which the configured Neumann shock stays overdriven.
 
     The discriminant at the burned end is linear and decreasing in q; this
-    is its root.  Requires Y0 > 0; invariants that overflow raise
-    :class:`InvalidWaveError`, as in :func:`build_wave`.
+    is its root.  Invariants that overflow raise :class:`InvalidWaveError`,
+    as in :func:`build_wave`.
     """
-    if cfg.Y0 <= 0.0:
-        raise ConfigError("sonic_heat_release needs Y0 > 0")
     up = cfg.upstream
     b = up.u + cfg.Gamma * up.e / up.u
     try:
-        c0 = 0.5 * up.u ** 2 + (cfg.Gamma + 1.0) * up.e  # rh_c without the q Y0 term
+        c0 = 0.5 * up.u ** 2 + (cfg.Gamma + 1.0) * up.e  # rh_c without the q term
     except OverflowError:  # as in build_wave
         c0 = math.inf
     disc0 = _discriminant(cfg, _branch_center(cfg, b), c0, 0.0)  # at q = 0
     if not math.isfinite(disc0):
         raise InvalidWaveError(f"Rankine-Hugoniot invariants overflow: discriminant {disc0}")
-    return disc0 * (cfg.Gamma + 2.0) / (2.0 * cfg.Gamma * cfg.Y0)
+    return disc0 * (cfg.Gamma + 2.0) / (2.0 * cfg.Gamma)
 
 
 def build_wave(config: GasWaveConfig) -> SteadyWave:
@@ -360,7 +358,7 @@ def build_wave(config: GasWaveConfig) -> SteadyWave:
     m = -up.rho * up.u
     b = up.u + config.Gamma * up.e / up.u
     try:
-        c = 0.5 * up.u ** 2 + (config.Gamma + 1.0) * up.e + config.q * config.Y0
+        c = 0.5 * up.u ** 2 + (config.Gamma + 1.0) * up.e + config.q
     except OverflowError:  # float ** raises where * gives inf; the check below refuses it
         c = math.inf
 
@@ -391,8 +389,8 @@ def profile_at(wave: SteadyWave, y: float) -> StateW:
     check (see there); NaN and +inf are refused here by name."""
     if not y <= 0.0:
         raise ValueError(f"profile is defined for y <= 0, got {y!r}")
-    K, Y0, Gamma, two_Gamma, Gamma_plus_2, q, m, b, c, center, center_sq = wave._branch
-    Ybar = math.exp(K * y) * Y0
+    K, Gamma, two_Gamma, Gamma_plus_2, q, m, b, c, center, center_sq = wave._branch
+    Ybar = math.exp(K * y)
     u = center + math.sqrt(center_sq + two_Gamma * (q * Ybar - c) / Gamma_plus_2)
     return tuple.__new__(StateW, (-m / u, u, (b * u - u * u) / Gamma, Ybar))
 
@@ -403,8 +401,8 @@ def profile_deriv(wave: SteadyWave, y: float) -> tuple[float, float, float, floa
     differences), on the same domain y <= 0."""
     if not y <= 0.0:
         raise ValueError(f"profile is defined for y <= 0, got {y!r}")
-    K, Y0, Gamma, two_Gamma, Gamma_plus_2, q, m, b, c, center, center_sq = wave._branch
-    Ybar = math.exp(K * y) * Y0
+    K, Gamma, two_Gamma, Gamma_plus_2, q, m, b, c, center, center_sq = wave._branch
+    Ybar = math.exp(K * y)
     dY = K * Ybar
     root = math.sqrt(center_sq + two_Gamma * (q * Ybar - c) / Gamma_plus_2)
     u = center + root
@@ -412,12 +410,14 @@ def profile_deriv(wave: SteadyWave, y: float) -> tuple[float, float, float, floa
     return m / (u * u) * du, du, (b - 2.0 * u) / Gamma * du, dY
 
 
-def _gas(wave: SteadyWave, Ybar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(u, e) where Y = Ybar, elementwise: the closed form of :func:`profile_at`."""
+def _gas(wave: SteadyWave, Ybar) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, e, sigma) where Y = Ybar, elementwise: the closed form of
+    :func:`profile_at`, and sigma = m/(rho phi) = -u exp(EA/((Gamma+1) e))."""
     cfg = wave.config
     center = _branch_center(cfg, wave.rh_b)
     u = center + np.sqrt(_discriminant(cfg, center, wave.rh_c, Ybar))
-    return u, (wave.rh_b * u - u * u) / cfg.Gamma
+    e = (wave.rh_b * u - u * u) / cfg.Gamma
+    return u, e, -u * np.exp(cfg.EA / ((cfg.Gamma + 1.0) * e))
 
 
 def sigma(wave: SteadyWave, y):
@@ -430,9 +430,7 @@ def sigma(wave: SteadyWave, y):
     ys = np.asarray(y, dtype=float)
     if not np.all(ys <= 0.0):  # also rejects NaN
         raise ValueError(f"profile is defined for y <= 0, got {y!r}")
-    cfg = wave.config
-    u, e = _gas(wave, np.exp(cfg.K * ys) * cfg.Y0)
-    return -u * np.exp(cfg.EA / ((cfg.Gamma + 1.0) * e))
+    return _gas(wave, np.exp(wave.config.K * ys))[2]
 
 
 def _lag_density(wave: SteadyWave, ys: np.ndarray) -> np.ndarray:
@@ -442,8 +440,8 @@ def _lag_density(wave: SteadyWave, ys: np.ndarray) -> np.ndarray:
     gives exactly 0."""
     cfg = wave.config
     c2 = cfg.Gamma * (cfg.Gamma + 1.0)
-    (u, e), (u_b, e_b) = _gas(wave, np.exp(cfg.K * ys) * cfg.Y0), _gas(wave, np.zeros_like(ys))
-    return sigma(wave, ys) * (1.0 / (u + np.sqrt(c2 * e)) - 1.0 / (u_b + np.sqrt(c2 * e_b)))
+    (u, e, sig), (u_b, e_b, _) = _gas(wave, np.exp(cfg.K * ys)), _gas(wave, 0.0)
+    return sig * (1.0 / (u + np.sqrt(c2 * e)) - 1.0 / (u_b + np.sqrt(c2 * e_b)))
 
 
 def _gl_integral(density, a: float, b: float, floor: float = 0.0) -> float:
@@ -517,11 +515,10 @@ def default_config() -> GasWaveConfig:
         q=5.0,
         EA=10.0,
         K=2.0,
-        Y0=1.0,
         upstream=UpstreamState(rho=1.0, u=-3.0, e=1.0),
     )
 
 
 def nonreactive_config() -> GasWaveConfig:
-    """Same shock with the reaction removed (Y0 = 0): a plain gas shock."""
-    return replace(default_config(), q=0.0, Y0=0.0)
+    """Same shock with no heat release (q = 0): its reactant is passive."""
+    return replace(default_config(), q=0.0)

@@ -23,7 +23,7 @@ def wave():
 
 @pytest.fixture(scope="session")
 def shock():
-    """Nonreactive gas shock (q = 0, Y0 = 0): constant profile."""
+    """Gas shock without heat release (q = 0): constant gas state, passive reactant."""
     return build_wave(nonreactive_config())
 
 
@@ -39,11 +39,11 @@ def random_overdriven_config(rng: np.random.Generator) -> GasWaveConfig:
     c_plus = np.sqrt(Gamma * (Gamma + 1.0) * e_plus)
     mach = rng.uniform(2.5, 6.0)
     upstream = UpstreamState(rho=1.0, u=-mach * c_plus, e=e_plus)
-    probe = GasWaveConfig(Gamma=Gamma, q=0.0, EA=0.0, K=1.0, Y0=1.0, upstream=upstream)
+    probe = GasWaveConfig(Gamma=Gamma, q=0.0, EA=0.0, K=1.0, upstream=upstream)
     q = rng.uniform(0.2, 0.7) * sonic_heat_release(probe)
     K = float(rng.uniform(0.5, 4.0))
     EA = float(rng.uniform(1.0, 8.0))
-    return GasWaveConfig(Gamma=Gamma, q=q, EA=EA, K=K, Y0=1.0, upstream=upstream)
+    return GasWaveConfig(Gamma=Gamma, q=q, EA=EA, K=K, upstream=upstream)
 
 
 @pytest.fixture()
@@ -75,7 +75,7 @@ def lee_stewart_config(gamma: float, q: float, E: float, f: float) -> GasWaveCon
     a = (gamma * gamma - 1.0) * q / 2.0
     D_CJ = math.sqrt(gamma + a) + math.sqrt(a)
     unit = GasWaveConfig(
-        Gamma=Gamma, q=q, EA=E * gamma / Gamma, K=1.0, Y0=1.0,
+        Gamma=Gamma, q=q, EA=E * gamma / Gamma, K=1.0,
         upstream=UpstreamState(rho=1.0, u=-math.sqrt(f) * D_CJ, e=1.0 / Gamma),
     )
     half_length = -float(x_of_y(build_wave(unit), [0.0, -math.log(2.0)])[1])

@@ -135,23 +135,23 @@ def limit_G_plus(wave: SteadyWave, lam: complex) -> np.ndarray:
     """Unburned-end limit of G (x > 0): no reaction, so C = 0 there."""
     cfg = wave.config
     up = cfg.upstream
-    state = StateW(up.rho, up.u, up.e, cfg.Y0)
+    state = StateW(up.rho, up.u, up.e, 1.0)
     return G_at_state(state, cfg, lam, reacting=False)
 
 
 def _adjoint_parts_mp(wave: SteadyWave, eps) -> tuple:
     """(P, Q, sigma) with A = lam P + Q + shift sigma I the factored adjoint
-    field -sigma (G^T - shift I) at the profile point Y = Y0 eps, for
+    field -sigma (G^T - shift I) at the profile point Y = eps, for
     complex eps, in mpmath at the working precision: the Jacobians of
     :func:`zndevans.spectral.jacobians` written out entry by entry, G^T =
     A1^{-T} (-lam A0 + C)^T, and the profile's closed form in eps from the
     wave's double constants, taken as exact."""
     import mpmath as mp  # imported here, so that only the tests using it need it
     cfg = wave.config
-    Gamma, q, EA, K, Y0 = (mp.mpf(x) for x in (cfg.Gamma, cfg.q, cfg.EA, cfg.K, cfg.Y0))
-    m, b, center = (mp.mpf(x) for x in (wave.m, wave.rh_b, wave._branch[9]))
-    u = center + mp.sqrt(mp.mpf(wave.discriminant_min) + 2 * Gamma * q * Y0 / (Gamma + 2) * eps)
-    rho, e, Y = -m / u, (b * u - u * u) / Gamma, Y0 * eps
+    Gamma, q, EA, K = (mp.mpf(x) for x in (cfg.Gamma, cfg.q, cfg.EA, cfg.K))
+    m, b, center = (mp.mpf(x) for x in (wave.m, wave.rh_b, wave._branch[8]))
+    u = center + mp.sqrt(mp.mpf(wave.discriminant_min) + 2 * Gamma * q / (Gamma + 2) * eps)
+    rho, e, Y = -m / u, (b * u - u * u) / Gamma, eps
     E = e + u * u / 2
     A0 = mp.matrix([[1, 0, 0, 0], [u, rho, 0, 0], [E, rho * u, rho, 0], [Y, 0, 0, rho]])
     A1 = mp.matrix([[u, rho, 0, 0],
@@ -183,7 +183,7 @@ def adjoint_series_mp(wave: SteadyWave) -> tuple:
     import mpmath as mp
     with mp.workdps(40):
         cfg = wave.config
-        a = mp.mpf(2) * cfg.Gamma * cfg.q * cfg.Y0 / (cfg.Gamma + 2)
+        a = mp.mpf(2) * cfg.Gamma * cfg.q / (cfg.Gamma + 2)
         r = mp.mpf(0.25) if a == 0 else min(mp.mpf(wave.discriminant_min) / a / 4, mp.mpf(0.25))
         roots = [mp.expjpi(mp.mpf(2 * i) / _CAUCHY_POINTS) for i in range(_CAUCHY_POINTS)]
         samples = [_adjoint_parts_mp(wave, r * z) for z in roots]
@@ -203,7 +203,7 @@ def series_start_mp(wave: SteadyWave, lam: complex, M: float) -> tuple[np.ndarra
         (kK I - A_0) w_k = sum_{j=1..k} A_j w_{k-j},  k = 1.._ORDER,
 
     w_0 = ell, each solved by mpmath's LU, zeta = sum_k eps^k w_k with
-    eps = exp(-K M), and tail = zeta . R at Y = Y0 eps, with the reaction
+    eps = exp(-K M), and tail = zeta . R at Y = eps, with the reaction
     source R = (0, 0, q, -1) K Y psi.  ell and g_minus are the library's
     doubles, taken as exact."""
     import mpmath as mp
@@ -221,8 +221,7 @@ def series_start_mp(wave: SteadyWave, lam: complex, M: float) -> tuple[np.ndarra
         eps = mp.exp(-K * mp.mpf(M))
         zeta = sum((eps ** k * w[k] for k in range(1, _ORDER + 1)), start=w[0])
         _, _, sigma = _adjoint_parts_mp(wave, eps)
-        Y = mp.mpf(cfg.Y0) * eps
-        tail = K * Y * (mp.mpf(wave.m) / sigma) * (mp.mpf(cfg.q) * zeta[2] - zeta[3])
+        tail = K * eps * (mp.mpf(wave.m) / sigma) * (mp.mpf(cfg.q) * zeta[2] - zeta[3])
         return np.array([complex(z) for z in zeta]), complex(tail)
 
 

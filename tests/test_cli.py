@@ -73,7 +73,7 @@ class TestProfileCommand:
         _, rows = read_csv(out)
         cfg = default_config()
         for row in rows:
-            want = math.exp(cfg.K * float(row["y"])) * cfg.Y0
+            want = math.exp(cfg.K * float(row["y"]))
             assert float(row["Y"]) == pytest.approx(want, rel=1e-12)
 
     def test_manifest_written(self, cfg_path, tmp_path):

@@ -203,7 +203,7 @@ def test_evans_D_and_counts_pinned(wave, monkeypatch, method, lam, tol, accepted
     assert abs(r.D - D) <= 1e-10 * abs(D)
 
 
-# The same at the fixed depth M_y, where Y = 1e-5 Y0, each method started
+# The same at the fixed depth M_y, where Y = 1e-5, each method started
 # from the first-order corrected burned-end mode, which oracles'
 # first_order_frame builds as spectral.make_frame once did.  A change meant
 # to keep the solves must keep every count and move D only by summation

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 from dataclasses import replace
 
@@ -22,6 +23,8 @@ from zndevans.stability import count_unstable
 from zndevans.znd import (
     Y_AT_M_Y,
     build_wave,
+    config_from_json,
+    config_to_json,
     default_config,
     nonreactive_config,
     profile_at,
@@ -160,7 +163,7 @@ class TestMethodRelations:
 class TestTruncationError:
     """D at the default depth for tol = 1e-11 against the neutral value D_ref
     at depth ln(1e12)/K, all at tol = 1e-11.  Starting from the corrected
-    burned-end mode where Y = eps Y0 leaves an error of order eps^13; starting
+    burned-end mode where Y = eps leaves an error of order eps^13; starting
     at eps = 1e-5 from the left mode ell alone left 2.5e-9 to 7.2e-9 at
     1+1i, 3.9e-8 at 4+10i and 1.0e-7 at 0.1+30i, and Erpenbeck without its
     quadrature tail is off by 4e-6 on LS(1.2, 50)."""
@@ -285,9 +288,13 @@ class TestDuality:
         with pytest.raises(EvansOverflowError, match="out of double range") as info:
             duality_check(wave, 43.0 + 0j)
         assert info.value.lam == 43.0 + 0j
+        # the check takes no method, so its advice is what it can change
+        message = str(info.value)
+        assert "at lambda=" in message and "lower Re(lambda) or M" in message
+        assert "neutral method" not in message
 
     def test_needs_no_start_series(self):
-        # on LS(1.000001, 50) the start's series in Y/Y0 converges only below
+        # on LS(1.000001, 50) the start's series in Y converges only below
         # 1.05e-6, deeper than M_y; the check starts from ell at M_y and
         # never builds a start (the deviation read 2.5e-9)
         wave = build_wave(lee_stewart_config(1.2, 50.0, 50.0, 1.000001))
@@ -333,16 +340,37 @@ class TestResultRecord:
 
     @pytest.mark.parametrize("Y0", [0.0, 1e-9, 1e-8])
     def test_depth_positive_when_Y0_at_or_below_eps_Y(self, Y0):
-        # every depth is relative to Y0, so a reactant already below 1e-5
-        # still leaves a positive depth to integrate over
-        wave = build_wave(replace(default_config(), Y0=Y0))
+        # a legacy unburned fraction Y0 at or below 1e-5 loads as the same
+        # wave at q = 5 Y0; depths are set in Y = exp(K y), so such a nearly
+        # constant profile still leaves a positive depth to integrate over
+        raw = json.loads(config_to_json(default_config()))
+        raw["Y0"] = Y0
+        wave = build_wave(config_from_json(json.dumps(raw)))
+        assert wave.config.q == 5.0 * Y0
         assert wave.M_y > 0.0
         r = evaluate(wave, 1.0 + 1.0j)
         assert r.M > 0.0
         assert np.isfinite(r.D.real) and np.isfinite(r.D.imag)
 
+    # D at 1+1i, tol = 1e-5, of (q, Y0) = (5, 0.5) while configs carried Y0:
+    # the same wave as q = 2.5 with Y rescaled by 1/Y0, a map the pairing
+    # Z(0) . jump is invariant under; all three ran at the same depth
+    @pytest.mark.parametrize("method, D_Y0", [
+        ("neutral", -50.07534028476297 - 53.454914330075894j),
+        ("erpenbeck", -50.07539464029905 - 53.45479583419672j),
+        ("lee_stewart", 968.1959765556959 + 2147.7103809441082j),
+    ])
+    def test_legacy_reactant_fraction_gives_the_same_D(self, method, D_Y0):
+        raw = json.loads(config_to_json(default_config()))
+        raw["Y0"] = 0.5
+        wave = build_wave(config_from_json(json.dumps(raw)))
+        assert wave.config.q == 2.5
+        tol = 1e-5
+        D = evaluate(wave, 1.0 + 1.0j, method=method, tol=tol).D
+        assert abs(D - D_Y0) <= 0.1 * tol * abs(D_Y0)
+
     def test_depth_beyond_the_series_radius_raises(self):
-        # on LS(1.02, 50) the start's series in Y/Y0 converges only below
+        # on LS(1.02, 50) the start's series in Y converges only below
         # eps* = 0.021; from K M = 2 (eps = 0.14) its sum is 2e9 where ell
         # is 85, and D came out 6e7 times itself off.  The fitted start it
         # replaced was 9% off there

@@ -1,7 +1,7 @@
 """Stability counts on Lee & Stewart's waves (gamma = 1.2, q = 50), in their units.
 
 These waves have K from about 100 to 900, so their reactant falls to 1e-5
-of Y0 before y = -0.2: they exercise truncation depths ln(1/eps)/K far from
+before y = -0.2: they exercise truncation depths ln(1/eps)/K far from
 the default wave's K = 2.  A depth of 5 made Erpenbeck's and
 Lee-Stewart's x(y) quadrature fail on LS(1.2, 50).
 """

@@ -183,7 +183,7 @@ def series_sum(wave, lam, g, eps):
 
 
 class TestAdjointSeries:
-    """The Taylor coefficients of the factored adjoint field in eps = Y/Y0
+    """The Taylor coefficients of the factored adjoint field in eps = Y
     that every start is built from."""
 
     waves = pytest.mark.parametrize(
@@ -232,24 +232,20 @@ class TestAdjointSeries:
 
     def test_radius_is_the_sonic_branch_point(self, wave):
         cfg = wave.config
-        a = 2.0 * cfg.Gamma * cfg.q * cfg.Y0 / (cfg.Gamma + 2.0)
+        a = 2.0 * cfg.Gamma * cfg.q / (cfg.Gamma + 2.0)
         assert wave.adjoint_series.radius == pytest.approx(wave.discriminant_min / a, rel=1e-14)
 
-    @pytest.mark.parametrize("cfg", [nonreactive_config(), replace(default_config(), q=0.0)],
-                             ids=["Y0=0", "q=0"])
+    @pytest.mark.parametrize("cfg", [replace(default_config(), q=0.0)], ids=["q=0"])
     def test_degenerate_waves(self, cfg):
-        # no heat release: disc does not depend on eps and eps* is inf;
-        # Y0 = 0 also makes every coefficient past the first vanish
+        # no heat release: disc does not depend on eps and eps* is inf, and
+        # ell[3] = 0 keeps the passive reactant out of the start
         wave = build_wave(cfg)
         ser = wave.adjoint_series
         assert ser.radius == math.inf
         assert np.all(np.isfinite(ser.P)) and np.all(np.isfinite(ser.Q)) and np.all(np.isfinite(ser.S))
-        if cfg.Y0 == 0.0:
-            assert not np.any(ser.P[1:]) and not np.any(ser.Q[1:]) and not np.any(ser.S[1:])
         frame = make_frame(wave, 1.0 + 1.0j, 1e-5)
         assert frame.M == pytest.approx(math.log(1.0 / 1e-6 ** 0.2) / cfg.K, rel=1e-14)
-        if cfg.Y0 == 0.0:
-            assert np.array_equal(frame.zeta, frame.ell) and frame.tail == 0.0
+        assert np.array_equal(frame.zeta, frame.ell) and frame.tail == 0.0
         assert cmath.isfinite(evaluate(wave, 1.0 + 1.0j).D)
 
     def test_build_wave_leaves_it_unbuilt(self):
@@ -276,7 +272,7 @@ class TestBurnedStart:
     oracle of the same coefficients and recursion, on the contour's flat
     side (1e-4 +- 30i), at 1+1i, 50 and 2+300i, at the depths the rule
     picks for tol = 1e-5 and 1e-10 and at the fixed depth M_y, where
-    Y = 1e-5 Y0.  The start takes no profile state, so nothing rounds its
+    Y = 1e-5.  The start takes no profile state, so nothing rounds its
     input but the wave's constants: it agrees with the oracle to 6.8e-14,
     at 2+300i on the default wave, where the fifth-order start, fitted to
     five profile states, moved by 2-3e-12 under one-ulp changes of those
@@ -303,10 +299,10 @@ class TestBurnedStart:
                 # the correction alone: it carries the rounding of zeta's
                 # entries, up to 1.2e-11 of it at M_y, where it is 1e-5 of ell
                 w, ref_w = zeta - frame.ell, ref_zeta - frame.ell
-                if cfg.Y0 > 0.0:
+                if cfg.q > 0.0:
                     assert np.linalg.norm(w - ref_w) <= 1e-10 * np.linalg.norm(ref_w)
-                else:  # constant profile: every A_j past A_inf is zero
-                    assert not np.any(w)
+                else:  # constant gas state, and ell[3] = 0 keeps the passive
+                    assert not np.any(w)  # reactant out: no correction at all
 
     @pytest.mark.parametrize("lam", [1 + 1j, 0.5 + 5j])
     @pytest.mark.parametrize(
@@ -338,7 +334,7 @@ class TestBurnedStart:
     )
     def test_depth_rule_refuses_a_start_at_the_shock(self, cfg):
         # eps0 = (0.1 tol)^(1/5) reaches 1 at tol = 10; on these waves
-        # eps*/2 >= 1 does not cap it, so the rule would start at Y/Y0 >= 1
+        # eps*/2 >= 1 does not cap it, so the rule would start at Y >= 1
         # (M = 0 at tol 10, a positive y at 20) and refuses instead
         wave = build_wave(cfg)
         assert wave.adjoint_series.radius >= 2.0
@@ -542,17 +538,19 @@ class TestJumpVector:
         R = fluxes(wave.neumann, wave.config)[2]
         assert np.allclose(jump, R, rtol=0, atol=1e-14)
         psi = reaction_psi(wave.neumann, wave.config)
-        Y0 = wave.config.Y0
-        expected = np.array([0, 0, wave.config.q * wave.config.K * Y0 * psi, -wave.config.K * Y0 * psi])
+        expected = np.array([0, 0, wave.config.q * wave.config.K * psi, -wave.config.K * psi])
         assert np.allclose(jump, expected, rtol=1e-14)
 
     def test_nonreactive_limit_pure_gas_jump(self, shock):
         lam = 1.5 - 2.0j
         jump = jump_vector(shock, lam)
-        up = shock.config.upstream
-        F0p = fluxes(StateW(up.rho, up.u, up.e, 0.0), shock.config)[0]
-        F0m = fluxes(shock.neumann, shock.config)[0]
-        assert np.allclose(jump, lam * (F0p - F0m), rtol=1e-14)
+        cfg = shock.config
+        up = cfg.upstream
+        F0p = fluxes(StateW(up.rho, up.u, up.e, 1.0), cfg)[0]
+        F0m = fluxes(shock.neumann, cfg)[0]
+        # no heat release: the source enters only the passive reactant's row
+        source = np.array([0, 0, 0, -cfg.K * reaction_psi(shock.neumann, cfg)])
+        assert np.allclose(jump, lam * (F0p - F0m) + source, rtol=1e-14)
 
     def test_mass_component_sign(self, wave):
         # [rho] = rho_ahead - rho_neumann < 0 for a compressive front

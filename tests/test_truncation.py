@@ -12,7 +12,7 @@ of itself rather than to 1e-12 of D.  That takes about 3 s for the 24
 (wave, lambda) cases, where full solves at 1e-12 take about 11 s for the
 first 18; ``test_shortcut_matches_full_solves`` checks the two ways agree.
 
-Solves started at the fixed depth M_y, where Y = 1e-5 Y0, fail this test
+Solves started at the fixed depth M_y, where Y = 1e-5, fail this test
 on five of the cases: LS(1.02, 50) at 0.1+30i and tol 1e-8 is off by about
 110 tol.  The fitted fifth-order start, with its one shrink of eps, failed
 the near-CJ waves LS(1.003, 50) and LS(1.001, 50) by up to 7.7 and 594 tol.

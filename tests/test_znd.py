@@ -210,12 +210,10 @@ class TestBuildWave:
         with pytest.raises(ConfigError):
             replace(base, Gamma=-0.1)
         with pytest.raises(ConfigError):
-            replace(base, Y0=1.5)
-        with pytest.raises(ConfigError):
             replace(base, upstream=UpstreamState(rho=1.0, u=0.5, e=1.0))
 
     @pytest.mark.parametrize("name, change", [
-        ("Y0", {"Y0": "x"}),
+        ("Gamma", {"Gamma": "x"}),
         ("q", {"q": "x"}),
         ("EA", {"EA": None}),
         ("upstream.u", {"upstream": UpstreamState(1.0, "x", 1.0)}),
@@ -300,7 +298,7 @@ def test_profile_coldest_at_an_end_state(random_waves):
     for wave in profile_waves(random_waves):
         cfg = wave.config
         T_end = min(wave.neumann.e, wave.burned.e)
-        for Y in np.linspace(0.0, cfg.Y0, 1000):
+        for Y in np.linspace(0.0, 1.0, 1000):
             T = gas_state(cfg, wave.m, wave.rh_b, wave.rh_c, Y)[2]
             assert T >= T_end
 
@@ -363,10 +361,10 @@ def test_profile_equals_term_by_term_branch(cfg):
     # root and its derivative formed from the config bit for bit
     wave = build_wave(cfg)
     args = (cfg, wave.m, wave.rh_b, wave.rh_c)
-    assert wave.neumann == (*gas_state(*args, cfg.Y0), cfg.Y0)
+    assert wave.neumann == (*gas_state(*args, 1.0), 1.0)
     assert wave.burned == (*gas_state(*args, 0.0), 0.0)
     for y in np.linspace(-wave.M_y, 0.0, 50).tolist():
-        Ybar = math.exp(cfg.K * y) * cfg.Y0
+        Ybar = math.exp(cfg.K * y)
         assert profile_at(wave, y) == (*gas_state(*args, Ybar), Ybar)
         assert profile_deriv(wave, y) == gas_state_deriv(wave, Ybar)
 
@@ -443,7 +441,11 @@ class TestAcousticLag:
 
     def test_constant_profile_has_none(self, shock):
         assert shock.acoustic_lag == 0.0
-        assert build_wave(replace(default_config(), Y0=0.0)).acoustic_lag == 0.0
+
+    def test_default_wave_value(self, wave):
+        # forms sigma from the (u, e) of its own profile evaluation; the value
+        # is the same to the last bit as from a second evaluation in sigma
+        assert wave.acoustic_lag == -0.1747116974800595
 
 class TestConfigIO:
     def test_round_trip(self):
@@ -474,6 +476,23 @@ class TestConfigIO:
 
     def test_written_config_has_no_tol(self):
         assert "tol" not in json.loads(config_to_json(default_config()))
+
+    def test_legacy_reactant_fraction_folds_into_q(self):
+        # a config written while configs carried the unburned fraction Y0
+        # loads as the same wave at heat release q Y0
+        raw = json.loads(config_to_json(default_config()))
+        raw["Y0"] = 0.5
+        assert config_from_json(json.dumps(raw)) == replace(default_config(), q=2.5)
+        raw["Y0"] = 1.0
+        assert config_from_json(json.dumps(raw)) == default_config()
+
+    @pytest.mark.parametrize("value", [1.5, -0.5, "x", None, True],
+                             ids=["above-1", "negative", "string", "null", "bool"])
+    def test_legacy_reactant_fraction_is_checked(self, value):
+        raw = json.loads(config_to_json(default_config()))
+        raw["Y0"] = value
+        with pytest.raises(ConfigError, match="Y0"):
+            config_from_json(json.dumps(raw))
 
     @pytest.mark.parametrize("key, value", [
         ("eps_Y", 1e-5), ("Cv", 1.0), ("Cv", 1), ("Cv", 2.0), ("Ti_low", 2.0), ("Ti_high", 4.0),
