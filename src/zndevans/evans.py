@@ -37,7 +37,11 @@ d/dy of Z . R(profile), so that tail is the start paired with the reaction
 source at -M.  The truncation error is of order eps^13 rather than eps.
 Unless ``M`` is given, the frame picks eps for each lambda from ``tol``
 and the start's first neglected term, so that this error stays below
-``tol``; every method runs at that one depth.
+``tol``, and records the shallower depth M_far the same rule gives without
+its cap.  The forward methods run at M.  Lee-Stewart's backward solution at
+-M_far is the dual weight of the start's error there, so it checks the
+far start's first neglected term against ``tol`` |D| for free and pairs at
+M_far where that passes, at M where it does not (:func:`_lee_stewart`).
 
 Normalizations are chosen so neutral and Erpenbeck values coincide, from one
 frame, up to integration error: Erpenbeck's quadrature telescopes to the
@@ -48,7 +52,7 @@ The unfactored adjoint of Erpenbeck and of :func:`duality_check` is
 integrated at unit scale with the tiny prefactor exp(-g_minus x(-M))
 carried analytically: it starts from zeta(-M) (or ell) with absolute
 tolerance ``tol``, the field is linear, and the run is the true-size run
-divided by the prefactor, step for step.  :func:`_edge_prefactor`'s
+divided by the prefactor, step for step.  :func:`_edge_prefactors`'s
 double-range check is then the one guard of all three unfactored paths.
 """
 
@@ -68,7 +72,15 @@ from .errors import (
     StepSizeUnderflowError,
 )
 from .numerics import OdeField, SolveStats, check_rel_tol, integrate_adaptive
-from .spectral import SpectralFrame, check_depth, jump_vector, make_frame, rhs_kernel, stable_left_mode
+from .spectral import (
+    _DEPTH_THETA,
+    SpectralFrame,
+    check_depth,
+    jump_vector,
+    make_frame,
+    rhs_kernel,
+    stable_left_mode,
+)
 from .znd import SteadyWave, profile_at, profile_deriv, x_of_y
 
 # Unused here, but perfbench/tracing.py wraps every layer by its name in this
@@ -135,19 +147,21 @@ def _field(wave: SteadyWave, lam: complex, shift: complex = 0.0, adjoint: bool =
     return OdeField(dimension=4, eval=rhs)
 
 
-def _edge_prefactor(wave: SteadyWave, lam: complex, g_minus: complex, M: float,
-                    advice: str = "use the neutral method") -> complex:
-    """exp(-g_minus * x(-M)): relates unfactored data at y=-M to the neutral
+def _edge_prefactors(wave: SteadyWave, lam: complex, g_minus: complex, depths: list,
+                     advice: str = "use the neutral method") -> list:
+    """exp(-g_minus * x(-M)) for each depth M of the ascending ``depths``,
+    from one x_of_y call: it relates unfactored data at y=-M to the neutral
     normalization; tiny for large |lambda| M, so the unit-scale runs carry it
-    analytically.  Their one guard: it raises out of double range, with ``advice``."""
-    exponent = -g_minus * float(x_of_y(wave, [-M])[0])
-    if abs(exponent.real) > _EXP_GUARD:
+    analytically.  Their one guard: it raises, with ``advice``, when the
+    deepest is out of double range."""
+    exponents = [-g_minus * x for x in x_of_y(wave, [-M for M in depths]).tolist()]
+    if abs(exponents[-1].real) > _EXP_GUARD:
         raise EvansOverflowError(
-            f"unfactored mode spans e^{abs(exponent.real):.0f} over the domain; "
+            f"unfactored mode spans e^{abs(exponents[-1].real):.0f} over the domain; "
             f"out of double range -- {advice}",
             lam,
         )
-    return cmath.exp(exponent)
+    return [cmath.exp(exponent) for exponent in exponents]
 
 
 def _neutral(wave: SteadyWave, lam: complex, frame: SpectralFrame, tol: float):
@@ -195,7 +209,7 @@ def _erpenbeck(wave: SteadyWave, lam: complex, frame: SpectralFrame, tol: float)
     integral plus the pure-jump term is s Z(0) . jump: the neutral value up
     to integration error (kappa = 1).
     """
-    s = _edge_prefactor(wave, lam, frame.g_minus, frame.M)
+    s, = _edge_prefactors(wave, lam, frame.g_minus, [frame.M])
     kernel = rhs_kernel(wave, lam)
 
     # components 0-3 are the adjoint, component 4 the running quadrature of
@@ -227,10 +241,35 @@ def _lee_stewart(wave: SteadyWave, lam: complex, frame: SpectralFrame, tol: floa
     Error modes grow along the way, which is this method's classical
     weakness; the value relates to the neutral one through
     kappa_to_neutral = exp(-g_minus x(-M)).
+
+    Where the frame's far depth M_far is shallower than M, the integration
+    stops at -M_far first.  D's truncation error from a start off by delta
+    is delta . Z0(-M_far), so the first neglected term of the series start
+    at eps_far = exp(-K M_far), eps_far^13 w_13 . Z0(-M_far), estimates it
+    (within a factor 2.3 of the true error on the waves of
+    tests/test_truncation.py).  If that is within 2 theta tol |D|, theta
+    of make_frame's rule, the solve pairs with the series start there and
+    stops; otherwise the same integration continues to -M and pairs with
+    the frame's zeta, the two legs' step counts added over the span
+    (0, -M).  Either way one x_of_y call gives kappa at both depths and the
+    guard, at M, raises before any integration.
     """
-    kappa = _edge_prefactor(wave, lam, frame.g_minus, frame.M)
     field = _field(wave, lam, adjoint=False)
-    z, stats = _integrate(lam, field, (0.0, -frame.M), frame.jump, tol, tol)
+    M, M_far = frame.M, frame.M_far
+    if M_far is None or M_far >= M:
+        kappa, = _edge_prefactors(wave, lam, frame.g_minus, [M])
+        z, stats = _integrate(lam, field, (0.0, -M), frame.jump, tol, tol)
+        return complex(frame.zeta @ z), stats, kappa
+    kappa_far, kappa = _edge_prefactors(wave, lam, frame.g_minus, [M_far, M])
+    z, near = _integrate(lam, field, (0.0, -M_far), frame.jump, tol, tol)
+    powers = math.exp(-wave.config.K * M_far) ** np.arange(len(frame.w))
+    D = complex(powers[:-1] @ frame.w[:-1] @ z)
+    if abs(powers[-1] * complex(frame.w[-1] @ z)) <= 2.0 * _DEPTH_THETA * tol * abs(D):
+        return D, near, kappa_far
+    z, far = _integrate(lam, field, (-M_far, -M), z, tol, tol)
+    stats = SolveStats(near.accepted_steps + far.accepted_steps,
+                       near.rejected_steps + far.rejected_steps,
+                       near.rhs_evaluations + far.rhs_evaluations, (0.0, -M))
     return complex(frame.zeta @ z), stats, kappa
 
 
@@ -263,7 +302,9 @@ def evaluate(
     lam = complex(lam)
     frame = make_frame(wave, lam, tol, M)
     D, stats, kappa = solve(wave, lam, frame, tol)
-    return EvansResult(lam=lam, D=D, method=method, M=frame.M, stats=stats, kappa_to_neutral=kappa)
+    # every span runs between 0 and minus the depth the solve paired at
+    M = -min(stats.span)
+    return EvansResult(lam=lam, D=D, method=method, M=M, stats=stats, kappa_to_neutral=kappa)
 
 
 def duality_check(
@@ -290,7 +331,7 @@ def duality_check(
     # no frame: the check starts from ell itself, and needs no start series
     M = check_depth(wave.M_y if M is None else M)
     ell, g_minus = stable_left_mode(wave, lam)
-    _edge_prefactor(wave, lam, g_minus, M, "lower Re(lambda) or M")
+    _edge_prefactors(wave, lam, g_minus, [M], "lower Re(lambda) or M")
     grid = np.linspace(-M, 0.0, n_grid)
 
     adjoint_field = _field(wave, lam)

@@ -473,6 +473,12 @@ def winding_number(samples: Sequence[complex]) -> int:
     return round(float(np.sum(steps)) / (2.0 * np.pi))
 
 
+def _check_contour_values(values: list) -> None:
+    for v in values:
+        if v == 0.0 or not cmath.isfinite(v):
+            raise ContourThroughRootError("zero or non-finite value on contour")
+
+
 def refine_contour(
     evaluator: Evaluator,
     contour: Contour,
@@ -490,16 +496,13 @@ def refine_contour(
         raise ValueError("max_phase_step must lie in (0, pi/2]")
     nodes = list(contour.nodes)
     values = [evaluator(z) for z in nodes[:-1]]
+    _check_contour_values(values)
     values.append(values[0])  # the closing node repeats the first
     depths = [0] * (len(nodes) - 1)
+    # the phase step of each edge; a bisection replaces one by its halves'
+    jumps = [abs(np.angle(values[i + 1] / values[i])) for i in range(len(nodes) - 1)]
 
     while True:
-        for v in values:
-            if v == 0.0 or not np.isfinite(v):
-                raise ContourThroughRootError("zero or non-finite value on contour")
-        jumps = [
-            abs(np.angle(values[i + 1] / values[i])) for i in range(len(nodes) - 1)
-        ]
         bad = [i for i, j in enumerate(jumps) if j >= max_phase_step]
         if not bad:
             break
@@ -510,10 +513,12 @@ def refine_contour(
             )
         midpoints = [0.5 * (nodes[i] + nodes[i + 1]) for i in bad]
         midvalues = [evaluator(z) for z in midpoints]
+        _check_contour_values(midvalues)
         for i, zm, vm in sorted(zip(bad, midpoints, midvalues), reverse=True):
             nodes.insert(i + 1, zm)
             values.insert(i + 1, vm)
             depths[i : i + 1] = [depths[i] + 1, depths[i] + 1]
+            jumps[i : i + 1] = [abs(np.angle(vm / values[i])), abs(np.angle(values[i + 2] / vm))]
     return np.asarray(nodes, dtype=complex), np.asarray(values, dtype=complex)
 
 

@@ -16,7 +16,8 @@ eigenpair (ell, g_minus) of the burned-end matrix, the boundary jump
 vector that closes the stability determinant, and the frame of one solve
 (:func:`make_frame`): that pair checked, the jump, the burned-end mode
 corrected to order 12 in eps that every shooting method starts from, the
-truncation depth picked from the tolerance and that mode's next term, and
+truncation depth picked from the tolerance and that mode's next term (and
+the shallower one without the rule's cap, which Lee-Stewart tries), and
 Erpenbeck's quadrature tail beyond the depth, which is the mode paired
 with the reaction source there.
 
@@ -425,6 +426,10 @@ class SpectralFrame:
     ``zeta`` the burned-end start at y = -M, corrected to order 12 in
     eps = Y(-M), and ``tail`` the integral of Erpenbeck's quadrature over
     (-inf, -M], which is zeta . R(-M) exactly (see :func:`make_frame`).
+    ``w`` holds the start's coefficients w_0..w_13, of which zeta sums
+    eps^k w_k to k = 12, and ``M_far`` the depth of the depth rule without
+    its cap, at most ``M``; it is None where the caller gave the depth.
+    Lee-Stewart may pair there instead (:func:`zndevans.evans._lee_stewart`).
     """
 
     ell: np.ndarray
@@ -433,6 +438,8 @@ class SpectralFrame:
     M: float
     zeta: np.ndarray
     tail: complex
+    w: np.ndarray | None = None
+    M_far: float | None = None
 
 
 def check_depth(M: float) -> float:
@@ -486,14 +493,27 @@ def make_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = Non
     puts the first neglected term at theta tol |ell|.  eps0 is the cap of
     the fifth-order start this one replaced: the rule bounds the start's
     error, not D's, which the field between -M and 0 can amplify (by
-    about 2.6e4 on E=86.1).  The measured relative truncation error
-    against a reference at K M = ln(1e13), over the cases of
-    tests/test_truncation.py (lambda = 1+1i, 0.5+5i, 0.1+30i; tol = 1e-5
-    and 1e-8, 1e-10 on LS(1.02, 50), and 1e-5 and 1e-6 on LS(1.003, 50)
-    and LS(1.001, 50)), is at most, in units of tol:
+    about 2.6e4 on E=86.1).  The frame also records ``w`` and M_far =
+    ln(1/eps_far)/K for the rule without that cap,
+
+        eps_far = min((theta tol |ell| / |w_13|)^(1/13), eps*/2),
+
+    or M where eps_far is not below 1.  No forward method can check D's
+    error from that start without carrying a second solution; Lee-Stewart's
+    backward solution carries the weight, and tries M_far first.
+
+    The measured relative truncation error against a reference at K M =
+    ln(1e13), over the cases of tests/test_truncation.py (lambda = 1+1i,
+    0.5+5i, 0.1+30i; tol = 1e-5 and 1e-8, 1e-10 on LS(1.02, 50), and 1e-5
+    and 1e-6 on LS(1.003, 50) and LS(1.001, 50)), is at most, in units of
+    tol:
 
         default  EA=20  LS(1.6,50)  LS(1.02,50)  LS(1.003,50)  LS(1.001,50)  E=86.1  E=51.5
         2e-5     0.033  5e-6        0.13         0.088         0.094         0.37    0.0045
+
+    At the depth Lee-Stewart pairs at, it is the same except on the
+    default wave, EA=20 and LS(1.6,50), where that depth is M_far: 0.086,
+    0.093 and 0.096.
 
     (LS(f, E) is Lee & Stewart's wave with gamma = 1.2, q = 50; the last two
     are their high-activation waves (gamma, q, E) = (1.146, 33.5, 86.1)
@@ -560,16 +580,19 @@ def make_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = Non
     for k in range(1, _ORDER + 2):
         w[k] = solve(k * K, (H[:, -4 * k:] @ w[:k].ravel()).tolist())
 
+    M_far = None
     if M is None:
-        eps = min((_DEPTH_THETA * tol) ** 0.2, 0.5 * series.radius)
+        eps_far = 0.5 * series.radius
         next_term = math.hypot(*map(abs, w[-1]))
         if next_term > 0.0:
             size = math.hypot(*map(abs, ell))
-            eps = min(eps, (_DEPTH_THETA * tol * size / next_term) ** (1.0 / (_ORDER + 1)))
+            eps_far = min(eps_far, (_DEPTH_THETA * tol * size / next_term) ** (1.0 / (_ORDER + 1)))
+        eps = min((_DEPTH_THETA * tol) ** 0.2, eps_far)
         if eps >= 1.0:  # Y = 1 is the shock: no burned end to start from
             raise ValueError(f"tol = {tol:g} is too loose: the depth rule's start at "
                              f"Y = {eps:.3g} is not below 1 (tol < 10 is)")
         M = math.log(1.0 / eps) / K
+        M_far = math.log(1.0 / eps_far) / K if eps_far < 1.0 else M
     else:
         eps = math.exp(-K * M)
         if eps >= series.radius:  # the series diverges: no start at this depth
@@ -581,4 +604,4 @@ def make_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = Non
     state, q = profile_at(wave, -M), wave.config.q
     # zeta . R at -M, with R = (0, 0, q, -1) K Y psi
     tail = complex(K * state.Y * reaction_psi(state, wave.config) * (q * zeta[2] - zeta[3]))
-    return SpectralFrame(ell, g_minus, jump_vector(wave, lam), M, zeta, tail)
+    return SpectralFrame(ell, g_minus, jump_vector(wave, lam), M, zeta, tail, w, M_far)

@@ -421,7 +421,8 @@ def test_evans_D_and_counts_pinned_fifth_order_default_depth(wave, monkeypatch, 
 # The same at the depth spectral.make_frame picks from the series start:
 # eps = min(eps0, (0.1 tol |ell| / |w_13|)^(1/13), eps*/2), which is eps0 =
 # (0.1 tol)^(1/5) at all four nodes of the default wave, so every solve
-# starts at K M = ln(1/eps0).
+# starts at K M = ln(1/eps0).  Lee-Stewart pairs shallower at that default
+# (PINNED_D_LEE_STEWART_FAR_START), so its rows pass this M explicitly.
 PINNED_D_SERIES_DEFAULT_DEPTH = [
     ('neutral', (1+1j), 1.3815510557964275, 17, 0, 103, (-47.80934708855763-36.461581861018274j)),
     ('neutral', (1+3j), 1.3815510557964275, 23, 1, 145, (-101.98391652187229-96.40945927516823j)),
@@ -442,8 +443,32 @@ PINNED_D_SERIES_DEFAULT_DEPTH = [
                          ids=[f"{row[0]}-{row[1]}" for row in PINNED_D_SERIES_DEFAULT_DEPTH])
 def test_evans_D_and_counts_pinned_series_default_depth(wave, method, lam, M, accepted, rejected,
                                                         nfev, D):
+    r = evans.evaluate(wave, lam, method=method, tol=1e-5, M=M if method == "lee_stewart" else None)
+    s = r.stats
+    assert abs(r.M - M) <= 1e-12 * M
+    assert (s.accepted_steps, s.rejected_steps, s.rhs_evaluations) == (accepted, rejected, nfev)
+    assert abs(r.D - D) <= 1e-10 * abs(D)
+
+
+# Lee-Stewart at the default depth: at every node the first neglected term
+# of the start at the uncapped depth M_far, (0.1 tol |ell| / |w_13|)^(1/13)
+# in eps, paired with the solution there, is within 0.2 tol |D|, so the
+# solve pairs at M_far and stops there.
+PINNED_D_LEE_STEWART_FAR_START = [
+    ('lee_stewart', (1+1j), 0.5019741731135297, 12, 0, 73, (96.35721037745294-210.56583053916435j)),
+    ('lee_stewart', (1+3j), 0.553644117852398, 21, 0, 127, (-298.67059291062276+543.4720716656464j)),
+    ('lee_stewart', (4+10j), 0.761938782989666, 72, 0, 433, (-504952.12491171923-885379.6787552766j)),
+    ('lee_stewart', (0.1+30j), 0.9978333050119588, 294, 2, 1777, (-45.03671453655295-2064.992256805346j)),
+]
+
+
+@pytest.mark.parametrize("method, lam, M, accepted, rejected, nfev, D", PINNED_D_LEE_STEWART_FAR_START,
+                         ids=[f"{row[0]}-{row[1]}" for row in PINNED_D_LEE_STEWART_FAR_START])
+def test_evans_D_and_counts_pinned_lee_stewart_far_start(wave, method, lam, M, accepted, rejected,
+                                                         nfev, D):
     r = evans.evaluate(wave, lam, method=method, tol=1e-5)
     s = r.stats
+    assert r.M == spectral.make_frame(wave, lam, 1e-5).M_far
     assert abs(r.M - M) <= 1e-12 * M
     assert (s.accepted_steps, s.rejected_steps, s.rhs_evaluations) == (accepted, rejected, nfev)
     assert abs(r.D - D) <= 1e-10 * abs(D)

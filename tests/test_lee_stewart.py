@@ -37,10 +37,11 @@ def test_winding(ls_waves, method, f, E, radius, winding):
 def test_methods_agree_at_one_plus_i(ls_waves):
     wave = ls_waves[1.6, 50.0]
     values = []
-    M = make_frame(wave, 1.0 + 1.0j, 1e-8).M
+    frame = make_frame(wave, 1.0 + 1.0j, 1e-8)
     for method in METHODS:
         r = evaluate(wave, 1.0 + 1.0j, method=method, tol=1e-8)
-        assert r.M == M
+        # Lee-Stewart's truncation estimate accepts the uncapped depth here
+        assert r.M == (frame.M_far if method == "lee_stewart" else frame.M)
         values.append(r.D * r.kappa_to_neutral)
     neutral = values[0]
     for other in values[1:]:

@@ -16,6 +16,9 @@ Solves started at the fixed depth M_y, where Y = 1e-5, fail this test
 on five of the cases: LS(1.02, 50) at 0.1+30i and tol 1e-8 is off by about
 110 tol.  The fitted fifth-order start, with its one shrink of eps, failed
 the near-CJ waves LS(1.003, 50) and LS(1.001, 50) by up to 7.7 and 594 tol.
+
+Lee-Stewart may pair at a shallower depth than the rule's, where its own
+truncation estimate allows; the same comparison holds it to tol / 2 there.
 """
 
 import math
@@ -62,20 +65,21 @@ def tols_for(name):
     return (1e-5, 1e-8, 1e-10) if name == "LS(1.02,50)" else (1e-5, 1e-8)
 
 
-def differences(wave, lam, tols):
-    """D_ref and {tol: D(M) - D_ref} at the rule's depth M for each tol."""
+def differences(wave, lam, tols, start=make_frame):
+    """D_ref and {tol: D(M) - D_ref} for each tol, started from the frame
+    ``start(wave, lam, tol)``, by default the rule's: its zeta at its depth M."""
     frame = make_frame(wave, lam, REF_TOL, REF_DEPTH / wave.config.K)
     field = evans._field(wave, lam, frame.g_minus)
     y = -frame.M
     z = frame.zeta
     diffs = {}
-    for tol in sorted(tols):  # the deepest start first
-        start = make_frame(wave, lam, tol)
-        M = start.M
+    starts = {tol: start(wave, lam, tol) for tol in tols}
+    for tol, begin in sorted(starts.items(), key=lambda item: -item[1].M):  # the deepest first
+        M = begin.M
         if -M != y:
             z, _ = integrate_adaptive(field, (y, -M), z, REF_TOL, REF_TOL)
             y = -M
-        delta = start.zeta - z
+        delta = begin.zeta - z
         size = np.linalg.norm(delta)
         carried, _ = integrate_adaptive(field, (-M, 0.0), delta / size, CARRY_TOL, CARRY_TOL)
         diffs[tol] = size * complex(carried @ frame.jump)
@@ -99,3 +103,54 @@ def test_shortcut_matches_full_solves():
                           M=make_frame(wave, lam, tol).M).D
     assert abs(D_ref - full_ref) <= 1e-6 * abs(full_ref)
     assert abs(diffs[tol] - (full - full_ref)) <= 1e-3 * abs(diffs[tol])
+
+
+def lee_stewart_frame(wave, lam, tol):
+    """The start Lee-Stewart pairs with at ``tol``: the series at its depth,
+    as make_frame builds it for that depth given explicitly."""
+    return make_frame(wave, lam, tol, evans.evaluate(wave, lam, method="lee_stewart", tol=tol).M)
+
+
+@pytest.mark.parametrize("lam", LAMBDAS)
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_lee_stewart_depth_within_half_tol(name, lam):
+    # where Lee-Stewart's estimate accepts the far depth, as where it
+    # continues to make_frame's
+    D_ref, diffs = differences(wave_named(name), lam, tols_for(name), lee_stewart_frame)
+    for tol, diff in diffs.items():
+        assert abs(diff) <= 0.5 * tol * abs(D_ref), (tol, abs(diff) / abs(D_ref) / tol)
+
+
+def test_lee_stewart_continues_where_the_estimate_fails(monkeypatch):
+    # on E=51.5 the far start's first neglected term, paired with the
+    # solution there, exceeds 2 theta tol |D|: the solve goes on to M
+    wave, lam, tol = wave_named("E=51.5"), 1.0 + 1.0j, 1e-5
+    frame = make_frame(wave, lam, tol)
+    legs = []
+    integrate = evans._integrate
+
+    def recorded(*args):
+        z, stats = integrate(*args)
+        legs.append(stats)
+        return z, stats
+
+    monkeypatch.setattr(evans, "_integrate", recorded)
+    r = evans.evaluate(wave, lam, method="lee_stewart", tol=tol)
+    assert frame.M_far < frame.M
+    assert r.M == frame.M
+    assert [leg.span for leg in legs] == [(0.0, -frame.M_far), (-frame.M_far, -frame.M)]
+    steps = lambda s: (s.accepted_steps, s.rejected_steps, s.rhs_evaluations)
+    assert steps(r.stats) == tuple(map(sum, zip(*map(steps, legs))))
+    assert r.stats.span == (0.0, -frame.M)
+
+
+@pytest.mark.parametrize("name", ["LS(1.6,50)", "E=51.5"])
+@pytest.mark.parametrize("lam", LAMBDAS)
+def test_lee_stewart_depth_of_conjugate(name, lam):
+    # the estimate decides alike for conj(lam): the same depth and steps
+    wave = wave_named(name)
+    r = evans.evaluate(wave, lam, method="lee_stewart")
+    m = evans.evaluate(wave, lam.conjugate(), method="lee_stewart")
+    steps = lambda s: (s.accepted_steps, s.rejected_steps, s.rhs_evaluations)
+    assert m.M == r.M
+    assert steps(m.stats) == steps(r.stats)
