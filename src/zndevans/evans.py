@@ -48,6 +48,15 @@ frame, up to integration error: Erpenbeck's quadrature telescopes to the
 neutral pairing Z(0) . jump.  The Lee-Stewart value differs by the recorded
 analytic scalar ``kappa_to_neutral``.
 
+With ``derivative=True``, :func:`evaluate` also returns d(D
+kappa_to_neutral)/d lambda at the solve's own depth, which
+:func:`zndevans.stability.count_unstable` refines its contour on.  The
+field is linear and affine in lambda, so dZ/dlambda obeys the same field
+plus the lambda-coefficient block applied to Z: each method integrates it
+in the same RHS call and on the plain solve's mesh, carried outside the
+step control, and the start, the jump and kappa are differentiated in
+closed form.
+
 The unfactored adjoint of Erpenbeck and of :func:`duality_check` is
 integrated at unit scale with the tiny prefactor exp(-g_minus x(-M))
 carried analytically: it starts from zeta(-M) (or ell) with absolute
@@ -101,6 +110,8 @@ class EvansResult:
 
     ``kappa_to_neutral`` is the analytic scalar with
     ``kappa_to_neutral * D == D_neutral`` up to truncation error.
+    ``derivative`` is d(D * kappa_to_neutral)/d lambda at the solve's own
+    depth, where :func:`evaluate` was asked for it, else None.
     """
 
     lam: complex
@@ -109,6 +120,7 @@ class EvansResult:
     M: float
     stats: SolveStats
     kappa_to_neutral: complex = 1.0 + 0j
+    derivative: complex | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -134,34 +146,57 @@ def _integrate(lam: complex, field: OdeField, span, init, tol: float, abs_tol):
         raise NonFiniteStateError(exc.x, lam) from exc
 
 
-def _field(wave: SteadyWave, lam: complex, shift: complex = 0.0, adjoint: bool = True) -> OdeField:
+def _field(wave: SteadyWave, lam: complex, shift: complex = 0.0, adjoint: bool = True,
+           dshift: complex | None = None) -> OdeField:
     """dZ/dy = -sigma (G - shift I)^T Z (adjoint) or dZ0/dy = sigma G Z0
     (forward, ``shift`` unused) without forming G.  Each call evaluates the
     profile once through this module's binding of profile_at, so a tracer
-    that wraps it counts one evaluation per RHS call."""
-    kernel = rhs_kernel(wave, lam, shift, adjoint)
+    that wraps it counts one evaluation per RHS call.
 
-    def rhs(y: float, z: list) -> list:
-        return kernel(profile_at(wave, y), z)
+    Given ``dshift`` (d shift/d lambda; 0 for the forward field), the field
+    has eight components: Z and V = dZ/dlambda, by :func:`rhs_kernel`'s
+    derivative form, in the same call."""
+    if dshift is None:
+        kernel = rhs_kernel(wave, lam, shift, adjoint)
 
-    return OdeField(dimension=4, eval=rhs)
+        def rhs(y: float, z: list) -> list:
+            return kernel(profile_at(wave, y), z)
+
+        return OdeField(dimension=4, eval=rhs)
+    kernel = rhs_kernel(wave, lam, shift, adjoint, dshift)
+
+    def rhs_and_derivative(y: float, z: list) -> list:
+        return kernel(profile_at(wave, y), z[:4], z[4:])
+
+    return OdeField(dimension=8, eval=rhs_and_derivative)
+
+
+def _carried(controlled: list) -> list:
+    """abs_tol of a derivative solve: the plain solve's ``controlled``
+    entries, then +inf for each one's derivative, which
+    :func:`zndevans.numerics.integrate_adaptive` carries outside its error
+    norm, so the mesh, the plain components and the stats are the plain
+    solve's, bit for bit."""
+    return controlled + [math.inf] * len(controlled)
 
 
 def _edge_prefactors(wave: SteadyWave, lam: complex, g_minus: complex, depths: list,
                      advice: str = "use the neutral method") -> list:
-    """exp(-g_minus * x(-M)) for each depth M of the ascending ``depths``,
-    from one x_of_y call: it relates unfactored data at y=-M to the neutral
-    normalization; tiny for large |lambda| M, so the unit-scale runs carry it
-    analytically.  Their one guard: it raises, with ``advice``, when the
-    deepest is out of double range."""
-    exponents = [-g_minus * x for x in x_of_y(wave, [-M for M in depths]).tolist()]
+    """(exp(-g_minus * x(-M)), x(-M)) for each depth M of the ascending
+    ``depths``, from one x_of_y call: the prefactor relates unfactored data
+    at y=-M to the neutral normalization; tiny for large |lambda| M, so the
+    unit-scale runs carry it analytically.  Its log-derivative in lambda is
+    -g_minus' x(-M) = x(-M) / (u- + c-).  Their one guard: it raises, with
+    ``advice``, when the deepest is out of double range."""
+    xs = x_of_y(wave, [-M for M in depths]).tolist()
+    exponents = [-g_minus * x for x in xs]
     if abs(exponents[-1].real) > _EXP_GUARD:
         raise EvansOverflowError(
             f"unfactored mode spans e^{abs(exponents[-1].real):.0f} over the domain; "
             f"out of double range -- {advice}",
             lam,
         )
-    return [cmath.exp(exponent) for exponent in exponents]
+    return [(cmath.exp(exponent), x) for exponent, x in zip(exponents, xs)]
 
 
 def _neutral(wave: SteadyWave, lam: complex, frame: SpectralFrame, tol: float):
@@ -171,7 +206,8 @@ def _neutral(wave: SteadyWave, lam: complex, frame: SpectralFrame, tol: float):
     Z(-M) = zeta(-M), the frame's corrected stable left mode; the factoring
     makes the tracked solution neutral at the burned end, so the value at
     y=0 is O(1) and independent of M up to truncation error.
-    D = Z(0) . jump.
+    D = Z(0) . jump.  With the frame's derivative, V = dZ/dlambda is carried
+    from zeta'(-M), and D' = V(0) . jump + Z(0) . [F0].
     """
     zeta = frame.zeta
     # the solution changes by about exp(Re(lam) I), I = wave.acoustic_lag,
@@ -184,7 +220,14 @@ def _neutral(wave: SteadyWave, lam: complex, frame: SpectralFrame, tol: float):
             f"tolerance {tol:g}, where its value at the shock is noise (tighten tol)",
             lam,
         )
-    z, stats = _integrate(lam, _field(wave, lam, frame.g_minus), (-frame.M, 0.0), zeta, tol, tol)
+    d = frame.derivative
+    if d is None:
+        field, init, atol = _field(wave, lam, frame.g_minus), zeta, tol
+    else:
+        field = _field(wave, lam, frame.g_minus, dshift=d.g_minus)
+        init, atol = np.append(zeta, d.zeta), _carried([tol] * 4)
+    z, stats = _integrate(lam, field, (-frame.M, 0.0), init, tol, atol)
+    z, v = z[:4], z[4:]
     growth = float(np.linalg.norm(z) / np.linalg.norm(zeta))
     if not 1e-6 < growth < 1e6:
         raise MisselectedModeError(
@@ -193,7 +236,8 @@ def _neutral(wave: SteadyWave, lam: complex, frame: SpectralFrame, tol: float):
             "out-scales the absolute-tolerance floor (tighten tol)",
             lam,
         )
-    return complex(z @ frame.jump), stats, 1.0 + 0j
+    slope = None if d is None else complex(v @ frame.jump + z @ wave.jump_terms[0])
+    return complex(z @ frame.jump), stats, 1.0 + 0j, slope
 
 
 def _erpenbeck(wave: SteadyWave, lam: complex, frame: SpectralFrame, tol: float):
@@ -208,29 +252,55 @@ def _erpenbeck(wave: SteadyWave, lam: complex, frame: SpectralFrame, tol: float)
     ``zeta`` and ``tail``).  The integrand is d/dy (Z . R), so s times the
     integral plus the pure-jump term is s Z(0) . jump: the neutral value up
     to integration error (kappa = 1).
-    """
-    s, = _edge_prefactors(wave, lam, frame.g_minus, [frame.M])
-    kernel = rhs_kernel(wave, lam)
 
-    # components 0-3 are the adjoint, component 4 the running quadrature of
-    # lam z . (F0 o profile)' = lam z . A0 (profile)', A0 of spectral.jacobians;
-    # one call each of this module's profile_at and profile_deriv per RHS call
-    def rhs(y: float, z: list) -> list:
+    With the frame's derivative, ten components: V = dZ/dlambda from
+    zeta'(-M) and the quadrature's derivative, of Z . A0 W_y + lambda V .
+    A0 W_y, from tail' = zeta' . R(-M), both carried; s'/s = x(-M)/(u- + c-).
+    """
+    (s, x), = _edge_prefactors(wave, lam, frame.g_minus, [frame.M])
+    jump_F0_only = lam * wave.jump_terms[0]  # lam * [F0], no source term
+    atol = [tol] * 4 + [tol / abs(s)]  # the quadrature's: tol on D = s z[4] + ...
+    kernel = rhs_kernel(wave, lam)
+    d = frame.derivative
+    if d is None:
+        # components 0-3 are the adjoint, component 4 the running quadrature of
+        # lam z . (F0 o profile)' = lam z . A0 (profile)', A0 of spectral.jacobians;
+        # one call each of this module's profile_at and profile_deriv per RHS call
+        def rhs(y: float, z: list) -> list:
+            state = profile_at(wave, y)
+            rho, u, e, Y = state
+            z0, z1, z2, z3, _ = z
+            dz = kernel(state, (z0, z1, z2, z3))
+            v0, v1, v2, v3 = profile_deriv(wave, y)
+            dz.append(lam * (z0 * v0 + z1 * (u * v0 + rho * v1)
+                             + z2 * ((e + 0.5 * u * u) * v0 + rho * u * v1 + rho * v2)
+                             + z3 * (Y * v0 + rho * v3)))
+            return dz
+
+        init = np.append(frame.zeta, frame.tail)
+        z, stats = _integrate(lam, OdeField(dimension=5, eval=rhs), (-frame.M, 0.0), init, tol, atol)
+        return s * complex(z[4] + z[:4] @ jump_F0_only), stats, 1.0 + 0j, None
+
+    # components 0-4 as above, 5-8 V and 9 the quadrature's derivative
+    def rhs_and_derivative(y: float, z: list) -> list:
         state = profile_at(wave, y)
         rho, u, e, Y = state
-        z0, z1, z2, z3, _ = z
-        dz = kernel(state, (z0, z1, z2, z3))
+        z0, z1, z2, z3, _, d0, d1, d2, d3, _ = z
+        dz = kernel(state, (z0, z1, z2, z3), (d0, d1, d2, d3))
         v0, v1, v2, v3 = profile_deriv(wave, y)
-        dz.append(lam * (z0 * v0 + z1 * (u * v0 + rho * v1)
-                         + z2 * ((e + 0.5 * u * u) * v0 + rho * u * v1 + rho * v2)
-                         + z3 * (Y * v0 + rho * v3)))
+        # A0 W_y
+        a1, a2, a3 = u * v0 + rho * v1, (e + 0.5 * u * u) * v0 + rho * u * v1 + rho * v2, Y * v0 + rho * v3
+        za = z0 * v0 + z1 * a1 + z2 * a2 + z3 * a3
+        dz.insert(4, lam * za)
+        dz.append(za + lam * (d0 * v0 + d1 * a1 + d2 * a2 + d3 * a3))
         return dz
 
-    init = np.append(frame.zeta, frame.tail)
-    atol = [tol] * 4 + [tol / abs(s)]  # the quadrature's: tol on D = s z[4] + ...
-    z, stats = _integrate(lam, OdeField(dimension=5, eval=rhs), (-frame.M, 0.0), init, tol, atol)
-    jump_F0_only = lam * wave.jump_terms[0]  # lam * [F0], no source term
-    return s * complex(z[4] + z[:4] @ jump_F0_only), stats, 1.0 + 0j
+    init = np.concatenate([frame.zeta, [frame.tail], d.zeta, [d.tail]])
+    z, stats = _integrate(lam, OdeField(dimension=10, eval=rhs_and_derivative), (-frame.M, 0.0),
+                          init, tol, _carried(atol))
+    plain = complex(z[4] + z[:4] @ jump_F0_only)
+    slope = complex(z[9] + z[5:9] @ jump_F0_only + z[:4] @ wave.jump_terms[0])
+    return s * plain, stats, 1.0 + 0j, s * (slope - d.g_minus * x * plain)
 
 
 def _lee_stewart(wave: SteadyWave, lam: complex, frame: SpectralFrame, tol: float):
@@ -253,28 +323,51 @@ def _lee_stewart(wave: SteadyWave, lam: complex, frame: SpectralFrame, tol: floa
     the frame's zeta, the two legs' step counts added over the span
     (0, -M).  Either way one x_of_y call gives kappa at both depths and the
     guard, at M, raises before any integration.
+
+    With the frame's derivative, U = dZ0/dlambda is carried from U(0) =
+    [F0], and at the depth paired at D' = zeta' . Z0 + zeta . U, with zeta'
+    from the frame's w' there; kappa'/kappa = x(-M)/(u- + c-).
     """
-    field = _field(wave, lam, adjoint=False)
+    d = frame.derivative
+    if d is None:
+        field, init, atol = _field(wave, lam, adjoint=False), frame.jump, tol
+    else:
+        field = _field(wave, lam, adjoint=False, dshift=0.0)
+        init, atol = np.append(frame.jump, wave.jump_terms[0]), _carried([tol] * 4)
+
+    def paired(z, zeta, dzeta, kappa, x):
+        """D from the start zeta, and (D kappa)' from its derivative dzeta
+        (None on a plain solve), at the depth where kappa and x belong."""
+        D = complex(zeta @ z[:4])
+        if d is None:
+            return D, None
+        return D, kappa * complex(dzeta @ z[:4] + zeta @ z[4:] - d.g_minus * x * D)
+
     M, M_far = frame.M, frame.M_far
     if M_far is None or M_far >= M:
-        kappa, = _edge_prefactors(wave, lam, frame.g_minus, [M])
-        z, stats = _integrate(lam, field, (0.0, -M), frame.jump, tol, tol)
-        return complex(frame.zeta @ z), stats, kappa
-    kappa_far, kappa = _edge_prefactors(wave, lam, frame.g_minus, [M_far, M])
-    z, near = _integrate(lam, field, (0.0, -M_far), frame.jump, tol, tol)
+        (kappa, x), = _edge_prefactors(wave, lam, frame.g_minus, [M])
+        z, stats = _integrate(lam, field, (0.0, -M), init, tol, atol)
+        D, slope = paired(z, frame.zeta, d and d.zeta, kappa, x)
+        return D, stats, kappa, slope
+    (kappa_far, x_far), (kappa, x) = _edge_prefactors(wave, lam, frame.g_minus, [M_far, M])
+    z, near = _integrate(lam, field, (0.0, -M_far), init, tol, atol)
     powers = math.exp(-wave.config.K * M_far) ** np.arange(len(frame.w))
-    D = complex(powers[:-1] @ frame.w[:-1] @ z)
-    if abs(powers[-1] * complex(frame.w[-1] @ z)) <= 2.0 * _DEPTH_THETA * tol * abs(D):
-        return D, near, kappa_far
-    z, far = _integrate(lam, field, (-M_far, -M), z, tol, tol)
+    zeta_far = powers[:-1] @ frame.w[:-1]
+    D = complex(zeta_far @ z[:4])
+    if abs(powers[-1] * complex(frame.w[-1] @ z[:4])) <= 2.0 * _DEPTH_THETA * tol * abs(D):
+        D, slope = paired(z, zeta_far, d and powers[:-1] @ d.w, kappa_far, x_far)
+        return D, near, kappa_far, slope
+    z, far = _integrate(lam, field, (-M_far, -M), z, tol, atol)
     stats = SolveStats(near.accepted_steps + far.accepted_steps,
                        near.rejected_steps + far.rejected_steps,
                        near.rhs_evaluations + far.rhs_evaluations, (0.0, -M))
-    return complex(frame.zeta @ z), stats, kappa
+    D, slope = paired(z, frame.zeta, d and d.zeta, kappa, x)
+    return D, stats, kappa, slope
 
 
-# method -> solver(wave, lam, frame, tol) -> (D, stats, kappa_to_neutral),
-# called with lam complex
+# method -> solver(wave, lam, frame, tol) -> (D, stats, kappa_to_neutral,
+# d(D kappa_to_neutral)/d lambda or None), called with lam complex; the
+# derivative comes with the frame's, None without it
 _SOLVERS = {METHOD_NEUTRAL: _neutral, METHOD_ERPENBECK: _erpenbeck, METHOD_LEE_STEWART: _lee_stewart}
 
 
@@ -284,6 +377,7 @@ def evaluate(
     method: str = METHOD_NEUTRAL,
     M: float | None = None,
     tol: float = 1e-5,
+    derivative: bool = False,
 ) -> EvansResult:
     """D(lam) by the named method, one of :data:`METHODS`.
 
@@ -293,6 +387,15 @@ def evaluate(
     Every numerical failure carries ``lam``: integrator errors from
     :func:`_integrate`, :class:`MisselectedModeError` and
     :class:`EvansOverflowError` from where they are raised.
+
+    With ``derivative``, the result's ``derivative`` is d(D
+    kappa_to_neutral)/d lambda at the solve's own depth (the depth rule
+    is not differentiated): the solve integrates dZ/dlambda alongside Z
+    with the same kernel call and on the same mesh, carried outside the
+    step control, and differentiates the start, the jump and kappa in
+    closed form.  ``D``, ``M``, ``kappa_to_neutral`` and ``stats`` are the
+    plain solve's, bit for bit.  Its cost is under twice the plain
+    solve's: about 1.7-1.8x, one RHS call of twice the width per step.
     """
     try:
         solve = _SOLVERS[method]
@@ -300,11 +403,13 @@ def evaluate(
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}") from None
     check_rel_tol(tol)
     lam = complex(lam)
-    frame = make_frame(wave, lam, tol, M)
-    D, stats, kappa = solve(wave, lam, frame, tol)
+    # a plain solve makes make_frame's plain call, which tests replace by older frames
+    frame = make_frame(wave, lam, tol, M, derivative=True) if derivative else make_frame(wave, lam, tol, M)
+    D, stats, kappa, slope = solve(wave, lam, frame, tol)
     # every span runs between 0 and minus the depth the solve paired at
     M = -min(stats.span)
-    return EvansResult(lam=lam, D=D, method=method, M=M, stats=stats, kappa_to_neutral=kappa)
+    return EvansResult(lam=lam, D=D, method=method, M=M, stats=stats, kappa_to_neutral=kappa,
+                       derivative=slope)
 
 
 def duality_check(
@@ -331,7 +436,7 @@ def duality_check(
     # no frame: the check starts from ell itself, and needs no start series
     M = check_depth(wave.M_y if M is None else M)
     ell, g_minus = stable_left_mode(wave, lam)
-    _edge_prefactors(wave, lam, g_minus, [M], "lower Re(lambda) or M")
+    _edge_prefactors(wave, lam, g_minus, [M], "lower Re(lambda) or M")  # the guard alone
     grid = np.linspace(-M, 0.0, n_grid)
 
     adjoint_field = _field(wave, lam)

@@ -11,7 +11,8 @@ first use, so the loop works on scalar locals.  Nothing is generated at
 import.
 
 Also here: winding numbers by the argument principle, adaptive contour
-refinement, and complex Newton iteration with finite-difference derivatives.
+refinement on the phase and the log-derivative, and complex Newton
+iteration with finite-difference derivatives.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ from .errors import (
 )
 
 Evaluator = Callable[[complex], complex]
+# z -> (f(z), f'(z)/f(z)): what refine_contour samples
+LogEvaluator = Callable[[complex], tuple[complex, complex]]
 
 # Dormand-Prince 5(4) tableau.  Fifth-order propagating solution, fourth-order
 # embedded error estimate, FSAL: the last row of _A holds the fifth-order
@@ -134,8 +137,9 @@ def _integrate(
         raise ValueError("integration span endpoints must be distinct")
     check_rel_tol(rel_tol)
     atol = np.asarray(abs_tol, dtype=float)
-    if not np.all((0.0 < atol) & (atol < math.inf)):
-        raise ValueError(f"abs_tol must be positive and finite, got {abs_tol}")
+    # +inf carries a component outside the error norm; some must be in it
+    if not (np.all(0.0 < atol) and np.any(atol < math.inf)):
+        raise ValueError(f"abs_tol must be positive, and finite on some component, got {abs_tol}")
     dimension = field.dimension
     z = np.array(init, dtype=complex)
     if z.shape != (dimension,):
@@ -362,6 +366,13 @@ def integrate_adaptive(
     and at one tenth of the span, and growth is suppressed entirely after an
     in-step rejection.
 
+    An ``abs_tol`` of +inf makes its component *carried*: integrated on the
+    same steps, with weight +inf, so its ratio is 0 while its error is
+    finite.  The mesh and the other components are then those of the same
+    integration without it, bit for bit, as long as the carried ones stay
+    finite (a non-finite one rejects the step).  At least one component
+    must be controlled.
+
     Returns the final state (an array) and step statistics.  Raises
     :class:`StepSizeUnderflowError` on stiffness/blow-up or past ``_MAX_STEPS``
     attempted steps, and :class:`NonFiniteStateError` on a NaN or on a
@@ -473,37 +484,67 @@ def winding_number(samples: Sequence[complex]) -> int:
     return round(float(np.sum(steps)) / (2.0 * np.pi))
 
 
-def _check_contour_values(values: list) -> None:
-    for v in values:
-        if v == 0.0 or not cmath.isfinite(v):
+def _check_contour_values(values: list, log_derivatives: list) -> None:
+    for v, g in zip(values, log_derivatives):
+        if v == 0.0 or not cmath.isfinite(v) or not cmath.isfinite(g):
             raise ContourThroughRootError("zero or non-finite value on contour")
 
 
 def refine_contour(
-    evaluator: Evaluator,
+    evaluator: LogEvaluator,
     contour: Contour,
     max_phase_step: float = np.pi / 4,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample ``evaluator`` on the contour, bisecting edges until every
-    consecutive phase difference is below ``max_phase_step``.
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Sample an analytic f on the contour, bisecting edges until its phase
+    is resolved on every edge.
 
-    Returns ``(nodes, values)``, both closed (first == last).  ``evaluator``
-    is called once per distinct node; the closing value repeats the first.
-    Exceeding ``_MAX_DEPTH`` bisections on one original edge means a zero
-    sits on or near the contour and raises :class:`ContourRefinementError`.
+    ``evaluator(z)`` returns ``(f(z), g(z))``, g = f'/f the log-derivative
+    of f.  An edge from z_i to z_i+1 is bisected while
+
+    * the *phase test* fails: the chord phase step |arg(f_i+1 / f_i)|
+      reaches ``max_phase_step``, or
+    * the *derivative test* fails: |Im(g dz)| reaches it at either end,
+      dz = z_i+1 - z_i.  Im(g dz) is the phase turn of f's linearization at
+      that end over the edge, so an edge across which the phase turns by
+      nearly a whole revolution, which the chord reads as a small step,
+      is refined too (after Ying & Katz, "A reliable argument principle
+      algorithm", Numer. Math. 1988).
+
+    A heuristic, not a certificate: that needs a bound on |g'| along each
+    edge.  Near a zero of f, |g| grows like 1/distance, so contours that
+    pass close to zeros cost more bisections than the phase test alone.
+
+    Returns ``(nodes, values, phase_bisections, derivative_bisections)``:
+    nodes and values of f, both closed (first == last), and how many
+    bisections each test forced (an edge failing both counts as the phase
+    test's).  ``evaluator`` is called once per distinct node; the closing
+    value repeats the first.  A zero or non-finite value, or a non-finite
+    log-derivative, raises :class:`ContourThroughRootError`; exceeding
+    ``_MAX_DEPTH`` bisections on one original edge means a zero sits on or
+    near the contour and raises :class:`ContourRefinementError`.
     """
     if not 0.0 < max_phase_step <= np.pi / 2:
         raise ValueError("max_phase_step must lie in (0, pi/2]")
     nodes = list(contour.nodes)
-    values = [evaluator(z) for z in nodes[:-1]]
-    _check_contour_values(values)
+    values, logd = map(list, zip(*[evaluator(z) for z in nodes[:-1]]))
+    _check_contour_values(values, logd)
     values.append(values[0])  # the closing node repeats the first
+    logd.append(logd[0])
     depths = [0] * (len(nodes) - 1)
-    # the phase step of each edge; a bisection replaces one by its halves'
-    jumps = [abs(np.angle(values[i + 1] / values[i])) for i in range(len(nodes) - 1)]
 
+    def failed(i: int) -> int:
+        """0 if edge i is resolved, else 1 (phase test) or 2 (derivative test)."""
+        if abs(np.angle(values[i + 1] / values[i])) >= max_phase_step:
+            return 1
+        dz = nodes[i + 1] - nodes[i]
+        turn = max(abs((logd[i] * dz).imag), abs((logd[i + 1] * dz).imag))
+        return 2 if turn >= max_phase_step else 0
+
+    # the failed test of each edge; a bisection replaces one by its halves'
+    tests = [failed(i) for i in range(len(nodes) - 1)]
+    forced = [0, 0, 0]
     while True:
-        bad = [i for i, j in enumerate(jumps) if j >= max_phase_step]
+        bad = [i for i, t in enumerate(tests) if t]
         if not bad:
             break
         if any(depths[i] >= _MAX_DEPTH for i in bad):
@@ -512,14 +553,16 @@ def refine_contour(
                 "a root lies on or near the contour"
             )
         midpoints = [0.5 * (nodes[i] + nodes[i + 1]) for i in bad]
-        midvalues = [evaluator(z) for z in midpoints]
-        _check_contour_values(midvalues)
-        for i, zm, vm in sorted(zip(bad, midpoints, midvalues), reverse=True):
+        midvalues, midlogd = zip(*[evaluator(z) for z in midpoints])
+        _check_contour_values(midvalues, midlogd)
+        for i, zm, vm, gm in sorted(zip(bad, midpoints, midvalues, midlogd), reverse=True):
+            forced[tests[i]] += 1
             nodes.insert(i + 1, zm)
             values.insert(i + 1, vm)
+            logd.insert(i + 1, gm)
             depths[i : i + 1] = [depths[i] + 1, depths[i] + 1]
-            jumps[i : i + 1] = [abs(np.angle(vm / values[i])), abs(np.angle(values[i + 2] / vm))]
-    return np.asarray(nodes, dtype=complex), np.asarray(values, dtype=complex)
+            tests[i : i + 1] = [failed(i), failed(i + 1)]
+    return np.asarray(nodes, dtype=complex), np.asarray(values, dtype=complex), forced[1], forced[2]
 
 
 def newton_root(

@@ -19,7 +19,9 @@ corrected to order 12 in eps that every shooting method starts from, the
 truncation depth picked from the tolerance and that mode's next term (and
 the shallower one without the rule's cap, which Lee-Stewart tries), and
 Erpenbeck's quadrature tail beyond the depth, which is the mode paired
-with the reaction source there.
+with the reaction source there.  On request the kernel and the frame also
+give their derivatives in lambda, which a solve integrates alongside Z to
+return dD/dlambda.
 
 Nothing here re-checks that every profile state is subsonic with u < 0;
 that is the invariant of :class:`zndevans.znd.SteadyWave`.
@@ -102,11 +104,12 @@ def jacobians(state: StateW, cfg: GasWaveConfig) -> tuple[np.ndarray, np.ndarray
     return A0, A1, C
 
 
-def rhs_kernel(wave: SteadyWave, lam: complex, shift: complex = 0.0, adjoint: bool = True):
+def rhs_kernel(wave: SteadyWave, lam: complex, shift: complex = 0.0, adjoint: bool = True,
+               dshift: complex = 0.0):
     """dZ/dy of the linearized system at fixed lambda, in closed form.
 
-    Returns ``kernel(state, z)``: with ``sigma = dx/dy`` at the profile state
-    ``state`` it gives
+    Returns ``kernel(state, z, dz=None)``: with ``sigma = dx/dy`` at the
+    profile state ``state`` it gives
 
         adjoint=True:   -sigma (A1^{-T} (-lam A0^T + C^T) - shift I) z
         adjoint=False:   sigma (-lam A0 + C) A1^{-1} z    (shift unused)
@@ -115,21 +118,36 @@ def rhs_kernel(wave: SteadyWave, lam: complex, shift: complex = 0.0, adjoint: bo
     The wave's constants are read once, here; the shooting methods build one
     kernel per solve and call it once per RHS evaluation.
 
+    Given four more numbers ``dz`` = dZ/dlam, the call is the derivative
+    form: it returns eight numbers, the four above followed by d/dy of dz
+    along the same solution,
+
+        adjoint=True:   -sigma (A1^{-T} (-lam A0^T + C^T) - shift I) dz
+                        -sigma (A1^{-T} (-A0^T) - dshift I) z
+        adjoint=False:   sigma (-lam A0 + C) A1^{-1} dz - sigma A0 A1^{-1} z
+
+    with ``dshift`` = d shift/d lam (-1/(u- + c-) for the neutral method's
+    g_minus; 0 for Erpenbeck's and for the forward kernel).  The source
+    terms are the operator's lam-coefficient block applied to z; the
+    adjoint reuses the sums A0^T z that its z apply forms, the forward one
+    the A1^{-1} z it solves for.  It computes the block once for z and dz,
+    and its first four numbers are those of the plain call, bit for bit.
+
     No matrix is built.  Per call, one lambda-independent block forms the
     gas entries of A0 and A1 from (rho, u, e) with the ideal-gas pressure
     p = Gamma rho e (as :func:`thermo` does), the cofactors of A1's gas
     block, sigma and the nonzero row of C; the adjoint or the forward apply
-    then combines it with ``lam`` and ``z``.  C = (0, 0, q, -1)^T c is rank
-    one, so C^T z = (q z2 - z3) c, and A1's last column is (0, 0, 0, rho u)
-    with last row Y times its first row plus (0, 0, 0, rho u), so the A1
-    solve is one division plus a 3x3 cofactor solve with the gas block
-    f1_V = [[u, rho, 0], [a10, a11, a12], [a20, a21, a22]].
+    then combines it with ``lam`` and ``z`` (and ``dz``).  C = (0, 0, q,
+    -1)^T c is rank one, so C^T z = (q z2 - z3) c, and A1's last column is
+    (0, 0, 0, rho u) with last row Y times its first row plus (0, 0, 0,
+    rho u), so the A1 solve is one division plus a 3x3 cofactor solve with
+    the gas block f1_V = [[u, rho, 0], [a10, a11, a12], [a20, a21, a22]].
     """
     cfg = wave.config
     Gamma, EA, R, K, q, m = cfg.Gamma, cfg.EA, cfg.Gamma + 1.0, cfg.K, cfg.q, wave.m
     neg_EA, neg_lam = -EA, -lam
 
-    def kernel(state: StateW, z) -> list:
+    def kernel(state: StateW, z, dz=None) -> list:
         rho, u, e, Y = state
         p = Gamma * rho * e
         p_rho = Gamma * e
@@ -165,20 +183,39 @@ def rhs_kernel(wave: SteadyWave, lam: complex, shift: complex = 0.0, adjoint: bo
         z0, z1, z2, z3 = z
         if adjoint:
             s = q * z2 - z3
-            b0 = s * c0 - lam * (z0 + u * z1 + E * z2 + Y * z3)
-            b1 = neg_lam * rho * (z1 + u * z2)
+            # A0^T z is (l0, rho l1, rho z2, rho z3)
+            l0 = z0 + u * z1 + E * z2 + Y * z3
+            l1 = z1 + u * z2
+            b0 = s * c0 - lam * l0
+            b1 = neg_lam * rho * l1
             lam_rho = lam * rho
             b2 = s * c2 - lam_rho * z2
             b3 = s * c3 - lam_rho * z3
             w3 = b3 / rho_u
             g = -sig / det
             sig_shift = sig * shift
-            return [
+            out = [
                 g * (k00 * b0 + k01 * b1 + k02 * b2) + sig * (Y * w3 + shift * z0),
                 g * (k10 * b0 + k11 * b1 + k12 * b2) + sig_shift * z1,
                 g * (k20 * b0 + k21 * b1 + k22 * b2) + sig_shift * z2,
                 sig * (shift * z3 - w3),
             ]
+            if dz is None:
+                return out
+            # (-lam A0^T + C^T) dz - A0^T z, then the same A1^{-T} apply
+            d0, d1, d2, d3 = dz
+            s = q * d2 - d3
+            b0 = s * c0 - lam * (d0 + u * d1 + E * d2 + Y * d3) - l0
+            b1 = -rho * (lam * (d1 + u * d2) + l1)
+            b2 = s * c2 - lam_rho * d2 - rho * z2
+            w3 = (s * c3 - lam_rho * d3 - rho * z3) / rho_u
+            out += [
+                g * (k00 * b0 + k01 * b1 + k02 * b2) + sig * (Y * w3 + shift * d0 + dshift * z0),
+                g * (k10 * b0 + k11 * b1 + k12 * b2) + sig * (shift * d1 + dshift * z1),
+                g * (k20 * b0 + k21 * b1 + k22 * b2) + sig * (shift * d2 + dshift * z2),
+                sig * (shift * d3 + dshift * z3 - w3),
+            ]
+            return out
         v0 = (k00 * z0 + k10 * z1 + k20 * z2) / det
         v1 = (k01 * z0 + k11 * z1 + k21 * z2) / det
         v2 = (k02 * z0 + k12 * z1 + k22 * z2) / det
@@ -187,12 +224,31 @@ def rhs_kernel(wave: SteadyWave, lam: complex, shift: complex = 0.0, adjoint: bo
         # A0 v, A0 of jacobians, from the block's E and rho u
         neg_sig = -sig
         neg_sig_lam = neg_sig * lam
-        return [
+        out = [
             neg_sig_lam * v0,
             neg_sig_lam * (u * v0 + rho * v1),
             sig * (q * s - lam * (E * v0 + rho_u * v1 + rho * v2)),
             neg_sig * (s + lam * (Y * v0 + rho * v3)),
         ]
+        if dz is None:
+            return out
+        # C A1^{-1} dz - A0 t with t = lam A1^{-1} dz + A1^{-1} z
+        d0, d1, d2, d3 = dz
+        w0 = (k00 * d0 + k10 * d1 + k20 * d2) / det
+        w2 = (k02 * d0 + k12 * d1 + k22 * d2) / det
+        w3 = (d3 - Y * d0) / rho_u
+        s = c0 * w0 + c2 * w2 + c3 * w3
+        t0 = lam * w0 + v0
+        t1 = lam * (k01 * d0 + k11 * d1 + k21 * d2) / det + v1
+        t2 = lam * w2 + v2
+        t3 = lam * w3 + v3
+        out += [
+            neg_sig * t0,
+            neg_sig * (u * t0 + rho * t1),
+            sig * (q * s - (E * t0 + rho_u * t1 + rho * t2)),
+            neg_sig * (s + Y * t0 + rho * t3),
+        ]
+        return out
 
     return kernel
 
@@ -389,6 +445,23 @@ def stable_left_mode(wave: SteadyWave, lam: complex) -> tuple[np.ndarray, comple
     return ell, g_minus
 
 
+def _left_mode_derivative(wave: SteadyWave, lam: complex, ell: np.ndarray) -> tuple[np.ndarray, float]:
+    """(d ell/d lam, d g_minus/d lam) of :func:`stable_left_mode`'s pair.
+
+    g_minus = -alpha lam, and of ell only the reactant part q K psi / r
+    depends on lambda, through r = lambda rho- (1 - alpha u-) + K psi:
+    ell[3]' = -ell[3] rho- (1 - alpha u-) / r.
+    """
+    cfg = wave.config
+    st = wave.burned
+    _, _, c_s, _, _ = thermo(st, cfg)
+    alpha = 1.0 / (st.u + c_s)
+    slope = st.rho * (1.0 - alpha * st.u)
+    dell = np.zeros(4, dtype=complex)
+    dell[3] = -ell[3] * slope / (lam * slope + cfg.K * reaction_psi(st, cfg))
+    return dell, -alpha
+
+
 def _pair_residual(wave: SteadyWave, r: list, ell: np.ndarray) -> float:
     # r is the adjoint kernel with shift g_minus applied to ell at the burned
     # state, A_inf ell = -sigma_minus (G_minus^T - g_minus I) ell
@@ -417,6 +490,19 @@ def jump_vector(wave: SteadyWave, lam: complex) -> np.ndarray:
     return lam * dF0 + R_minus
 
 
+class FrameDerivative(NamedTuple):
+    """d/d lambda of a :class:`SpectralFrame`'s lambda-dependent data at
+    the frame's own depth: ``g_minus`` (which is -1/(u- + c-)), ``zeta``,
+    ``tail`` and the start's coefficients ``w`` (w_0'..w_12', of which
+    ``zeta`` sums eps^k w_k' at the frame's eps).  The jump's derivative is
+    the wave's lambda-free ``jump_terms[0]``."""
+
+    g_minus: float
+    zeta: np.ndarray
+    tail: complex
+    w: np.ndarray
+
+
 @dataclass(frozen=True)
 class SpectralFrame:
     """Everything lambda-dependent that one determinant evaluation needs.
@@ -430,6 +516,7 @@ class SpectralFrame:
     eps^k w_k to k = 12, and ``M_far`` the depth of the depth rule without
     its cap, at most ``M``; it is None where the caller gave the depth.
     Lee-Stewart may pair there instead (:func:`zndevans.evans._lee_stewart`).
+    ``derivative`` is the :class:`FrameDerivative`, where it was asked for.
     """
 
     ell: np.ndarray
@@ -440,6 +527,7 @@ class SpectralFrame:
     tail: complex
     w: np.ndarray | None = None
     M_far: float | None = None
+    derivative: FrameDerivative | None = None
 
 
 def check_depth(M: float) -> float:
@@ -450,7 +538,8 @@ def check_depth(M: float) -> float:
     return M
 
 
-def make_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = None) -> SpectralFrame:
+def make_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = None,
+               derivative: bool = False) -> SpectralFrame:
     """Build and validate the spectral data of one solve at tolerance ``tol``.
 
     All of it comes from the adjoint :func:`rhs_kernel` with shift g_minus
@@ -538,6 +627,17 @@ def make_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = Non
     That state is the frame's one profile evaluation, through this
     module's binding of profile_at, so evans' binding still sees exactly
     one evaluation per RHS call.
+
+    *Derivative.*  With ``derivative``, the frame also carries the
+    :class:`FrameDerivative`: d/d lambda at the frame's depth, which the
+    derivative does not follow.  The same loop and cofactor solve give
+
+        (kK I - A_inf) w_k' = A_0' w_k + sum_{j=1..k} (A_j' w_{k-j} + A_j w_{k-j}')
+
+    for k <= 12, with A_j' = P_j - alpha S_j, alpha = 1/(u- + c-), and
+    w_0' = ell' (:func:`_left_mode_derivative`); then zeta' = sum eps^k
+    w_k', and tail' is zeta' . R at -M.  Every other field is the plain
+    frame's, bit for bit.
     """
     if M is not None:
         M = check_depth(M)
@@ -577,8 +677,17 @@ def make_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = Non
     H = A[:-1].transpose(1, 0, 2).reshape(4, -1)
     w = np.empty((_ORDER + 2, 4), dtype=complex)
     w[0] = ell
+    if derivative:
+        dell, dg_minus = _left_mode_derivative(wave, lam, ell)
+        dA = series.P[::-1] + dg_minus * series.S[::-1]  # A_j' in A's order
+        dH = dA[:-1].transpose(1, 0, 2).reshape(4, -1)
+        dw = np.empty((_ORDER + 1, 4), dtype=complex)
+        dw[0] = dell
     for k in range(1, _ORDER + 2):
         w[k] = solve(k * K, (H[:, -4 * k:] @ w[:k].ravel()).tolist())
+        if derivative and k <= _ORDER:
+            F = dA[-1] @ w[k] + dH[:, -4 * k:] @ w[:k].ravel() + H[:, -4 * k:] @ dw[:k].ravel()
+            dw[k] = solve(k * K, F.tolist())
 
     M_far = None
     if M is None:
@@ -599,9 +708,15 @@ def make_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = Non
             raise ValueError(f"M = {M} starts at Y = {eps:.3g}, beyond the radius "
                              f"{series.radius:.3g} of the start's series; M must exceed "
                              f"{math.log(1.0 / series.radius) / K:.6g}")
-    zeta = eps ** np.arange(_ORDER + 1) @ w[:_ORDER + 1]
+    powers = eps ** np.arange(_ORDER + 1)
+    zeta = powers @ w[:_ORDER + 1]
 
     state, q = profile_at(wave, -M), wave.config.q
     # zeta . R at -M, with R = (0, 0, q, -1) K Y psi
-    tail = complex(K * state.Y * reaction_psi(state, wave.config) * (q * zeta[2] - zeta[3]))
-    return SpectralFrame(ell, g_minus, jump_vector(wave, lam), M, zeta, tail, w, M_far)
+    source = K * state.Y * reaction_psi(state, wave.config)
+    tail = complex(source * (q * zeta[2] - zeta[3]))
+    d = None
+    if derivative:
+        dzeta = powers @ dw
+        d = FrameDerivative(dg_minus, dzeta, complex(source * (q * dzeta[2] - dzeta[3])), dw)
+    return SpectralFrame(ell, g_minus, jump_vector(wave, lam), M, zeta, tail, w, M_far, d)

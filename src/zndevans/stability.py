@@ -2,8 +2,9 @@
 
 Unstable normal modes are zeros of the determinant in the closed right half
 plane; their number inside a semicircular contour equals the winding number
-of the determinant around it (argument principle), computed here on
-adaptively refined samples.  Individual roots are followed through parameter
+of D / lambda around it (argument principle: lambda = 0 lies outside),
+computed here on samples refined on the phase and on the exact
+log-derivative.  Individual roots are followed through parameter
 sweeps by Newton continuation with step halving on failure.
 """
 
@@ -31,7 +32,9 @@ class WindingReport:
     (plot-ready together with ``contour.nodes``).  ``solve_stats`` holds the
     step accounting of each determinant solve actually made, in the order
     they were made; there are fewer solves than samples when samples share
-    one (see :func:`count_unstable`).
+    one (see :func:`count_unstable`).  ``phase_bisections`` and
+    ``derivative_bisections`` count the edges that the phase test and the
+    derivative test of :func:`zndevans.numerics.refine_contour` bisected.
     """
 
     contour: Contour
@@ -41,6 +44,8 @@ class WindingReport:
     method: str
     samples: np.ndarray | None = None
     solve_stats: tuple[SolveStats, ...] = ()
+    phase_bisections: int = 0
+    derivative_bisections: int = 0
 
     @property
     def n_evaluations(self) -> int:
@@ -55,6 +60,8 @@ class WindingReport:
             "winding": self.winding,
             "min_abs_D": self.min_abs_D,
             "method": self.method,
+            "phase_bisections": self.phase_bisections,
+            "derivative_bisections": self.derivative_bisections,
         }
 
 
@@ -67,40 +74,64 @@ def count_unstable(
     """Count unstable modes inside the offset semicircle of given radius.
 
     The contour is fixed: its flat side sits at Re = 1e-4 * radius to avoid
-    the neutral point at the origin, and it starts from 32 arc and 16 side
-    segments.  Samples are refined until every phase step is below pi/4; a
-    sample magnitude under ``_FLOOR_REL`` (1e-10) times max|D| aborts with
-    :class:`ContourThroughRootError` (perturb the radius and retry).
-    ``Contour.semicircle`` rejects a radius that is not positive (or NaN).
+    the neutral point at the origin, and it starts from 8 arc and 4 side
+    segments.  It winds f = D kappa / lambda, which has the zeros of D
+    inside the contour and is regular at D's translation zero lambda = 0,
+    outside it.  Every solve also gives d(D kappa)/d lambda, hence the
+    log-derivative g = f'/f, and :func:`zndevans.numerics.refine_contour`
+    bisects an edge while f's phase step reaches pi/4 or while
+    |Im(g dlambda)| does at either end.  The coarse start suffices because
+    each node reports how fast the phase turns: without the derivative
+    test, samples far apart alias a whole turn near a root close to the
+    axis into a small step, and the count comes out too low (LS(1.2, 50)
+    at radius 18.5 to 22).  Winding D itself would bisect towards its
+    translation zero, where g ~ 1/lambda.  A derivative solve costs about
+    1.8 plain ones; contours far from roots take few nodes (7 to 9 solves
+    on the default wave at radius 2 and 10), but each root close to the
+    contour costs bisections (LS(1.2, 50) at radius 22: 98 solves).
+
+    A sample magnitude |D kappa| under ``_FLOOR_REL`` (1e-10) times the
+    largest aborts with :class:`ContourThroughRootError` (perturb the
+    radius and retry).  ``Contour.semicircle`` rejects a radius that is not
+    positive (or NaN).
 
     Each solve picks its truncation depth from ``tol`` (``make_frame``).
     Unnormalized methods are rescaled by their recorded analytic factor, so
     every method winds the same function; the factor is entire and
-    nonvanishing, hence contributes no winding of its own.
+    nonvanishing, hence contributes no winding of its own.  The report's
+    ``samples`` are D kappa, not f.
 
     ``D`` is solved on the closed upper half of the contour only; a node
-    below the real axis takes the conjugate of its mirror's value.  That is
-    exact, not an approximation: every method integrates a system with real
-    coefficients from real-symmetric boundary data, so ``D(conj lambda) =
-    conj D(lambda)``; in floating point the two solves take the same steps
-    and agree to rounding, bit for bit where tested.  The contour and
-    its bisection midpoints are exact mirror images, so each conjugate pair
-    costs one solve and ``n_evaluations`` is about half of ``n_samples``.
+    below the real axis takes the conjugate of its mirror's value and
+    derivative.  That is exact, not an approximation: every method
+    integrates a system with real coefficients from real-symmetric
+    boundary data, so ``D(conj lambda) = conj D(lambda)``; in floating
+    point the two solves take the same steps and agree to rounding, bit for
+    bit where tested.  The contour and its bisection midpoints are exact
+    mirror images, so each conjugate pair costs one solve and
+    ``n_evaluations`` is about half of ``n_samples``.
     """
-    contour = Contour.semicircle(radius, 1e-4 * radius)
+    contour = Contour.semicircle(radius, 1e-4 * radius, n_arc=8, n_side=4)
     solved: dict[complex, EvansResult] = {}  # upper-half lambda -> its solve
 
-    def evaluator(lam: complex) -> complex:
+    def solve(lam: complex) -> tuple[complex, complex]:
+        """D kappa and its derivative at lam, from the solve at lam or at
+        its mirror image."""
         key = lam if lam.imag >= 0.0 else lam.conjugate()
         r = solved.get(key)
         if r is None:
-            r = solved[key] = evaluate(wave, key, method=method, tol=tol)
-        value = r.D * r.kappa_to_neutral
-        return value if key == lam else value.conjugate()
+            r = solved[key] = evaluate(wave, key, method=method, tol=tol, derivative=True)
+        value, slope = r.D * r.kappa_to_neutral, r.derivative
+        return (value, slope) if key == lam else (value.conjugate(), slope.conjugate())
 
-    nodes, values = refine_contour(evaluator, contour)
-    min_abs = float(np.min(np.abs(values)))
-    if min_abs < _FLOOR_REL * float(np.max(np.abs(values))):
+    def evaluator(lam: complex) -> tuple[complex, complex]:
+        value, slope = solve(lam)
+        return value / lam, slope / value - 1.0 / lam  # f and f'/f
+
+    nodes, values, by_phase, by_derivative = refine_contour(evaluator, contour)
+    samples = np.array([solve(z)[0] for z in nodes])
+    min_abs = float(np.min(np.abs(samples)))
+    if min_abs < _FLOOR_REL * float(np.max(np.abs(samples))):
         raise ContourThroughRootError(
             f"|D| falls to {min_abs:.3e} on the contour; a root sits on or near "
             "it -- perturb the radius"
@@ -113,8 +144,10 @@ def count_unstable(
         winding=w,
         min_abs_D=min_abs,
         method=method,
-        samples=values,
+        samples=samples,
         solve_stats=tuple(r.stats for r in solved.values()),
+        phase_bisections=by_phase,
+        derivative_bisections=by_derivative,
     )
 
 

@@ -646,6 +646,91 @@ class TestConjugateSymmetry:
         )
 
 
+# D' of a derivative solve at tol = 1e-5 lies within DERIVATIVE_BOUND * tol
+# of a centred difference at its depth, relative to |D'|, and the three
+# methods' (D kappa)' within the same of each other.  The largest measured
+# are 50 tol (neutral against the difference) and 60 tol (the methods
+# apart), both on the default wave at 0.1+30i; dZ/dlambda is carried
+# outside the step control, so its error is not held to tol.
+DERIVATIVE_BOUND = 100.0
+
+
+class TestDerivative:
+    """evaluate(..., derivative=True): d(D kappa)/d lambda at the solve's
+    own depth, on the plain solve's mesh."""
+
+    TOL = 1e-5
+
+    @pytest.fixture(scope="class", params=["default", "LS(1.6, 50)"])
+    def solves(self, request):
+        """(wave, {(method, lam): (plain solve, derivative solve)})."""
+        if request.param == "default":
+            wave = build_wave(default_config())
+        else:
+            wave = build_wave(lee_stewart_config(1.2, 50.0, 50.0, 1.6))
+        return wave, {
+            (method, lam): (evaluate(wave, lam, method=method, tol=self.TOL),
+                            evaluate(wave, lam, method=method, tol=self.TOL, derivative=True))
+            for method in METHODS for lam in (1.0 + 1.0j, 4.0 + 10.0j, 0.1 + 30.0j)
+        }
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("lam", [1.0 + 1.0j, 4.0 + 10.0j, 0.1 + 30.0j])
+    def test_matches_a_centred_difference(self, solves, method, lam):
+        wave, by_key = solves
+        _, r = by_key[method, lam]
+        # the same method at the same depth, at tol 1e-8, h = 1e-3 max(1, |lam|)
+        h = 1e-3 * max(1.0, abs(lam))
+        ends = [evaluate(wave, lam + dl, method=method, tol=1e-8, M=r.M) for dl in (h, -h)]
+        (a, b) = [e.D * e.kappa_to_neutral for e in ends]
+        difference = (a - b) / (2.0 * h)
+        assert abs(r.derivative - difference) <= DERIVATIVE_BOUND * self.TOL * abs(difference)
+
+    @pytest.mark.parametrize("lam", [1.0 + 1.0j, 4.0 + 10.0j, 0.1 + 30.0j])
+    def test_methods_agree(self, solves, lam):
+        _, by_key = solves
+        neutral = by_key["neutral", lam][1].derivative
+        for method in METHODS[1:]:
+            other = by_key[method, lam][1].derivative
+            assert abs(other - neutral) <= DERIVATIVE_BOUND * self.TOL * abs(neutral), method
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("lam", [1.0 + 1.0j, 4.0 + 10.0j, 0.1 + 30.0j])
+    def test_the_plain_solve_bit_for_bit(self, solves, method, lam):
+        wave, by_key = solves
+        plain, r = by_key[method, lam]
+        assert plain.derivative is None
+        assert (r.D, r.M, r.kappa_to_neutral, r.stats) == (
+            plain.D, plain.M, plain.kappa_to_neutral, plain.stats)
+        # and at the mirror image, conjugated, as count_unstable relies on
+        m = evaluate(wave, lam.conjugate(), method=method, tol=self.TOL, derivative=True)
+        assert (m.D, m.M, m.kappa_to_neutral, m.derivative, m.stats) == (
+            r.D.conjugate(), r.M, r.kappa_to_neutral.conjugate(), r.derivative.conjugate(), r.stats)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_one_profile_evaluation_per_rhs_call(self, wave, monkeypatch, method):
+        # as for the plain solve: the derivative rides in the same RHS call
+        calls = {"profile_at": 0, "profile_deriv": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(evans, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(evans, name, counted)
+        n = evaluate(wave, 1.0 + 1.0j, method=method, derivative=True).stats.rhs_evaluations
+        assert n > 0
+        assert calls == {"profile_at": n, "profile_deriv": n if method == "erpenbeck" else 0}
+
+    def test_lee_stewart_on_both_legs(self):
+        # on E=51.5 at 1+1i the far depth's estimate fails and the solve runs
+        # on to -M (see the CI tracer step); the derivative follows both legs
+        wave = build_wave(lee_stewart_config(1.107, 17.0, 51.5, 1.417))
+        lam = 1.0 + 1.0j
+        r = evaluate(wave, lam, method="lee_stewart", tol=self.TOL, derivative=True)
+        assert r.M == spectral.make_frame(wave, lam, self.TOL).M
+        neutral = evaluate(wave, lam, tol=self.TOL, derivative=True).derivative
+        assert abs(r.derivative - neutral) <= DERIVATIVE_BOUND * self.TOL * abs(neutral)
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_real_lambda_converted_once(wave, method):
     # evaluate converts lambda before any solver sees it, so a real lambda

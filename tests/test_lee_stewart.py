@@ -64,3 +64,30 @@ def test_root_pinned(ls_waves):
         assert abs(z - root) <= 1e-7, (method, z)
         found.append(z)
     assert max(abs(a - b) for a in found for b in found) <= 1e-7, found
+
+
+# Radii of the large-radius counts on LS(1.2, 50).  Its higher unstable
+# modes sit close to the imaginary axis, 3.6 apart in Im lambda, so samples
+# on the flat side can alias a whole phase turn into a small step; the
+# phase test alone gave 8, 6 and 0 at radius 18.5, 20 and 22.
+LARGE_RADII = (16.0, 18.5, 20.0, 22.0)
+
+
+@pytest.fixture(scope="module")
+def large_radius_counts(ls_waves):
+    """Neutral counts of LS(1.2, 50) at LARGE_RADII, tol 1e-5, keyed by
+    radius: four counts of 87 to 98 solves, 1.2 to 1.6 s together."""
+    wave = ls_waves[1.2, 50.0]
+    return {radius: count_unstable(wave, radius, tol=1e-5) for radius in LARGE_RADII}
+
+
+@pytest.mark.parametrize("radius", LARGE_RADII[1:])
+def test_no_aliasing_at_large_radius(large_radius_counts, radius):
+    # five conjugate pairs lie inside radius 16 and none between 16 and 22
+    assert large_radius_counts[radius].winding == 10
+
+
+def test_windings_do_not_decrease_with_the_radius(large_radius_counts):
+    # nested half-disks cannot hold fewer roots
+    windings = [large_radius_counts[radius].winding for radius in LARGE_RADII]
+    assert windings == sorted(windings), windings

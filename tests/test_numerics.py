@@ -33,6 +33,12 @@ def model_oracle(lam, c):
     return lam / (c * (lam + 2.0))
 
 
+def simple_zero(a):
+    """refine_contour's evaluator of z - a: the value and its exact
+    log-derivative 1/(z - a), infinite at a."""
+    return lambda z: (z - a, 1 / (z - a) if z != a else complex(math.inf))
+
+
 class TestIntegrate:
     def test_constant_field(self):
         z, stats = integrate_adaptive(CONSTANT, (-5.0, 0.0), [1.0 + 0j])
@@ -106,6 +112,25 @@ class TestIntegrate:
         assert field.dimension == 3 and type(field.dimension) is int
 
 
+class TestCarriedComponents:
+    """abs_tol = +inf carries a component outside the error norm."""
+
+    def test_mesh_and_controlled_part_unchanged(self):
+        alone = OdeField(1, lambda x, z: [z[0] * math.cos(3.0 * x)])
+        # the carried component grows much faster than the controlled one
+        pair = OdeField(2, lambda x, z: [z[0] * math.cos(3.0 * x), 40.0 * z[1] + z[0]])
+        z1, s1 = integrate_adaptive(alone, (0.0, 2.0), [1.0 + 0j], 1e-6, 1e-6)
+        z2, s2 = integrate_adaptive(pair, (0.0, 2.0), [1.0 + 0j, 0j], 1e-6, [1e-6, math.inf])
+        assert s2 == s1
+        assert z2[0] == z1[0]
+        # integrated, not controlled: e^80 is about 5e34
+        assert np.isfinite(z2[1]) and abs(z2[1]) > 1e20
+
+    def test_some_component_must_be_controlled(self):
+        with pytest.raises(ValueError, match="abs_tol"):
+            integrate_adaptive(EXPONENTIAL, (0.0, 1.0), [1.0 + 0j], 1e-6, math.inf)
+
+
 class TestWinding:
     def test_constant_samples(self):
         contour = Contour.circle(0.0, 1.0, 16)
@@ -153,13 +178,13 @@ class TestWinding:
 class TestRefine:
     def test_constant_unchanged(self):
         contour = Contour.circle(0.0, 2.0, 8)
-        nodes, values = refine_contour(lambda z: 1.0 + 0j, contour)
+        nodes, values, _, _ = refine_contour(lambda z: (1.0 + 0j, 0j), contour)
         assert len(nodes) == len(contour.nodes)
         assert np.all(values == 1.0)
 
     def test_identity_on_unit_circle(self):
         contour = Contour.circle(0.0, 1.0, 8)
-        nodes, values = refine_contour(lambda z: z, contour, max_phase_step=np.pi / 4)
+        nodes, values, _, _ = refine_contour(lambda z: (z, 1 / z), contour, max_phase_step=np.pi / 4)
         assert len(nodes) >= len(contour.nodes)
         steps = np.abs(np.angle(values[1:] / values[:-1]))
         assert np.all(steps < np.pi / 4)
@@ -167,7 +192,9 @@ class TestRefine:
 
     def test_model_semicircle_passes_preconditions(self):
         contour = Contour.semicircle(4.0, 4e-4, n_arc=16, n_side=8)
-        nodes, values = refine_contour(lambda z: model_oracle(z, 10.0), contour)
+        nodes, values, _, _ = refine_contour(
+            lambda z: (model_oracle(z, 10.0), 1 / z - 1 / (z + 2.0)), contour
+        )
         assert winding_number(values) == 0
 
     @pytest.mark.parametrize("max_phase_step", [np.pi / 2, np.pi / 8])
@@ -176,21 +203,39 @@ class TestRefine:
         # only under the tighter bound
         calls = []
         contour = Contour.circle(0.0, 1.0, 8)
-        nodes, _ = refine_contour(lambda z: calls.append(z) or z, contour, max_phase_step)
+        nodes, _, _, _ = refine_contour(lambda z: calls.append(z) or (z, 1 / z), contour, max_phase_step)
         assert (len(nodes) > len(contour.nodes)) == (max_phase_step < np.pi / 4)
         assert len(calls) == len(set(calls)) == len(nodes) - 1
         assert set(calls) == set(nodes[:-1].tolist())
 
+    def test_derivative_test_catches_an_aliased_turn(self):
+        # z^8 turns a whole revolution between the 8 nodes of the unit
+        # circle: every chord step is 0, and only |Im(g dz)| = 8 |Im(dz/z)|
+        # shows the turn
+        contour = Contour.circle(0.0, 1.0, 8)
+        nodes, values, by_phase, by_derivative = refine_contour(lambda z: (z**8, 8 / z), contour)
+        assert winding_number(values) == 8
+        assert by_derivative >= 8
+        assert by_phase + by_derivative == len(nodes) - len(contour.nodes)
+
+    def test_phase_bisections_counted(self):
+        # z on 8 nodes: every phase step pi/4 fails the phase test first
+        contour = Contour.circle(0.0, 1.0, 8)
+        nodes, _, by_phase, by_derivative = refine_contour(
+            lambda z: (z, 1 / z), contour, max_phase_step=np.pi / 8)
+        assert by_phase >= 8
+        assert by_phase + by_derivative == len(nodes) - len(contour.nodes)
+
     def test_root_on_contour_hits_depth_cap(self):
         contour = Contour.circle(0.0, 1.0, 8)
         with pytest.raises((ContourRefinementError, ContourThroughRootError)):
-            refine_contour(lambda z: z - 1.0, contour, max_phase_step=np.pi / 8)
+            refine_contour(simple_zero(1.0), contour, max_phase_step=np.pi / 8)
 
     def test_root_next_to_contour_hits_depth_cap(self):
         # no node lands on the root, so bisection runs until the cap stops it
         contour = Contour.circle(0.0, 1.0, 8)
         with pytest.raises(ContourRefinementError, match="depth cap"):
-            refine_contour(lambda z: z - (1.0 + 1e-9), contour, max_phase_step=np.pi / 8)
+            refine_contour(simple_zero(1.0 + 1e-9), contour, max_phase_step=np.pi / 8)
 
 
 class TestNewton:
@@ -278,10 +323,10 @@ class TestContour:
 class TestWindingRefinementInvariance:
     def test_winding_stable_under_extra_refinement(self):
         lam0 = 0.4 + 0.3j
-        evaluator = lambda z: (z - lam0) * (z + 2.0)
+        evaluator = lambda z: ((z - lam0) * (z + 2.0), 1 / (z - lam0) + 1 / (z + 2.0))
         contour = Contour.circle(0.0, 1.0, 16)
         windings = []
         for step in (np.pi / 4, np.pi / 8, np.pi / 16):
-            _, values = refine_contour(evaluator, contour, max_phase_step=step)
+            _, values, _, _ = refine_contour(evaluator, contour, max_phase_step=step)
             windings.append(winding_number(values))
         assert windings == [1, 1, 1]

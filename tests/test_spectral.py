@@ -111,6 +111,49 @@ class TestClosedFormKernel:
         assert worst < 1e-12
 
 
+class TestDerivativeForms:
+    """rhs_kernel's and make_frame's derivative forms against centred
+    differences in lambda, and their plain parts against the plain forms."""
+
+    def test_kernel(self, rng):
+        # the operator is affine in lambda, so the difference is exact up to
+        # rounding; the neutral shift g_minus = -alpha lambda is too
+        waves = [build_wave(default_config()), build_wave(lee_stewart_config(1.2, 50.0, 50.0, 1.6))]
+        alpha = 0.7
+        for wave in waves:
+            for st_ in [profile_at(wave, y) for y in np.linspace(-wave.M_y, 0.0, 9)] + [wave.burned]:
+                for lam in (1.0 + 1.0j, 0.1 + 30j):
+                    z, dz = (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))).tolist()
+                    h = 1e-3 * abs(lam)
+                    for adjoint, dshift in ((True, -alpha), (True, 0.0), (False, 0.0)):
+                        shift = dshift * lam
+                        plain = rhs_kernel(wave, lam, shift, adjoint)(st_, z)
+                        both = rhs_kernel(wave, lam, shift, adjoint, dshift)(st_, z, dz)
+                        assert both[:4] == plain
+                        up, down = (rhs_kernel(wave, lam + d, dshift * (lam + d), adjoint)(st_, z)
+                                    for d in (h, -h))
+                        want = np.add(rhs_kernel(wave, lam, shift, adjoint)(st_, dz),
+                                      np.subtract(up, down) / (2.0 * h))
+                        assert np.linalg.norm(np.subtract(both[4:], want)) <= 1e-8 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("lam", [1.0 + 1.0j, 4.0 + 10.0j, 0.1 + 30.0j])
+    def test_frame(self, wave, lam):
+        plain = make_frame(wave, lam, 1e-5)
+        frame = make_frame(wave, lam, 1e-5, derivative=True)
+        assert plain.derivative is None
+        for name in ("ell", "g_minus", "jump", "M", "zeta", "tail", "w", "M_far"):
+            assert np.array_equal(getattr(frame, name), getattr(plain, name)), name
+        # at the fixed depth M, where the derivative is taken
+        h = 1e-4 * abs(lam)
+        up, down = (make_frame(wave, lam + d, 1e-5, plain.M) for d in (h, -h))
+        d = frame.derivative
+        assert d.g_minus == pytest.approx((up.g_minus - down.g_minus) / (2.0 * h), rel=1e-9)
+        for got, name in ((d.zeta, "zeta"), (d.w, "w"), (d.tail, "tail")):
+            want = (np.asarray(getattr(up, name)) - np.asarray(getattr(down, name))) / (2.0 * h)
+            want = want[:len(d.w)] if name == "w" else want
+            assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want), name
+
+
 class TestCoefficientMatrix:
     def test_lambda_zero_keeps_only_source_rows(self, wave):
         G = coefficient_G(wave, 0.0, -60.0 / wave.config.K)

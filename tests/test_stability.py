@@ -9,7 +9,7 @@ from zndevans.errors import ContourThroughRootError
 from zndevans.evans import METHODS, evaluate
 from zndevans.numerics import Contour, refine_contour, winding_number
 from zndevans.stability import continue_roots, count_unstable, sweep_roots
-from zndevans.znd import default_config, nonreactive_config
+from zndevans.znd import build_wave, default_config, nonreactive_config
 
 
 class TestCountUnstable:
@@ -17,8 +17,9 @@ class TestCountUnstable:
         # a conjugate pair inside the semicircle must wind twice
         lam0 = 0.5 + 1.0j
         contour = Contour.semicircle(2.0, 2e-4, n_arc=24, n_side=12)
-        _, values = refine_contour(
-            lambda z: (z - lam0) * (z - np.conj(lam0)), contour
+        _, values, _, _ = refine_contour(
+            lambda z: ((z - lam0) * (z - np.conj(lam0)), 1 / (z - lam0) + 1 / (z - np.conj(lam0))),
+            contour,
         )
         assert winding_number(values) == 2
 
@@ -38,7 +39,10 @@ class TestCountUnstable:
         # synthetic check at the numerics level: zero sitting on the contour
         contour = Contour.semicircle(1.0, 1e-4, n_arc=16, n_side=8)
         with pytest.raises(ContourThroughRootError):
-            _, values = refine_contour(lambda z: z - 1.0, contour, max_phase_step=np.pi / 8)
+            _, values, _, _ = refine_contour(
+                lambda z: (z - 1.0, 1 / (z - 1.0) if z != 1.0 else complex(cmath.inf)),
+                contour, max_phase_step=np.pi / 8,
+            )
             winding_number(values)
 
     def test_report_json(self, shock):
@@ -58,6 +62,34 @@ class TestCountUnstable:
     def test_unknown_method_rejected(self, wave):
         with pytest.raises(ValueError, match="unknown method 'collocation'"):
             count_unstable(wave, 2.0, method="collocation")
+
+
+class TestCountUnstableRefinement:
+    """count_unstable winds D kappa / lambda from an 8/4 start, refined on
+    the phase and on the exact log-derivative."""
+
+    @pytest.fixture(scope="class")
+    def ls_report(self):
+        # two conjugate pairs inside: 33 solves, about 0.1 s
+        wave = build_wave(lee_stewart_config(1.2, 50.0, 50.0, 1.2))
+        return count_unstable(wave, 5.0, tol=1e-5)
+
+    def test_every_node_past_the_start_is_a_bisection(self, ls_report):
+        # the 8/4 semicircle has 12 distinct nodes
+        r = ls_report
+        assert r.winding == 4
+        assert r.phase_bisections > 0 and r.derivative_bisections > 0
+        assert r.n_samples == 12 + r.phase_bisections + r.derivative_bisections
+        rec = r.to_json_dict()
+        assert (rec["phase_bisections"], rec["derivative_bisections"]) == (
+            r.phase_bisections, r.derivative_bisections)
+
+    def test_no_solve_bisects_towards_the_origin(self, wave):
+        # D/lambda is regular at D's translation zero: the radius-2 count
+        # needs no bisection at all, where winding D took 36 solves
+        r = count_unstable(wave, 2.0, tol=1e-5)
+        assert (r.n_samples, r.n_evaluations) == (12, 7)
+        assert r.phase_bisections == r.derivative_bisections == 0
 
 
 class TestCountUnstableSolvesTheUpperHalf:
