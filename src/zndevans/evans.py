@@ -37,11 +37,14 @@ d/dy of Z . R(profile), so that tail is the start paired with the reaction
 source at -M.  The truncation error is of order eps^13 rather than eps.
 Unless ``M`` is given, the frame picks eps for each lambda from ``tol``
 and the start's first neglected term, so that this error stays below
-``tol``, and records the shallower depth M_far the same rule gives without
-its cap.  The forward methods run at M.  Lee-Stewart's backward solution at
--M_far is the dual weight of the start's error there, so it checks the
-far start's first neglected term against ``tol`` |D| for free and pairs at
-M_far where that passes, at M where it does not (:func:`_lee_stewart`).
+``tol``.  It records the far depth M_far, where that term is 0.1 tol
+|ell|, and the depth M >= M_far, which keeps a fixed margin in eps (a
+factor 0.35 where the next term sets M_far) for the weight the field
+between -M and 0 gives the start's error in D.  The forward methods run
+at M.  Lee-Stewart's backward solution at -M_far is the dual weight of
+the start's error there, so it checks the far start's first neglected
+term against ``tol`` |D| for free and pairs at M_far where that passes,
+at M where it does not (:func:`_lee_stewart`).
 
 Normalizations are chosen so neutral and Erpenbeck values coincide, from one
 frame, up to integration error: Erpenbeck's quadrature telescopes to the

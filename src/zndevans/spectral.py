@@ -17,7 +17,7 @@ vector that closes the stability determinant, and the frame of one solve
 (:func:`make_frame`): that pair checked, the jump, the burned-end mode
 corrected to order 12 in eps that every shooting method starts from, the
 truncation depth picked from the tolerance and that mode's next term (and
-the shallower one without the rule's cap, which Lee-Stewart tries), and
+the shallower far depth, which Lee-Stewart tries), and
 Erpenbeck's quadrature tail beyond the depth, which is the mode paired
 with the reaction source there.  On request the kernel and the frame also
 give their derivatives in lambda, which a solve integrates alongside Z to
@@ -49,6 +49,11 @@ from .znd import (
 
 # the constant of make_frame's depth rule, fixed against tests/test_truncation.py
 _DEPTH_THETA = 0.1
+# where the next term sets the depth, the forward methods start within this
+# factor of it in eps: the start's error rho^13 theta tol |ell|, times the
+# dual weight 3.6e4 measured along w_13 (tests/test_spectral.py), or 3.1e6
+# bounding it by |zeta||W|/|D|, stays within tol/2 for rho <= 0.50 or 0.358
+_DEPTH_RHO = 0.35
 
 # The order n of make_frame's start, a sum of n + 1 terms in eps = Y with
 # a truncation error of order eps^(n + 1); the series of the adjoint field
@@ -513,8 +518,8 @@ class SpectralFrame:
     eps = Y(-M), and ``tail`` the integral of Erpenbeck's quadrature over
     (-inf, -M], which is zeta . R(-M) exactly (see :func:`make_frame`).
     ``w`` holds the start's coefficients w_0..w_13, of which zeta sums
-    eps^k w_k to k = 12, and ``M_far`` the depth of the depth rule without
-    its cap, at most ``M``; it is None where the caller gave the depth.
+    eps^k w_k to k = 12, and ``M_far`` the depth rule's far depth, at
+    most ``M``; it is None where the caller gave the depth.
     Lee-Stewart may pair there instead (:func:`zndevans.evans._lee_stewart`).
     ``derivative`` is the :class:`FrameDerivative`, where it was asked for.
     """
@@ -573,23 +578,35 @@ def make_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = Non
     *Depth.*  An explicit ``M`` must be positive and finite, and deep
     enough that eps = exp(-K M) lies inside the radius eps* of the series
     (ValueError otherwise); beyond eps*/2 its terms fall slowly, and the
-    start's error is the caller's.  If ``M`` is None,
+    start's error is the caller's.  If ``M`` is None, the rule's far depth
+    is M_far = ln(1/eps_far)/K, or M where eps_far is not below 1, with
 
-        eps = min(eps0, (theta tol |ell| / |w_13|)^(1/13), eps*/2),
+        eps_far = min(eps_next, eps*/2),
+        eps_next = (theta tol |ell| / |w_13|)^(1/13),
 
-    with theta = 0.1, eps0 = (theta tol)^(1/5) and eps* the sonic branch
-    point of :class:`AdjointSeries`, and M = ln(1/eps)/K.  The middle term
-    puts the first neglected term at theta tol |ell|.  eps0 is the cap of
-    the fifth-order start this one replaced: the rule bounds the start's
-    error, not D's, which the field between -M and 0 can amplify (by
-    about 2.6e4 on E=86.1).  The frame also records ``w`` and M_far =
-    ln(1/eps_far)/K for the rule without that cap,
+    theta = 0.1 and eps* the sonic branch point of
+    :class:`AdjointSeries`.  eps_next puts the first neglected term at
+    theta tol |ell|.  That bounds the start's error, not D's: D's is the
+    start's error paired with Lee-Stewart's forward solution W(-M), its
+    dual weight (Estep, SIAM J. Numer. Anal. 1995; Cao & Petzold, SIAM J.
+    Sci. Comput. 2004), and |zeta||W|/|D| reaches 2.6e6 on E=86.1.
+    Lee-Stewart's backward solution carries that weight, so it checks its
+    start at M_far and pairs there where it can.  The forward methods
+    cannot check it without carrying a second solution, and start at M =
+    ln(1/eps)/K,
 
-        eps_far = min((theta tol |ell| / |w_13|)^(1/13), eps*/2),
+        eps = min(eps_far, max(eps0, rho eps_next))   where eps_next < min(1, eps*/2),
+        eps = min(eps_far, eps0)                      otherwise,
 
-    or M where eps_far is not below 1.  No forward method can check D's
-    error from that start without carrying a second solution; Lee-Stewart's
-    backward solution carries the weight, and tries M_far first.
+    with rho = 0.35 and eps0 = (theta tol)^(1/5), the cap of the
+    fifth-order start this one replaced, whose margin grows like
+    tol^(-13/5) as tol shrinks.  So M_far <= M, and M is never deeper
+    than eps0's.  Where rho eps_next sets the start, D's relative error
+    from it is rho^13 theta tol omega, with omega = |w_13 . W(-M)| |ell| /
+    (|w_13| |D|) the weight along the first neglected term.  That is
+    within tol/2 for rho <= (2 theta omega)^(-1/13): 0.50 for the largest
+    omega over the cases of tests/test_truncation.py, 3.6e4 on E=86.1 at
+    1+1i and tol 1e-5, and 0.358 for the cruder |zeta||W|/|D| <= 3.1e6.
 
     The measured relative truncation error against a reference at K M =
     ln(1e13), over the cases of tests/test_truncation.py (lambda = 1+1i,
@@ -598,11 +615,14 @@ def make_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = Non
     tol:
 
         default  EA=20  LS(1.6,50)  LS(1.02,50)  LS(1.003,50)  LS(1.001,50)  E=86.1  E=51.5
-        2e-5     0.033  5e-6        0.13         0.088         0.094         0.37    0.0045
+        2.5e-5   0.033  8.2e-6      0.13         0.088         0.094         0.37    0.0029
 
-    At the depth Lee-Stewart pairs at, it is the same except on the
-    default wave, EA=20 and LS(1.6,50), where that depth is M_far: 0.086,
-    0.093 and 0.096.
+    The 17 of those 48 cases that start at rho eps_next, on the default
+    wave, EA=20, LS(1.6,50) and E=51.5, start at K M = 2.05-3.58, where
+    eps0 gave 2.76-4.14, and are within 0.0029 tol.  At the depth
+    Lee-Stewart pairs at, the error is the same except on the default
+    wave, EA=20 and LS(1.6,50), where that depth is M_far: 0.086, 0.093
+    and 0.096.
 
     (LS(f, E) is Lee & Stewart's wave with gamma = 1.2, q = 50; the last two
     are their high-activation waves (gamma, q, E) = (1.146, 33.5, 86.1)
@@ -692,11 +712,15 @@ def make_frame(wave: SteadyWave, lam: complex, tol: float, M: float | None = Non
     M_far = None
     if M is None:
         eps_far = 0.5 * series.radius
+        eps = (_DEPTH_THETA * tol) ** 0.2
         next_term = math.hypot(*map(abs, w[-1]))
         if next_term > 0.0:
             size = math.hypot(*map(abs, ell))
-            eps_far = min(eps_far, (_DEPTH_THETA * tol * size / next_term) ** (1.0 / (_ORDER + 1)))
-        eps = min((_DEPTH_THETA * tol) ** 0.2, eps_far)
+            eps_next = (_DEPTH_THETA * tol * size / next_term) ** (1.0 / (_ORDER + 1))
+            if eps_next < min(1.0, eps_far):  # the next term sets eps_far
+                eps = max(eps, _DEPTH_RHO * eps_next)
+            eps_far = min(eps_far, eps_next)
+        eps = min(eps, eps_far)
         if eps >= 1.0:  # Y = 1 is the shock: no burned end to start from
             raise ValueError(f"tol = {tol:g} is too loose: the depth rule's start at "
                              f"Y = {eps:.3g} is not below 1 (tol < 10 is)")

@@ -418,11 +418,16 @@ def test_evans_D_and_counts_pinned_fifth_order_default_depth(wave, monkeypatch, 
     assert abs(r.D - D) <= 1e-10 * abs(D)
 
 
-# The same at the depth spectral.make_frame picks from the series start:
-# eps = min(eps0, (0.1 tol |ell| / |w_13|)^(1/13), eps*/2), which is eps0 =
-# (0.1 tol)^(1/5) at all four nodes of the default wave, so every solve
-# starts at K M = ln(1/eps0).  Lee-Stewart pairs shallower at that default
-# (PINNED_D_LEE_STEWART_FAR_START), so its rows pass this M explicitly.
+# The same from the series start at K M = ln(1/eps0), eps0 = (0.1 tol)^(1/5)
+# the cap of the fifth-order start.  spectral.make_frame's rule starts the
+# forward methods at eps = min(eps_far, max(eps0, rho eps_next)) where
+# eps_next = (0.1 tol |ell| / |w_13|)^(1/13) sets eps_far = min(eps_next,
+# eps*/2), rho = 0.35.  On the default wave eps_next sets eps_far at all four
+# nodes, but only at 0.1+30i is eps0 >= rho eps_next, so that the rule's
+# default is this depth; the other rows pass it explicitly (their default
+# depth is PINNED_D_SERIES_NEXT_TERM_DEPTH's), and so do Lee-Stewart's,
+# which pairs shallower by default (PINNED_D_LEE_STEWART_FAR_START).
+SERIES_DEFAULT_DEPTH_IS_EPS0 = {("neutral", 0.1 + 30j), ("erpenbeck", 0.1 + 30j)}
 PINNED_D_SERIES_DEFAULT_DEPTH = [
     ('neutral', (1+1j), 1.3815510557964275, 17, 0, 103, (-47.80934708855763-36.461581861018274j)),
     ('neutral', (1+3j), 1.3815510557964275, 23, 1, 145, (-101.98391652187229-96.40945927516823j)),
@@ -443,8 +448,34 @@ PINNED_D_SERIES_DEFAULT_DEPTH = [
                          ids=[f"{row[0]}-{row[1]}" for row in PINNED_D_SERIES_DEFAULT_DEPTH])
 def test_evans_D_and_counts_pinned_series_default_depth(wave, method, lam, M, accepted, rejected,
                                                         nfev, D):
-    r = evans.evaluate(wave, lam, method=method, tol=1e-5, M=M if method == "lee_stewart" else None)
+    default = (method, lam) in SERIES_DEFAULT_DEPTH_IS_EPS0
+    r = evans.evaluate(wave, lam, method=method, tol=1e-5, M=None if default else M)
     s = r.stats
+    assert abs(r.M - M) <= 1e-12 * M
+    assert (s.accepted_steps, s.rejected_steps, s.rhs_evaluations) == (accepted, rejected, nfev)
+    assert abs(r.D - D) <= 1e-10 * abs(D)
+
+
+# The forward methods at the rule's default depth where it starts shallower
+# than eps0: K M = ln(1/(rho eps_next)) = 2.05, 2.16 and 2.57 against 2.76.
+PINNED_D_SERIES_NEXT_TERM_DEPTH = [
+    ('neutral', (1+1j), 1.0268852353628686, 14, 0, 85, (-47.80934635803915-36.46158261013783j)),
+    ('neutral', (1+3j), 1.0785551801017368, 19, 1, 121, (-101.9839176528414-96.4094606171031j)),
+    ('neutral', (4+10j), 1.286849845239005, 51, 1, 313, (-243.90954989661137+148.68145259781707j)),
+    ('erpenbeck', (1+1j), 1.0268852353628686, 16, 0, 97, (-47.809366660617165-36.46153238561299j)),
+    ('erpenbeck', (1+3j), 1.0785551801017368, 30, 0, 181, (-101.98391370998763-96.41036846526646j)),
+    ('erpenbeck', (4+10j), 1.286849845239005, 110, 0, 661, (-243.91885673481255+148.6833900166174j)),
+]
+
+
+@pytest.mark.parametrize("method, lam, M, accepted, rejected, nfev, D", PINNED_D_SERIES_NEXT_TERM_DEPTH,
+                         ids=[f"{row[0]}-{row[1]}" for row in PINNED_D_SERIES_NEXT_TERM_DEPTH])
+def test_evans_D_and_counts_pinned_series_next_term_depth(wave, method, lam, M, accepted, rejected,
+                                                          nfev, D):
+    r = evans.evaluate(wave, lam, method=method, tol=1e-5)
+    s = r.stats
+    frame = spectral.make_frame(wave, lam, 1e-5)
+    assert frame.M_far < r.M < math.log(1.0 / 1e-6 ** 0.2) / wave.config.K
     assert abs(r.M - M) <= 1e-12 * M
     assert (s.accepted_steps, s.rejected_steps, s.rhs_evaluations) == (accepted, rejected, nfev)
     assert abs(r.D - D) <= 1e-10 * abs(D)

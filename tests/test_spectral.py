@@ -18,6 +18,9 @@ from oracles import (
     series_start_mp,
     stable_left_eig,
 )
+from test_truncation import CONFIGS as TRUNCATION_CONFIGS
+from test_truncation import LAMBDAS as TRUNCATION_LAMBDAS
+from test_truncation import tols_for, wave_named
 from zndevans import spectral
 from zndevans.errors import NumericalDomainError
 from zndevans.evans import METHODS, _field, duality_check, evaluate
@@ -399,6 +402,64 @@ class TestBurnedStart:
             g = make_frame(wave, lam, 1e-5).g_minus
             out = rhs_kernel(wave, lam, g)(wave.burned, [0.0, 0.0, 0.0, 1.0])
             assert out[:3] == [0.0, 0.0, 0.0] and out[3] != 0.0
+
+
+class TestDepthRule:
+    """make_frame's default depth over the cases of tests/test_truncation.py.
+
+    The far depth is eps_far = min(eps_next, eps*/2), with eps_next =
+    (theta tol |ell| / |w_13|)^(1/13).  Where eps_next sets it, the forward
+    methods start at min(eps_far, max(eps0, rho eps_next)), eps0 = (theta
+    tol)^(1/5) the cap of the fifth-order start; elsewhere at min(eps0,
+    eps_far).  No start is deeper than min(eps0, eps_far)'s."""
+
+    cases = [(name, lam, tol) for name in TRUNCATION_CONFIGS for lam in TRUNCATION_LAMBDAS
+             for tol in tols_for(name)]
+
+    def test_depth_between_far_and_capped(self):
+        moved = kept = 0
+        for name, lam, tol in self.cases:
+            wave = wave_named(name)
+            K = wave.config.K
+            frame = make_frame(wave, lam, tol)
+            eps0 = (spectral._DEPTH_THETA * tol) ** 0.2
+            eps_next = (spectral._DEPTH_THETA * tol * math.hypot(*map(abs, frame.ell))
+                        / math.hypot(*map(abs, frame.w[-1]))) ** (1.0 / 13.0)
+            eps_far = min(eps_next, 0.5 * wave.adjoint_series.radius)
+            capped = math.log(1.0 / min(eps0, eps_far)) / K
+            case = (name, lam, tol)
+            assert frame.M_far == math.log(1.0 / eps_far) / K, case
+            assert frame.M_far <= frame.M <= capped, case
+            if eps_next >= min(1.0, 0.5 * wave.adjoint_series.radius) \
+                    or eps0 >= spectral._DEPTH_RHO * eps_next:
+                assert frame.M == capped, case
+                kept += 1
+            else:
+                assert frame.M < capped, case
+                assert frame.M == pytest.approx(
+                    math.log(1.0 / (spectral._DEPTH_RHO * eps_next)) / K, rel=1e-14), case
+                moved += 1
+            conj = make_frame(wave, lam.conjugate(), tol)
+            assert (conj.M, conj.M_far) == (frame.M, frame.M_far), case
+        assert moved and kept, (moved, kept)
+
+    @pytest.mark.parametrize("name, omega_max", [("E=86.1", 3.7e4), ("E=51.5", 1.7e3)])
+    def test_margin_covers_the_dual_weight(self, name, omega_max):
+        # the start's error eps^13 w_13 . W(-M), relative to D, is rho^13
+        # theta tol omega where eps_next sets the depth, with omega the
+        # weight of Lee-Stewart's forward solution W along w_13 (the dual
+        # weight of Estep 1995, Cao & Petzold 2004).  It peaks on these
+        # high-activation waves at 1+1i (measured 3.6e4 and 1.6e3 at tol
+        # 1e-5), and the margin keeps the error within tol / 20 there
+        wave, lam, tol = wave_named(name), 1.0 + 1.0j, 1e-5
+        frame = make_frame(wave, lam, tol)
+        W, _ = integrate_adaptive(_field(wave, lam, adjoint=False), (0.0, -frame.M), frame.jump,
+                                  1e-10, 1e-10)
+        D = complex(frame.zeta @ W)
+        w13 = frame.w[-1]
+        omega = abs(complex(w13 @ W)) * np.linalg.norm(frame.ell) / (np.linalg.norm(w13) * abs(D))
+        assert omega <= omega_max, omega
+        assert spectral._DEPTH_THETA * omega * spectral._DEPTH_RHO ** 13 <= 1.0 / 20.0, omega
 
 
 class TestStableLeftMode:
