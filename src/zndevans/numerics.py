@@ -10,9 +10,8 @@ the state: ``_step_loop(n)`` expands and compiles it for dimension ``n`` on
 first use, so the loop works on scalar locals.  Nothing is generated at
 import.
 
-Also here: winding numbers by the argument principle, adaptive contour
-refinement on the phase and the log-derivative, and complex Newton
-iteration with finite-difference derivatives.
+Also here: winding numbers by the argument principle, and adaptive contour
+refinement and complex Newton iteration, both on the log-derivative.
 """
 
 from __future__ import annotations
@@ -38,8 +37,7 @@ from .errors import (
     UnderSampledContourError,
 )
 
-Evaluator = Callable[[complex], complex]
-# z -> (f(z), f'(z)/f(z)): what refine_contour samples
+# z -> (f(z), f'(z)/f(z)): what refine_contour samples and newton_root solves
 LogEvaluator = Callable[[complex], tuple[complex, complex]]
 
 # Dormand-Prince 5(4) tableau.  Fifth-order propagating solution, fourth-order
@@ -566,16 +564,16 @@ def refine_contour(
 
 
 def newton_root(
-    evaluator: Evaluator,
+    evaluator: LogEvaluator,
     seed: complex,
     tol: float = 1e-10,
     max_iter: int = 30,
 ) -> complex:
-    """Newton iteration for a zero of an analytic map.
+    """Newton iteration for a zero of an analytic f.
 
-    The derivative is approximated by a centered difference along the real
-    direction with step ``1e-6 * max(1, |lambda|)`` (legitimate for analytic
-    evaluators).  Convergence means the Newton step dropped below ``tol``.
+    ``evaluator(z)`` returns ``(f(z), g(z))``, g = f'/f, as for :func:`refine_contour`:
+    one call per iteration, and the step is 1/g.  Convergence means the step
+    dropped below ``tol``; a derivative |g f| under 1e-14 raises :class:`DegenerateRootError`.
     """
     if not 0.0 < tol < math.inf:  # also rejects NaN
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -583,17 +581,15 @@ def newton_root(
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     lam = complex(seed)
     for _ in range(max_iter):
-        f = evaluator(lam)
+        f, g = evaluator(lam)
         if f == 0.0:
             return lam
-        h = 1e-6 * max(1.0, abs(lam))
-        deriv = (evaluator(lam + h) - evaluator(lam - h)) / (2.0 * h)
-        if abs(deriv) < 1e-14:
+        if abs(g * f) < 1e-14:
             raise DegenerateRootError(
-                f"|derivative| = {abs(deriv):.3e} at lambda={lam:.6g}; "
+                f"|derivative| = {abs(g * f):.3e} at lambda={lam:.6g}; "
                 "degenerate or multiple root"
             )
-        step = f / deriv
+        step = 1.0 / g
         lam -= step
         if abs(step) < tol:
             return lam

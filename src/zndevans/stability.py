@@ -4,8 +4,8 @@ Unstable normal modes are zeros of the determinant in the closed right half
 plane; their number inside a semicircular contour equals the winding number
 of D / lambda around it (argument principle: lambda = 0 lies outside),
 computed here on samples refined on the phase and on the exact
-log-derivative.  Individual roots are followed through parameter
-sweeps by Newton continuation with step halving on failure.
+log-derivative.  Individual roots are followed through parameter sweeps
+by Newton continuation on the same function, halving the step on failure.
 """
 
 from __future__ import annotations
@@ -17,11 +17,17 @@ import numpy as np
 
 from .errors import ContourThroughRootError, NumericalDomainError
 from .evans import METHOD_NEUTRAL, EvansResult, evaluate
-from .numerics import Contour, Evaluator, SolveStats, newton_root, refine_contour, winding_number
+from .numerics import Contour, LogEvaluator, SolveStats, newton_root, refine_contour, winding_number
 from .znd import GasWaveConfig, SteadyWave, build_wave
 
 # a contour sample under this fraction of max|D| counts as a root on the contour
 _FLOOR_REL = 1e-10
+
+
+def _winding_pair(lam: complex, value: complex, slope: complex) -> tuple[complex, complex]:
+    """f = D kappa / lambda and g = f'/f at lam, from ``value`` = D kappa
+    and ``slope`` = d(D kappa)/d lambda there."""
+    return value / lam, slope / value - 1.0 / lam
 
 
 @dataclass(frozen=True)
@@ -124,11 +130,8 @@ def count_unstable(
         value, slope = r.D * r.kappa_to_neutral, r.derivative
         return (value, slope) if key == lam else (value.conjugate(), slope.conjugate())
 
-    def evaluator(lam: complex) -> tuple[complex, complex]:
-        value, slope = solve(lam)
-        return value / lam, slope / value - 1.0 / lam  # f and f'/f
-
-    nodes, values, by_phase, by_derivative = refine_contour(evaluator, contour)
+    nodes, values, by_phase, by_derivative = refine_contour(
+        lambda lam: _winding_pair(lam, *solve(lam)), contour)
     samples = np.array([solve(z)[0] for z in nodes])
     min_abs = float(np.min(np.abs(samples)))
     if min_abs < _FLOOR_REL * float(np.max(np.abs(samples))):
@@ -184,7 +187,7 @@ _MAX_HALVINGS = 8
 
 
 def continue_roots(
-    factory: Callable[[float], Evaluator],
+    factory: Callable[[float], LogEvaluator],
     values: Sequence[float],
     seed: complex,
     tol: float = 1e-10,
@@ -192,6 +195,8 @@ def continue_roots(
 ) -> RootTrace:
     """Follow a root of ``factory(value)`` across the given parameter values.
 
+    ``factory(value)`` returns the evaluator ``z -> (f(z), f'(z)/f(z))`` of
+    :func:`zndevans.numerics.newton_root` for the analytic f at that value.
     Newton starts from ``seed`` at the first value and from the last root
     after that.  Whenever it fails between requested values, the parameter
     step is halved, down to the requested step over ``2**_MAX_HALVINGS``;
@@ -242,25 +247,23 @@ def sweep_roots(
 ) -> RootTrace:
     """Root continuation across a sweep of one scalar field of ``base`` (e.g. 'EA' or 'q').
 
-    ``D`` is solved by ``method`` at integration tolerance ``evans_tol``
-    and rescaled by its recorded analytic factor, as in
-    :func:`count_unstable`: each solve picks its depth from ``lambda``, so
-    Lee-Stewart's raw value is not analytic in ``lambda`` and Newton's
-    real-direction difference would not be its derivative.  ``tol`` is the
-    Newton tolerance.  The trace's ``solve_stats`` lists every solve made,
-    in order.
+    Newton solves f = D kappa / lambda, the function :func:`count_unstable`
+    winds, with its exact log-derivative: one derivative solve of ``D`` by
+    ``method`` at integration tolerance ``evans_tol`` per iteration.  The
+    division removes D's translation zero lambda = 0, which is not a mode.
+    ``tol`` is the Newton tolerance; ``solve_stats`` lists every solve made.
     """
     if name not in _SWEEPABLE:
         raise ValueError(f"cannot sweep {name!r}; choose from {_SWEEPABLE}")
     stats: list[SolveStats] = []
 
-    def factory(value: float) -> Evaluator:
+    def factory(value: float) -> LogEvaluator:
         wave = build_wave(replace(base, **{name: value}))
 
-        def evaluator(lam: complex) -> complex:
-            r = evaluate(wave, lam, method=method, tol=evans_tol)
+        def evaluator(lam: complex) -> tuple[complex, complex]:
+            r = evaluate(wave, lam, method=method, tol=evans_tol, derivative=True)
             stats.append(r.stats)
-            return r.D * r.kappa_to_neutral
+            return _winding_pair(lam, r.D * r.kappa_to_neutral, r.derivative)
 
         return evaluator
 

@@ -15,6 +15,17 @@ from zndevans.znd import (
 )
 
 
+def log_pair(f, df):
+    """The evaluator of f that newton_root and continue_roots take: the value
+    and its exact log-derivative df/f, infinite at a zero of f."""
+
+    def evaluator(z):
+        v = f(z)
+        return v, (df(z) / v if v != 0 else complex(math.inf))
+
+    return evaluator
+
+
 @pytest.fixture(scope="session")
 def wave():
     """Default overdriven reactive wave."""

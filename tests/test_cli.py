@@ -249,14 +249,18 @@ class TestContourCommand:
 
 
 class TestRootsCommand:
-    # both seeds are drawn by Newton towards the translation zero lambda = 0
-    # and fail at the first value, where there is no step to halve
-    @pytest.mark.parametrize("config, seed", [
-        ("shock_path", ["--values", "10,11", "--seed-re", "0.5", "--seed-im", "0.5"]),
-        ("cfg_path", ["--values", "10,10.5", "--seed-re", "0.001"]),
+    # both traces fail at the first value, where there is no step to halve.
+    # On the default wave Newton's first step from 0.001 lands at
+    # lambda = -10.34.  The nonreactive shock's D / lambda is constant, so
+    # Newton's first step from 0.5+0.5i leaves for |lambda| ~ 1e15, where
+    # the solve's step size underflows
+    @pytest.mark.parametrize("config, seed, error", [
+        ("shock_path", ["--values", "10,11", "--seed-re", "0.5", "--seed-im", "0.5"],
+         "step size underflow"),
+        ("cfg_path", ["--values", "10,10.5", "--seed-re", "0.001"], "Re(lambda) >= 0"),
     ], ids=["shock", "default-wave"])
-    def test_nonconvergent_seed_reports_numerical_error(self, config, seed, request, tmp_path,
-                                                        capsys):
+    def test_nonconvergent_seed_reports_numerical_error(self, config, seed, error, request,
+                                                        tmp_path, capsys):
         out = tmp_path / "r.json"
         rc = main(["roots", "--config", request.getfixturevalue(config), "--param", "EA",
                    *seed, "--out", str(out)])
@@ -266,7 +270,7 @@ class TestRootsCommand:
         assert rec["values"] == [10.0]
         manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
         assert manifest["solve_stats"]
-        assert "Re(lambda) >= 0" in manifest["stopped_by"]
+        assert error in manifest["stopped_by"]
         assert f"numerical error: {manifest['stopped_by']}" in capsys.readouterr().err
 
 

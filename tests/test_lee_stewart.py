@@ -12,8 +12,12 @@ from conftest import lee_stewart_config
 from zndevans.evans import METHODS, evaluate
 from zndevans.numerics import newton_root
 from zndevans.spectral import make_frame
-from zndevans.stability import count_unstable
+from zndevans.stability import count_unstable, sweep_roots
 from zndevans.znd import build_wave
+
+
+# the unstable root of LS(1.6, 50) in the upper half plane
+LS_ROOT = 0.125326848 + 0.885358023j
 
 
 @pytest.fixture(scope="module")
@@ -51,19 +55,31 @@ def test_methods_agree_at_one_plus_i(ls_waves):
 def test_root_pinned(ls_waves):
     # the unstable pair of LS(1.6, 50): every method converges to the same root
     wave = ls_waves[1.6, 50.0]
-    root = 0.125326848 + 0.885358023j
     found = []
     for method in METHODS:
         # raw Lee-Stewart D is not analytic in lambda, as the depth follows
-        # lambda; D * kappa_to_neutral is, and it is what sweep_roots solves
-        def analytic_D(lam):
-            r = evaluate(wave, lam, method=method, tol=1e-10)
-            return r.D * r.kappa_to_neutral
+        # lambda; D * kappa_to_neutral is, and sweep_roots solves it over
+        # lambda, with its exact log-derivative
+        def f_and_g(lam):
+            r = evaluate(wave, lam, method=method, tol=1e-10, derivative=True)
+            value = r.D * r.kappa_to_neutral
+            return value / lam, r.derivative / value - 1.0 / lam
 
-        z = newton_root(analytic_D, 0.12 + 0.88j)
-        assert abs(z - root) <= 1e-7, (method, z)
+        z = newton_root(f_and_g, 0.12 + 0.88j)
+        assert abs(z - LS_ROOT) <= 1e-7, (method, z)
         found.append(z)
     assert max(abs(a - b) for a in found for b in found) <= 1e-7, found
+
+
+@pytest.mark.parametrize("seed", [0.12 + 0.88j, 0.2 + 1j, 0.5 + 1j])
+def test_sweep_roots_solves_per_root(seed):
+    # one derivative solve per Newton iteration: 3, 5 and 6 solves from
+    # these seeds at the default evans_tol 1e-7 and Newton tol 1e-8
+    cfg = lee_stewart_config(1.2, 50.0, 50.0, 1.6)
+    trace = sweep_roots(cfg, "q", [cfg.q], seed)
+    assert trace.converged.tolist() == [True]
+    assert abs(trace.roots[0] - LS_ROOT) <= 1e-7, trace.roots
+    assert len(trace.solve_stats) <= 8, len(trace.solve_stats)
 
 
 # Radii of the large-radius counts on LS(1.2, 50).  Its higher unstable

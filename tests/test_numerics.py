@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import log_pair
 from zndevans.errors import (
     ContourRefinementError,
     ContourThroughRootError,
@@ -240,32 +241,34 @@ class TestRefine:
 
 class TestNewton:
     def test_linear(self):
-        root = newton_root(lambda z: z - 3j, 1.0 + 1.0j, tol=1e-12)
+        root = newton_root(log_pair(lambda z: z - 3j, lambda z: 1.0), 1.0 + 1.0j, tol=1e-12)
         assert abs(root - 3j) < 1e-10
 
     def test_quadratic(self):
-        root = newton_root(lambda z: z * z - 1.0, 1.2, tol=1e-12)
+        root = newton_root(log_pair(lambda z: z * z - 1.0, lambda z: 2.0 * z), 1.2, tol=1e-12)
         assert abs(root - 1.0) < 1e-10
 
     def test_model_oracle_root_at_origin(self):
-        root = newton_root(lambda z: model_oracle(z, 10.0), 0.1 + 0.1j, tol=1e-12)
+        # f = z / (c (z + 2)), f'/f = 2 / (z (z + 2))
+        oracle = lambda z: (model_oracle(z, 10.0), 2.0 / (z * (z + 2.0)))
+        root = newton_root(oracle, 0.1 + 0.1j, tol=1e-12)
         assert abs(root) < 1e-10
 
     def test_degenerate_root(self):
         with pytest.raises(DegenerateRootError):
-            newton_root(lambda z: z * z, 1e-8, tol=1e-15, max_iter=100)
+            newton_root(log_pair(lambda z: z * z, lambda z: 2.0 * z), 1e-8, tol=1e-15, max_iter=100)
 
     @pytest.mark.parametrize("kw", [
         {"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0}, {"tol": -1.0}, {"max_iter": 0},
     ])
     def test_bad_arguments_rejected(self, kw):
         with pytest.raises(ValueError):
-            newton_root(lambda z: z - 3j, 1.0, **kw)
+            newton_root(log_pair(lambda z: z - 3j, lambda z: 1.0), 1.0, **kw)
 
     def test_nonconvergence(self):
         # real Newton on z^2+1 never settles (roots are off the real line)
         with pytest.raises(NewtonError):
-            newton_root(lambda z: z * z + 1.0, 0.5, tol=1e-14, max_iter=5)
+            newton_root(log_pair(lambda z: z * z + 1.0, lambda z: 2.0 * z), 0.5, tol=1e-14, max_iter=5)
 
     @given(
         st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
@@ -278,7 +281,7 @@ class TestNewton:
         # simple root: converges from within 0.1 in few iterations at tol 1e-12
         root = r1
         other = r1 + r2  # guaranteed simple (|r2| >= 0.5)
-        poly = lambda z: (z - root) * (z - other)
+        poly = log_pair(lambda z: (z - root) * (z - other), lambda z: 2.0 * z - root - other)
         found = newton_root(poly, root + complex(dx, dy), tol=1e-12, max_iter=8)
         assert abs(found - root) < 1e-9
 

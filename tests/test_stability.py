@@ -3,7 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
-from conftest import lee_stewart_config
+from conftest import lee_stewart_config, log_pair
 from zndevans import stability
 from zndevans.errors import ContourThroughRootError
 from zndevans.evans import METHODS, evaluate
@@ -140,26 +140,26 @@ class TestCountUnstableSolvesTheUpperHalf:
 
 class TestContinuation:
     def test_constant_family(self):
-        factory = lambda a: (lambda z: z - (1.0 + 0.5j))
+        factory = lambda a: log_pair(lambda z: z - (1.0 + 0.5j), lambda z: 1.0)
         trace = continue_roots(factory, [1.0, 1.0, 1.0], seed=1.1 + 0.4j)
         assert np.allclose(trace.roots, 1.0 + 0.5j)
         assert np.all(trace.converged)
 
     def test_moving_root_tracks_parameter(self):
-        factory = lambda a: (lambda z: z - a)
+        factory = lambda a: log_pair(lambda z: z - a, lambda z: 1.0)
         values = np.linspace(1.0, 2.0, 11)
         trace = continue_roots(factory, values, seed=1.05)
         assert np.allclose(trace.roots.real, trace.values, atol=1e-9)
         assert np.allclose(trace.roots.imag, 0.0, atol=1e-9)
 
     def test_reversal_consistency(self):
-        factory = lambda a: (lambda z: (z - a) * (z + 3.0))
+        factory = lambda a: log_pair(lambda z: (z - a) * (z + 3.0), lambda z: 2.0 * z + 3.0 - a)
         fwd = continue_roots(factory, np.linspace(1.0, 2.0, 6), seed=1.0)
         back = continue_roots(factory, np.linspace(2.0, 1.0, 6), seed=fwd.roots[-1])
         assert abs(back.roots[-1] - fwd.roots[0]) < 1e-6
 
     def test_residual_small_at_every_point(self):
-        factory = lambda a: (lambda z: z**2 - a)
+        factory = lambda a: log_pair(lambda z: z**2 - a, lambda z: 2.0 * z)
         values = np.linspace(4.0, 9.0, 6)
         trace = continue_roots(factory, values, seed=2.0, tol=1e-12)
         for a, root in zip(trace.values, trace.roots):
@@ -168,7 +168,7 @@ class TestContinuation:
     def test_step_halving_inserts_midpoints(self):
         # Newton from the previous root diverges once tanh saturates (|z - a| > ~1.1),
         # so the step 0 -> 4 is halved until it fails no more
-        factory = lambda a: (lambda z: cmath.tanh(z - a))
+        factory = lambda a: log_pair(lambda z: cmath.tanh(z - a), lambda z: 1.0 - cmath.tanh(z - a) ** 2)
         trace = continue_roots(factory, [0.0, 4.0], seed=0.0)
         assert np.all(trace.converged)
         assert trace.stopped_by is None
@@ -179,8 +179,8 @@ class TestContinuation:
         # root escapes any neighbourhood: continuation must give up cleanly
         def factory(a):
             if a > 0.5:
-                return lambda z: 1.0 + 0j  # no root at all
-            return lambda z: z - a
+                return lambda z: (1.0 + 0j, 0j)  # no root at all
+            return log_pair(lambda z: z - a, lambda z: 1.0)
 
         trace = continue_roots(factory, [0.0, 1.0], seed=0.0)
         assert not trace.converged[-1]
@@ -188,7 +188,7 @@ class TestContinuation:
         assert trace.stopped_by
 
     def test_failure_at_first_value_keeps_the_seed(self):
-        trace = continue_roots(lambda a: (lambda z: 1.0 + 0j), [0.0, 1.0], seed=2.0 + 1.0j)
+        trace = continue_roots(lambda a: (lambda z: (1.0 + 0j, 0j)), [0.0, 1.0], seed=2.0 + 1.0j)
         assert trace.values.tolist() == [0.0]
         assert trace.roots.tolist() == [2.0 + 1.0j]
         assert trace.converged.tolist() == [False]
@@ -212,17 +212,18 @@ class TestContinuation:
             return result
 
         monkeypatch.setattr(stability, "evaluate", recorded)
-        # Newton from this seed walks to lambda = 0 and fails there
+        # the shock's D / lambda is constant, so Newton's first step leaves
+        # for |lambda| ~ 1e15, where the solve fails
         trace = sweep_roots(nonreactive_config(), "EA", [10.0, 11.0], seed=0.5 + 0.5j)
         assert made and trace.solve_stats == tuple(made)
         assert trace.stopped_by
 
     @pytest.mark.parametrize("method", METHODS)
     def test_sweep_roots_evaluator_is_analytic(self, monkeypatch, method):
-        # Newton differences the evaluator along the real direction only,
-        # which gives its derivative only if the evaluator is analytic: on
-        # LS(1.6, 50) near its unstable pair the Cauchy-Riemann residual of
-        # the evaluator sweep_roots builds must be difference-error sized
+        # Newton solves the f of the evaluator sweep_roots builds with the
+        # g = f'/f it returns: on LS(1.6, 50) near its unstable pair f's
+        # Cauchy-Riemann residual must be difference-error sized, and g f
+        # must match f's centred difference along the real direction
         class Captured(Exception):
             pass
 
@@ -233,14 +234,17 @@ class TestContinuation:
         cfg = lee_stewart_config(1.2, 50.0, 50.0, 1.6)
         with pytest.raises(Captured) as info:
             sweep_roots(cfg, "q", [cfg.q], seed=0.3 + 0.9j, method=method, evans_tol=1e-10)
-        D = info.value.args[0](cfg.q)
+        evaluator = info.value.args[0](cfg.q)
+        f = lambda z: evaluator(z)[0]
         lam, h = 0.3 + 0.9j, 1e-4
-        d_x = (D(lam + h) - D(lam - h)) / (2.0 * h)
-        d_y = (D(lam + 1j * h) - D(lam - 1j * h)) / (2.0 * h)
+        d_x = (f(lam + h) - f(lam - h)) / (2.0 * h)
+        d_y = (f(lam + 1j * h) - f(lam - 1j * h)) / (2.0 * h)
         assert abs(d_x + 1j * d_y) < 1e-6 * abs(d_x)
+        value, g = evaluator(lam)
+        assert abs(g * value - d_x) < 1e-6 * abs(d_x)
 
     def test_trace_json(self):
-        factory = lambda a: (lambda z: z - a)
+        factory = lambda a: log_pair(lambda z: z - a, lambda z: 1.0)
         trace = continue_roots(factory, [1.0, 1.5], seed=1.0, name="a")
         rec = trace.to_json_dict()
         assert rec["parameter"] == "a"
